@@ -17,6 +17,8 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     hermitian_eig,
+    psd_sqrt,
+    random_densities,
     random_density,
     random_effect,
 )
@@ -171,8 +173,7 @@ def orders_campaign(
                 # construct f below g by sandwich shrinkage
                 effects = {}
                 for a in g.space.atoms:
-                    vals, vecs = hermitian_eig(g.effect(a))
-                    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+                    root = psd_sqrt(g.effect(a))
                     effects[a] = root @ random_effect(rng, dim) @ root
                 f = Predicate(g.space, effects)
             else:
@@ -184,15 +185,13 @@ def orders_campaign(
                 failures += 1
                 continue
             if leq:
+                rho = random_densities(rng, states_per_pair, dim)
                 ok = True
-                for _ in range(states_per_pair):
-                    rho = random_density(rng, dim)
-                    for a in f.space.atoms:
-                        lhs = float(np.trace(rho @ f.effect(a)).real)
-                        rhs = float(np.trace(rho @ g.effect(a)).real)
-                        worst = max(worst, lhs - rhs)
-                        if lhs > rhs + tol.residual_tol:
-                            ok = False
+                for a in f.space.atoms:
+                    lhs = np.trace(rho @ f.effect(a), axis1=-2, axis2=-1).real
+                    rhs = np.trace(rho @ g.effect(a), axis1=-2, axis2=-1).real
+                    worst = float(np.max(lhs - rhs, initial=worst))
+                    ok = ok and not np.any(lhs > rhs + tol.residual_tol)
                 failures += int(not ok)
             else:
                 witnessed = False

@@ -41,7 +41,7 @@ from .serialize import (
     validation_report_to_json,
     verification_report_to_json,
 )
-from .wp import duality_residual_sweep, verify_triple, wp as wp_transform
+from .wp import RESIDUAL_SAMPLE_STATES, duality_residual_sweep, verify_triple, wp as wp_transform
 
 MAX_DIM = 6
 
@@ -239,7 +239,7 @@ def wp_command(program_path, predicate_path, out, seed, eig_tol, residual_tol, s
     report = _report(
         "wp", [program_path, predicate_path], seed, tol, 0, out=out,
         complete=is_complete(result, tol),
-        duality={"states": 100, "max_residual": max(residuals.values()), "per_atom": residuals},
+        duality={"states": RESIDUAL_SAMPLE_STATES, "max_residual": max(residuals.values()), "per_atom": residuals},
         program={
             "trace_preserving": True,
             "completely_positive": verdict.status == "certified_cp",

@@ -25,8 +25,10 @@ __all__ = [
     "trace_norm",
     "min_eigenvalue",
     "hermitian_eig",
+    "psd_sqrt",
     "sample_random",
     "random_density",
+    "random_densities",
     "random_effect",
     "random_unitary",
     "random_hermitian_contraction",
@@ -80,8 +82,9 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each (near-)hermitian matrix in a stack (..., d, d)."""
     # symmetrize first: eigvalsh reads one triangle only
-    h = (a + a.conj().T) / 2.0
+    h = (a + a.conj().swapaxes(-1, -2)) / 2.0
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
@@ -128,6 +131,13 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
+
+
+def psd_sqrt(a) -> np.ndarray:
+    """Square root of a (near-)PSD matrix; eigenvalues below zero are clipped to zero."""
+    vals, vecs = hermitian_eig(a)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def loewner_leq(a, b, tol: ToleranceConfig | None = None) -> bool:
@@ -178,11 +188,21 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def random_densities(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """Stack of n PSD trace-one matrices from Ginibre products, shape (n, dim, dim).
+
+    One draw covers all n matrices and consumes the stream exactly as n
+    calls of :func:`random_density` would, entry for entry.
+    """
+    z = rng.standard_normal((n, 2, dim, dim))
+    g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """PSD trace-one matrix from a Ginibre product."""
-    g = _ginibre(rng, dim, dim)
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+    return random_densities(rng, 1, dim)[0]
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

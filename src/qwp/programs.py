@@ -21,6 +21,7 @@ transpose map is the standard example) are first-class citizens here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "build_program",
     "apply",
     "apply_matrix",
+    "apply_matrices",
     "adjoint",
     "is_trace_preserving",
     "to_choi",
@@ -67,17 +69,19 @@ __all__ = [
 
 
 def vec(m) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(m).reshape(-1, order="F")
+    """Column-stack a matrix into a vector; a stack (..., r, c) gives (..., r*c)."""
+    m = np.asarray(m)
+    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (-1,))
 
 
 def unvec(v) -> np.ndarray:
-    """Inverse of :func:`vec` for square targets."""
+    """Inverse of :func:`vec` for square targets; a stack (..., d²) gives (..., d, d)."""
     v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"cannot reshape a length-{v.size} vector into a square matrix")
-    return v.reshape(d, d, order="F")
+    n = v.shape[-1]
+    d = math.isqrt(n)
+    if d * d != n:
+        raise ValueError(f"cannot reshape a length-{n} vector into a square matrix")
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -320,12 +324,20 @@ def build_program(source: dict, dim: int | None = None, tol: ToleranceConfig | N
 # ---------------------------------------------------------------------------
 
 
+def apply_matrices(c: QuantumProgram, ms: np.ndarray) -> np.ndarray:
+    """Act on a stack of operators of shape (..., d, d). No validation of the entries.
+
+    Each vectorized operator is multiplied as a one-column matrix, which keeps
+    the per-operator rounding of a matrix-vector product.
+    """
+    if ms.shape[-2:] != (c.dim, c.dim):
+        raise DimensionMismatchError(f"operator dim {ms.shape[-1]} vs program dim {c.dim}")
+    return unvec((c.super @ vec(ms)[..., None])[..., 0])
+
+
 def apply_matrix(c: QuantumProgram, m) -> np.ndarray:
     """Act on an arbitrary operator. No state validation on the output."""
-    m = as_complex_matrix(m)
-    if m.shape[0] != c.dim:
-        raise DimensionMismatchError(f"operator dim {m.shape[0]} vs program dim {c.dim}")
-    return unvec(c.super @ vec(m))
+    return apply_matrices(c, as_complex_matrix(m)[None])[0]
 
 
 def apply(c: QuantumProgram, rho: DensityState, tol: ToleranceConfig | None = None) -> DensityState:

@@ -23,11 +23,13 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _eigvalsh,
     as_complex_matrix,
     hermitian_eig,
     is_hermitian,
     min_eigenvalue,
-    random_density,
+    psd_sqrt,
+    random_densities,
     random_effect,
 )
 from .predicates import OutcomeSpace, Predicate, predicate_leq, validate_predicate
@@ -36,6 +38,7 @@ from .programs import (
     QuantumProgram,
     adjoint,
     apply,
+    apply_matrices,
     apply_matrix,
     is_trace_preserving,
     seq,
@@ -58,6 +61,10 @@ __all__ = [
 
 # states behind the duality-residual column of every verification report
 RESIDUAL_SAMPLE_STATES = 100
+
+# cap on the bytes of one stack of sampled d×d matrices; sampled checks
+# process their states in blocks that fit it (at least one trial a block)
+STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,18 +180,23 @@ def duality_residual_sweep(
     seed: int = 0,
     states: int = RESIDUAL_SAMPLE_STATES,
 ) -> dict[str, float]:
-    """Per-atom max duality residual over seeded random states."""
+    """Per-atom max duality residual over seeded random states.
+
+    The states come from one generator seeded by (seed, 0x0D0A) and are drawn
+    and checked in stacked blocks; each residual is the modulus of
+    Tr(G_a rho) - Tr(F_a C(rho)) with the same rounding as a scalar abs().
+    """
     tol = tol or DEFAULT_TOL
     transformed = wp(c, f, tol)
     worst = {a: 0.0 for a in f.space.atoms}
     rng = np.random.default_rng([seed, 0x0D0A])
-    for _ in range(states):
-        rho = random_density(rng, c.dim)
-        out = apply_matrix(c, rho)
+    block = _block_size(c.dim)
+    for start in range(0, states, block):
+        rho = random_densities(rng, min(block, states - start), c.dim)
+        out = apply_matrices(c, rho)
         for a in f.space.atoms:
-            lhs = np.trace(transformed.effect(a) @ rho)
-            rhs = np.trace(f.effect(a) @ out)
-            worst[a] = max(worst[a], float(abs(lhs - rhs)))
+            gap = _traces(transformed.effect(a) @ rho) - _traces(f.effect(a) @ out)
+            worst[a] = max(worst[a], float(np.hypot(gap.real, gap.imag).max()))
     return worst
 
 
@@ -251,10 +263,21 @@ def verify_triple(
     return is_precondition(t.pre, t.prog, t.post, tol, seed)
 
 
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    vals, vecs = hermitian_eig(a)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+def _block_size(dim: int, per_row: int = 1) -> int:
+    """Rows per block so that per_row complex d×d matrices a row fit in STACK_BYTES; at least one."""
+    return max(1, STACK_BYTES // (per_row * dim * dim * 16))
+
+
+def _traces(stack: np.ndarray) -> np.ndarray:
+    return np.trace(stack, axis1=-2, axis2=-1)
+
+
+def _require_finite_hermitian(stack: np.ndarray, tol: ToleranceConfig) -> None:
+    # the per-matrix checks of Predicate and loewner_leq, run once per stack
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    if float(np.abs(stack - stack.conj().swapaxes(-1, -2)).max()) > tol.residual_tol:
+        raise ValueError("loewner_leq requires hermitian operands")
 
 
 def weakest_check(
@@ -271,42 +294,43 @@ def weakest_check(
     random effect), confirms each candidate is a genuine precondition through
     the duality-side inequality Tr(G_a rho) <= Tr(F_a C(rho)) on sampled
     states, then confirms it is dominated by wp(c, f). Every trial seeds its
-    own generator from (seed, trial), so results are schedule-independent.
+    own generator from (seed, trial) and draws one W per atom, then all of
+    its states in one block, so results are schedule-independent. Trials are
+    checked in stacked blocks of at most STACK_BYTES per stack of states.
     """
     tol = tol or DEFAULT_TOL
     transformed = wp(c, f, tol)
     atoms = f.space.atoms
     d = c.dim
-    roots = {a: _psd_sqrt(transformed.effect(a)) for a in atoms}
+    bounds = np.stack([transformed.effect(a) for a in atoms])
+    _require_finite_hermitian(bounds, tol)
+    roots = np.stack([psd_sqrt(s) for s in bounds])
 
     dominated = 0
     confirmed = 0
     min_margin = np.inf
-    for trial in range(tol.sample_count):
-        rng = np.random.default_rng([seed, trial])
-        cand = Predicate(
-            f.space, {a: roots[a] @ random_effect(rng, d) @ roots[a] for a in atoms}
-        )
+    block = _block_size(d, max(states_per_trial, len(atoms)))
+    for start in range(0, tol.sample_count, block):
+        shrinks, states = [], []
+        for trial in range(start, min(start + block, tol.sample_count)):
+            rng = np.random.default_rng([seed, trial])
+            shrinks.append([random_effect(rng, d) for _ in atoms])
+            states.append(random_densities(rng, states_per_trial, d))
+        cands = roots @ np.array(shrinks) @ roots  # (trials, atoms, d, d)
+        _require_finite_hermitian(cands, tol)
+        rho = np.array(states)  # (trials, states, d, d)
+        out = apply_matrices(c, rho)
 
-        ok = True
-        for _ in range(states_per_trial):
-            rho = random_density(rng, d)
-            out = apply_matrix(c, rho)
-            for a in atoms:
-                lhs = float(np.trace(cand.effect(a) @ rho).real)
-                rhs = float(np.trace(f.effect(a) @ out).real)
-                if lhs > rhs + tol.residual_tol:
-                    ok = False
-                    break
-            if not ok:
-                break
-        confirmed += int(ok)
+        violated = np.zeros(rho.shape[:2], dtype=bool)
+        for i, a in enumerate(atoms):
+            lhs = _traces(cands[:, i, None] @ rho).real
+            rhs = _traces(f.effect(a) @ out).real
+            violated |= lhs > rhs + tol.residual_tol
+        confirmed += int(np.count_nonzero(~violated.any(axis=1)))
 
-        trial_margin = min(
-            min_eigenvalue(transformed.effect(a) - cand.effect(a)) for a in atoms
-        )
-        min_margin = min(min_margin, trial_margin)
-        dominated += int(predicate_leq(cand, transformed, tol))
+        margins = _eigvalsh(bounds - cands).min(axis=-1)  # (trials, atoms)
+        min_margin = min(min_margin, float(margins.min()))
+        dominated += int(np.count_nonzero((margins >= -tol.eig_tol).all(axis=1)))
 
     return WeakestCheckReport(
         trials=tol.sample_count,
