@@ -22,7 +22,7 @@ from .linalg import (
     random_density,
     random_effect,
 )
-from .predicates import Predicate, predicate_leq, random_predicate, s_leq
+from .predicates import Predicate, predicate_leq, random_predicate
 from .programs import DensityState, sample_program
 from .wp import duality_residual, weakest_check, wp_compose_check
 
@@ -157,9 +157,9 @@ def orders_campaign(
 ) -> CampaignResult:
     """Order-equivalence sweep over predicate pairs.
 
-    Every pair must have s_leq agree with predicate_leq. Positive pairs are
-    certified against sampled states; negative pairs must yield an eigenvector
-    witness state whose masses violate the order by more than eig_tol.
+    Each pair is classified by predicate_leq. Positive pairs are certified
+    against sampled states; negative pairs must yield an eigenvector witness
+    state whose masses violate the order by more than eig_tol.
     """
     tol = tol or DEFAULT_TOL
     failures = 0
@@ -180,11 +180,7 @@ def orders_campaign(
                 f = random_predicate(rng, dim, n_atoms=len(g.space.atoms))
             total += 1
 
-            leq = predicate_leq(f, g, tol)
-            if s_leq(f, g, tol) != leq:
-                failures += 1
-                continue
-            if leq:
+            if predicate_leq(f, g, tol):
                 rho = random_densities(rng, states_per_pair, dim)
                 ok = True
                 for a in f.space.atoms:

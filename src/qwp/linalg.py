@@ -30,6 +30,7 @@ __all__ = [
     "random_density",
     "random_densities",
     "random_effect",
+    "random_isometry",
     "random_unitary",
     "random_hermitian_contraction",
     "random_state_vector",
@@ -205,13 +206,18 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return random_densities(rng, 1, dim)[0]
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
+def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-distributed isometry (rows >= cols) via phase-fixed QR of a Ginibre matrix."""
+    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
     d = np.diagonal(r)
     safe = np.abs(d) > 0
     phase = np.where(safe, d, 1.0) / np.where(safe, np.abs(d), 1.0)
     return q * phase
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-distributed unitary: a square :func:`random_isometry`."""
+    return random_isometry(rng, dim, dim)
 
 
 def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from .linalg import (
     is_hermitian,
     is_psd,
     min_eigenvalue,
+    random_isometry,
     random_unitary,
 )
 
@@ -135,8 +136,9 @@ class DensityState:
 class QuantumProgram:
     """A linear map on operators, acting through a d²×d² superoperator.
 
-    ``kraus`` is an optional view kept when the program was built from a Kraus
-    family; ``label`` is free-form. Instances are immutable.
+    The superoperator is the only computed form. ``kraus`` is the Kraus family
+    the program was built from, if any; combinators and the adjoint leave it
+    ``None``. ``label`` is free-form. Instances are immutable.
     """
 
     __slots__ = ("dim", "super", "kraus", "label")
@@ -174,7 +176,7 @@ class QuantumProgram:
 
 
 def from_kraus(kraus_ops, label: str = "kraus") -> QuantumProgram:
-    """Program rho -> sum_K K rho K† with the Kraus view retained."""
+    """Program rho -> sum_K K rho K†, keeping the Kraus family it was built from."""
     ks = [as_complex_matrix(k) for k in kraus_ops]
     if not ks:
         raise ValidationError("at least one Kraus operator is required")
@@ -215,7 +217,7 @@ def from_choi(choi, label: str = "choi", tol: ToleranceConfig | None = None) -> 
     tol = tol or DEFAULT_TOL
     j = as_complex_matrix(choi)
     n = j.shape[0]
-    d = int(round(np.sqrt(n)))
+    d = math.isqrt(n)
     if d * d != n:
         raise DimensionMismatchError(f"Choi matrix side {n} is not a perfect square")
     j4 = j.reshape(d, d, d, d)  # indices (a, i, c, k): J[a*d+i, c*d+k]
@@ -225,10 +227,7 @@ def from_choi(choi, label: str = "choi", tol: ToleranceConfig | None = None) -> 
         raise NotTracePreservingError(
             f"Choi output partial trace deviates from the identity by {dev:.3e}"
         )
-    s = np.empty((n, n), dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            s[:, k * d + i] = vec(j[i::d, k::d])  # image of |i><k|
+    s = j4.transpose(2, 0, 3, 1).reshape(n, n)  # inverse of the to_choi permutation
     return QuantumProgram(d, s, label=label)
 
 
@@ -238,10 +237,8 @@ def identity_program(dim: int) -> QuantumProgram:
 
 def transpose_program(dim: int) -> QuantumProgram:
     """Transposition map: positive and trace preserving, not CP for dim >= 2."""
-    s = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            s[i * dim + j, j * dim + i] = 1.0
+    n = dim * dim
+    s = np.eye(n).reshape(dim, dim, dim, dim).transpose(1, 0, 2, 3).reshape(n, n)
     return QuantumProgram(dim, s, label="transpose")
 
 
@@ -272,6 +269,7 @@ def amplitude_damping(gamma: float) -> QuantumProgram:
 
 
 _NAMED_BUILDERS = ("identity", "transpose", "depolarizing", "amplitude_damping")
+_NAMED_PARAMETER = {"depolarizing": (depolarizing, "p"), "amplitude_damping": (amplitude_damping, "gamma")}
 
 
 def build_program(source: dict, dim: int | None = None, tol: ToleranceConfig | None = None) -> QuantumProgram:
@@ -308,10 +306,11 @@ def build_program(source: dict, dim: int | None = None, tol: ToleranceConfig | N
             if dim is None:
                 raise ValidationError("named transpose requires dim")
             prog = transpose_program(dim)
-        elif name == "depolarizing":
-            prog = depolarizing(float(params.pop("p")))
-        elif name == "amplitude_damping":
-            prog = amplitude_damping(float(params.pop("gamma")))
+        elif name in _NAMED_PARAMETER:
+            builder, key = _NAMED_PARAMETER[name]
+            if key not in params:
+                raise ValidationError(f"named {name} requires parameter {key!r}")
+            prog = builder(float(params[key]))
         else:
             raise ValidationError(f"unknown named program {name!r}; expected one of {_NAMED_BUILDERS}")
     if dim is not None and prog.dim != dim:
@@ -355,12 +354,11 @@ def adjoint(c: QuantumProgram) -> QuantumProgram:
     """Hilbert-Schmidt adjoint, acting on effects.
 
     Satisfies Tr(adjoint(c)(F) rho) = Tr(F c(rho)) for all F, rho. Its
-    superoperator is the conjugate transpose of ``c.super``; when a Kraus view
-    {K} is present the dual acts as F -> sum K† F K, so the dual's Kraus view
-    is {K†}. The dual of a trace-preserving map is unital.
+    superoperator is the conjugate transpose of ``c.super`` (for a Kraus
+    family {K} the dual acts as F -> sum K† F K). The dual of a
+    trace-preserving map is unital.
     """
-    dual_kraus = tuple(k.conj().T for k in c.kraus) if c.kraus is not None else None
-    return QuantumProgram(c.dim, c.super.conj().T, kraus=dual_kraus, label=f"adjoint({c.label})")
+    return QuantumProgram(c.dim, c.super.conj().T, label=f"adjoint({c.label})")
 
 
 def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig | None = None) -> bool:
@@ -372,13 +370,10 @@ def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig | None = None) -
 
 
 def to_choi(c: QuantumProgram) -> np.ndarray:
-    """Choi matrix J(C) = sum_ij C(|i><j|) ⊗ |i><j|."""
+    """Choi matrix J(C) = sum_ij C(|i><j|) ⊗ |i><j|, one index permutation of
+    the superoperator: J[p*d+i, q*d+j] = C(|i><j|)[p, q] = S[q*d+p, j*d+i]."""
     d = c.dim
-    j = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            j[i::d, k::d] = unvec(c.super[:, k * d + i])
-    return j
+    return c.super.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig | None = None) -> bool:
@@ -453,27 +448,20 @@ def seq(c1: QuantumProgram, c2: QuantumProgram) -> QuantumProgram:
     """Sequential composition: run c1 first, then c2."""
     if c1.dim != c2.dim:
         raise DimensionMismatchError(f"program dims {c1.dim} vs {c2.dim}")
-    kraus = None
-    if c1.kraus is not None and c2.kraus is not None:
-        kraus = [k2 @ k1 for k2 in c2.kraus for k1 in c1.kraus]
-    return QuantumProgram(c1.dim, c2.super @ c1.super, kraus=kraus, label=f"seq({c1.label}, {c2.label})")
+    return QuantumProgram(c1.dim, c2.super @ c1.super, label=f"seq({c1.label}, {c2.label})")
 
 
 def mix(weight: float, c1: QuantumProgram, c2: QuantumProgram) -> QuantumProgram:
-    """Convex combination weight*c1 + (1-weight)*c2.
+    """Convex combination weight*c1 + (1-weight)*c2 of the superoperators.
 
-    Preserves trace preservation and positivity; when both operands carry a
-    Kraus view the mixture's view is the sqrt-weighted union.
+    Preserves trace preservation, positivity and complete positivity.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {weight}")
     if c1.dim != c2.dim:
         raise DimensionMismatchError(f"program dims {c1.dim} vs {c2.dim}")
-    kraus = None
-    if c1.kraus is not None and c2.kraus is not None:
-        kraus = [np.sqrt(weight) * k for k in c1.kraus] + [np.sqrt(1.0 - weight) * k for k in c2.kraus]
     s = weight * c1.super + (1.0 - weight) * c2.super
-    return QuantumProgram(c1.dim, s, kraus=kraus, label=f"mix({weight}, {c1.label}, {c2.label})")
+    return QuantumProgram(c1.dim, s, label=f"mix({weight}, {c1.label}, {c2.label})")
 
 
 def measure_branch(instrument, branches, tol: ToleranceConfig | None = None) -> QuantumProgram:
@@ -502,10 +490,7 @@ def measure_branch(instrument, branches, tol: ToleranceConfig | None = None) -> 
     if gap > tol.residual_tol:
         raise ValidationError(f"instrument incomplete: sum M†M deviates from identity by {gap:.3e}")
     s = sum(b.super @ np.kron(m.conj(), m) for m, b in zip(ms, branches))
-    kraus = None
-    if all(b.kraus is not None for b in branches):
-        kraus = [bk @ m for m, b in zip(ms, branches) for bk in b.kraus]
-    return QuantumProgram(d, s, kraus=kraus, label="measure_branch")
+    return QuantumProgram(d, s, label="measure_branch")
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +505,7 @@ def random_cptp(rng: np.random.Generator, dim: int, kraus_count: int | None = No
     family; completeness sum K†K = I holds by construction.
     """
     k = kraus_count if kraus_count is not None else dim
-    g = (rng.standard_normal((k * dim, dim)) + 1j * rng.standard_normal((k * dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    safe = np.abs(diag) > 0
-    q = q * (np.where(safe, diag, 1.0) / np.where(safe, np.abs(diag), 1.0))
+    q = random_isometry(rng, k * dim, dim)
     kraus = [q[i * dim:(i + 1) * dim, :] for i in range(k)]
     return from_kraus(kraus, label="random_cptp")
 

@@ -3,7 +3,9 @@
 Matrices split into real and imaginary parts, row-major:
 ``{"dim": d, "re": [[...]], "im": [[...]]}``. Predicates:
 ``{"atoms": [...], "effects": {atom: matrix}}``. Programs:
-``{"dim": d, "repr": "kraus"|"super"|"choi"|"named", "payload": ..., "label": str}``.
+``{"dim": d, "repr": "kraus"|"super"|"choi"|"named", "payload": ..., "label": str}``;
+a program is written as "kraus" only when it was built from a Kraus family,
+otherwise as its superoperator.
 Triples: ``{"pre": predicate, "prog": program, "post": predicate}``.
 States are bare matrix objects. All numbers are IEEE-754 doubles; Python's
 json module round-trips them exactly.
@@ -50,13 +52,19 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _dim_from_json(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"dim must be a finite whole number, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValidationError(f"matrix JSON must be an object, got {type(obj).__name__}")
     missing = [k for k in ("dim", "re", "im") if k not in obj]
     if missing:
         raise ValidationError(f"matrix JSON missing keys {missing}")
-    d = int(obj["dim"])
+    d = _dim_from_json(obj["dim"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (d, d) or im.shape != (d, d):
@@ -84,6 +92,8 @@ def predicate_to_json(p: Predicate) -> dict:
 def predicate_from_json(obj) -> Predicate:
     if not isinstance(obj, dict) or "atoms" not in obj or "effects" not in obj:
         raise ValidationError("predicate JSON needs keys 'atoms' and 'effects'")
+    if not isinstance(obj["effects"], dict):
+        raise ValidationError("predicate 'effects' must be an object mapping atoms to matrices")
     atoms = tuple(str(a) for a in obj["atoms"])
     effects = {a: matrix_from_json(m) for a, m in obj["effects"].items()}
     return Predicate(OutcomeSpace(atoms), effects)
@@ -122,7 +132,7 @@ def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram
         raise ValidationError("program JSON needs keys 'repr' and 'payload' (and usually 'dim')")
     repr_kind = obj["repr"]
     payload = obj["payload"]
-    dim = int(obj["dim"]) if "dim" in obj else None
+    dim = _dim_from_json(obj["dim"]) if "dim" in obj else None
     if repr_kind == "kraus":
         source = {"kraus": [matrix_from_json(k) for k in payload]}
     elif repr_kind == "super":

@@ -40,6 +40,7 @@ from .programs import (
     apply,
     apply_matrices,
     apply_matrix,
+    is_completely_positive,
     is_trace_preserving,
     seq,
 )
@@ -368,11 +369,12 @@ def dp_reduction(
     """Single-effect transformer: wrap, transform, unwrap.
 
     The operator must be an effect (hermitian, spectrum within [0, 1]) and the
-    program must carry a Kraus view; the result equals sum K† m K.
+    program must be completely positive; for any Kraus family {K} of the
+    program the result equals sum K† m K.
     """
     tol = tol or DEFAULT_TOL
-    if c.kraus is None:
-        raise ValidationError("dp_reduction needs a program with a Kraus view")
+    if not is_completely_positive(c, tol):
+        raise ValidationError("dp_reduction needs a completely positive program")
     m = as_complex_matrix(m)
     if not is_hermitian(m, tol):
         raise ValidationError("operator is not hermitian")

@@ -95,6 +95,23 @@ class TestValidate:
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("kind", ["effects_list", "dim_inf", "depolarizing_without_p"])
+    def test_malformed_document_is_semantic_error(self, runner, tmp_path, kind):
+        if kind == "effects_list":
+            doc = z_predicate_doc()
+            text = json.dumps(dict(doc, effects=list(doc["effects"].values())))
+        elif kind == "dim_inf":
+            text = json.dumps(named_program_doc("depolarizing", p=0.5)).replace('"dim": 2', '"dim": 1e400')
+        else:
+            text = json.dumps(named_program_doc("depolarizing"))
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.stderr
+        report = json.loads(result.stdout)
+        assert report["ok"] is False and report["violations"]
+
     def test_unrecognized_document(self, runner, tmp_path):
         path = write(tmp_path / "what.json", {"hello": 1})
         result = runner.invoke(main, ["validate", path])

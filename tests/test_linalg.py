@@ -11,6 +11,8 @@ from qwp.linalg import (
     is_psd,
     loewner_leq,
     operator_norm_hermitian,
+    random_isometry,
+    random_unitary,
     sample_random,
     trace_norm,
 )
@@ -254,6 +256,22 @@ class TestSampleRandom:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             sample_random("density", 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_random_unitary_replays_pre_isometry_formula(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        safe = np.abs(d) > 0
+        expected = q * (np.where(safe, d, 1.0) / np.where(safe, np.abs(d), 1.0))
+        assert np.array_equal(random_unitary(np.random.default_rng(seed), dim), expected)
+
+    def test_random_isometry_columns_orthonormal(self):
+        v = random_isometry(np.random.default_rng(3), 12, 4)
+        assert v.shape == (12, 4)
+        assert float(np.abs(v.conj().T @ v - np.eye(4)).max()) <= 1e-12
 
 
 def test_as_complex_matrix_rejects_inf():

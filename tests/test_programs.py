@@ -289,6 +289,50 @@ class TestChoi:
             assert np.abs(back.super - c.super).max() < 1e-10
 
 
+def to_choi_loop(c):
+    """Pre-permutation to_choi: one strided block per basis operator."""
+    d = c.dim
+    j = np.zeros((d * d, d * d), dtype=np.complex128)
+    for i in range(d):
+        for k in range(d):
+            j[i::d, k::d] = unvec(c.super[:, k * d + i])
+    return j
+
+
+def from_choi_loop(j):
+    """Pre-permutation from_choi superoperator: one column per basis operator."""
+    n = j.shape[0]
+    d = int(round(np.sqrt(n)))
+    s = np.empty((n, n), dtype=np.complex128)
+    for i in range(d):
+        for k in range(d):
+            s[:, k * d + i] = vec(j[i::d, k::d])
+    return s
+
+
+def transpose_super_loop(dim):
+    """Pre-permutation transpose_program superoperator."""
+    s = np.zeros((dim * dim, dim * dim))
+    for i in range(dim):
+        for j in range(dim):
+            s[i * dim + j, j * dim + i] = 1.0
+    return s
+
+
+class TestPermutationsMatchLoops:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("kind", ["cptp", "unitary", "transpose", "transpose_mix"])
+    def test_choi_round_trip_bit_for_bit(self, kind, dim):
+        c = sample_program(kind, dim, 1000 + dim)
+        j = to_choi(c)
+        assert np.array_equal(j, to_choi_loop(c))
+        assert np.array_equal(from_choi(j).super, from_choi_loop(j))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_transpose_program_bit_for_bit(self, dim):
+        assert np.array_equal(transpose_program(dim).super, transpose_super_loop(dim))
+
+
 class TestCompletePositivity:
     def test_amplitude_damping_is_cp(self):
         assert is_completely_positive(amplitude_damping(0.3))
@@ -386,11 +430,25 @@ class TestCombinators:
         c = mix(0.3, transpose_program(2), amplitude_damping(0.8))
         assert is_trace_preserving(c)
 
-    def test_mix_kraus_view_consistent(self):
+    def test_mix_super_matches_operand_kraus_lists(self):
         a, b = amplitude_damping(0.3), depolarizing(0.5)
         m = mix(0.25, a, b)
-        rebuilt = sum(np.kron(k.conj(), k) for k in m.kraus)
+        rebuilt = 0.25 * sum(np.kron(k.conj(), k) for k in a.kraus) + 0.75 * sum(
+            np.kron(k.conj(), k) for k in b.kraus
+        )
         assert np.abs(rebuilt - m.super).max() < 1e-12
+
+    def test_combinators_and_adjoint_compute_no_kraus_list(self):
+        a, b = amplitude_damping(0.3), depolarizing(0.5)
+        assert a.kraus is not None and b.kraus is not None
+        results = (
+            seq(a, b),
+            mix(0.25, a, b),
+            measure_branch([KET0, KET1], [a, b]),
+            adjoint(a),
+        )
+        for c in results:
+            assert c.kraus is None
 
     def test_mix_rejects_bad_weight(self):
         with pytest.raises(ValueError):
@@ -455,3 +513,17 @@ class TestSamplers:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             sample_program("unital", 2, 0)
+
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_random_cptp_replays_pre_isometry_formula(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        k = dim
+        g = (rng.standard_normal((k * dim, dim)) + 1j * rng.standard_normal((k * dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r)
+        safe = np.abs(diag) > 0
+        q = q * (np.where(safe, diag, 1.0) / np.where(safe, np.abs(diag), 1.0))
+        c = random_cptp(np.random.default_rng(seed), dim)
+        for i, op in enumerate(c.kraus):
+            assert np.array_equal(op, q[i * dim:(i + 1) * dim, :])

@@ -9,7 +9,9 @@ from qwp.predicates import projective_predicate, random_predicate, sat
 from qwp.programs import (
     DensityState,
     amplitude_damping,
+    depolarizing,
     random_cptp,
+    seq,
     transpose_program,
 )
 from qwp.serialize import (
@@ -82,6 +84,12 @@ class TestPredicateFormat:
         with pytest.raises(ValidationError):
             predicate_from_json({"atoms": ["a"]})
 
+    def test_effects_list_rejected(self):
+        doc = predicate_to_json(projective_predicate(2))
+        doc["effects"] = list(doc["effects"].values())
+        with pytest.raises(ValidationError, match="'effects' must be an object"):
+            predicate_from_json(doc)
+
 
 class TestSatFormat:
     def test_round_trip(self):
@@ -107,6 +115,27 @@ class TestProgramFormat:
         assert doc["repr"] == "super"
         back = program_from_json(through_json(doc))
         assert np.abs(back.super - t.super).max() <= 1e-15
+
+    def test_seq_of_kraus_programs_serializes_as_super(self):
+        c = seq(amplitude_damping(0.3), depolarizing(0.2))
+        doc = program_to_json(c)
+        assert doc["repr"] == "super"
+        back = program_from_json(through_json(doc))
+        assert back.kraus is None
+        assert np.array_equal(back.super, c.super)
+        assert back.label == c.label
+
+    @pytest.mark.parametrize("name,key", [("depolarizing", "p"), ("amplitude_damping", "gamma")])
+    def test_named_missing_parameter_is_named(self, name, key):
+        with pytest.raises(ValidationError, match=f"requires parameter '{key}'"):
+            program_from_json({"dim": 2, "repr": "named", "payload": {"name": name}})
+
+    @pytest.mark.parametrize("dim", [float("inf"), float("nan"), 2.5])
+    def test_non_integral_dim_rejected(self, dim):
+        with pytest.raises(ValidationError, match="dim must be"):
+            program_from_json({"dim": dim, "repr": "named", "payload": {"name": "depolarizing", "p": 0.5}})
+        with pytest.raises(ValidationError, match="dim must be"):
+            matrix_from_json({"dim": dim, "re": [[1.0]], "im": [[0.0]]})
 
     def test_named_payload(self):
         doc = {

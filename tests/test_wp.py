@@ -28,6 +28,7 @@ from qwp.programs import (
     identity_program,
     random_cptp,
     sample_program,
+    seq,
     transpose_program,
 )
 from qwp.wp import (
@@ -361,5 +362,20 @@ class TestDpReduction:
             dp_reduction(amplitude_damping(0.1), 1.5 * np.eye(2))
 
     def test_rejects_program_without_kraus_view(self):
-        with pytest.raises(ValidationError):
-            dp_reduction(transpose_program(2), 0.5 * np.eye(2))
+        for c in (transpose_program(2), sample_program("transpose", 3, 0)):
+            with pytest.raises(ValidationError, match="completely positive"):
+                dp_reduction(c, 0.5 * np.eye(c.dim))
+
+    def test_accepts_cp_programs_built_without_kraus_list(self):
+        rng = np.random.default_rng(163)
+        m = sample_random("effect", 2, rng)
+        a, b = amplitude_damping(0.3), depolarizing(0.2)
+        chained = seq(a, b)
+        oracle = kraus_adjoint_oracle([k2 @ k1 for k2 in b.kraus for k1 in a.kraus], m)
+        assert np.abs(dp_reduction(chained, m) - oracle).max() < 1e-12
+        c = random_cptp(rng, 3)
+        m3 = sample_random("effect", 3, rng)
+        bare = from_super(c.super)
+        assert bare.kraus is None
+        assert np.abs(dp_reduction(bare, m3) - kraus_adjoint_oracle(c.kraus, m3)).max() < 1e-10
+
