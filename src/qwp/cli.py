@@ -24,11 +24,7 @@ from .campaigns import run_suite
 from .errors import DimensionMismatchError, QwpError
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .predicates import is_complete, sat as sat_measure, validate_predicate
-from .programs import (
-    is_completely_positive,
-    is_positive_sampled,
-    is_trace_preserving,
-)
+from .programs import is_positive_sampled, is_trace_preserving
 from .serialize import (
     campaign_result_to_json,
     predicate_from_json,
@@ -177,7 +173,7 @@ def validate(path, out, seed, eig_tol, residual_tol, samples) -> None:
                 verdict = is_positive_sampled(prog, tol, seed=seed)
                 extra["program"] = {
                     "trace_preserving": tp,
-                    "completely_positive": is_completely_positive(prog, tol),
+                    "completely_positive": verdict.status == "certified_cp",
                     "positivity": verdict.status,
                     "positivity_samples": verdict.samples,
                 }

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DecompositionError, DimensionMismatchError
 
 __all__ = [
+    "STACK_BYTES",
     "ToleranceConfig",
     "DEFAULT_TOL",
     "as_complex_matrix",
@@ -63,6 +64,10 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# cap on the bytes of one stack of sampled d×d matrices; sampled checks
+# process their states in blocks that fit it (at least one trial a block)
+STACK_BYTES = 1 << 24
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -29,7 +29,9 @@ import numpy as np
 from .errors import DimensionMismatchError, NotTracePreservingError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
+    STACK_BYTES,
     ToleranceConfig,
+    _eigvalsh,
     as_complex_matrix,
     is_hermitian,
     is_psd,
@@ -400,6 +402,35 @@ def _fourier_basis(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * grid / dim) / np.sqrt(dim)
 
 
+def _pure_outputs(c: QuantumProgram, psis: np.ndarray) -> np.ndarray:
+    """C(|psi><psi|) for each row psi of an (n, d) stack, as one matrix product.
+
+    Row k of the product is vec(psi psi†) = conj(psi) ⊗ psi times ``c.super.T``;
+    the outputs agree with :func:`apply_matrix` up to the rounding of the
+    summation order.
+    """
+    n, d = psis.shape
+    rows = (psis.conj()[:, :, None] * psis[:, None, :]).reshape(n, d * d)
+    return unvec(rows @ c.super.T)
+
+
+def _candidate_blocks(d: int, sample_count: int, rng: np.random.Generator, block: int):
+    """Candidate states in audit order (basis, Fourier, Haar-random), ``block`` rows at a time.
+
+    Yields (states, raw): raw is a random block's unnormalized draw, None for
+    the basis and Fourier blocks. Consecutive ``standard_normal((n, 2, d))``
+    draws replay the stream of n pairs of ``standard_normal(d)`` draws (real
+    part, then imaginary part).
+    """
+    for basis in (np.eye(d, dtype=np.complex128), _fourier_basis(d).T):
+        for start in range(0, d, block):
+            yield basis[start:start + block], None
+    for start in range(0, sample_count, block):
+        z = rng.standard_normal((min(block, sample_count - start), 2, d))
+        raw = z[:, 0] + 1j * z[:, 1]
+        yield raw / np.linalg.norm(raw, axis=1, keepdims=True), raw
+
+
 def is_positive_sampled(
     c: QuantumProgram,
     tol: ToleranceConfig | None = None,
@@ -410,32 +441,30 @@ def is_positive_sampled(
     Returns certified_cp when the Choi matrix is PSD. Otherwise tests
     C(|psi><psi|) ⪰ 0 on every computational-basis and Fourier-basis state
     plus ``sample_count`` Haar-random pure states, reporting the first
-    violating state found.
+    violating state found. States are checked in blocks whose stacks of
+    outputs stay under STACK_BYTES: one matrix product and one batched
+    eigensolve a block.
     """
     tol = tol or DEFAULT_TOL
     if is_completely_positive(c, tol):
         return PositivityVerdict("certified_cp", 0)
     d = c.dim
     rng = np.random.default_rng(seed)
-    fourier = _fourier_basis(d)
-
-    def candidates():
-        for i in range(d):
-            e = np.zeros(d, dtype=np.complex128)
-            e[i] = 1.0
-            yield e
-        for k in range(d):
-            yield fourier[:, k]
-        for _ in range(tol.sample_count):
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            yield v / np.linalg.norm(v)
-
     checked = 0
-    for psi in candidates():
-        out = apply_matrix(c, np.outer(psi, psi.conj()))
-        checked += 1
-        if not is_hermitian(out, tol) or min_eigenvalue(out) < -tol.eig_tol:
-            return PositivityVerdict("counterexample", checked, witness=_readonly(psi.reshape(-1, 1)).reshape(-1))
+    block = max(1, STACK_BYTES // (d * d * 16))
+    for psis, raw in _candidate_blocks(d, tol.sample_count, rng, block):
+        out = _pure_outputs(c, psis)
+        # the per-matrix checks of is_hermitian and min_eigenvalue, run once per block
+        if not np.all(np.isfinite(out)):
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        gap = np.abs(out - out.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = (gap > tol.residual_tol) | (_eigvalsh(out)[:, 0] < -tol.eig_tol)
+        if bad.any():
+            i = int(np.argmax(bad))
+            # a random witness is normalized as a single vector, as drawn
+            witness = psis[i] if raw is None else raw[i] / np.linalg.norm(raw[i])
+            return PositivityVerdict("counterexample", checked + i + 1, witness=_readonly(witness))
+        checked += len(psis)
     return PositivityVerdict("no_counterexample", checked)
 
 

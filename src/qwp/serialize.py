@@ -52,10 +52,22 @@ def matrix_to_json(m) -> dict:
     }
 
 
+# largest program dim a document may name: a named identity or transpose
+# allocates its d²×d² superoperator from "dim" alone (1.6 GB at d = 100)
+MAX_PROGRAM_DIM = 64
+
+
 def _dim_from_json(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"dim must be a finite whole number, got {value!r}")
     return int(value)
+
+
+def _require(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        expected = "a list" if kind is list else "an object"
+        raise ValidationError(f"{what} must be {expected}, got {type(value).__name__}")
+    return value
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -94,7 +106,7 @@ def predicate_from_json(obj) -> Predicate:
         raise ValidationError("predicate JSON needs keys 'atoms' and 'effects'")
     if not isinstance(obj["effects"], dict):
         raise ValidationError("predicate 'effects' must be an object mapping atoms to matrices")
-    atoms = tuple(str(a) for a in obj["atoms"])
+    atoms = tuple(str(a) for a in _require(obj["atoms"], list, "predicate 'atoms'"))
     effects = {a: matrix_from_json(m) for a, m in obj["effects"].items()}
     return Predicate(OutcomeSpace(atoms), effects)
 
@@ -133,14 +145,16 @@ def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram
     repr_kind = obj["repr"]
     payload = obj["payload"]
     dim = _dim_from_json(obj["dim"]) if "dim" in obj else None
+    if dim is not None and dim > MAX_PROGRAM_DIM:
+        raise ValidationError(f"program dim {dim} exceeds the limit {MAX_PROGRAM_DIM}")
     if repr_kind == "kraus":
-        source = {"kraus": [matrix_from_json(k) for k in payload]}
+        source = {"kraus": [matrix_from_json(k) for k in _require(payload, list, "kraus payload")]}
     elif repr_kind == "super":
         source = {"super": matrix_from_json(payload)}
     elif repr_kind == "choi":
         source = {"choi": matrix_from_json(payload)}
     elif repr_kind == "named":
-        source = {"named": dict(payload)}
+        source = {"named": dict(_require(payload, dict, "named payload"))}
     else:
         raise ValidationError(f"unknown program repr {repr_kind!r}")
     prog = build_program(source, dim=dim, tol=tol)

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    STACK_BYTES,
     ToleranceConfig,
     _eigvalsh,
     as_complex_matrix,
@@ -62,10 +63,6 @@ __all__ = [
 
 # states behind the duality-residual column of every verification report
 RESIDUAL_SAMPLE_STATES = 100
-
-# cap on the bytes of one stack of sampled d×d matrices; sampled checks
-# process their states in blocks that fit it (at least one trial a block)
-STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)

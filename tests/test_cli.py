@@ -95,15 +95,34 @@ class TestValidate:
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 0
 
-    @pytest.mark.parametrize("kind", ["effects_list", "dim_inf", "depolarizing_without_p"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "effects_list",
+            "dim_inf",
+            "depolarizing_without_p",
+            "kraus_payload_number",
+            "named_payload_number",
+            "atoms_number",
+            "dim_huge",
+        ],
+    )
     def test_malformed_document_is_semantic_error(self, runner, tmp_path, kind):
         if kind == "effects_list":
             doc = z_predicate_doc()
             text = json.dumps(dict(doc, effects=list(doc["effects"].values())))
         elif kind == "dim_inf":
             text = json.dumps(named_program_doc("depolarizing", p=0.5)).replace('"dim": 2', '"dim": 1e400')
-        else:
+        elif kind == "depolarizing_without_p":
             text = json.dumps(named_program_doc("depolarizing"))
+        elif kind == "kraus_payload_number":
+            text = json.dumps({"dim": 2, "repr": "kraus", "payload": 5})
+        elif kind == "named_payload_number":
+            text = json.dumps({"dim": 2, "repr": "named", "payload": 5})
+        elif kind == "atoms_number":
+            text = json.dumps({"atoms": 5, "effects": {}})
+        else:
+            text = json.dumps(dict(named_program_doc("identity"), dim=10**6))
         path = tmp_path / "bad.json"
         path.write_text(text)
         result = runner.invoke(main, ["validate", str(path)])

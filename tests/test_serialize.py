@@ -90,6 +90,10 @@ class TestPredicateFormat:
         with pytest.raises(ValidationError, match="'effects' must be an object"):
             predicate_from_json(doc)
 
+    def test_atoms_number_rejected(self):
+        with pytest.raises(ValidationError, match="'atoms' must be a list, got int"):
+            predicate_from_json({"atoms": 5, "effects": {}})
+
 
 class TestSatFormat:
     def test_round_trip(self):
@@ -136,6 +140,18 @@ class TestProgramFormat:
             program_from_json({"dim": dim, "repr": "named", "payload": {"name": "depolarizing", "p": 0.5}})
         with pytest.raises(ValidationError, match="dim must be"):
             matrix_from_json({"dim": dim, "re": [[1.0]], "im": [[0.0]]})
+
+    @pytest.mark.parametrize("repr_kind,expected", [("kraus", "a list"), ("named", "an object")])
+    def test_payload_of_the_wrong_type_rejected(self, repr_kind, expected):
+        with pytest.raises(ValidationError, match=f"{repr_kind} payload must be {expected}, got int"):
+            program_from_json({"dim": 2, "repr": repr_kind, "payload": 5})
+
+    @pytest.mark.parametrize("name", ["identity", "transpose"])
+    def test_dim_above_the_limit_rejected_before_allocating(self, name):
+        # a d = 10**6 superoperator would need 1.6e25 bytes
+        with pytest.raises(ValidationError, match="exceeds the limit 64"):
+            program_from_json({"dim": 10**6, "repr": "named", "payload": {"name": name}})
+        assert program_from_json({"dim": 64, "repr": "named", "payload": {"name": name}}).dim == 64
 
     def test_named_payload(self):
         doc = {

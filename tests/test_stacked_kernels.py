@@ -2,7 +2,10 @@
 
 The loops below are the reference oracles: they draw one state at a time
 from the same generators and must give the stacked kernels' results exactly,
-float for float.
+float for float. The positivity audit is the exception in arithmetic: it
+forms its outputs with one matrix product, whose rounding differs from the
+loop's matrix-vector products, so its outputs are held to a tolerance set
+from the dtype and its verdicts (status, count, witness) to equality.
 """
 
 import importlib
@@ -14,6 +17,7 @@ from qwp.errors import DimensionMismatchError
 from qwp.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    is_hermitian,
     min_eigenvalue,
     psd_sqrt,
     random_densities,
@@ -21,11 +25,24 @@ from qwp.linalg import (
     random_effect,
 )
 from qwp.predicates import Predicate, predicate_leq, random_predicate
-from qwp.programs import apply_matrices, apply_matrix, sample_program, unvec, vec
+from qwp.programs import (
+    PositivityVerdict,
+    apply_matrices,
+    apply_matrix,
+    from_super,
+    is_completely_positive,
+    is_positive_sampled,
+    mix,
+    sample_program,
+    transpose_program,
+    unvec,
+    vec,
+)
 from qwp.wp import STACK_BYTES, WeakestCheckReport, duality_residual_sweep, weakest_check, wp
 
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
+qwp_programs = importlib.import_module("qwp.programs")
 
 KINDS = ("cptp", "unitary", "transpose", "transpose_mix")
 
@@ -98,6 +115,65 @@ def duality_residual_sweep_oracle(c, f, tol=None, seed=0, states=100):
             rhs = np.trace(f.effect(a) @ out)
             worst[a] = max(worst[a], float(abs(lhs - rhs)))
     return worst
+
+
+def is_positive_sampled_oracle(c, tol=None, seed=0):
+    """The per-state positivity audit: one matrix-vector product and one eigensolve a state."""
+    tol = tol or DEFAULT_TOL
+    if is_completely_positive(c, tol):
+        return PositivityVerdict("certified_cp", 0)
+    d = c.dim
+    rng = np.random.default_rng(seed)
+    fourier = qwp_programs._fourier_basis(d)
+
+    def candidates():
+        for i in range(d):
+            e = np.zeros(d, dtype=np.complex128)
+            e[i] = 1.0
+            yield e
+        for k in range(d):
+            yield fourier[:, k]
+        for _ in range(tol.sample_count):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            yield v / np.linalg.norm(v)
+
+    checked = 0
+    for psi in candidates():
+        out = apply_matrix(c, np.outer(psi, psi.conj()))
+        checked += 1
+        if not is_hermitian(out, tol) or min_eigenvalue(out) < -tol.eig_tol:
+            return PositivityVerdict("counterexample", checked, witness=psi.copy())
+    return PositivityVerdict("no_counterexample", checked)
+
+
+def assert_same_verdict(got, want):
+    assert (got.status, got.samples) == (want.status, want.samples)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert np.array_equal(got.witness, want.witness)
+
+
+def nonpositive(dim, eps):
+    """rho -> (1 + eps) rho - eps Tr(rho) I/d: trace preserving, not positive for eps > 0."""
+    flat = vec(np.eye(dim))
+    return from_super((1 + eps) * np.eye(dim * dim) - eps * np.outer(flat, flat) / dim)
+
+
+def population_pump(dim, a):
+    """rho -> rho + a rho_11 (|0><0| - |1><1|): positive on e_0, negative on e_1 for a > 1."""
+    p0, p1 = vec(np.diag(np.eye(dim)[0])), vec(np.diag(np.eye(dim)[1]))
+    return from_super(np.eye(dim * dim) + a * np.outer(p0 - p1, p1))
+
+
+def coherence_amplifier(dim, k):
+    """Keeps the diagonal and scales the off-diagonal by k: positive on basis states only, for k > 1."""
+    return from_super(np.diag(np.where(np.eye(dim).reshape(-1) == 1.0, 1.0, k)))
+
+
+def phase_amplifier(dim, k):
+    """Scales the imaginary part of the off-diagonal by k: positive on real states only, for k > 1."""
+    return from_super((1 + k) / 2 * np.eye(dim * dim) + (1 - k) / 2 * transpose_program(dim).super)
 
 
 def assert_same_report(got, want):
@@ -215,3 +291,119 @@ class TestDualitySweepOracle:
         want = duality_residual_sweep_oracle(c, f, seed=3, states=50)
         monkeypatch.setattr(qwp_wp, "STACK_BYTES", 7 * 4 * 4 * 16)
         assert duality_residual_sweep(c, f, seed=3, states=50) == want
+
+
+class TestPositivityOracle:
+    @pytest.mark.parametrize("eps", [None, 0.05, 1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_matches_the_loop(self, dim, kind, eps):
+        c = sample_program(kind, dim, 53)
+        if eps is not None:
+            c = mix(0.5, c, nonpositive(dim, eps))
+        tol = ToleranceConfig(sample_count=150)
+        want = is_positive_sampled_oracle(c, tol, seed=dim)
+        assert_same_verdict(is_positive_sampled(c, tol, seed=dim), want)
+
+    def test_counterexample_in_the_basis_block(self):
+        c = population_pump(3, 1.5)
+        got = is_positive_sampled(c, seed=2)
+        assert_same_verdict(got, is_positive_sampled_oracle(c, seed=2))
+        assert got.status == "counterexample" and got.samples == 2
+        assert np.array_equal(got.witness, np.eye(3)[1])
+
+    def test_counterexample_in_the_fourier_block(self):
+        c = coherence_amplifier(3, 1.5)
+        got = is_positive_sampled(c, seed=2)
+        assert_same_verdict(got, is_positive_sampled_oracle(c, seed=2))
+        assert got.status == "counterexample" and got.samples == 3 + 1
+        assert np.array_equal(got.witness, qwp_programs._fourier_basis(3)[:, 0])
+
+    def test_non_hermitian_output_is_a_counterexample(self):
+        # rho -> rho + 0.1i rho_00 (|0><1| + |1><0|): its hermitian part is rho itself
+        p0, swap = vec(np.diag([1.0, 0.0])), vec(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        c = from_super(np.eye(4) + 0.1j * np.outer(swap, p0))
+        got = is_positive_sampled(c, seed=2)
+        assert_same_verdict(got, is_positive_sampled_oracle(c, seed=2))
+        assert got.status == "counterexample" and got.samples == 1
+
+    def random_region_case(self):
+        # positive on the basis and (real, at d = 2) Fourier states; fails on
+        # a minority of Haar-random states
+        c = mix(0.8, sample_program("cptp", 2, 0), phase_amplifier(2, 3.0))
+        return c, ToleranceConfig(sample_count=200)
+
+    def test_counterexample_among_the_random_states(self):
+        c, tol = self.random_region_case()
+        got = is_positive_sampled(c, tol, seed=1)
+        assert_same_verdict(got, is_positive_sampled_oracle(c, tol, seed=1))
+        assert got.status == "counterexample" and 2 * 2 < got.samples <= 2 * 2 + tol.sample_count
+        assert got.witness.flags.writeable is False
+
+    def test_run_spanning_two_random_blocks(self, monkeypatch):
+        c, tol = self.random_region_case()
+        want = is_positive_sampled_oracle(c, tol, seed=1)
+        monkeypatch.setattr(qwp_programs, "STACK_BYTES", 50 * 2 * 2 * 16)
+        got = is_positive_sampled(c, tol, seed=1)
+        assert_same_verdict(got, want)
+        # the first counterexample lies in the second block of random states
+        assert 2 * 2 + 50 < got.samples <= 2 * 2 + 100
+
+    def test_small_blocks_split_every_part_of_the_run(self, monkeypatch):
+        tol = ToleranceConfig(sample_count=40)
+        c = sample_program("transpose_mix", 8, 59)
+        want = is_positive_sampled_oracle(c, tol, seed=5)
+        monkeypatch.setattr(qwp_programs, "STACK_BYTES", 3 * 8 * 8 * 16)
+        got = is_positive_sampled(c, tol, seed=5)
+        assert_same_verdict(got, want)
+        assert got.status == "no_counterexample" and got.samples == 2 * 8 + 40
+
+    @pytest.mark.parametrize("kind", ["cptp", "unitary"])
+    def test_cp_shortcut(self, kind):
+        c = sample_program(kind, 3, 61)
+        got = is_positive_sampled(c, seed=1)
+        assert_same_verdict(got, is_positive_sampled_oracle(c, seed=1))
+        assert got == PositivityVerdict("certified_cp", 0)
+
+    def test_random_blocks_replay_sequential_draws(self):
+        d, n = 5, 23
+        blocks = list(qwp_programs._candidate_blocks(d, n, np.random.default_rng(9), 4))
+        assert [len(b) for b, _ in blocks] == [4, 1, 4, 1] + [4] * 5 + [3]
+        assert all(raw is None for _, raw in blocks[:4])
+        raw = np.concatenate([r for _, r in blocks[4:]])
+        rng = np.random.default_rng(9)
+        loop = np.array([rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)])
+        assert np.array_equal(raw, loop)
+        states = np.concatenate([b for b, _ in blocks])
+        assert np.array_equal(states[:d], np.eye(d))
+        assert np.array_equal(states[d:2 * d], qwp_programs._fourier_basis(d).T)
+        assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=4 * d * np.finfo(float).eps)
+
+    def test_no_stack_exceeds_the_cap(self, monkeypatch):
+        rows = []
+        outputs = qwp_programs._pure_outputs
+
+        def recording(c, psis):
+            rows.append(psis.shape[0])
+            return outputs(c, psis)
+
+        monkeypatch.setattr(qwp_programs, "_pure_outputs", recording)
+        is_positive_sampled(sample_program("transpose", 32, 0), seed=4)
+        # basis, Fourier, then the 1000 random states in one block of at most 1024
+        assert rows == [32, 32, 1000]
+        assert max(rows) * 32 * 32 * 16 <= STACK_BYTES
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_stacked_outputs_match_apply_matrix(self, kind, dim):
+        c = sample_program(kind, dim, 67)
+        z = np.random.default_rng(dim).standard_normal((20, 2, dim))
+        raw = z[:, 0] + 1j * z[:, 1]
+        normalized = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        psis = np.concatenate([np.eye(dim), qwp_programs._fourier_basis(dim).T, normalized])
+        out = qwp_programs._pure_outputs(c, psis)
+        # one GEMM sums in another order than one matrix-vector product
+        bound = 4 * dim * dim * np.finfo(float).eps * np.abs(c.super).max()
+        for psi, got in zip(psis, out):
+            want = apply_matrix(c, np.outer(psi, psi.conj()))
+            assert np.abs(got - want).max() <= bound
