@@ -75,7 +75,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return a
 
@@ -132,7 +132,8 @@ def min_eigenvalue(a) -> float:
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a (near-)hermitian matrix."""
-    h = (as_complex_matrix(a) + as_complex_matrix(a).conj().T) / 2.0
+    a = as_complex_matrix(a)
+    h = (a + a.conj().T) / 2.0
     try:
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

@@ -19,10 +19,10 @@ from .errors import DimensionMismatchError, SpaceMismatchError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _eigvalsh,
     as_complex_matrix,
     hermitian_eig,
     loewner_leq,
-    min_eigenvalue,
 )
 from .programs import DensityState
 
@@ -160,15 +160,20 @@ def validate_predicate(p: Predicate, tol: ToleranceConfig | None = None) -> Vali
     Violations name the offending atom and the failed inequality.
     """
     tol = tol or DEFAULT_TOL
+    effects = np.stack([p.effect(a) for a in p.space.atoms])
+    total = p.total_effect()
+    # effects are finite by construction; their sum can still overflow
+    if not np.isfinite(total).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    lows = _eigvalsh(np.concatenate([effects, -total[None]])).min(axis=-1).tolist()
+    gaps = np.abs(effects - effects.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
     violations = []
-    for atom in p.space.atoms:
-        lo = min_eigenvalue(p.effect(atom))
+    for atom, lo, gap in zip(p.space.atoms, lows, gaps):
         if lo < -tol.eig_tol:
             violations.append(f"effect {atom!r} is not PSD (min eigenvalue {lo:.6g})")
-        if float(np.abs(p.effect(atom) - p.effect(atom).conj().T).max()) > tol.residual_tol:
+        if gap > tol.residual_tol:
             violations.append(f"effect {atom!r} is not hermitian")
-    total = p.total_effect()
-    hi = -min_eigenvalue(-total)
+    hi = -lows[-1]
     if hi > 1.0 + tol.eig_tol:
         violations.append(f"total effect exceeds the identity (max eigenvalue {hi:.6g})")
     complete = float(np.abs(total - np.eye(p.dim)).max()) <= tol.residual_tol
@@ -288,14 +293,17 @@ def random_predicate(
     shrunk by a random factor so sub-identity totals are covered too.
     """
     k = int(n_atoms) if n_atoms is not None else int(rng.integers(2, 5))
-    blocks = []
-    for _ in range(k):
-        g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-        blocks.append(g @ g.conj().T)
-    total = sum(blocks)
+    # one draw replays k pairs of (dim, dim) draws, real part then imaginary part
+    z = rng.standard_normal((k, 2, dim, dim))
+    g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    blocks = g @ g.conj().swapaxes(-1, -2)
+    # a left-to-right sum: np.add.reduce may sum a contiguous axis pairwise
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for b in blocks:
+        total += b
     vals, vecs = hermitian_eig(total)
     inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
     factor = 1.0 if complete else float(rng.uniform(0.4, 1.0))
-    effects = [factor * (inv_root @ b @ inv_root) for b in blocks]
+    effects = factor * (inv_root @ blocks @ inv_root)
     labels = tuple(f"a{i}" for i in range(k))
     return Predicate(OutcomeSpace(labels), effects)

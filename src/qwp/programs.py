@@ -186,8 +186,15 @@ def from_kraus(kraus_ops, label: str = "kraus") -> QuantumProgram:
     for k in ks[1:]:
         if k.shape[0] != d:
             raise DimensionMismatchError("Kraus operators differ in dimension")
-    s = sum(np.kron(k.conj(), k) for k in ks)
-    return QuantumProgram(d, s, kraus=ks, label=label)
+    # sum of kron(conj(K), K) as (d, d, d, d) blocks, added in place in list
+    # order; adding +0.0 first turns -0.0 entries into +0.0, as a sum from 0
+    # does, and needs no zero-filled buffer
+    terms = (k.conj()[:, None, :, None] * k[None, :, None, :] for k in ks)
+    s = next(terms)
+    s += 0.0
+    for t in terms:
+        s += t
+    return QuantumProgram(d, s.reshape(d * d, d * d), kraus=ks, label=label)
 
 
 def from_unitary(u, label: str = "unitary", tol: ToleranceConfig | None = None) -> QuantumProgram:

@@ -144,8 +144,8 @@ def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig | None = None) -> P
         raise ValidationError("invalid predicate: " + "; ".join(report.violations))
     if not is_trace_preserving(c, tol):
         raise NotTracePreservingError(f"program {c.label!r} is not trace preserving")
-    dual = adjoint(c)
-    return Predicate(f.space, {a: apply_matrix(dual, f.effect(a)) for a in f.space.atoms})
+    effects = np.stack([f.effect(a) for a in f.space.atoms])
+    return Predicate(f.space, apply_matrices(adjoint(c), effects))
 
 
 def duality_residual(

@@ -1,11 +1,12 @@
 """Stacked sampling kernels against the per-state loops they replace.
 
-The loops below are the reference oracles: they draw one state at a time
-from the same generators and must give the stacked kernels' results exactly,
-float for float. The positivity audit is the exception in arithmetic: it
-forms its outputs with one matrix product, whose rounding differs from the
-loop's matrix-vector products, so its outputs are held to a tolerance set
-from the dtype and its verdicts (status, count, witness) to equality.
+The loops below are the reference oracles: they draw one state (or handle
+one atom or Kraus operator) at a time from the same generators and must give
+the stacked kernels' results exactly, float for float. The positivity audit
+is the exception in arithmetic: it forms its outputs with one matrix
+product, whose rounding differs from the loop's matrix-vector products, so
+its outputs are held to a tolerance set from the dtype and its verdicts
+(status, count, witness) to equality.
 """
 
 import importlib
@@ -17,6 +18,8 @@ from qwp.errors import DimensionMismatchError
 from qwp.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    as_complex_matrix,
+    hermitian_eig,
     is_hermitian,
     min_eigenvalue,
     psd_sqrt,
@@ -24,11 +27,20 @@ from qwp.linalg import (
     random_density,
     random_effect,
 )
-from qwp.predicates import Predicate, predicate_leq, random_predicate
+from qwp.predicates import (
+    OutcomeSpace,
+    Predicate,
+    ValidationReport,
+    predicate_leq,
+    random_predicate,
+    validate_predicate,
+)
 from qwp.programs import (
     PositivityVerdict,
+    adjoint,
     apply_matrices,
     apply_matrix,
+    from_kraus,
     from_super,
     is_completely_positive,
     is_positive_sampled,
@@ -144,6 +156,63 @@ def is_positive_sampled_oracle(c, tol=None, seed=0):
         if not is_hermitian(out, tol) or min_eigenvalue(out) < -tol.eig_tol:
             return PositivityVerdict("counterexample", checked, witness=psi.copy())
     return PositivityVerdict("no_counterexample", checked)
+
+
+def validate_predicate_oracle(p, tol=None):
+    """The per-atom validity check: one eigensolve and one hermiticity gap an atom."""
+    tol = tol or DEFAULT_TOL
+    violations = []
+    for atom in p.space.atoms:
+        lo = min_eigenvalue(p.effect(atom))
+        if lo < -tol.eig_tol:
+            violations.append(f"effect {atom!r} is not PSD (min eigenvalue {lo:.6g})")
+        if float(np.abs(p.effect(atom) - p.effect(atom).conj().T).max()) > tol.residual_tol:
+            violations.append(f"effect {atom!r} is not hermitian")
+    total = p.total_effect()
+    hi = -min_eigenvalue(-total)
+    if hi > 1.0 + tol.eig_tol:
+        violations.append(f"total effect exceeds the identity (max eigenvalue {hi:.6g})")
+    complete = float(np.abs(total - np.eye(p.dim)).max()) <= tol.residual_tol
+    return ValidationReport(ok=not violations, violations=tuple(violations), complete=complete)
+
+
+def wp_effects_oracle(c, f):
+    """The transformed effects, one adjoint action an atom."""
+    dual = adjoint(c)
+    return [apply_matrix(dual, f.effect(a)) for a in f.space.atoms]
+
+
+def kraus_super_oracle(kraus_ops):
+    """sum conj(K) ⊗ K by Python's sum, which starts from the integer 0."""
+    return sum(np.kron(k.conj(), k) for k in map(as_complex_matrix, kraus_ops))
+
+
+def random_predicate_oracle(rng, dim, n_atoms=None, complete=False):
+    """Random predicate drawn block by block."""
+    k = int(n_atoms) if n_atoms is not None else int(rng.integers(2, 5))
+    blocks = []
+    for _ in range(k):
+        g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        blocks.append(g @ g.conj().T)
+    total = sum(blocks)
+    vals, vecs = hermitian_eig(total)
+    inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    factor = 1.0 if complete else float(rng.uniform(0.4, 1.0))
+    effects = [factor * (inv_root @ b @ inv_root) for b in blocks]
+    return Predicate(OutcomeSpace(tuple(f"a{i}" for i in range(k))), effects)
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, down to the sign of every zero."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def assert_same_predicate(got, want):
+    assert got.space == want.space
+    for a in want.space.atoms:
+        assert_same_bits(got.effect(a), want.effect(a))
 
 
 def assert_same_verdict(got, want):
@@ -263,7 +332,9 @@ class TestWeakestCheckOracle:
         sizes = []
 
         def recording_apply(c, ms):
-            sizes.append(ms.nbytes)
+            # the (trials, states, d, d) stacks; wp acts on a 3-D stack of effects
+            if ms.ndim == 4:
+                sizes.append(ms.nbytes)
             return apply_matrices(c, ms)
 
         monkeypatch.setattr(qwp_wp, "apply_matrices", recording_apply)
@@ -407,3 +478,118 @@ class TestPositivityOracle:
         for psi, got in zip(psis, out):
             want = apply_matrix(c, np.outer(psi, psi.conj()))
             assert np.abs(got - want).max() <= bound
+
+
+DIMS = (1, 2, 3, 5, 8)
+
+
+def broken_predicate(kind, dim, n_atoms, rng):
+    """A random predicate, valid or with the named faults put in."""
+    p = random_predicate(rng, dim, n_atoms, complete=kind in ("complete", "above_identity", "all"))
+    effects = [np.array(p.effect(a)) for a in p.space.atoms]
+    if kind in ("non_psd", "all"):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        effects[0] = effects[0] - 1.2 * np.outer(v, v.conj())
+    if kind in ("non_hermitian", "all"):
+        effects[-1] = effects[-1] + 1e-6 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    if kind in ("above_identity", "all"):
+        effects = [1.5 * e for e in effects]
+    return Predicate(p.space, effects)
+
+
+class TestValidatePredicateOracle:
+    @pytest.mark.parametrize("kind", ["valid", "complete", "non_psd", "non_hermitian", "above_identity", "all"])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_the_per_atom_loop(self, dim, n_atoms, kind):
+        p = broken_predicate(kind, dim, n_atoms, np.random.default_rng([dim, n_atoms, 71]))
+        report = validate_predicate(p)
+        assert report == validate_predicate_oracle(p)
+        assert report.ok == (kind in ("valid", "complete"))
+        if kind == "all":
+            # faults in atom order, the total's last; at d = 1 the PSD fault
+            # of a0 pulls the total below the identity
+            assert report.violations[0].startswith("effect 'a0' is not PSD")
+            assert f"effect 'a{n_atoms - 1}' is not hermitian" in report.violations
+            assert ("exceeds the identity" in report.violations[-1]) == (dim > 1)
+
+    def test_tolerances_are_read_as_the_loop_reads_them(self):
+        p = broken_predicate("all", 3, 3, np.random.default_rng(72))
+        tol = ToleranceConfig(eig_tol=1e-3, residual_tol=1e-3)
+        assert validate_predicate(p, tol) == validate_predicate_oracle(p, tol)
+
+    def test_overflowing_total_raises_like_the_loop(self):
+        big = np.diag([1e308, 1.0])
+        p = Predicate(OutcomeSpace(("a", "b")), [big, big])
+        for check in (validate_predicate, validate_predicate_oracle):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                check(p)
+
+
+class TestWpOracle:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_the_per_atom_loop(self, dim, n_atoms, kind):
+        rng = np.random.default_rng([dim, n_atoms, 73])
+        c = sample_program(kind, dim, rng)
+        f = random_predicate(rng, dim, n_atoms)
+        got = wp(c, f)
+        assert got.space == f.space
+        for a, want in zip(f.space.atoms, wp_effects_oracle(c, f)):
+            assert_same_bits(got.effect(a), want)
+
+
+class TestFromKrausOracle:
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_the_kron_sum(self, dim, count, real):
+        rng = np.random.default_rng([dim, count, 79])
+        ks = rng.standard_normal((count, dim, dim))
+        if not real:
+            ks = ks + 1j * rng.standard_normal((count, dim, dim))
+        # zero entries, one of them negative, give the terms signed zeros
+        ks[:, :, 0] = 0.0
+        ks[:, 0, 0] = -0.0
+        c = from_kraus(list(ks))
+        want = kraus_super_oracle(ks)
+        assert_same_bits(c.super, want)
+        assert np.any(want == 0)
+        assert all(np.array_equal(k, want_k) for k, want_k in zip(c.kraus, ks))
+
+    def test_left_to_right_sum_at_dim_one(self):
+        # a (k, 1, 1) stack is contiguous along k, where numpy's reductions
+        # sum pairwise; the Kraus sum must still add term after term
+        rng = np.random.default_rng(80)
+        for count in [3, 4, 5] * 100:
+            ks = rng.standard_normal((count, 1, 1)) + 1j * rng.standard_normal((count, 1, 1))
+            assert_same_bits(from_kraus(list(ks)).super, kraus_super_oracle(ks))
+
+
+class TestRandomPredicateOracle:
+    @pytest.mark.parametrize("complete", [False, True])
+    @pytest.mark.parametrize("n_atoms", [None, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_the_block_loop(self, dim, n_atoms, complete):
+        rng = np.random.default_rng([dim, n_atoms or 0, 83])
+        oracle_rng = np.random.default_rng([dim, n_atoms or 0, 83])
+        got = random_predicate(rng, dim, n_atoms, complete)
+        assert_same_predicate(got, random_predicate_oracle(oracle_rng, dim, n_atoms, complete))
+
+    def test_left_to_right_total_at_dim_one(self):
+        # see TestFromKrausOracle.test_left_to_right_sum_at_dim_one
+        for seed in range(300):
+            got = random_predicate(np.random.default_rng(seed), 1, 3 + seed % 3)
+            assert_same_predicate(got, random_predicate_oracle(np.random.default_rng(seed), 1, 3 + seed % 3))
+
+    @pytest.mark.parametrize("complete", [False, True])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_consumes_the_stream_like_the_block_loop(self, dim, complete):
+        rng = np.random.default_rng([dim, 89])
+        oracle_rng = np.random.default_rng([dim, 89])
+        for n_atoms in (None, 1, 4):
+            random_predicate(rng, dim, n_atoms, complete)
+            random_predicate_oracle(oracle_rng, dim, n_atoms, complete)
+            assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
