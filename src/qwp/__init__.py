@@ -31,7 +31,6 @@ from .predicates import (
     predicate_leq,
     projective_predicate,
     random_predicate,
-    s_leq,
     sat,
     scaled_predicate,
     validate_predicate,

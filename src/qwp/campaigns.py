@@ -171,11 +171,8 @@ def orders_campaign(
             g = random_predicate(rng, dim)
             if trial % 2 == 0:
                 # construct f below g by sandwich shrinkage
-                effects = {}
-                for a in g.space.atoms:
-                    root = psd_sqrt(g.effect(a))
-                    effects[a] = root @ random_effect(rng, dim) @ root
-                f = Predicate(g.space, effects)
+                roots = [psd_sqrt(e) for e in g.effects]
+                f = Predicate(g.space, [r @ random_effect(rng, dim) @ r for r in roots])
             else:
                 f = random_predicate(rng, dim, n_atoms=len(g.space.atoms))
             total += 1

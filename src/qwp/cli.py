@@ -41,7 +41,7 @@ from .wp import RESIDUAL_SAMPLE_STATES, duality_residual_sweep, verify_triple, w
 
 MAX_DIM = 6
 
-_SEMANTIC_ERRORS = (QwpError, ValueError, KeyError)
+_SEMANTIC_ERRORS = (QwpError, ValueError)
 
 
 def _die(status: int, message: str) -> None:

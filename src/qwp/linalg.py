@@ -34,7 +34,6 @@ __all__ = [
     "random_isometry",
     "random_unitary",
     "random_hermitian_contraction",
-    "random_state_vector",
 ]
 
 
@@ -238,12 +237,6 @@ def random_hermitian_contraction(rng: np.random.Generator, dim: int) -> np.ndarr
     u = random_unitary(rng, dim)
     w = rng.uniform(-1.0, 1.0, size=dim)
     return (u * w) @ u.conj().T
-
-
-def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unit vector."""
-    v = _ginibre(rng, dim, 1)[:, 0]
-    return v / np.linalg.norm(v)
 
 
 _SAMPLERS = {

@@ -1,11 +1,11 @@
 """POVM-valued predicates over a finite outcome alphabet.
 
-A predicate assigns one effect operator to each outcome atom; the effect of a
-compound outcome set is always recomputed as the sum of its atoms, never
-cached, so additivity holds by construction. A predicate is *valid* when
-every effect is PSD and the atom effects sum to at most the identity;
-:func:`validate_predicate` reports violations instead of raising, so
-untrusted inputs can be inspected.
+A predicate assigns one effect operator to each outcome atom, stored as one
+read-only complex (k, d, d) stack in atom order; the effect of a compound
+outcome set is always recomputed as the sum of its atoms, never cached, so
+additivity holds by construction. A predicate is *valid* when every effect is
+PSD and the atom effects sum to at most the identity; :func:`validate_predicate`
+reports violations instead of raising, so untrusted inputs can be inspected.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "effect_of_set",
     "is_complete",
     "predicate_leq",
-    "s_leq",
     "sat",
     "chain_sup",
     "projective_predicate",
@@ -68,8 +67,9 @@ class OutcomeSpace:
 class Predicate:
     """One effect operator per atom of an outcome space.
 
-    Construction enforces structure only (matching atoms, equal square dims,
-    finite entries); semantic validity is the business of
+    ``effects`` is a read-only complex128 stack of shape (k, d, d) in atom
+    order. Construction enforces structure only (matching atoms, equal square
+    dims, finite entries); semantic validity is the business of
     :func:`validate_predicate`.
     """
 
@@ -91,23 +91,33 @@ class Predicate:
         for m in mats[1:]:
             if m.shape[0] != d:
                 raise DimensionMismatchError("mixed effect dimensions")
-        frozen = {}
-        for atom, m in zip(space.atoms, mats):
-            m = m.copy()
-            m.setflags(write=False)
-            frozen[atom] = m
         self.space = space
-        self.effects = frozen
+        self.effects = np.stack(mats)
+        self.effects.setflags(write=False)
+
+    @classmethod
+    def _from_stack(cls, space: OutcomeSpace, effects: np.ndarray) -> Predicate:
+        """Store a fresh kernel output, a finite complex (k, d, d) stack, unchecked."""
+        p = cls.__new__(cls)
+        p.space = space
+        # wp's output is a transposed view; store C order as np.stack does, so
+        # later matrix products see one layout whatever built the predicate
+        p.effects = np.ascontiguousarray(effects)
+        p.effects.setflags(write=False)
+        return p
 
     @property
     def dim(self) -> int:
-        return next(iter(self.effects.values())).shape[0]
+        return self.effects.shape[-1]
 
     def effect(self, atom: str) -> np.ndarray:
-        return self.effects[atom]
+        try:
+            return self.effects[self.space.atoms.index(atom)]
+        except ValueError:
+            raise KeyError(atom) from None
 
     def total_effect(self) -> np.ndarray:
-        return sum(self.effects.values())
+        return sum(self.effects)
 
     def __repr__(self) -> str:
         return f"Predicate(atoms={list(self.space.atoms)}, dim={self.dim})"
@@ -160,13 +170,12 @@ def validate_predicate(p: Predicate, tol: ToleranceConfig | None = None) -> Vali
     Violations name the offending atom and the failed inequality.
     """
     tol = tol or DEFAULT_TOL
-    effects = np.stack([p.effect(a) for a in p.space.atoms])
     total = p.total_effect()
     # effects are finite by construction; their sum can still overflow
     if not np.isfinite(total).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    lows = _eigvalsh(np.concatenate([effects, -total[None]])).min(axis=-1).tolist()
-    gaps = np.abs(effects - effects.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
+    lows = _eigvalsh(np.concatenate([p.effects, -total[None]])).min(axis=-1).tolist()
+    gaps = np.abs(p.effects - p.effects.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
     violations = []
     for atom, lo, gap in zip(p.space.atoms, lows, gaps):
         if lo < -tol.eig_tol:
@@ -217,18 +226,6 @@ def predicate_leq(f: Predicate, g: Predicate, tol: ToleranceConfig | None = None
     return all(loewner_leq(f.effect(a), g.effect(a), tol) for a in f.space.atoms)
 
 
-def s_leq(f: Predicate, g: Predicate, tol: ToleranceConfig | None = None) -> bool:
-    """Satisfiability order: f below g when every state weighs f below g on every set.
-
-    For hermitian effects the quantifier over unit-trace PSD states is
-    equivalent to the operator order atom by atom (density matrices span the
-    hermitian operators, and positivity of the trace pairing against all
-    states is positive semidefiniteness), so this must always agree with
-    :func:`predicate_leq`.
-    """
-    return predicate_leq(f, g, tol)
-
-
 def sat(rho: DensityState, p: Predicate, tol: ToleranceConfig | None = None) -> SatMeasure:
     """Per-atom masses Tr(rho F_a) plus the satisfaction flag."""
     tol = tol or DEFAULT_TOL
@@ -265,19 +262,17 @@ def projective_predicate(dim: int, labels: Sequence[str] | None = None) -> Predi
     labels = tuple(labels)
     if len(labels) != dim:
         raise ValueError(f"need {dim} labels, got {len(labels)}")
-    effects = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        e[i, i] = 1.0
-        effects.append(e)
-    return Predicate(OutcomeSpace(labels), effects)
+    effects = np.zeros((dim, dim, dim), dtype=np.complex128)
+    diag = np.arange(dim)
+    effects[diag, diag, diag] = 1.0
+    return Predicate._from_stack(OutcomeSpace(labels), effects)
 
 
 def scaled_predicate(p: Predicate, factor: float) -> Predicate:
     """Predicate with every effect multiplied by a scalar in [0, 1]."""
     if not 0.0 <= factor <= 1.0:
         raise ValueError(f"factor must lie in [0, 1], got {factor}")
-    return Predicate(p.space, {a: factor * p.effect(a) for a in p.space.atoms})
+    return Predicate._from_stack(p.space, factor * p.effects)
 
 
 def random_predicate(
@@ -306,4 +301,4 @@ def random_predicate(
     factor = 1.0 if complete else float(rng.uniform(0.4, 1.0))
     effects = factor * (inv_root @ blocks @ inv_root)
     labels = tuple(f"a{i}" for i in range(k))
-    return Predicate(OutcomeSpace(labels), effects)
+    return Predicate._from_stack(OutcomeSpace(labels), effects)

@@ -58,6 +58,9 @@ MAX_PROGRAM_DIM = 64
 
 
 def _dim_from_json(value) -> int:
+    # a JSON number loads as int or float; true and false load as bool
+    if type(value) not in (int, float):
+        raise ValidationError(f"dim must be a number, got {type(value).__name__}")
     if isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"dim must be a finite whole number, got {value!r}")
     return int(value)
@@ -154,7 +157,13 @@ def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram
     elif repr_kind == "choi":
         source = {"choi": matrix_from_json(payload)}
     elif repr_kind == "named":
-        source = {"named": dict(_require(payload, dict, "named payload"))}
+        params = dict(_require(payload, dict, "named payload"))
+        if not isinstance(params.get("name"), str):
+            raise ValidationError("named payload needs a string 'name'")
+        for key, value in params.items():
+            if key != "name" and type(value) not in (int, float):
+                raise ValidationError(f"named parameter {key!r} must be a number, got {type(value).__name__}")
+        source = {"named": params}
     else:
         raise ValidationError(f"unknown program repr {repr_kind!r}")
     prog = build_program(source, dim=dim, tol=tol)

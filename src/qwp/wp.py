@@ -144,8 +144,7 @@ def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig | None = None) -> P
         raise ValidationError("invalid predicate: " + "; ".join(report.violations))
     if not is_trace_preserving(c, tol):
         raise NotTracePreservingError(f"program {c.label!r} is not trace preserving")
-    effects = np.stack([f.effect(a) for a in f.space.atoms])
-    return Predicate(f.space, apply_matrices(adjoint(c), effects))
+    return Predicate._from_stack(f.space, apply_matrices(adjoint(c), f.effects))
 
 
 def duality_residual(
@@ -300,7 +299,7 @@ def weakest_check(
     transformed = wp(c, f, tol)
     atoms = f.space.atoms
     d = c.dim
-    bounds = np.stack([transformed.effect(a) for a in atoms])
+    bounds = transformed.effects
     _require_finite_hermitian(bounds, tol)
     roots = np.stack([psd_sqrt(s) for s in bounds])
 

@@ -105,6 +105,10 @@ class TestValidate:
             "named_payload_number",
             "atoms_number",
             "dim_huge",
+            "dim_list",
+            "dim_null",
+            "parameter_list",
+            "name_list",
         ],
     )
     def test_malformed_document_is_semantic_error(self, runner, tmp_path, kind):
@@ -121,8 +125,16 @@ class TestValidate:
             text = json.dumps({"dim": 2, "repr": "named", "payload": 5})
         elif kind == "atoms_number":
             text = json.dumps({"atoms": 5, "effects": {}})
-        else:
+        elif kind == "dim_huge":
             text = json.dumps(dict(named_program_doc("identity"), dim=10**6))
+        elif kind == "dim_list":
+            text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), dim=[2]))
+        elif kind == "dim_null":
+            text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), dim=None))
+        elif kind == "parameter_list":
+            text = json.dumps(named_program_doc("depolarizing", p=[0.5]))
+        else:
+            text = json.dumps({"dim": 2, "repr": "named", "payload": {"name": ["depolarizing"], "p": 0.5}})
         path = tmp_path / "bad.json"
         path.write_text(text)
         result = runner.invoke(main, ["validate", str(path)])

@@ -20,12 +20,12 @@ from qwp.predicates import (
     predicate_leq,
     projective_predicate,
     random_predicate,
-    s_leq,
     sat,
     scaled_predicate,
     validate_predicate,
 )
-from qwp.programs import DensityState
+from qwp.programs import DensityState, amplitude_damping
+from qwp.wp import wp
 
 
 def trine_predicate() -> Predicate:
@@ -62,11 +62,54 @@ class TestPredicateConstruction:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Predicate(OutcomeSpace(("a", "b")), [np.eye(2), np.eye(3)])
+        with pytest.raises(DimensionMismatchError):
+            Predicate(OutcomeSpace(("a", "b")), {"a": np.eye(2), "b": np.eye(3)})
+
+    def test_effect_count_must_match_atoms(self):
+        with pytest.raises(ValueError, match="3 effects for 2 atoms"):
+            Predicate(OutcomeSpace(("a", "b")), [np.eye(2)] * 3)
 
     def test_effects_are_frozen(self):
         p = projective_predicate(2)
         with pytest.raises(ValueError):
             p.effect("0")[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            projective_predicate(3),
+            trine_predicate(),
+            random_predicate(np.random.default_rng(3), 3),
+            scaled_predicate(projective_predicate(2), 0.5),
+            wp(amplitude_damping(0.3), projective_predicate(2)),
+        ],
+        ids=["projective", "public", "random", "scaled", "wp"],
+    )
+    def test_stored_as_one_read_only_stack(self, p):
+        k, d = len(p.space), p.dim
+        assert p.effects.shape == (k, d, d)
+        assert p.effects.dtype == np.complex128
+        assert p.effects.flags.c_contiguous
+        assert not p.effects.flags.writeable
+        for i, a in enumerate(p.space.atoms):
+            assert not p.effect(a).flags.writeable
+            assert np.array_equal(p.effect(a), p.effects[i])
+        with pytest.raises(ValueError):
+            p.effects[0, 0, 0] = 5.0
+        with pytest.raises(KeyError):
+            p.effect("unknown")
+
+    @pytest.mark.parametrize("as_mapping", [False, True])
+    def test_constructor_input_is_copied(self, as_mapping):
+        mats = [np.eye(2, dtype=np.complex128), np.zeros((2, 2), dtype=np.complex128)]
+        given = {"a": mats[0], "b": mats[1]} if as_mapping else list(mats)
+        p = Predicate(OutcomeSpace(("a", "b")), given)
+        mats[0][0, 0] = 7.0
+        if as_mapping:
+            given["b"] = np.eye(2)
+        else:
+            given[1] = np.eye(2)
+        assert np.array_equal(p.effects, [np.eye(2), np.zeros((2, 2))])
 
 
 class TestValidate:
@@ -168,26 +211,12 @@ class TestOrders:
                         continue
                     assert loewner_leq(effect_of_set(f, sub), effect_of_set(g, sub))
 
-    def test_s_leq_always_agrees_with_predicate_leq(self):
-        rng = np.random.default_rng(23)
-        for trial in range(60):
-            dim = int(rng.integers(2, 5))
-            f = random_predicate(rng, dim, n_atoms=2)
-            if trial % 2 == 0:
-                g = random_predicate(rng, dim, n_atoms=2)
-                g = Predicate(f.space, [g.effect(a) for a in g.space.atoms])
-            else:
-                g = scaled_predicate(f, 0.7)
-                f, g = g, f
-            assert s_leq(f, g) == predicate_leq(f, g)
-            assert s_leq(g, f) == predicate_leq(g, f)
-
     def test_s_leq_certified_by_sampled_states(self):
         # 500 random states find no counterexample to the order equivalence
         rng = np.random.default_rng(29)
         g = random_predicate(rng, 3, n_atoms=2)
         f = scaled_predicate(g, 0.6)
-        assert s_leq(f, g)
+        assert predicate_leq(f, g)
         for _ in range(500):
             rho = random_density(rng, 3)
             for a in f.space.atoms:
@@ -198,8 +227,8 @@ class TestOrders:
     def test_strictly_larger_fails_in_reverse(self):
         f = scaled_predicate(projective_predicate(2), 0.4)
         g = projective_predicate(2)
-        assert s_leq(f, g)
-        assert not s_leq(g, f)
+        assert predicate_leq(f, g)
+        assert not predicate_leq(g, f)
 
 
 class TestSat:

@@ -134,12 +134,25 @@ class TestProgramFormat:
         with pytest.raises(ValidationError, match=f"requires parameter '{key}'"):
             program_from_json({"dim": 2, "repr": "named", "payload": {"name": name}})
 
-    @pytest.mark.parametrize("dim", [float("inf"), float("nan"), 2.5])
+    @pytest.mark.parametrize("dim", [float("inf"), float("nan"), 2.5, [2], None, "2", True])
     def test_non_integral_dim_rejected(self, dim):
         with pytest.raises(ValidationError, match="dim must be"):
             program_from_json({"dim": dim, "repr": "named", "payload": {"name": "depolarizing", "p": 0.5}})
         with pytest.raises(ValidationError, match="dim must be"):
             matrix_from_json({"dim": dim, "re": [[1.0]], "im": [[0.0]]})
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"name": "depolarizing", "p": [0.5]}, "named parameter 'p' must be a number, got list"),
+            ({"name": "amplitude_damping", "gamma": "0.5"}, "named parameter 'gamma' must be a number, got str"),
+            ({"name": ["depolarizing"], "p": 0.5}, "named payload needs a string 'name'"),
+            ({"p": 0.5}, "named payload needs a string 'name'"),
+        ],
+    )
+    def test_named_payload_of_the_wrong_type_rejected(self, payload, message):
+        with pytest.raises(ValidationError, match=message):
+            program_from_json({"dim": 2, "repr": "named", "payload": payload})
 
     @pytest.mark.parametrize("repr_kind,expected", [("kraus", "a list"), ("named", "an object")])
     def test_payload_of_the_wrong_type_rejected(self, repr_kind, expected):

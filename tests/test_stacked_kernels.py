@@ -593,3 +593,28 @@ class TestRandomPredicateOracle:
             random_predicate(rng, dim, n_atoms, complete)
             random_predicate_oracle(oracle_rng, dim, n_atoms, complete)
             assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+
+
+def labelled(mats):
+    return Predicate(OutcomeSpace(tuple(f"a{i}" for i in range(len(mats)))), list(mats))
+
+
+class TestTotalEffectOracle:
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_python_sum(self, dim, n_atoms):
+        rng = np.random.default_rng([dim, n_atoms, 97])
+        mats = rng.standard_normal((n_atoms, dim, dim)) + 1j * rng.standard_normal((n_atoms, dim, dim))
+        # sum() starts from the integer 0, so an entry that is -0.0 in every
+        # effect totals +0.0
+        mats[:, -1, 0] = complex(-0.0, -0.0)
+        want = sum(list(mats))
+        assert not np.signbit(want[-1, 0].real) and not np.signbit(want[-1, 0].imag)
+        assert_same_bits(labelled(mats).total_effect(), want)
+
+    def test_left_to_right_at_dim_one(self):
+        # see TestFromKrausOracle.test_left_to_right_sum_at_dim_one
+        rng = np.random.default_rng(98)
+        for n_atoms in list(range(1, 13)) * 25:
+            mats = rng.standard_normal((n_atoms, 1, 1)) + 1j * rng.standard_normal((n_atoms, 1, 1))
+            assert_same_bits(labelled(mats).total_effect(), sum(list(mats)))
