@@ -22,6 +22,7 @@ transpose map is the standard example) are first-class citizens here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,11 +316,14 @@ def build_program(source: dict, dim: int | None = None, tol: ToleranceConfig | N
             if dim is None:
                 raise ValidationError("named transpose requires dim")
             prog = transpose_program(dim)
-        elif name in _NAMED_PARAMETER:
+        elif isinstance(name, str) and name in _NAMED_PARAMETER:
             builder, key = _NAMED_PARAMETER[name]
             if key not in params:
                 raise ValidationError(f"named {name} requires parameter {key!r}")
-            prog = builder(float(params[key]))
+            value = params[key]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"named {name} parameter {key!r} must be a number, got {type(value).__name__}")
+            prog = builder(float(value))
         else:
             raise ValidationError(f"unknown named program {name!r}; expected one of {_NAMED_BUILDERS}")
     if dim is not None and prog.dim != dim:

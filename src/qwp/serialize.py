@@ -157,13 +157,7 @@ def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram
     elif repr_kind == "choi":
         source = {"choi": matrix_from_json(payload)}
     elif repr_kind == "named":
-        params = dict(_require(payload, dict, "named payload"))
-        if not isinstance(params.get("name"), str):
-            raise ValidationError("named payload needs a string 'name'")
-        for key, value in params.items():
-            if key != "name" and type(value) not in (int, float):
-                raise ValidationError(f"named parameter {key!r} must be a number, got {type(value).__name__}")
-        source = {"named": params}
+        source = {"named": dict(_require(payload, dict, "named payload"))}
     else:
         raise ValidationError(f"unknown program repr {repr_kind!r}")
     prog = build_program(source, dim=dim, tol=tol)

@@ -144,7 +144,11 @@ def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig | None = None) -> P
         raise ValidationError("invalid predicate: " + "; ".join(report.violations))
     if not is_trace_preserving(c, tol):
         raise NotTracePreservingError(f"program {c.label!r} is not trace preserving")
-    return Predicate._from_stack(f.space, apply_matrices(adjoint(c), f.effects))
+    effects = apply_matrices(adjoint(c), f.effects)
+    # a finite superoperator that passes the unital test can still overflow
+    if not np.isfinite(effects).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return Predicate._from_stack(f.space, effects)
 
 
 def duality_residual(

@@ -202,6 +202,20 @@ class TestWpCommand:
         assert result.exit_code == 2
         assert "3" in result.stderr and "2" in result.stderr
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_output_is_semantic_error(self, runner, tmp_path):
+        s = np.eye(4)
+        s[:, 1] = [1.7e308, 1.7e308, 1.7e308, -1.7e308]
+        prog = write(tmp_path / "c.json", {"dim": 2, "repr": "super", "payload": matrix_to_json(s)})
+        half = np.full((2, 2), 0.5)
+        effects = {"a": matrix_to_json(half), "b": matrix_to_json(np.eye(2) - half)}
+        pred = write(tmp_path / "f.json", {"atoms": ["a", "b"], "effects": effects})
+        out = tmp_path / "g.json"
+        result = runner.invoke(main, ["wp", prog, pred, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "finite" in result.stderr and "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_parse_error(self, runner, tmp_path):
         bad = tmp_path / "c.json"
         bad.write_text("{")

@@ -130,6 +130,13 @@ class TestBuilders:
         with pytest.raises(DimensionMismatchError):
             build_program({"unitary": X}, dim=3)
 
+    def test_named_parameter_takes_any_real_number_but_bool(self):
+        for p in (np.float64(0.5), np.int64(1), 1):
+            assert build_program({"named": {"name": "depolarizing", "p": p}}).dim == 2
+        for p in (True, "0.5", [0.5], None):
+            with pytest.raises(ValidationError, match="must be a number"):
+                build_program({"named": {"name": "depolarizing", "p": p}})
+
 
 class TestApply:
     def test_full_depolarizing_mixes_everything(self):

@@ -144,15 +144,23 @@ class TestProgramFormat:
     @pytest.mark.parametrize(
         "payload,message",
         [
-            ({"name": "depolarizing", "p": [0.5]}, "named parameter 'p' must be a number, got list"),
-            ({"name": "amplitude_damping", "gamma": "0.5"}, "named parameter 'gamma' must be a number, got str"),
-            ({"name": ["depolarizing"], "p": 0.5}, "named payload needs a string 'name'"),
-            ({"p": 0.5}, "named payload needs a string 'name'"),
+            ({"name": "depolarizing", "p": [0.5]}, "named depolarizing parameter 'p' must be a number, got list"),
+            ({"name": "depolarizing", "p": True}, "named depolarizing parameter 'p' must be a number, got bool"),
+            (
+                {"name": "amplitude_damping", "gamma": "0.5"},
+                "named amplitude_damping parameter 'gamma' must be a number, got str",
+            ),
+            ({"name": ["depolarizing"], "p": 0.5}, r"unknown named program \['depolarizing'\]"),
+            ({"p": 0.5}, "unknown named program None"),
         ],
     )
     def test_named_payload_of_the_wrong_type_rejected(self, payload, message):
         with pytest.raises(ValidationError, match=message):
             program_from_json({"dim": 2, "repr": "named", "payload": payload})
+
+    def test_named_payload_ignores_keys_its_builder_does_not_read(self):
+        doc = {"dim": 2, "repr": "named", "payload": {"name": "depolarizing", "p": 0.5, "note": ["any"]}}
+        assert program_from_json(doc).dim == 2
 
     @pytest.mark.parametrize("repr_kind,expected", [("kraus", "a list"), ("named", "an object")])
     def test_payload_of_the_wrong_type_rejected(self, repr_kind, expected):

@@ -540,6 +540,20 @@ class TestWpOracle:
         for a, want in zip(f.space.atoms, wp_effects_oracle(c, f)):
             assert_same_bits(got.effect(a), want)
 
+    def test_overflowing_output_raises_as_the_per_atom_form(self):
+        # column 1 of the superoperator cancels on the identity, so the
+        # program is unital in the dual and passes the trace-preservation test
+        s = np.eye(4)
+        s[:, 1] = [1.7e308, 1.7e308, 1.7e308, -1.7e308]
+        c = from_super(s)
+        half = np.full((2, 2), 0.5)
+        f = Predicate(OutcomeSpace(("a", "b")), [half, np.eye(2) - half])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                Predicate(f.space, wp_effects_oracle(c, f))
+            with pytest.raises(ValueError, match="finite"):
+                wp(c, f)
+
 
 class TestFromKrausOracle:
     @pytest.mark.parametrize("real", [False, True])
