@@ -55,6 +55,9 @@ def _load(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         _die(1, f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's digit limit, or nesting past the recursion limit
+        _die(1, f"{path}: JSON parse error: {exc}")
     except OSError as exc:
         _die(1, f"{path}: {exc.strerror or exc}")
 

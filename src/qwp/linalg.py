@@ -7,6 +7,7 @@ that carries it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +87,33 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
+def _conj_transpose(a: np.ndarray) -> np.ndarray:
+    """C-contiguous conjugate transpose of each matrix in a stack (..., d, d)."""
+    return np.conjugate(a.swapaxes(-1, -2), order="C")
+
+
+def _hermitian_part(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray:
+    """(a + aᴴ) / 2 for a stack (..., d, d), finite for every finite a; ah is aᴴ if known.
+
+    Halving each operand first keeps the sum from overflowing. Halving a
+    double is exact outside the subnormal range, and dividing by 1.0 gives
+    each zero the sign that complex division by 2 gives it, so the result
+    has the bits of (a + aᴴ) / 2 wherever that sum is finite and normal.
+    """
+    if ah is None:
+        ah = _conj_transpose(a)
+    h = np.multiply(np.ascontiguousarray(a).view(np.float64), 0.5)
+    h += np.multiply(ah.view(np.float64), 0.5)
+    h = h.view(np.complex128)
+    h /= 1.0
+    return h
+
+
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each (near-)hermitian matrix in a stack (..., d, d)."""
     # symmetrize first: eigvalsh reads one triangle only
-    h = (a + a.conj().swapaxes(-1, -2)) / 2.0
     try:
-        return np.linalg.eigvalsh(h)
+        return np.linalg.eigvalsh(_hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
 
@@ -115,12 +137,65 @@ def is_hermitian(a, tol: ToleranceConfig | None = None) -> bool:
     return float(np.abs(a - a.conj().T).max()) <= tol.residual_tol
 
 
+# Band of the Cholesky verdicts in is_psd. Let h be the hermitian part of
+# the n×n input, t = eig_tol, u = 2⁻⁵³ the unit roundoff, and
+# μ = Σ|h_ii| + ‖h‖_F + 2nt, which bounds the trace of h + sI for |s| ≤ 2t.
+# * Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+#   Thm 10.3; complex arithmetic at most doubles the constant, §3.6): when it
+#   runs to completion on M, RᴴR = M + ΔM with |ΔM| ≤ 2γ_{n+1}|Rᴴ||R|, so
+#   ‖ΔM‖₂ ≤ 2γ_{n+1}‖R‖_F² = 2γ_{n+1} tr(M + ΔM) ≤ 2(n + 2)u·μ. As RᴴR ⪰ 0,
+#   success proves λ_min(M) ≥ −2(n + 2)uμ. The same bound on the rows
+#   factored before a failing pivot shows that a matrix with λ_min(M) above
+#   it cannot fail. Writing s onto the diagonal rounds by at most uμ.
+# * eigvalsh is backward stable: its eigenvalues are exact for h + E, and by
+#   Weyl's inequality each is off by at most ‖E‖₂ ≤ p(n)·u·‖h‖₂ ≤ (n + 2)uμ,
+#   taking for p(n) the modest growth LAPACK states.
+# With δ = 8(n + 2)uμ, success at s = t − δ gives λ_min(h) ≥ −t + δ − (2n + 5)uμ,
+# so eigvalsh reads at least −t + δ − (3n + 7)uμ ≥ −t: PSD on both routes. If
+# eigvalsh reads at least −t, then λ_min(h + (t + δ)I) ≥ δ − (n + 3)uμ, above
+# the failure bound, so failure at s = t + δ means not PSD on both routes.
+# Only when neither factorization decides, or δ ≥ t, does is_psd run eigvalsh.
+_PSD_BAND_C = 8.0
+
+
+def _psd_band(h: np.ndarray, eig_tol: float) -> float:
+    """δ = 8(n + 2)uμ for the hermitian n×n matrix h (derivation above); inf when μ overflows."""
+    n = h.shape[0]
+    with np.errstate(over="ignore"):
+        mu = float(np.abs(h.diagonal().real).sum()) + math.sqrt(np.vdot(h, h).real) + 2 * n * eig_tol
+    return _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * mu
+
+
+def _cholesky_succeeds(h: np.ndarray, diagonal: np.ndarray) -> bool:
+    """Whether Cholesky succeeds on h with its diagonal set to ``diagonal`` (h is overwritten)."""
+    h.flat[:: h.shape[0] + 1] = diagonal
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def is_psd(a, tol: ToleranceConfig | None = None) -> bool:
-    """True when hermitian and all eigenvalues are at least -eig_tol."""
+    """True when hermitian and all eigenvalues are at least -eig_tol.
+
+    Decided by Cholesky factorizations at the shifts eig_tol ∓ δ, with the
+    eigenvalue test only for an input they leave undecided; both routes give
+    the same verdict (see the derivation of δ above).
+    """
     tol = tol or DEFAULT_TOL
     a = as_complex_matrix(a)
-    if not is_hermitian(a, tol):
+    ah = _conj_transpose(a)
+    if float(np.abs(a - ah).max()) > tol.residual_tol:
         return False
+    h = _hermitian_part(a, ah)
+    delta = _psd_band(h, tol.eig_tol)
+    if delta < tol.eig_tol:
+        diagonal = h.diagonal().copy()
+        if _cholesky_succeeds(h, diagonal + (tol.eig_tol - delta)):
+            return True
+        if not _cholesky_succeeds(h, diagonal + (tol.eig_tol + delta)):
+            return False
     return float(_eigvalsh(a).min()) >= -tol.eig_tol
 
 
@@ -131,10 +206,8 @@ def min_eigenvalue(a) -> float:
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a (near-)hermitian matrix."""
-    a = as_complex_matrix(a)
-    h = (a + a.conj().T) / 2.0
     try:
-        return np.linalg.eigh(h)
+        return np.linalg.eigh(_hermitian_part(as_complex_matrix(a)))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
 

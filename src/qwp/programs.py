@@ -323,7 +323,11 @@ def build_program(source: dict, dim: int | None = None, tol: ToleranceConfig | N
             value = params[key]
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"named {name} parameter {key!r} must be a number, got {type(value).__name__}")
-            prog = builder(float(value))
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValidationError(f"named {name} parameter {key!r} is too large for a float") from None
+            prog = builder(value)
         else:
             raise ValidationError(f"unknown named program {name!r}; expected one of {_NAMED_BUILDERS}")
     if dim is not None and prog.dim != dim:

@@ -65,6 +65,32 @@ class TestValidate:
         assert result.exit_code == 1
         assert "line" in result.stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"atoms": [' + "1" * 5000 + "]}", "[" * 100_000],
+        ids=["5000_digit_integer", "deep_nesting"],
+    )
+    def test_json_the_decoder_refuses_is_a_parse_error(self, runner, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 1
+        assert "JSON parse error" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    # a NaN eigenvalue from an overflowing symmetrization would pass every check
+    @pytest.mark.filterwarnings("error")
+    def test_huge_effect_exceeds_the_identity(self, runner, tmp_path):
+        doc = {"atoms": ["0"], "effects": {"0": matrix_to_json(np.diag([1e308, 0.5]))}}
+        path = write(tmp_path / "p.json", doc)
+        result = runner.invoke(main, ["validate", path])
+        assert result.exit_code == 2
+        report = json.loads(result.stdout)
+        assert report["ok"] is False
+        assert report["violations"] == ["total effect exceeds the identity (max eigenvalue 1e+308)"]
+        assert result.stderr == ""
+
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(tmp_path / "nope.json")])
         assert result.exit_code == 1
@@ -109,6 +135,7 @@ class TestValidate:
             "dim_null",
             "parameter_list",
             "name_list",
+            "parameter_overflow",
         ],
     )
     def test_malformed_document_is_semantic_error(self, runner, tmp_path, kind):
@@ -133,6 +160,8 @@ class TestValidate:
             text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), dim=None))
         elif kind == "parameter_list":
             text = json.dumps(named_program_doc("depolarizing", p=[0.5]))
+        elif kind == "parameter_overflow":
+            text = json.dumps(named_program_doc("depolarizing", p=10**400))
         else:
             text = json.dumps({"dim": 2, "repr": "named", "payload": {"name": ["depolarizing"], "p": 0.5}})
         path = tmp_path / "bad.json"

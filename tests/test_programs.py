@@ -137,6 +137,10 @@ class TestBuilders:
             with pytest.raises(ValidationError, match="must be a number"):
                 build_program({"named": {"name": "depolarizing", "p": p}})
 
+    def test_named_parameter_beyond_float_range(self):
+        with pytest.raises(ValidationError, match="too large for a float"):
+            build_program({"named": {"name": "depolarizing", "p": 10**400}})
+
 
 class TestApply:
     def test_full_depolarizing_mixes_everything(self):

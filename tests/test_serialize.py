@@ -5,7 +5,7 @@ import pytest
 
 from qwp.errors import ValidationError
 from qwp.linalg import random_density
-from qwp.predicates import projective_predicate, random_predicate, sat
+from qwp.predicates import projective_predicate, random_predicate, sat, validate_predicate
 from qwp.programs import (
     DensityState,
     amplitude_damping,
@@ -94,6 +94,12 @@ class TestPredicateFormat:
         with pytest.raises(ValidationError, match="'atoms' must be a list, got int"):
             predicate_from_json({"atoms": 5, "effects": {}})
 
+    def test_huge_effect_loads_and_exceeds_the_identity(self):
+        text = '{"atoms": ["0"], "effects": {"0": {"dim": 2, "re": [[1e308, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}}}'
+        with np.errstate(all="raise"):
+            report = validate_predicate(predicate_from_json(json.loads(text)))
+        assert report.violations == ("total effect exceeds the identity (max eigenvalue 1e+308)",)
+
 
 class TestSatFormat:
     def test_round_trip(self):
@@ -112,6 +118,11 @@ class TestProgramFormat:
         assert back.kraus is not None
         assert np.abs(back.super - c.super).max() <= 1e-15
         assert back.label == c.label
+
+    def test_parameter_beyond_float_range_rejected(self):
+        text = '{"dim": 2, "repr": "named", "payload": {"name": "depolarizing", "p": 1' + "0" * 400 + "}}"
+        with pytest.raises(ValidationError, match="too large for a float"):
+            program_from_json(json.loads(text))
 
     def test_super_round_trip_for_kraus_free_program(self):
         t = transpose_program(3)

@@ -21,6 +21,7 @@ from qwp.linalg import (
     as_complex_matrix,
     hermitian_eig,
     is_hermitian,
+    is_psd,
     min_eigenvalue,
     psd_sqrt,
     random_densities,
@@ -46,6 +47,7 @@ from qwp.programs import (
     is_positive_sampled,
     mix,
     sample_program,
+    to_choi,
     transpose_program,
     unvec,
     vec,
@@ -55,6 +57,7 @@ from qwp.wp import STACK_BYTES, WeakestCheckReport, duality_residual_sweep, weak
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
 qwp_programs = importlib.import_module("qwp.programs")
+qwp_linalg = importlib.import_module("qwp.linalg")
 
 KINDS = ("cptp", "unitary", "transpose", "transpose_mix")
 
@@ -129,10 +132,19 @@ def duality_residual_sweep_oracle(c, f, tol=None, seed=0, states=100):
     return worst
 
 
+def is_psd_oracle(a, tol=None):
+    """The PSD verdict as one full eigensolve of the symmetrized matrix."""
+    tol = tol or DEFAULT_TOL
+    a = as_complex_matrix(a)
+    if not is_hermitian(a, tol):
+        return False
+    return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min()) >= -tol.eig_tol
+
+
 def is_positive_sampled_oracle(c, tol=None, seed=0):
     """The per-state positivity audit: one matrix-vector product and one eigensolve a state."""
     tol = tol or DEFAULT_TOL
-    if is_completely_positive(c, tol):
+    if is_psd_oracle(to_choi(c), tol):
         return PositivityVerdict("certified_cp", 0)
     d = c.dim
     rng = np.random.default_rng(seed)
@@ -632,3 +644,104 @@ class TestTotalEffectOracle:
         for n_atoms in list(range(1, 13)) * 25:
             mats = rng.standard_normal((n_atoms, 1, 1)) + 1j * rng.standard_normal((n_atoms, 1, 1))
             assert_same_bits(labelled(mats).total_effect(), sum(list(mats)))
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch module.name with a wrapper that counts its calls; returns the counter list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestHermitianPart:
+    def test_same_bits_as_add_then_halve(self):
+        rng = np.random.default_rng(91)
+        for trial in range(2000):
+            shape = (int(rng.integers(1, 4)),) + (int(rng.integers(1, 6)),) * 2
+            scale = 10.0 ** rng.uniform(-300, 300, size=shape)
+            a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+            # signed zeros in both parts, where complex division sets the signs
+            a.real[rng.random(shape) < 0.3] = 0.0
+            a.imag[rng.random(shape) < 0.3] = -0.0
+            a.real[rng.random(shape) < 0.2] *= -1.0
+            a.imag[rng.random(shape) < 0.2] *= -1.0
+            want = (a + a.conj().swapaxes(-1, -2)) / 2.0
+            assert_same_bits(qwp_linalg._hermitian_part(a), want)
+
+    def test_huge_entries_stay_finite(self):
+        a = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], dtype=np.complex128)
+        with np.errstate(all="raise"):
+            h = qwp_linalg._hermitian_part(a)
+        assert np.array_equal(h, a)
+        vals, _ = hermitian_eig(a)
+        assert not np.isnan(vals).any()
+        assert vals[0] < 0 < vals[1]
+
+
+class TestPsdOracle:
+    """is_psd decides with Cholesky at eig_tol ∓ δ and must give the eigensolve's verdict."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_program_kinds(self, kind, dim):
+        for seed in range(3):
+            j = to_choi(sample_program(kind, dim, seed))
+            assert is_psd(j) == is_psd_oracle(j)
+            assert is_completely_positive(sample_program(kind, dim, seed)) == is_psd_oracle(j)
+
+    @pytest.mark.parametrize("kind, want", [("cptp", True), ("transpose_mix", False)])
+    def test_dim_32(self, kind, want, monkeypatch):
+        j = to_choi(sample_program(kind, 32, 4))
+        assert is_psd_oracle(j) is want
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert is_psd(j) is want
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", [0.05, 1e-8])
+    def test_nonpositive_map(self, eps):
+        j = to_choi(nonpositive(3, eps))
+        assert is_psd(j) == is_psd_oracle(j) is False
+
+    @pytest.mark.parametrize("kind, dim", [("cptp", 8), ("transpose", 4), ("transpose_mix", 6)])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_shifted_to_the_band_edges(self, kind, dim, k, side, monkeypatch):
+        tol = DEFAULT_TOL
+        j = to_choi(sample_program(kind, dim, 17))
+        lowest = float(np.linalg.eigvalsh(j).min())
+        base = j - (lowest + tol.eig_tol) * np.eye(dim * dim)
+        delta = qwp_linalg._psd_band(base, tol.eig_tol)
+        assert 0.0 < 4.0 * delta < tol.eig_tol
+        # λ_min = -eig_tol + side·k·δ
+        shifted = base + side * k * delta * np.eye(dim * dim)
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        got = is_psd(shifted, tol)
+        # only inside the band, |λ_min + eig_tol| < δ, is the eigensolve needed
+        assert calls == (["eigvalsh"] if k < 1 else [])
+        monkeypatch.undo()
+        assert got == is_psd_oracle(shifted, tol) == (side > 0)
+
+    def test_zero_eig_tol_takes_the_eigensolve(self, monkeypatch):
+        tol = ToleranceConfig(eig_tol=0.0)
+        for kind in KINDS:
+            j = to_choi(sample_program(kind, 4, 23))
+            calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+            got = is_psd(j, tol)
+            assert calls == ["eigvalsh"]
+            monkeypatch.undo()
+            assert got == is_psd_oracle(j, tol)
+
+    def test_non_hermitian_input_is_refused_before_any_factorization(self, monkeypatch):
+        a = np.eye(4, dtype=np.complex128)
+        a[0, 1] = 1e-3
+        cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert is_psd(a) is False
+        assert cholesky == [] and eigvalsh == []
+        assert is_psd_oracle(a) is False
