@@ -150,16 +150,17 @@ def is_hermitian(a, tol: ToleranceConfig | None = None) -> bool:
 # * eigvalsh is backward stable: its eigenvalues are exact for h + E, and by
 #   Weyl's inequality each is off by at most ‖E‖₂ ≤ p(n)·u·‖h‖₂ ≤ (n + 2)uμ,
 #   taking for p(n) the modest growth LAPACK states.
-# With δ = 8(n + 2)uμ, success at s = t − δ gives λ_min(h) ≥ −t + δ − (2n + 5)uμ,
-# so eigvalsh reads at least −t + δ − (3n + 7)uμ ≥ −t: PSD on both routes. If
-# eigvalsh reads at least −t, then λ_min(h + (t + δ)I) ≥ δ − (n + 3)uμ, above
-# the failure bound, so failure at s = t + δ means not PSD on both routes.
-# Only when neither factorization decides, or δ ≥ t, does is_psd run eigvalsh.
+# Take δ = c(n + 2)uμ with c = 8. Success at s = t − δ gives
+# λ_min(h) ≥ −t + δ − (2n + 5)uμ, so eigvalsh reads at least
+# −t + δ − (3n + 7)uμ ≥ −t: PSD on both routes. If eigvalsh reads at least
+# −t, then λ_min(h + (t + δ)I) ≥ δ − (n + 3)uμ, above the failure bound, so
+# failure at s = t + δ means not PSD on both routes. Only when neither
+# factorization decides, or δ ≥ t, does is_psd run eigvalsh.
 _PSD_BAND_C = 8.0
 
 
 def _psd_band(h: np.ndarray, eig_tol: float) -> float:
-    """δ = 8(n + 2)uμ for the hermitian n×n matrix h (derivation above); inf when μ overflows."""
+    """δ = c(n + 2)uμ for the hermitian n×n matrix h (derivation above); inf when μ overflows."""
     n = h.shape[0]
     with np.errstate(over="ignore"):
         mu = float(np.abs(h.diagonal().real).sum()) + math.sqrt(np.vdot(h, h).real) + 2 * n * eig_tol
@@ -186,7 +187,9 @@ def is_psd(a, tol: ToleranceConfig | None = None) -> bool:
     tol = tol or DEFAULT_TOL
     a = as_complex_matrix(a)
     ah = _conj_transpose(a)
-    if float(np.abs(a - ah).max()) > tol.residual_tol:
+    with np.errstate(over="ignore"):  # a gap that overflows reads inf: not hermitian
+        gap = float(np.abs(a - ah).max())
+    if gap > tol.residual_tol:
         return False
     h = _hermitian_part(a, ah)
     delta = _psd_band(h, tol.eig_tol)

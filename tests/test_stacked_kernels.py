@@ -691,9 +691,8 @@ class TestPsdOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_program_kinds(self, kind, dim):
         for seed in range(3):
-            j = to_choi(sample_program(kind, dim, seed))
-            assert is_psd(j) == is_psd_oracle(j)
-            assert is_completely_positive(sample_program(kind, dim, seed)) == is_psd_oracle(j)
+            c = sample_program(kind, dim, seed)
+            assert is_completely_positive(c) == is_psd(to_choi(c)) == is_psd_oracle(to_choi(c))
 
     @pytest.mark.parametrize("kind, want", [("cptp", True), ("transpose_mix", False)])
     def test_dim_32(self, kind, want, monkeypatch):
