@@ -662,7 +662,7 @@ def count_calls(monkeypatch, module, name):
 class TestHermitianPart:
     def test_same_bits_as_add_then_halve(self):
         rng = np.random.default_rng(91)
-        for trial in range(2000):
+        for _ in range(2000):
             shape = (int(rng.integers(1, 4)),) + (int(rng.integers(1, 6)),) * 2
             scale = 10.0 ** rng.uniform(-300, 300, size=shape)
             a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
