@@ -4,6 +4,14 @@ Each trial derives its generator from (campaign seed, dim, trial index), so a
 campaign replays exactly from the seed in its report regardless of execution
 order. Program kinds cycle through CPTP, unitary, transpose and
 transpose/CPTP mixtures so the non-CP corner is always exercised.
+
+The duality and compose sweeps run each dim's trials in blocks: every trial
+of a block draws its raw arrays from its own generator, in the order the
+scalar samplers draw them, and then the whole block is shaped and checked in
+stacks, grouped by program kind and by atom count. The stacked checks are
+those the scalar functions make, on the same bits; when one refuses a trial,
+the block's trials are replayed through the scalar functions up to that
+trial, so the campaign raises the exception of its earliest failing trial.
 """
 
 from __future__ import annotations
@@ -15,16 +23,27 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    STACK_BYTES,
     ToleranceConfig,
+    _densities,
     hermitian_eig,
     psd_sqrt,
     random_densities,
     random_density,
     random_effect,
 )
-from .predicates import Predicate, predicate_leq, random_predicate
-from .programs import DensityState, sample_program
-from .wp import duality_residual, weakest_check, wp_compose_check
+from .predicates import Predicate, _draw_predicate, _predicate_faults, _random_effects, predicate_leq, random_predicate
+from .programs import (
+    DensityState,
+    _act,
+    _draw_program,
+    _invalid_states,
+    _sampled_supers,
+    _unital_gaps,
+    _unitarity_gaps,
+    sample_program,
+)
+from .wp import _traces, duality_residual, weakest_check, wp_compose_check
 
 __all__ = [
     "CampaignResult",
@@ -60,6 +79,134 @@ def _trial_rng(seed: int, dim: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, dim, trial])
 
 
+class _TrialRefused(Exception):
+    """A stacked check refused a trial of the block; ``trial`` is the earliest it refused."""
+
+    def __init__(self, trial: int):
+        super().__init__(trial)
+        self.trial = trial
+
+
+def _require(bad: np.ndarray, trials: np.ndarray) -> None:
+    """Stop the block when a stacked check refuses any of ``trials`` (its mask ``bad``)."""
+    if bad.any():
+        raise _TrialRefused(int(trials[bad].min()))
+
+
+def _blocks(dim: int, trials: int):
+    """Trial ranges of one dim whose stacks of d²×d² superoperators fit STACK_BYTES."""
+    size = max(1, STACK_BYTES // (16 * dim**4))
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
+
+
+def _sweep(suite: str, block_values, trial_value, dims, trials, seed, tol) -> CampaignResult:
+    """Run a sweep block by block; a trial fails when its value exceeds residual_tol.
+
+    ``block_values(seed, dim, block, tol)`` gives the values of a block's
+    trials; ``trial_value(seed, dim, trial, tol)`` gives one trial's value
+    through the scalar functions and is called only to replay a refused block.
+    """
+    failures = 0
+    worst = 0.0
+    total = 0
+    for dim in dims:
+        for block in _blocks(dim, trials):
+            try:
+                values = block_values(seed, dim, block, tol)
+            except _TrialRefused as refused:
+                for trial in range(block.start, refused.trial + 1):
+                    trial_value(seed, dim, trial, tol)
+                raise RuntimeError(
+                    f"{suite}: a stacked check refused trial {refused.trial} of dim {dim}, which passes alone"
+                ) from None
+            worst = max(worst, float(values.max()))
+            failures += int(np.count_nonzero(values > tol.residual_tol))
+            total += len(values)
+    return CampaignResult(suite, tuple(dims), total, failures, worst, seed)
+
+
+def _block_supers(dim: int, trials: np.ndarray, draws: list, shift: int) -> np.ndarray:
+    """Superoperators (n, d², d²) of the programs a block drew, in trial order.
+
+    ``draws[i]`` is what trial ``trials[i]`` drew for the program kind at
+    position trials[i] + shift of the cycle.
+    """
+    kinds = (trials + shift) % len(_PROGRAM_CYCLE)
+    supers = np.empty((len(trials), dim * dim, dim * dim), dtype=np.complex128)
+    for i, kind in enumerate(_PROGRAM_CYCLE):
+        pos = np.flatnonzero(kinds == i)
+        if len(pos) == 0:
+            continue
+        weights = np.array([draws[p][0] for p in pos])
+        normals = None if kind == "transpose" else np.array([draws[p][1] for p in pos])
+        supers[pos], unitaries = _sampled_supers(kind, dim, weights, normals)
+        if unitaries is not None:
+            # sample_program's from_unitary checks with the default tolerances
+            _require(_unitarity_gaps(unitaries) > DEFAULT_TOL.residual_tol, trials[pos])
+    _require(~np.isfinite(supers).all(axis=(-2, -1)), trials)
+    return supers
+
+
+def _predicate_groups(draws: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(positions, effects (m, k, d, d)) for each atom count k among a block's predicate draws."""
+    counts = np.array([len(z) for z, _ in draws])
+    groups = []
+    for k in np.unique(counts):
+        pos = np.flatnonzero(counts == k)
+        z = np.array([draws[p][0] for p in pos])
+        factors = np.array([draws[p][1] for p in pos])
+        groups.append((pos, _random_effects(z, factors)))
+    return groups
+
+
+def _transformed(supers: np.ndarray, effects: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """wp's output effects for programs (m, d², d²) and valid predicates (m, k, d, d), stopping the block at a non-finite one.
+
+    The adjoint is the transposed view of each superoperator, the layout
+    :func:`adjoint` stores: a C-ordered copy would change the rounding.
+    """
+    out = _act(supers.conj().swapaxes(-1, -2)[:, None], effects)
+    _require(~np.isfinite(out).all(axis=(-3, -2, -1)), trials)
+    return np.ascontiguousarray(out)
+
+
+def _duality_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> float:
+    rng = _trial_rng(seed, dim, trial)
+    prog = sample_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng)
+    pred = random_predicate(rng, dim)
+    rho = DensityState(random_density(rng, dim), tol)
+    return max(duality_residual(prog, pred, rho, tol).values())
+
+
+def _duality_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> np.ndarray:
+    trials = np.arange(block.start, block.stop)
+    programs, predicates, states = [], [], []
+    for trial in block:
+        rng = _trial_rng(seed, dim, trial)
+        programs.append(_draw_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng))
+        predicates.append(_draw_predicate(rng, dim))
+        states.append(rng.standard_normal((2, dim, dim)))
+    supers = _block_supers(dim, trials, programs, 0)
+    groups = _predicate_groups(predicates)
+    rho = _densities(np.array(states))
+    _require(_invalid_states(rho, tol), trials)
+    # wp(c, f): the predicate, the program, the output
+    for pos, f in groups:
+        _require(_predicate_faults(f, tol), trials[pos])
+    _require(_unital_gaps(supers) > tol.residual_tol, trials)
+    transformed = [_transformed(supers[pos], f, trials[pos]) for pos, f in groups]
+    # apply(c, rho)
+    out = _act(supers, rho)
+    _require(_invalid_states(out, tol, eig_slack=10.0), trials)
+    residuals = np.empty(len(trials))
+    for (pos, f), g in zip(groups, transformed):
+        # each output F-ordered, as DensityState stores it
+        out_k = out.swapaxes(-1, -2)[pos].swapaxes(-1, -2)
+        gap = _traces(g @ rho[pos][:, None]) - _traces(f @ out_k[:, None])
+        residuals[pos] = np.hypot(gap.real, gap.imag).max(axis=-1)
+    return residuals
+
+
 def duality_campaign(
     dims: Sequence[int],
     trials: int,
@@ -67,21 +214,7 @@ def duality_campaign(
     tol: ToleranceConfig | None = None,
 ) -> CampaignResult:
     """Duality identity sweep: Tr(G_a rho) vs Tr(F_a C(rho)) over random tuples."""
-    tol = tol or DEFAULT_TOL
-    failures = 0
-    worst = 0.0
-    total = 0
-    for dim in dims:
-        for trial in range(trials):
-            rng = _trial_rng(seed, dim, trial)
-            prog = sample_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng)
-            pred = random_predicate(rng, dim)
-            rho = DensityState(random_density(rng, dim), tol)
-            residual = max(duality_residual(prog, pred, rho, tol).values())
-            worst = max(worst, residual)
-            failures += int(residual > tol.residual_tol)
-            total += 1
-    return CampaignResult("duality", tuple(dims), total, failures, worst, seed)
+    return _sweep("duality", _duality_block, _duality_trial, dims, trials, seed, tol or DEFAULT_TOL)
 
 
 def weakest_campaign(
@@ -124,6 +257,45 @@ def weakest_campaign(
     )
 
 
+def _compose_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> float:
+    rng = _trial_rng(seed, dim, trial)
+    c1 = sample_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng)
+    c2 = sample_program(_PROGRAM_CYCLE[(trial + 1) % len(_PROGRAM_CYCLE)], dim, rng)
+    pred = random_predicate(rng, dim)
+    return wp_compose_check(c1, c2, pred, tol)
+
+
+def _compose_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> np.ndarray:
+    trials = np.arange(block.start, block.stop)
+    firsts, seconds, predicates = [], [], []
+    for trial in block:
+        rng = _trial_rng(seed, dim, trial)
+        firsts.append(_draw_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng))
+        seconds.append(_draw_program(_PROGRAM_CYCLE[(trial + 1) % len(_PROGRAM_CYCLE)], dim, rng))
+        predicates.append(_draw_predicate(rng, dim))
+    s1 = _block_supers(dim, trials, firsts, 0)
+    s2 = _block_supers(dim, trials, seconds, 1)
+    groups = _predicate_groups(predicates)
+    both = s2 @ s1  # seq(c1, c2)
+    _require(~np.isfinite(both).all(axis=(-2, -1)), trials)
+    # wp(seq(c1, c2), f); wp(c2, f) checks f again with the same verdict
+    for pos, f in groups:
+        _require(_predicate_faults(f, tol), trials[pos])
+    _require(_unital_gaps(both) > tol.residual_tol, trials)
+    left = [_transformed(both[pos], f, trials[pos]) for pos, f in groups]
+    # wp(c2, f), then wp(c1, wp(c2, f))
+    _require(_unital_gaps(s2) > tol.residual_tol, trials)
+    middle = [_transformed(s2[pos], f, trials[pos]) for pos, f in groups]
+    for (pos, _), h in zip(groups, middle):
+        _require(_predicate_faults(h, tol), trials[pos])
+    _require(_unital_gaps(s1) > tol.residual_tol, trials)
+    gaps = np.empty(len(trials))
+    for (pos, _), h, g in zip(groups, middle, left):
+        right = _transformed(s1[pos], h, trials[pos])
+        gaps[pos] = np.abs(g - right).max(axis=(-3, -2, -1))
+    return gaps
+
+
 def compose_campaign(
     dims: Sequence[int],
     trials: int,
@@ -131,21 +303,7 @@ def compose_campaign(
     tol: ToleranceConfig | None = None,
 ) -> CampaignResult:
     """Composition law sweep: transforming through seq equals nesting."""
-    tol = tol or DEFAULT_TOL
-    failures = 0
-    worst = 0.0
-    total = 0
-    for dim in dims:
-        for trial in range(trials):
-            rng = _trial_rng(seed, dim, trial)
-            c1 = sample_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng)
-            c2 = sample_program(_PROGRAM_CYCLE[(trial + 1) % len(_PROGRAM_CYCLE)], dim, rng)
-            pred = random_predicate(rng, dim)
-            gap = wp_compose_check(c1, c2, pred, tol)
-            worst = max(worst, gap)
-            failures += int(gap > tol.residual_tol)
-            total += 1
-    return CampaignResult("compose", tuple(dims), total, failures, worst, seed)
+    return _sweep("compose", _compose_block, _compose_trial, dims, trials, seed, tol or DEFAULT_TOL)
 
 
 def orders_campaign(

@@ -182,6 +182,11 @@ def validate(path, out, seed, eig_tol, residual_tol, samples) -> None:
                 }
                 if not tp:
                     violations.append("program is not trace preserving")
+                if verdict.status == "counterexample":
+                    violations.append(
+                        "program is not positive: sampled positivity found a "
+                        f"counterexample state after {verdict.samples} samples"
+                    )
             else:
                 triple = triple_from_json(obj, tol)
                 for name, pred in (("pre", triple.pre), ("post", triple.post)):

@@ -109,6 +109,17 @@ def _hermitian_part(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray:
     return h
 
 
+def _hermiticity_gaps(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray:
+    """Max-entry |a - aᴴ| of each matrix in a finite stack (..., d, d); ah is aᴴ if known.
+
+    A gap that overflows reads inf, which means not hermitian, without a warning.
+    """
+    if ah is None:
+        ah = a.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        return np.abs(a - ah).max(axis=(-2, -1))
+
+
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each (near-)hermitian matrix in a stack (..., d, d)."""
     # symmetrize first: eigvalsh reads one triangle only
@@ -133,8 +144,7 @@ def hs_inner(a, b) -> complex:
 def is_hermitian(a, tol: ToleranceConfig | None = None) -> bool:
     """True when the max-entry deviation from the conjugate transpose is within residual_tol."""
     tol = tol or DEFAULT_TOL
-    a = as_complex_matrix(a)
-    return float(np.abs(a - a.conj().T).max()) <= tol.residual_tol
+    return float(_hermiticity_gaps(as_complex_matrix(a))) <= tol.residual_tol
 
 
 # Band of the Cholesky verdicts in is_psd. Let h be the hermitian part of
@@ -187,9 +197,7 @@ def is_psd(a, tol: ToleranceConfig | None = None) -> bool:
     tol = tol or DEFAULT_TOL
     a = as_complex_matrix(a)
     ah = _conj_transpose(a)
-    with np.errstate(over="ignore"):  # a gap that overflows reads inf: not hermitian
-        gap = float(np.abs(a - ah).max())
-    if gap > tol.residual_tol:
+    if float(_hermiticity_gaps(a, ah)) > tol.residual_tol:
         return False
     h = _hermitian_part(a, ah)
     delta = _psd_band(h, tol.eig_tol)
@@ -207,12 +215,17 @@ def min_eigenvalue(a) -> float:
     return float(_eigvalsh(as_complex_matrix(a)).min())
 
 
-def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a (near-)hermitian matrix."""
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of each (near-)hermitian matrix in a stack (..., d, d)."""
     try:
-        return np.linalg.eigh(_hermitian_part(as_complex_matrix(a)))
+        return np.linalg.eigh(_hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
+
+
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a (near-)hermitian matrix."""
+    return _eigh(as_complex_matrix(a))
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -266,8 +279,33 @@ def trace_norm(a) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+def _ginibre(z: np.ndarray) -> np.ndarray:
+    """Ginibre matrices (..., r, c) from standard normals (..., 2, r, c): real parts, then imaginary parts."""
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
+
+
+def _densities(z: np.ndarray) -> np.ndarray:
+    """Trace-one Ginibre products g gᴴ / Tr(g gᴴ), shape (..., d, d), from normals (..., 2, d, d)."""
+    g = _ginibre(z)
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _haar_isometries(z: np.ndarray) -> np.ndarray:
+    """Haar isometries (..., r, c), r >= c, by phase-fixed QR of the Ginibre matrices of normals (..., 2, r, c)."""
+    q, r = np.linalg.qr(_ginibre(z))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    safe = np.abs(d) > 0
+    phase = np.where(safe, d, 1.0) / np.where(safe, np.abs(d), 1.0)
+    return q * phase[..., None, :]
+
+
+def _haar_spectral(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u diag(w) uᴴ for Haar unitaries u from normals (..., 2, d, d) and eigenvalues w (..., d)."""
+    u = _haar_isometries(z)
+    # uᴴ as a transposed view: a C-ordered copy would send the product down
+    # another BLAS path, with other rounding
+    return (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def random_densities(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -276,10 +314,7 @@ def random_densities(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     One draw covers all n matrices and consumes the stream exactly as n
     calls of :func:`random_density` would, entry for entry.
     """
-    z = rng.standard_normal((n, 2, dim, dim))
-    g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    m = g @ g.conj().swapaxes(-1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return _densities(rng.standard_normal((n, 2, dim, dim)))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -289,11 +324,7 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Haar-distributed isometry (rows >= cols) via phase-fixed QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
-    d = np.diagonal(r)
-    safe = np.abs(d) > 0
-    phase = np.where(safe, d, 1.0) / np.where(safe, np.abs(d), 1.0)
-    return q * phase
+    return _haar_isometries(rng.standard_normal((2, rows, cols)))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -303,16 +334,14 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random effect 0 ⪯ E ⪯ I: Haar eigenbasis, eigenvalues uniform on [0, 1]."""
-    u = random_unitary(rng, dim)
-    w = rng.uniform(0.0, 1.0, size=dim)
-    return (u * w) @ u.conj().T
+    z = rng.standard_normal((2, dim, dim))
+    return _haar_spectral(z, rng.uniform(0.0, 1.0, size=dim))
 
 
 def random_hermitian_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random hermitian matrix with operator norm at most one."""
-    u = random_unitary(rng, dim)
-    w = rng.uniform(-1.0, 1.0, size=dim)
-    return (u * w) @ u.conj().T
+    z = rng.standard_normal((2, dim, dim))
+    return _haar_spectral(z, rng.uniform(-1.0, 1.0, size=dim))
 
 
 _SAMPLERS = {

@@ -19,9 +19,11 @@ from .errors import DimensionMismatchError, SpaceMismatchError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _eigh,
     _eigvalsh,
+    _ginibre,
+    _hermiticity_gaps,
     as_complex_matrix,
-    hermitian_eig,
     loewner_leq,
 )
 from .programs import DensityState
@@ -117,7 +119,7 @@ class Predicate:
             raise KeyError(atom) from None
 
     def total_effect(self) -> np.ndarray:
-        return sum(self.effects)
+        return _total_effects(self.effects)
 
     def __repr__(self) -> str:
         return f"Predicate(atoms={list(self.space.atoms)}, dim={self.dim})"
@@ -164,6 +166,41 @@ class SatMeasure:
         return float(sum(self.weights.values()))
 
 
+def _total_effects(effects: np.ndarray) -> np.ndarray:
+    """Sum of the atom effects of each predicate in a stack (..., k, d, d), added in atom order.
+
+    Has the bits of Python's ``sum`` from 0: adding +0.0 first turns -0.0
+    entries into +0.0. np.add.reduce may sum a contiguous axis pairwise.
+    """
+    total = effects[..., 0, :, :] + 0.0
+    for i in range(1, effects.shape[-3]):
+        total += effects[..., i, :, :]
+    return total
+
+
+def _effect_bounds(effects: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For predicates stacked as (..., k, d, d) with finite totals (..., d, d): the lowest
+    eigenvalue of each effect and then of -total, shape (..., k + 1), and each effect's
+    hermiticity gap, shape (..., k)."""
+    stack = np.concatenate([effects, -total[..., None, :, :]], axis=-3)
+    return _eigvalsh(stack).min(axis=-1), _hermiticity_gaps(effects)
+
+
+def _predicate_faults(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Mask of the predicates in a stack (n, k, d, d) that :func:`validate_predicate` reports
+    invalid or refuses; only those with a non-finite total are marked when there are any."""
+    total = _total_effects(effects)
+    bad = ~np.isfinite(total).all(axis=(-2, -1))
+    if bad.any():
+        return bad
+    lows, gaps = _effect_bounds(effects, total)
+    return (
+        (lows[:, :-1] < -tol.eig_tol).any(axis=-1)
+        | (gaps > tol.residual_tol).any(axis=-1)
+        | (-lows[:, -1] > 1.0 + tol.eig_tol)
+    )
+
+
 def validate_predicate(p: Predicate, tol: ToleranceConfig | None = None) -> ValidationReport:
     """Check every effect is PSD and the total effect stays below the identity.
 
@@ -174,8 +211,7 @@ def validate_predicate(p: Predicate, tol: ToleranceConfig | None = None) -> Vali
     # effects are finite by construction; their sum can still overflow
     if not np.isfinite(total).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    lows = _eigvalsh(np.concatenate([p.effects, -total[None]])).min(axis=-1).tolist()
-    gaps = np.abs(p.effects - p.effects.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
+    lows, gaps = (x.tolist() for x in _effect_bounds(p.effects, total))
     violations = []
     for atom, lo, gap in zip(p.space.atoms, lows, gaps):
         if lo < -tol.eig_tol:
@@ -275,6 +311,32 @@ def scaled_predicate(p: Predicate, factor: float) -> Predicate:
     return Predicate._from_stack(p.space, factor * p.effects)
 
 
+def _draw_predicate(
+    rng: np.random.Generator, dim: int, n_atoms: int | None = None, complete: bool = False
+) -> tuple[np.ndarray, float]:
+    """The raw draws of one :func:`random_predicate`, in stream order: the atom
+    count k (unless given), the normals (k, 2, dim, dim) and the shrink factor."""
+    k = int(n_atoms) if n_atoms is not None else int(rng.integers(2, 5))
+    # one draw replays k pairs of (dim, dim) draws, real part then imaginary part
+    z = rng.standard_normal((k, 2, dim, dim))
+    return z, 1.0 if complete else float(rng.uniform(0.4, 1.0))
+
+
+def _random_effects(z: np.ndarray, factors) -> np.ndarray:
+    """Effects (..., k, d, d) of random predicates from their normals (..., k, 2, d, d)
+    and shrink factors (...)."""
+    g = _ginibre(z)
+    blocks = g @ g.conj().swapaxes(-1, -2)
+    total = np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=np.complex128)
+    for i in range(blocks.shape[-3]):
+        total += blocks[..., i, :, :]
+    if not np.isfinite(total).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    vals, vecs = _eigh(total)
+    inv_root = ((vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))[..., None, :, :]
+    return np.asarray(factors)[..., None, None, None] * (inv_root @ blocks @ inv_root)
+
+
 def random_predicate(
     rng: np.random.Generator,
     dim: int,
@@ -287,18 +349,6 @@ def random_predicate(
     which yields a complete POVM; unless ``complete`` the family is then
     shrunk by a random factor so sub-identity totals are covered too.
     """
-    k = int(n_atoms) if n_atoms is not None else int(rng.integers(2, 5))
-    # one draw replays k pairs of (dim, dim) draws, real part then imaginary part
-    z = rng.standard_normal((k, 2, dim, dim))
-    g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    blocks = g @ g.conj().swapaxes(-1, -2)
-    # a left-to-right sum: np.add.reduce may sum a contiguous axis pairwise
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for b in blocks:
-        total += b
-    vals, vecs = hermitian_eig(total)
-    inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    factor = 1.0 if complete else float(rng.uniform(0.4, 1.0))
-    effects = factor * (inv_root @ blocks @ inv_root)
-    labels = tuple(f"a{i}" for i in range(k))
-    return Predicate._from_stack(OutcomeSpace(labels), effects)
+    z, factor = _draw_predicate(rng, dim, n_atoms, complete)
+    labels = tuple(f"a{i}" for i in range(len(z)))
+    return Predicate._from_stack(OutcomeSpace(labels), _random_effects(z, factor))

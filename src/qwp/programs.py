@@ -33,12 +33,13 @@ from .linalg import (
     STACK_BYTES,
     ToleranceConfig,
     _eigvalsh,
+    _haar_isometries,
+    _hermiticity_gaps,
     as_complex_matrix,
     is_hermitian,
     is_psd,
     min_eigenvalue,
     random_isometry,
-    random_unitary,
 )
 
 __all__ = [
@@ -136,6 +137,23 @@ class DensityState:
         return f"DensityState(dim={self.dim})"
 
 
+def _invalid_states(ms: np.ndarray, tol: ToleranceConfig, eig_slack: float = 1.0) -> np.ndarray:
+    """Mask of the matrices in a stack (n, d, d) that ``DensityState(m, tol, eig_slack=eig_slack)`` refuses.
+
+    Only the non-finite ones are marked when there are any, so no
+    eigensolver runs on them.
+    """
+    bad = ~np.isfinite(ms).all(axis=(-2, -1))
+    if bad.any():
+        return bad
+    off = np.trace(ms, axis1=-2, axis2=-1) - 1.0
+    return (
+        (_hermiticity_gaps(ms) > tol.residual_tol)
+        | (np.hypot(off.real, off.imag) > tol.residual_tol)
+        | (_eigvalsh(ms).min(axis=-1) < -eig_slack * tol.eig_tol)
+    )
+
+
 class QuantumProgram:
     """A linear map on operators, acting through a d²×d² superoperator.
 
@@ -187,22 +205,33 @@ def from_kraus(kraus_ops, label: str = "kraus") -> QuantumProgram:
     for k in ks[1:]:
         if k.shape[0] != d:
             raise DimensionMismatchError("Kraus operators differ in dimension")
-    # sum of kron(conj(K), K) as (d, d, d, d) blocks, added in place in list
+    return QuantumProgram(d, _kraus_supers(np.stack(ks)), kraus=ks, label=label)
+
+
+def _kraus_supers(ks: np.ndarray) -> np.ndarray:
+    """sum_K conj(K) ⊗ K of each Kraus family in a stack (..., k, d, d), shape (..., d², d²)."""
+    d = ks.shape[-1]
+    # kron(conj(K), K) as (..., d, d, d, d) blocks, added in place in family
     # order; adding +0.0 first turns -0.0 entries into +0.0, as a sum from 0
     # does, and needs no zero-filled buffer
-    terms = (k.conj()[:, None, :, None] * k[None, :, None, :] for k in ks)
+    terms = (k.conj()[..., :, None, :, None] * k[..., None, :, None, :] for k in np.moveaxis(ks, -3, 0))
     s = next(terms)
     s += 0.0
     for t in terms:
         s += t
-    return QuantumProgram(d, s.reshape(d * d, d * d), kraus=ks, label=label)
+    return s.reshape(ks.shape[:-3] + (d * d, d * d))
+
+
+def _unitarity_gaps(us: np.ndarray) -> np.ndarray:
+    """Max-entry |U†U - I| of each matrix in a stack (..., d, d)."""
+    return np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1])).max(axis=(-2, -1))
 
 
 def from_unitary(u, label: str = "unitary", tol: ToleranceConfig | None = None) -> QuantumProgram:
     """Conjugation rho -> U rho U†; rejects matrices that are not unitary."""
     tol = tol or DEFAULT_TOL
     u = as_complex_matrix(u)
-    gap = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    gap = float(_unitarity_gaps(u))
     if gap > tol.residual_tol:
         raise ValidationError(f"matrix is not unitary (|U†U - I| = {gap:.3e})")
     return from_kraus([u], label=label)
@@ -348,7 +377,18 @@ def apply_matrices(c: QuantumProgram, ms: np.ndarray) -> np.ndarray:
     """
     if ms.shape[-2:] != (c.dim, c.dim):
         raise DimensionMismatchError(f"operator dim {ms.shape[-1]} vs program dim {c.dim}")
-    return unvec((c.super @ vec(ms)[..., None])[..., 0])
+    return _act(c.super, ms)
+
+
+def _act(supers: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Superoperators (..., d², d²) acting on operators (..., d, d), leading axes broadcast.
+
+    Each vectorized operator is multiplied as a one-column matrix. The
+    rounding depends on each superoperator's memory layout: pass an adjoint
+    as the transposed view ``s.conj().swapaxes(-1, -2)``, which is the layout
+    :func:`adjoint` stores.
+    """
+    return unvec((supers @ vec(ms)[..., None])[..., 0])
 
 
 def apply_matrix(c: QuantumProgram, m) -> np.ndarray:
@@ -381,9 +421,14 @@ def adjoint(c: QuantumProgram) -> QuantumProgram:
 def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig | None = None) -> bool:
     """Dual-unitality test: the adjoint maps the identity to the identity."""
     tol = tol or DEFAULT_TOL
-    eye = np.eye(c.dim)
-    dual_on_eye = unvec(c.super.conj().T @ vec(eye))
-    return float(np.abs(dual_on_eye - eye).max()) <= tol.residual_tol
+    return float(_unital_gaps(c.super)) <= tol.residual_tol
+
+
+def _unital_gaps(supers: np.ndarray) -> np.ndarray:
+    """Max-entry |C*(I) - I| of each superoperator in a stack (..., d², d²); zero means trace preserving."""
+    eye = np.eye(math.isqrt(supers.shape[-1]))
+    dual_on_eye = unvec(supers.conj().swapaxes(-1, -2) @ vec(eye))
+    return np.abs(dual_on_eye - eye).max(axis=(-2, -1))
 
 
 def to_choi(c: QuantumProgram) -> np.ndarray:
@@ -472,8 +517,7 @@ def is_positive_sampled(
         # the per-matrix checks of is_hermitian and min_eigenvalue, run once per block
         if not np.all(np.isfinite(out)):
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        gap = np.abs(out - out.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        bad = (gap > tol.residual_tol) | (_eigvalsh(out)[:, 0] < -tol.eig_tol)
+        bad = (_hermiticity_gaps(out) > tol.residual_tol) | (_eigvalsh(out)[:, 0] < -tol.eig_tol)
         if bad.any():
             i = int(np.argmax(bad))
             # a random witness is normalized as a single vector, as drawn
@@ -504,8 +548,13 @@ def mix(weight: float, c1: QuantumProgram, c2: QuantumProgram) -> QuantumProgram
         raise ValueError(f"weight must lie in [0, 1], got {weight}")
     if c1.dim != c2.dim:
         raise DimensionMismatchError(f"program dims {c1.dim} vs {c2.dim}")
-    s = weight * c1.super + (1.0 - weight) * c2.super
+    s = _mixed(weight, c1.super, c2.super)
     return QuantumProgram(c1.dim, s, label=f"mix({weight}, {c1.label}, {c2.label})")
+
+
+def _mixed(weight, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """weight·s1 + (1 - weight)·s2; weight is a float or an array that broadcasts against the stacks."""
+    return weight * s1 + (1.0 - weight) * s2
 
 
 def measure_branch(instrument, branches, tol: ToleranceConfig | None = None) -> QuantumProgram:
@@ -549,12 +598,42 @@ def random_cptp(rng: np.random.Generator, dim: int, kraus_count: int | None = No
     family; completeness sum K†K = I holds by construction.
     """
     k = kraus_count if kraus_count is not None else dim
-    q = random_isometry(rng, k * dim, dim)
-    kraus = [q[i * dim:(i + 1) * dim, :] for i in range(k)]
-    return from_kraus(kraus, label="random_cptp")
+    return from_kraus(random_isometry(rng, k * dim, dim).reshape(k, dim, dim), label="random_cptp")
 
 
 _PROGRAM_KINDS = ("cptp", "unitary", "transpose", "transpose_mix")
+
+
+def _draw_program(kind: str, dim: int, rng: np.random.Generator) -> tuple[float, np.ndarray | None]:
+    """The raw draws of one :func:`sample_program`, in stream order.
+
+    Returns the mixing weight (transpose_mix; 0.0 otherwise) and the normals
+    (2, rows, dim) of the program's isometry (None for transpose): rows is
+    dim² for a random CPTP program, dim for a unitary.
+    """
+    if kind not in _PROGRAM_KINDS:
+        raise ValueError(f"unknown program kind {kind!r}; expected one of {_PROGRAM_KINDS}")
+    if kind == "transpose":
+        return 0.0, None
+    weight = float(rng.uniform(0.2, 0.8)) if kind == "transpose_mix" else 0.0
+    rows = dim if kind == "unitary" else dim * dim
+    return weight, rng.standard_normal((2, rows, dim))
+
+
+def _sampled_supers(kind: str, dim: int, weights: np.ndarray, normals: np.ndarray | None):
+    """Superoperators (n, d², d²) of n sampled programs of one kind, from their raw draws.
+
+    ``weights`` (n,) and ``normals`` (n, 2, rows, d) stack :func:`_draw_program`'s
+    outputs. Also returns the unitaries (n, d, d) of the unitary kind, whose
+    check :func:`from_unitary` makes, and None for the other kinds.
+    """
+    if kind == "transpose":
+        return np.broadcast_to(transpose_program(dim).super, (len(weights),) + (dim * dim,) * 2), None
+    kraus = _haar_isometries(normals).reshape(len(weights), -1, dim, dim)
+    supers = _kraus_supers(kraus)
+    if kind == "transpose_mix":
+        supers = _mixed(weights[:, None, None], transpose_program(dim).super, supers)
+    return supers, (kraus[:, 0] if kind == "unitary" else None)
 
 
 def sample_program(kind: str, dim: int, seed) -> QuantumProgram:
@@ -564,14 +643,11 @@ def sample_program(kind: str, dim: int, seed) -> QuantumProgram:
     the transposition map; "transpose_mix": a convex mix of transpose and a
     random CPTP program, positive and trace preserving but generally not CP.
     """
-    rng = np.random.default_rng(seed)
-    if kind == "cptp":
-        return random_cptp(rng, dim)
-    if kind == "unitary":
-        return from_unitary(random_unitary(rng, dim), label="random_unitary")
+    weight, normals = _draw_program(kind, dim, np.random.default_rng(seed))
     if kind == "transpose":
         return transpose_program(dim)
-    if kind == "transpose_mix":
-        w = float(rng.uniform(0.2, 0.8))
-        return mix(w, transpose_program(dim), random_cptp(rng, dim))
-    raise ValueError(f"unknown program kind {kind!r}; expected one of {_PROGRAM_KINDS}")
+    kraus = _haar_isometries(normals).reshape(-1, dim, dim)
+    if kind == "unitary":
+        return from_unitary(kraus[0], label="random_unitary")
+    prog = from_kraus(kraus, label="random_cptp")
+    return prog if kind == "cptp" else mix(weight, transpose_program(dim), prog)

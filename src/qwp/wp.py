@@ -24,14 +24,16 @@ from .linalg import (
     DEFAULT_TOL,
     STACK_BYTES,
     ToleranceConfig,
+    _densities,
     _eigvalsh,
+    _haar_spectral,
+    _hermiticity_gaps,
     as_complex_matrix,
     hermitian_eig,
     is_hermitian,
     min_eigenvalue,
     psd_sqrt,
     random_densities,
-    random_effect,
 )
 from .predicates import OutcomeSpace, Predicate, predicate_leq, validate_predicate
 from .programs import (
@@ -277,7 +279,7 @@ def _require_finite_hermitian(stack: np.ndarray, tol: ToleranceConfig) -> None:
     # the per-matrix checks of Predicate and loewner_leq, run once per stack
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    if float(np.abs(stack - stack.conj().swapaxes(-1, -2)).max()) > tol.residual_tol:
+    if float(_hermiticity_gaps(stack).max()) > tol.residual_tol:
         raise ValueError("loewner_leq requires hermitian operands")
 
 
@@ -295,9 +297,10 @@ def weakest_check(
     random effect), confirms each candidate is a genuine precondition through
     the duality-side inequality Tr(G_a rho) <= Tr(F_a C(rho)) on sampled
     states, then confirms it is dominated by wp(c, f). Every trial seeds its
-    own generator from (seed, trial) and draws one W per atom, then all of
-    its states in one block, so results are schedule-independent. Trials are
-    checked in stacked blocks of at most STACK_BYTES per stack of states.
+    own generator from (seed, trial) and draws one W per atom (the normals
+    of its eigenbasis, then its eigenvalues), then all of its states, so
+    results are schedule-independent. Trials are shaped and checked in
+    stacked blocks of at most STACK_BYTES per stack of states.
     """
     tol = tol or DEFAULT_TOL
     transformed = wp(c, f, tol)
@@ -312,14 +315,18 @@ def weakest_check(
     min_margin = np.inf
     block = _block_size(d, max(states_per_trial, len(atoms)))
     for start in range(0, tol.sample_count, block):
-        shrinks, states = [], []
+        normals, spectra, states = [], [], []
         for trial in range(start, min(start + block, tol.sample_count)):
             rng = np.random.default_rng([seed, trial])
-            shrinks.append([random_effect(rng, d) for _ in atoms])
-            states.append(random_densities(rng, states_per_trial, d))
-        cands = roots @ np.array(shrinks) @ roots  # (trials, atoms, d, d)
+            for _ in atoms:
+                normals.append(rng.standard_normal((2, d, d)))
+                spectra.append(rng.uniform(0.0, 1.0, size=d))
+            states.append(rng.standard_normal((states_per_trial, 2, d, d)))
+        n = len(states)
+        shrinks = _haar_spectral(np.array(normals), np.array(spectra)).reshape(n, len(atoms), d, d)
+        cands = roots @ shrinks @ roots  # (trials, atoms, d, d)
         _require_finite_hermitian(cands, tol)
-        rho = np.array(states)  # (trials, states, d, d)
+        rho = _densities(np.array(states).reshape(-1, 2, d, d)).reshape(n, states_per_trial, d, d)
         out = apply_matrices(c, rho)
 
         violated = np.zeros(rho.shape[:2], dtype=bool)

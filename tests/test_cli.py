@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qwp
 from qwp.cli import main
 from qwp.predicates import projective_predicate
-from qwp.programs import DensityState, amplitude_damping, depolarizing
+from qwp.programs import DensityState, amplitude_damping, depolarizing, from_super
 from qwp.serialize import (
     matrix_to_json,
     predicate_to_json,
@@ -91,6 +96,19 @@ class TestValidate:
         assert report["violations"] == ["total effect exceeds the identity (max eigenvalue 1e+308)"]
         assert result.stderr == ""
 
+    def test_overflowing_hermiticity_gap_keeps_stderr_empty(self, tmp_path):
+        doc = {"atoms": ["0"], "effects": {"0": matrix_to_json(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))}}
+        path = write(tmp_path / "p.json", doc)
+        # a child process, so that numpy's warnings reach stderr as they reach a user's
+        src = str(Path(qwp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "qwp.cli", "validate", path], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 2
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["violations"] == ["effect '0' is not hermitian"]
+
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(tmp_path / "nope.json")])
         assert result.exit_code == 1
@@ -115,6 +133,26 @@ class TestValidate:
         assert result.exit_code == 2
         report = json.loads(result.stdout)
         assert "program is not trace preserving" in report["violations"]
+
+    def test_non_positive_program(self, runner, tmp_path):
+        # rho -> 1.5 rho - 0.5 Tr(rho) I/3: trace preserving, maps |0><0| outside the PSD cone
+        flat = np.eye(3).reshape(-1, order="F")
+        path = write(tmp_path / "c.json", program_to_json(from_super(1.5 * np.eye(9) - 0.5 * np.outer(flat, flat) / 3)))
+        result = runner.invoke(main, ["validate", path])
+        assert result.exit_code == 2
+        report = json.loads(result.stdout)
+        assert report["ok"] is False
+        assert (report["program"]["positivity"], report["program"]["positivity_samples"]) == ("counterexample", 1)
+        assert report["violations"] == [
+            "program is not positive: sampled positivity found a counterexample state after 1 samples"
+        ]
+
+    def test_positive_program_that_is_not_cp_passes(self, runner, tmp_path):
+        path = write(tmp_path / "c.json", dict(named_program_doc("transpose"), dim=3))
+        result = runner.invoke(main, ["validate", path, "--samples", "50"])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["program"]["positivity"] == "no_counterexample" and report["violations"] == []
 
     def test_valid_state(self, runner, tmp_path):
         path = write(tmp_path / "rho.json", state_to_json(DensityState(np.eye(2) / 2)))

@@ -10,11 +10,13 @@ its outputs are held to a tolerance set from the dtype and its verdicts
 """
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
 
-from qwp.errors import DimensionMismatchError
+from qwp.campaigns import CampaignResult, compose_campaign, duality_campaign
+from qwp.errors import DimensionMismatchError, ValidationError
 from qwp.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -27,6 +29,9 @@ from qwp.linalg import (
     random_densities,
     random_density,
     random_effect,
+    random_hermitian_contraction,
+    random_isometry,
+    random_unitary,
 )
 from qwp.predicates import (
     OutcomeSpace,
@@ -37,27 +42,40 @@ from qwp.predicates import (
     validate_predicate,
 )
 from qwp.programs import (
+    DensityState,
     PositivityVerdict,
     adjoint,
     apply_matrices,
     apply_matrix,
     from_kraus,
     from_super,
+    from_unitary,
     is_completely_positive,
     is_positive_sampled,
     mix,
+    random_cptp,
     sample_program,
     to_choi,
     transpose_program,
     unvec,
     vec,
 )
-from qwp.wp import STACK_BYTES, WeakestCheckReport, duality_residual_sweep, weakest_check, wp
+from qwp.wp import (
+    STACK_BYTES,
+    WeakestCheckReport,
+    duality_residual,
+    duality_residual_sweep,
+    weakest_check,
+    wp,
+    wp_compose_check,
+)
 
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
 qwp_programs = importlib.import_module("qwp.programs")
 qwp_linalg = importlib.import_module("qwp.linalg")
+qwp_campaigns = importlib.import_module("qwp.campaigns")
+qwp_predicates = importlib.import_module("qwp.predicates")
 
 KINDS = ("cptp", "unitary", "transpose", "transpose_mix")
 
@@ -69,8 +87,78 @@ def ginibre_density_oracle(rng, dim):
     return m / np.trace(m).real
 
 
-def weakest_check_oracle(c, f, tol=None, seed=0, states_per_trial=50):
-    """The per-state supremum audit, one trial and one state at a time."""
+def random_isometry_oracle(rng, rows, cols):
+    """One Haar isometry: QR of one Ginibre matrix (real part drawn first), phases fixed by R's diagonal."""
+    g = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    safe = np.abs(d) > 0
+    phase = np.where(safe, d, 1.0) / np.where(safe, np.abs(d), 1.0)
+    return q * phase
+
+
+def random_effect_oracle(rng, dim):
+    """One random effect: a Haar eigenbasis, then eigenvalues uniform on [0, 1]."""
+    u = random_isometry_oracle(rng, dim, dim)
+    w = rng.uniform(0.0, 1.0, size=dim)
+    return (u * w) @ u.conj().T
+
+
+def random_cptp_oracle(rng, dim, kraus_count=None):
+    """A random CPTP program from one isometry, sliced into its Kraus operators."""
+    k = kraus_count if kraus_count is not None else dim
+    q = random_isometry_oracle(rng, k * dim, dim)
+    return from_kraus([q[i * dim:(i + 1) * dim, :] for i in range(k)], label="random_cptp")
+
+
+def sample_program_oracle(kind, dim, rng):
+    """One sampled program from the per-matrix samplers."""
+    if kind == "cptp":
+        return random_cptp_oracle(rng, dim)
+    if kind == "unitary":
+        return from_unitary(random_isometry_oracle(rng, dim, dim), label="random_unitary")
+    if kind == "transpose":
+        return transpose_program(dim)
+    w = float(rng.uniform(0.2, 0.8))
+    return mix(w, transpose_program(dim), random_cptp_oracle(rng, dim))
+
+
+def duality_campaign_oracle(dims, trials, seed, tol=None):
+    """The duality sweep one trial at a time, from the per-matrix samplers."""
+    tol = tol or DEFAULT_TOL
+    failures, worst, total = 0, 0.0, 0
+    for dim in dims:
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, dim, trial])
+            prog = sample_program_oracle(KINDS[trial % 4], dim, rng)
+            pred = random_predicate_oracle(rng, dim)
+            rho = DensityState(ginibre_density_oracle(rng, dim), tol)
+            residual = max(duality_residual(prog, pred, rho, tol).values())
+            worst = max(worst, residual)
+            failures += int(residual > tol.residual_tol)
+            total += 1
+    return CampaignResult("duality", tuple(dims), total, failures, worst, seed)
+
+
+def compose_campaign_oracle(dims, trials, seed, tol=None):
+    """The composition sweep one trial at a time, from the per-matrix samplers."""
+    tol = tol or DEFAULT_TOL
+    failures, worst, total = 0, 0.0, 0
+    for dim in dims:
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, dim, trial])
+            c1 = sample_program_oracle(KINDS[trial % 4], dim, rng)
+            c2 = sample_program_oracle(KINDS[(trial + 1) % 4], dim, rng)
+            pred = random_predicate_oracle(rng, dim)
+            gap = wp_compose_check(c1, c2, pred, tol)
+            worst = max(worst, gap)
+            failures += int(gap > tol.residual_tol)
+            total += 1
+    return CampaignResult("compose", tuple(dims), total, failures, worst, seed)
+
+
+def weakest_check_oracle(c, f, tol=None, seed=0, states_per_trial=50, effect=random_effect_oracle):
+    """The per-state supremum audit, one trial, atom and state at a time; ``effect`` draws one W."""
     tol = tol or DEFAULT_TOL
     transformed = wp(c, f, tol)
     atoms = f.space.atoms
@@ -83,7 +171,7 @@ def weakest_check_oracle(c, f, tol=None, seed=0, states_per_trial=50):
     for trial in range(tol.sample_count):
         rng = np.random.default_rng([seed, trial])
         cand = Predicate(
-            f.space, {a: roots[a] @ qwp_wp.random_effect(rng, d) @ roots[a] for a in atoms}
+            f.space, {a: roots[a] @ effect(rng, d) @ roots[a] for a in atoms}
         )
 
         ok = True
@@ -319,25 +407,28 @@ class TestWeakestCheckOracle:
         assert_same_report(report, weakest_check_oracle(c, f, tol, seed=8))
 
     def test_oversized_candidates_fail_like_the_loop(self, monkeypatch):
-        monkeypatch.setattr(qwp_wp, "random_effect", lambda rng, d: 1.3 * random_effect(rng, d))
+        monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: 1.3 * qwp_linalg._haar_spectral(z, w))
         tol = ToleranceConfig(sample_count=60)
         for kind in KINDS:
             c, f = problem(kind, 2, 31)
             report = weakest_check(c, f, tol, seed=2)
-            assert_same_report(report, weakest_check_oracle(c, f, tol, seed=2))
+            oversized = lambda rng, d: 1.3 * random_effect_oracle(rng, d)  # noqa: E731
+            assert_same_report(report, weakest_check_oracle(c, f, tol, seed=2, effect=oversized))
             # both failure branches are reached, and so is success
             assert 0 < report.confirmed_preconditions < report.trials
             assert 0 < report.dominated < report.trials
             assert report.min_margin < 0
 
     def test_boundary_candidates_pass_within_tolerance(self, monkeypatch):
-        # W = I makes every candidate wp(c, f) itself, up to rounding
-        monkeypatch.setattr(qwp_wp, "random_effect", lambda rng, d: np.eye(d))
+        # W = I makes every candidate wp(c, f) itself, up to rounding; W's
+        # draws are still made, so the states replay the same stream
+        monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: np.broadcast_to(np.eye(z.shape[-1]), w.shape + w.shape[-1:]))
         tol = ToleranceConfig(sample_count=5)
         for kind in KINDS:
             c, f = problem(kind, 3, 47)
             report = weakest_check(c, f, tol, seed=3)
-            assert_same_report(report, weakest_check_oracle(c, f, tol, seed=3))
+            identity = lambda rng, d: random_effect_oracle(rng, d) * 0 + np.eye(d)  # noqa: E731
+            assert_same_report(report, weakest_check_oracle(c, f, tol, seed=3, effect=identity))
             assert report.confirmed_preconditions == report.dominated == 5
 
     def test_no_stack_exceeds_the_cap(self, monkeypatch):
@@ -744,3 +835,159 @@ class TestPsdOracle:
         assert is_psd(a) is False
         assert cholesky == [] and eigvalsh == []
         assert is_psd_oracle(a) is False
+
+
+class TestSamplerOracle:
+    """The samplers are one-trial views of the stacked shapers and keep the per-matrix bits."""
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matrix_samplers(self, dim):
+        for seed in range(20):
+            rng, oracle_rng = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
+            assert_same_bits(random_isometry(rng, 3 * dim, dim), random_isometry_oracle(oracle_rng, 3 * dim, dim))
+            assert_same_bits(random_unitary(rng, dim), random_isometry_oracle(oracle_rng, dim, dim))
+            assert_same_bits(random_effect(rng, dim), random_effect_oracle(oracle_rng, dim))
+            u = random_isometry_oracle(oracle_rng, dim, dim)
+            w = oracle_rng.uniform(-1.0, 1.0, size=dim)
+            assert_same_bits(random_hermitian_contraction(rng, dim), (u * w) @ u.conj().T)
+            assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_sample_program(self, kind, dim):
+        for seed in range(5):
+            rng, oracle_rng = np.random.default_rng([seed, dim, 5]), np.random.default_rng([seed, dim, 5])
+            got, want = sample_program(kind, dim, rng), sample_program_oracle(kind, dim, oracle_rng)
+            assert got.label == want.label
+            assert_same_bits(got.super, want.super)
+            assert (got.kraus is None) == (want.kraus is None)
+            for k, want_k in zip(got.kraus or (), want.kraus or ()):
+                assert_same_bits(k, want_k)
+            assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_random_cptp(self, count):
+        for dim in DIMS:
+            got = random_cptp(np.random.default_rng([dim, count]), dim, count)
+            want = random_cptp_oracle(np.random.default_rng([dim, count]), dim, count)
+            assert_same_bits(got.super, want.super)
+            assert len(got.kraus) == count
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_stacked_effects_match_the_per_atom_draws(self, dim):
+        # the draws weakest_check makes for 7 trials of 3 atoms, shaped in one stack
+        normals, spectra, want = [], [], []
+        for trial in range(7):
+            rng, oracle_rng = np.random.default_rng([trial, 1]), np.random.default_rng([trial, 1])
+            for _ in range(3):
+                normals.append(rng.standard_normal((2, dim, dim)))
+                spectra.append(rng.uniform(0.0, 1.0, size=dim))
+                want.append(random_effect_oracle(oracle_rng, dim))
+        assert_same_bits(qwp_linalg._haar_spectral(np.array(normals), np.array(spectra)), np.array(want))
+
+
+CAMPAIGNS = {"duality": (duality_campaign, duality_campaign_oracle), "compose": (compose_campaign, compose_campaign_oracle)}
+CAMPAIGN_DIMS = (2, 3, 4, 5, 6)
+
+
+def assert_same_result(got, want):
+    assert got == want
+    assert got.max_residual.hex() == want.max_residual.hex()
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestCampaignOracle:
+    """The trial-batched sweeps against the per-trial loops."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("suite", sorted(CAMPAIGNS))
+    def test_matches_the_per_trial_loop(self, suite, seed):
+        batched, loop = CAMPAIGNS[suite]
+        assert_same_result(batched(CAMPAIGN_DIMS, 30, seed), loop(CAMPAIGN_DIMS, 30, seed))
+
+    @pytest.mark.parametrize("suite", sorted(CAMPAIGNS))
+    def test_run_split_into_blocks(self, suite, monkeypatch):
+        batched, loop = CAMPAIGNS[suite]
+        want = loop((2, 3), 40, 11)
+        monkeypatch.setattr(qwp_campaigns, "STACK_BYTES", 7 * 16 * 3**4)
+        assert [len(b) for b in qwp_campaigns._blocks(3, 40)] == [7] * 5 + [5]
+        assert_same_result(batched((2, 3), 40, 11), want)
+
+    def test_no_stack_exceeds_the_cap(self, monkeypatch):
+        sizes = []
+        gaps = qwp_campaigns._unital_gaps
+
+        def recording(supers):
+            sizes.append((supers.shape[-1], supers.nbytes))
+            return gaps(supers)
+
+        # the default cap keeps 1000 trials at d = 6 in two blocks
+        assert [len(b) for b in qwp_campaigns._blocks(6, 1000)] == [809, 191]
+        monkeypatch.setattr(qwp_campaigns, "_unital_gaps", recording)
+        monkeypatch.setattr(qwp_campaigns, "STACK_BYTES", 7 * 16 * 3**4)
+        compose_campaign((2, 3), 40, 5)
+        # three superoperator stacks a block: seq(c1, c2), c2, c1
+        assert [side for side, _ in sizes] == [4] * 3 * 2 + [9] * 3 * 6
+        assert max(size for _, size in sizes) <= 7 * 16 * 3**4
+
+    @pytest.mark.parametrize("stack_bytes", [None, 7 * 16 * 3**4])
+    @pytest.mark.parametrize("residual_tol", [0.0, 1e-16, 3e-16, 1e-15])
+    @pytest.mark.parametrize("suite", sorted(CAMPAIGNS))
+    def test_raises_as_the_loop_does(self, suite, residual_tol, stack_bytes, monkeypatch):
+        batched, loop = CAMPAIGNS[suite]
+        tol = ToleranceConfig(residual_tol=residual_tol)
+        if stack_bytes is not None:
+            monkeypatch.setattr(qwp_campaigns, "STACK_BYTES", stack_bytes)
+        for seed in (1, 7, 42):
+            try:
+                want = loop(CAMPAIGN_DIMS, 20, seed, tol)
+            except Exception as exc:
+                assert raised(batched, CAMPAIGN_DIMS, 20, seed, tol) == (type(exc), str(exc))
+            else:
+                assert_same_result(batched(CAMPAIGN_DIMS, 20, seed, tol), want)
+
+    def test_the_failures_cover_every_stage(self):
+        # the messages test_raises_as_the_loop_does compares, one per stacked check
+        seen = {
+            raised(duality_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
+            raised(duality_campaign, CAMPAIGN_DIMS, 20, 7, ToleranceConfig(residual_tol=1e-16)),
+            raised(compose_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
+            raised(compose_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=1e-16)),
+            raised(compose_campaign, CAMPAIGN_DIMS, 20, 7, ToleranceConfig(residual_tol=1e-15)),
+        }
+        assert {(t.__name__, m.split(";")[0]) for t, m in seen} == {
+            ("ValidationError", "state is not hermitian"),
+            ("ValidationError", "state trace is 1, expected 1"),
+            ("ValidationError", "invalid predicate: effect 'a0' is not hermitian"),
+            ("NotTracePreservingError", "program 'seq(random_cptp, random_unitary)' is not trace preserving"),
+            ("NotTracePreservingError", "program 'random_unitary' is not trace preserving"),
+        }
+
+    def test_a_refused_trial_that_passes_alone_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(qwp_campaigns, "_invalid_states", lambda ms, tol, eig_slack=1.0: np.ones(len(ms), bool))
+        with pytest.raises(RuntimeError, match="refused trial 0 of dim 2, which passes alone"):
+            duality_campaign((2,), 5, 0)
+
+
+class TestHermiticityGaps:
+    """A gap that overflows reads inf (not hermitian), with no warning."""
+
+    def test_overflowing_gap_is_not_hermitian(self):
+        a = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]], dtype=np.complex128)
+        s = np.eye(4, dtype=np.complex128)
+        s[:, 0] = vec(np.array([[1.0, 1.7e308], [-1.7e308, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_hermitian(a) is False
+            assert validate_predicate(labelled([a])).violations == ("effect 'a0' is not hermitian",)
+            assert qwp_predicates._predicate_faults(a[None, None], DEFAULT_TOL).tolist() == [True]
+            with pytest.raises(ValidationError, match="state is not hermitian"):
+                DensityState(a)
+            assert qwp_programs._invalid_states(a[None], DEFAULT_TOL).tolist() == [True]
+            got = is_positive_sampled(from_super(s), ToleranceConfig(sample_count=5))
+            assert (got.status, got.samples) == ("counterexample", 1)
