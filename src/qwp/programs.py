@@ -205,21 +205,25 @@ def from_kraus(kraus_ops, label: str = "kraus") -> QuantumProgram:
     for k in ks[1:]:
         if k.shape[0] != d:
             raise DimensionMismatchError("Kraus operators differ in dimension")
-    return QuantumProgram(d, _kraus_supers(np.stack(ks)), kraus=ks, label=label)
+    return QuantumProgram(d, _kraus_supers(ks), kraus=ks, label=label)
 
 
-def _kraus_supers(ks: np.ndarray) -> np.ndarray:
-    """sum_K conj(K) ⊗ K of each Kraus family in a stack (..., k, d, d), shape (..., d², d²)."""
-    d = ks.shape[-1]
+def _kraus_supers(ks) -> np.ndarray:
+    """sum_K conj(K) ⊗ K over a Kraus family given operator by operator, shape (..., d², d²).
+
+    Each operator is a (d, d) matrix, or a stack (..., d, d) holding that
+    operator of many families.
+    """
     # kron(conj(K), K) as (..., d, d, d, d) blocks, added in place in family
     # order; adding +0.0 first turns -0.0 entries into +0.0, as a sum from 0
     # does, and needs no zero-filled buffer
-    terms = (k.conj()[..., :, None, :, None] * k[..., None, :, None, :] for k in np.moveaxis(ks, -3, 0))
+    terms = (k.conj()[..., :, None, :, None] * k[..., None, :, None, :] for k in ks)
     s = next(terms)
     s += 0.0
     for t in terms:
         s += t
-    return s.reshape(ks.shape[:-3] + (d * d, d * d))
+    n = s.shape[-1] * s.shape[-2]
+    return s.reshape(s.shape[:-4] + (n, n))
 
 
 def _unitarity_gaps(us: np.ndarray) -> np.ndarray:
@@ -630,7 +634,7 @@ def _sampled_supers(kind: str, dim: int, weights: np.ndarray, normals: np.ndarra
     if kind == "transpose":
         return np.broadcast_to(transpose_program(dim).super, (len(weights),) + (dim * dim,) * 2), None
     kraus = _haar_isometries(normals).reshape(len(weights), -1, dim, dim)
-    supers = _kraus_supers(kraus)
+    supers = _kraus_supers(kraus.swapaxes(0, 1))
     if kind == "transpose_mix":
         supers = _mixed(weights[:, None, None], transpose_program(dim).super, supers)
     return supers, (kraus[:, 0] if kind == "unitary" else None)
