@@ -155,7 +155,7 @@ def _predicate_groups(draws: list) -> list[tuple[np.ndarray, np.ndarray]]:
         pos = np.flatnonzero(counts == k)
         z = np.array([draws[p][0] for p in pos])
         factors = np.array([draws[p][1] for p in pos])
-        groups.append((pos, _random_effects(z, factors)))
+        groups.append((pos, _random_effects(z, factors[:, None, None, None])))
     return groups
 
 

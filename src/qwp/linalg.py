@@ -245,7 +245,7 @@ def loewner_leq(a, b, tol: ToleranceConfig | None = None) -> bool:
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     _require_same_dim(a, b)
-    if not is_hermitian(a, tol) or not is_hermitian(b, tol):
+    if _hermiticity_gaps(a) > tol.residual_tol or _hermiticity_gaps(b) > tol.residual_tol:
         raise ValueError("loewner_leq requires hermitian operands")
     return float(_eigvalsh(b - a).min()) >= -tol.eig_tol
 

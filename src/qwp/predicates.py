@@ -324,7 +324,7 @@ def _draw_predicate(
 
 def _random_effects(z: np.ndarray, factors) -> np.ndarray:
     """Effects (..., k, d, d) of random predicates from their normals (..., k, 2, d, d)
-    and shrink factors (...)."""
+    and shrink factors, a float or an array that broadcasts against the effects."""
     g = _ginibre(z)
     blocks = g @ g.conj().swapaxes(-1, -2)
     total = np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=np.complex128)
@@ -334,7 +334,7 @@ def _random_effects(z: np.ndarray, factors) -> np.ndarray:
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     vals, vecs = _eigh(total)
     inv_root = ((vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))[..., None, :, :]
-    return np.asarray(factors)[..., None, None, None] * (inv_root @ blocks @ inv_root)
+    return factors * (inv_root @ blocks @ inv_root)
 
 
 def random_predicate(
