@@ -1,8 +1,9 @@
 """Stacked sampling kernels against the per-state loops they replace.
 
 The loops below are the reference oracles: they draw one state (or handle
-one atom or Kraus operator) at a time from the same generators and must give
-the stacked kernels' results exactly, float for float. The positivity audit
+one atom, Kraus operator or campaign trial) at a time from the same
+generators and must give the stacked kernels' results exactly, float for
+float, and a campaign's first error. The positivity audit
 is the exception in arithmetic: it forms its outputs with one matrix
 product, whose rounding differs from the loop's matrix-vector products, so
 its outputs are held to a tolerance set from the dtype and its verdicts
@@ -391,6 +392,12 @@ class TestReplayContract:
             apply_matrices(sample_program("cptp", 2, 0), np.zeros((4, 3, 3), dtype=complex))
 
 
+def drawn_identity(rng, dim):
+    """The identity, after the draws of one random effect."""
+    random_effect_oracle(rng, dim)
+    return np.eye(dim)
+
+
 class TestWeakestCheckOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_program_kind(self, kind):
@@ -427,8 +434,7 @@ class TestWeakestCheckOracle:
         for kind in KINDS:
             c, f = problem(kind, 3, 47)
             report = weakest_check(c, f, tol, seed=3)
-            identity = lambda rng, d: random_effect_oracle(rng, d) * 0 + np.eye(d)  # noqa: E731
-            assert_same_report(report, weakest_check_oracle(c, f, tol, seed=3, effect=identity))
+            assert_same_report(report, weakest_check_oracle(c, f, tol, seed=3, effect=drawn_identity))
             assert report.confirmed_preconditions == report.dominated == 5
 
     def test_no_stack_exceeds_the_cap(self, monkeypatch):
