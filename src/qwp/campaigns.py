@@ -34,6 +34,7 @@ from .linalg import (
 )
 from .predicates import Predicate, _draw_predicate, _predicate_faults, _random_effects, predicate_leq, random_predicate
 from .programs import (
+    _PROGRAM_KINDS,
     DensityState,
     _act,
     _draw_program,
@@ -43,7 +44,7 @@ from .programs import (
     _unitarity_gaps,
     sample_program,
 )
-from .wp import _traces, duality_residual, weakest_check, wp_compose_check
+from .wp import _duality_gaps, _pull_back, duality_residual, weakest_check, wp_compose_check
 
 __all__ = [
     "CampaignResult",
@@ -54,8 +55,6 @@ __all__ = [
     "run_suite",
     "SUITES",
 ]
-
-_PROGRAM_CYCLE = ("cptp", "unitary", "transpose", "transpose_mix")
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,9 @@ def _block_supers(dim: int, trials: np.ndarray, draws: list, shift: int) -> np.n
     ``draws[i]`` is what trial ``trials[i]`` drew for the program kind at
     position trials[i] + shift of the cycle.
     """
-    kinds = (trials + shift) % len(_PROGRAM_CYCLE)
+    kinds = (trials + shift) % len(_PROGRAM_KINDS)
     supers = np.empty((len(trials), dim * dim, dim * dim), dtype=np.complex128)
-    for i, kind in enumerate(_PROGRAM_CYCLE):
+    for i, kind in enumerate(_PROGRAM_KINDS):
         pos = np.flatnonzero(kinds == i)
         if len(pos) == 0:
             continue
@@ -159,20 +158,24 @@ def _predicate_groups(draws: list) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def _transformed(supers: np.ndarray, effects: np.ndarray, trials: np.ndarray) -> np.ndarray:
-    """wp's output effects for programs (m, d², d²) and valid predicates (m, k, d, d), stopping the block at a non-finite one.
-
-    The adjoint is the transposed view of each superoperator, the layout
-    :func:`adjoint` stores: a C-ordered copy would change the rounding.
+def _block_wp(supers: np.ndarray, groups: list, trials: np.ndarray, tol: ToleranceConfig) -> list:
+    """wp of a block's programs (n, d², d²) on its checked (positions, effects) groups:
+    (positions, transformed effects) for each group, stopping the block as wp raises.
     """
-    out = _act(supers.conj().swapaxes(-1, -2)[:, None], effects)
-    _require(~np.isfinite(out).all(axis=(-3, -2, -1)), trials)
-    return np.ascontiguousarray(out)
+    # conjugated once a stack; each group indexes the C-ordered conjugates
+    conj = supers.conj()
+    _require(_unital_gaps(conj) > tol.residual_tol, trials)
+    out = []
+    for pos, f in groups:
+        g, bad = _pull_back(conj[pos], f)
+        _require(bad, trials[pos])
+        out.append((pos, g))
+    return out
 
 
 def _duality_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> float:
     rng = _trial_rng(seed, dim, trial)
-    prog = sample_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng)
+    prog = sample_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng)
     pred = random_predicate(rng, dim)
     rho = DensityState(random_density(rng, dim), tol)
     return max(duality_residual(prog, pred, rho, tol).values())
@@ -183,7 +186,7 @@ def _duality_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> n
     programs, predicates, states = [], [], []
     for trial in block:
         rng = _trial_rng(seed, dim, trial)
-        programs.append(_draw_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng))
+        programs.append(_draw_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng))
         predicates.append(_draw_predicate(rng, dim))
         states.append(rng.standard_normal((2, dim, dim)))
     supers = _block_supers(dim, trials, programs, 0)
@@ -193,17 +196,15 @@ def _duality_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> n
     # wp(c, f): the predicate, the program, the output
     for pos, f in groups:
         _require(_predicate_faults(f, tol), trials[pos])
-    _require(_unital_gaps(supers) > tol.residual_tol, trials)
-    transformed = [_transformed(supers[pos], f, trials[pos]) for pos, f in groups]
+    transformed = _block_wp(supers, groups, trials, tol)
     # apply(c, rho)
     out = _act(supers, rho)
     _require(_invalid_states(out, tol, eig_slack=10.0), trials)
     residuals = np.empty(len(trials))
-    for (pos, f), g in zip(groups, transformed):
+    for (pos, f), (_, g) in zip(groups, transformed):
         # each output F-ordered, as DensityState stores it
         out_k = out.swapaxes(-1, -2)[pos].swapaxes(-1, -2)
-        gap = _traces(g @ rho[pos][:, None]) - _traces(f @ out_k[:, None])
-        residuals[pos] = np.hypot(gap.real, gap.imag).max(axis=-1)
+        residuals[pos] = _duality_gaps(g, f, rho[pos], out_k).max(axis=-1)
     return residuals
 
 
@@ -239,7 +240,7 @@ def weakest_campaign(
         while remaining > 0:
             chunk = min(250, remaining)
             rng = _trial_rng(seed, dim, pair)
-            prog = sample_program(_PROGRAM_CYCLE[pair % len(_PROGRAM_CYCLE)], dim, rng)
+            prog = sample_program(_PROGRAM_KINDS[pair % len(_PROGRAM_KINDS)], dim, rng)
             pred = random_predicate(rng, dim)
             chunk_tol = ToleranceConfig(tol.eig_tol, tol.residual_tol, chunk)
             report = weakest_check(prog, pred, chunk_tol, seed=int(rng.integers(2**31)))
@@ -259,8 +260,8 @@ def weakest_campaign(
 
 def _compose_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> float:
     rng = _trial_rng(seed, dim, trial)
-    c1 = sample_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng)
-    c2 = sample_program(_PROGRAM_CYCLE[(trial + 1) % len(_PROGRAM_CYCLE)], dim, rng)
+    c1 = sample_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng)
+    c2 = sample_program(_PROGRAM_KINDS[(trial + 1) % len(_PROGRAM_KINDS)], dim, rng)
     pred = random_predicate(rng, dim)
     return wp_compose_check(c1, c2, pred, tol)
 
@@ -270,28 +271,23 @@ def _compose_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> n
     firsts, seconds, predicates = [], [], []
     for trial in block:
         rng = _trial_rng(seed, dim, trial)
-        firsts.append(_draw_program(_PROGRAM_CYCLE[trial % len(_PROGRAM_CYCLE)], dim, rng))
-        seconds.append(_draw_program(_PROGRAM_CYCLE[(trial + 1) % len(_PROGRAM_CYCLE)], dim, rng))
+        firsts.append(_draw_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng))
+        seconds.append(_draw_program(_PROGRAM_KINDS[(trial + 1) % len(_PROGRAM_KINDS)], dim, rng))
         predicates.append(_draw_predicate(rng, dim))
     s1 = _block_supers(dim, trials, firsts, 0)
     s2 = _block_supers(dim, trials, seconds, 1)
     groups = _predicate_groups(predicates)
     both = s2 @ s1  # seq(c1, c2)
     _require(~np.isfinite(both).all(axis=(-2, -1)), trials)
-    # wp(seq(c1, c2), f); wp(c2, f) checks f again with the same verdict
+    # wp(seq(c1, c2), f), then wp(c2, f) on the f just checked, then wp(c1, wp(c2, f))
     for pos, f in groups:
         _require(_predicate_faults(f, tol), trials[pos])
-    _require(_unital_gaps(both) > tol.residual_tol, trials)
-    left = [_transformed(both[pos], f, trials[pos]) for pos, f in groups]
-    # wp(c2, f), then wp(c1, wp(c2, f))
-    _require(_unital_gaps(s2) > tol.residual_tol, trials)
-    middle = [_transformed(s2[pos], f, trials[pos]) for pos, f in groups]
-    for (pos, _), h in zip(groups, middle):
+    left = _block_wp(both, groups, trials, tol)
+    middle = _block_wp(s2, groups, trials, tol)
+    for pos, h in middle:
         _require(_predicate_faults(h, tol), trials[pos])
-    _require(_unital_gaps(s1) > tol.residual_tol, trials)
     gaps = np.empty(len(trials))
-    for (pos, _), h, g in zip(groups, middle, left):
-        right = _transformed(s1[pos], h, trials[pos])
+    for (pos, g), (_, right) in zip(left, _block_wp(s1, middle, trials, tol)):
         gaps[pos] = np.abs(g - right).max(axis=(-3, -2, -1))
     return gaps
 

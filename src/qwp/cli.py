@@ -37,7 +37,7 @@ from .serialize import (
     validation_report_to_json,
     verification_report_to_json,
 )
-from .wp import RESIDUAL_SAMPLE_STATES, duality_residual_sweep, verify_triple, wp as wp_transform
+from .wp import RESIDUAL_SAMPLE_STATES, _residual_sweep, verify_triple, wp as wp_transform
 
 MAX_DIM = 6
 
@@ -129,6 +129,26 @@ def _common_options(fn):
     return fn
 
 
+def _program_check(prog, tol: ToleranceConfig, seed: int, trace_preserving: bool) -> tuple[dict, list[str]]:
+    """The "program" block of a report and the violations it shows, after the positivity audit."""
+    verdict = is_positive_sampled(prog, tol, seed=seed)
+    block = {
+        "trace_preserving": trace_preserving,
+        "completely_positive": verdict.status == "certified_cp",
+        "positivity": verdict.status,
+        "positivity_samples": verdict.samples,
+    }
+    violations = []
+    if not trace_preserving:
+        violations.append("program is not trace preserving")
+    if verdict.status == "counterexample":
+        violations.append(
+            "program is not positive: sampled positivity found a "
+            f"counterexample state after {verdict.samples} samples"
+        )
+    return block, violations
+
+
 def _detect_kind(obj) -> str | None:
     if not isinstance(obj, dict):
         return None
@@ -172,29 +192,16 @@ def validate(path, out, seed, eig_tol, residual_tol, samples) -> None:
                 state_from_json(obj, tol)
             elif kind == "program":
                 prog = program_from_json(obj, tol)
-                tp = is_trace_preserving(prog, tol)
-                verdict = is_positive_sampled(prog, tol, seed=seed)
-                extra["program"] = {
-                    "trace_preserving": tp,
-                    "completely_positive": verdict.status == "certified_cp",
-                    "positivity": verdict.status,
-                    "positivity_samples": verdict.samples,
-                }
-                if not tp:
-                    violations.append("program is not trace preserving")
-                if verdict.status == "counterexample":
-                    violations.append(
-                        "program is not positive: sampled positivity found a "
-                        f"counterexample state after {verdict.samples} samples"
-                    )
+                extra["program"], found = _program_check(prog, tol, seed, is_trace_preserving(prog, tol))
+                violations.extend(found)
             else:
                 triple = triple_from_json(obj, tol)
                 for name, pred in (("pre", triple.pre), ("post", triple.post)):
                     rep = validate_predicate(pred, tol)
                     extra[name] = validation_report_to_json(rep)
                     violations.extend(f"{name}: {v}" for v in rep.violations)
-                if not is_trace_preserving(triple.prog, tol):
-                    violations.append("prog: program is not trace preserving")
+                _, found = _program_check(triple.prog, tol, seed, is_trace_preserving(triple.prog, tol))
+                violations.extend(f"prog: {v}" for v in found)
         except _SEMANTIC_ERRORS as exc:
             violations.append(str(exc))
     status = 0 if not violations else 2
@@ -227,34 +234,28 @@ def wp_command(program_path, predicate_path, out, seed, eig_tol, residual_tol, s
                 f"dimension mismatch: program dim {prog.dim}, predicate dim {pred.dim}"
             )
         result = wp_transform(prog, pred, tol)
-        residuals = duality_residual_sweep(prog, pred, tol, seed=seed)
-        verdict = is_positive_sampled(prog, tol, seed=seed)
+        residuals = _residual_sweep(prog, pred, result, seed)
+        # wp refuses a program that is not trace preserving
+        program, _ = _program_check(prog, tol, seed, True)
     except _SEMANTIC_ERRORS as exc:
         _die(2, str(exc))
     _write(out, predicate_to_json(result))
     warnings = []
-    if verdict.status == "no_counterexample":
+    if program["positivity"] == "no_counterexample":
         warnings.append(
             "program is not certified completely positive; sampled positivity "
-            f"found no counterexample in {verdict.samples} states (not a proof)"
+            f"found no counterexample in {program['positivity_samples']} states (not a proof)"
         )
-    elif verdict.status == "counterexample":
+    elif program["positivity"] == "counterexample":
         warnings.append("sampled positivity found a counterexample state; the program is not positive")
     report = _report(
         "wp", [program_path, predicate_path], seed, tol, 0, out=out,
         complete=is_complete(result, tol),
         duality={"states": RESIDUAL_SAMPLE_STATES, "max_residual": max(residuals.values()), "per_atom": residuals},
-        program={
-            "trace_preserving": True,
-            "completely_positive": verdict.status == "certified_cp",
-            "positivity": verdict.status,
-            "positivity_samples": verdict.samples,
-        },
+        program=program,
         warnings=warnings,
     )
-    _write(out + ".report.json", report)
-    click.echo(_dump(report), nl=False)
-    sys.exit(0)
+    _finish(report, out + ".report.json")
 
 
 @main.command()
@@ -297,11 +298,7 @@ def sat_command(state_path, predicate_path, out, seed, eig_tol, residual_tol, sa
     payload = sat_to_json(measure)
     if out is not None:
         _write(out, payload)
-    report = _report(
-        "sat", [state_path, predicate_path], seed, tol, 0, out=out, result=payload
-    )
-    click.echo(_dump(report), nl=False)
-    sys.exit(0)
+    _finish(_report("sat", [state_path, predicate_path], seed, tol, 0, out=out, result=payload))
 
 
 @main.command()

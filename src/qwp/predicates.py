@@ -102,8 +102,7 @@ class Predicate:
         """Store a fresh kernel output, a finite complex (k, d, d) stack, unchecked."""
         p = cls.__new__(cls)
         p.space = space
-        # wp's output is a transposed view; store C order as np.stack does, so
-        # later matrix products see one layout whatever built the predicate
+        # C order, as np.stack stores it: later matrix products see one layout
         p.effects = np.ascontiguousarray(effects)
         p.effects.setflags(write=False)
         return p

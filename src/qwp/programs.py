@@ -36,9 +36,7 @@ from .linalg import (
     _haar_isometries,
     _hermiticity_gaps,
     as_complex_matrix,
-    is_hermitian,
     is_psd,
-    min_eigenvalue,
     random_isometry,
 )
 
@@ -109,12 +107,12 @@ class DensityState:
     def __init__(self, matrix, tol: ToleranceConfig | None = None, *, eig_slack: float = 1.0):
         tol = tol or DEFAULT_TOL
         m = as_complex_matrix(matrix)
-        if not is_hermitian(m, tol):
+        if float(_hermiticity_gaps(m)) > tol.residual_tol:
             raise ValidationError("state is not hermitian")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol.residual_tol:
             raise ValidationError(f"state trace is {tr.real:.12g}, expected 1")
-        lo = min_eigenvalue(m)
+        lo = float(_eigvalsh(m).min())
         if lo < -eig_slack * tol.eig_tol:
             raise ValidationError(f"state is not PSD (min eigenvalue {lo:.3e})")
         self.matrix = _readonly(m)
@@ -374,11 +372,7 @@ def build_program(source: dict, dim: int | None = None, tol: ToleranceConfig | N
 
 
 def apply_matrices(c: QuantumProgram, ms: np.ndarray) -> np.ndarray:
-    """Act on a stack of operators of shape (..., d, d). No validation of the entries.
-
-    Each vectorized operator is multiplied as a one-column matrix, which keeps
-    the per-operator rounding of a matrix-vector product.
-    """
+    """Act on a stack of operators of shape (..., d, d). No validation of the entries."""
     if ms.shape[-2:] != (c.dim, c.dim):
         raise DimensionMismatchError(f"operator dim {ms.shape[-1]} vs program dim {c.dim}")
     return _act(c.super, ms)
@@ -387,10 +381,9 @@ def apply_matrices(c: QuantumProgram, ms: np.ndarray) -> np.ndarray:
 def _act(supers: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """Superoperators (..., d², d²) acting on operators (..., d, d), leading axes broadcast.
 
-    Each vectorized operator is multiplied as a one-column matrix. The
-    rounding depends on each superoperator's memory layout: pass an adjoint
-    as the transposed view ``s.conj().swapaxes(-1, -2)``, which is the layout
-    :func:`adjoint` stores.
+    Each vectorized operator is multiplied as a one-column matrix, which keeps
+    the per-operator rounding of a matrix-vector product; that rounding also
+    depends on each superoperator's memory layout.
     """
     return unvec((supers @ vec(ms)[..., None])[..., 0])
 
@@ -425,14 +418,16 @@ def adjoint(c: QuantumProgram) -> QuantumProgram:
 def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig | None = None) -> bool:
     """Dual-unitality test: the adjoint maps the identity to the identity."""
     tol = tol or DEFAULT_TOL
-    return float(_unital_gaps(c.super)) <= tol.residual_tol
+    return float(_unital_gaps(c.super.conj())) <= tol.residual_tol
 
 
-def _unital_gaps(supers: np.ndarray) -> np.ndarray:
-    """Max-entry |C*(I) - I| of each superoperator in a stack (..., d², d²); zero means trace preserving."""
-    eye = np.eye(math.isqrt(supers.shape[-1]))
-    dual_on_eye = unvec(supers.conj().swapaxes(-1, -2) @ vec(eye))
-    return np.abs(dual_on_eye - eye).max(axis=(-2, -1))
+def _unital_gaps(conjs: np.ndarray) -> np.ndarray:
+    """Max-entry |C*(I) - I| for the conjugates (..., d², d²) of superoperators; zero means trace preserving.
+
+    The adjoint C* acts as the view ``conjs.swapaxes(-1, -2)``, the layout :func:`adjoint` stores.
+    """
+    eye = np.eye(math.isqrt(conjs.shape[-1]))
+    return np.abs(unvec(conjs.swapaxes(-1, -2) @ vec(eye)) - eye).max(axis=(-2, -1))
 
 
 def to_choi(c: QuantumProgram) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .linalg import ToleranceConfig
 from .predicates import OutcomeSpace, Predicate, SatMeasure, ValidationReport
 from .programs import DensityState, QuantumProgram, build_program
-from .wp import HoareTriple, VerificationReport, WeakestCheckReport
+from .wp import HoareTriple, VerificationReport
 
 __all__ = [
     "matrix_to_json",
@@ -38,7 +38,6 @@ __all__ = [
     "tolerances_to_json",
     "validation_report_to_json",
     "verification_report_to_json",
-    "weakest_report_to_json",
     "campaign_result_to_json",
 ]
 
@@ -211,17 +210,6 @@ def verification_report_to_json(r: VerificationReport) -> dict:
         "witness": witness,
         "residuals": dict(r.residuals),
         "margins": dict(r.margins),
-        "seed": r.seed,
-    }
-
-
-def weakest_report_to_json(r: WeakestCheckReport) -> dict:
-    return {
-        "trials": r.trials,
-        "all_dominated": r.all_dominated,
-        "dominated": r.dominated,
-        "confirmed_preconditions": r.confirmed_preconditions,
-        "min_margin": r.min_margin,
         "seed": r.seed,
     }
 

@@ -39,12 +39,12 @@ from .predicates import OutcomeSpace, Predicate, predicate_leq, validate_predica
 from .programs import (
     DensityState,
     QuantumProgram,
-    adjoint,
+    _act,
+    _unital_gaps,
     apply,
     apply_matrices,
     apply_matrix,
     is_completely_positive,
-    is_trace_preserving,
     seq,
 )
 
@@ -144,13 +144,37 @@ def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig | None = None) -> P
     report = validate_predicate(f, tol)
     if not report.ok:
         raise ValidationError("invalid predicate: " + "; ".join(report.violations))
-    if not is_trace_preserving(c, tol):
+    return _transform(c, f, tol)
+
+
+def _transform(c: QuantumProgram, f: Predicate, tol: ToleranceConfig) -> Predicate:
+    """wp(c, f) for a predicate f already validated at c's dim."""
+    conj = c.super.conj()  # once, for the trace-preservation test and the pull-back
+    if float(_unital_gaps(conj)) > tol.residual_tol:
         raise NotTracePreservingError(f"program {c.label!r} is not trace preserving")
-    effects = apply_matrices(adjoint(c), f.effects)
+    effects, bad = _pull_back(conj, f.effects)
     # a finite superoperator that passes the unital test can still overflow
-    if not np.isfinite(effects).all():
+    if bad:
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return Predicate._from_stack(f.space, effects)
+
+
+def _pull_back(conjs: np.ndarray, effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """wp's effects for the conjugates (..., d², d²) of superoperators and effects (..., k, d, d):
+    the C-ordered outputs and the mask (...) of those with a non-finite entry.
+
+    The adjoint acts as the view ``conjs.swapaxes(-1, -2)``, the layout
+    :func:`adjoint` stores: a C-ordered copy would change the rounding.
+    """
+    out = np.ascontiguousarray(_act(conjs.swapaxes(-1, -2)[..., None, :, :], effects))
+    return out, ~np.isfinite(out).all(axis=(-3, -2, -1))
+
+
+def _duality_gaps(g: np.ndarray, f: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|Tr(G_a rho) - Tr(F_a C(rho))|, shape (..., k), for effects g, f (..., k, d, d) and
+    states rho with outputs out (..., d, d); np.hypot rounds as a scalar abs() does."""
+    gap = _traces(g @ rho[..., None, :, :]) - _traces(f @ out[..., None, :, :])
+    return np.hypot(gap.real, gap.imag)
 
 
 def duality_residual(
@@ -168,12 +192,7 @@ def duality_residual(
     tol = tol or DEFAULT_TOL
     g = wp(c, f, tol)
     out = apply(c, rho, tol)
-    residuals = {}
-    for a in f.space.atoms:
-        lhs = np.trace(g.effect(a) @ rho.matrix)
-        rhs = np.trace(f.effect(a) @ out.matrix)
-        residuals[a] = float(abs(lhs - rhs))
-    return residuals
+    return dict(zip(f.space.atoms, _duality_gaps(g.effects, f.effects, rho.matrix, out.matrix).tolist()))
 
 
 def duality_residual_sweep(
@@ -189,18 +208,21 @@ def duality_residual_sweep(
     and checked in stacked blocks; each residual is the modulus of
     Tr(G_a rho) - Tr(F_a C(rho)) with the same rounding as a scalar abs().
     """
-    tol = tol or DEFAULT_TOL
-    transformed = wp(c, f, tol)
-    worst = {a: 0.0 for a in f.space.atoms}
+    return _residual_sweep(c, f, wp(c, f, tol), seed, states)
+
+
+def _residual_sweep(
+    c: QuantumProgram, f: Predicate, g: Predicate, seed: int, states: int = RESIDUAL_SAMPLE_STATES
+) -> dict[str, float]:
+    """:func:`duality_residual_sweep` for g = wp(c, f), already computed."""
+    worst = [0.0] * len(f.space.atoms)
     rng = np.random.default_rng([seed, 0x0D0A])
     block = _block_size(c.dim)
     for start in range(0, states, block):
         rho = random_densities(rng, min(block, states - start), c.dim)
-        out = apply_matrices(c, rho)
-        for a in f.space.atoms:
-            gap = _traces(transformed.effect(a) @ rho) - _traces(f.effect(a) @ out)
-            worst[a] = max(worst[a], float(np.hypot(gap.real, gap.imag).max()))
-    return worst
+        gaps = _duality_gaps(g.effects, f.effects, rho, apply_matrices(c, rho)).max(axis=0)
+        worst = [max(w, x) for w, x in zip(worst, gaps.tolist())]
+    return dict(zip(f.space.atoms, worst))
 
 
 def is_precondition(
@@ -241,7 +263,7 @@ def is_precondition(
             worst_vec = vecs[:, 0]
 
     holds = predicate_leq(g, transformed, tol)
-    residuals = duality_residual_sweep(c, f, tol, seed)
+    residuals = _residual_sweep(c, f, transformed, seed)
     witness = None
     if not holds:
         rho = DensityState.pure(worst_vec)
@@ -359,10 +381,12 @@ def wp_compose_check(
     """Max entrywise gap between wp(seq(c1, c2), f) and wp(c1, wp(c2, f)).
 
     The two sides evaluate the same composite through different orders, so
-    the gap is pure floating-point noise for any trace-preserving pair.
+    the gap is pure floating-point noise for any trace-preserving pair. f is
+    validated once, and so is the intermediate wp(c2, f).
     """
+    tol = tol or DEFAULT_TOL
     left = wp(seq(c1, c2), f, tol)
-    right = wp(c1, wp(c2, f, tol), tol)
+    right = wp(c1, _transform(c2, f, tol), tol)
     return max(
         float(np.abs(left.effect(a) - right.effect(a)).max()) for a in f.space.atoms
     )

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -147,6 +148,20 @@ class TestValidate:
             "program is not positive: sampled positivity found a counterexample state after 1 samples"
         ]
 
+    def test_triple_with_non_positive_program(self, runner, tmp_path):
+        # pre and post are valid and the program is trace preserving, but not positive
+        flat = np.eye(3).reshape(-1, order="F")
+        prog = program_to_json(from_super(1.5 * np.eye(9) - 0.5 * np.outer(flat, flat) / 3))
+        post = predicate_to_json(projective_predicate(3))
+        path = write(tmp_path / "t.json", {"pre": post, "prog": prog, "post": post})
+        result = runner.invoke(main, ["validate", path])
+        assert result.exit_code == 2
+        report = json.loads(result.stdout)
+        assert report["ok"] is False and "program" not in report
+        assert report["violations"] == [
+            "prog: program is not positive: sampled positivity found a counterexample state after 1 samples"
+        ]
+
     def test_positive_program_that_is_not_cp_passes(self, runner, tmp_path):
         path = write(tmp_path / "c.json", dict(named_program_doc("transpose"), dim=3))
         result = runner.invoke(main, ["validate", path, "--samples", "50"])
@@ -260,6 +275,22 @@ class TestWpCommand:
         report = json.loads(result.stdout)
         assert report["program"]["positivity"] == "no_counterexample"
         assert report["warnings"]
+
+    def test_pulls_back_once(self, runner, tmp_path, monkeypatch):
+        qwp_wp = importlib.import_module("qwp.wp")
+        pull_back = qwp_wp._pull_back
+        calls = []
+
+        def counted(conjs, effects):
+            calls.append(conjs.shape)
+            return pull_back(conjs, effects)
+
+        monkeypatch.setattr(qwp_wp, "_pull_back", counted)
+        prog = write(tmp_path / "c.json", named_program_doc("depolarizing", p=0.5))
+        pred = write(tmp_path / "f.json", z_predicate_doc())
+        result = runner.invoke(main, ["wp", prog, pred, "--out", str(tmp_path / "g.json")])
+        assert result.exit_code == 0
+        assert calls == [(4, 4)]
 
     def test_dimension_mismatch_prints_both_dims(self, runner, tmp_path):
         prog = write(tmp_path / "c.json", {"dim": 3, "repr": "named", "payload": {"name": "identity"}})

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qwp.campaigns import CampaignResult, compose_campaign, duality_campaign
-from qwp.errors import DimensionMismatchError, ValidationError
+from qwp.errors import DimensionMismatchError, NotTracePreservingError, ValidationError
 from qwp.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -46,6 +46,7 @@ from qwp.programs import (
     DensityState,
     PositivityVerdict,
     adjoint,
+    apply,
     apply_matrices,
     apply_matrix,
     from_kraus,
@@ -56,6 +57,7 @@ from qwp.programs import (
     mix,
     random_cptp,
     sample_program,
+    seq,
     to_choi,
     transpose_program,
     unvec,
@@ -64,11 +66,9 @@ from qwp.programs import (
 from qwp.wp import (
     STACK_BYTES,
     WeakestCheckReport,
-    duality_residual,
     duality_residual_sweep,
     weakest_check,
     wp,
-    wp_compose_check,
 )
 
 # the package re-exports the function wp under the name of its module
@@ -134,7 +134,13 @@ def duality_campaign_oracle(dims, trials, seed, tol=None):
             prog = sample_program_oracle(KINDS[trial % 4], dim, rng)
             pred = random_predicate_oracle(rng, dim)
             rho = DensityState(ginibre_density_oracle(rng, dim), tol)
-            residual = max(duality_residual(prog, pred, rho, tol).values())
+            # duality_residual one atom at a time, through the adjoint program
+            g = wp_oracle(prog, pred, tol)
+            out = apply(prog, rho, tol)
+            residual = max(
+                float(abs(np.trace(g.effect(a) @ rho.matrix) - np.trace(pred.effect(a) @ out.matrix)))
+                for a in pred.space.atoms
+            )
             worst = max(worst, residual)
             failures += int(residual > tol.residual_tol)
             total += 1
@@ -151,7 +157,10 @@ def compose_campaign_oracle(dims, trials, seed, tol=None):
             c1 = sample_program_oracle(KINDS[trial % 4], dim, rng)
             c2 = sample_program_oracle(KINDS[(trial + 1) % 4], dim, rng)
             pred = random_predicate_oracle(rng, dim)
-            gap = wp_compose_check(c1, c2, pred, tol)
+            # wp_compose_check as three wp calls through the adjoint programs
+            left = wp_oracle(seq(c1, c2), pred, tol)
+            right = wp_oracle(c1, wp_oracle(c2, pred, tol), tol)
+            gap = max(float(np.abs(left.effect(a) - right.effect(a)).max()) for a in pred.space.atoms)
             worst = max(worst, gap)
             failures += int(gap > tol.residual_tol)
             total += 1
@@ -281,6 +290,18 @@ def wp_effects_oracle(c, f):
     """The transformed effects, one adjoint action an atom."""
     dual = adjoint(c)
     return [apply_matrix(dual, f.effect(a)) for a in f.space.atoms]
+
+
+def wp_oracle(c, f, tol):
+    """wp through the adjoint program, with wp's checks in wp's order and with its messages."""
+    report = validate_predicate_oracle(f, tol)
+    if not report.ok:
+        raise ValidationError("invalid predicate: " + "; ".join(report.violations))
+    eye = np.eye(c.dim)
+    if float(np.abs(unvec(adjoint(c).super @ vec(eye)) - eye).max()) > tol.residual_tol:
+        raise NotTracePreservingError(f"program {c.label!r} is not trace preserving")
+    # Predicate refuses a non-finite effect with wp's message
+    return Predicate(f.space, wp_effects_oracle(c, f))
 
 
 def kraus_super_oracle(kraus_ops):
@@ -649,6 +670,19 @@ class TestWpOracle:
         for a, want in zip(f.space.atoms, wp_effects_oracle(c, f)):
             assert_same_bits(got.effect(a), want)
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_bits_as_the_adjoint_program_in_every_layout(self, kind, dim):
+        rng = np.random.default_rng([dim, 19])
+        c = sample_program(kind, dim, rng)
+        f = random_predicate(rng, dim)
+        fortran = from_super(np.asfortranarray(c.super))
+        assert fortran.super.flags.f_contiguous and not c.super.flags.f_contiguous
+        for prog in (c, fortran, adjoint(adjoint(c))):
+            got = wp(prog, f)
+            for a, want in zip(f.space.atoms, wp_effects_oracle(prog, f)):
+                assert_same_bits(got.effect(a), want)
+
     def test_overflowing_output_raises_as_the_per_atom_form(self):
         # column 1 of the superoperator cancels on the identity, so the
         # program is unital in the dual and passes the trace-preservation test
@@ -973,6 +1007,20 @@ class TestCampaignOracle:
             ("NotTracePreservingError", "program 'seq(random_cptp, random_unitary)' is not trace preserving"),
             ("NotTracePreservingError", "program 'random_unitary' is not trace preserving"),
         }
+
+    def test_blocks_pull_back_c_ordered_conjugates(self, monkeypatch):
+        # the blocks pass C-ordered conjugates, whose transposed view is the layout adjoint() stores
+        layouts = []
+        pull_back = qwp_campaigns._pull_back
+
+        def recording(conjs, effects):
+            layouts.append(conjs.flags.c_contiguous)
+            return pull_back(conjs, effects)
+
+        monkeypatch.setattr(qwp_campaigns, "_pull_back", recording)
+        duality_campaign((2, 3), 20, 5)
+        compose_campaign((2, 3), 20, 5)
+        assert layouts and all(layouts)
 
     def test_a_refused_trial_that_passes_alone_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(qwp_campaigns, "_invalid_states", lambda ms, tol, eig_slack=1.0: np.ones(len(ms), bool))

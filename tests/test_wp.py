@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from qwp.predicates import (
 )
 from qwp.programs import (
     DensityState,
+    QuantumProgram,
     amplitude_damping,
     apply_matrix,
     depolarizing,
@@ -42,6 +45,9 @@ from qwp.wp import (
     wp,
     wp_compose_check,
 )
+
+# the package re-exports the function wp under the name of its module
+qwp_wp = importlib.import_module("qwp.wp")
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -330,6 +336,54 @@ class TestCompose:
             f = random_predicate(rng, 3)
             worst = max(worst, wp_compose_check(c1, c2, f))
         assert worst <= 1e-10
+
+
+def recorded_calls(monkeypatch, holder, name):
+    """Patch holder.name to record the arguments of every call; returns the record."""
+    calls = []
+    fn = getattr(holder, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(holder, name, recording)
+    return calls
+
+
+class TestOnePullBack:
+    """wp acts through one conjugate of the superoperator, and every caller pulls back once."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(151)
+        self.c1 = sample_program("transpose_mix", 3, rng)
+        self.c2 = sample_program("cptp", 3, rng)
+        self.f = random_predicate(rng, 3)
+
+    def test_wp_builds_no_program(self, monkeypatch):
+        inits = recorded_calls(monkeypatch, QuantumProgram, "__init__")
+        wp(self.c1, self.f)
+        assert inits == []
+
+    def test_wp_conjugates_the_superoperator_once(self, monkeypatch):
+        gaps = recorded_calls(monkeypatch, qwp_wp, "_unital_gaps")
+        pulls = recorded_calls(monkeypatch, qwp_wp, "_pull_back")
+        wp(self.c1, self.f)
+        [(tested,)] = gaps
+        [(conj, _)] = pulls
+        assert conj is tested and not np.shares_memory(conj, self.c1.super)
+
+    def test_compose_check_validates_f_and_the_intermediate_once(self, monkeypatch):
+        checked = recorded_calls(monkeypatch, qwp_wp, "validate_predicate")
+        wp_compose_check(self.c1, self.c2, self.f)
+        assert len(checked) == 2 and checked[0][0] is self.f
+        assert checked[1][0] is not self.f
+
+    def test_is_precondition_pulls_back_once(self, monkeypatch):
+        pre = scaled_predicate(wp(self.c1, self.f), 0.5)
+        pulls = recorded_calls(monkeypatch, qwp_wp, "_pull_back")
+        assert is_precondition(pre, self.c1, self.f).holds
+        assert len(pulls) == 1
 
 
 class TestDpReduction:
