@@ -129,8 +129,9 @@ def _common_options(fn):
     return fn
 
 
-def _program_check(prog, tol: ToleranceConfig, seed: int, trace_preserving: bool) -> tuple[dict, list[str]]:
+def _program_check(prog, tol: ToleranceConfig, seed: int) -> tuple[dict, list[str]]:
     """The "program" block of a report and the violations it shows, after the positivity audit."""
+    trace_preserving = is_trace_preserving(prog, tol)
     verdict = is_positive_sampled(prog, tol, seed=seed)
     block = {
         "trace_preserving": trace_preserving,
@@ -192,7 +193,7 @@ def validate(path, out, seed, eig_tol, residual_tol, samples) -> None:
                 state_from_json(obj, tol)
             elif kind == "program":
                 prog = program_from_json(obj, tol)
-                extra["program"], found = _program_check(prog, tol, seed, is_trace_preserving(prog, tol))
+                extra["program"], found = _program_check(prog, tol, seed)
                 violations.extend(found)
             else:
                 triple = triple_from_json(obj, tol)
@@ -200,7 +201,7 @@ def validate(path, out, seed, eig_tol, residual_tol, samples) -> None:
                     rep = validate_predicate(pred, tol)
                     extra[name] = validation_report_to_json(rep)
                     violations.extend(f"{name}: {v}" for v in rep.violations)
-                _, found = _program_check(triple.prog, tol, seed, is_trace_preserving(triple.prog, tol))
+                _, found = _program_check(triple.prog, tol, seed)
                 violations.extend(f"prog: {v}" for v in found)
         except _SEMANTIC_ERRORS as exc:
             violations.append(str(exc))
@@ -235,8 +236,7 @@ def wp_command(program_path, predicate_path, out, seed, eig_tol, residual_tol, s
             )
         result = wp_transform(prog, pred, tol)
         residuals = _residual_sweep(prog, pred, result, seed)
-        # wp refuses a program that is not trace preserving
-        program, _ = _program_check(prog, tol, seed, True)
+        program, _ = _program_check(prog, tol, seed)
     except _SEMANTIC_ERRORS as exc:
         _die(2, str(exc))
     _write(out, predicate_to_json(result))

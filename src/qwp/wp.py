@@ -217,7 +217,7 @@ def _residual_sweep(
     """:func:`duality_residual_sweep` for g = wp(c, f), already computed."""
     worst = [0.0] * len(f.space.atoms)
     rng = np.random.default_rng([seed, 0x0D0A])
-    block = _block_size(c.dim)
+    block = _block_size(c.dim, len(worst))  # _duality_gaps makes (rows, k, d, d) products
     for start in range(0, states, block):
         rho = random_densities(rng, min(block, states - start), c.dim)
         gaps = _duality_gaps(g.effects, f.effects, rho, apply_matrices(c, rho)).max(axis=0)

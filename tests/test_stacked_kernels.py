@@ -39,6 +39,7 @@ from qwp.predicates import (
     Predicate,
     ValidationReport,
     predicate_leq,
+    projective_predicate,
     random_predicate,
     validate_predicate,
 )
@@ -66,6 +67,7 @@ from qwp.programs import (
 from qwp.wp import (
     STACK_BYTES,
     WeakestCheckReport,
+    duality_residual,
     duality_residual_sweep,
     weakest_check,
     wp,
@@ -492,6 +494,42 @@ class TestDualitySweepOracle:
         want = duality_residual_sweep_oracle(c, f, seed=3, states=50)
         monkeypatch.setattr(qwp_wp, "STACK_BYTES", 7 * 4 * 4 * 16)
         assert duality_residual_sweep(c, f, seed=3, states=50) == want
+
+    def test_products_of_many_atoms_stay_under_the_bound(self, monkeypatch):
+        # 16 atoms at d = 16: a block sized for one d×d matrix a state would
+        # make (rows, 16, d, d) products of twice STACK_BYTES
+        c = sample_program("cptp", 16, 47)
+        f = projective_predicate(16)
+        want = duality_residual_sweep_oracle(c, f, seed=8, states=500)
+        sizes = []
+        gaps = qwp_wp._duality_gaps
+
+        def recorded(g, f, rho, out):
+            sizes.append(16 * int(np.prod(np.broadcast_shapes(g.shape, rho[..., None, :, :].shape))))
+            return gaps(g, f, rho, out)
+
+        monkeypatch.setattr(qwp_wp, "_duality_gaps", recorded)
+        assert duality_residual_sweep(c, f, seed=8, states=500) == want
+        assert len(sizes) > 1 and max(sizes) <= STACK_BYTES
+
+
+class TestDualityResidualBits:
+    @pytest.mark.parametrize("n_atoms", [1, 3, 7])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_same_bits_as_the_per_atom_traces(self, dim, kind, n_atoms):
+        rng = np.random.default_rng([dim, n_atoms, 59])
+        c = sample_program(kind, dim, rng)
+        f = random_predicate(rng, dim, n_atoms)
+        g = wp(c, f)
+        for _ in range(20):
+            rho = DensityState(random_density(rng, dim))
+            out = apply(c, rho)
+            want = {
+                a: float(abs(np.trace(g.effect(a) @ rho.matrix) - np.trace(f.effect(a) @ out.matrix))).hex()
+                for a in f.space.atoms
+            }
+            assert {a: x.hex() for a, x in duality_residual(c, f, rho).items()} == want
 
 
 class TestPositivityOracle:
