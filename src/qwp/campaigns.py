@@ -5,18 +5,21 @@ campaign replays exactly from the seed in its report regardless of execution
 order. Program kinds cycle through CPTP, unitary, transpose and
 transpose/CPTP mixtures so the non-CP corner is always exercised.
 
-The duality and compose sweeps run each dim's trials in blocks: every trial
-of a block draws its raw arrays from its own generator, in the order the
-scalar samplers draw them, and then the whole block is shaped and checked in
-stacks, grouped by program kind and by atom count. The stacked checks are
-those the scalar functions make, on the same bits; when one refuses a trial,
-the block's trials are replayed through the scalar functions up to that
-trial, so the campaign raises the exception of its earliest failing trial.
+The duality, compose and orders sweeps run each dim's trials in blocks:
+every trial of a block draws its raw arrays from its own generator, in the
+order the scalar samplers draw them, and then the whole block is shaped and
+checked in stacks, grouped by program kind and by atom count. The stacked
+checks are those the scalar functions make, on the same bits; when one
+refuses a trial, the block's trials are replayed through the scalar
+functions up to that trial, so the campaign raises the exception of its
+earliest failing trial. An orders trial draws its states last, after the
+block's stacked verdict, and only when its pair comes out f ⪯ g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +29,11 @@ from .linalg import (
     STACK_BYTES,
     ToleranceConfig,
     _densities,
-    hermitian_eig,
+    _eigh,
+    _eigvalsh,
+    _haar_spectral,
+    _hermiticity_gaps,
+    _psd_sqrts,
     psd_sqrt,
     random_densities,
     random_density,
@@ -44,7 +51,7 @@ from .programs import (
     _unitarity_gaps,
     sample_program,
 )
-from .wp import _duality_gaps, _pull_back, duality_residual, weakest_check, wp_compose_check
+from .wp import _duality_gaps, _pull_back, _traces, duality_residual, weakest_check, wp_compose_check
 
 __all__ = [
     "CampaignResult",
@@ -92,35 +99,40 @@ def _require(bad: np.ndarray, trials: np.ndarray) -> None:
         raise _TrialRefused(int(trials[bad].min()))
 
 
-def _blocks(dim: int, trials: int):
-    """Trial ranges of one dim whose stacks of d²×d² superoperators fit STACK_BYTES."""
-    size = max(1, STACK_BYTES // (16 * dim**4))
+def _blocks(dim: int, trials: int, per_trial: int | None = None):
+    """Trial ranges of one dim whose stacks of per_trial complex d×d matrices a trial fit
+    STACK_BYTES; by default d² of them, one d²×d² superoperator."""
+    per_trial = dim * dim if per_trial is None else per_trial
+    size = max(1, STACK_BYTES // (16 * per_trial * dim * dim))
     return (range(start, min(start + size, trials)) for start in range(0, trials, size))
 
 
-def _sweep(suite: str, block_values, trial_value, dims, trials, seed, tol) -> CampaignResult:
-    """Run a sweep block by block; a trial fails when its value exceeds residual_tol.
+def _sweep(suite: str, block_values, trial_value, dims, trials, seed, tol, per_trial=None) -> CampaignResult:
+    """Run a sweep block by block.
 
-    ``block_values(seed, dim, block, tol)`` gives the values of a block's
-    trials; ``trial_value(seed, dim, trial, tol)`` gives one trial's value
-    through the scalar functions and is called only to replay a refused block.
+    ``block_values(seed, dim, block, tol)`` gives the values a block adds to
+    max_residual and the mask of its failed trials; ``trial_value(seed, dim,
+    trial, tol)`` runs one trial through the scalar functions and is called
+    only to replay a refused block. ``per_trial`` sizes the blocks, as in
+    :func:`_blocks`.
     """
     failures = 0
     worst = 0.0
     total = 0
     for dim in dims:
-        for block in _blocks(dim, trials):
+        for block in _blocks(dim, trials, per_trial):
             try:
-                values = block_values(seed, dim, block, tol)
+                values, failed = block_values(seed, dim, block, tol)
             except _TrialRefused as refused:
                 for trial in range(block.start, refused.trial + 1):
                     trial_value(seed, dim, trial, tol)
                 raise RuntimeError(
                     f"{suite}: a stacked check refused trial {refused.trial} of dim {dim}, which passes alone"
                 ) from None
-            worst = max(worst, float(values.max()))
-            failures += int(np.count_nonzero(values > tol.residual_tol))
-            total += len(values)
+            if values.size:
+                worst = max(worst, float(values.max()))
+            failures += int(np.count_nonzero(failed))
+            total += len(block)
     return CampaignResult(suite, tuple(dims), total, failures, worst, seed)
 
 
@@ -205,7 +217,7 @@ def _duality_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> n
         # each output F-ordered, as DensityState stores it
         out_k = out.swapaxes(-1, -2)[pos].swapaxes(-1, -2)
         residuals[pos] = _duality_gaps(g, f, rho[pos], out_k).max(axis=-1)
-    return residuals
+    return residuals, residuals > tol.residual_tol
 
 
 def duality_campaign(
@@ -289,7 +301,7 @@ def _compose_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> n
     gaps = np.empty(len(trials))
     for (pos, g), (_, right) in zip(left, _block_wp(s1, middle, trials, tol)):
         gaps[pos] = np.abs(g - right).max(axis=(-3, -2, -1))
-    return gaps
+    return gaps, gaps > tol.residual_tol
 
 
 def compose_campaign(
@@ -300,6 +312,79 @@ def compose_campaign(
 ) -> CampaignResult:
     """Composition law sweep: transforming through seq equals nesting."""
     return _sweep("compose", _compose_block, _compose_trial, dims, trials, seed, tol or DEFAULT_TOL)
+
+
+def _orders_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig, states_per_pair: int) -> None:
+    """One trial's draws and checks through the scalar functions, which raise as the
+    per-trial loop did; its certification and witness raise nothing on effects that pass."""
+    rng = _trial_rng(seed, dim, trial)
+    g = random_predicate(rng, dim)
+    if trial % 2 == 0:
+        # construct f below g by sandwich shrinkage
+        roots = [psd_sqrt(e) for e in g.effects]
+        f = Predicate(g.space, [r @ random_effect(rng, dim) @ r for r in roots])
+    else:
+        f = random_predicate(rng, dim, n_atoms=len(g.space.atoms))
+    if predicate_leq(f, g, tol):
+        random_densities(rng, states_per_pair, dim)
+
+
+def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig, states_per_pair: int):
+    trials = np.arange(block.start, block.stop)
+    rngs, g_draws, f_draws = [], [], []
+    for trial in block:
+        rng = _trial_rng(seed, dim, trial)
+        rngs.append(rng)
+        g_draws.append(_draw_predicate(rng, dim))
+        k = len(g_draws[-1][0])
+        if trial % 2 == 0:
+            # one random_effect an atom: its normals, then its eigenvalues
+            draws = [(rng.standard_normal((2, dim, dim)), rng.uniform(0.0, 1.0, size=dim)) for _ in range(k)]
+            normals, spectra = zip(*draws)
+            f_draws.append((np.array(normals), np.array(spectra)))
+        else:
+            f_draws.append(_draw_predicate(rng, dim, n_atoms=k))
+    pairs = []  # (positions, f, g) for each parity and atom count
+    even, odd = np.flatnonzero(trials % 2 == 0), np.flatnonzero(trials % 2 == 1)
+    for pos, g in _predicate_groups([g_draws[i] for i in even]):
+        pos = even[pos]
+        roots = _psd_sqrts(g)
+        normals = np.array([f_draws[p][0] for p in pos])
+        spectra = np.array([f_draws[p][1] for p in pos])
+        f = roots @ _haar_spectral(normals, spectra) @ roots
+        _require(~np.isfinite(f).all(axis=(-3, -2, -1)), trials[pos])  # the Predicate constructor's check
+        pairs.append((pos, f, g))
+    # an odd trial's f has its g's atom count, so the two group alike
+    g_groups = _predicate_groups([g_draws[i] for i in odd])
+    for (pos, g), (_, f) in zip(g_groups, _predicate_groups([f_draws[i] for i in odd])):
+        pairs.append((odd[pos], f, g))
+    # predicate_leq(f, g) stops at the first atom not ⪯, so loewner_leq
+    # checks an atom's operands only when every earlier atom is ⪯
+    verdicts = []
+    for pos, f, g in pairs:
+        leq = _eigvalsh(g - f).min(axis=-1) >= -tol.eig_tol
+        reached = np.logical_and.accumulate(np.insert(leq[:, :-1], 0, True, axis=-1), axis=-1)
+        unhermitian = (_hermiticity_gaps(f) > tol.residual_tol) | (_hermiticity_gaps(g) > tol.residual_tol)
+        _require((reached & unhermitian).any(axis=-1), trials[pos])
+        verdicts.append(leq.all(axis=-1))
+    # every check has passed: draw the states of the pairs with f ⪯ g
+    values, failed = [np.empty(0)], np.zeros(len(trials), dtype=bool)
+    for (pos, f, g), leq in zip(pairs, verdicts):
+        if leq.any():
+            normals = np.array([rngs[p].standard_normal((states_per_pair, 2, dim, dim)) for p in pos[leq]])
+            rho = _densities(normals)
+            lhs = _traces(rho[:, None] @ f[leq, :, None]).real
+            rhs = _traces(rho[:, None] @ g[leq, :, None]).real
+            values.append((lhs - rhs).ravel())
+            failed[pos[leq]] = (lhs > rhs + tol.residual_tol).any(axis=(-2, -1))
+        if not leq.all():
+            # witnesses: the state v v† of the lowest eigenvector v of each g_a - f_a
+            f, g = f[~leq], g[~leq]
+            vals, vecs = _eigh(g - f)
+            rho = vecs[..., :, 0, None] * vecs[..., None, :, 0].conj()
+            lhs, rhs = _traces(rho @ f).real, _traces(rho @ g).real
+            failed[pos[~leq]] = ~((vals[..., 0] < -tol.eig_tol) & (lhs > rhs + tol.eig_tol)).any(axis=-1)
+    return np.concatenate(values), failed
 
 
 def orders_campaign(
@@ -315,44 +400,11 @@ def orders_campaign(
     against sampled states; negative pairs must yield an eigenvector witness
     state whose masses violate the order by more than eig_tol.
     """
-    tol = tol or DEFAULT_TOL
-    failures = 0
-    worst = 0.0
-    total = 0
-    for dim in dims:
-        for trial in range(trials):
-            rng = _trial_rng(seed, dim, trial)
-            g = random_predicate(rng, dim)
-            if trial % 2 == 0:
-                # construct f below g by sandwich shrinkage
-                roots = [psd_sqrt(e) for e in g.effects]
-                f = Predicate(g.space, [r @ random_effect(rng, dim) @ r for r in roots])
-            else:
-                f = random_predicate(rng, dim, n_atoms=len(g.space.atoms))
-            total += 1
-
-            if predicate_leq(f, g, tol):
-                rho = random_densities(rng, states_per_pair, dim)
-                ok = True
-                for a in f.space.atoms:
-                    lhs = np.trace(rho @ f.effect(a), axis1=-2, axis2=-1).real
-                    rhs = np.trace(rho @ g.effect(a), axis1=-2, axis2=-1).real
-                    worst = float(np.max(lhs - rhs, initial=worst))
-                    ok = ok and not np.any(lhs > rhs + tol.residual_tol)
-                failures += int(not ok)
-            else:
-                witnessed = False
-                for a in f.space.atoms:
-                    vals, vecs = hermitian_eig(g.effect(a) - f.effect(a))
-                    if vals[0] < -tol.eig_tol:
-                        rho = np.outer(vecs[:, 0], vecs[:, 0].conj())
-                        lhs = float(np.trace(rho @ f.effect(a)).real)
-                        rhs = float(np.trace(rho @ g.effect(a)).real)
-                        if lhs > rhs + tol.eig_tol:
-                            witnessed = True
-                            break
-                failures += int(not witnessed)
-    return CampaignResult("orders", tuple(dims), total, failures, worst, seed)
+    block_values = partial(_orders_block, states_per_pair=states_per_pair)
+    trial_value = partial(_orders_trial, states_per_pair=states_per_pair)
+    # blocks sized for the (k, states, d, d) products of a trial, k ≤ 4 atoms
+    per_trial = 4 * max(states_per_pair, 1)
+    return _sweep("orders", block_values, trial_value, dims, trials, seed, tol or DEFAULT_TOL, per_trial)
 
 
 SUITES = {

@@ -228,11 +228,16 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return _eigh(as_complex_matrix(a))
 
 
+def _psd_sqrts(a: np.ndarray) -> np.ndarray:
+    """Square root of each (near-)PSD matrix in a stack (..., d, d); eigenvalues below zero are clipped to zero."""
+    vals, vecs = _eigh(a)
+    # vecsᴴ as a transposed view, the layout of one matrix's vecs.conj().T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
 def psd_sqrt(a) -> np.ndarray:
     """Square root of a (near-)PSD matrix; eigenvalues below zero are clipped to zero."""
-    vals, vecs = hermitian_eig(a)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return _psd_sqrts(as_complex_matrix(a))
 
 
 def loewner_leq(a, b, tol: ToleranceConfig | None = None) -> bool:

@@ -28,11 +28,11 @@ from .linalg import (
     _eigvalsh,
     _haar_spectral,
     _hermiticity_gaps,
+    _psd_sqrts,
     as_complex_matrix,
     hermitian_eig,
     is_hermitian,
     min_eigenvalue,
-    psd_sqrt,
     random_densities,
 )
 from .predicates import OutcomeSpace, Predicate, predicate_leq, validate_predicate
@@ -330,7 +330,7 @@ def weakest_check(
     d = c.dim
     bounds = transformed.effects
     _require_finite_hermitian(bounds, tol)
-    roots = np.stack([psd_sqrt(s) for s in bounds])
+    roots = _psd_sqrts(bounds)
 
     dominated = 0
     confirmed = 0

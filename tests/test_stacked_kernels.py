@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qwp.campaigns import CampaignResult, compose_campaign, duality_campaign
+from qwp.campaigns import CampaignResult, compose_campaign, duality_campaign, orders_campaign
 from qwp.errors import DimensionMismatchError, NotTracePreservingError, ValidationError
 from qwp.linalg import (
     DEFAULT_TOL,
@@ -25,6 +25,7 @@ from qwp.linalg import (
     hermitian_eig,
     is_hermitian,
     is_psd,
+    loewner_leq,
     min_eigenvalue,
     psd_sqrt,
     random_densities,
@@ -169,13 +170,68 @@ def compose_campaign_oracle(dims, trials, seed, tol=None):
     return CampaignResult("compose", tuple(dims), total, failures, worst, seed)
 
 
+def orders_pair_oracle(rng, dim, trial):
+    """The predicates (f, g) of one orders trial, from the per-matrix samplers."""
+    g = random_predicate_oracle(rng, dim)
+    if trial % 2 == 0:
+        # construct f below g by sandwich shrinkage
+        roots = [psd_sqrt_oracle(e) for e in g.effects]
+        f = Predicate(g.space, [r @ random_effect_oracle(rng, dim) @ r for r in roots])
+    else:
+        f = random_predicate_oracle(rng, dim, n_atoms=len(g.space.atoms))
+    return f, g
+
+
+def orders_campaign_oracle(dims, trials, seed, tol=None, states_per_pair=50):
+    """The order sweep one trial at a time: predicate_leq, then sampled states or an eigenvector witness."""
+    tol = tol or DEFAULT_TOL
+    failures = 0
+    worst = 0.0
+    total = 0
+    for dim in dims:
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, dim, trial])
+            f, g = orders_pair_oracle(rng, dim, trial)
+            total += 1
+
+            if predicate_leq(f, g, tol):
+                rho = random_densities(rng, states_per_pair, dim)
+                ok = True
+                for a in f.space.atoms:
+                    lhs = np.trace(rho @ f.effect(a), axis1=-2, axis2=-1).real
+                    rhs = np.trace(rho @ g.effect(a), axis1=-2, axis2=-1).real
+                    worst = float(np.max(lhs - rhs, initial=worst))
+                    ok = ok and not np.any(lhs > rhs + tol.residual_tol)
+                failures += int(not ok)
+            else:
+                witnessed = False
+                for a in f.space.atoms:
+                    vals, vecs = hermitian_eig(g.effect(a) - f.effect(a))
+                    if vals[0] < -tol.eig_tol:
+                        rho = np.outer(vecs[:, 0], vecs[:, 0].conj())
+                        lhs = float(np.trace(rho @ f.effect(a)).real)
+                        rhs = float(np.trace(rho @ g.effect(a)).real)
+                        if lhs > rhs + tol.eig_tol:
+                            witnessed = True
+                            break
+                failures += int(not witnessed)
+    return CampaignResult("orders", tuple(dims), total, failures, worst, seed)
+
+
+def psd_sqrt_oracle(a):
+    """The square root of one matrix: its eigendecomposition, negative eigenvalues clipped to zero."""
+    vals, vecs = hermitian_eig(a)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
 def weakest_check_oracle(c, f, tol=None, seed=0, states_per_trial=50, effect=random_effect_oracle):
     """The per-state supremum audit, one trial, atom and state at a time; ``effect`` draws one W."""
     tol = tol or DEFAULT_TOL
     transformed = wp(c, f, tol)
     atoms = f.space.atoms
     d = c.dim
-    roots = {a: psd_sqrt(transformed.effect(a)) for a in atoms}
+    roots = {a: psd_sqrt_oracle(transformed.effect(a)) for a in atoms}
 
     dominated = 0
     confirmed = 0
@@ -853,6 +909,24 @@ class TestHermitianPart:
         assert vals[0] < 0 < vals[1]
 
 
+class TestPsdSqrtOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6, 8])
+    def test_same_bits_as_the_per_matrix_root(self, dim):
+        rng = np.random.default_rng([dim, 101])
+        stack = np.array([random_effect_oracle(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        # an eigenvalue just below zero, which the root clips
+        u = random_isometry_oracle(rng, dim, dim)
+        w = rng.uniform(0.0, 1.0, size=dim)
+        w[0] = -1e-13
+        stack[1, 2] = (u * w) @ u.conj().T
+        assert np.linalg.eigvalsh(stack[1, 2]).min() < 0
+        roots = qwp_linalg._psd_sqrts(stack)
+        for idx in np.ndindex(2, 3):
+            want = psd_sqrt_oracle(stack[idx])
+            assert_same_bits(roots[idx], want)
+            assert_same_bits(psd_sqrt(stack[idx]), want)
+
+
 class TestPsdOracle:
     """is_psd decides with Cholesky at eig_tol ∓ δ and must give the eigensolve's verdict."""
 
@@ -964,7 +1038,11 @@ class TestSamplerOracle:
         assert_same_bits(qwp_linalg._haar_spectral(np.array(normals), np.array(spectra)), np.array(want))
 
 
-CAMPAIGNS = {"duality": (duality_campaign, duality_campaign_oracle), "compose": (compose_campaign, compose_campaign_oracle)}
+CAMPAIGNS = {
+    "duality": (duality_campaign, duality_campaign_oracle),
+    "compose": (compose_campaign, compose_campaign_oracle),
+    "orders": (orders_campaign, orders_campaign_oracle),
+}
 CAMPAIGN_DIMS = (2, 3, 4, 5, 6)
 
 
@@ -1037,6 +1115,7 @@ class TestCampaignOracle:
             raised(compose_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
             raised(compose_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=1e-16)),
             raised(compose_campaign, CAMPAIGN_DIMS, 20, 7, ToleranceConfig(residual_tol=1e-15)),
+            raised(orders_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
         }
         assert {(t.__name__, m.split(";")[0]) for t, m in seen} == {
             ("ValidationError", "state is not hermitian"),
@@ -1044,7 +1123,63 @@ class TestCampaignOracle:
             ("ValidationError", "invalid predicate: effect 'a0' is not hermitian"),
             ("NotTracePreservingError", "program 'seq(random_cptp, random_unitary)' is not trace preserving"),
             ("NotTracePreservingError", "program 'random_unitary' is not trace preserving"),
+            ("ValueError", "loewner_leq requires hermitian operands"),
         }
+
+    def test_orders_stacks_stay_under_the_cap(self, monkeypatch):
+        sizes, blocks = [], []
+        densities, traces, block_values = qwp_campaigns._densities, qwp_campaigns._traces, qwp_campaigns._orders_block
+
+        def recording_densities(z):
+            out = densities(z)
+            sizes.append(out.nbytes)
+            return out
+
+        def recording_traces(stack):
+            sizes.append(stack.nbytes)
+            return traces(stack)
+
+        def recording_block(seed, dim, block, tol, states_per_pair):
+            blocks.append(len(block))
+            return block_values(seed, dim, block, tol, states_per_pair)
+
+        want = orders_campaign_oracle((6,), 40, 9, states_per_pair=400)
+        monkeypatch.setattr(qwp_campaigns, "_densities", recording_densities)
+        monkeypatch.setattr(qwp_campaigns, "_traces", recording_traces)
+        monkeypatch.setattr(qwp_campaigns, "_orders_block", recording_block)
+        assert_same_result(orders_campaign((6,), 40, 9, states_per_pair=400), want)
+        # blocks that would hold the (trials, 4, 400, 6, 6) products of four atoms under the cap
+        assert blocks == [18, 18, 4]
+        assert 18 * 4 * 400 * 6 * 6 * 16 <= STACK_BYTES
+        assert sizes and max(sizes) <= STACK_BYTES
+
+    def test_an_order_that_stops_before_a_non_hermitian_atom(self):
+        # trial 7 of dim 2, seed 3: atom a0 of f is not below g's, so
+        # predicate_leq returns False before loewner_leq reaches a2, whose
+        # hermiticity gap exceeds residual_tol; the trial is not refused
+        tol = ToleranceConfig(residual_tol=1e-16)
+        f, g = orders_pair_oracle(np.random.default_rng([3, 2, 7]), 2, 7)
+        assert not loewner_leq(f.effect("a0"), g.effect("a0"), tol)
+        assert not is_hermitian(f.effect("a2"), tol)
+        assert not predicate_leq(f, g, tol)
+        assert_same_result(orders_campaign((2,), 8, 3, tol), orders_campaign_oracle((2,), 8, 3, tol))
+
+    def test_orders_makes_no_scalar_order_call_outside_replay(self, monkeypatch):
+        holders = [
+            (qwp_campaigns, "random_predicate"),
+            (qwp_campaigns, "psd_sqrt"),
+            (qwp_campaigns, "random_effect"),
+            (qwp_campaigns, "predicate_leq"),
+            (qwp_predicates, "loewner_leq"),
+            (qwp_linalg, "hermitian_eig"),
+        ]
+        calls = [count_calls(monkeypatch, module, name) for module, name in holders]
+        orders_campaign(CAMPAIGN_DIMS, 30, 7)
+        assert calls == [[]] * len(holders)
+        # a refused block replays its trials through them
+        with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
+            orders_campaign(CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0))
+        assert calls[3] and calls[4]
 
     def test_blocks_pull_back_c_ordered_conjugates(self, monkeypatch):
         # the blocks pass C-ordered conjugates, whose transposed view is the layout adjoint() stores
