@@ -12,7 +12,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    hs_inner,
     is_hermitian,
     is_psd,
     loewner_leq,

@@ -13,12 +13,15 @@ checks are those the scalar functions make, on the same bits; when one
 refuses a trial, the block's trials are replayed through the scalar
 functions up to that trial, so the campaign raises the exception of its
 earliest failing trial. An orders trial draws its states last, after the
-block's stacked verdict, and only when its pair comes out f ⪯ g.
+block's stacked verdict, and only when its pair comes out f ⪯ g. The
+weakest sweep runs through the same blocks: one block is one (program,
+predicate) pair, drawn from (seed, dim, pair index), and its trials are that
+pair's candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -26,8 +29,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    STACK_BYTES,
     ToleranceConfig,
+    _block_size,
     _densities,
     _eigh,
     _eigvalsh,
@@ -51,7 +54,7 @@ from .programs import (
     _unitarity_gaps,
     sample_program,
 )
-from .wp import _duality_gaps, _pull_back, _traces, duality_residual, weakest_check, wp_compose_check
+from .wp import _dominations, _duality_gaps, _pull_back, _traces, duality_residual, wp_compose_check
 
 __all__ = [
     "CampaignResult",
@@ -99,28 +102,30 @@ def _require(bad: np.ndarray, trials: np.ndarray) -> None:
         raise _TrialRefused(int(trials[bad].min()))
 
 
-def _blocks(dim: int, trials: int, per_trial: int | None = None):
-    """Trial ranges of one dim whose stacks of per_trial complex d×d matrices a trial fit
-    STACK_BYTES; by default d² of them, one d²×d² superoperator."""
-    per_trial = dim * dim if per_trial is None else per_trial
-    size = max(1, STACK_BYTES // (16 * per_trial * dim * dim))
-    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
+def _superoperator_rows(dim: int) -> int:
+    """Trials a block holds when each trial's stacks are d² complex d×d matrices, one superoperator."""
+    return _block_size(dim, dim * dim)
 
 
-def _sweep(suite: str, block_values, trial_value, dims, trials, seed, tol, per_trial=None) -> CampaignResult:
+def _sweep(
+    suite: str, block_values, trial_value, dims, trials, seed, tol, block_rows=_superoperator_rows
+) -> CampaignResult:
     """Run a sweep block by block.
 
+    ``block_rows(dim)`` is the number of trials a block of that dim holds.
     ``block_values(seed, dim, block, tol)`` gives the values a block adds to
-    max_residual and the mask of its failed trials; ``trial_value(seed, dim,
-    trial, tol)`` runs one trial through the scalar functions and is called
-    only to replay a refused block. ``per_trial`` sizes the blocks, as in
-    :func:`_blocks`.
+    max_residual, from 0.0, and the mask of its failures, whose nonzero
+    entries are counted; ``trial_value(seed, dim, trial, tol)`` runs one trial
+    through the scalar functions and is called only to replay a block that
+    raised :class:`_TrialRefused`.
     """
     failures = 0
     worst = 0.0
     total = 0
     for dim in dims:
-        for block in _blocks(dim, trials, per_trial):
+        size = block_rows(dim)
+        for start in range(0, trials, size):
+            block = range(start, min(start + size, trials))
             try:
                 values, failed = block_values(seed, dim, block, tol)
             except _TrialRefused as refused:
@@ -230,6 +235,24 @@ def duality_campaign(
     return _sweep("duality", _duality_block, _duality_trial, dims, trials, seed, tol or DEFAULT_TOL)
 
 
+# candidates a weakest block checks against one (program, predicate) pair
+_WEAKEST_PAIR_CANDIDATES = 250
+
+
+def _weakest_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
+    """One pair's candidates: their negated least margins, and a mask (n, 2) of those
+    that wp does not dominate and of those their states do not confirm.
+
+    The pair is drawn and checked by the scalar functions, which raise as they would alone.
+    """
+    pair = block.start // _WEAKEST_PAIR_CANDIDATES
+    rng = _trial_rng(seed, dim, pair)
+    prog = sample_program(_PROGRAM_KINDS[pair % len(_PROGRAM_KINDS)], dim, rng)
+    pred = random_predicate(rng, dim)
+    margins, confirmed = _dominations(prog, pred, tol, int(rng.integers(2**31)), len(block), states_per_trial=50)
+    return -margins, np.stack([margins < -tol.eig_tol, ~confirmed], axis=-1)
+
+
 def weakest_campaign(
     dims: Sequence[int],
     trials: int,
@@ -238,36 +261,20 @@ def weakest_campaign(
 ) -> CampaignResult:
     """Supremum audit: shrinkage candidates must all be dominated by wp.
 
-    Trials are spent in chunks of at most 250 candidates per random
-    (program, predicate) pair.
+    A block spends at most 250 trials as the candidates of one random
+    (program, predicate) pair, drawn from (seed, dim, pair index). A trial
+    fails once when wp does not dominate its candidate and once when its
+    states do not confirm it. max_residual is the most negative margin
+    λ_min(wp_a - G_a), negated, or 0.0 when no margin is negative. A
+    negative margin is also printed in a note.
     """
-    tol = tol or DEFAULT_TOL
-    failures = 0
-    total = 0
-    worst_margin = 0.0
-    notes = []
-    for dim in dims:
-        remaining = trials
-        pair = 0
-        while remaining > 0:
-            chunk = min(250, remaining)
-            rng = _trial_rng(seed, dim, pair)
-            prog = sample_program(_PROGRAM_KINDS[pair % len(_PROGRAM_KINDS)], dim, rng)
-            pred = random_predicate(rng, dim)
-            chunk_tol = ToleranceConfig(tol.eig_tol, tol.residual_tol, chunk)
-            report = weakest_check(prog, pred, chunk_tol, seed=int(rng.integers(2**31)))
-            total += report.trials
-            failures += (report.trials - report.dominated) + (
-                report.trials - report.confirmed_preconditions
-            )
-            worst_margin = min(worst_margin, report.min_margin)
-            remaining -= chunk
-            pair += 1
-    if worst_margin < 0:
-        notes.append(f"most negative domination margin {worst_margin:.3e}")
-    return CampaignResult(
-        "weakest", tuple(dims), total, failures, max(0.0, -worst_margin), seed, tuple(notes)
+    result = _sweep(
+        "weakest", _weakest_block, None, dims, trials, seed, tol or DEFAULT_TOL,
+        lambda dim: _WEAKEST_PAIR_CANDIDATES,
     )
+    if result.max_residual > 0:
+        result = replace(result, notes=(f"most negative domination margin {-result.max_residual:.3e}",))
+    return result
 
 
 def _compose_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> float:
@@ -403,8 +410,8 @@ def orders_campaign(
     block_values = partial(_orders_block, states_per_pair=states_per_pair)
     trial_value = partial(_orders_trial, states_per_pair=states_per_pair)
     # blocks sized for the (k, states, d, d) products of a trial, k ≤ 4 atoms
-    per_trial = 4 * max(states_per_pair, 1)
-    return _sweep("orders", block_values, trial_value, dims, trials, seed, tol or DEFAULT_TOL, per_trial)
+    block_rows = partial(_block_size, per_row=4 * max(states_per_pair, 1))
+    return _sweep("orders", block_values, trial_value, dims, trials, seed, tol or DEFAULT_TOL, block_rows)
 
 
 SUITES = {

@@ -19,7 +19,6 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "as_complex_matrix",
-    "hs_inner",
     "is_hermitian",
     "is_psd",
     "loewner_leq",
@@ -68,6 +67,11 @@ DEFAULT_TOL = ToleranceConfig()
 # cap on the bytes of one stack of sampled d×d matrices; sampled checks
 # process their states in blocks that fit it (at least one trial a block)
 STACK_BYTES = 1 << 24
+
+
+def _block_size(dim: int, per_row: int = 1) -> int:
+    """Rows per block so that per_row complex d×d matrices a row fit in STACK_BYTES; at least one."""
+    return max(1, STACK_BYTES // (16 * per_row * dim * dim))
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -127,18 +131,6 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(_hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
-
-
-def hs_inner(a, b) -> complex:
-    """Trace pairing Tr(a† b).
-
-    Conjugate-symmetric; for a hermitian state rho paired with an operator A
-    this is the usual expectation Tr(rho A).
-    """
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    _require_same_dim(a, b)
-    return complex(np.trace(a.conj().T @ b))
 
 
 def is_hermitian(a, tol: ToleranceConfig | None = None) -> bool:

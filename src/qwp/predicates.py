@@ -326,9 +326,7 @@ def _random_effects(z: np.ndarray, factors) -> np.ndarray:
     and shrink factors, a float or an array that broadcasts against the effects."""
     g = _ginibre(z)
     blocks = g @ g.conj().swapaxes(-1, -2)
-    total = np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=np.complex128)
-    for i in range(blocks.shape[-3]):
-        total += blocks[..., i, :, :]
+    total = _total_effects(blocks)
     if not np.isfinite(total).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     vals, vecs = _eigh(total)

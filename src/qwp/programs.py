@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DimensionMismatchError, NotTracePreservingError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
-    STACK_BYTES,
     ToleranceConfig,
+    _block_size,
     _eigvalsh,
     _haar_isometries,
     _hermiticity_gaps,
@@ -510,8 +510,7 @@ def is_positive_sampled(
     d = c.dim
     rng = np.random.default_rng(seed)
     checked = 0
-    block = max(1, STACK_BYTES // (d * d * 16))
-    for psis, raw in _candidate_blocks(d, tol.sample_count, rng, block):
+    for psis, raw in _candidate_blocks(d, tol.sample_count, rng, _block_size(d)):
         out = _pure_outputs(c, psis)
         # the per-matrix checks of is_hermitian and min_eigenvalue, run once per block
         if not np.all(np.isfinite(out)):

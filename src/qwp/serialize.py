@@ -30,7 +30,6 @@ __all__ = [
     "predicate_to_json",
     "predicate_from_json",
     "sat_to_json",
-    "sat_from_json",
     "program_to_json",
     "program_from_json",
     "triple_to_json",
@@ -118,17 +117,6 @@ def sat_to_json(s: SatMeasure) -> dict:
         "weights": {a: s.weights[a] for a in s.space.atoms},
         "satisfied": bool(s.satisfied),
     }
-
-
-def sat_from_json(obj) -> SatMeasure:
-    if not isinstance(obj, dict) or "weights" not in obj or "satisfied" not in obj:
-        raise ValidationError("satisfiability JSON needs keys 'weights' and 'satisfied'")
-    weights = {str(a): float(w) for a, w in obj["weights"].items()}
-    return SatMeasure(
-        space=OutcomeSpace(tuple(weights)),
-        weights=weights,
-        satisfied=bool(obj["satisfied"]),
-    )
 
 
 def program_to_json(c: QuantumProgram) -> dict:

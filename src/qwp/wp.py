@@ -22,15 +22,15 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    STACK_BYTES,
     ToleranceConfig,
+    _block_size,
     _densities,
+    _eigh,
     _eigvalsh,
     _haar_spectral,
     _hermiticity_gaps,
     _psd_sqrts,
     as_complex_matrix,
-    hermitian_eig,
     is_hermitian,
     min_eigenvalue,
     random_densities,
@@ -249,24 +249,16 @@ def is_precondition(
     if g.dim != transformed.dim:
         raise DimensionMismatchError(f"candidate dim {g.dim} vs program dim {transformed.dim}")
 
-    margins: dict[str, float] = {}
-    worst_atom = None
-    worst_vec = None
-    worst_val = np.inf
-    for a in f.space.atoms:
-        gap = transformed.effect(a) - g.effect(a)
-        vals, vecs = hermitian_eig(gap)
-        margins[a] = float(vals[0])
-        if vals[0] < worst_val:
-            worst_val = float(vals[0])
-            worst_atom = a
-            worst_vec = vecs[:, 0]
-
+    vals, vecs = _eigh(transformed.effects - g.effects)
+    lowest = vals[:, 0]
+    margins = dict(zip(f.space.atoms, lowest.tolist()))
     holds = predicate_leq(g, transformed, tol)
     residuals = _residual_sweep(c, f, transformed, seed)
     witness = None
     if not holds:
-        rho = DensityState.pure(worst_vec)
+        worst = int(np.argmin(lowest))  # the first atom of least margin
+        worst_atom = f.space.atoms[worst]
+        rho = DensityState.pure(vecs[worst, :, 0])
         lhs = float(np.trace(g.effect(worst_atom) @ rho.matrix).real)
         rhs = float(np.trace(f.effect(worst_atom) @ apply_matrix(c, rho.matrix)).real)
         witness = Witness(atom=worst_atom, state=rho, lhs=lhs, rhs=rhs)
@@ -286,11 +278,6 @@ def verify_triple(
 ) -> VerificationReport:
     """Hoare-style check: the triple holds when pre is a precondition of post."""
     return is_precondition(t.pre, t.prog, t.post, tol, seed)
-
-
-def _block_size(dim: int, per_row: int = 1) -> int:
-    """Rows per block so that per_row complex d×d matrices a row fit in STACK_BYTES; at least one."""
-    return max(1, STACK_BYTES // (per_row * dim * dim * 16))
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
@@ -325,6 +312,23 @@ def weakest_check(
     stacked blocks of at most STACK_BYTES per stack of states.
     """
     tol = tol or DEFAULT_TOL
+    margins, confirmed = _dominations(c, f, tol, seed, tol.sample_count, states_per_trial)
+    dominated = int(np.count_nonzero(margins >= -tol.eig_tol))
+    return WeakestCheckReport(
+        trials=tol.sample_count,
+        all_dominated=dominated == tol.sample_count,
+        dominated=dominated,
+        confirmed_preconditions=int(np.count_nonzero(confirmed)),
+        min_margin=float(margins.min()),
+        seed=seed,
+    )
+
+
+def _dominations(
+    c: QuantumProgram, f: Predicate, tol: ToleranceConfig, seed: int, n: int, states_per_trial: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n candidates of :func:`weakest_check`: each one's least margin λ_min(wp_a - G_a)
+    over atoms, shape (n,), and whether its states confirm it a precondition, shape (n,)."""
     transformed = wp(c, f, tol)
     atoms = f.space.atoms
     d = c.dim
@@ -332,23 +336,22 @@ def weakest_check(
     _require_finite_hermitian(bounds, tol)
     roots = _psd_sqrts(bounds)
 
-    dominated = 0
-    confirmed = 0
-    min_margin = np.inf
+    margins = np.empty(n)
+    confirmed = np.empty(n, dtype=bool)
     block = _block_size(d, max(states_per_trial, len(atoms)))
-    for start in range(0, tol.sample_count, block):
+    for start in range(0, n, block):
+        stop = min(start + block, n)
         normals, spectra, states = [], [], []
-        for trial in range(start, min(start + block, tol.sample_count)):
+        for trial in range(start, stop):
             rng = np.random.default_rng([seed, trial])
             for _ in atoms:
                 normals.append(rng.standard_normal((2, d, d)))
                 spectra.append(rng.uniform(0.0, 1.0, size=d))
             states.append(rng.standard_normal((states_per_trial, 2, d, d)))
-        n = len(states)
-        shrinks = _haar_spectral(np.array(normals), np.array(spectra)).reshape(n, len(atoms), d, d)
+        shrinks = _haar_spectral(np.array(normals), np.array(spectra)).reshape(stop - start, len(atoms), d, d)
         cands = roots @ shrinks @ roots  # (trials, atoms, d, d)
         _require_finite_hermitian(cands, tol)
-        rho = _densities(np.array(states).reshape(-1, 2, d, d)).reshape(n, states_per_trial, d, d)
+        rho = _densities(np.array(states).reshape(-1, 2, d, d)).reshape(stop - start, states_per_trial, d, d)
         out = apply_matrices(c, rho)
 
         violated = np.zeros(rho.shape[:2], dtype=bool)
@@ -356,20 +359,9 @@ def weakest_check(
             lhs = _traces(cands[:, i, None] @ rho).real
             rhs = _traces(f.effect(a) @ out).real
             violated |= lhs > rhs + tol.residual_tol
-        confirmed += int(np.count_nonzero(~violated.any(axis=1)))
-
-        margins = _eigvalsh(bounds - cands).min(axis=-1)  # (trials, atoms)
-        min_margin = min(min_margin, float(margins.min()))
-        dominated += int(np.count_nonzero((margins >= -tol.eig_tol).all(axis=1)))
-
-    return WeakestCheckReport(
-        trials=tol.sample_count,
-        all_dominated=dominated == tol.sample_count,
-        dominated=dominated,
-        confirmed_preconditions=confirmed,
-        min_margin=float(min_margin),
-        seed=seed,
-    )
+        confirmed[start:stop] = ~violated.any(axis=1)
+        margins[start:stop] = _eigvalsh(bounds - cands).min(axis=(-2, -1))  # over atoms and eigenvalues
+    return margins, confirmed
 
 
 def wp_compose_check(

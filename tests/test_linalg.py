@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from qwp.errors import DecompositionError, DimensionMismatchError
+from qwp.errors import DecompositionError
 from qwp.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_complex_matrix,
-    hs_inner,
     is_hermitian,
     is_psd,
     loewner_leq,
@@ -59,43 +58,6 @@ class TestToleranceConfig:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             ToleranceConfig(**kwargs)
-
-
-class TestHsInner:
-    def test_identity_pair(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_trace_one_operator(self):
-        assert hs_inner(np.eye(2), np.diag([0.75, 0.25])) == pytest.approx(1.0)
-
-    def test_matches_entrywise_sum_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            oracle = 0.0 + 0.0j
-            for i in range(3):
-                for j in range(3):
-                    oracle += np.conj(a[i, j]) * b[i, j]
-            assert abs(hs_inner(a, b) - oracle) < 1e-12
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert abs(hs_inner(a, b) - np.conj(hs_inner(b, a))) < 1e-12
-
-    def test_self_pairing_is_squared_frobenius(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        v = hs_inner(a, a)
-        assert abs(v.imag) < 1e-12
-        assert v.real >= 0.0
-        assert v.real == pytest.approx(np.linalg.norm(a) ** 2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            hs_inner(np.eye(2), np.eye(3))
 
 
 class TestHermitian:

@@ -16,10 +16,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qwp.campaigns import CampaignResult, compose_campaign, duality_campaign, orders_campaign
+from qwp.campaigns import CampaignResult, compose_campaign, duality_campaign, orders_campaign, weakest_campaign
 from qwp.errors import DimensionMismatchError, NotTracePreservingError, ValidationError
 from qwp.linalg import (
     DEFAULT_TOL,
+    STACK_BYTES,
     ToleranceConfig,
     as_complex_matrix,
     hermitian_eig,
@@ -66,10 +67,10 @@ from qwp.programs import (
     vec,
 )
 from qwp.wp import (
-    STACK_BYTES,
     WeakestCheckReport,
     duality_residual,
     duality_residual_sweep,
+    is_precondition,
     weakest_check,
     wp,
 )
@@ -270,6 +271,26 @@ def weakest_check_oracle(c, f, tol=None, seed=0, states_per_trial=50, effect=ran
         min_margin=float(min_margin),
         seed=seed,
     )
+
+
+def weakest_campaign_oracle(dims, trials, seed, tol=None, effect=random_effect_oracle):
+    """The supremum sweep one (program, predicate) pair at a time, 250 candidates a pair,
+    each pair audited by the per-state loop."""
+    tol = tol or DEFAULT_TOL
+    failures, worst, total = 0, 0.0, 0
+    for dim in dims:
+        for pair, start in enumerate(range(0, trials, 250)):
+            chunk = min(250, trials - start)
+            rng = np.random.default_rng([seed, dim, pair])
+            prog = sample_program_oracle(KINDS[pair % 4], dim, rng)
+            pred = random_predicate_oracle(rng, dim)
+            pair_tol = ToleranceConfig(tol.eig_tol, tol.residual_tol, chunk)
+            report = weakest_check_oracle(prog, pred, pair_tol, seed=int(rng.integers(2**31)), effect=effect)
+            total += chunk
+            failures += (chunk - report.dominated) + (chunk - report.confirmed_preconditions)
+            worst = min(worst, report.min_margin)
+    notes = (f"most negative domination margin {worst:.3e}",) if worst < 0 else ()
+    return CampaignResult("weakest", tuple(dims), total, failures, max(0.0, -worst), seed, notes)
 
 
 def duality_residual_sweep_oracle(c, f, tol=None, seed=0, states=100):
@@ -486,8 +507,7 @@ class TestWeakestCheckOracle:
 
     def test_run_spanning_two_blocks(self):
         dim = 16
-        per_block = STACK_BYTES // (50 * dim * dim * 16)
-        tol = ToleranceConfig(sample_count=per_block + 5)
+        tol = ToleranceConfig(sample_count=qwp_linalg._block_size(dim, 50) + 5)
         c, f = problem("transpose_mix", dim, 29)
         report = weakest_check(c, f, tol, seed=8)
         assert_same_report(report, weakest_check_oracle(c, f, tol, seed=8))
@@ -527,13 +547,13 @@ class TestWeakestCheckOracle:
 
         monkeypatch.setattr(qwp_wp, "apply_matrices", recording_apply)
         dim = 16
-        tol = ToleranceConfig(sample_count=STACK_BYTES // (50 * dim * dim * 16) + 1)
+        tol = ToleranceConfig(sample_count=qwp_linalg._block_size(dim, 50) + 1)
         c, f = problem("cptp", dim, 37)
         weakest_check(c, f, tol, seed=1)
         assert len(sizes) == 2
         assert max(sizes) <= STACK_BYTES
         # the library default at d = 32 splits into blocks that fit the cap
-        per_block = qwp_wp._block_size(32, 50)
+        per_block = qwp_linalg._block_size(32, 50)
         assert 1 <= per_block < DEFAULT_TOL.sample_count
         assert per_block * 50 * 32 * 32 * 16 <= STACK_BYTES
 
@@ -548,7 +568,7 @@ class TestDualitySweepOracle:
     def test_blocks_replay_one_stream(self, monkeypatch):
         c, f = problem("transpose_mix", 4, 43)
         want = duality_residual_sweep_oracle(c, f, seed=3, states=50)
-        monkeypatch.setattr(qwp_wp, "STACK_BYTES", 7 * 4 * 4 * 16)
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 7 * 4 * 4 * 16)
         assert duality_residual_sweep(c, f, seed=3, states=50) == want
 
     def test_products_of_many_atoms_stay_under_the_bound(self, monkeypatch):
@@ -638,7 +658,7 @@ class TestPositivityOracle:
     def test_run_spanning_two_random_blocks(self, monkeypatch):
         c, tol = self.random_region_case()
         want = is_positive_sampled_oracle(c, tol, seed=1)
-        monkeypatch.setattr(qwp_programs, "STACK_BYTES", 50 * 2 * 2 * 16)
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 50 * 2 * 2 * 16)
         got = is_positive_sampled(c, tol, seed=1)
         assert_same_verdict(got, want)
         # the first counterexample lies in the second block of random states
@@ -648,7 +668,7 @@ class TestPositivityOracle:
         tol = ToleranceConfig(sample_count=40)
         c = sample_program("transpose_mix", 8, 59)
         want = is_positive_sampled_oracle(c, tol, seed=5)
-        monkeypatch.setattr(qwp_programs, "STACK_BYTES", 3 * 8 * 8 * 16)
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 3 * 8 * 8 * 16)
         got = is_positive_sampled(c, tol, seed=5)
         assert_same_verdict(got, want)
         assert got.status == "no_counterexample" and got.samples == 2 * 8 + 40
@@ -1042,6 +1062,7 @@ CAMPAIGNS = {
     "duality": (duality_campaign, duality_campaign_oracle),
     "compose": (compose_campaign, compose_campaign_oracle),
     "orders": (orders_campaign, orders_campaign_oracle),
+    "weakest": (weakest_campaign, weakest_campaign_oracle),
 }
 CAMPAIGN_DIMS = (2, 3, 4, 5, 6)
 
@@ -1070,8 +1091,11 @@ class TestCampaignOracle:
     def test_run_split_into_blocks(self, suite, monkeypatch):
         batched, loop = CAMPAIGNS[suite]
         want = loop((2, 3), 40, 11)
-        monkeypatch.setattr(qwp_campaigns, "STACK_BYTES", 7 * 16 * 3**4)
-        assert [len(b) for b in qwp_campaigns._blocks(3, 40)] == [7] * 5 + [5]
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 7 * 16 * 3**4)
+        # seven superoperators of d = 3 a block; a weakest pair's 40 candidates
+        # in sub-blocks of one or two, 50 states each
+        assert qwp_linalg._block_size(3, 3 * 3) == 7
+        assert [qwp_linalg._block_size(d, 50) for d in (2, 3)] == [2, 1]
         assert_same_result(batched((2, 3), 40, 11), want)
 
     def test_no_stack_exceeds_the_cap(self, monkeypatch):
@@ -1083,9 +1107,9 @@ class TestCampaignOracle:
             return gaps(supers)
 
         # the default cap keeps 1000 trials at d = 6 in two blocks
-        assert [len(b) for b in qwp_campaigns._blocks(6, 1000)] == [809, 191]
+        assert qwp_linalg._block_size(6, 6 * 6) == 809
         monkeypatch.setattr(qwp_campaigns, "_unital_gaps", recording)
-        monkeypatch.setattr(qwp_campaigns, "STACK_BYTES", 7 * 16 * 3**4)
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 7 * 16 * 3**4)
         compose_campaign((2, 3), 40, 5)
         # three superoperator stacks a block: seq(c1, c2), c2, c1
         assert [side for side, _ in sizes] == [4] * 3 * 2 + [9] * 3 * 6
@@ -1098,7 +1122,7 @@ class TestCampaignOracle:
         batched, loop = CAMPAIGNS[suite]
         tol = ToleranceConfig(residual_tol=residual_tol)
         if stack_bytes is not None:
-            monkeypatch.setattr(qwp_campaigns, "STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(qwp_linalg, "STACK_BYTES", stack_bytes)
         for seed in (1, 7, 42):
             try:
                 want = loop(CAMPAIGN_DIMS, 20, seed, tol)
@@ -1199,6 +1223,83 @@ class TestCampaignOracle:
         monkeypatch.setattr(qwp_campaigns, "_invalid_states", lambda ms, tol, eig_slack=1.0: np.ones(len(ms), bool))
         with pytest.raises(RuntimeError, match="refused trial 0 of dim 2, which passes alone"):
             duality_campaign((2,), 5, 0)
+
+    def test_weakest_blocks_are_pairs_of_at_most_250_candidates(self, monkeypatch):
+        counts = []
+        dominations = qwp_campaigns._dominations
+
+        def recording(c, f, tol, seed, n, states_per_trial):
+            counts.append(n)
+            return dominations(c, f, tol, seed, n, states_per_trial)
+
+        want = weakest_campaign_oracle((2, 3), 260, 7)
+        monkeypatch.setattr(qwp_campaigns, "_dominations", recording)
+        got = weakest_campaign((2, 3), 260, 7)
+        assert_same_result(got, want)
+        assert counts == [250, 10] * 2 and got.trials == 520
+
+    def test_weakest_oversized_candidates_fail_like_the_loop(self, monkeypatch):
+        monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: 1.3 * qwp_linalg._haar_spectral(z, w))
+        oversized = lambda rng, d: 1.3 * random_effect_oracle(rng, d)  # noqa: E731
+        got = weakest_campaign((2,), 260, 7)
+        assert_same_result(got, weakest_campaign_oracle((2,), 260, 7, effect=oversized))
+        assert 0 < got.failures < 2 * got.trials and got.max_residual > 0
+        assert got.notes == (f"most negative domination margin {-got.max_residual:.3e}",)
+
+
+class TestIsPreconditionOracle:
+    """is_precondition's margins and witness from one stacked eigensolve, against one eigensolve an atom."""
+
+    @staticmethod
+    def margins_oracle(g, c, f):
+        """The margin of each atom and the first atom of least margin with its lowest eigenvector."""
+        transformed = wp(c, f)
+        margins, worst = {}, (np.inf, None, None)
+        for a in f.space.atoms:
+            vals, vecs = hermitian_eig(transformed.effect(a) - g.effect(a))
+            margins[a] = float(vals[0])
+            if vals[0] < worst[0]:
+                worst = (float(vals[0]), a, vecs[:, 0])
+        return margins, worst[1], worst[2]
+
+    def assert_matches_the_loop(self, g, c, f):
+        report = is_precondition(g, c, f)
+        margins, atom, vec = self.margins_oracle(g, c, f)
+        assert list(report.margins) == list(margins)
+        assert [m.hex() for m in report.margins.values()] == [m.hex() for m in margins.values()]
+        assert report.holds == predicate_leq(g, wp(c, f))
+        if not report.holds:
+            assert report.witness.atom == atom
+            assert_same_bits(report.witness.state.matrix, DensityState.pure(vec).matrix)
+        return report
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_matches_the_per_atom_loop(self, kind, dim):
+        c, f = problem(kind, dim, 71)
+        rng = np.random.default_rng([73, dim])
+        # a random candidate, which fails in every case here, and one scaled below wp, which holds
+        g = random_predicate(rng, dim, n_atoms=len(f.space.atoms))
+        self.assert_matches_the_loop(g, c, f)
+        below = Predicate._from_stack(f.space, 0.5 * wp(c, f).effects)
+        assert self.assert_matches_the_loop(below, c, f).holds
+
+    def test_a_tie_takes_the_first_atom(self):
+        f = projective_predicate(3)
+        g = Predicate._from_stack(f.space, 1.25 * f.effects)
+        report = self.assert_matches_the_loop(g, from_super(np.eye(9)), f)
+        assert set(report.margins.values()) == {-0.25} and report.witness.atom == "0"
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 32])
+    def test_stacked_eigh_has_the_per_matrix_bits(self, dim):
+        z = np.random.default_rng(dim).standard_normal((4, 2, dim, dim))
+        stack = z[:, 0] + 1j * z[:, 1]
+        stack = stack + stack.conj().swapaxes(-1, -2)
+        vals, vecs = qwp_linalg._eigh(stack)
+        for i, a in enumerate(stack):
+            want_vals, want_vecs = hermitian_eig(a)
+            assert_same_bits(vals[i], want_vals)
+            assert_same_bits(vecs[i], want_vecs)
 
 
 class TestHermiticityGaps:
