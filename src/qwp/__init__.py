@@ -42,7 +42,6 @@ from .programs import (
     amplitude_damping,
     apply,
     apply_matrix,
-    build_program,
     depolarizing,
     from_choi,
     from_kraus,

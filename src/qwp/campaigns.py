@@ -35,14 +35,21 @@ from .linalg import (
     _eigh,
     _eigvalsh,
     _haar_spectral,
-    _hermiticity_gaps,
     _psd_sqrts,
     psd_sqrt,
     random_densities,
     random_density,
     random_effect,
 )
-from .predicates import Predicate, _draw_predicate, _predicate_faults, _random_effects, predicate_leq, random_predicate
+from .predicates import (
+    Predicate,
+    _draw_predicate,
+    _leq_refusals,
+    _predicate_faults,
+    _random_effects,
+    predicate_leq,
+    random_predicate,
+)
 from .programs import (
     _PROGRAM_KINDS,
     DensityState,
@@ -365,14 +372,10 @@ def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig, state
     g_groups = _predicate_groups([g_draws[i] for i in odd])
     for (pos, g), (_, f) in zip(g_groups, _predicate_groups([f_draws[i] for i in odd])):
         pairs.append((odd[pos], f, g))
-    # predicate_leq(f, g) stops at the first atom not ⪯, so loewner_leq
-    # checks an atom's operands only when every earlier atom is ⪯
     verdicts = []
     for pos, f, g in pairs:
         leq = _eigvalsh(g - f).min(axis=-1) >= -tol.eig_tol
-        reached = np.logical_and.accumulate(np.insert(leq[:, :-1], 0, True, axis=-1), axis=-1)
-        unhermitian = (_hermiticity_gaps(f) > tol.residual_tol) | (_hermiticity_gaps(g) > tol.residual_tol)
-        _require((reached & unhermitian).any(axis=-1), trials[pos])
+        _require(_leq_refusals(f, g, leq, tol), trials[pos])
         verdicts.append(leq.all(axis=-1))
     # every check has passed: draw the states of the pairs with f ⪯ g
     values, failed = [np.empty(0)], np.zeros(len(trials), dtype=bool)

@@ -251,6 +251,15 @@ def _require_comparable(f: Predicate, g: Predicate) -> None:
         raise DimensionMismatchError(f"predicate dims {f.dim} vs {g.dim}")
 
 
+def _leq_refusals(f: np.ndarray, g: np.ndarray, leq: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Mask (...) of the predicate pairs stacked as (..., k, d, d) that ``predicate_leq(f, g)``
+    refuses, given each atom's order f_a ⪯ g_a in ``leq`` (..., k): an operand is not hermitian
+    in an atom up to and including the first one not ⪯, where predicate_leq stops."""
+    reached = np.logical_and.accumulate(np.insert(leq[..., :-1], 0, True, axis=-1), axis=-1)
+    unhermitian = (_hermiticity_gaps(f) > tol.residual_tol) | (_hermiticity_gaps(g) > tol.residual_tol)
+    return (reached & unhermitian).any(axis=-1)
+
+
 def predicate_leq(f: Predicate, g: Predicate, tol: ToleranceConfig | None = None) -> bool:
     """Pointwise order: every atom effect of f sits below the matching one of g.
 

@@ -22,7 +22,6 @@ transpose map is the standard example) are first-class citizens here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ __all__ = [
     "transpose_program",
     "depolarizing",
     "amplitude_damping",
-    "build_program",
     "apply",
     "apply_matrix",
     "apply_matrices",
@@ -157,7 +155,7 @@ class QuantumProgram:
 
     The superoperator is the only computed form. ``kraus`` is the Kraus family
     the program was built from, if any; combinators and the adjoint leave it
-    ``None``. ``label`` is free-form. Instances are immutable.
+    ``None``. ``label`` is free-form; the arrays are read-only.
     """
 
     __slots__ = ("dim", "super", "kraus", "label")
@@ -307,63 +305,6 @@ def amplitude_damping(gamma: float) -> QuantumProgram:
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     return from_kraus([k0, k1], label=f"amplitude_damping({gamma})")
-
-
-_NAMED_BUILDERS = ("identity", "transpose", "depolarizing", "amplitude_damping")
-_NAMED_PARAMETER = {"depolarizing": (depolarizing, "p"), "amplitude_damping": (amplitude_damping, "gamma")}
-
-
-def build_program(source: dict, dim: int | None = None, tol: ToleranceConfig | None = None) -> QuantumProgram:
-    """Single-entry constructor keyed by representation.
-
-    ``source`` holds exactly one of the keys "kraus", "unitary", "choi",
-    "super", "named". Named payloads are dicts like
-    ``{"name": "depolarizing", "p": 0.5}``; identity and transpose need the
-    ``dim`` argument. When ``dim`` is given it is cross-checked against the
-    payload.
-    """
-    keys = [k for k in ("kraus", "unitary", "choi", "super", "named") if k in source]
-    if len(keys) != 1:
-        raise ValidationError(
-            f"program source must contain exactly one of kraus/unitary/choi/super/named, got {keys}"
-        )
-    kind = keys[0]
-    if kind == "kraus":
-        prog = from_kraus(source["kraus"])
-    elif kind == "unitary":
-        prog = from_unitary(source["unitary"], tol=tol)
-    elif kind == "choi":
-        prog = from_choi(source["choi"], tol=tol)
-    elif kind == "super":
-        prog = from_super(source["super"], dim=dim)
-    else:
-        params = dict(source["named"])
-        name = params.pop("name", None)
-        if name == "identity":
-            if dim is None:
-                raise ValidationError("named identity requires dim")
-            prog = identity_program(dim)
-        elif name == "transpose":
-            if dim is None:
-                raise ValidationError("named transpose requires dim")
-            prog = transpose_program(dim)
-        elif isinstance(name, str) and name in _NAMED_PARAMETER:
-            builder, key = _NAMED_PARAMETER[name]
-            if key not in params:
-                raise ValidationError(f"named {name} requires parameter {key!r}")
-            value = params[key]
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"named {name} parameter {key!r} must be a number, got {type(value).__name__}")
-            try:
-                value = float(value)
-            except OverflowError:
-                raise ValidationError(f"named {name} parameter {key!r} is too large for a float") from None
-            prog = builder(value)
-        else:
-            raise ValidationError(f"unknown named program {name!r}; expected one of {_NAMED_BUILDERS}")
-    if dim is not None and prog.dim != dim:
-        raise DimensionMismatchError(f"program has dim {prog.dim}, expected {dim}")
-    return prog
 
 
 # ---------------------------------------------------------------------------

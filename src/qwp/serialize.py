@@ -13,13 +13,25 @@ json module round-trips them exactly.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .campaigns import CampaignResult
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .linalg import ToleranceConfig
 from .predicates import OutcomeSpace, Predicate, SatMeasure, ValidationReport
-from .programs import DensityState, QuantumProgram, build_program
+from .programs import (
+    DensityState,
+    QuantumProgram,
+    amplitude_damping,
+    depolarizing,
+    from_choi,
+    from_kraus,
+    from_super,
+    identity_program,
+    transpose_program,
+)
 from .wp import HoareTriple, VerificationReport
 
 __all__ = [
@@ -129,7 +141,39 @@ def program_to_json(c: QuantumProgram) -> dict:
     return {"dim": c.dim, "repr": repr_kind, "payload": payload, "label": c.label}
 
 
+# each named program's constructor and its argument: the document's dim, or the named parameter
+_NAMED_PROGRAMS = {
+    "identity": (identity_program, None),
+    "transpose": (transpose_program, None),
+    "depolarizing": (depolarizing, "p"),
+    "amplitude_damping": (amplitude_damping, "gamma"),
+}
+
+
+def _named_program(payload: dict, dim: int | None) -> QuantumProgram:
+    """The program a named payload names; identity and transpose are built at ``dim``."""
+    name = payload.get("name")
+    if not isinstance(name, str) or name not in _NAMED_PROGRAMS:
+        raise ValidationError(f"unknown named program {name!r}; expected one of {tuple(_NAMED_PROGRAMS)}")
+    build, key = _NAMED_PROGRAMS[name]
+    if key is None:
+        if dim is None:
+            raise ValidationError(f"named {name} requires dim")
+        return build(dim)
+    if key not in payload:
+        raise ValidationError(f"named {name} requires parameter {key!r}")
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"named {name} parameter {key!r} must be a number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(f"named {name} parameter {key!r} is too large for a float") from None
+    return build(value)
+
+
 def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram:
+    """The one decoder of program documents: "repr" picks the constructor, then "dim" is checked."""
     if not isinstance(obj, dict) or "repr" not in obj or "payload" not in obj:
         raise ValidationError("program JSON needs keys 'repr' and 'payload' (and usually 'dim')")
     repr_kind = obj["repr"]
@@ -138,19 +182,20 @@ def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram
     if dim is not None and dim > MAX_PROGRAM_DIM:
         raise ValidationError(f"program dim {dim} exceeds the limit {MAX_PROGRAM_DIM}")
     if repr_kind == "kraus":
-        source = {"kraus": [matrix_from_json(k) for k in _require(payload, list, "kraus payload")]}
+        prog = from_kraus([matrix_from_json(k) for k in _require(payload, list, "kraus payload")])
     elif repr_kind == "super":
-        source = {"super": matrix_from_json(payload)}
+        prog = from_super(matrix_from_json(payload), dim=dim)
     elif repr_kind == "choi":
-        source = {"choi": matrix_from_json(payload)}
+        prog = from_choi(matrix_from_json(payload), tol=tol)
     elif repr_kind == "named":
-        source = {"named": dict(_require(payload, dict, "named payload"))}
+        prog = _named_program(_require(payload, dict, "named payload"), dim)
     else:
         raise ValidationError(f"unknown program repr {repr_kind!r}")
-    prog = build_program(source, dim=dim, tol=tol)
+    if dim is not None and prog.dim != dim:
+        raise DimensionMismatchError(f"program has dim {prog.dim}, expected {dim}")
     label = obj.get("label")
     if label:
-        prog = QuantumProgram(prog.dim, prog.super, kraus=prog.kraus, label=str(label))
+        prog.label = str(label)
     return prog
 
 

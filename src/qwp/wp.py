@@ -30,12 +30,9 @@ from .linalg import (
     _haar_spectral,
     _hermiticity_gaps,
     _psd_sqrts,
-    as_complex_matrix,
-    is_hermitian,
-    min_eigenvalue,
     random_densities,
 )
-from .predicates import OutcomeSpace, Predicate, predicate_leq, validate_predicate
+from .predicates import OutcomeSpace, Predicate, _leq_refusals, validate_predicate
 from .programs import (
     DensityState,
     QuantumProgram,
@@ -252,7 +249,10 @@ def is_precondition(
     vals, vecs = _eigh(transformed.effects - g.effects)
     lowest = vals[:, 0]
     margins = dict(zip(f.space.atoms, lowest.tolist()))
-    holds = predicate_leq(g, transformed, tol)
+    leq = lowest >= -tol.eig_tol
+    if _leq_refusals(g.effects, transformed.effects, leq, tol):
+        raise ValueError("loewner_leq requires hermitian operands")
+    holds = bool(leq.all())
     residuals = _residual_sweep(c, f, transformed, seed)
     witness = None
     if not holds:
@@ -398,14 +398,6 @@ def dp_reduction(
     tol = tol or DEFAULT_TOL
     if not is_completely_positive(c, tol):
         raise ValidationError("dp_reduction needs a completely positive program")
-    m = as_complex_matrix(m)
-    if not is_hermitian(m, tol):
-        raise ValidationError("operator is not hermitian")
-    lo = min_eigenvalue(m)
-    hi = -min_eigenvalue(-m)
-    if lo < -tol.eig_tol or hi > 1.0 + tol.eig_tol:
-        raise ValidationError(
-            f"operator is not an effect (eigenvalues span [{lo:.6g}, {hi:.6g}])"
-        )
+    # wp validates the one-atom predicate: hermitian, PSD, total below the identity
     one_atom = Predicate(OutcomeSpace(("outcome",)), [m])
     return wp(c, one_atom, tol).effect("outcome")

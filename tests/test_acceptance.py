@@ -35,6 +35,7 @@ from qwp.programs import (
     transpose_program,
 )
 from qwp.wp import dp_reduction, is_precondition, weakest_check, wp
+from test_wp import kraus_adjoint_oracle
 
 SEED = 20240
 
@@ -46,13 +47,6 @@ Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 def check(criterion: str, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def kraus_adjoint_oracle(kraus, effect):
-    out = np.zeros_like(np.asarray(effect, dtype=complex))
-    for k in kraus:
-        out += np.asarray(k, dtype=complex).conj().T @ effect @ k
-    return out
 
 
 def test_criterion_01_duality_identity():

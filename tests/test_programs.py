@@ -13,7 +13,6 @@ from qwp.programs import (
     amplitude_damping,
     apply,
     apply_matrix,
-    build_program,
     depolarizing,
     from_choi,
     from_kraus,
@@ -118,28 +117,6 @@ class TestBuilders:
         bad = to_choi(from_super(0.9 * np.eye(4)))
         with pytest.raises(NotTracePreservingError):
             from_choi(bad)
-
-    def test_build_program_dispatch(self):
-        assert build_program({"named": {"name": "identity"}}, dim=3).dim == 3
-        assert build_program({"named": {"name": "depolarizing", "p": 0.5}}).kraus is not None
-        assert build_program({"unitary": X}).dim == 2
-        with pytest.raises(ValidationError):
-            build_program({"named": {"name": "werner"}})
-        with pytest.raises(ValidationError):
-            build_program({"kraus": [X], "super": np.eye(4)})
-        with pytest.raises(DimensionMismatchError):
-            build_program({"unitary": X}, dim=3)
-
-    def test_named_parameter_takes_any_real_number_but_bool(self):
-        for p in (np.float64(0.5), np.int64(1), 1):
-            assert build_program({"named": {"name": "depolarizing", "p": p}}).dim == 2
-        for p in (True, "0.5", [0.5], None):
-            with pytest.raises(ValidationError, match="must be a number"):
-                build_program({"named": {"name": "depolarizing", "p": p}})
-
-    def test_named_parameter_beyond_float_range(self):
-        with pytest.raises(ValidationError, match="too large for a float"):
-            build_program({"named": {"name": "depolarizing", "p": 10**400}})
 
 
 class TestApply:

@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from qwp.errors import ValidationError
+from qwp.errors import DimensionMismatchError, ValidationError
 from qwp.linalg import random_density
 from qwp.predicates import projective_predicate, random_predicate, sat, validate_predicate
 from qwp.programs import (
     DensityState,
+    QuantumProgram,
     amplitude_damping,
     depolarizing,
     random_cptp,
     seq,
+    to_choi,
     transpose_program,
 )
 from qwp.serialize import (
@@ -109,6 +111,18 @@ class TestSatFormat:
         assert doc == {"weights": measure.weights, "satisfied": measure.satisfied}
 
 
+def quarter_depolarizing_document(repr_kind: str) -> dict:
+    """depolarizing(0.25) as an unlabelled program document of the given repr."""
+    c = depolarizing(0.25)
+    payload = {
+        "kraus": [matrix_to_json(k) for k in c.kraus],
+        "super": matrix_to_json(c.super),
+        "choi": matrix_to_json(to_choi(c)),
+        "named": {"name": "depolarizing", "p": 0.25},
+    }[repr_kind]
+    return {"dim": 2, "repr": repr_kind, "payload": payload}
+
+
 class TestProgramFormat:
     def test_kraus_round_trip(self):
         c = amplitude_damping(0.35)
@@ -121,6 +135,49 @@ class TestProgramFormat:
         text = '{"dim": 2, "repr": "named", "payload": {"name": "depolarizing", "p": 1' + "0" * 400 + "}}"
         with pytest.raises(ValidationError, match="too large for a float"):
             program_from_json(json.loads(text))
+        with pytest.raises(ValidationError, match="too large for a float"):
+            program_from_json({"repr": "named", "payload": {"name": "depolarizing", "p": 10**400}})
+
+    def test_each_repr_goes_to_its_constructor(self):
+        x = matrix_to_json([[0.0, 1.0], [1.0, 0.0]])
+        assert program_from_json({"dim": 3, "repr": "named", "payload": {"name": "identity"}}).dim == 3
+        assert program_from_json({"repr": "named", "payload": {"name": "depolarizing", "p": 0.5}}).kraus is not None
+        assert program_from_json({"repr": "kraus", "payload": [x]}).dim == 2
+        expected = (
+            r"unknown named program 'werner'; "
+            r"expected one of \('identity', 'transpose', 'depolarizing', 'amplitude_damping'\)"
+        )
+        with pytest.raises(ValidationError, match=expected):
+            program_from_json({"repr": "named", "payload": {"name": "werner"}})
+        with pytest.raises(DimensionMismatchError, match="program has dim 2, expected 3"):
+            program_from_json({"dim": 3, "repr": "kraus", "payload": [x]})
+
+    def test_named_parameter_takes_any_real_number(self):
+        for p in (np.float64(0.5), np.int64(1), 1):
+            assert program_from_json({"repr": "named", "payload": {"name": "depolarizing", "p": p}}).dim == 2
+
+    @pytest.mark.parametrize(
+        "repr_kind,default", [("kraus", "kraus"), ("super", "super"), ("choi", "choi"), ("named", "depolarizing(0.25)")]
+    )
+    def test_label_is_kept_or_left_to_the_constructor(self, repr_kind, default):
+        doc = quarter_depolarizing_document(repr_kind)
+        assert program_from_json({**doc, "label": "noise"}).label == "noise"
+        assert program_from_json(doc).label == default
+        assert program_from_json({**doc, "label": ""}).label == default
+
+    @pytest.mark.parametrize("repr_kind", ["kraus", "super", "choi", "named"])
+    def test_labelled_document_builds_one_program(self, repr_kind, monkeypatch):
+        doc = {**quarter_depolarizing_document(repr_kind), "label": "noise"}
+        inits = []
+        init = QuantumProgram.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuantumProgram, "__init__", counted)
+        assert program_from_json(doc).label == "noise"
+        assert len(inits) == 1
 
     def test_super_round_trip_for_kraus_free_program(self):
         t = transpose_program(3)
@@ -155,6 +212,7 @@ class TestProgramFormat:
         [
             ({"name": "depolarizing", "p": [0.5]}, "named depolarizing parameter 'p' must be a number, got list"),
             ({"name": "depolarizing", "p": True}, "named depolarizing parameter 'p' must be a number, got bool"),
+            ({"name": "depolarizing", "p": None}, "named depolarizing parameter 'p' must be a number, got NoneType"),
             (
                 {"name": "amplitude_damping", "gamma": "0.5"},
                 "named amplitude_damping parameter 'gamma' must be a number, got str",
@@ -183,17 +241,6 @@ class TestProgramFormat:
             program_from_json({"dim": 10**6, "repr": "named", "payload": {"name": name}})
         assert program_from_json({"dim": 64, "repr": "named", "payload": {"name": name}}).dim == 64
 
-    def test_named_payload(self):
-        doc = {
-            "dim": 2,
-            "repr": "named",
-            "payload": {"name": "depolarizing", "p": 0.25},
-            "label": "noise",
-        }
-        c = program_from_json(doc)
-        assert c.label == "noise"
-        assert c.kraus is not None
-
     def test_named_identity_needs_dim(self):
         with pytest.raises(ValidationError):
             program_from_json({"repr": "named", "payload": {"name": "identity"}})
@@ -203,8 +250,6 @@ class TestProgramFormat:
             program_from_json({"dim": 2, "repr": "chi", "payload": {}})
 
     def test_choi_payload_round_trip(self):
-        from qwp.programs import to_choi
-
         c = random_cptp(np.random.default_rng(5), 2)
         doc = {"dim": 2, "repr": "choi", "payload": matrix_to_json(to_choi(c)), "label": ""}
         back = program_from_json(through_json(doc))

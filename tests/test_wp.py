@@ -9,7 +9,7 @@ from qwp.errors import (
     SpaceMismatchError,
     ValidationError,
 )
-from qwp.linalg import ToleranceConfig, random_density, sample_random
+from qwp.linalg import DEFAULT_TOL, ToleranceConfig, random_density, sample_random
 from qwp.predicates import (
     OutcomeSpace,
     Predicate,
@@ -48,6 +48,7 @@ from qwp.wp import (
 
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
+qwp_linalg = importlib.import_module("qwp.linalg")
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -216,6 +217,47 @@ class TestIsPrecondition:
         g = projective_predicate(2, labels=("p", "q"))
         with pytest.raises(SpaceMismatchError):
             is_precondition(g, c, f)
+
+    def test_verdict_is_read_from_the_margins(self):
+        rng = np.random.default_rng(167)
+        verdicts = set()
+        for trial in range(24):
+            dim = int(rng.integers(2, 5))
+            c = sample_program(("cptp", "unitary", "transpose", "transpose_mix")[trial % 4], dim, rng)
+            f = random_predicate(rng, dim)
+            # below wp, on it up to rounding, and above it
+            factor = (0.5, 1.0 + 1e-12, 1.5)[trial % 3]
+            report = is_precondition(Predicate(f.space, factor * wp(c, f).effects), c, f)
+            assert report.holds == all(m >= -DEFAULT_TOL.eig_tol for m in report.margins.values())
+            verdicts.add(report.holds)
+        assert verdicts == {True, False}
+
+    def test_unhermitian_candidate_atom_is_refused_where_the_order_reaches_it(self):
+        c = identity_program(2)
+        f = projective_predicate(2)
+        over = 2.0 * f.effect("0")  # not below wp_0 = |0><0|, nor below wp_1 = |1><1|
+        skew = np.array([[0.0, 0.1], [0.0, 0.0]])
+        # predicate_leq stops at the first atom not ⪯: an unhermitian atom after it is not reached
+        cand = Predicate(f.space, [over, skew])
+        report = is_precondition(cand, c, f)
+        assert not report.holds and report.witness.atom == "0"
+        assert not predicate_leq(cand, wp(c, f))
+        for effects in ([skew, over], [f.effect("0"), skew]):
+            cand = Predicate(f.space, effects)
+            with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
+                predicate_leq(cand, wp(c, f))
+            with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
+                is_precondition(cand, c, f)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    def test_one_eigensolve_of_the_gaps(self, scale, monkeypatch):
+        c = amplitude_damping(0.3)
+        f = projective_predicate(2)
+        cand = Predicate(f.space, scale * wp(c, f).effects)
+        solves = recorded_calls(monkeypatch, qwp_wp, "_eigh")
+        values = [recorded_calls(monkeypatch, holder, "_eigvalsh") for holder in (qwp_wp, qwp_linalg)]
+        assert is_precondition(cand, c, f).holds == (scale < 1)
+        assert len(solves) == 1 and values == [[], []]
 
 
 class TestVerifyTriple:
@@ -411,9 +453,17 @@ class TestDpReduction:
             m = sample_random("effect", dim, rng)
             assert np.abs(dp_reduction(c, m) - kraus_adjoint_oracle(c.kraus, m)).max() < 1e-10
 
-    def test_rejects_out_of_range_operator(self):
-        with pytest.raises(ValidationError):
-            dp_reduction(amplitude_damping(0.1), 1.5 * np.eye(2))
+    @pytest.mark.parametrize(
+        "m,message",
+        [
+            (1.5 * np.eye(2), r"total effect exceeds the identity \(max eigenvalue 1.5\)"),
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "effect 'outcome' is not hermitian"),
+            (np.diag([-0.5, 0.5]), r"effect 'outcome' is not PSD \(min eigenvalue -0.5\)"),
+        ],
+    )
+    def test_rejects_the_operators_wp_rejects(self, m, message):
+        with pytest.raises(ValidationError, match="invalid predicate: " + message):
+            dp_reduction(amplitude_damping(0.1), m)
 
     def test_rejects_program_without_kraus_view(self):
         for c in (transpose_program(2), sample_program("transpose", 3, 0)):
