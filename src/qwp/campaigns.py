@@ -386,7 +386,8 @@ def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig, state
             lhs = _traces(rho[:, None] @ f[leq, :, None]).real
             rhs = _traces(rho[:, None] @ g[leq, :, None]).real
             values.append((lhs - rhs).ravel())
-            failed[pos[leq]] = (lhs > rhs + tol.residual_tol).any(axis=(-2, -1))
+            # f ⪯ g was accepted with eig_tol slack: Tr(f rho) - Tr(g rho) ≤ eig_tol, up to rounding
+            failed[pos[leq]] = (lhs > rhs + (tol.eig_tol + tol.residual_tol)).any(axis=(-2, -1))
         if not leq.all():
             # witnesses: the state v v† of the lowest eigenvector v of each g_a - f_a
             f, g = f[~leq], g[~leq]
@@ -407,8 +408,9 @@ def orders_campaign(
     """Order-equivalence sweep over predicate pairs.
 
     Each pair is classified by predicate_leq. Positive pairs are certified
-    against sampled states; negative pairs must yield an eigenvector witness
-    state whose masses violate the order by more than eig_tol.
+    against sampled states, with the verdict's eig_tol slack plus
+    residual_tol for rounding; negative pairs must yield an eigenvector
+    witness state whose masses violate the order by more than eig_tol.
     """
     block_values = partial(_orders_block, states_per_pair=states_per_pair)
     trial_value = partial(_orders_trial, states_per_pair=states_per_pair)

@@ -181,6 +181,9 @@ def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram
     dim = _dim_from_json(obj["dim"]) if "dim" in obj else None
     if dim is not None and dim > MAX_PROGRAM_DIM:
         raise ValidationError(f"program dim {dim} exceeds the limit {MAX_PROGRAM_DIM}")
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValidationError("program label must be a string")
     if repr_kind == "kraus":
         prog = from_kraus([matrix_from_json(k) for k in _require(payload, list, "kraus payload")])
     elif repr_kind == "super":
@@ -193,9 +196,8 @@ def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram
         raise ValidationError(f"unknown program repr {repr_kind!r}")
     if dim is not None and prog.dim != dim:
         raise DimensionMismatchError(f"program has dim {prog.dim}, expected {dim}")
-    label = obj.get("label")
     if label:
-        prog.label = str(label)
+        prog.label = label
     return prog
 
 

@@ -43,6 +43,7 @@ from .programs import (
     apply_matrix,
     is_completely_positive,
     seq,
+    vec,
 )
 
 __all__ = [
@@ -309,7 +310,7 @@ def weakest_check(
     own generator from (seed, trial) and draws one W per atom (the normals
     of its eigenbasis, then its eigenvalues), then all of its states, so
     results are schedule-independent. Trials are shaped and checked in
-    stacked blocks of at most STACK_BYTES per stack of states.
+    stacked blocks of at most STACK_BYTES per stack of states or of traces.
     """
     tol = tol or DEFAULT_TOL
     margins, confirmed = _dominations(c, f, tol, seed, tol.sample_count, states_per_trial)
@@ -328,7 +329,13 @@ def _dominations(
     c: QuantumProgram, f: Predicate, tol: ToleranceConfig, seed: int, n: int, states_per_trial: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The n candidates of :func:`weakest_check`: each one's least margin λ_min(wp_a - G_a)
-    over atoms, shape (n,), and whether its states confirm it a precondition, shape (n,)."""
+    over atoms, shape (n,), and whether its states confirm it a precondition, shape (n,).
+
+    A block's states are confirmed by matrix products on their rows vec(rho):
+    one with the superoperator for C(rho), then one with the postcondition's
+    and one with the candidates' effects for the traces. Their rounding is not
+    a per-matrix trace's, but only the flags leave this function.
+    """
     transformed = wp(c, f, tol)
     atoms = f.space.atoms
     d = c.dim
@@ -338,9 +345,14 @@ def _dominations(
 
     margins = np.empty(n)
     confirmed = np.empty(n, dtype=bool)
-    block = _block_size(d, max(states_per_trial, len(atoms)))
+    k, dd = len(atoms), d * d
+    # Tr(F_a X) is the dot product of F_a's C-ordered entries with vec(X)
+    posts = f.effects.reshape(k, dd).T
+    # a block holds each trial's states, its candidates and its (states, atoms) traces
+    block = _block_size(d, max(states_per_trial, k, -(-states_per_trial * k // dd)))
     for start in range(0, n, block):
         stop = min(start + block, n)
+        m = stop - start
         normals, spectra, states = [], [], []
         for trial in range(start, stop):
             rng = np.random.default_rng([seed, trial])
@@ -348,18 +360,16 @@ def _dominations(
                 normals.append(rng.standard_normal((2, d, d)))
                 spectra.append(rng.uniform(0.0, 1.0, size=d))
             states.append(rng.standard_normal((states_per_trial, 2, d, d)))
-        shrinks = _haar_spectral(np.array(normals), np.array(spectra)).reshape(stop - start, len(atoms), d, d)
+        shrinks = _haar_spectral(np.array(normals), np.array(spectra)).reshape(m, k, d, d)
         cands = roots @ shrinks @ roots  # (trials, atoms, d, d)
         _require_finite_hermitian(cands, tol)
-        rho = _densities(np.array(states).reshape(-1, 2, d, d)).reshape(stop - start, states_per_trial, d, d)
-        out = apply_matrices(c, rho)
+        rows = vec(_densities(np.array(states).reshape(-1, 2, d, d)))  # (trials·states, d²)
 
-        violated = np.zeros(rho.shape[:2], dtype=bool)
-        for i, a in enumerate(atoms):
-            lhs = _traces(cands[:, i, None] @ rho).real
-            rhs = _traces(f.effect(a) @ out).real
-            violated |= lhs > rhs + tol.residual_tol
-        confirmed[start:stop] = ~violated.any(axis=1)
+        # Tr(F_a C(rho)) with the program run forward, never through wp's adjoint
+        rhs = ((rows @ c.super.T) @ posts).real.reshape(m, states_per_trial, k)
+        # Tr(G_a rho), one (states, d²) by (d², atoms) product a trial
+        lhs = (rows.reshape(m, states_per_trial, dd) @ cands.reshape(m, k, dd).swapaxes(-1, -2)).real
+        confirmed[start:stop] = ~(lhs > rhs + tol.residual_tol).any(axis=(1, 2))
         margins[start:stop] = _eigvalsh(bounds - cands).min(axis=(-2, -1))  # over atoms and eigenvalues
     return margins, confirmed
 

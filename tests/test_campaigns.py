@@ -41,6 +41,14 @@ def test_orders_campaign_clean():
     assert r.failures == 0
 
 
+@pytest.mark.parametrize("seed", [5, 7])
+def test_orders_certifies_with_the_verdicts_slack(seed):
+    # pairs accepted at lambda_min(g - f) in [-eig_tol, 0) are not failures
+    r = orders_campaign((1,), 60, seed, ToleranceConfig(eig_tol=1e-3))
+    assert r.max_residual > 0
+    assert r.failures == 0
+
+
 def test_campaigns_replay_exactly():
     a = duality_campaign([2], 25, seed=9, tol=SMALL)
     b = duality_campaign([2], 25, seed=9, tol=SMALL)

@@ -189,6 +189,7 @@ class TestValidate:
             "parameter_list",
             "name_list",
             "parameter_overflow",
+            "label_list",
         ],
     )
     def test_malformed_document_is_semantic_error(self, runner, tmp_path, kind):
@@ -215,6 +216,8 @@ class TestValidate:
             text = json.dumps(named_program_doc("depolarizing", p=[0.5]))
         elif kind == "parameter_overflow":
             text = json.dumps(named_program_doc("depolarizing", p=10**400))
+        elif kind == "label_list":
+            text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), label=["a"]))
         else:
             text = json.dumps({"dim": 2, "repr": "named", "payload": {"name": ["depolarizing"], "p": 0.5}})
         path = tmp_path / "bad.json"

@@ -164,6 +164,13 @@ class TestProgramFormat:
         assert program_from_json({**doc, "label": "noise"}).label == "noise"
         assert program_from_json(doc).label == default
         assert program_from_json({**doc, "label": ""}).label == default
+        assert program_from_json({**doc, "label": None}).label == default
+
+    @pytest.mark.parametrize("label", [["a"], 7, 0, False, [], {}, 1.5])
+    def test_label_that_is_not_a_string_rejected(self, label):
+        doc = {**quarter_depolarizing_document("named"), "label": label}
+        with pytest.raises(ValidationError, match="program label must be a string"):
+            program_from_json(doc)
 
     @pytest.mark.parametrize("repr_kind", ["kraus", "super", "choi", "named"])
     def test_labelled_document_builds_one_program(self, repr_kind, monkeypatch):
