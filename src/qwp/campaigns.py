@@ -22,7 +22,6 @@ pair's candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +41,7 @@ from .linalg import (
     random_effect,
 )
 from .predicates import (
+    MAX_RANDOM_ATOMS,
     Predicate,
     _draw_predicate,
     _leq_refusals,
@@ -61,7 +61,9 @@ from .programs import (
     _unitarity_gaps,
     sample_program,
 )
-from .wp import _dominations, _duality_gaps, _pull_back, _traces, duality_residual, wp_compose_check
+from .wp import (
+    CERTIFYING_STATES, _dominations, _duality_gaps, _pull_back, _traces, duality_residual, wp_compose_check,
+)
 
 __all__ = [
     "CampaignResult",
@@ -256,7 +258,7 @@ def _weakest_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
     rng = _trial_rng(seed, dim, pair)
     prog = sample_program(_PROGRAM_KINDS[pair % len(_PROGRAM_KINDS)], dim, rng)
     pred = random_predicate(rng, dim)
-    margins, confirmed = _dominations(prog, pred, tol, int(rng.integers(2**31)), len(block), states_per_trial=50)
+    margins, confirmed = _dominations(prog, pred, tol, int(rng.integers(2**31)), len(block))
     return -margins, np.stack([margins < -tol.eig_tol, ~confirmed], axis=-1)
 
 
@@ -328,7 +330,7 @@ def compose_campaign(
     return _sweep("compose", _compose_block, _compose_trial, dims, trials, seed, tol or DEFAULT_TOL)
 
 
-def _orders_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig, states_per_pair: int) -> None:
+def _orders_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> None:
     """One trial's draws and checks through the scalar functions, which raise as the
     per-trial loop did; its certification and witness raise nothing on effects that pass."""
     rng = _trial_rng(seed, dim, trial)
@@ -340,10 +342,10 @@ def _orders_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig, states_
     else:
         f = random_predicate(rng, dim, n_atoms=len(g.space.atoms))
     if predicate_leq(f, g, tol):
-        random_densities(rng, states_per_pair, dim)
+        random_densities(rng, CERTIFYING_STATES, dim)
 
 
-def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig, states_per_pair: int):
+def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
     trials = np.arange(block.start, block.stop)
     rngs, g_draws, f_draws = [], [], []
     for trial in block:
@@ -381,7 +383,7 @@ def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig, state
     values, failed = [np.empty(0)], np.zeros(len(trials), dtype=bool)
     for (pos, f, g), leq in zip(pairs, verdicts):
         if leq.any():
-            normals = np.array([rngs[p].standard_normal((states_per_pair, 2, dim, dim)) for p in pos[leq]])
+            normals = np.array([rngs[p].standard_normal((CERTIFYING_STATES, 2, dim, dim)) for p in pos[leq]])
             rho = _densities(normals)
             lhs = _traces(rho[:, None] @ f[leq, :, None]).real
             rhs = _traces(rho[:, None] @ g[leq, :, None]).real
@@ -403,20 +405,20 @@ def orders_campaign(
     trials: int,
     seed: int,
     tol: ToleranceConfig | None = None,
-    states_per_pair: int = 50,
 ) -> CampaignResult:
     """Order-equivalence sweep over predicate pairs.
 
     Each pair is classified by predicate_leq. Positive pairs are certified
-    against sampled states, with the verdict's eig_tol slack plus
-    residual_tol for rounding; negative pairs must yield an eigenvector
-    witness state whose masses violate the order by more than eig_tol.
+    against CERTIFYING_STATES sampled states, with the verdict's eig_tol
+    slack plus residual_tol for rounding; negative pairs must yield an
+    eigenvector witness state whose masses violate the order by more than
+    eig_tol.
     """
-    block_values = partial(_orders_block, states_per_pair=states_per_pair)
-    trial_value = partial(_orders_trial, states_per_pair=states_per_pair)
-    # blocks sized for the (k, states, d, d) products of a trial, k ≤ 4 atoms
-    block_rows = partial(_block_size, per_row=4 * max(states_per_pair, 1))
-    return _sweep("orders", block_values, trial_value, dims, trials, seed, tol or DEFAULT_TOL, block_rows)
+    return _sweep(
+        "orders", _orders_block, _orders_trial, dims, trials, seed, tol or DEFAULT_TOL,
+        # blocks sized for the (k, states, d, d) products of a trial, k ≤ MAX_RANDOM_ATOMS
+        lambda dim: _block_size(dim, MAX_RANDOM_ATOMS * CERTIFYING_STATES),
+    )
 
 
 SUITES = {

@@ -119,12 +119,7 @@ def _common_options(fn):
         "--eig-tol", type=float, default=None, help="Eigenvalue slack for PSD tests."
     )(fn)
     fn = click.option(
-        "--seed",
-        type=int,
-        default=0,
-        envvar="QWP_SEED",
-        show_default=True,
-        help="Campaign seed (falls back to QWP_SEED).",
+        "--seed", type=int, default=0, show_default=True, help="Campaign seed."
     )(fn)
     return fn
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SpaceMismatchError
+from .errors import DimensionMismatchError, SpaceMismatchError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -43,6 +43,9 @@ __all__ = [
     "scaled_predicate",
     "random_predicate",
 ]
+
+# the most atoms random_predicate draws
+MAX_RANDOM_ATOMS = 4
 
 
 @dataclass(frozen=True)
@@ -224,6 +227,13 @@ def validate_predicate(p: Predicate, tol: ToleranceConfig | None = None) -> Vali
     return ValidationReport(ok=not violations, violations=tuple(violations), complete=complete)
 
 
+def _require_valid(p: Predicate, tol: ToleranceConfig) -> None:
+    """Refuse an invalid predicate, naming its violations."""
+    report = validate_predicate(p, tol)
+    if not report.ok:
+        raise ValidationError("invalid predicate: " + "; ".join(report.violations))
+
+
 def effect_of_set(p: Predicate, subset: Iterable[str]) -> np.ndarray:
     """Summed effect of a set of atoms; the empty set gives the zero matrix."""
     labels = list(subset)
@@ -271,10 +281,11 @@ def predicate_leq(f: Predicate, g: Predicate, tol: ToleranceConfig | None = None
 
 
 def sat(rho: DensityState, p: Predicate, tol: ToleranceConfig | None = None) -> SatMeasure:
-    """Per-atom masses Tr(rho F_a) plus the satisfaction flag."""
+    """Per-atom masses Tr(rho F_a) plus the satisfaction flag; invalid predicates are refused."""
     tol = tol or DEFAULT_TOL
     if rho.dim != p.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} vs predicate dim {p.dim}")
+    _require_valid(p, tol)
     weights = {
         a: float(np.trace(rho.matrix @ p.effect(a)).real) for a in p.space.atoms
     }
@@ -299,17 +310,12 @@ def chain_sup(chain: Sequence[Predicate], tol: ToleranceConfig | None = None) ->
     return chain[-1]
 
 
-def projective_predicate(dim: int, labels: Sequence[str] | None = None) -> Predicate:
-    """Complete projective predicate from the computational basis."""
-    if labels is None:
-        labels = tuple(str(i) for i in range(dim))
-    labels = tuple(labels)
-    if len(labels) != dim:
-        raise ValueError(f"need {dim} labels, got {len(labels)}")
+def projective_predicate(dim: int) -> Predicate:
+    """Complete projective predicate from the computational basis, atoms "0" to str(dim - 1)."""
     effects = np.zeros((dim, dim, dim), dtype=np.complex128)
     diag = np.arange(dim)
     effects[diag, diag, diag] = 1.0
-    return Predicate._from_stack(OutcomeSpace(labels), effects)
+    return Predicate._from_stack(OutcomeSpace(tuple(str(i) for i in range(dim))), effects)
 
 
 def scaled_predicate(p: Predicate, factor: float) -> Predicate:
@@ -324,7 +330,7 @@ def _draw_predicate(
 ) -> tuple[np.ndarray, float]:
     """The raw draws of one :func:`random_predicate`, in stream order: the atom
     count k (unless given), the normals (k, 2, dim, dim) and the shrink factor."""
-    k = int(n_atoms) if n_atoms is not None else int(rng.integers(2, 5))
+    k = int(n_atoms) if n_atoms is not None else int(rng.integers(2, MAX_RANDOM_ATOMS + 1))
     # one draw replays k pairs of (dim, dim) draws, real part then imaginary part
     z = rng.standard_normal((k, 2, dim, dim))
     return z, 1.0 if complete else float(rng.uniform(0.4, 1.0))

@@ -237,17 +237,17 @@ def from_unitary(u, label: str = "unitary", tol: ToleranceConfig | None = None) 
     return from_kraus([u], label=label)
 
 
-def from_super(super_matrix, dim: int | None = None, label: str = "super") -> QuantumProgram:
+def from_super(super_matrix, dim: int | None = None) -> QuantumProgram:
     """Wrap a raw superoperator; no trace-preservation or positivity check."""
     s = as_complex_matrix(super_matrix)
     n = s.shape[0]
     d = dim if dim is not None else int(round(np.sqrt(n)))
     if d * d != n:
         raise DimensionMismatchError(f"superoperator side {n} is not a perfect square of dim {d}")
-    return QuantumProgram(d, s, label=label)
+    return QuantumProgram(d, s, label="super")
 
 
-def from_choi(choi, label: str = "choi", tol: ToleranceConfig | None = None) -> QuantumProgram:
+def from_choi(choi, tol: ToleranceConfig | None = None) -> QuantumProgram:
     """Decode a Choi matrix into a program.
 
     Rejects Choi matrices whose output partial trace deviates from the
@@ -267,7 +267,7 @@ def from_choi(choi, label: str = "choi", tol: ToleranceConfig | None = None) -> 
             f"Choi output partial trace deviates from the identity by {dev:.3e}"
         )
     s = j4.transpose(2, 0, 3, 1).reshape(n, n)  # inverse of the to_choi permutation
-    return QuantumProgram(d, s, label=label)
+    return QuantumProgram(d, s, label="choi")
 
 
 def identity_program(dim: int) -> QuantumProgram:
@@ -530,14 +530,13 @@ def measure_branch(instrument, branches, tol: ToleranceConfig | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def random_cptp(rng: np.random.Generator, dim: int, kraus_count: int | None = None) -> QuantumProgram:
+def random_cptp(rng: np.random.Generator, dim: int) -> QuantumProgram:
     """Random CPTP program from a Haar isometry.
 
-    Draws a (kraus_count*dim) x dim isometry and slices it into a Kraus
-    family; completeness sum K†K = I holds by construction.
+    Draws a (dim*dim) x dim isometry and slices it into dim Kraus
+    operators; completeness sum K†K = I holds by construction.
     """
-    k = kraus_count if kraus_count is not None else dim
-    return from_kraus(random_isometry(rng, k * dim, dim).reshape(k, dim, dim), label="random_cptp")
+    return from_kraus(random_isometry(rng, dim * dim, dim).reshape(dim, dim, dim), label="random_cptp")
 
 
 _PROGRAM_KINDS = ("cptp", "unitary", "transpose", "transpose_mix")

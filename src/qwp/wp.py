@@ -32,7 +32,7 @@ from .linalg import (
     _psd_sqrts,
     random_densities,
 )
-from .predicates import OutcomeSpace, Predicate, _leq_refusals, validate_predicate
+from .predicates import OutcomeSpace, Predicate, _leq_refusals, _require_valid
 from .programs import (
     DensityState,
     QuantumProgram,
@@ -63,6 +63,8 @@ __all__ = [
 
 # states behind the duality-residual column of every verification report
 RESIDUAL_SAMPLE_STATES = 100
+# states that confirm a supremum-audit candidate or certify an orders pair
+CERTIFYING_STATES = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +141,7 @@ def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig | None = None) -> P
     tol = tol or DEFAULT_TOL
     if f.dim != c.dim:
         raise DimensionMismatchError(f"predicate dim {f.dim} vs program dim {c.dim}")
-    report = validate_predicate(f, tol)
-    if not report.ok:
-        raise ValidationError("invalid predicate: " + "; ".join(report.violations))
+    _require_valid(f, tol)
     return _transform(c, f, tol)
 
 
@@ -198,26 +198,23 @@ def duality_residual_sweep(
     f: Predicate,
     tol: ToleranceConfig | None = None,
     seed: int = 0,
-    states: int = RESIDUAL_SAMPLE_STATES,
 ) -> dict[str, float]:
-    """Per-atom max duality residual over seeded random states.
+    """Per-atom max duality residual over RESIDUAL_SAMPLE_STATES seeded random states.
 
     The states come from one generator seeded by (seed, 0x0D0A) and are drawn
     and checked in stacked blocks; each residual is the modulus of
     Tr(G_a rho) - Tr(F_a C(rho)) with the same rounding as a scalar abs().
     """
-    return _residual_sweep(c, f, wp(c, f, tol), seed, states)
+    return _residual_sweep(c, f, wp(c, f, tol), seed)
 
 
-def _residual_sweep(
-    c: QuantumProgram, f: Predicate, g: Predicate, seed: int, states: int = RESIDUAL_SAMPLE_STATES
-) -> dict[str, float]:
+def _residual_sweep(c: QuantumProgram, f: Predicate, g: Predicate, seed: int) -> dict[str, float]:
     """:func:`duality_residual_sweep` for g = wp(c, f), already computed."""
     worst = [0.0] * len(f.space.atoms)
     rng = np.random.default_rng([seed, 0x0D0A])
     block = _block_size(c.dim, len(worst))  # _duality_gaps makes (rows, k, d, d) products
-    for start in range(0, states, block):
-        rho = random_densities(rng, min(block, states - start), c.dim)
+    for start in range(0, RESIDUAL_SAMPLE_STATES, block):
+        rho = random_densities(rng, min(block, RESIDUAL_SAMPLE_STATES - start), c.dim)
         gaps = _duality_gaps(g.effects, f.effects, rho, apply_matrices(c, rho)).max(axis=0)
         worst = [max(w, x) for w, x in zip(worst, gaps.tolist())]
     return dict(zip(f.space.atoms, worst))
@@ -298,22 +295,22 @@ def weakest_check(
     f: Predicate,
     tol: ToleranceConfig | None = None,
     seed: int = 0,
-    states_per_trial: int = 50,
 ) -> WeakestCheckReport:
     """Sampled supremum audit for the transformer.
 
     Draws sample_count candidate predicates guaranteed below wp(c, f) by
     sandwich shrinkage G_a = S^{1/2} W S^{1/2} (S the transformed effect, W a
     random effect), confirms each candidate is a genuine precondition through
-    the duality-side inequality Tr(G_a rho) <= Tr(F_a C(rho)) on sampled
-    states, then confirms it is dominated by wp(c, f). Every trial seeds its
-    own generator from (seed, trial) and draws one W per atom (the normals
-    of its eigenbasis, then its eigenvalues), then all of its states, so
-    results are schedule-independent. Trials are shaped and checked in
+    the duality-side inequality Tr(G_a rho) <= Tr(F_a C(rho)) on
+    CERTIFYING_STATES sampled states, then confirms it is dominated by
+    wp(c, f). Every trial seeds its own generator from (seed, trial) and
+    draws one W per atom (the normals of its eigenbasis, then its
+    eigenvalues), then all of its states, so results are
+    schedule-independent. Trials are shaped and checked in
     stacked blocks of at most STACK_BYTES per stack of states or of traces.
     """
     tol = tol or DEFAULT_TOL
-    margins, confirmed = _dominations(c, f, tol, seed, tol.sample_count, states_per_trial)
+    margins, confirmed = _dominations(c, f, tol, seed, tol.sample_count)
     dominated = int(np.count_nonzero(margins >= -tol.eig_tol))
     return WeakestCheckReport(
         trials=tol.sample_count,
@@ -326,7 +323,7 @@ def weakest_check(
 
 
 def _dominations(
-    c: QuantumProgram, f: Predicate, tol: ToleranceConfig, seed: int, n: int, states_per_trial: int
+    c: QuantumProgram, f: Predicate, tol: ToleranceConfig, seed: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The n candidates of :func:`weakest_check`: each one's least margin λ_min(wp_a - G_a)
     over atoms, shape (n,), and whether its states confirm it a precondition, shape (n,).
@@ -345,11 +342,11 @@ def _dominations(
 
     margins = np.empty(n)
     confirmed = np.empty(n, dtype=bool)
-    k, dd = len(atoms), d * d
+    k, dd, s = len(atoms), d * d, CERTIFYING_STATES
     # Tr(F_a X) is the dot product of F_a's C-ordered entries with vec(X)
     posts = f.effects.reshape(k, dd).T
     # a block holds each trial's states, its candidates and its (states, atoms) traces
-    block = _block_size(d, max(states_per_trial, k, -(-states_per_trial * k // dd)))
+    block = _block_size(d, max(s, k, -(-s * k // dd)))
     for start in range(0, n, block):
         stop = min(start + block, n)
         m = stop - start
@@ -359,16 +356,16 @@ def _dominations(
             for _ in atoms:
                 normals.append(rng.standard_normal((2, d, d)))
                 spectra.append(rng.uniform(0.0, 1.0, size=d))
-            states.append(rng.standard_normal((states_per_trial, 2, d, d)))
+            states.append(rng.standard_normal((s, 2, d, d)))
         shrinks = _haar_spectral(np.array(normals), np.array(spectra)).reshape(m, k, d, d)
         cands = roots @ shrinks @ roots  # (trials, atoms, d, d)
         _require_finite_hermitian(cands, tol)
         rows = vec(_densities(np.array(states).reshape(-1, 2, d, d)))  # (trials·states, d²)
 
         # Tr(F_a C(rho)) with the program run forward, never through wp's adjoint
-        rhs = ((rows @ c.super.T) @ posts).real.reshape(m, states_per_trial, k)
+        rhs = ((rows @ c.super.T) @ posts).real.reshape(m, s, k)
         # Tr(G_a rho), one (states, d²) by (d², atoms) product a trial
-        lhs = (rows.reshape(m, states_per_trial, dd) @ cands.reshape(m, k, dd).swapaxes(-1, -2)).real
+        lhs = (rows.reshape(m, s, dd) @ cands.reshape(m, k, dd).swapaxes(-1, -2)).real
         confirmed[start:stop] = ~(lhs > rhs + tol.residual_tol).any(axis=(1, 2))
         margins[start:stop] = _eigvalsh(bounds - cands).min(axis=(-2, -1))  # over atoms and eigenvalues
     return margins, confirmed
@@ -389,9 +386,7 @@ def wp_compose_check(
     tol = tol or DEFAULT_TOL
     left = wp(seq(c1, c2), f, tol)
     right = wp(c1, _transform(c2, f, tol), tol)
-    return max(
-        float(np.abs(left.effect(a) - right.effect(a)).max()) for a in f.space.atoms
-    )
+    return float(np.abs(left.effects - right.effects).max())
 
 
 def dp_reduction(

@@ -77,7 +77,7 @@ def test_criterion_02_membership_and_majorization():
     tol = ToleranceConfig(sample_count=1000)
     c = random_cptp(np.random.default_rng(SEED + 1), 2)
     f = random_predicate(np.random.default_rng(SEED + 2), 2, n_atoms=2)
-    audit = weakest_check(c, f, tol, seed=SEED, states_per_trial=50)
+    audit = weakest_check(c, f, tol, seed=SEED)
 
     # 100 adversarial bumps must be rejected with valid witnesses
     transformed = wp(c, f)

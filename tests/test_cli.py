@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import qwp
 from qwp.cli import main
-from qwp.predicates import projective_predicate
+from qwp.predicates import OutcomeSpace, Predicate, projective_predicate
 from qwp.programs import DensityState, amplitude_damping, depolarizing, from_super
 from qwp.serialize import (
     matrix_to_json,
@@ -352,7 +352,7 @@ class TestVerifyCommand:
         assert witness["rhs"] == pytest.approx(0.0, abs=1e-9)
 
     def test_mismatched_spaces(self, runner, tmp_path):
-        other = predicate_to_json(projective_predicate(2, labels=("p", "q")))
+        other = predicate_to_json(Predicate(OutcomeSpace(("p", "q")), projective_predicate(2).effects))
         doc = self.triple_doc(z_predicate_doc(), named_program_doc("identity"), other)
         path = write(tmp_path / "t.json", doc)
         result = runner.invoke(main, ["verify", path])
@@ -378,6 +378,16 @@ class TestSatCommand:
         pred = write(tmp_path / "f.json", z_predicate_doc())
         result = runner.invoke(main, ["sat", state, pred])
         assert result.exit_code == 2
+
+    def test_invalid_predicate_exits_2(self, runner, tmp_path):
+        state = write(tmp_path / "rho.json", state_to_json(DensityState(np.eye(2) / 2)))
+        pred = write(tmp_path / "f.json", {"atoms": ["0"], "effects": {"0": matrix_to_json(np.diag([1.5, -0.5]))}})
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["sat", state, pred, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == "" and not out.exists()
+        assert result.stderr.startswith("invalid predicate: effect '0' is not PSD")
+        assert "total effect exceeds the identity" in result.stderr
 
 
 class TestPropertiesCommand:
@@ -412,14 +422,6 @@ class TestPropertiesCommand:
             )
 
         assert strip_timestamp(first) == strip_timestamp(second)
-
-    def test_seed_env_fallback(self, runner, monkeypatch):
-        monkeypatch.setenv("QWP_SEED", "77")
-        result = runner.invoke(
-            main, ["properties", "compose", "--dims", "2", "--samples", "5"]
-        )
-        assert result.exit_code == 0
-        assert json.loads(result.stdout)["seed"] == 77
 
     def test_failing_campaign_exits_3(self, runner, monkeypatch):
         from qwp.campaigns import CampaignResult

@@ -1,9 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from qwp.errors import DimensionMismatchError, SpaceMismatchError
+from qwp.errors import DimensionMismatchError, SpaceMismatchError, ValidationError
 from qwp.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -24,7 +25,7 @@ from qwp.predicates import (
     scaled_predicate,
     validate_predicate,
 )
-from qwp.programs import DensityState, amplitude_damping
+from qwp.programs import DensityState, amplitude_damping, identity_program
 from qwp.wp import wp
 
 
@@ -191,7 +192,7 @@ class TestOrders:
 
     def test_space_mismatch(self):
         f = projective_predicate(2)
-        g = projective_predicate(2, labels=("p", "q"))
+        g = Predicate(OutcomeSpace(("p", "q")), projective_predicate(2).effects)
         with pytest.raises(SpaceMismatchError):
             predicate_leq(f, g)
 
@@ -279,6 +280,18 @@ class TestSat:
         rho = DensityState(np.eye(3) / 3.0)
         with pytest.raises(DimensionMismatchError):
             sat(rho, projective_predicate(2))
+
+    def test_invalid_predicate_refused_as_wp_refuses_it(self):
+        # a negative eigenvalue and a total above the identity, whose masses on I/2 look satisfied
+        p = Predicate(OutcomeSpace(("0",)), [np.diag([1.5, -0.5])])
+        rho = DensityState(np.eye(2) / 2.0)
+        with pytest.raises(ValidationError) as refused:
+            sat(rho, p)
+        message = str(refused.value)
+        assert message.startswith("invalid predicate: ")
+        assert "effect '0' is not PSD" in message and "total effect exceeds the identity" in message
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            wp(identity_program(2), p)
 
 
 class TestChainSup:

@@ -39,6 +39,7 @@ from qwp.linalg import (
     random_unitary,
 )
 from qwp.predicates import (
+    MAX_RANDOM_ATOMS,
     OutcomeSpace,
     Predicate,
     ValidationReport,
@@ -69,6 +70,7 @@ from qwp.programs import (
     vec,
 )
 from qwp.wp import (
+    CERTIFYING_STATES,
     WeakestCheckReport,
     duality_residual,
     duality_residual_sweep,
@@ -601,16 +603,18 @@ class TestDualitySweepOracle:
 
     def test_blocks_replay_one_stream(self, monkeypatch):
         c, f = problem("transpose_mix", 4, 43)
-        want = duality_residual_sweep_oracle(c, f, seed=3, states=50)
+        want = duality_residual_sweep_oracle(c, f, seed=3)
         monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 7 * 4 * 4 * 16)
-        assert duality_residual_sweep(c, f, seed=3, states=50) == want
+        assert duality_residual_sweep(c, f, seed=3) == want
 
     def test_products_of_many_atoms_stay_under_the_bound(self, monkeypatch):
         # 16 atoms at d = 16: a block sized for one d×d matrix a state would
-        # make (rows, 16, d, d) products of twice STACK_BYTES
+        # make (100, 16, d, d) products of 1.5 times the cap
         c = sample_program("cptp", 16, 47)
         f = projective_predicate(16)
-        want = duality_residual_sweep_oracle(c, f, seed=8, states=500)
+        want = duality_residual_sweep_oracle(c, f, seed=8)
+        cap = STACK_BYTES // 4
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", cap)
         sizes = []
         gaps = qwp_wp._duality_gaps
 
@@ -619,8 +623,8 @@ class TestDualitySweepOracle:
             return gaps(g, f, rho, out)
 
         monkeypatch.setattr(qwp_wp, "_duality_gaps", recorded)
-        assert duality_residual_sweep(c, f, seed=8, states=500) == want
-        assert len(sizes) > 1 and max(sizes) <= STACK_BYTES
+        assert duality_residual_sweep(c, f, seed=8) == want
+        assert len(sizes) > 1 and max(sizes) <= cap
 
 
 class TestDualityResidualBits:
@@ -1071,13 +1075,12 @@ class TestSamplerOracle:
                 assert_same_bits(k, want_k)
             assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
 
-    @pytest.mark.parametrize("count", [1, 2, 5])
-    def test_random_cptp(self, count):
+    def test_random_cptp(self):
         for dim in DIMS:
-            got = random_cptp(np.random.default_rng([dim, count]), dim, count)
-            want = random_cptp_oracle(np.random.default_rng([dim, count]), dim, count)
+            got = random_cptp(np.random.default_rng(dim), dim)
+            want = random_cptp_oracle(np.random.default_rng(dim), dim)
             assert_same_bits(got.super, want.super)
-            assert len(got.kraus) == count
+            assert len(got.kraus) == dim
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_stacked_effects_match_the_per_atom_draws(self, dim):
@@ -1184,6 +1187,11 @@ class TestCampaignOracle:
             ("ValueError", "loewner_leq requires hermitian operands"),
         }
 
+    def test_random_predicates_draw_at_most_the_named_atom_count(self):
+        # the orders blocks are sized for MAX_RANDOM_ATOMS atoms a predicate
+        counts = {len(random_predicate(np.random.default_rng(seed), 2).space) for seed in range(300)}
+        assert counts == set(range(2, MAX_RANDOM_ATOMS + 1))
+
     def test_orders_stacks_stay_under_the_cap(self, monkeypatch):
         sizes, blocks = [], []
         densities, traces, block_values = qwp_campaigns._densities, qwp_campaigns._traces, qwp_campaigns._orders_block
@@ -1197,19 +1205,21 @@ class TestCampaignOracle:
             sizes.append(stack.nbytes)
             return traces(stack)
 
-        def recording_block(seed, dim, block, tol, states_per_pair):
+        def recording_block(seed, dim, block, tol):
             blocks.append(len(block))
-            return block_values(seed, dim, block, tol, states_per_pair)
+            return block_values(seed, dim, block, tol)
 
-        want = orders_campaign_oracle((6,), 40, 9, states_per_pair=400)
+        want = orders_campaign_oracle((6,), 40, 9)
+        cap = STACK_BYTES // 8
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", cap)
         monkeypatch.setattr(qwp_campaigns, "_densities", recording_densities)
         monkeypatch.setattr(qwp_campaigns, "_traces", recording_traces)
         monkeypatch.setattr(qwp_campaigns, "_orders_block", recording_block)
-        assert_same_result(orders_campaign((6,), 40, 9, states_per_pair=400), want)
-        # blocks that would hold the (trials, 4, 400, 6, 6) products of four atoms under the cap
-        assert blocks == [18, 18, 4]
-        assert 18 * 4 * 400 * 6 * 6 * 16 <= STACK_BYTES
-        assert sizes and max(sizes) <= STACK_BYTES
+        assert_same_result(orders_campaign((6,), 40, 9), want)
+        # blocks hold the (trials, k, states, 6, 6) products of the most atoms drawn, under the cap
+        rows = cap // (16 * MAX_RANDOM_ATOMS * CERTIFYING_STATES * 6 * 6)
+        assert rows == 18 and blocks == [rows, rows, 40 - 2 * rows]
+        assert sizes and max(sizes) <= cap
 
     def test_an_order_that_stops_before_a_non_hermitian_atom(self):
         # trial 7 of dim 2, seed 3: atom a0 of f is not below g's, so
@@ -1262,9 +1272,9 @@ class TestCampaignOracle:
         counts = []
         dominations = qwp_campaigns._dominations
 
-        def recording(c, f, tol, seed, n, states_per_trial):
+        def recording(c, f, tol, seed, n):
             counts.append(n)
-            return dominations(c, f, tol, seed, n, states_per_trial)
+            return dominations(c, f, tol, seed, n)
 
         want = weakest_campaign_oracle((2, 3), 260, 7)
         monkeypatch.setattr(qwp_campaigns, "_dominations", recording)

@@ -48,6 +48,7 @@ from qwp.wp import (
 
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
+qwp_predicates = importlib.import_module("qwp.predicates")
 qwp_linalg = importlib.import_module("qwp.linalg")
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -214,7 +215,7 @@ class TestIsPrecondition:
     def test_space_mismatch(self):
         c = identity_program(2)
         f = projective_predicate(2)
-        g = projective_predicate(2, labels=("p", "q"))
+        g = Predicate(OutcomeSpace(("p", "q")), projective_predicate(2).effects)
         with pytest.raises(SpaceMismatchError):
             is_precondition(g, c, f)
 
@@ -297,7 +298,7 @@ class TestVerifyTriple:
             HoareTriple(
                 projective_predicate(2),
                 identity_program(2),
-                projective_predicate(2, labels=("p", "q")),
+                Predicate(OutcomeSpace(("p", "q")), projective_predicate(2).effects),
             )
 
     def test_malformed_triple_dim(self):
@@ -311,7 +312,7 @@ class TestWeakestCheck:
         rng = np.random.default_rng(127)
         c = random_cptp(rng, 2)
         f = random_predicate(rng, 2, n_atoms=2)
-        report = weakest_check(c, f, tol, seed=11, states_per_trial=20)
+        report = weakest_check(c, f, tol, seed=11)
         assert report.trials == 60
         assert report.all_dominated
         assert report.dominated == 60
@@ -322,7 +323,7 @@ class TestWeakestCheck:
         tol = ToleranceConfig(sample_count=40)
         c = sample_program("transpose_mix", 2, 131)
         f = random_predicate(np.random.default_rng(131), 2, n_atoms=2)
-        report = weakest_check(c, f, tol, seed=5, states_per_trial=10)
+        report = weakest_check(c, f, tol, seed=5)
         assert report.all_dominated
         assert report.confirmed_preconditions == 40
 
@@ -416,7 +417,7 @@ class TestOnePullBack:
         assert conj is tested and not np.shares_memory(conj, self.c1.super)
 
     def test_compose_check_validates_f_and_the_intermediate_once(self, monkeypatch):
-        checked = recorded_calls(monkeypatch, qwp_wp, "validate_predicate")
+        checked = recorded_calls(monkeypatch, qwp_predicates, "validate_predicate")
         wp_compose_check(self.c1, self.c2, self.f)
         assert len(checked) == 2 and checked[0][0] is self.f
         assert checked[1][0] is not self.f
