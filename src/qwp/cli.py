@@ -23,7 +23,7 @@ import click
 from .campaigns import run_suite
 from .errors import DimensionMismatchError, QwpError
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .predicates import is_complete, sat as sat_measure, validate_predicate
+from .predicates import _require_valid, is_complete, sat as sat_measure, validate_predicate
 from .programs import is_positive_sampled, is_trace_preserving
 from .serialize import (
     campaign_result_to_json,
@@ -263,6 +263,8 @@ def verify(triple_path, out, seed, eig_tol, residual_tol, samples) -> None:
     obj = _load(triple_path)
     try:
         triple = triple_from_json(obj, tol)
+        # the library's is_precondition judges any candidate; a document's pre must be valid
+        _require_valid(triple.pre, tol)
         result = verify_triple(triple, tol, seed=seed)
     except _SEMANTIC_ERRORS as exc:
         _die(2, str(exc))

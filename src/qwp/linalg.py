@@ -16,6 +16,7 @@ from .errors import DecompositionError, DimensionMismatchError
 
 __all__ = [
     "STACK_BYTES",
+    "ROW_BLOCK_BYTES",
     "ToleranceConfig",
     "DEFAULT_TOL",
     "as_complex_matrix",
@@ -72,6 +73,17 @@ STACK_BYTES = 1 << 24
 def _block_size(dim: int, per_row: int = 1) -> int:
     """Rows per block so that per_row complex d×d matrices a row fit in STACK_BYTES; at least one."""
     return max(1, STACK_BYTES // (16 * per_row * dim * dim))
+
+
+# cap on the bytes of one block of superoperator rows that a stack of
+# operators passes through at once: a block that fits in L2 is read from
+# memory once a stack, not once an operator
+ROW_BLOCK_BYTES = 1 << 20
+
+
+def _row_block_size(dim: int) -> int:
+    """Rows of a d²×d² complex superoperator a block so that a block fits in ROW_BLOCK_BYTES; at least two."""
+    return max(2, ROW_BLOCK_BYTES // (16 * dim * dim))
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -34,6 +34,7 @@ from .linalg import (
     _eigvalsh,
     _haar_isometries,
     _hermiticity_gaps,
+    _row_block_size,
     as_complex_matrix,
     is_psd,
     random_isometry,
@@ -325,8 +326,24 @@ def _act(supers: np.ndarray, ms: np.ndarray) -> np.ndarray:
     Each vectorized operator is multiplied as a one-column matrix, which keeps
     the per-operator rounding of a matrix-vector product; that rounding also
     depends on each superoperator's memory layout.
+
+    A superoperator larger than ROW_BLOCK_BYTES whose rows are contiguous is
+    multiplied one block of rows at a time, so that a block stays in cache
+    while every operator of the stack passes through it. Each output entry is
+    then still one row's dot product, with the same bits. Two exceptions keep
+    the bits: no block has a single row (numpy sends a 1×n by n×1 product to a
+    dot kernel, so a one-row tail joins the block before it), and a
+    superoperator stored by columns, such as an adjoint, is one product (its
+    kernel walks the columns, and a row block changes how it splits the rows).
     """
-    return unvec((supers @ vec(ms)[..., None])[..., 0])
+    v = vec(ms)[..., None]
+    n = v.shape[-2]
+    rows = _row_block_size(math.isqrt(n))
+    if rows >= n or supers.strides[-1] != supers.itemsize:
+        return unvec((supers @ v)[..., 0])
+    starts = range(0, n - 1, rows)  # none on the last row
+    products = [supers[..., a:b, :] @ v for a, b in zip(starts, [*starts[1:], n])]
+    return unvec(np.concatenate(products, axis=-2)[..., 0])
 
 
 def apply_matrix(c: QuantumProgram, m) -> np.ndarray:

@@ -162,7 +162,9 @@ def _pull_back(conjs: np.ndarray, effects: np.ndarray) -> tuple[np.ndarray, np.n
     the C-ordered outputs and the mask (...) of those with a non-finite entry.
 
     The adjoint acts as the view ``conjs.swapaxes(-1, -2)``, the layout
-    :func:`adjoint` stores: a C-ordered copy would change the rounding.
+    :func:`adjoint` stores: a C-ordered copy would change the rounding. The
+    view is stored by columns, so :func:`_act` multiplies it in one product,
+    not by row blocks, which ran slower on it and rounded differently.
     """
     out = np.ascontiguousarray(_act(conjs.swapaxes(-1, -2)[..., None, :, :], effects))
     return out, ~np.isfinite(out).all(axis=(-3, -2, -1))

@@ -358,6 +358,17 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", path])
         assert result.exit_code == 2
 
+    def test_invalid_pre_exits_2(self, runner, tmp_path):
+        # diag(0.5, -0.5) sits below wp = I, so only the validity check refuses it
+        pre = {"atoms": ["0"], "effects": {"0": matrix_to_json(np.diag([0.5, -0.5]))}}
+        post = {"atoms": ["0"], "effects": {"0": matrix_to_json(np.eye(2))}}
+        doc = self.triple_doc(pre, named_program_doc("depolarizing", p=0.5), post)
+        path = write(tmp_path / "t.json", doc)
+        result = runner.invoke(main, ["verify", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("invalid predicate: effect '0' is not PSD")
+
 
 class TestSatCommand:
     def test_maximally_mixed(self, runner, tmp_path):

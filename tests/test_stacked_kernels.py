@@ -594,9 +594,78 @@ class TestWeakestCheckOracle:
         assert rows == [10 * 50] * 3
 
 
+def gaussian_super(rng, dim):
+    """A complex Gaussian d²×d² matrix: the action's bits need no valid program."""
+    n = dim * dim
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def action_oracle(s, ms):
+    """Each operator of a stack (t, d, d) through the superoperator s, one matrix-vector product a state."""
+    return np.array([unvec((s @ vec(m)[:, None])[:, 0]) for m in ms])
+
+
+# d ≤ 16 is one product; d = 25 ends in a one-row tail at the default block size
+ACTION_DIMS = (2, 16, 17, 23, 25, 31, 32, 33)
+ACTION_COUNTS = (1, 2, 3, 37, 100)
+
+
+class TestActionOracle:
+    """The row-blocked program action against one matrix-vector product a state."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("count", ACTION_COUNTS)
+    @pytest.mark.parametrize("dim", ACTION_DIMS)
+    def test_apply_matrices(self, dim, count, layout):
+        rng = np.random.default_rng([dim, count, 97])
+        c = from_super(np.asarray(gaussian_super(rng, dim), order=layout))
+        assert c.super.flags[f"{layout}_CONTIGUOUS"]
+        ms = random_densities(rng, count, dim)
+        assert_same_bits(apply_matrices(c, ms), action_oracle(c.super, ms))
+
+    @pytest.mark.parametrize("dim", ACTION_DIMS)
+    def test_apply_matrix(self, dim):
+        rng = np.random.default_rng([dim, 98])
+        c = from_super(gaussian_super(rng, dim))
+        m = random_densities(rng, 1, dim)
+        assert_same_bits(apply_matrix(c, m[0]), action_oracle(c.super, m)[0])
+
+    @pytest.mark.parametrize("count", ACTION_COUNTS)
+    @pytest.mark.parametrize("dim", ACTION_DIMS)
+    def test_campaign_form(self, dim, count):
+        # a superoperator a trial; beyond three trials they share one broadcast
+        # superoperator, as the transpose kind's do, to keep the stack small
+        rng = np.random.default_rng([dim, count, 99])
+        if count <= 3:
+            supers = np.array([gaussian_super(rng, dim) for _ in range(count)])
+        else:
+            supers = np.broadcast_to(gaussian_super(rng, dim), (count,) + (dim * dim,) * 2)
+        rho = random_densities(rng, count, dim)
+        want = np.array([action_oracle(s, m[None])[0] for s, m in zip(supers, rho)])
+        assert_same_bits(qwp_programs._act(supers, rho), want)
+
+    @pytest.mark.parametrize("dim, rows", [(17, 72), (23, 66), (31, 64), (33, 64)])
+    def test_a_one_row_tail_joins_the_block_before_it(self, dim, rows, monkeypatch):
+        # a 1×n by n×1 product goes to a dot kernel, which rounds the last row differently
+        assert (dim * dim) % rows == 1
+        monkeypatch.setattr(qwp_linalg, "ROW_BLOCK_BYTES", rows * 16 * dim * dim)
+        assert qwp_linalg._row_block_size(dim) == rows
+        rng = np.random.default_rng([dim, 101])
+        c = from_super(gaussian_super(rng, dim))
+        ms = random_densities(rng, 3, dim)
+        assert_same_bits(apply_matrices(c, ms), action_oracle(c.super, ms))
+
+    def test_block_rule(self):
+        # a superoperator of at most ROW_BLOCK_BYTES (d ≤ 16) is one product
+        assert [qwp_linalg._row_block_size(d) >= d * d for d in (2, 8, 16, 17, 32)] == [True] * 3 + [False] * 2
+        assert qwp_linalg._row_block_size(32) == 64
+        # never one row a block, however large the superoperator
+        assert qwp_linalg._row_block_size(300) == 2
+
+
 class TestDualitySweepOracle:
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [2, 5, 16])
+    @pytest.mark.parametrize("dim", [2, 5, 16, 17, 32])
     def test_matches_the_loop_exactly(self, kind, dim):
         c, f = problem(kind, dim, 41)
         assert duality_residual_sweep(c, f, seed=6) == duality_residual_sweep_oracle(c, f, seed=6)
@@ -812,7 +881,7 @@ class TestValidatePredicateOracle:
 class TestWpOracle:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("dim", DIMS + (17, 32))
     def test_matches_the_per_atom_loop(self, dim, n_atoms, kind):
         rng = np.random.default_rng([dim, n_atoms, 73])
         c = sample_program(kind, dim, rng)
