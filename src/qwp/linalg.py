@@ -7,7 +7,6 @@ that carries it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,18 +110,22 @@ def _conj_transpose(a: np.ndarray) -> np.ndarray:
 def _hermitian_part(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray:
     """(a + aᴴ) / 2 for a stack (..., d, d), finite for every finite a; ah is aᴴ if known.
 
-    Halving each operand first keeps the sum from overflowing. Halving a
-    double is exact outside the subnormal range, and dividing by 1.0 gives
-    each zero the sign that complex division by 2 gives it, so the result
-    has the bits of (a + aᴴ) / 2 wherever that sum is finite and normal.
+    The result is computed in the buffer of ah, which is overwritten, so a
+    caller that passes ah must not read it again. Halving each operand first
+    keeps the sum from overflowing. Halving a double is exact outside the
+    subnormal range, and dividing by 1.0 gives each zero the sign that
+    complex division by 2 gives it, so the result has the bits of
+    (a + aᴴ) / 2 wherever that sum is finite and normal. The real and
+    imaginary parts of a are read as strided views, so a of any layout is
+    never copied.
     """
     if ah is None:
         ah = _conj_transpose(a)
-    h = np.multiply(np.ascontiguousarray(a).view(np.float64), 0.5)
-    h += np.multiply(ah.view(np.float64), 0.5)
-    h = h.view(np.complex128)
-    h /= 1.0
-    return h
+    for part, other in ((ah.real, a.real), (ah.imag, a.imag)):
+        part *= 0.5
+        part += np.multiply(other, 0.5)
+    ah /= 1.0
+    return ah
 
 
 def _hermiticity_gaps(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray:
@@ -151,9 +154,10 @@ def is_hermitian(a, tol: ToleranceConfig | None = None) -> bool:
     return float(_hermiticity_gaps(as_complex_matrix(a))) <= tol.residual_tol
 
 
-# Band of the Cholesky verdicts in is_psd. Let h be the hermitian part of
-# the n×n input, t = eig_tol, u = 2⁻⁵³ the unit roundoff, and
-# μ = Σ|h_ii| + ‖h‖_F + 2nt, which bounds the trace of h + sI for |s| ≤ 2t.
+# Band of the Cholesky verdicts in _psd_flags. Let h be the hermitian part
+# of one n×n matrix of the stack, t = eig_tol, u = 2⁻⁵³ the unit roundoff,
+# and μ = Σ|h_ii| + ‖h‖_F + 2nt, which bounds the trace of h + sI for
+# |s| ≤ 2t; μ, and so δ below, is taken per matrix.
 # * Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 #   Thm 10.3; complex arithmetic at most doubles the constant, §3.6): when it
 #   runs to completion on M, RᴴR = M + ΔM with |ΔM| ≤ 2γ_{n+1}|Rᴴ||R|, so
@@ -168,50 +172,93 @@ def is_hermitian(a, tol: ToleranceConfig | None = None) -> bool:
 # λ_min(h) ≥ −t + δ − (2n + 5)uμ, so eigvalsh reads at least
 # −t + δ − (3n + 7)uμ ≥ −t: PSD on both routes. If eigvalsh reads at least
 # −t, then λ_min(h + (t + δ)I) ≥ δ − (n + 3)uμ, above the failure bound, so
-# failure at s = t + δ means not PSD on both routes. Only when neither
-# factorization decides, or δ ≥ t, does is_psd run eigvalsh.
+# failure at s = t + δ means not PSD on both routes.
+# * A leading m×m block B of M = h + (t + δ)I has λ_min(B) ≥ λ_min(M) by
+#   Cauchy interlacing, and its own μ and failure bound 2(m + 2)uμ are at
+#   most those of M. So if eigvalsh reads at least −t, B sits above its
+#   failure bound too: failure on any leading block of M also means not PSD.
+# A stack is decided by one batched factorization at s = t − δ_k: when
+# every matrix succeeds, each is PSD. A batched failure does not say which
+# matrix failed, so only a single matrix goes on to the leading-block and
+# full factorizations at t + δ. eigvalsh runs only on a stack that the
+# factorizations leave undecided, or where some δ_k ≥ t.
 _PSD_BAND_C = 8.0
 
 
-def _psd_band(h: np.ndarray, eig_tol: float) -> float:
-    """δ = c(n + 2)uμ for the hermitian n×n matrix h (derivation above); inf when μ overflows."""
-    n = h.shape[0]
-    with np.errstate(over="ignore"):
-        mu = float(np.abs(h.diagonal().real).sum()) + math.sqrt(np.vdot(h, h).real) + 2 * n * eig_tol
+def _psd_band(h: np.ndarray, eig_tol: float) -> np.ndarray:
+    """δ = c(n + 2)uμ of each hermitian n×n matrix in a stack (..., n, n) (derivation above); inf when μ overflows."""
+    n = h.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius_sq = np.einsum("...ij,...ij->...", h.real, h.real) + np.einsum("...ij,...ij->...", h.imag, h.imag)
+        mu = np.abs(np.einsum("...ii->...i", h).real).sum(axis=-1) + np.sqrt(frobenius_sq) + 2 * n * eig_tol
     return _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * mu
 
 
-def _cholesky_succeeds(h: np.ndarray, diagonal: np.ndarray) -> bool:
-    """Whether Cholesky succeeds on h with its diagonal set to ``diagonal`` (h is overwritten)."""
-    h.flat[:: h.shape[0] + 1] = diagonal
+def _cholesky_succeeds(m: np.ndarray) -> bool:
+    """Whether Cholesky runs to completion on every matrix of the stack m (..., n, n)."""
     try:
-        np.linalg.cholesky(h)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
+def _cholesky_verdict(h: np.ndarray, eig_tol: float) -> bool | None:
+    """True when Cholesky proves every matrix of the hermitian stack h (k, n, n) PSD,
+    False when it proves a single matrix not PSD, None when it leaves the stack
+    undecided (derivation above); the diagonal of h is overwritten."""
+    delta = _psd_band(h, eig_tol)
+    if not (delta < eig_tol).all():
+        return None
+    diagonal = np.einsum("...ii->...i", h)
+    below = diagonal + (eig_tol - delta)[:, None]
+    above = diagonal + (eig_tol + delta)[:, None]
+    single = len(h) == 1
+    if single:
+        # failure on a leading block of h + (t + δ)I costs a fraction of a full factorization
+        diagonal[...] = above
+        n = h.shape[-1]
+        if any(m and not _cholesky_succeeds(h[:, :m, :m]) for m in (n // 16, n // 4)):
+            return False
+    diagonal[...] = below
+    if _cholesky_succeeds(h):
+        return True
+    if single:
+        diagonal[...] = above
+        if not _cholesky_succeeds(h):
+            return False
+    return None
+
+
+def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Whether each matrix of a finite stack (k, n, n) is hermitian within residual_tol with eigenvalues ≥ -eig_tol.
+
+    The verdict of a hermiticity gap and an eigvalsh of each matrix, decided
+    by Cholesky factorizations where the band above allows, and by eigvalsh
+    only for a stack they leave undecided; both routes give the same flags.
+    """
+    ah = _conj_transpose(a)
+    flags = _hermiticity_gaps(a, ah) <= tol.residual_tol
+    if not flags.any():
+        return flags
+    # h takes the buffer of ah, and is dropped before any eigensolve
+    verdict = _cholesky_verdict(_hermitian_part(a, ah), tol.eig_tol)
+    del ah
+    if verdict is None:
+        return flags & (_eigvalsh(a)[:, 0] >= -tol.eig_tol)
+    return flags & verdict
+
+
 def is_psd(a, tol: ToleranceConfig | None = None) -> bool:
     """True when hermitian and all eigenvalues are at least -eig_tol.
 
-    Decided by Cholesky factorizations at the shifts eig_tol ∓ δ, with the
-    eigenvalue test only for an input they leave undecided; both routes give
-    the same verdict (see the derivation of δ above).
+    The one-matrix case of the stacked PSD kernel: a large matrix that fails
+    on its leading n/16 or n/4 rows is refused there; otherwise Cholesky
+    factorizations at the shifts eig_tol ∓ δ decide, with the eigenvalue
+    test only for an input they leave undecided. Every route gives the same
+    verdict (see the derivation of δ above).
     """
-    tol = tol or DEFAULT_TOL
-    a = as_complex_matrix(a)
-    ah = _conj_transpose(a)
-    if float(_hermiticity_gaps(a, ah)) > tol.residual_tol:
-        return False
-    h = _hermitian_part(a, ah)
-    delta = _psd_band(h, tol.eig_tol)
-    if delta < tol.eig_tol:
-        diagonal = h.diagonal().copy()
-        if _cholesky_succeeds(h, diagonal + (tol.eig_tol - delta)):
-            return True
-        if not _cholesky_succeeds(h, diagonal + (tol.eig_tol + delta)):
-            return False
-    return float(_eigvalsh(a).min()) >= -tol.eig_tol
+    return bool(_psd_flags(as_complex_matrix(a)[None], tol or DEFAULT_TOL)[0])
 
 
 def min_eigenvalue(a) -> float:

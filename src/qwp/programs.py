@@ -34,6 +34,7 @@ from .linalg import (
     _eigvalsh,
     _haar_isometries,
     _hermiticity_gaps,
+    _psd_flags,
     _row_block_size,
     as_complex_matrix,
     is_psd,
@@ -460,7 +461,9 @@ def is_positive_sampled(
     plus ``sample_count`` Haar-random pure states, reporting the first
     violating state found. States are checked in blocks whose stacks of
     outputs stay under STACK_BYTES: one matrix product and one batched
-    eigensolve a block.
+    Cholesky factorization a block. Only a block that Cholesky leaves
+    undecided, such as one that holds a counterexample, also takes a
+    batched eigensolve; the verdicts are those of the eigensolve alone.
     """
     tol = tol or DEFAULT_TOL
     if is_completely_positive(c, tol):
@@ -473,7 +476,7 @@ def is_positive_sampled(
         # the per-matrix checks of is_hermitian and min_eigenvalue, run once per block
         if not np.all(np.isfinite(out)):
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        bad = (_hermiticity_gaps(out) > tol.residual_tol) | (_eigvalsh(out)[:, 0] < -tol.eig_tol)
+        bad = ~_psd_flags(out, tol)
         if bad.any():
             i = int(np.argmax(bad))
             # a random witness is normalized as a single vector, as drawn

@@ -13,13 +13,14 @@ flags and margins leave the kernel, so its reports are held to equality.
 """
 
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from qwp.campaigns import CampaignResult, compose_campaign, duality_campaign, orders_campaign, weakest_campaign
-from qwp.errors import DimensionMismatchError, NotTracePreservingError, ValidationError
+from qwp.errors import DecompositionError, DimensionMismatchError, NotTracePreservingError, ValidationError
 from qwp.linalg import (
     DEFAULT_TOL,
     STACK_BYTES,
@@ -1114,6 +1115,152 @@ class TestPsdOracle:
         assert is_psd(a) is False
         assert cholesky == [] and eigvalsh == []
         assert is_psd_oracle(a) is False
+
+
+def record_shapes(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records the shape of its first argument; returns the list."""
+    shapes = []
+    original = getattr(module, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return shapes
+
+
+def at_band_offset(a, k, tol):
+    """a shifted so that its lowest eigenvalue is -eig_tol + k·δ, δ the band of the shifted matrix."""
+    n = a.shape[0]
+    base = a - (float(np.linalg.eigvalsh(a).min()) + tol.eig_tol) * np.eye(n)
+    return base + k * qwp_linalg._psd_band(base, tol.eig_tol) * np.eye(n)
+
+
+def psd_kernel_stack(rng, n, tol):
+    """PSD, non-PSD and non-hermitian n×n matrices, and matrices at ±kδ of the band edge."""
+    mats = []
+    for _ in range(3):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = g @ g.conj().T / n
+        mats += [h, h - 2.0 * np.eye(n)]
+        skewed = h.copy()
+        skewed[0, -1] += 1e-6
+        mats.append(skewed)
+        mats += [at_band_offset(h, k, tol) for k in (-4.0, -2.0, -0.5, 0.5, 2.0, 4.0)]
+    return np.array(mats)
+
+
+class TestPsdKernel:
+    """The stacked PSD kernel: one batched Cholesky a stack, the eigensolve's flags."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("eig_tol", [1e-9, 0.0])
+    def test_flags_match_the_oracle_on_mixed_stacks(self, n, eig_tol, monkeypatch):
+        tol = ToleranceConfig(eig_tol=eig_tol)
+        stack = psd_kernel_stack(np.random.default_rng([n, 131]), n, tol)
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        got = qwp_linalg._psd_flags(stack, tol)
+        # the stack holds matrices inside the band, and at eig_tol = 0 there is no band
+        assert calls == ["eigvalsh"]
+        monkeypatch.undo()
+        assert got.tolist() == [is_psd_oracle(m, tol) for m in stack]
+        assert got.tolist() == [is_psd(m, tol) for m in stack]
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_a_stack_above_the_band_takes_no_eigensolve(self, n, monkeypatch):
+        tol = DEFAULT_TOL
+        rng = np.random.default_rng([n, 137])
+        stack = np.array([at_band_offset(m, k, tol) for m in psd_kernel_stack(rng, n, tol)[::9] for k in (1.5, 3.0)])
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        got = qwp_linalg._psd_flags(stack, tol)
+        assert calls == []
+        monkeypatch.undo()
+        assert got.tolist() == [is_psd_oracle(m, tol) for m in stack] == [True] * len(stack)
+
+    def test_the_mixture_audit_takes_no_eigensolve(self, monkeypatch):
+        c = sample_program("transpose_mix", 32, 4)
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        got = is_positive_sampled(c, seed=3)
+        assert calls == []
+        assert (got.status, got.samples) == ("no_counterexample", 2 * 32 + 1000)
+
+    def test_the_nonpositive_map_solves_only_its_counterexample_block(self, monkeypatch):
+        c = nonpositive(32, 0.5)
+        shapes = record_shapes(monkeypatch, np.linalg, "eigvalsh")
+        got = is_positive_sampled(c, seed=3)
+        assert shapes == [(32, 32, 32)]
+        assert (got.status, got.samples) == ("counterexample", 1)
+        assert np.array_equal(got.witness, np.eye(32)[0])
+
+    def test_a_failure_in_the_leading_rows_stops_at_the_first_probe(self, monkeypatch):
+        n = 64
+        a = np.eye(n, dtype=np.complex128)
+        a[1, 1] = -1.0
+        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert is_psd(a) is False
+        assert shapes == [(1, n // 16, n // 16)]
+        assert calls == []
+
+    def test_a_failure_in_the_trailing_rows_is_decided_by_the_full_factorization(self, monkeypatch):
+        n = 64
+        a = np.eye(n, dtype=np.complex128)
+        a[-1, -1] = -1e-6
+        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert is_psd(a) is False
+        assert shapes == [(1, n // 16, n // 16), (1, n // 4, n // 4), (1, n, n), (1, n, n)]
+        assert calls == []
+        monkeypatch.undo()
+        assert is_psd_oracle(a) is False
+
+    def test_the_fallback_eigensolve_raises_a_decomposition_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(DecompositionError, match="eigendecomposition failed"):
+            is_psd(np.eye(3), ToleranceConfig(eig_tol=0.0))
+        with pytest.raises(DecompositionError, match="eigendecomposition failed"):
+            is_positive_sampled(nonpositive(3, 0.5), seed=1)
+
+    def test_no_factorization_error_escapes(self, monkeypatch):
+        # LinAlgError is a ValueError, which the CLI would report as exit 2
+        failures = []
+        cholesky = np.linalg.cholesky
+
+        def recording(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                failures.append(np.shape(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        tol = ToleranceConfig(sample_count=50)
+        for c in [sample_program(kind, 8, 7) for kind in KINDS] + [nonpositive(8, 0.05)]:
+            is_positive_sampled(c, tol, seed=2)
+        stack = psd_kernel_stack(np.random.default_rng(139), 16, DEFAULT_TOL)
+        qwp_linalg._psd_flags(stack, DEFAULT_TOL)
+        for m in stack:
+            is_psd(m)
+        # leading blocks, full single matrices and whole stacks all failed somewhere
+        assert (1, 16, 16) in failures
+        assert any(shape[0] == 1 and shape[-1] < 16 for shape in failures)
+        assert any(shape[0] > 1 for shape in failures)
+
+    def test_the_mixture_audit_peak_stays_under_64_mib(self):
+        c = sample_program("transpose_mix", 32, 4)
+        tracemalloc.start()
+        try:
+            is_positive_sampled(c, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at its widest the kernel holds a block's outputs, their conjugate
+        # transpose, the difference and its moduli: about 55 MiB at d = 32
+        assert peak <= 64 << 20
 
 
 class TestSamplerOracle:
