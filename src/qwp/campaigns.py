@@ -31,6 +31,7 @@ from .linalg import (
     ToleranceConfig,
     _block_size,
     _densities,
+    _effect_draws,
     _eigh,
     _eigvalsh,
     _haar_spectral,
@@ -58,7 +59,6 @@ from .programs import (
     _invalid_states,
     _sampled_supers,
     _unital_gaps,
-    _unitarity_gaps,
     sample_program,
 )
 from .wp import (
@@ -150,28 +150,6 @@ def _sweep(
     return CampaignResult(suite, tuple(dims), total, failures, worst, seed)
 
 
-def _block_supers(dim: int, trials: np.ndarray, draws: list, shift: int) -> np.ndarray:
-    """Superoperators (n, d², d²) of the programs a block drew, in trial order.
-
-    ``draws[i]`` is what trial ``trials[i]`` drew for the program kind at
-    position trials[i] + shift of the cycle.
-    """
-    kinds = (trials + shift) % len(_PROGRAM_KINDS)
-    supers = np.empty((len(trials), dim * dim, dim * dim), dtype=np.complex128)
-    for i, kind in enumerate(_PROGRAM_KINDS):
-        pos = np.flatnonzero(kinds == i)
-        if len(pos) == 0:
-            continue
-        weights = np.array([draws[p][0] for p in pos])
-        normals = None if kind == "transpose" else np.array([draws[p][1] for p in pos])
-        supers[pos], unitaries = _sampled_supers(kind, dim, weights, normals)
-        if unitaries is not None:
-            # sample_program's from_unitary checks with the default tolerances
-            _require(_unitarity_gaps(unitaries) > DEFAULT_TOL.residual_tol, trials[pos])
-    _require(~np.isfinite(supers).all(axis=(-2, -1)), trials)
-    return supers
-
-
 def _predicate_groups(draws: list) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions, effects (m, k, d, d)) for each atom count k among a block's predicate draws."""
     counts = np.array([len(z) for z, _ in draws])
@@ -215,7 +193,8 @@ def _duality_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> n
         programs.append(_draw_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng))
         predicates.append(_draw_predicate(rng, dim))
         states.append(rng.standard_normal((2, dim, dim)))
-    supers = _block_supers(dim, trials, programs, 0)
+    supers, refused = _sampled_supers(dim, trials % len(_PROGRAM_KINDS), programs)
+    _require(refused, trials)
     groups = _predicate_groups(predicates)
     rho = _densities(np.array(states))
     _require(_invalid_states(rho, tol), trials)
@@ -238,10 +217,10 @@ def duality_campaign(
     dims: Sequence[int],
     trials: int,
     seed: int,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CampaignResult:
     """Duality identity sweep: Tr(G_a rho) vs Tr(F_a C(rho)) over random tuples."""
-    return _sweep("duality", _duality_block, _duality_trial, dims, trials, seed, tol or DEFAULT_TOL)
+    return _sweep("duality", _duality_block, _duality_trial, dims, trials, seed, tol)
 
 
 # candidates a weakest block checks against one (program, predicate) pair
@@ -266,7 +245,7 @@ def weakest_campaign(
     dims: Sequence[int],
     trials: int,
     seed: int,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CampaignResult:
     """Supremum audit: shrinkage candidates must all be dominated by wp.
 
@@ -278,7 +257,7 @@ def weakest_campaign(
     negative margin is also printed in a note.
     """
     result = _sweep(
-        "weakest", _weakest_block, None, dims, trials, seed, tol or DEFAULT_TOL,
+        "weakest", _weakest_block, None, dims, trials, seed, tol,
         lambda dim: _WEAKEST_PAIR_CANDIDATES,
     )
     if result.max_residual > 0:
@@ -302,8 +281,9 @@ def _compose_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> n
         firsts.append(_draw_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng))
         seconds.append(_draw_program(_PROGRAM_KINDS[(trial + 1) % len(_PROGRAM_KINDS)], dim, rng))
         predicates.append(_draw_predicate(rng, dim))
-    s1 = _block_supers(dim, trials, firsts, 0)
-    s2 = _block_supers(dim, trials, seconds, 1)
+    s1, refused1 = _sampled_supers(dim, trials % len(_PROGRAM_KINDS), firsts)
+    s2, refused2 = _sampled_supers(dim, (trials + 1) % len(_PROGRAM_KINDS), seconds)
+    _require(refused1 | refused2, trials)
     groups = _predicate_groups(predicates)
     both = s2 @ s1  # seq(c1, c2)
     _require(~np.isfinite(both).all(axis=(-2, -1)), trials)
@@ -324,10 +304,10 @@ def compose_campaign(
     dims: Sequence[int],
     trials: int,
     seed: int,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CampaignResult:
     """Composition law sweep: transforming through seq equals nesting."""
-    return _sweep("compose", _compose_block, _compose_trial, dims, trials, seed, tol or DEFAULT_TOL)
+    return _sweep("compose", _compose_block, _compose_trial, dims, trials, seed, tol)
 
 
 def _orders_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> None:
@@ -354,10 +334,7 @@ def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
         g_draws.append(_draw_predicate(rng, dim))
         k = len(g_draws[-1][0])
         if trial % 2 == 0:
-            # one random_effect an atom: its normals, then its eigenvalues
-            draws = [(rng.standard_normal((2, dim, dim)), rng.uniform(0.0, 1.0, size=dim)) for _ in range(k)]
-            normals, spectra = zip(*draws)
-            f_draws.append((np.array(normals), np.array(spectra)))
+            f_draws.append(_effect_draws(rng, k, dim))  # one random_effect an atom
         else:
             f_draws.append(_draw_predicate(rng, dim, n_atoms=k))
     pairs = []  # (positions, f, g) for each parity and atom count
@@ -404,7 +381,7 @@ def orders_campaign(
     dims: Sequence[int],
     trials: int,
     seed: int,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CampaignResult:
     """Order-equivalence sweep over predicate pairs.
 
@@ -415,7 +392,7 @@ def orders_campaign(
     eig_tol.
     """
     return _sweep(
-        "orders", _orders_block, _orders_trial, dims, trials, seed, tol or DEFAULT_TOL,
+        "orders", _orders_block, _orders_trial, dims, trials, seed, tol,
         # blocks sized for the (k, states, d, d) products of a trial, k ≤ MAX_RANDOM_ATOMS
         lambda dim: _block_size(dim, MAX_RANDOM_ATOMS * CERTIFYING_STATES),
     )
@@ -434,7 +411,7 @@ def run_suite(
     dims: Sequence[int],
     trials: int,
     seed: int,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[CampaignResult]:
     """Run one named campaign, or all of them."""
     if suite == "all":

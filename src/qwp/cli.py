@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import click
@@ -98,12 +99,10 @@ def _finish(report: dict, out: str | None = None) -> None:
 
 
 def _make_tol(eig_tol, residual_tol, samples) -> ToleranceConfig:
+    """DEFAULT_TOL with each option that was given in place of its field."""
+    given = {"eig_tol": eig_tol, "residual_tol": residual_tol, "sample_count": samples}
     try:
-        return ToleranceConfig(
-            eig_tol=DEFAULT_TOL.eig_tol if eig_tol is None else eig_tol,
-            residual_tol=DEFAULT_TOL.residual_tol if residual_tol is None else residual_tol,
-            sample_count=DEFAULT_TOL.sample_count if samples is None else samples,
-        )
+        return replace(DEFAULT_TOL, **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         _die(2, str(exc))
 

@@ -148,9 +148,8 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
 
 
-def is_hermitian(a, tol: ToleranceConfig | None = None) -> bool:
+def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when the max-entry deviation from the conjugate transpose is within residual_tol."""
-    tol = tol or DEFAULT_TOL
     return float(_hermiticity_gaps(as_complex_matrix(a))) <= tol.residual_tol
 
 
@@ -249,7 +248,7 @@ def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return flags & verdict
 
 
-def is_psd(a, tol: ToleranceConfig | None = None) -> bool:
+def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when hermitian and all eigenvalues are at least -eig_tol.
 
     The one-matrix case of the stacked PSD kernel: a large matrix that fails
@@ -258,7 +257,7 @@ def is_psd(a, tol: ToleranceConfig | None = None) -> bool:
     test only for an input they leave undecided. Every route gives the same
     verdict (see the derivation of δ above).
     """
-    return bool(_psd_flags(as_complex_matrix(a)[None], tol or DEFAULT_TOL)[0])
+    return bool(_psd_flags(as_complex_matrix(a)[None], tol)[0])
 
 
 def min_eigenvalue(a) -> float:
@@ -291,13 +290,12 @@ def psd_sqrt(a) -> np.ndarray:
     return _psd_sqrts(as_complex_matrix(a))
 
 
-def loewner_leq(a, b, tol: ToleranceConfig | None = None) -> bool:
+def loewner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Operator order a ⪯ b: the gap b - a is positive semidefinite.
 
     Equivalent to <psi|a psi> <= <psi|b psi> for every vector psi, by the
     spectral theorem. Both operands must be hermitian.
     """
-    tol = tol or DEFAULT_TOL
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     _require_same_dim(a, b)
@@ -306,13 +304,12 @@ def loewner_leq(a, b, tol: ToleranceConfig | None = None) -> bool:
     return float(_eigvalsh(b - a).min()) >= -tol.eig_tol
 
 
-def operator_norm_hermitian(a, tol: ToleranceConfig | None = None) -> float:
+def operator_norm_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Largest |eigenvalue| of a hermitian matrix.
 
     For hermitian input this equals both the operator norm and the spectral
     radius; non-hermitian input is rejected.
     """
-    tol = tol or DEFAULT_TOL
     a = as_complex_matrix(a)
     if not is_hermitian(a, tol):
         raise ValueError("operator_norm_hermitian requires a hermitian matrix")
@@ -388,10 +385,18 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return random_isometry(rng, dim, dim)
 
 
+def _effect_draws(rng: np.random.Generator, k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw draws of k :func:`random_effect` calls, in stream order: for each effect the
+    normals (2, dim, dim) of its eigenbasis, then its eigenvalues; stacked as (k, 2, dim, dim)
+    and (k, dim), the arguments of :func:`_haar_spectral`."""
+    draws = [(rng.standard_normal((2, dim, dim)), rng.uniform(0.0, 1.0, size=dim)) for _ in range(k)]
+    normals, spectra = zip(*draws)
+    return np.array(normals), np.array(spectra)
+
+
 def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random effect 0 ⪯ E ⪯ I: Haar eigenbasis, eigenvalues uniform on [0, 1]."""
-    z = rng.standard_normal((2, dim, dim))
-    return _haar_spectral(z, rng.uniform(0.0, 1.0, size=dim))
+    return _haar_spectral(*_effect_draws(rng, 1, dim))[0]
 
 
 def random_hermitian_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -203,12 +203,11 @@ def _predicate_faults(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     )
 
 
-def validate_predicate(p: Predicate, tol: ToleranceConfig | None = None) -> ValidationReport:
+def validate_predicate(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Check every effect is PSD and the total effect stays below the identity.
 
     Violations name the offending atom and the failed inequality.
     """
-    tol = tol or DEFAULT_TOL
     total = p.total_effect()
     # effects are finite by construction; their sum can still overflow
     if not np.isfinite(total).all():
@@ -246,9 +245,8 @@ def effect_of_set(p: Predicate, subset: Iterable[str]) -> np.ndarray:
     return out
 
 
-def is_complete(p: Predicate, tol: ToleranceConfig | None = None) -> bool:
+def is_complete(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when the atom effects sum to the identity within residual_tol."""
-    tol = tol or DEFAULT_TOL
     return float(np.abs(p.total_effect() - np.eye(p.dim)).max()) <= tol.residual_tol
 
 
@@ -270,7 +268,7 @@ def _leq_refusals(f: np.ndarray, g: np.ndarray, leq: np.ndarray, tol: ToleranceC
     return (reached & unhermitian).any(axis=-1)
 
 
-def predicate_leq(f: Predicate, g: Predicate, tol: ToleranceConfig | None = None) -> bool:
+def predicate_leq(f: Predicate, g: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Pointwise order: every atom effect of f sits below the matching one of g.
 
     Per-atom comparison suffices for all 2^n outcome sets: sums of PSD gaps
@@ -280,9 +278,8 @@ def predicate_leq(f: Predicate, g: Predicate, tol: ToleranceConfig | None = None
     return all(loewner_leq(f.effect(a), g.effect(a), tol) for a in f.space.atoms)
 
 
-def sat(rho: DensityState, p: Predicate, tol: ToleranceConfig | None = None) -> SatMeasure:
+def sat(rho: DensityState, p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> SatMeasure:
     """Per-atom masses Tr(rho F_a) plus the satisfaction flag; invalid predicates are refused."""
-    tol = tol or DEFAULT_TOL
     if rho.dim != p.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} vs predicate dim {p.dim}")
     _require_valid(p, tol)
@@ -294,7 +291,7 @@ def sat(rho: DensityState, p: Predicate, tol: ToleranceConfig | None = None) -> 
     return SatMeasure(space=p.space, weights=weights, satisfied=satisfied)
 
 
-def chain_sup(chain: Sequence[Predicate], tol: ToleranceConfig | None = None) -> Predicate:
+def chain_sup(chain: Sequence[Predicate], tol: ToleranceConfig = DEFAULT_TOL) -> Predicate:
     """Least upper bound of a finite monotone chain of predicates.
 
     Each consecutive pair must satisfy :func:`predicate_leq` (checked; a

@@ -104,8 +104,7 @@ class DensityState:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, tol: ToleranceConfig | None = None, *, eig_slack: float = 1.0):
-        tol = tol or DEFAULT_TOL
+    def __init__(self, matrix, tol: ToleranceConfig = DEFAULT_TOL, *, eig_slack: float = 1.0):
         m = as_complex_matrix(matrix)
         if float(_hermiticity_gaps(m)) > tol.residual_tol:
             raise ValidationError("state is not hermitian")
@@ -156,13 +155,14 @@ class QuantumProgram:
     """A linear map on operators, acting through a d²×d² superoperator.
 
     The superoperator is the only computed form. ``kraus`` is the Kraus family
-    the program was built from, if any; combinators and the adjoint leave it
-    ``None``. ``label`` is free-form; the arrays are read-only.
+    the program was built from, which only :func:`from_kraus` attaches; every
+    other constructor, the combinators and the adjoint leave it ``None``.
+    ``label`` is free-form; the arrays are read-only.
     """
 
     __slots__ = ("dim", "super", "kraus", "label")
 
-    def __init__(self, dim: int, super_matrix, kraus=None, label: str = ""):
+    def __init__(self, dim: int, super_matrix, label: str = ""):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         s = as_complex_matrix(super_matrix)
@@ -172,16 +172,7 @@ class QuantumProgram:
             )
         self.dim = dim
         self.super = _readonly(s)
-        if kraus is not None:
-            ks = tuple(_readonly(as_complex_matrix(k)) for k in kraus)
-            for k in ks:
-                if k.shape[0] != dim:
-                    raise DimensionMismatchError(
-                        f"Kraus operator has side {k.shape[0]}, expected {dim}"
-                    )
-            self.kraus = ks
-        else:
-            self.kraus = None
+        self.kraus = None
         self.label = str(label)
 
     def __repr__(self) -> str:
@@ -203,7 +194,9 @@ def from_kraus(kraus_ops, label: str = "kraus") -> QuantumProgram:
     for k in ks[1:]:
         if k.shape[0] != d:
             raise DimensionMismatchError("Kraus operators differ in dimension")
-    return QuantumProgram(d, _kraus_supers(ks), kraus=ks, label=label)
+    prog = QuantumProgram(d, _kraus_supers(ks), label=label)
+    prog.kraus = tuple(_readonly(k) for k in ks)
+    return prog
 
 
 def _kraus_supers(ks) -> np.ndarray:
@@ -229,9 +222,8 @@ def _unitarity_gaps(us: np.ndarray) -> np.ndarray:
     return np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1])).max(axis=(-2, -1))
 
 
-def from_unitary(u, label: str = "unitary", tol: ToleranceConfig | None = None) -> QuantumProgram:
+def from_unitary(u, label: str = "unitary", tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
     """Conjugation rho -> U rho U†; rejects matrices that are not unitary."""
-    tol = tol or DEFAULT_TOL
     u = as_complex_matrix(u)
     gap = float(_unitarity_gaps(u))
     if gap > tol.residual_tol:
@@ -249,13 +241,12 @@ def from_super(super_matrix, dim: int | None = None) -> QuantumProgram:
     return QuantumProgram(d, s, label="super")
 
 
-def from_choi(choi, tol: ToleranceConfig | None = None) -> QuantumProgram:
+def from_choi(choi, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
     """Decode a Choi matrix into a program.
 
     Rejects Choi matrices whose output partial trace deviates from the
     identity: those encode maps that are not trace preserving.
     """
-    tol = tol or DEFAULT_TOL
     j = as_complex_matrix(choi)
     n = j.shape[0]
     d = math.isqrt(n)
@@ -273,7 +264,7 @@ def from_choi(choi, tol: ToleranceConfig | None = None) -> QuantumProgram:
 
 
 def identity_program(dim: int) -> QuantumProgram:
-    return QuantumProgram(dim, np.eye(dim * dim), kraus=[np.eye(dim)], label="identity")
+    return from_kraus([np.eye(dim)], label="identity")
 
 
 def transpose_program(dim: int) -> QuantumProgram:
@@ -352,7 +343,7 @@ def apply_matrix(c: QuantumProgram, m) -> np.ndarray:
     return apply_matrices(c, as_complex_matrix(m)[None])[0]
 
 
-def apply(c: QuantumProgram, rho: DensityState, tol: ToleranceConfig | None = None) -> DensityState:
+def apply(c: QuantumProgram, rho: DensityState, tol: ToleranceConfig = DEFAULT_TOL) -> DensityState:
     """Run the program on a state.
 
     The output is validated as a state with a 10x eig_tol positivity slack;
@@ -374,9 +365,8 @@ def adjoint(c: QuantumProgram) -> QuantumProgram:
     return QuantumProgram(c.dim, c.super.conj().T, label=f"adjoint({c.label})")
 
 
-def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig | None = None) -> bool:
+def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Dual-unitality test: the adjoint maps the identity to the identity."""
-    tol = tol or DEFAULT_TOL
     return float(_unital_gaps(c.super.conj())) <= tol.residual_tol
 
 
@@ -396,7 +386,7 @@ def to_choi(c: QuantumProgram) -> np.ndarray:
     return c.super.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig | None = None) -> bool:
+def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when the Choi matrix is PSD."""
     return is_psd(to_choi(c), tol)
 
@@ -451,7 +441,7 @@ def _candidate_blocks(d: int, sample_count: int, rng: np.random.Generator, block
 
 def is_positive_sampled(
     c: QuantumProgram,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> PositivityVerdict:
     """Three-valued positivity audit.
@@ -465,7 +455,6 @@ def is_positive_sampled(
     undecided, such as one that holds a counterexample, also takes a
     batched eigensolve; the verdicts are those of the eigensolve alone.
     """
-    tol = tol or DEFAULT_TOL
     if is_completely_positive(c, tol):
         return PositivityVerdict("certified_cp", 0)
     d = c.dim
@@ -516,14 +505,13 @@ def _mixed(weight, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return weight * s1 + (1.0 - weight) * s2
 
 
-def measure_branch(instrument, branches, tol: ToleranceConfig | None = None) -> QuantumProgram:
+def measure_branch(instrument, branches, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
     """Measure, then run the branch picked by the outcome, forgetting which.
 
     ``instrument`` is a list of measurement operators M with sum M†M = I;
     ``branches`` pairs each outcome with a program. Compiles the conditioned
     evolution rho -> sum_m B_m(M_m rho M_m†) into a single program.
     """
-    tol = tol or DEFAULT_TOL
     ms = [as_complex_matrix(m) for m in instrument]
     branches = list(branches)
     if len(ms) != len(branches):
@@ -578,20 +566,33 @@ def _draw_program(kind: str, dim: int, rng: np.random.Generator) -> tuple[float,
     return weight, rng.standard_normal((2, rows, dim))
 
 
-def _sampled_supers(kind: str, dim: int, weights: np.ndarray, normals: np.ndarray | None):
-    """Superoperators (n, d², d²) of n sampled programs of one kind, from their raw draws.
+def _sampled_supers(dim: int, kinds: np.ndarray, draws: list) -> tuple[np.ndarray, np.ndarray]:
+    """Superoperators (n, d², d²) of n sampled programs of mixed kinds, from their raw draws,
+    and the mask (n,) of those that :func:`sample_program` refuses.
 
-    ``weights`` (n,) and ``normals`` (n, 2, rows, d) stack :func:`_draw_program`'s
-    outputs. Also returns the unitaries (n, d, d) of the unitary kind, whose
-    check :func:`from_unitary` makes, and None for the other kinds.
+    ``kinds[i]`` indexes _PROGRAM_KINDS and ``draws[i]`` is what :func:`_draw_program`
+    drew for it. A unitary is refused by :func:`from_unitary`'s test at the default
+    tolerances, and any program by a non-finite entry.
     """
-    if kind == "transpose":
-        return np.broadcast_to(transpose_program(dim).super, (len(weights),) + (dim * dim,) * 2), None
-    kraus = _haar_isometries(normals).reshape(len(weights), -1, dim, dim)
-    supers = _kraus_supers(kraus.swapaxes(0, 1))
-    if kind == "transpose_mix":
-        supers = _mixed(weights[:, None, None], transpose_program(dim).super, supers)
-    return supers, (kraus[:, 0] if kind == "unitary" else None)
+    n = dim * dim
+    supers = np.empty((len(kinds), n, n), dtype=np.complex128)
+    refused = np.zeros(len(kinds), dtype=bool)
+    for i, kind in enumerate(_PROGRAM_KINDS):
+        pos = np.flatnonzero(kinds == i)
+        if len(pos) == 0:
+            continue
+        if kind == "transpose":
+            supers[pos] = transpose_program(dim).super
+            continue
+        kraus = _haar_isometries(np.array([draws[p][1] for p in pos])).reshape(len(pos), -1, dim, dim)
+        s = _kraus_supers(kraus.swapaxes(0, 1))
+        if kind == "transpose_mix":
+            weights = np.array([draws[p][0] for p in pos])
+            s = _mixed(weights[:, None, None], transpose_program(dim).super, s)
+        supers[pos] = s
+        if kind == "unitary":
+            refused[pos] = _unitarity_gaps(kraus[:, 0]) > DEFAULT_TOL.residual_tol
+    return supers, refused | ~np.isfinite(supers).all(axis=(-2, -1))
 
 
 def sample_program(kind: str, dim: int, seed) -> QuantumProgram:

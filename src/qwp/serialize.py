@@ -17,9 +17,8 @@ import numbers
 
 import numpy as np
 
-from .campaigns import CampaignResult
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig
 from .predicates import OutcomeSpace, Predicate, SatMeasure, ValidationReport
 from .programs import (
     DensityState,
@@ -103,7 +102,7 @@ def state_to_json(rho: DensityState) -> dict:
     return matrix_to_json(rho.matrix)
 
 
-def state_from_json(obj, tol: ToleranceConfig | None = None) -> DensityState:
+def state_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> DensityState:
     return DensityState(matrix_from_json(obj), tol)
 
 
@@ -172,7 +171,7 @@ def _named_program(payload: dict, dim: int | None) -> QuantumProgram:
     return build(value)
 
 
-def program_from_json(obj, tol: ToleranceConfig | None = None) -> QuantumProgram:
+def program_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
     """The one decoder of program documents: "repr" picks the constructor, then "dim" is checked."""
     if not isinstance(obj, dict) or "repr" not in obj or "payload" not in obj:
         raise ValidationError("program JSON needs keys 'repr' and 'payload' (and usually 'dim')")
@@ -209,7 +208,7 @@ def triple_to_json(t: HoareTriple) -> dict:
     }
 
 
-def triple_from_json(obj, tol: ToleranceConfig | None = None) -> HoareTriple:
+def triple_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> HoareTriple:
     if not isinstance(obj, dict) or any(k not in obj for k in ("pre", "prog", "post")):
         raise ValidationError("triple JSON needs keys 'pre', 'prog' and 'post'")
     return HoareTriple(
@@ -249,7 +248,8 @@ def verification_report_to_json(r: VerificationReport) -> dict:
     }
 
 
-def campaign_result_to_json(r: CampaignResult) -> dict:
+def campaign_result_to_json(r) -> dict:
+    """The report fields of a campaigns.CampaignResult; this module does not import the campaigns."""
     return {
         "suite": r.suite,
         "dims": list(r.dims),

@@ -25,6 +25,7 @@ from .linalg import (
     ToleranceConfig,
     _block_size,
     _densities,
+    _effect_draws,
     _eigh,
     _eigvalsh,
     _haar_spectral,
@@ -129,7 +130,7 @@ class WeakestCheckReport:
     seed: int
 
 
-def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig | None = None) -> Predicate:
+def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> Predicate:
     """Weakest precondition of a predicate under a program.
 
     Each output effect is the adjoint of the program applied to the matching
@@ -138,7 +139,6 @@ def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig | None = None) -> P
     valid predicate, and a complete predicate stays complete because the dual
     of a trace-preserving map is unital.
     """
-    tol = tol or DEFAULT_TOL
     if f.dim != c.dim:
         raise DimensionMismatchError(f"predicate dim {f.dim} vs program dim {c.dim}")
     _require_valid(f, tol)
@@ -181,7 +181,7 @@ def duality_residual(
     c: QuantumProgram,
     f: Predicate,
     rho: DensityState,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> dict[str, float]:
     """Per-atom |Tr(G_a rho) - Tr(F_a C(rho))| for G = wp(c, f).
 
@@ -189,7 +189,6 @@ def duality_residual(
     superoperator acting on effects, the right by running the program on the
     state. Their agreement is the load-bearing identity of the package.
     """
-    tol = tol or DEFAULT_TOL
     g = wp(c, f, tol)
     out = apply(c, rho, tol)
     return dict(zip(f.space.atoms, _duality_gaps(g.effects, f.effects, rho.matrix, out.matrix).tolist()))
@@ -198,7 +197,7 @@ def duality_residual(
 def duality_residual_sweep(
     c: QuantumProgram,
     f: Predicate,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> dict[str, float]:
     """Per-atom max duality residual over RESIDUAL_SAMPLE_STATES seeded random states.
@@ -226,7 +225,7 @@ def is_precondition(
     g: Predicate,
     c: QuantumProgram,
     f: Predicate,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> VerificationReport:
     """Decide whether g is a precondition of f under c, with evidence.
@@ -236,7 +235,6 @@ def is_precondition(
     deficit wp_a - g_a (the state maximizing the violation), and the report
     shows Tr(g_a rho) > Tr(f_a C(rho)) numerically.
     """
-    tol = tol or DEFAULT_TOL
     if g.space != f.space:
         raise SpaceMismatchError(
             f"candidate and postcondition outcome spaces differ: "
@@ -273,7 +271,7 @@ def is_precondition(
 
 def verify_triple(
     t: HoareTriple,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> VerificationReport:
     """Hoare-style check: the triple holds when pre is a precondition of post."""
@@ -295,7 +293,7 @@ def _require_finite_hermitian(stack: np.ndarray, tol: ToleranceConfig) -> None:
 def weakest_check(
     c: QuantumProgram,
     f: Predicate,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> WeakestCheckReport:
     """Sampled supremum audit for the transformer.
@@ -311,7 +309,6 @@ def weakest_check(
     schedule-independent. Trials are shaped and checked in
     stacked blocks of at most STACK_BYTES per stack of states or of traces.
     """
-    tol = tol or DEFAULT_TOL
     margins, confirmed = _dominations(c, f, tol, seed, tol.sample_count)
     dominated = int(np.count_nonzero(margins >= -tol.eig_tol))
     return WeakestCheckReport(
@@ -352,14 +349,13 @@ def _dominations(
     for start in range(0, n, block):
         stop = min(start + block, n)
         m = stop - start
-        normals, spectra, states = [], [], []
+        draws, states = [], []
         for trial in range(start, stop):
             rng = np.random.default_rng([seed, trial])
-            for _ in atoms:
-                normals.append(rng.standard_normal((2, d, d)))
-                spectra.append(rng.uniform(0.0, 1.0, size=d))
+            draws.append(_effect_draws(rng, k, d))
             states.append(rng.standard_normal((s, 2, d, d)))
-        shrinks = _haar_spectral(np.array(normals), np.array(spectra)).reshape(m, k, d, d)
+        normals, spectra = zip(*draws)
+        shrinks = _haar_spectral(np.array(normals), np.array(spectra))  # (trials, atoms, d, d)
         cands = roots @ shrinks @ roots  # (trials, atoms, d, d)
         _require_finite_hermitian(cands, tol)
         rows = vec(_densities(np.array(states).reshape(-1, 2, d, d)))  # (trials·states, d²)
@@ -377,7 +373,7 @@ def wp_compose_check(
     c1: QuantumProgram,
     c2: QuantumProgram,
     f: Predicate,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Max entrywise gap between wp(seq(c1, c2), f) and wp(c1, wp(c2, f)).
 
@@ -385,7 +381,6 @@ def wp_compose_check(
     the gap is pure floating-point noise for any trace-preserving pair. f is
     validated once, and so is the intermediate wp(c2, f).
     """
-    tol = tol or DEFAULT_TOL
     left = wp(seq(c1, c2), f, tol)
     right = wp(c1, _transform(c2, f, tol), tol)
     return float(np.abs(left.effects - right.effects).max())
@@ -394,7 +389,7 @@ def wp_compose_check(
 def dp_reduction(
     c: QuantumProgram,
     m,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> np.ndarray:
     """Single-effect transformer: wrap, transform, unwrap.
 
@@ -402,7 +397,6 @@ def dp_reduction(
     program must be completely positive; for any Kraus family {K} of the
     program the result equals sum K† m K.
     """
-    tol = tol or DEFAULT_TOL
     if not is_completely_positive(c, tol):
         raise ValidationError("dp_reduction needs a completely positive program")
     # wp validates the one-atom predicate: hermitian, PSD, total below the identity

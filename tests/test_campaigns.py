@@ -1,3 +1,6 @@
+import importlib
+import re
+
 from qwp.campaigns import (
     compose_campaign,
     duality_campaign,
@@ -5,9 +8,12 @@ from qwp.campaigns import (
     run_suite,
     weakest_campaign,
 )
+from qwp.errors import ValidationError
 from qwp.linalg import ToleranceConfig
 
 import pytest
+
+qwp_programs = importlib.import_module("qwp.programs")
 
 SMALL = ToleranceConfig(sample_count=50)
 
@@ -64,3 +70,16 @@ def test_run_suite_all():
 def test_run_suite_unknown():
     with pytest.raises(ValueError):
         run_suite("spectral", [2], 10, seed=0)
+
+
+@pytest.mark.parametrize("campaign", [duality_campaign, compose_campaign])
+def test_a_non_unitary_draw_is_refused_as_sample_program_refuses_it(campaign, monkeypatch):
+    # scale the square draws, the unitary kind's, off the unitary group: |U†U - I| = 2e-6
+    # passes the campaign's residual_tol but not from_unitary's default
+    haar = qwp_programs._haar_isometries
+    monkeypatch.setattr(
+        qwp_programs, "_haar_isometries",
+        lambda z: haar(z) * (1 + 1e-6) if z.shape[-2] == z.shape[-1] else haar(z),
+    )
+    with pytest.raises(ValidationError, match=re.escape("matrix is not unitary (|U†U - I| = 2.000e-06)")):
+        campaign((2, 3), 8, 7, ToleranceConfig(residual_tol=1e-3))

@@ -9,6 +9,7 @@ from qwp.errors import (
 from qwp.linalg import ToleranceConfig, min_eigenvalue, random_density, sample_random
 from qwp.programs import (
     DensityState,
+    QuantumProgram,
     adjoint,
     amplitude_damping,
     apply,
@@ -94,6 +95,17 @@ class TestBuilders:
             rho = DensityState(sample_random("density", 3, seed))
             out = apply(c, rho)
             assert np.abs(out.matrix - rho.matrix).max() < 1e-14
+
+    def test_identity_is_the_identity_superoperator_with_its_kraus_family(self):
+        c = identity_program(3)
+        # the bytes of np.eye: every zero is +0.0
+        assert c.super.tobytes() == np.eye(9, dtype=np.complex128).tobytes()
+        assert len(c.kraus) == 1 and np.array_equal(c.kraus[0], np.eye(3))
+
+    def test_only_from_kraus_attaches_a_kraus_family(self):
+        assert QuantumProgram(2, np.eye(4)).kraus is None
+        with pytest.raises(TypeError):
+            QuantumProgram(2, np.eye(4), kraus=[np.eye(2)])
 
     def test_pauli_x_flips(self):
         c = from_unitary(X)

@@ -1299,6 +1299,15 @@ class TestSamplerOracle:
             assert len(got.kraus) == dim
 
     @pytest.mark.parametrize("dim", DIMS)
+    def test_effect_draws_replay_random_effect(self, dim):
+        # k effects drawn in one call consume the stream as k random_effect calls
+        rng, oracle_rng = np.random.default_rng([dim, 2]), np.random.default_rng([dim, 2])
+        normals, spectra = qwp_linalg._effect_draws(rng, 3, dim)
+        want = np.array([random_effect_oracle(oracle_rng, dim) for _ in range(3)])
+        assert_same_bits(qwp_linalg._haar_spectral(normals, spectra), want)
+        assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+
+    @pytest.mark.parametrize("dim", DIMS)
     def test_stacked_effects_match_the_per_atom_draws(self, dim):
         # the draws weakest_check makes for 7 trials of 3 atoms, shaped in one stack
         normals, spectra, want = [], [], []

@@ -319,6 +319,17 @@ class TestWeakestCheck:
         assert report.confirmed_preconditions == 60
         assert report.min_margin >= -1e-12
 
+    def test_refuses_a_map_that_does_not_preserve_hermiticity(self):
+        # C(rho) = rho + 0.1 <0|rho|0> |0><1| is trace preserving; its adjoint adds
+        # 0.1 F_01 |0><0| to F, which is not hermitian where F_01 is not real
+        s = np.eye(4, dtype=complex)
+        s[2, 0] = 0.1  # row vec(|0><1|) = e_1 ⊗ e_0, column <0|rho|0> = vec(rho)[0]
+        c = from_super(s)
+        f = random_predicate(np.random.default_rng(3), 2)
+        assert np.abs(wp(c, f).effects.imag[:, 0, 0]).max() > 1e-3
+        with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
+            weakest_check(c, f, ToleranceConfig(sample_count=10))
+
     def test_non_cp_program_covered(self):
         tol = ToleranceConfig(sample_count=40)
         c = sample_program("transpose_mix", 2, 131)
