@@ -80,9 +80,9 @@ def _block_size(dim: int, per_row: int = 1) -> int:
 ROW_BLOCK_BYTES = 1 << 20
 
 
-def _row_block_size(dim: int) -> int:
-    """Rows of a d²×d² complex superoperator a block so that a block fits in ROW_BLOCK_BYTES; at least two."""
-    return max(2, ROW_BLOCK_BYTES // (16 * dim * dim))
+def _row_block_size(n: int) -> int:
+    """Rows of an n-column complex matrix a block so that a block fits in ROW_BLOCK_BYTES; at least two."""
+    return max(2, ROW_BLOCK_BYTES // (16 * n))
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -176,6 +176,12 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   Cauchy interlacing, and its own μ and failure bound 2(m + 2)uμ are at
 #   most those of M. So if eigvalsh reads at least −t, B sits above its
 #   failure bound too: failure on any leading block of M also means not PSD.
+# * μ is itself a floating-point sum, within a relative (n² + n)u of its
+#   exact value, and c = 8 is more than twice the 3 + 1/(n + 2) that the
+#   bounds above need, so its rounding cannot move a verdict. ‖h‖_F² is
+#   summed from the entries of h that were written: a single matrix's h is
+#   built over its lower triangle only, and h is exactly hermitian, so it is
+#   twice the strict lower triangle plus the diagonal, in blocks.
 # A stack is decided by one batched factorization at s = t − δ_k: when
 # every matrix succeeds, each is PSD. A batched failure does not say which
 # matrix failed, so only a single matrix goes on to the leading-block and
@@ -184,11 +190,17 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 _PSD_BAND_C = 8.0
 
 
-def _psd_band(h: np.ndarray, eig_tol: float) -> np.ndarray:
-    """δ = c(n + 2)uμ of each hermitian n×n matrix in a stack (..., n, n) (derivation above); inf when μ overflows."""
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Σ|x_ij|² of each matrix in a stack (..., r, c); inf when it overflows."""
+    with np.errstate(over="ignore"):
+        return np.einsum("...ij,...ij->...", x.real, x.real) + np.einsum("...ij,...ij->...", x.imag, x.imag)
+
+
+def _psd_band(h: np.ndarray, frobenius_sq: np.ndarray, eig_tol: float) -> np.ndarray:
+    """δ = c(n + 2)uμ of each hermitian n×n matrix in a stack (..., n, n), given ‖h‖_F² of each
+    (derivation above); only the diagonal of h is read. inf when μ overflows."""
     n = h.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        frobenius_sq = np.einsum("...ij,...ij->...", h.real, h.real) + np.einsum("...ij,...ij->...", h.imag, h.imag)
+    with np.errstate(over="ignore"):
         mu = np.abs(np.einsum("...ii->...i", h).real).sum(axis=-1) + np.sqrt(frobenius_sq) + 2 * n * eig_tol
     return _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * mu
 
@@ -202,11 +214,12 @@ def _cholesky_succeeds(m: np.ndarray) -> bool:
     return True
 
 
-def _cholesky_verdict(h: np.ndarray, eig_tol: float) -> bool | None:
+def _cholesky_verdict(h: np.ndarray, frobenius_sq: np.ndarray, eig_tol: float) -> bool | None:
     """True when Cholesky proves every matrix of the hermitian stack h (k, n, n) PSD,
     False when it proves a single matrix not PSD, None when it leaves the stack
-    undecided (derivation above); the diagonal of h is overwritten."""
-    delta = _psd_band(h, eig_tol)
+    undecided (derivation above). Only the lower triangle of h is read, and its
+    diagonal is overwritten; frobenius_sq holds ‖h‖_F² of each matrix."""
+    delta = _psd_band(h, frobenius_sq, eig_tol)
     if not (delta < eig_tol).all():
         return None
     diagonal = np.einsum("...ii->...i", h)
@@ -229,6 +242,50 @@ def _cholesky_verdict(h: np.ndarray, eig_tol: float) -> bool | None:
     return None
 
 
+def _hermitian_block(a: np.ndarray, transposed: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Hermiticity gaps of a block (..., r, c) of a stack, with its hermitian part written to out
+    (..., r, c); transposed is the view aᵀ of the mirrored block, so that out first takes aᴴ."""
+    np.conjugate(transposed, out=out)
+    gaps = _hermiticity_gaps(a, out)
+    _hermitian_part(a, out)
+    return gaps
+
+
+def _psd_preamble(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermiticity gaps (k,), hermitian part h (k, n, n) and ‖h‖_F² (k,) of a finite stack (k, n, n).
+
+    Built in blocks of at most ROW_BLOCK_BYTES, so that a block's conjugate
+    transpose, gap and half-sums stay in cache; h is the only full-size
+    array. A stack goes a group of whole matrices at a time. A single matrix
+    goes in row strips over its lower triangle only, strip [s, e) covering
+    columns [0, e), and the rest of the strict upper triangle of h is left
+    unwritten: Cholesky reads only the lower triangle, |a - aᴴ| takes the
+    same value at (i, j) and (j, i), and h is exactly hermitian. Every block
+    goes through _hermiticity_gaps and _hermitian_part, so the gaps and the
+    entries of h that are written keep their bits.
+    """
+    k, n = a.shape[:2]
+    h = np.empty(a.shape, dtype=np.complex128)
+    if k != 1:
+        gaps, frobenius_sq = np.empty(k), np.empty(k)
+        # the stack read as k rows of n² entries
+        group = _row_block_size(n * n)
+        for i in range(0, k, group):
+            block = h[i:i + group]
+            gaps[i:i + group] = _hermitian_block(a[i:i + group], a[i:i + group].swapaxes(-1, -2), block)
+            frobenius_sq[i:i + group] = _squared_norms(block)
+        return gaps, h, frobenius_sq
+    gaps = frobenius_sq = np.zeros(1)
+    rows = _row_block_size(n)
+    for s in range(0, n, rows):
+        e = s + rows
+        strip = h[:, s:e, :e]
+        gaps = np.maximum(gaps, _hermitian_block(a[:, s:e, :e], a[:, :e, s:e].swapaxes(-1, -2), strip))
+        # the columns left of the strip's diagonal block stand for their mirror images too
+        frobenius_sq = frobenius_sq + 2.0 * _squared_norms(strip[..., :s]) + _squared_norms(strip[..., s:])
+    return gaps, h, frobenius_sq
+
+
 def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Whether each matrix of a finite stack (k, n, n) is hermitian within residual_tol with eigenvalues ≥ -eig_tol.
 
@@ -236,13 +293,12 @@ def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     by Cholesky factorizations where the band above allows, and by eigvalsh
     only for a stack they leave undecided; both routes give the same flags.
     """
-    ah = _conj_transpose(a)
-    flags = _hermiticity_gaps(a, ah) <= tol.residual_tol
+    gaps, h, frobenius_sq = _psd_preamble(a)
+    flags = gaps <= tol.residual_tol
     if not flags.any():
         return flags
-    # h takes the buffer of ah, and is dropped before any eigensolve
-    verdict = _cholesky_verdict(_hermitian_part(a, ah), tol.eig_tol)
-    del ah
+    verdict = _cholesky_verdict(h, frobenius_sq, tol.eig_tol)
+    del h  # before any eigensolve, which builds its own full hermitian part
     if verdict is None:
         return flags & (_eigvalsh(a)[:, 0] >= -tol.eig_tol)
     return flags & verdict
@@ -385,11 +441,12 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return random_isometry(rng, dim, dim)
 
 
-def _effect_draws(rng: np.random.Generator, k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _effect_draws(rng: np.random.Generator, k: int, dim: int, low: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The raw draws of k :func:`random_effect` calls, in stream order: for each effect the
-    normals (2, dim, dim) of its eigenbasis, then its eigenvalues; stacked as (k, 2, dim, dim)
-    and (k, dim), the arguments of :func:`_haar_spectral`."""
-    draws = [(rng.standard_normal((2, dim, dim)), rng.uniform(0.0, 1.0, size=dim)) for _ in range(k)]
+    normals (2, dim, dim) of its eigenbasis, then its eigenvalues, uniform on [low, 1]; stacked
+    as (k, 2, dim, dim) and (k, dim), the arguments of :func:`_haar_spectral`. With low = -1
+    they are the draws of :func:`random_hermitian_contraction`."""
+    draws = [(rng.standard_normal((2, dim, dim)), rng.uniform(low, 1.0, size=dim)) for _ in range(k)]
     normals, spectra = zip(*draws)
     return np.array(normals), np.array(spectra)
 
@@ -400,9 +457,8 @@ def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_hermitian_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random hermitian matrix with operator norm at most one."""
-    z = rng.standard_normal((2, dim, dim))
-    return _haar_spectral(z, rng.uniform(-1.0, 1.0, size=dim))
+    """Random hermitian matrix with operator norm at most one: Haar eigenbasis, eigenvalues uniform on [-1, 1]."""
+    return _haar_spectral(*_effect_draws(rng, 1, dim, -1.0))[0]
 
 
 _SAMPLERS = {

@@ -222,8 +222,7 @@ def validate_predicate(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> Vali
     hi = -lows[-1]
     if hi > 1.0 + tol.eig_tol:
         violations.append(f"total effect exceeds the identity (max eigenvalue {hi:.6g})")
-    complete = float(np.abs(total - np.eye(p.dim)).max()) <= tol.residual_tol
-    return ValidationReport(ok=not violations, violations=tuple(violations), complete=complete)
+    return ValidationReport(ok=not violations, violations=tuple(violations), complete=_sums_to_identity(total, tol))
 
 
 def _require_valid(p: Predicate, tol: ToleranceConfig) -> None:
@@ -247,7 +246,12 @@ def effect_of_set(p: Predicate, subset: Iterable[str]) -> np.ndarray:
 
 def is_complete(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when the atom effects sum to the identity within residual_tol."""
-    return float(np.abs(p.total_effect() - np.eye(p.dim)).max()) <= tol.residual_tol
+    return _sums_to_identity(p.total_effect(), tol)
+
+
+def _sums_to_identity(total: np.ndarray, tol: ToleranceConfig) -> bool:
+    """The completeness rule: the total effect (d, d) is the identity within residual_tol, entry by entry."""
+    return float(np.abs(total - np.eye(len(total))).max()) <= tol.residual_tol
 
 
 def _require_comparable(f: Predicate, g: Predicate) -> None:

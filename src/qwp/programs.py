@@ -37,7 +37,6 @@ from .linalg import (
     _psd_flags,
     _row_block_size,
     as_complex_matrix,
-    is_psd,
     random_isometry,
 )
 
@@ -157,12 +156,25 @@ class QuantumProgram:
     The superoperator is the only computed form. ``kraus`` is the Kraus family
     the program was built from, which only :func:`from_kraus` attaches; every
     other constructor, the combinators and the adjoint leave it ``None``.
-    ``label`` is free-form; the arrays are read-only.
+    ``label`` is free-form; the arrays are read-only, and the superoperator
+    is a copy of the one passed in.
     """
 
     __slots__ = ("dim", "super", "kraus", "label")
 
     def __init__(self, dim: int, super_matrix, label: str = ""):
+        self._hold(dim, super_matrix, label, copy=True)
+
+    @classmethod
+    def _adopt(cls, dim: int, s: np.ndarray, label: str) -> "QuantumProgram":
+        """The program QuantumProgram(dim, s, label), for a contiguous array s that was just
+        computed and that no caller holds: s is marked read-only in place, not copied, so it
+        keeps the layout a copy would have."""
+        prog = cls.__new__(cls)
+        prog._hold(dim, s, label, copy=False)
+        return prog
+
+    def _hold(self, dim: int, super_matrix, label: str, copy: bool) -> None:
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         s = as_complex_matrix(super_matrix)
@@ -170,8 +182,12 @@ class QuantumProgram:
             raise DimensionMismatchError(
                 f"superoperator has side {s.shape[0]}, expected {dim * dim} for dim {dim}"
             )
+        if copy:
+            s = _readonly(s)
+        else:
+            s.setflags(write=False)
         self.dim = dim
-        self.super = _readonly(s)
+        self.super = s
         self.kraus = None
         self.label = str(label)
 
@@ -194,7 +210,7 @@ def from_kraus(kraus_ops, label: str = "kraus") -> QuantumProgram:
     for k in ks[1:]:
         if k.shape[0] != d:
             raise DimensionMismatchError("Kraus operators differ in dimension")
-    prog = QuantumProgram(d, _kraus_supers(ks), label=label)
+    prog = QuantumProgram._adopt(d, _kraus_supers(ks), label)
     prog.kraus = tuple(_readonly(k) for k in ks)
     return prog
 
@@ -271,7 +287,7 @@ def transpose_program(dim: int) -> QuantumProgram:
     """Transposition map: positive and trace preserving, not CP for dim >= 2."""
     n = dim * dim
     s = np.eye(n).reshape(dim, dim, dim, dim).transpose(1, 0, 2, 3).reshape(n, n)
-    return QuantumProgram(dim, s, label="transpose")
+    return QuantumProgram._adopt(dim, s, "transpose")
 
 
 def depolarizing(p: float) -> QuantumProgram:
@@ -330,7 +346,7 @@ def _act(supers: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """
     v = vec(ms)[..., None]
     n = v.shape[-2]
-    rows = _row_block_size(math.isqrt(n))
+    rows = _row_block_size(n)
     if rows >= n or supers.strides[-1] != supers.itemsize:
         return unvec((supers @ v)[..., 0])
     starts = range(0, n - 1, rows)  # none on the last row
@@ -362,7 +378,7 @@ def adjoint(c: QuantumProgram) -> QuantumProgram:
     family {K} the dual acts as F -> sum K† F K). The dual of a
     trace-preserving map is unital.
     """
-    return QuantumProgram(c.dim, c.super.conj().T, label=f"adjoint({c.label})")
+    return QuantumProgram._adopt(c.dim, c.super.conj().T, f"adjoint({c.label})")
 
 
 def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -387,8 +403,8 @@ def to_choi(c: QuantumProgram) -> np.ndarray:
 
 
 def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the Choi matrix is PSD."""
-    return is_psd(to_choi(c), tol)
+    """True when the Choi matrix is PSD; the superoperator was validated when the program was built."""
+    return bool(_psd_flags(to_choi(c)[None], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -484,7 +500,7 @@ def seq(c1: QuantumProgram, c2: QuantumProgram) -> QuantumProgram:
     """Sequential composition: run c1 first, then c2."""
     if c1.dim != c2.dim:
         raise DimensionMismatchError(f"program dims {c1.dim} vs {c2.dim}")
-    return QuantumProgram(c1.dim, c2.super @ c1.super, label=f"seq({c1.label}, {c2.label})")
+    return QuantumProgram._adopt(c1.dim, c2.super @ c1.super, f"seq({c1.label}, {c2.label})")
 
 
 def mix(weight: float, c1: QuantumProgram, c2: QuantumProgram) -> QuantumProgram:
@@ -497,7 +513,7 @@ def mix(weight: float, c1: QuantumProgram, c2: QuantumProgram) -> QuantumProgram
     if c1.dim != c2.dim:
         raise DimensionMismatchError(f"program dims {c1.dim} vs {c2.dim}")
     s = _mixed(weight, c1.super, c2.super)
-    return QuantumProgram(c1.dim, s, label=f"mix({weight}, {c1.label}, {c2.label})")
+    return QuantumProgram._adopt(c1.dim, s, f"mix({weight}, {c1.label}, {c2.label})")
 
 
 def _mixed(weight, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -530,7 +546,7 @@ def measure_branch(instrument, branches, tol: ToleranceConfig = DEFAULT_TOL) -> 
     if gap > tol.residual_tol:
         raise ValidationError(f"instrument incomplete: sum M†M deviates from identity by {gap:.3e}")
     s = sum(b.super @ np.kron(m.conj(), m) for m, b in zip(ms, branches))
-    return QuantumProgram(d, s, label="measure_branch")
+    return QuantumProgram._adopt(d, s, "measure_branch")
 
 
 # ---------------------------------------------------------------------------

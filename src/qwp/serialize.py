@@ -72,6 +72,8 @@ def _dim_from_json(value) -> int:
         raise ValidationError(f"dim must be a number, got {type(value).__name__}")
     if isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"dim must be a finite whole number, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"dim must be at least 1, got {value!r}")
     return int(value)
 
 

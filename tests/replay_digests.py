@@ -1,4 +1,4 @@
-"""Print SHA-256 digests of seeded results at d ≤ 16, one line each.
+"""Print SHA-256 digests of seeded results, one line each.
 
 Seeded replay must not depend on how many threads BLAS runs. Run this
 script under two thread settings and compare the outputs; they must be equal:
@@ -7,10 +7,13 @@ script under two thread settings and compare the outputs; they must be equal:
     OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python tests/replay_digests.py > two.txt
     cmp one.txt two.txt
 
-Digested: ``wp`` effects, ``verify_triple`` reports (a triple that holds and
-one that fails), ``is_positive_sampled`` verdicts (status, samples and
-witness bytes) and one ``qwp properties all --dims 2,3`` report with its
-timestamp removed.
+Digested at d ≤ 16: ``wp`` effects, ``verify_triple`` reports (a triple
+that holds and one that fails), ``is_positive_sampled`` verdicts (status,
+samples and witness bytes) and one ``qwp properties all --dims 2,3`` report
+with its timestamp removed. At d = 24 and 32, where the PSD kernel works in
+row strips, only verdicts: ``is_completely_positive`` and
+``is_positive_sampled``. The last bits of ``wp`` and ``verify`` there depend
+on the thread count.
 """
 
 import hashlib
@@ -21,11 +24,12 @@ from click.testing import CliRunner
 
 from qwp.cli import main
 from qwp.predicates import Predicate, random_predicate
-from qwp.programs import from_super, is_positive_sampled, mix, sample_program, vec
+from qwp.programs import from_super, is_completely_positive, is_positive_sampled, mix, sample_program, vec
 from qwp.serialize import verification_report_to_json
 from qwp.wp import HoareTriple, verify_triple, wp
 
 DIMS = (2, 3, 5, 8, 16)
+VERDICT_DIMS = (24, 32)
 KINDS = ("cptp", "unitary", "transpose", "transpose_mix")
 SEEDS = (0, 1)
 
@@ -58,10 +62,24 @@ def library_lines():
                 for verdict, pre in (("holds", 0.9 * effects), ("fails", bumped)):
                     report = verify_triple(HoareTriple(Predicate(post.space, pre), c, post), seed=seed)
                     yield f"verify.{verdict}.{name}", digest(json.dumps(verification_report_to_json(report), sort_keys=True))
-                for label, prog in (("", c), (".nonpositive", mix(0.5, c, nonpositive(dim, 0.05)))):
-                    v = is_positive_sampled(prog, seed=seed)
-                    witness = b"" if v.witness is None else v.witness
-                    yield f"positivity{label}.{name}", digest(v.status, v.samples, witness)
+                yield from positivity_lines(c, name, seed)
+
+
+def positivity_lines(c, name: str, seed: int):
+    for label, prog in (("", c), (".nonpositive", mix(0.5, c, nonpositive(c.dim, 0.05)))):
+        v = is_positive_sampled(prog, seed=seed)
+        witness = b"" if v.witness is None else v.witness
+        yield f"positivity{label}.{name}", digest(v.status, v.samples, witness)
+
+
+def verdict_lines():
+    for dim in VERDICT_DIMS:
+        for kind in KINDS:
+            for seed in SEEDS:
+                c = sample_program(kind, dim, np.random.default_rng([dim, seed, 0x7E9]))
+                name = f"{kind}.d{dim}.s{seed}"
+                yield f"cp.{name}", digest(is_completely_positive(c))
+                yield from positivity_lines(c, name, seed)
 
 
 def properties_line():
@@ -72,5 +90,5 @@ def properties_line():
 
 
 if __name__ == "__main__":
-    for name, value in [*library_lines(), properties_line()]:
+    for name, value in [*library_lines(), *verdict_lines(), properties_line()]:
         print(name, value)

@@ -107,6 +107,34 @@ class TestBuilders:
         with pytest.raises(TypeError):
             QuantumProgram(2, np.eye(4), kraus=[np.eye(2)])
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_caller_array_is_copied(self, dim):
+        # at d = 1 the Choi decoder's reshape is a view of the caller's array
+        c = sample_program("cptp", dim, 11)
+        for build, arg in ((from_super, c.super.copy()), (from_choi, to_choi(c).copy()),
+                           (lambda s: QuantumProgram(dim, s), c.super.copy())):
+            prog = build(arg)
+            before = prog.super.copy()
+            arg[...] = np.nan
+            assert np.array_equal(prog.super, before)
+
+    def test_every_constructor_gives_a_read_only_superoperator(self):
+        c = sample_program("cptp", 2, 12)
+        programs = [
+            QuantumProgram(2, np.eye(4)), from_super(c.super), from_choi(to_choi(c)), from_kraus(c.kraus),
+            from_unitary(X), identity_program(2), transpose_program(2), depolarizing(0.3),
+            amplitude_damping(0.3), random_cptp(np.random.default_rng(1), 2), adjoint(c), seq(c, c),
+            mix(0.3, c, transpose_program(2)), measure_branch([KET0, KET1], [c, adjoint(c)]),
+            *(sample_program(kind, 2, 13) for kind in ("cptp", "unitary", "transpose", "transpose_mix")),
+        ]
+        for prog in programs:
+            for a in (prog.super, *(prog.kraus or ())):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
+            # a superoperator taken over without a copy keeps the layout its copy had: an adjoint's goes by columns
+            assert prog.super.flags.f_contiguous if prog.label.startswith("adjoint") else prog.super.flags.c_contiguous
+
     def test_pauli_x_flips(self):
         c = from_unitary(X)
         out = apply(c, DensityState(KET0))

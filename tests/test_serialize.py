@@ -175,16 +175,17 @@ class TestProgramFormat:
     @pytest.mark.parametrize("repr_kind", ["kraus", "super", "choi", "named"])
     def test_labelled_document_builds_one_program(self, repr_kind, monkeypatch):
         doc = {**quarter_depolarizing_document(repr_kind), "label": "noise"}
-        inits = []
-        init = QuantumProgram.__init__
+        builds = []
+        hold = QuantumProgram._hold
 
+        # every program, copied or adopted, is set up by _hold
         def counted(self, *args, **kwargs):
-            inits.append(args)
-            init(self, *args, **kwargs)
+            builds.append(args)
+            hold(self, *args, **kwargs)
 
-        monkeypatch.setattr(QuantumProgram, "__init__", counted)
+        monkeypatch.setattr(QuantumProgram, "_hold", counted)
         assert program_from_json(doc).label == "noise"
-        assert len(inits) == 1
+        assert len(builds) == 1
 
     def test_super_round_trip_for_kraus_free_program(self):
         t = transpose_program(3)
@@ -213,6 +214,14 @@ class TestProgramFormat:
             program_from_json({"dim": dim, "repr": "named", "payload": {"name": "depolarizing", "p": 0.5}})
         with pytest.raises(ValidationError, match="dim must be"):
             matrix_from_json({"dim": dim, "re": [[1.0]], "im": [[0.0]]})
+
+    @pytest.mark.parametrize("dim", [0, -1, 0.0, -2.0])
+    @pytest.mark.parametrize("name", ["identity", "transpose", "depolarizing"])
+    def test_dim_below_one_rejected_by_name(self, dim, name):
+        with pytest.raises(ValidationError, match=f"dim must be at least 1, got {dim!r}"):
+            program_from_json({"dim": dim, "repr": "named", "payload": {"name": name, "p": 0.5}})
+        with pytest.raises(ValidationError, match="dim must be at least 1"):
+            matrix_from_json({"dim": dim, "re": [], "im": []})
 
     @pytest.mark.parametrize(
         "payload,message",

@@ -323,6 +323,12 @@ def is_psd_oracle(a, tol=None):
     return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min()) >= -tol.eig_tol
 
 
+def psd_band(a, tol):
+    """δ of one matrix, as the PSD kernel computes it from the hermitian part it builds."""
+    _, h, frobenius_sq = qwp_linalg._psd_preamble(np.asarray(a, dtype=np.complex128)[None])
+    return float(qwp_linalg._psd_band(h, frobenius_sq, tol.eig_tol)[0])
+
+
 def is_positive_sampled_oracle(c, tol=None, seed=0):
     """The per-state positivity audit: one matrix-vector product and one eigensolve a state."""
     tol = tol or DEFAULT_TOL
@@ -650,7 +656,7 @@ class TestActionOracle:
         # a 1×n by n×1 product goes to a dot kernel, which rounds the last row differently
         assert (dim * dim) % rows == 1
         monkeypatch.setattr(qwp_linalg, "ROW_BLOCK_BYTES", rows * 16 * dim * dim)
-        assert qwp_linalg._row_block_size(dim) == rows
+        assert qwp_linalg._row_block_size(dim * dim) == rows
         rng = np.random.default_rng([dim, 101])
         c = from_super(gaussian_super(rng, dim))
         ms = random_densities(rng, 3, dim)
@@ -658,10 +664,10 @@ class TestActionOracle:
 
     def test_block_rule(self):
         # a superoperator of at most ROW_BLOCK_BYTES (d ≤ 16) is one product
-        assert [qwp_linalg._row_block_size(d) >= d * d for d in (2, 8, 16, 17, 32)] == [True] * 3 + [False] * 2
-        assert qwp_linalg._row_block_size(32) == 64
+        assert [qwp_linalg._row_block_size(d * d) >= d * d for d in (2, 8, 16, 17, 32)] == [True] * 3 + [False] * 2
+        assert qwp_linalg._row_block_size(32 * 32) == 64
         # never one row a block, however large the superoperator
-        assert qwp_linalg._row_block_size(300) == 2
+        assert qwp_linalg._row_block_size(300 * 300) == 2
 
 
 class TestDualitySweepOracle:
@@ -1086,7 +1092,7 @@ class TestPsdOracle:
         j = to_choi(sample_program(kind, dim, 17))
         lowest = float(np.linalg.eigvalsh(j).min())
         base = j - (lowest + tol.eig_tol) * np.eye(dim * dim)
-        delta = qwp_linalg._psd_band(base, tol.eig_tol)
+        delta = psd_band(base, tol)
         assert 0.0 < 4.0 * delta < tol.eig_tol
         # λ_min = -eig_tol + side·k·δ
         shifted = base + side * k * delta * np.eye(dim * dim)
@@ -1134,7 +1140,7 @@ def at_band_offset(a, k, tol):
     """a shifted so that its lowest eigenvalue is -eig_tol + k·δ, δ the band of the shifted matrix."""
     n = a.shape[0]
     base = a - (float(np.linalg.eigvalsh(a).min()) + tol.eig_tol) * np.eye(n)
-    return base + k * qwp_linalg._psd_band(base, tol.eig_tol) * np.eye(n)
+    return base + k * psd_band(base, tol) * np.eye(n)
 
 
 def psd_kernel_stack(rng, n, tol):
@@ -1258,9 +1264,113 @@ class TestPsdKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at its widest the kernel holds a block's outputs, their conjugate
-        # transpose, the difference and its moduli: about 55 MiB at d = 32
+        # at its widest the audit holds a block's outputs, their hermitian
+        # part and its Cholesky factor: about 49 MiB at d = 32
         assert peak <= 64 << 20
+
+
+def lower_triangle(a):
+    """The entries on and below the diagonal of each matrix of a stack, flattened."""
+    n = a.shape[-1]
+    return a[..., np.tri(n, dtype=bool)]
+
+
+def preamble_oracle(a):
+    """Gaps and hermitian part of a stack (k, n, n) from full-size passes, as the kernel computed them before."""
+    ah = a.conj().swapaxes(-1, -2)
+    return qwp_linalg._hermiticity_gaps(a, ah), qwp_linalg._hermitian_part(a, ah.copy())
+
+
+class TestPsdPreamble:
+    """The PSD kernel's gaps and hermitian part, built in blocks that stay in cache."""
+
+    def assert_preamble_bits(self, a):
+        gaps, h, frobenius_sq = qwp_linalg._psd_preamble(a)
+        want_gaps, want_h = preamble_oracle(a)
+        assert_same_bits(gaps, want_gaps)
+        if len(a) == 1:
+            # a single matrix is built over its lower triangle only
+            assert_same_bits(lower_triangle(h), lower_triangle(want_h))
+        else:
+            assert_same_bits(h, want_h)
+        # ‖h‖_F² from the lower triangle, summed in another order
+        assert np.allclose(frobenius_sq, qwp_linalg._squared_norms(want_h), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [17, 24, 32])
+    def test_single_matrices_in_strips(self, dim):
+        # 226-row strips leave a 63-row tail at d = 17; 64-row strips divide d = 32
+        rng = np.random.default_rng([dim, 151])
+        for a in (to_choi(sample_program("transpose_mix", dim, 5)), gaussian_super(rng, dim)):
+            self.assert_preamble_bits(a[None])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [5, 32, 100])
+    def test_stacks_whose_count_no_group_divides(self, n, order):
+        k = 2 * qwp_linalg._row_block_size(n * n) + 3
+        rng = np.random.default_rng([n, 157])
+        a = np.asarray(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)), order=order)
+        a[1] = a[1] + a[1].conj().T
+        self.assert_preamble_bits(a)
+
+    def test_a_gap_only_in_the_upper_triangle_of_the_last_strip(self):
+        n = 17 * 17
+        rows = qwp_linalg._row_block_size(n)
+        last = (n - 1) // rows * rows
+        a = to_choi(sample_program("cptp", 17, 8))
+        assert qwp_linalg._psd_preamble(a[None])[0][0] <= DEFAULT_TOL.residual_tol
+        a[last, n - 1] += 1e-6
+        self.assert_preamble_bits(a[None])
+        assert qwp_linalg._psd_preamble(a[None])[0][0] > DEFAULT_TOL.residual_tol
+        assert is_psd(a) is False
+
+    def test_entries_near_the_float_limit(self):
+        rng = np.random.default_rng(163)
+        for n in (3, 300):
+            z = np.sign(rng.standard_normal((2, n, n)))
+            a = 1.7e308 * (z[0] + 1j * z[1])
+            self.assert_preamble_bits(a[None])
+            # an overflowing gap or norm reads inf, without a warning
+            with np.errstate(all="raise"):
+                gaps, h, frobenius_sq = qwp_linalg._psd_preamble(a[None])
+            assert np.isfinite(lower_triangle(h)).all()
+            assert gaps[0] == frobenius_sq[0] == np.inf
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(167)
+        for shape in ((1, 300, 300), (9, 6, 6)):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            a.real[rng.random(shape) < 0.4] = 0.0
+            a.imag[rng.random(shape) < 0.4] = -0.0
+            a.real[rng.random(shape) < 0.2] *= -1.0
+            a.imag[rng.random(shape) < 0.2] *= -1.0
+            self.assert_preamble_bits(a)
+
+    @pytest.mark.parametrize("n", [5, 64, 300])
+    def test_cholesky_reads_only_the_lower_triangle(self, n):
+        rng = np.random.default_rng([n, 173])
+        g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        m = g @ g.conj().swapaxes(-1, -2) + np.eye(n)
+        nan_above = m.copy()
+        nan_above[:, ~np.tri(n, dtype=bool)] = np.nan
+        assert_same_bits(np.linalg.cholesky(nan_above), np.linalg.cholesky(m))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", [17, 24])
+    def test_strip_verdicts_match_the_oracle(self, kind, dim):
+        for seed in range(2):
+            c = sample_program(kind, dim, seed)
+            assert is_completely_positive(c) is is_psd_oracle(to_choi(c))
+
+    def test_the_cp_check_peak_stays_under_40_mib(self):
+        c = sample_program("transpose_mix", 32, 4)
+        tracemalloc.start()
+        try:
+            assert is_completely_positive(c) is False
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 16 MiB Choi matrix and its 16 MiB hermitian part, plus one strip's temporaries
+        assert peak <= 40 << 20
 
 
 class TestSamplerOracle:
@@ -1306,6 +1416,18 @@ class TestSamplerOracle:
         want = np.array([random_effect_oracle(oracle_rng, dim) for _ in range(3)])
         assert_same_bits(qwp_linalg._haar_spectral(normals, spectra), want)
         assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_hermitian_contraction_draws_replay_the_stream(self, dim):
+        # the effect draws with eigenvalues on [-1, 1]: normals of the eigenbasis, then the eigenvalues
+        for seed in range(10):
+            rng, stream = np.random.default_rng([seed, dim, 3]), np.random.default_rng([seed, dim, 3])
+            z, w = stream.standard_normal((2, dim, dim)), stream.uniform(-1.0, 1.0, size=dim)
+            normals, spectra = qwp_linalg._effect_draws(rng, 1, dim, -1.0)
+            assert np.array_equal(normals, z[None]) and np.array_equal(spectra, w[None])
+            rng = np.random.default_rng([seed, dim, 3])
+            assert np.array_equal(random_hermitian_contraction(rng, dim), qwp_linalg._haar_spectral(z, w))
+            assert np.array_equal(rng.standard_normal(3), stream.standard_normal(3))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_stacked_effects_match_the_per_atom_draws(self, dim):
