@@ -171,8 +171,8 @@ def _block_wp(supers: np.ndarray, groups: list, trials: np.ndarray, tol: Toleran
     _require(_unital_gaps(conj) > tol.residual_tol, trials)
     out = []
     for pos, f in groups:
-        g, bad = _pull_back(conj[pos], f)
-        _require(bad, trials[pos])
+        g = _pull_back(conj[pos], f)
+        _require(~np.isfinite(g).all(axis=(-3, -2, -1)), trials[pos])
         out.append((pos, g))
     return out
 

@@ -85,13 +85,17 @@ def _row_block_size(n: int) -> int:
     return max(2, ROW_BLOCK_BYTES // (16 * n))
 
 
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce input to a square complex128 array with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    _require_finite(a)
     return a
 
 
@@ -100,11 +104,6 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(
             f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
         )
-
-
-def _conj_transpose(a: np.ndarray) -> np.ndarray:
-    """C-contiguous conjugate transpose of each matrix in a stack (..., d, d)."""
-    return np.conjugate(a.swapaxes(-1, -2), order="C")
 
 
 def _hermitian_part(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray:
@@ -120,7 +119,7 @@ def _hermitian_part(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray:
     never copied.
     """
     if ah is None:
-        ah = _conj_transpose(a)
+        ah = np.conjugate(a.swapaxes(-1, -2), order="C")
     for part, other in ((ah.real, a.real), (ah.imag, a.imag)):
         part *= 0.5
         part += np.multiply(other, 0.5)
@@ -179,9 +178,9 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 # * μ is itself a floating-point sum, within a relative (n² + n)u of its
 #   exact value, and c = 8 is more than twice the 3 + 1/(n + 2) that the
 #   bounds above need, so its rounding cannot move a verdict. ‖h‖_F² is
-#   summed from the entries of h that were written: a single matrix's h is
-#   built over its lower triangle only, and h is exactly hermitian, so it is
-#   twice the strict lower triangle plus the diagonal, in blocks.
+#   summed from the entries of h that were written: a matrix wider than one
+#   strip is built over its lower triangle only, and h is exactly hermitian,
+#   so it is twice the strict lower triangle plus the diagonal, in blocks.
 # A stack is decided by one batched factorization at s = t − δ_k: when
 # every matrix succeeds, each is PSD. A batched failure does not say which
 # matrix failed, so only a single matrix goes on to the leading-block and
@@ -196,15 +195,6 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
         return np.einsum("...ij,...ij->...", x.real, x.real) + np.einsum("...ij,...ij->...", x.imag, x.imag)
 
 
-def _psd_band(h: np.ndarray, frobenius_sq: np.ndarray, eig_tol: float) -> np.ndarray:
-    """δ = c(n + 2)uμ of each hermitian n×n matrix in a stack (..., n, n), given ‖h‖_F² of each
-    (derivation above); only the diagonal of h is read. inf when μ overflows."""
-    n = h.shape[-1]
-    with np.errstate(over="ignore"):
-        mu = np.abs(np.einsum("...ii->...i", h).real).sum(axis=-1) + np.sqrt(frobenius_sq) + 2 * n * eig_tol
-    return _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * mu
-
-
 def _cholesky_succeeds(m: np.ndarray) -> bool:
     """Whether Cholesky runs to completion on every matrix of the stack m (..., n, n)."""
     try:
@@ -214,12 +204,11 @@ def _cholesky_succeeds(m: np.ndarray) -> bool:
     return True
 
 
-def _cholesky_verdict(h: np.ndarray, frobenius_sq: np.ndarray, eig_tol: float) -> bool | None:
+def _cholesky_verdict(h: np.ndarray, delta: np.ndarray, eig_tol: float) -> bool | None:
     """True when Cholesky proves every matrix of the hermitian stack h (k, n, n) PSD,
     False when it proves a single matrix not PSD, None when it leaves the stack
     undecided (derivation above). Only the lower triangle of h is read, and its
-    diagonal is overwritten; frobenius_sq holds ‖h‖_F² of each matrix."""
-    delta = _psd_band(h, frobenius_sq, eig_tol)
+    diagonal is overwritten; delta holds the band δ of each matrix."""
     if not (delta < eig_tol).all():
         return None
     diagonal = np.einsum("...ii->...i", h)
@@ -242,48 +231,38 @@ def _cholesky_verdict(h: np.ndarray, frobenius_sq: np.ndarray, eig_tol: float) -
     return None
 
 
-def _hermitian_block(a: np.ndarray, transposed: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Hermiticity gaps of a block (..., r, c) of a stack, with its hermitian part written to out
-    (..., r, c); transposed is the view aᵀ of the mirrored block, so that out first takes aᴴ."""
-    np.conjugate(transposed, out=out)
-    gaps = _hermiticity_gaps(a, out)
-    _hermitian_part(a, out)
-    return gaps
+def _psd_preamble(a: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermiticity gaps (k,), hermitian part h (k, n, n) and band δ (k,) of a finite stack (k, n, n).
 
-
-def _psd_preamble(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermiticity gaps (k,), hermitian part h (k, n, n) and ‖h‖_F² (k,) of a finite stack (k, n, n).
-
-    Built in blocks of at most ROW_BLOCK_BYTES, so that a block's conjugate
-    transpose, gap and half-sums stay in cache; h is the only full-size
-    array. A stack goes a group of whole matrices at a time. A single matrix
-    goes in row strips over its lower triangle only, strip [s, e) covering
-    columns [0, e), and the rest of the strict upper triangle of h is left
-    unwritten: Cholesky reads only the lower triangle, |a - aᴴ| takes the
-    same value at (i, j) and (j, i), and h is exactly hermitian. Every block
-    goes through _hermiticity_gaps and _hermitian_part, so the gaps and the
-    entries of h that are written keep their bits.
+    One loop over groups of matrices, each matrix in row strips over its
+    lower triangle, strip [s, e) covering columns [0, e), so that a block's
+    conjugate transpose, gap and half-sums fit ROW_BLOCK_BYTES and stay in
+    cache; h is the only full-size array. A matrix of n ≤ 256 is one strip
+    and is written whole. A wider one leaves the rest of its strict upper
+    triangle unwritten: Cholesky reads only the lower triangle, |a - aᴴ|
+    takes the same value at (i, j) and (j, i), and h is exactly hermitian.
+    Blocks go through _hermiticity_gaps and _hermitian_part, so the gaps and
+    the written entries of h keep their bits. δ (derivation above) is inf
+    when μ overflows.
     """
     k, n = a.shape[:2]
     h = np.empty(a.shape, dtype=np.complex128)
-    if k != 1:
-        gaps, frobenius_sq = np.empty(k), np.empty(k)
-        # the stack read as k rows of n² entries
-        group = _row_block_size(n * n)
-        for i in range(0, k, group):
-            block = h[i:i + group]
-            gaps[i:i + group] = _hermitian_block(a[i:i + group], a[i:i + group].swapaxes(-1, -2), block)
-            frobenius_sq[i:i + group] = _squared_norms(block)
-        return gaps, h, frobenius_sq
-    gaps = frobenius_sq = np.zeros(1)
-    rows = _row_block_size(n)
-    for s in range(0, n, rows):
-        e = s + rows
-        strip = h[:, s:e, :e]
-        gaps = np.maximum(gaps, _hermitian_block(a[:, s:e, :e], a[:, :e, s:e].swapaxes(-1, -2), strip))
-        # the columns left of the strip's diagonal block stand for their mirror images too
-        frobenius_sq = frobenius_sq + 2.0 * _squared_norms(strip[..., :s]) + _squared_norms(strip[..., s:])
-    return gaps, h, frobenius_sq
+    gaps, frobenius_sq = np.zeros(k), np.zeros(k)
+    # the stack read as k rows of n² entries, each matrix as n rows of n
+    group, rows = _row_block_size(n * n), _row_block_size(n)
+    for i in range(0, k, group):
+        g = slice(i, i + group)
+        for s in range(0, n, rows):
+            e = s + rows
+            strip = h[g, s:e, :e]
+            np.conjugate(a[g, :e, s:e].swapaxes(-1, -2), out=strip)
+            gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, :e], strip))
+            _hermitian_part(a[g, s:e, :e], strip)
+            # the columns left of the strip's diagonal block stand for their mirror images too
+            frobenius_sq[g] = frobenius_sq[g] + 2.0 * _squared_norms(strip[..., :s]) + _squared_norms(strip[..., s:])
+    with np.errstate(over="ignore"):
+        mu = np.abs(np.einsum("...ii->...i", h).real).sum(axis=-1) + np.sqrt(frobenius_sq) + 2 * n * eig_tol
+    return gaps, h, _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * mu
 
 
 def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -293,11 +272,11 @@ def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     by Cholesky factorizations where the band above allows, and by eigvalsh
     only for a stack they leave undecided; both routes give the same flags.
     """
-    gaps, h, frobenius_sq = _psd_preamble(a)
+    gaps, h, delta = _psd_preamble(a, tol.eig_tol)
     flags = gaps <= tol.residual_tol
     if not flags.any():
         return flags
-    verdict = _cholesky_verdict(h, frobenius_sq, tol.eig_tol)
+    verdict = _cholesky_verdict(h, delta, tol.eig_tol)
     del h  # before any eigensolve, which builds its own full hermitian part
     if verdict is None:
         return flags & (_eigvalsh(a)[:, 0] >= -tol.eig_tol)
@@ -307,11 +286,9 @@ def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when hermitian and all eigenvalues are at least -eig_tol.
 
-    The one-matrix case of the stacked PSD kernel: a large matrix that fails
-    on its leading n/16 or n/4 rows is refused there; otherwise Cholesky
-    factorizations at the shifts eig_tol ∓ δ decide, with the eigenvalue
-    test only for an input they leave undecided. Every route gives the same
-    verdict (see the derivation of δ above).
+    The one-matrix case of the stacked PSD kernel: Cholesky factorizations
+    decide where the band δ allows, the eigenvalue test the rest, and every
+    route gives the same verdict (see the derivation of δ above).
     """
     return bool(_psd_flags(as_complex_matrix(a)[None], tol)[0])
 

@@ -23,6 +23,7 @@ from .linalg import (
     _eigvalsh,
     _ginibre,
     _hermiticity_gaps,
+    _require_finite,
     as_complex_matrix,
     loewner_leq,
 )
@@ -210,8 +211,7 @@ def validate_predicate(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> Vali
     """
     total = p.total_effect()
     # effects are finite by construction; their sum can still overflow
-    if not np.isfinite(total).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    _require_finite(total)
     lows, gaps = (x.tolist() for x in _effect_bounds(p.effects, total))
     violations = []
     for atom, lo, gap in zip(p.space.atoms, lows, gaps):
@@ -343,8 +343,7 @@ def _random_effects(z: np.ndarray, factors) -> np.ndarray:
     g = _ginibre(z)
     blocks = g @ g.conj().swapaxes(-1, -2)
     total = _total_effects(blocks)
-    if not np.isfinite(total).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    _require_finite(total)
     vals, vecs = _eigh(total)
     inv_root = ((vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))[..., None, :, :]
     return factors * (inv_root @ blocks @ inv_root)

@@ -35,6 +35,7 @@ from .linalg import (
     _haar_isometries,
     _hermiticity_gaps,
     _psd_flags,
+    _require_finite,
     _row_block_size,
     as_complex_matrix,
     random_isometry,
@@ -479,8 +480,7 @@ def is_positive_sampled(
     for psis, raw in _candidate_blocks(d, tol.sample_count, rng, _block_size(d)):
         out = _pure_outputs(c, psis)
         # the per-matrix checks of is_hermitian and min_eigenvalue, run once per block
-        if not np.all(np.isfinite(out)):
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        _require_finite(out)
         bad = ~_psd_flags(out, tol)
         if bad.any():
             i = int(np.argmax(bad))

@@ -84,6 +84,13 @@ def _require(value, kind: type, what: str):
     return value
 
 
+def _part_from_json(obj: dict, key: str) -> np.ndarray:
+    try:  # float() refuses a JSON object, in the part or among its entries, with a TypeError
+        return np.asarray(obj[key], dtype=float)
+    except TypeError:
+        raise ValidationError(f"matrix part {key!r} must be a list of lists of numbers") from None
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValidationError(f"matrix JSON must be an object, got {type(obj).__name__}")
@@ -91,8 +98,8 @@ def matrix_from_json(obj) -> np.ndarray:
     if missing:
         raise ValidationError(f"matrix JSON missing keys {missing}")
     d = _dim_from_json(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re = _part_from_json(obj, "re")
+    im = _part_from_json(obj, "im")
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValidationError(
             f"matrix parts must be {d}x{d}, got re {re.shape} and im {im.shape}"

@@ -31,6 +31,7 @@ from .linalg import (
     _haar_spectral,
     _hermiticity_gaps,
     _psd_sqrts,
+    _require_finite,
     random_densities,
 )
 from .predicates import OutcomeSpace, Predicate, _leq_refusals, _require_valid
@@ -150,24 +151,21 @@ def _transform(c: QuantumProgram, f: Predicate, tol: ToleranceConfig) -> Predica
     conj = c.super.conj()  # once, for the trace-preservation test and the pull-back
     if float(_unital_gaps(conj)) > tol.residual_tol:
         raise NotTracePreservingError(f"program {c.label!r} is not trace preserving")
-    effects, bad = _pull_back(conj, f.effects)
+    effects = _pull_back(conj, f.effects)
     # a finite superoperator that passes the unital test can still overflow
-    if bad:
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    _require_finite(effects)
     return Predicate._from_stack(f.space, effects)
 
 
-def _pull_back(conjs: np.ndarray, effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """wp's effects for the conjugates (..., d², d²) of superoperators and effects (..., k, d, d):
-    the C-ordered outputs and the mask (...) of those with a non-finite entry.
+def _pull_back(conjs: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """wp's effects, C-ordered, for the conjugates (..., d², d²) of superoperators and effects (..., k, d, d).
 
     The adjoint acts as the view ``conjs.swapaxes(-1, -2)``, the layout
     :func:`adjoint` stores: a C-ordered copy would change the rounding. The
     view is stored by columns, so :func:`_act` multiplies it in one product,
     not by row blocks, which ran slower on it and rounded differently.
     """
-    out = np.ascontiguousarray(_act(conjs.swapaxes(-1, -2)[..., None, :, :], effects))
-    return out, ~np.isfinite(out).all(axis=(-3, -2, -1))
+    return np.ascontiguousarray(_act(conjs.swapaxes(-1, -2)[..., None, :, :], effects))
 
 
 def _duality_gaps(g: np.ndarray, f: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -284,8 +282,7 @@ def _traces(stack: np.ndarray) -> np.ndarray:
 
 def _require_finite_hermitian(stack: np.ndarray, tol: ToleranceConfig) -> None:
     # the per-matrix checks of Predicate and loewner_leq, run once per stack
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    _require_finite(stack)
     if float(_hermiticity_gaps(stack).max()) > tol.residual_tol:
         raise ValueError("loewner_leq requires hermitian operands")
 

@@ -1,0 +1,146 @@
+"""Mutation gate: each row breaks one rule of the source, and its tests must fail.
+
+A row is (file under src/qwp, exact old text, new text, test selection). For
+each row the script copies src/ to a temporary directory, replaces the old
+text, which must occur exactly once, by the new text, and runs the selection
+with ``pytest -x`` against the copy. The gate fails when a mutant survives,
+when a row's old text is missing (the table has gone stale), and when the
+selections do not pass on the unchanged source, which would make every
+mutant look killed.
+
+Run from the repository root, with the standard library and pytest:
+
+    python tests/mutations.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+KERNELS = "tests/test_stacked_kernels.py"
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    selection: tuple[str, ...]
+
+
+MUTANTS = [
+    # the PSD kernel's preamble: ‖h‖_F² counts the mirrored columns twice
+    Mutant(
+        "linalg.py",
+        "frobenius_sq[g] + 2.0 * _squared_norms(strip[..., :s])",
+        "frobenius_sq[g] + _squared_norms(strip[..., :s])",
+        (f"{KERNELS}::TestPsdPreamble::test_single_matrices_in_strips",),
+    ),
+    # its strips cover columns [0, e), not only their diagonal block [s, e)
+    Mutant(
+        "linalg.py",
+        """            strip = h[g, s:e, :e]
+            np.conjugate(a[g, :e, s:e].swapaxes(-1, -2), out=strip)
+            gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, :e], strip))
+            _hermitian_part(a[g, s:e, :e], strip)""",
+        """            strip = h[g, s:e, s:e]
+            np.conjugate(a[g, s:e, s:e].swapaxes(-1, -2), out=strip)
+            gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, s:e], strip))
+            _hermitian_part(a[g, s:e, s:e], strip)""",
+        (f"{KERNELS}::TestPsdPreamble::test_single_matrices_in_strips",),
+    ),
+    # the Cholesky verdicts: success proves PSD only below the band, failure refutes only above it
+    Mutant(
+        "linalg.py",
+        """    below = diagonal + (eig_tol - delta)[:, None]
+    above = diagonal + (eig_tol + delta)[:, None]""",
+        """    below = diagonal + (eig_tol + delta)[:, None]
+    above = diagonal + (eig_tol - delta)[:, None]""",
+        (f"{KERNELS}::TestPsdOracle::test_shifted_to_the_band_edges",),
+    ),
+    # a single matrix is first probed on its leading n/16 and n/4 rows
+    Mutant(
+        "linalg.py",
+        "for m in (n // 16, n // 4))",
+        "for m in ())",
+        (f"{KERNELS}::TestPsdKernel::test_a_failure_in_the_leading_rows_stops_at_the_first_probe",),
+    ),
+    # moduli round as a scalar abs() does
+    Mutant(
+        "wp.py",
+        "return np.hypot(gap.real, gap.imag)",
+        "return np.abs(gap)",
+        (f"{KERNELS}::TestDualityResidualBits",),
+    ),
+    # the adjoint stays a transposed view, the layout BLAS reads it in
+    Mutant(
+        "wp.py",
+        "_act(conjs.swapaxes(-1, -2)[..., None, :, :], effects)",
+        "_act(np.ascontiguousarray(conjs.swapaxes(-1, -2))[..., None, :, :], effects)",
+        (f"{KERNELS}::TestWpOracle",),
+    ),
+    # a one-row tail joins the row block before it
+    Mutant(
+        "programs.py",
+        "starts = range(0, n - 1, rows)",
+        "starts = range(0, n, rows)",
+        (f"{KERNELS}::TestActionOracle",),
+    ),
+    # the Kraus sum turns -0.0 into +0.0, as a sum from 0 does
+    Mutant(
+        "programs.py",
+        "    s += 0.0\n",
+        "",
+        (f"{KERNELS}::TestFromKrausOracle",),
+    ),
+]
+
+
+def _pytest(src: Path, selection) -> tuple[int, str]:
+    """pytest's exit status on the selection against the package in src, and the first test that failed."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *selection]
+    run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    return run.returncode, failed[0] if failed else ""
+
+
+def main() -> int:
+    selections = sorted({test for m in MUTANTS for test in m.selection})
+    faults = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        if _pytest(src, selections)[0] != 0:
+            print("the selections fail on the unchanged source", file=sys.stderr)
+            return 1
+        for i, m in enumerate(MUTANTS, 1):
+            path = src / "qwp" / m.file
+            text = path.read_text()
+            label = f"{i}. {m.file}: {m.old.strip().splitlines()[0]}"
+            if text.count(m.old) != 1:
+                faults.append(f"{label}: old text found {text.count(m.old)} times")
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            start = time.perf_counter()
+            status, killer = _pytest(src, m.selection)
+            path.write_text(text)
+            # 1 is a failing test; anything else is a selection that did not run
+            verdict = {0: "SURVIVED", 1: f"killed by {killer}"}.get(status, f"pytest exit {status}")
+            print(f"{label}: {verdict} in {time.perf_counter() - start:.1f} s")
+            if status != 1:
+                faults.append(f"{label}: {verdict}")
+    for fault in faults:
+        print(f"FAIL {fault}", file=sys.stderr)
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,10 +10,10 @@ script under two thread settings and compare the outputs; they must be equal:
 Digested at d ≤ 16: ``wp`` effects, ``verify_triple`` reports (a triple
 that holds and one that fails), ``is_positive_sampled`` verdicts (status,
 samples and witness bytes) and one ``qwp properties all --dims 2,3`` report
-with its timestamp removed. At d = 24 and 32, where the PSD kernel works in
-row strips, only verdicts: ``is_completely_positive`` and
-``is_positive_sampled``. The last bits of ``wp`` and ``verify`` there depend
-on the thread count.
+with its timestamp removed. At d = 24 and 32, where the Choi matrix is wider
+than one of the PSD kernel's row strips, only verdicts:
+``is_completely_positive`` and ``is_positive_sampled``. The last bits of
+``wp`` and ``verify`` there depend on the thread count.
 """
 
 import hashlib

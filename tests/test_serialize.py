@@ -60,6 +60,13 @@ class TestMatrixFormat:
         with pytest.raises(ValidationError):
             matrix_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0], [0, 0]]})
 
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("part", [{"a": 1}, [[{"a": 1}]]])
+    def test_part_that_is_not_numbers_rejected_by_name(self, key, part):
+        doc = dict({"dim": 1, "re": [[1.0]], "im": [[0.0]]}, **{key: part})
+        with pytest.raises(ValidationError, match=f"matrix part '{key}'"):
+            matrix_from_json(through_json(doc))
+
 
 class TestStateFormat:
     def test_round_trip(self):

@@ -324,9 +324,8 @@ def is_psd_oracle(a, tol=None):
 
 
 def psd_band(a, tol):
-    """δ of one matrix, as the PSD kernel computes it from the hermitian part it builds."""
-    _, h, frobenius_sq = qwp_linalg._psd_preamble(np.asarray(a, dtype=np.complex128)[None])
-    return float(qwp_linalg._psd_band(h, frobenius_sq, tol.eig_tol)[0])
+    """δ of one matrix, as the PSD kernel's preamble computes it."""
+    return float(qwp_linalg._psd_preamble(np.asarray(a, dtype=np.complex128)[None], tol.eig_tol)[2][0])
 
 
 def is_positive_sampled_oracle(c, tol=None, seed=0):
@@ -1275,26 +1274,34 @@ def lower_triangle(a):
     return a[..., np.tri(n, dtype=bool)]
 
 
-def preamble_oracle(a):
-    """Gaps and hermitian part of a stack (k, n, n) from full-size passes, as the kernel computed them before."""
+def preamble_oracle(a, eig_tol=DEFAULT_TOL.eig_tol):
+    """Gaps, hermitian part and band δ = c(n + 2)u(Σ|h_ii| + ‖h‖_F + 2n·eig_tol) of a stack (k, n, n),
+    each from one full-size pass."""
     ah = a.conj().swapaxes(-1, -2)
-    return qwp_linalg._hermiticity_gaps(a, ah), qwp_linalg._hermitian_part(a, ah.copy())
+    gaps, h = qwp_linalg._hermiticity_gaps(a, ah), qwp_linalg._hermitian_part(a, ah.copy())
+    n = a.shape[-1]
+    with np.errstate(over="ignore"):
+        mu = np.abs(np.diagonal(h, axis1=-2, axis2=-1).real).sum(axis=-1) + np.sqrt(qwp_linalg._squared_norms(h))
+    delta = qwp_linalg._PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * (mu + 2 * n * eig_tol)
+    return gaps, h, delta
 
 
 class TestPsdPreamble:
-    """The PSD kernel's gaps and hermitian part, built in blocks that stay in cache."""
+    """The PSD kernel's gaps, hermitian part and band, built in blocks that stay in cache."""
 
     def assert_preamble_bits(self, a):
-        gaps, h, frobenius_sq = qwp_linalg._psd_preamble(a)
-        want_gaps, want_h = preamble_oracle(a)
+        gaps, h, delta = qwp_linalg._psd_preamble(a, DEFAULT_TOL.eig_tol)
+        want_gaps, want_h, want_delta = preamble_oracle(a)
         assert_same_bits(gaps, want_gaps)
-        if len(a) == 1:
-            # a single matrix is built over its lower triangle only
-            assert_same_bits(lower_triangle(h), lower_triangle(want_h))
-        else:
+        n = a.shape[-1]
+        if n <= qwp_linalg._row_block_size(n):
+            # a matrix of one strip is written whole
             assert_same_bits(h, want_h)
-        # ‖h‖_F² from the lower triangle, summed in another order
-        assert np.allclose(frobenius_sq, qwp_linalg._squared_norms(want_h), rtol=1e-12, atol=0.0)
+        else:
+            # a wider one is built over its lower triangle only
+            assert_same_bits(lower_triangle(h), lower_triangle(want_h))
+        # δ's ‖h‖_F² is summed strip by strip, in another order than the full pass
+        assert np.allclose(delta, want_delta, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("dim", [17, 24, 32])
     def test_single_matrices_in_strips(self, dim):
@@ -1317,10 +1324,10 @@ class TestPsdPreamble:
         rows = qwp_linalg._row_block_size(n)
         last = (n - 1) // rows * rows
         a = to_choi(sample_program("cptp", 17, 8))
-        assert qwp_linalg._psd_preamble(a[None])[0][0] <= DEFAULT_TOL.residual_tol
+        assert qwp_linalg._psd_preamble(a[None], DEFAULT_TOL.eig_tol)[0][0] <= DEFAULT_TOL.residual_tol
         a[last, n - 1] += 1e-6
         self.assert_preamble_bits(a[None])
-        assert qwp_linalg._psd_preamble(a[None])[0][0] > DEFAULT_TOL.residual_tol
+        assert qwp_linalg._psd_preamble(a[None], DEFAULT_TOL.eig_tol)[0][0] > DEFAULT_TOL.residual_tol
         assert is_psd(a) is False
 
     def test_entries_near_the_float_limit(self):
@@ -1329,11 +1336,11 @@ class TestPsdPreamble:
             z = np.sign(rng.standard_normal((2, n, n)))
             a = 1.7e308 * (z[0] + 1j * z[1])
             self.assert_preamble_bits(a[None])
-            # an overflowing gap or norm reads inf, without a warning
+            # an overflowing gap or band reads inf, without a warning
             with np.errstate(all="raise"):
-                gaps, h, frobenius_sq = qwp_linalg._psd_preamble(a[None])
+                gaps, h, delta = qwp_linalg._psd_preamble(a[None], DEFAULT_TOL.eig_tol)
             assert np.isfinite(lower_triangle(h)).all()
-            assert gaps[0] == frobenius_sq[0] == np.inf
+            assert gaps[0] == delta[0] == np.inf
 
     def test_signed_zeros(self):
         rng = np.random.default_rng(167)
@@ -1344,6 +1351,21 @@ class TestPsdPreamble:
             a.real[rng.random(shape) < 0.2] *= -1.0
             a.imag[rng.random(shape) < 0.2] *= -1.0
             self.assert_preamble_bits(a)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_stack_wider_than_one_strip(self, order):
+        # 218-row strips, and groups of two matrices that leave a one-matrix tail
+        n = 300
+        assert (qwp_linalg._row_block_size(n), qwp_linalg._row_block_size(n * n)) == (218, 2)
+        rng = np.random.default_rng(179)
+        g = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        psd = g @ g.conj().swapaxes(-1, -2) / n
+        a = np.asarray([psd[0], psd[1], psd[2] - 2.0 * np.eye(n)], order=order)
+        # the second matrix is non-hermitian only in its strict upper triangle
+        a[1, 0, n - 1] += 1e-6
+        self.assert_preamble_bits(a)
+        flags = qwp_linalg._psd_flags(a, DEFAULT_TOL)
+        assert flags.tolist() == [is_psd_oracle(m) for m in a] == [True, False, False]
 
     @pytest.mark.parametrize("n", [5, 64, 300])
     def test_cholesky_reads_only_the_lower_triangle(self, n):
