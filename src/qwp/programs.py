@@ -164,7 +164,7 @@ class QuantumProgram:
     __slots__ = ("dim", "super", "kraus", "label")
 
     def __init__(self, dim: int, super_matrix, label: str = ""):
-        self._hold(dim, super_matrix, label, copy=True)
+        self._hold(dim, np.array(super_matrix, dtype=np.complex128), label)
 
     @classmethod
     def _adopt(cls, dim: int, s: np.ndarray, label: str) -> "QuantumProgram":
@@ -172,21 +172,19 @@ class QuantumProgram:
         computed and that no caller holds: s is marked read-only in place, not copied, so it
         keeps the layout a copy would have."""
         prog = cls.__new__(cls)
-        prog._hold(dim, s, label, copy=False)
+        prog._hold(dim, s, label)
         return prog
 
-    def _hold(self, dim: int, super_matrix, label: str, copy: bool) -> None:
+    def _hold(self, dim: int, s: np.ndarray, label: str) -> None:
+        """Check s, a complex128 array that no caller holds, and keep it read-only."""
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        s = as_complex_matrix(super_matrix)
+        s = as_complex_matrix(s)
         if s.shape[0] != dim * dim:
             raise DimensionMismatchError(
                 f"superoperator has side {s.shape[0]}, expected {dim * dim} for dim {dim}"
             )
-        if copy:
-            s = _readonly(s)
-        else:
-            s.setflags(write=False)
+        s.setflags(write=False)
         self.dim = dim
         self.super = s
         self.kraus = None
@@ -222,16 +220,24 @@ def _kraus_supers(ks) -> np.ndarray:
     Each operator is a (d, d) matrix, or a stack (..., d, d) holding that
     operator of many families.
     """
-    # kron(conj(K), K) as (..., d, d, d, d) blocks, added in place in family
-    # order; adding +0.0 first turns -0.0 entries into +0.0, as a sum from 0
-    # does, and needs no zero-filled buffer
-    terms = (k.conj()[..., :, None, :, None] * k[..., None, :, None, :] for k in ks)
-    s = next(terms)
-    s += 0.0
-    for t in terms:
-        s += t
-    n = s.shape[-1] * s.shape[-2]
-    return s.reshape(s.shape[:-4] + (n, n))
+    # kron(conj(K), K) as (..., d, d, d, d) blocks s[..., i, p, j, q], summed
+    # in family order straight into the output, one block of leading indices
+    # i (d superoperator rows each) at a time, so that every temporary fits
+    # ROW_BLOCK_BYTES; a block spans whole (j, q) planes, so each entry keeps
+    # its product and its sum. Adding +0.0 to the first term turns -0.0
+    # entries into +0.0, as a sum from 0 does
+    d = ks[0].shape[-1]
+    s = np.empty(ks[0].shape[:-2] + (d, d, d, d), dtype=np.complex128)
+    step = max(1, _row_block_size(d * d) // d)
+    buf = np.empty_like(s[..., :step, :, :, :])
+    first, rest = ks[0], ks[1:]
+    for a in range(0, d, step):
+        block, t = s[..., a:a + step, :, :, :], buf[..., :d - a, :, :, :]
+        np.multiply(first[..., a:a + step, None, :, None].conj(), first[..., None, :, None, :], out=block)
+        block += 0.0
+        for k in rest:
+            block += np.multiply(k[..., a:a + step, None, :, None].conj(), k[..., None, :, None, :], out=t)
+    return s.reshape(s.shape[:-4] + (d * d, d * d))
 
 
 def _unitarity_gaps(us: np.ndarray) -> np.ndarray:
@@ -249,13 +255,14 @@ def from_unitary(u, label: str = "unitary", tol: ToleranceConfig = DEFAULT_TOL) 
 
 
 def from_super(super_matrix, dim: int | None = None) -> QuantumProgram:
-    """Wrap a raw superoperator; no trace-preservation or positivity check."""
-    s = as_complex_matrix(super_matrix)
-    n = s.shape[0]
+    """Wrap a copy of a raw superoperator; no trace-preservation or positivity check."""
+    s = np.array(super_matrix, dtype=np.complex128)  # the program's copy, checked once by _adopt
+    n = s.shape[0] if s.ndim else 0
     d = dim if dim is not None else int(round(np.sqrt(n)))
-    if d * d != n:
+    if n == 0 or d * d != n:
+        as_complex_matrix(s)  # a malformed or non-finite matrix is refused as such first
         raise DimensionMismatchError(f"superoperator side {n} is not a perfect square of dim {d}")
-    return QuantumProgram(d, s, label="super")
+    return QuantumProgram._adopt(d, s, "super")
 
 
 def from_choi(choi, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
@@ -286,8 +293,9 @@ def identity_program(dim: int) -> QuantumProgram:
 
 def transpose_program(dim: int) -> QuantumProgram:
     """Transposition map: positive and trace preserving, not CP for dim >= 2."""
-    n = dim * dim
-    s = np.eye(n).reshape(dim, dim, dim, dim).transpose(1, 0, 2, 3).reshape(n, n)
+    s = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    i = np.arange(dim)
+    s.reshape(dim, dim, dim, dim)[i[:, None], i, i, i[:, None]] = 1.0  # S[i*d + j, j*d + i] = 1
     return QuantumProgram._adopt(dim, s, "transpose")
 
 
@@ -517,8 +525,22 @@ def mix(weight: float, c1: QuantumProgram, c2: QuantumProgram) -> QuantumProgram
 
 
 def _mixed(weight, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """weight·s1 + (1 - weight)·s2; weight is a float or an array that broadcasts against the stacks."""
-    return weight * s1 + (1.0 - weight) * s2
+    """weight·s1 + (1 - weight)·s2; weight is a float or an array that broadcasts against the stacks.
+
+    Written one block of rows at a time, straight into the output, so that the
+    second product's temporary fits ROW_BLOCK_BYTES; each entry keeps the
+    bits of the full-array expression.
+    """
+    out = np.empty(np.broadcast(weight, s1, s2).shape, dtype=np.complex128)
+    n = out.shape[-2]
+    rows = _row_block_size(n)
+    rest = 1.0 - weight
+    buf = np.empty_like(out[..., :rows, :])
+    for a in range(0, n, rows):
+        block = out[..., a:a + rows, :]
+        np.multiply(weight, s1[..., a:a + rows, :], out=block)
+        block += np.multiply(rest, s2[..., a:a + rows, :], out=buf[..., :n - a, :])
+    return out
 
 
 def measure_branch(instrument, branches, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:

@@ -96,9 +96,30 @@ MUTANTS = [
     # the Kraus sum turns -0.0 into +0.0, as a sum from 0 does
     Mutant(
         "programs.py",
-        "    s += 0.0\n",
+        "        block += 0.0\n",
         "",
         (f"{KERNELS}::TestFromKrausOracle",),
+    ),
+    # a blocked Kraus sum writes its last, partial block of leading indices
+    Mutant(
+        "programs.py",
+        "for a in range(0, d, step):",
+        "for a in range(0, d - step + 1, step):",
+        (f"{KERNELS}::TestBlockedBuilds::test_from_kraus_matches_the_kron_sum",),
+    ),
+    # a blocked mixture writes its last, partial block of rows
+    Mutant(
+        "programs.py",
+        "for a in range(0, n, rows):",
+        "for a in range(0, n - rows + 1, rows):",
+        (f"{KERNELS}::TestBlockedBuilds::test_mix_matches_the_full_expression",),
+    ),
+    # each effect's normals are drawn before its eigenvalues, as random_effect draws them
+    Mutant(
+        "linalg.py",
+        "draws = [(rng.standard_normal((2, dim, dim)), rng.uniform(low, 1.0, size=dim)) for _ in range(k)]",
+        "draws = [(rng.uniform(low, 1.0, size=dim), rng.standard_normal((2, dim, dim)))[::-1] for _ in range(k)]",
+        (f"{KERNELS}::TestSamplerOracle::test_effect_draws_replay_random_effect",),
     ),
 ]
 

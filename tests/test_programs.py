@@ -356,9 +356,12 @@ class TestPermutationsMatchLoops:
         assert np.array_equal(j, to_choi_loop(c))
         assert np.array_equal(from_choi(j).super, from_choi_loop(j))
 
-    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
     def test_transpose_program_bit_for_bit(self, dim):
-        assert np.array_equal(transpose_program(dim).super, transpose_super_loop(dim))
+        s = transpose_program(dim).super
+        assert np.array_equal(s, transpose_super_loop(dim))
+        # every zero is +0.0, as the real loop's are
+        assert not np.signbit(s.real).any() and not np.signbit(s.imag).any()
 
 
 class TestCompletePositivity:

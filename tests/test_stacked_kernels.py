@@ -952,6 +952,74 @@ class TestFromKrausOracle:
             assert_same_bits(from_kraus(list(ks)).super, kraus_super_oracle(ks))
 
 
+# superoperators of d ≥ 17 exceed ROW_BLOCK_BYTES and are built in blocks: the
+# last one is partial at d = 17 and 23, and holds a single leading index at 33
+BLOCK_DIMS = (16, 17, 23, 32, 33)
+
+
+def signed_kraus(rng, shape):
+    """Complex operators of the given stack shape whose zero entries, one of them negative, give signed zeros."""
+    ks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ks[..., :, 0] = 0.0
+    ks[..., 0, 0] = -0.0
+    return ks
+
+
+class TestBlockedBuilds:
+    """Builds written block by block keep the bits of the full-array expressions."""
+
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("dim", BLOCK_DIMS)
+    def test_from_kraus_matches_the_kron_sum(self, dim, count):
+        ks = signed_kraus(np.random.default_rng([dim, count, 81]), (count, dim, dim))
+        assert_same_bits(from_kraus(list(ks)).super, kraus_super_oracle(ks))
+
+    @pytest.mark.parametrize("dim", [17, 23])
+    def test_stacked_kraus_sums(self, dim):
+        # _sampled_supers' layout (r, n, d, d): operator r of program m sits at [r, m]
+        ks = signed_kraus(np.random.default_rng([dim, 82]), (3, 2, dim, dim))
+        got = qwp_programs._kraus_supers(ks)
+        for m in range(2):
+            assert_same_bits(got[m], kraus_super_oracle(ks[:, m]))
+
+    @pytest.mark.parametrize("dim", [17, 33])
+    def test_mix_matches_the_full_expression(self, dim):
+        rng = np.random.default_rng([dim, 83])
+        c1, c2 = transpose_program(dim), from_kraus(list(signed_kraus(rng, (2, dim, dim))))
+        w = float(rng.uniform())
+        assert_same_bits(mix(w, c1, c2).super, w * c1.super + (1 - w) * c2.super)
+
+    def test_array_weights_match_the_full_expression(self):
+        # transpose_mix programs of a campaign block: one weight per program
+        rng = np.random.default_rng(84)
+        s1 = transpose_program(17).super
+        s2 = qwp_programs._kraus_supers(signed_kraus(rng, (2, 3, 17, 17)))
+        w = rng.uniform(size=(3, 1, 1))
+        assert_same_bits(qwp_programs._mixed(w, s1, s2), w * s1 + (1 - w) * s2)
+
+    def test_from_kraus_peak_at_dim_32(self):
+        ks = list(random_isometry(np.random.default_rng(85), 4 * 32, 32).reshape(4, 32, 32))
+        tracemalloc.start()
+        try:
+            from_kraus(ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 16 MiB superoperator, one 1 MiB block buffer and the finite check's 1 MiB mask
+        assert peak <= 20 << 20
+
+    def test_transpose_mixture_peak_at_dim_32(self):
+        ks = list(random_isometry(np.random.default_rng(86), 2 * 32, 32).reshape(2, 32, 32))
+        tracemalloc.start()
+        try:
+            mix(0.3, transpose_program(32), from_kraus(ks))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three 16 MiB superoperators (the transpose, the Kraus sum, the mixture) and block buffers
+        assert peak <= 52 << 20
+
+
 class TestRandomPredicateOracle:
     @pytest.mark.parametrize("complete", [False, True])
     @pytest.mark.parametrize("n_atoms", [None, 1, 2, 3, 4, 5])
