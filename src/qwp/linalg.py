@@ -7,6 +7,7 @@ that carries it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,12 +182,33 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   summed from the entries of h that were written: a matrix wider than one
 #   strip is built over its lower triangle only, and h is exactly hermitian,
 #   so it is twice the strict lower triangle plus the diagonal, in blocks.
+# * Low-rank certificate (a posteriori; the factor is a pivoted partial
+#   Cholesky, Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).
+#   For any computed n×r factor L̂, h = L̂L̂ᴴ + R exactly with R hermitian,
+#   and L̂L̂ᴴ ⪰ 0, so Weyl's inequality gives λ_min(h) ≥ −‖R‖₂ ≥ −‖R‖_F,
+#   whatever L̂ is. Each entry h_ij − Σ_k l_ik l̄_jk of R is computed within
+#   γ_{r+2}(|h_ij| + Σ_k |l_ik||l_jk|), doubled for complex arithmetic, so
+#   the computed ‖R‖_F is within 2γ_{r+2}(‖h‖_F + ‖L̂‖_F²) of the exact one,
+#   plus a relative (n² + n)u for its own sum, which is below (n + 1)uμ/4
+#   while ‖R‖_F ≤ t, as μ ≥ 2nt. With r ≤ n and ‖L̂‖_F² ≤ μ, all of that is
+#   at most 5(n + 2)uμ. So a computed ‖R‖_F ≤ t − δ gives
+#   λ_min(h) ≥ −t + δ − 5(n + 2)uμ, and eigvalsh reads at least
+#   −t + δ − 6(n + 2)uμ ≥ −t: PSD on both routes. No certificate is drawn
+#   when ‖L̂‖_F² > μ. For a PSD h that costs nothing: there ‖L̂‖_F² is, up
+#   to rounding, tr(h) less the trace of a PSD Schur complement, and
+#   tr(h) ≤ μ − ‖h‖_F.
 # A stack is decided by one batched factorization at s = t − δ_k: when
 # every matrix succeeds, each is PSD. A batched failure does not say which
-# matrix failed, so only a single matrix goes on to the leading-block and
-# full factorizations at t + δ. eigvalsh runs only on a stack that the
-# factorizations leave undecided, or where some δ_k ≥ t.
+# matrix failed, so only a single matrix goes on: to the leading-block
+# factorizations at t + δ, which refute first, then to the low-rank
+# certificate, then to the full factorizations. eigvalsh runs only on a
+# stack that the factorizations leave undecided, or where some δ_k ≥ t.
 _PSD_BAND_C = 8.0
+
+
+def _band_per_mu(n: int) -> float:
+    """δ / μ = c(n + 2)u for an n×n matrix (derivation above)."""
+    return _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2)
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -204,11 +226,53 @@ def _cholesky_succeeds(m: np.ndarray) -> bool:
     return True
 
 
+def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
+    """True when a pivoted partial Cholesky factor L̂ proves the hermitian matrix h (n, n) PSD
+    (derivation above); False leaves h undecided. Only the lower triangle of h is read.
+
+    Each step factors the column of the largest remaining Schur diagonal, reading it
+    from the lower triangle, until no Schur diagonal is above t − δ; a matrix that
+    needs more than isqrt(n) steps, d for a Choi matrix, is left undecided. Only a
+    drained diagonal goes on to the residual h − L̂L̂ᴴ, summed in the preamble's
+    strips as ‖h‖_F² is there.
+    """
+    n = h.shape[-1]
+    bound = eig_tol - delta
+    schur = np.diagonal(h).real.copy()
+    factor = np.empty((math.isqrt(n), n), dtype=np.complex128)  # row k holds column k of L̂
+    for k in range(len(factor) + 1):
+        p = int(schur.argmax())
+        if schur[p] <= bound:
+            break
+        if k == len(factor):
+            return False
+        column = factor[k]
+        np.conjugate(h[p, :p], out=column[:p])
+        column[p:] = h[p:, p]
+        column -= factor[:k].T @ factor[:k, p].conj()
+        column /= np.sqrt(schur[p])
+        schur -= column.real * column.real + column.imag * column.imag
+        schur[p] = 0.0
+    lead = factor[:k]
+    if _squared_norms(lead) > delta / _band_per_mu(n):  # ‖L̂‖_F² > μ
+        return False
+    residual_sq, rows = 0.0, _row_block_size(n)
+    for s in range(0, n, rows):
+        e = s + rows
+        strip = lead[:, s:e].T @ lead[:, :e].conj()
+        np.subtract(h[s:e, :e], strip, out=strip)
+        residual_sq += 2.0 * _squared_norms(strip[:, :s]) + _squared_norms(strip[:, s:])
+        if residual_sq > bound * bound:
+            return False
+    return True
+
+
 def _cholesky_verdict(h: np.ndarray, delta: np.ndarray, eig_tol: float) -> bool | None:
     """True when Cholesky proves every matrix of the hermitian stack h (k, n, n) PSD,
-    False when it proves a single matrix not PSD, None when it leaves the stack
-    undecided (derivation above). Only the lower triangle of h is read, and its
-    diagonal is overwritten; delta holds the band δ of each matrix."""
+    or the low-rank certificate a single matrix, False when a factorization proves a
+    single matrix not PSD, None when it leaves the stack undecided (derivation
+    above). Only the lower triangle of h is read, and its diagonal is overwritten;
+    delta holds the band δ of each matrix."""
     if not (delta < eig_tol).all():
         return None
     diagonal = np.einsum("...ii->...i", h)
@@ -217,10 +281,14 @@ def _cholesky_verdict(h: np.ndarray, delta: np.ndarray, eig_tol: float) -> bool 
     single = len(h) == 1
     if single:
         # failure on a leading block of h + (t + δ)I costs a fraction of a full factorization
+        unshifted = diagonal.copy()
         diagonal[...] = above
         n = h.shape[-1]
         if any(m and not _cholesky_succeeds(h[:, :m, :m]) for m in (n // 16, n // 4)):
             return False
+        diagonal[...] = unshifted
+        if _low_rank_certificate(h[0], float(delta[0]), eig_tol):
+            return True
     diagonal[...] = below
     if _cholesky_succeeds(h):
         return True
@@ -262,7 +330,7 @@ def _psd_preamble(a: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray
             frobenius_sq[g] = frobenius_sq[g] + 2.0 * _squared_norms(strip[..., :s]) + _squared_norms(strip[..., s:])
     with np.errstate(over="ignore"):
         mu = np.abs(np.einsum("...ii->...i", h).real).sum(axis=-1) + np.sqrt(frobenius_sq) + 2 * n * eig_tol
-    return gaps, h, _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * mu
+    return gaps, h, _band_per_mu(n) * mu
 
 
 def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

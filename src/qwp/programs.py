@@ -284,7 +284,8 @@ def from_choi(choi, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
             f"Choi output partial trace deviates from the identity by {dev:.3e}"
         )
     s = j4.transpose(2, 0, 3, 1).reshape(n, n)  # inverse of the to_choi permutation
-    return QuantumProgram(d, s, label="choi")
+    # the reshape copies for d ≥ 2; at d = 1 it is a view of the caller's array
+    return QuantumProgram._adopt(d, s.copy() if np.may_share_memory(s, j) else s, "choi")
 
 
 def identity_program(dim: int) -> QuantumProgram:

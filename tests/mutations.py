@@ -72,6 +72,20 @@ MUTANTS = [
         "for m in ())",
         (f"{KERNELS}::TestPsdKernel::test_a_failure_in_the_leading_rows_stops_at_the_first_probe",),
     ),
+    # the low-rank certificate needs a small residual, not only a drained pivot diagonal
+    Mutant(
+        "linalg.py",
+        "    lead = factor[:k]\n",
+        "    return True\n",
+        (f"{KERNELS}::TestLowRankCertificate::test_a_drained_diagonal_with_an_indefinite_residual_is_refuted",),
+    ),
+    # a single low-rank matrix is decided by the certificate, with no full factorization
+    Mutant(
+        "linalg.py",
+        "        if _low_rank_certificate(h[0], float(delta[0]), eig_tol):",
+        "        if False:",
+        (f"{KERNELS}::TestLowRankCertificate::test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes",),
+    ),
     # moduli round as a scalar abs() does
     Mutant(
         "wp.py",

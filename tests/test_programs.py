@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,26 @@ class TestPermutationsMatchLoops:
         j = to_choi(c)
         assert np.array_equal(j, to_choi_loop(c))
         assert np.array_equal(from_choi(j).super, from_choi_loop(j))
+
+    @pytest.mark.parametrize("dim", [1, 2, 32])
+    def test_from_choi_keeps_one_private_copy(self, dim):
+        j = to_choi(sample_program("transpose_mix", dim, 31)).copy()
+        j.imag[j.imag == 0.0] = -0.0  # signed zeros in the bytes too
+        s = from_choi(j).super
+        assert s.tobytes() == from_choi_loop(j).tobytes()
+        assert s.flags.c_contiguous and not np.may_share_memory(s, j)
+
+    def test_from_choi_peak_at_dim_32(self):
+        j = to_choi(sample_program("cptp", 32, 4))
+        from_choi(j)
+        tracemalloc.start()
+        try:
+            from_choi(j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 16 MiB superoperator, which is the reshape's copy, and a 1 MiB finite-entry mask
+        assert peak <= 18 << 20
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
     def test_transpose_program_bit_for_bit(self, dim):

@@ -1463,6 +1463,94 @@ class TestPsdPreamble:
         assert peak <= 40 << 20
 
 
+def low_rank_program(dim, rank, seed, rows=None):
+    """A CPTP program of `rank` Kraus operators, sliced from one Haar isometry: its Choi matrix has that rank.
+
+    With rows < dim, every operator is zero below its first `rows` rows, so the last
+    (dim - rows)·dim rows and columns of the Choi matrix are zero.
+    """
+    rows = rows or dim
+    w = random_isometry(np.random.default_rng([dim, rank, seed]), rank * rows, dim).reshape(rank, rows, dim)
+    return from_kraus(np.concatenate([w, np.zeros((rank, dim - rows, dim))], axis=1))
+
+
+class TestLowRankCertificate:
+    """A pivoted partial Cholesky with a small residual proves a single matrix PSD, after the leading probes."""
+
+    def test_a_cp_map_check_peak_stays_under_40_mib(self):
+        c = sample_program("cptp", 32, 4)
+        is_completely_positive(c)
+        tracemalloc.start()
+        try:
+            assert is_completely_positive(c) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the Choi matrix and its hermitian part, and no full Cholesky factor
+        assert peak <= 40 << 20
+
+    @pytest.mark.parametrize("dim", [8, 17, 24])
+    @pytest.mark.parametrize("rank", ["1", "4", "d", "d+1"])
+    def test_verdicts_match_the_oracle(self, dim, rank, monkeypatch):
+        r = {"1": 1, "4": 4, "d": dim, "d+1": dim + 1}[rank]
+        c = low_rank_program(dim, r, 191)
+        j = to_choi(c)
+        n = dim * dim
+        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert is_completely_positive(c) is is_psd(j) is True
+        probes = [(1, n // 16, n // 16), (1, n // 4, n // 4)]
+        # isqrt(n) = d pivot steps drain a Choi matrix of rank at most d; one more rank takes the full factorization
+        assert shapes == 2 * (probes if r <= dim else probes + [(1, n, n)])
+        assert calls == []
+        monkeypatch.undo()
+        assert is_psd_oracle(j) is True
+
+    @pytest.mark.parametrize("dim", [8, 17])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_shifted_to_the_band_edges(self, dim, k, side, monkeypatch):
+        tol = DEFAULT_TOL
+        j = to_choi(low_rank_program(dim, 4, 193, rows=dim - 1))
+        # v lies in the trailing zero rows of j, away from every pivot, so the Schur
+        # complement left by the pivots is the shift alone
+        n = dim * dim
+        v = np.zeros(n, dtype=np.complex128)
+        v[-dim:] = random_unitary(np.random.default_rng(dim), dim)[0]
+        base = j - tol.eig_tol * np.outer(v, v.conj())
+        delta = psd_band(base, tol)
+        assert 0.0 < 4.0 * delta < tol.eig_tol
+        # λ_min = -eig_tol + side·k·δ, and ‖h - L̂L̂ᴴ‖_F ≈ eig_tol - side·k·δ
+        shifted = base + side * k * delta * np.outer(v, v.conj())
+        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        got = is_psd(shifted, tol)
+        # only inside the band is the eigensolve needed; only outside it, on the PSD side, the certificate decides
+        assert calls == (["eigvalsh"] if k < 1 else [])
+        if side > 0 and k > 1:
+            assert shapes == [(1, n // 16, n // 16), (1, n // 4, n // 4)]
+        monkeypatch.undo()
+        assert got == is_psd_oracle(shifted, tol) == (side > 0)
+
+    def test_a_drained_diagonal_with_an_indefinite_residual_is_refuted(self):
+        # the leading probes pass, and one pivot step drains every Schur diagonal to zero,
+        # but the trailing off-diagonal pair has eigenvalues ±1e-3
+        n = 64
+        a = np.zeros((n, n), dtype=np.complex128)
+        a[0, 0] = 1.0
+        a[n - 1, n - 2] = a[n - 2, n - 1] = 1e-3
+        assert is_psd(a) is False
+        assert is_psd_oracle(a) is False
+
+    def test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes(self, monkeypatch):
+        c = low_rank_program(32, 4, 197)
+        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert is_completely_positive(c) is True
+        assert shapes == [(1, 64, 64), (1, 256, 256)]
+        assert calls == []
+
+
 class TestSamplerOracle:
     """The samplers are one-trial views of the stacked shapers and keep the per-matrix bits."""
 
