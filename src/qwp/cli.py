@@ -21,8 +21,8 @@ from datetime import datetime, timezone
 
 import click
 
-from .campaigns import run_suite
-from .errors import DimensionMismatchError, QwpError
+from .campaigns import SUITES, run_suite
+from .errors import QwpError, ValidationError
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .predicates import _require_valid, is_complete, sat as sat_measure, validate_predicate
 from .programs import is_positive_sampled, is_trace_preserving
@@ -224,11 +224,13 @@ def wp_command(program_path, predicate_path, out, seed, eig_tol, residual_tol, s
     try:
         prog = program_from_json(prog_obj, tol)
         pred = predicate_from_json(pred_obj)
-        if prog.dim != pred.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: program dim {prog.dim}, predicate dim {pred.dim}"
-            )
         result = wp_transform(prog, pred, tol)
+        # wp of a valid predicate under a positive trace-preserving program is
+        # valid, so an invalid output proves the program is not positive
+        try:
+            _require_valid(result, tol)
+        except ValidationError as exc:
+            raise ValidationError(f"program is not positive: wp gives an {exc}") from None
         residuals = _residual_sweep(prog, pred, result, seed)
         program, _ = _program_check(prog, tol, seed)
     except _SEMANTIC_ERRORS as exc:
@@ -300,7 +302,7 @@ def sat_command(state_path, predicate_path, out, seed, eig_tol, residual_tol, sa
 @main.command()
 @click.argument(
     "suite",
-    type=click.Choice(["duality", "weakest", "compose", "orders", "all"]),
+    type=click.Choice([*SUITES, "all"]),
 )
 @click.option("--dims", default="2,3,4", show_default=True, help="Comma-separated dimensions.")
 @click.option("--out", type=click.Path(), default=None, help="Also write the report here.")

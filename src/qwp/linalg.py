@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, DimensionMismatchError
+from .errors import DecompositionError, DimensionMismatchError, ValidationError
 
 __all__ = [
     "STACK_BYTES",
@@ -98,6 +98,17 @@ def as_complex_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     _require_finite(a)
     return a
+
+
+def _operator_family(ops, noun: str) -> list[np.ndarray]:
+    """A non-empty family of matrices of one dim, each through :func:`as_complex_matrix`;
+    ``noun`` names one member in the refusals."""
+    ms = [as_complex_matrix(m) for m in ops]
+    if not ms:
+        raise ValidationError(f"at least one {noun} is required")
+    if any(m.shape[0] != ms[0].shape[0] for m in ms[1:]):
+        raise DimensionMismatchError(f"{noun}s differ in dimension")
+    return ms
 
 
 def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:

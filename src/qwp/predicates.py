@@ -23,8 +23,8 @@ from .linalg import (
     _eigvalsh,
     _ginibre,
     _hermiticity_gaps,
+    _operator_family,
     _require_finite,
-    as_complex_matrix,
     loewner_leq,
 )
 from .programs import DensityState
@@ -92,14 +92,9 @@ class Predicate:
             mats = list(effects)
             if len(mats) != len(space.atoms):
                 raise ValueError(f"{len(mats)} effects for {len(space.atoms)} atoms")
-        mats = [as_complex_matrix(m) for m in mats]
-        d = mats[0].shape[0]
-        for m in mats[1:]:
-            if m.shape[0] != d:
-                raise DimensionMismatchError("mixed effect dimensions")
-        self.space = space
-        self.effects = np.stack(mats)
+        self.effects = np.stack(_operator_family(mats, "effect"))
         self.effects.setflags(write=False)
+        self.space = space
 
     @classmethod
     def _from_stack(cls, space: OutcomeSpace, effects: np.ndarray) -> Predicate:

@@ -34,6 +34,7 @@ from .linalg import (
     _eigvalsh,
     _haar_isometries,
     _hermiticity_gaps,
+    _operator_family,
     _psd_flags,
     _require_finite,
     _row_block_size,
@@ -176,14 +177,16 @@ class QuantumProgram:
         return prog
 
     def _hold(self, dim: int, s: np.ndarray, label: str) -> None:
-        """Check s, a complex128 array that no caller holds, and keep it read-only."""
+        """Check s, a complex128 array that no caller holds, and keep it read-only.
+
+        The one statement of a program's side rule: s is a square matrix, then
+        dim is positive and s has side dim².
+        """
+        s = as_complex_matrix(s)
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        s = as_complex_matrix(s)
         if s.shape[0] != dim * dim:
-            raise DimensionMismatchError(
-                f"superoperator has side {s.shape[0]}, expected {dim * dim} for dim {dim}"
-            )
+            raise DimensionMismatchError(f"superoperator side {s.shape[0]} is not the square of dim {dim}")
         s.setflags(write=False)
         self.dim = dim
         self.super = s
@@ -202,14 +205,8 @@ class QuantumProgram:
 
 def from_kraus(kraus_ops, label: str = "kraus") -> QuantumProgram:
     """Program rho -> sum_K K rho K†, keeping the Kraus family it was built from."""
-    ks = [as_complex_matrix(k) for k in kraus_ops]
-    if not ks:
-        raise ValidationError("at least one Kraus operator is required")
-    d = ks[0].shape[0]
-    for k in ks[1:]:
-        if k.shape[0] != d:
-            raise DimensionMismatchError("Kraus operators differ in dimension")
-    prog = QuantumProgram._adopt(d, _kraus_supers(ks), label)
+    ks = _operator_family(kraus_ops, "Kraus operator")
+    prog = QuantumProgram._adopt(ks[0].shape[0], _kraus_supers(ks), label)
     prog.kraus = tuple(_readonly(k) for k in ks)
     return prog
 
@@ -254,15 +251,10 @@ def from_unitary(u, label: str = "unitary", tol: ToleranceConfig = DEFAULT_TOL) 
     return from_kraus([u], label=label)
 
 
-def from_super(super_matrix, dim: int | None = None) -> QuantumProgram:
-    """Wrap a copy of a raw superoperator; no trace-preservation or positivity check."""
+def from_super(super_matrix) -> QuantumProgram:
+    """Wrap a copy of a raw superoperator, its dim read off its side; no trace-preservation or positivity check."""
     s = np.array(super_matrix, dtype=np.complex128)  # the program's copy, checked once by _adopt
-    n = s.shape[0] if s.ndim else 0
-    d = dim if dim is not None else int(round(np.sqrt(n)))
-    if n == 0 or d * d != n:
-        as_complex_matrix(s)  # a malformed or non-finite matrix is refused as such first
-        raise DimensionMismatchError(f"superoperator side {n} is not a perfect square of dim {d}")
-    return QuantumProgram._adopt(d, s, "super")
+    return QuantumProgram._adopt(math.isqrt(s.shape[0]) if s.ndim else 0, s, "super")
 
 
 def from_choi(choi, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
@@ -551,16 +543,11 @@ def measure_branch(instrument, branches, tol: ToleranceConfig = DEFAULT_TOL) -> 
     ``branches`` pairs each outcome with a program. Compiles the conditioned
     evolution rho -> sum_m B_m(M_m rho M_m†) into a single program.
     """
-    ms = [as_complex_matrix(m) for m in instrument]
+    ms = _operator_family(instrument, "instrument operator")
     branches = list(branches)
     if len(ms) != len(branches):
         raise ValidationError(f"{len(ms)} instrument operators vs {len(branches)} branches")
-    if not ms:
-        raise ValidationError("empty instrument")
     d = ms[0].shape[0]
-    for m in ms[1:]:
-        if m.shape[0] != d:
-            raise DimensionMismatchError("instrument operators differ in dimension")
     for b in branches:
         if b.dim != d:
             raise DimensionMismatchError(f"branch dim {b.dim} vs instrument dim {d}")
@@ -568,7 +555,7 @@ def measure_branch(instrument, branches, tol: ToleranceConfig = DEFAULT_TOL) -> 
     gap = float(np.abs(total - np.eye(d)).max())
     if gap > tol.residual_tol:
         raise ValidationError(f"instrument incomplete: sum M†M deviates from identity by {gap:.3e}")
-    s = sum(b.super @ np.kron(m.conj(), m) for m, b in zip(ms, branches))
+    s = sum(b.super @ _kraus_supers([m]) for m, b in zip(ms, branches))
     return QuantumProgram._adopt(d, s, "measure_branch")
 
 

@@ -14,6 +14,7 @@ json module round-trips them exactly.
 from __future__ import annotations
 
 import numbers
+from dataclasses import asdict
 
 import numpy as np
 
@@ -85,15 +86,19 @@ def _require(value, kind: type, what: str):
 
 
 def _part_from_json(obj: dict, key: str) -> np.ndarray:
-    try:  # float() refuses a JSON object, in the part or among its entries, with a TypeError
-        return np.asarray(obj[key], dtype=float)
-    except TypeError:
-        raise ValidationError(f"matrix part {key!r} must be a list of lists of numbers") from None
+    part = np.asarray(obj[key])
+    # strings and booleans are refused, not coerced; float() refuses a JSON
+    # object, in the part or among its entries, with a TypeError
+    if part.dtype.kind not in "USb":
+        try:
+            return np.asarray(part, dtype=float)
+        except TypeError:
+            pass
+    raise ValidationError(f"matrix part {key!r} must be a list of lists of numbers")
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"matrix JSON must be an object, got {type(obj).__name__}")
+    _require(obj, dict, "matrix JSON")
     missing = [k for k in ("dim", "re", "im") if k not in obj]
     if missing:
         raise ValidationError(f"matrix JSON missing keys {missing}")
@@ -125,11 +130,9 @@ def predicate_to_json(p: Predicate) -> dict:
 def predicate_from_json(obj) -> Predicate:
     if not isinstance(obj, dict) or "atoms" not in obj or "effects" not in obj:
         raise ValidationError("predicate JSON needs keys 'atoms' and 'effects'")
-    if not isinstance(obj["effects"], dict):
-        raise ValidationError("predicate 'effects' must be an object mapping atoms to matrices")
+    effects = _require(obj["effects"], dict, "predicate 'effects'")
     atoms = tuple(str(a) for a in _require(obj["atoms"], list, "predicate 'atoms'"))
-    effects = {a: matrix_from_json(m) for a, m in obj["effects"].items()}
-    return Predicate(OutcomeSpace(atoms), effects)
+    return Predicate(OutcomeSpace(atoms), {a: matrix_from_json(m) for a, m in effects.items()})
 
 
 def sat_to_json(s: SatMeasure) -> dict:
@@ -195,7 +198,7 @@ def program_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram
     if repr_kind == "kraus":
         prog = from_kraus([matrix_from_json(k) for k in _require(payload, list, "kraus payload")])
     elif repr_kind == "super":
-        prog = from_super(matrix_from_json(payload), dim=dim)
+        prog = from_super(matrix_from_json(payload))
     elif repr_kind == "choi":
         prog = from_choi(matrix_from_json(payload), tol=tol)
     elif repr_kind == "named":
@@ -228,15 +231,11 @@ def triple_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> HoareTriple:
 
 
 def tolerances_to_json(tol: ToleranceConfig) -> dict:
-    return {
-        "eig_tol": tol.eig_tol,
-        "residual_tol": tol.residual_tol,
-        "sample_count": tol.sample_count,
-    }
+    return asdict(tol)
 
 
 def validation_report_to_json(r: ValidationReport) -> dict:
-    return {"ok": r.ok, "violations": list(r.violations), "complete": r.complete}
+    return asdict(r)
 
 
 def verification_report_to_json(r: VerificationReport) -> dict:
@@ -258,14 +257,5 @@ def verification_report_to_json(r: VerificationReport) -> dict:
 
 
 def campaign_result_to_json(r) -> dict:
-    """The report fields of a campaigns.CampaignResult; this module does not import the campaigns."""
-    return {
-        "suite": r.suite,
-        "dims": list(r.dims),
-        "trials": r.trials,
-        "failures": r.failures,
-        "max_residual": r.max_residual,
-        "passed": r.passed,
-        "seed": r.seed,
-        "notes": list(r.notes),
-    }
+    """The fields of a campaigns.CampaignResult and its verdict; this module does not import the campaigns."""
+    return asdict(r) | {"passed": r.passed}

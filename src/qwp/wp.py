@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotTracePreservingError,
-    SpaceMismatchError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, NotTracePreservingError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -34,7 +29,7 @@ from .linalg import (
     _require_finite,
     random_densities,
 )
-from .predicates import OutcomeSpace, Predicate, _leq_refusals, _require_valid
+from .predicates import OutcomeSpace, Predicate, _leq_refusals, _require_comparable, _require_valid
 from .programs import (
     DensityState,
     QuantumProgram,
@@ -78,13 +73,7 @@ class HoareTriple:
     post: Predicate
 
     def __post_init__(self) -> None:
-        if self.pre.space != self.post.space:
-            raise SpaceMismatchError(
-                f"pre and post outcome spaces differ: "
-                f"{list(self.pre.space.atoms)} vs {list(self.post.space.atoms)}"
-            )
-        if self.pre.dim != self.post.dim:
-            raise DimensionMismatchError(f"pre dim {self.pre.dim} vs post dim {self.post.dim}")
+        _require_comparable(self.pre, self.post)
         if self.prog.dim != self.pre.dim:
             raise DimensionMismatchError(f"program dim {self.prog.dim} vs predicate dim {self.pre.dim}")
 
@@ -233,14 +222,8 @@ def is_precondition(
     deficit wp_a - g_a (the state maximizing the violation), and the report
     shows Tr(g_a rho) > Tr(f_a C(rho)) numerically.
     """
-    if g.space != f.space:
-        raise SpaceMismatchError(
-            f"candidate and postcondition outcome spaces differ: "
-            f"{list(g.space.atoms)} vs {list(f.space.atoms)}"
-        )
+    _require_comparable(g, f)
     transformed = wp(c, f, tol)
-    if g.dim != transformed.dim:
-        raise DimensionMismatchError(f"candidate dim {g.dim} vs program dim {transformed.dim}")
 
     vals, vecs = _eigh(transformed.effects - g.effects)
     lowest = vals[:, 0]

@@ -128,6 +128,17 @@ MUTANTS = [
         "for a in range(0, n - rows + 1, rows):",
         (f"{KERNELS}::TestBlockedBuilds::test_mix_matches_the_full_expression",),
     ),
+    # qwp wp refuses to write an output that is not a predicate
+    Mutant(
+        "cli.py",
+        """        try:
+            _require_valid(result, tol)
+        except ValidationError as exc:
+            raise ValidationError(f"program is not positive: wp gives an {exc}") from None
+""",
+        "",
+        ("tests/test_cli.py::TestWpCommand::test_an_output_that_is_not_a_predicate_is_not_written",),
+    ),
     # each effect's normals are drawn before its eigenvalues, as random_effect draws them
     Mutant(
         "linalg.py",

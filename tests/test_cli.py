@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import qwp
 from qwp.cli import main
 from qwp.predicates import OutcomeSpace, Predicate, projective_predicate
-from qwp.programs import DensityState, amplitude_damping, depolarizing, from_super
+from qwp.programs import DensityState, amplitude_damping, depolarizing, from_super, vec
 from qwp.serialize import (
     matrix_to_json,
     predicate_to_json,
@@ -37,6 +37,24 @@ def z_predicate_doc():
 
 def named_program_doc(name, **params):
     return {"dim": 2, "repr": "named", "payload": {"name": name, **params}, "label": name}
+
+
+def nonpositive_program(dim):
+    """The trace-preserving map C(rho) = Tr(rho) I/d + a <v|rho|v> (|u><u| - |w><w|), a = 1/(0.9 d),
+    which is not positive, and the unit vectors u and w; v, u, w are drawn from seed 5, w made
+    orthogonal to u. C*(|w><w|) = I/d - a|v><v| has min eigenvalue -1/(9d)."""
+    rng = np.random.default_rng(5)
+    v, u, w = (z[0] + 1j * z[1] for z in rng.standard_normal((3, 2, dim)))
+    w = w - np.vdot(u, w) / np.vdot(u, u) * u
+    v, u, w = (x / np.linalg.norm(x) for x in (v, u, w))
+    swing = np.outer(u, u.conj()) - np.outer(w, w.conj())
+    s = np.outer(vec(np.eye(dim) / dim), vec(np.eye(dim))) + np.outer(vec(swing), vec(np.outer(v.conj(), v))) / (0.9 * dim)
+    return from_super(s), u, w
+
+
+def projector_predicate_doc(label, x):
+    p = np.outer(x, x.conj())
+    return {"atoms": [label, "rest"], "effects": {label: matrix_to_json(p), "rest": matrix_to_json(np.eye(len(x)) - p)}}
 
 
 class TestValidate:
@@ -190,6 +208,8 @@ class TestValidate:
             "name_list",
             "parameter_overflow",
             "label_list",
+            "string_and_boolean_parts",
+            "super_dim_disagrees",
         ],
     )
     def test_malformed_document_is_semantic_error(self, runner, tmp_path, kind):
@@ -218,6 +238,10 @@ class TestValidate:
             text = json.dumps(named_program_doc("depolarizing", p=10**400))
         elif kind == "label_list":
             text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), label=["a"]))
+        elif kind == "string_and_boolean_parts":
+            text = json.dumps({"dim": 1, "re": [["1"]], "im": [[False]]})
+        elif kind == "super_dim_disagrees":
+            text = json.dumps({"dim": 3, "repr": "super", "payload": matrix_to_json(np.eye(4))})
         else:
             text = json.dumps({"dim": 2, "repr": "named", "payload": {"name": ["depolarizing"], "p": 0.5}})
         path = tmp_path / "bad.json"
@@ -228,10 +252,12 @@ class TestValidate:
         report = json.loads(result.stdout)
         assert report["ok"] is False and report["violations"]
 
-    def test_unrecognized_document(self, runner, tmp_path):
-        path = write(tmp_path / "what.json", {"hello": 1})
+    @pytest.mark.parametrize("doc", [{"hello": 1}, [1, 2]])
+    def test_unrecognized_document(self, runner, tmp_path, doc):
+        path = write(tmp_path / "what.json", doc)
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 2
+        assert json.loads(result.stdout)["kind"] == "unknown"
 
 
 class TestWpCommand:
@@ -302,6 +328,29 @@ class TestWpCommand:
         result = runner.invoke(main, ["wp", prog, pred, "--out", str(out)])
         assert result.exit_code == 2
         assert "3" in result.stderr and "2" in result.stderr
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_an_output_that_is_not_a_predicate_is_not_written(self, runner, tmp_path, dim):
+        c, _, w = nonpositive_program(dim)
+        prog = write(tmp_path / "c.json", program_to_json(c))
+        pred = write(tmp_path / "f.json", projector_predicate_doc("w", w))
+        out = tmp_path / "g.json"
+        result = runner.invoke(main, ["wp", prog, pred, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "not positive" in result.stderr and "'w'" in result.stderr
+        assert not out.exists() and not (tmp_path / "g.json.report.json").exists()
+
+    def test_a_counterexample_to_positivity_is_a_warning_when_the_output_is_valid(self, runner, tmp_path):
+        c, u, _ = nonpositive_program(4)
+        prog = write(tmp_path / "c.json", program_to_json(c))
+        pred = write(tmp_path / "f.json", projector_predicate_doc("u", u))
+        out = tmp_path / "g.json"
+        result = runner.invoke(main, ["wp", prog, pred, "--out", str(out)])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["program"]["positivity"] == "counterexample"
+        assert any("counterexample" in line for line in report["warnings"])
+        assert runner.invoke(main, ["validate", str(out)]).exit_code == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_output_is_semantic_error(self, runner, tmp_path):
@@ -417,6 +466,11 @@ class TestPropertiesCommand:
     def test_bad_dims_rejected(self, runner):
         result = runner.invoke(main, ["properties", "duality", "--dims", "1,9"])
         assert result.exit_code == 2
+
+    def test_tolerance_outside_its_range_rejected(self, runner):
+        result = runner.invoke(main, ["properties", "duality", "--eig-tol", "1"])
+        assert result.exit_code == 2
+        assert "eig_tol must lie in" in result.stderr
 
     def test_unparseable_dims(self, runner):
         result = runner.invoke(main, ["properties", "duality", "--dims", "2,x"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qwp.errors import DecompositionError
+from qwp.errors import DecompositionError, DimensionMismatchError
 from qwp.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -138,6 +138,10 @@ class TestLoewner:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+    def test_rejects_operands_of_different_dims(self):
+        with pytest.raises(DimensionMismatchError):
+            loewner_leq(np.eye(2), np.eye(3))
 
 
 class TestOperatorNorm:

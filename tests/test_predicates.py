@@ -15,6 +15,7 @@ from qwp.linalg import (
 from qwp.predicates import (
     OutcomeSpace,
     Predicate,
+    _predicate_faults,
     chain_sup,
     effect_of_set,
     is_complete,
@@ -65,6 +66,11 @@ class TestPredicateConstruction:
             Predicate(OutcomeSpace(("a", "b")), [np.eye(2), np.eye(3)])
         with pytest.raises(DimensionMismatchError):
             Predicate(OutcomeSpace(("a", "b")), {"a": np.eye(2), "b": np.eye(3)})
+
+    def test_a_non_finite_predicate_in_a_stack_is_the_only_one_marked(self):
+        # the first predicate's effect is not PSD, but no eigensolver runs on a stack that holds an inf
+        effects = np.array([[np.diag([1.0, -0.5])], [np.diag([np.inf, 0.0])], [np.eye(2) / 2]])
+        assert _predicate_faults(effects, DEFAULT_TOL).tolist() == [False, True, False]
 
     def test_effect_count_must_match_atoms(self):
         with pytest.raises(ValueError, match="3 effects for 2 atoms"):

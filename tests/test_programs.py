@@ -12,6 +12,7 @@ from qwp.linalg import ToleranceConfig, min_eigenvalue, random_density, sample_r
 from qwp.programs import (
     DensityState,
     QuantumProgram,
+    _invalid_states,
     adjoint,
     amplitude_damping,
     apply,
@@ -80,9 +81,18 @@ class TestDensityState:
         with pytest.raises(ValidationError):
             DensityState(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
+    def test_pure_rejects_the_zero_vector(self):
+        with pytest.raises(ValidationError):
+            DensityState.pure(np.zeros(2))
+
     def test_pure_normalizes(self):
         rho = DensityState.pure([1.0, 1.0])
         assert rho.matrix[0, 0] == pytest.approx(0.5)
+
+    def test_a_non_finite_matrix_in_a_stack_is_the_only_one_marked(self):
+        # the first matrix has trace 2, but no eigensolver runs on a stack that holds a NaN
+        ms = np.array([np.eye(2), np.full((2, 2), np.nan), np.eye(2) / 2])
+        assert _invalid_states(ms, ToleranceConfig()).tolist() == [False, True, False]
 
     def test_matrix_is_frozen(self):
         rho = DensityState(np.eye(2) / 2)
@@ -154,6 +164,21 @@ class TestBuilders:
     def test_kraus_dims_must_agree(self):
         with pytest.raises(DimensionMismatchError):
             from_kraus([np.eye(2), np.eye(3)])
+
+    def test_a_superoperator_side_must_be_the_square_of_a_positive_dim(self):
+        with pytest.raises(ValueError):
+            QuantumProgram(0, np.eye(1))
+        with pytest.raises(DimensionMismatchError):
+            QuantumProgram(2, np.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            from_super(np.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            from_choi(np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), np.ones((4, 2)), np.ones(4), np.float64(1.0)])
+    def test_from_super_refuses_a_malformed_matrix_as_such(self, bad):
+        with pytest.raises(ValueError):
+            from_super(bad)
 
     def test_choi_rejects_non_trace_preserving(self):
         bad = to_choi(from_super(0.9 * np.eye(4)))
@@ -503,6 +528,12 @@ class TestCombinators:
         for c in results:
             assert c.kraus is None
 
+    def test_operands_of_different_dims_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            seq(identity_program(2), identity_program(3))
+        with pytest.raises(DimensionMismatchError):
+            mix(0.5, identity_program(2), identity_program(3))
+
     def test_mix_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             mix(1.5, identity_program(2), identity_program(2))
@@ -536,6 +567,18 @@ class TestMeasureBranch:
     def test_branch_count_mismatch(self):
         with pytest.raises(ValidationError):
             measure_branch([KET0, KET1], [identity_program(2)])
+
+    def test_an_empty_instrument_rejected(self):
+        with pytest.raises(ValidationError):
+            measure_branch([], [])
+
+    def test_instrument_operators_of_two_dims_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            measure_branch([KET0, np.eye(3)], [identity_program(2), identity_program(3)])
+
+    def test_a_branch_of_another_dim_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            measure_branch([KET0, KET1], [identity_program(2), identity_program(3)])
 
     def test_cp_and_tp_when_branches_are(self):
         c = measure_branch([KET0, KET1], [amplitude_damping(0.2), from_unitary(X)])

@@ -61,11 +61,17 @@ class TestMatrixFormat:
             matrix_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0], [0, 0]]})
 
     @pytest.mark.parametrize("key", ["re", "im"])
-    @pytest.mark.parametrize("part", [{"a": 1}, [[{"a": 1}]]])
+    @pytest.mark.parametrize("part", [{"a": 1}, [[{"a": 1}]], [["1"]], [[False]], [["1", 0.0]]])
     def test_part_that_is_not_numbers_rejected_by_name(self, key, part):
         doc = dict({"dim": 1, "re": [[1.0]], "im": [[0.0]]}, **{key: part})
         with pytest.raises(ValidationError, match=f"matrix part '{key}'"):
             matrix_from_json(through_json(doc))
+
+    def test_integer_entries_are_numbers(self):
+        # JSON integers, also those past int64, read as the doubles they name
+        m = matrix_from_json(through_json({"dim": 2, "re": [[1, 0], [0, 10**30]], "im": [[0, -2], [2, 0.5]]}))
+        assert m.dtype == np.complex128
+        assert np.array_equal(m, [[1.0, -2.0j], [2.0j, 1e30 + 0.5j]])
 
 
 class TestStateFormat:
@@ -263,6 +269,13 @@ class TestProgramFormat:
         with pytest.raises(ValidationError, match="exceeds the limit 64"):
             program_from_json({"dim": 10**6, "repr": "named", "payload": {"name": name}})
         assert program_from_json({"dim": 64, "repr": "named", "payload": {"name": name}}).dim == 64
+
+    def test_super_dim_is_read_off_the_payload_then_checked(self):
+        assert program_from_json({"repr": "super", "payload": matrix_to_json(np.eye(9))}).dim == 3
+        with pytest.raises(DimensionMismatchError, match="program has dim 2, expected 3"):
+            program_from_json({"dim": 3, "repr": "super", "payload": matrix_to_json(np.eye(4))})
+        with pytest.raises(DimensionMismatchError):
+            program_from_json({"dim": 2, "repr": "super", "payload": matrix_to_json(np.eye(3))})
 
     def test_named_identity_needs_dim(self):
         with pytest.raises(ValidationError):

@@ -180,6 +180,11 @@ class TestDualityResidual:
 
 
 class TestIsPrecondition:
+    def test_a_candidate_of_another_dim_rejected(self):
+        g = Predicate(OutcomeSpace(("0", "1")), projective_predicate(3).effects[:2])
+        with pytest.raises(DimensionMismatchError):
+            is_precondition(g, identity_program(2), projective_predicate(2))
+
     def test_wp_is_its_own_precondition(self):
         c = amplitude_damping(0.3)
         f = projective_predicate(2)
@@ -304,6 +309,11 @@ class TestVerifyTriple:
     def test_malformed_triple_dim(self):
         with pytest.raises(DimensionMismatchError):
             HoareTriple(projective_predicate(2), identity_program(3), projective_predicate(2))
+
+    def test_pre_and_post_of_different_dims_rejected(self):
+        pre = Predicate(OutcomeSpace(("0", "1")), projective_predicate(3).effects[:2])
+        with pytest.raises(DimensionMismatchError):
+            HoareTriple(pre, identity_program(2), projective_predicate(2))
 
 
 class TestWeakestCheck:
