@@ -428,16 +428,60 @@ def _fourier_basis(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * grid / dim) / np.sqrt(dim)
 
 
-def _pure_outputs(c: QuantumProgram, psis: np.ndarray) -> np.ndarray:
-    """C(|psi><psi|) for each row psi of an (n, d) stack, as one matrix product.
+def _basis_outputs(s: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """C(|k><k|) for k in [start, stop), read exactly off the superoperator s: vec(|k><k|) is e_{k(d+1)}."""
+    step = math.isqrt(s.shape[0]) + 1
+    return unvec(s[:, start * step:stop * step:step].T)
 
-    Row k of the product is vec(psi psi†) = conj(psi) ⊗ psi times ``c.super.T``;
-    the outputs agree with :func:`apply_matrix` up to the rounding of the
-    summation order.
+
+def _coordinate_matrix(s: np.ndarray) -> np.ndarray:
+    """The matrix W (d², d²) with vec C(rho) = x @ W for every hermitian rho, x being the
+    real coordinates of rho that :func:`_pure_outputs` builds; s is C's superoperator.
+
+    Row p = j*d + i of W stands for the entry (i, j) of rho, as vec does:
+    ½C(E_ij + E_ji) above the diagonal (coordinate 2 Re rho_ij), C(E_ii) on it,
+    and ½i·C(E_ij - E_ji) below it (coordinate 2 Im rho_ij). Halving is exact,
+    and a half-sum cannot overflow where the terms do not. Only the input
+    need be hermitian, so this holds for maps that do not preserve
+    hermiticity too. Built as one halved, transposed copy of s whose rows
+    are then combined in place, column j of rho at a time; the diagonal rows
+    are copied from s, so a subnormal entry there keeps its bits.
+    """
+    d = math.isqrt(s.shape[0])
+    w = np.multiply(s.T, 0.5, order="C")
+    rows = w.reshape(d, d, d * d)  # rows[j, i] is row j*d + i
+    for j in range(d):
+        above, below = rows[j, :j], rows[:j, j]  # entries (i, j) and (j, i) for i < j
+        diff = below - above
+        above += below
+        np.multiply(diff, 1j, out=below)
+        rows[j, j] = s[:, j * (d + 1)]
+    return w
+
+
+def _pure_outputs(w: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """C(|psi><psi|) for each row psi of an (n, d) stack, from the coordinate matrix w of C.
+
+    The real coordinates x (n, d²) of each psi psi† are built straight from
+    Re psi and Im psi, and ``x @ w`` runs as one float64 product with w read
+    as d² rows of d² (real, imaginary) pairs: half the flops of the complex
+    product ``vec(psi psi†) @ c.super.T``. The outputs agree with
+    :func:`apply_matrix` up to the rounding of the summation order.
     """
     n, d = psis.shape
-    rows = (psis.conj()[:, :, None] * psis[:, None, :]).reshape(n, d * d)
-    return unvec(rows @ c.super.T)
+    # (d, n) rows, so that each coordinate column below is one contiguous row
+    u, v = np.ascontiguousarray(psis.real.T), np.ascontiguousarray(psis.imag.T)
+    u2, v2 = 2.0 * u, 2.0 * v
+    x = np.empty((d, d, n))  # x[j, i] is coordinate j*d + i of every state
+    for j in range(d):
+        # 2 Re rho_ij = 2(u_i u_j + v_i v_j) above the diagonal, 2 Im rho_ij = 2(v_i u_j - u_i v_j) below it
+        np.multiply(u2[j], u[:j], out=x[j, :j])
+        x[j, :j] += v2[j] * v[:j]
+        np.multiply(u2[j], v[j + 1:], out=x[j, j + 1:])
+        x[j, j + 1:] -= v2[j] * u[j + 1:]
+    x[np.arange(d), np.arange(d)] = u * u + v * v
+    out = x.reshape(d * d, n).T @ w.view(np.float64)
+    return unvec(out.view(np.complex128))
 
 
 def _candidate_blocks(d: int, sample_count: int, rng: np.random.Generator, block: int):
@@ -468,18 +512,28 @@ def is_positive_sampled(
     C(|psi><psi|) ⪰ 0 on every computational-basis and Fourier-basis state
     plus ``sample_count`` Haar-random pure states, reporting the first
     violating state found. States are checked in blocks whose stacks of
-    outputs stay under STACK_BYTES: one matrix product and one batched
-    Cholesky factorization a block. Only a block that Cholesky leaves
-    undecided, such as one that holds a counterexample, also takes a
+    outputs stay under STACK_BYTES, with one batched Cholesky factorization
+    a block. A basis block's outputs are columns of the superoperator; the
+    other blocks' come from one real matrix product each, against the
+    coordinate matrix built when the Fourier block first needs it and
+    released before the last block's PSD test. Only a block that Cholesky
+    leaves undecided, such as one that holds a counterexample, also takes a
     batched eigensolve; the verdicts are those of the eigensolve alone.
     """
     if is_completely_positive(c, tol):
         return PositivityVerdict("certified_cp", 0)
     d = c.dim
     rng = np.random.default_rng(seed)
-    checked = 0
+    checked, w = 0, None
     for psis, raw in _candidate_blocks(d, tol.sample_count, rng, _block_size(d)):
-        out = _pure_outputs(c, psis)
+        end = checked + len(psis)
+        if end <= d:  # basis states
+            out = _basis_outputs(c.super, checked, end)
+        else:
+            w = _coordinate_matrix(c.super) if w is None else w
+            out = _pure_outputs(w, psis)
+            if end == 2 * d + tol.sample_count:
+                w = None  # released before the last block's PSD test
         # the per-matrix checks of is_hermitian and min_eigenvalue, run once per block
         _require_finite(out)
         bad = ~_psd_flags(out, tol)
@@ -555,7 +609,17 @@ def measure_branch(instrument, branches, tol: ToleranceConfig = DEFAULT_TOL) -> 
     gap = float(np.abs(total - np.eye(d)).max())
     if gap > tol.residual_tol:
         raise ValidationError(f"instrument incomplete: sum M†M deviates from identity by {gap:.3e}")
-    s = sum(b.super @ _kraus_supers([m]) for m, b in zip(ms, branches))
+    # row r of b.super @ (conj(M) ⊗ M) is vec(Mᵀ R conj(M)) for R = unvec(row r),
+    # that is M† V M flattened row-major for V = row r read as a C-ordered d×d
+    # matrix: two batched d×d products a row, one block of rows at a time
+    n = d * d
+    s = np.zeros((n, n), dtype=np.complex128)
+    out = s.reshape(n, d, d)
+    rows = _row_block_size(n)
+    for m, b in zip(ms, branches):
+        m_dagger = m.conj().T
+        for start in range(0, n, rows):
+            out[start:start + rows] += m_dagger @ b.super[start:start + rows].reshape(-1, d, d) @ m
     return QuantumProgram._adopt(d, s, "measure_branch")
 
 

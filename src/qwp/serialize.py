@@ -88,12 +88,15 @@ def _require(value, kind: type, what: str):
 def _part_from_json(obj: dict, key: str) -> np.ndarray:
     part = np.asarray(obj[key])
     # strings and booleans are refused, not coerced; float() refuses a JSON
-    # object, in the part or among its entries, with a TypeError
+    # object, in the part or among its entries, with a TypeError, and an
+    # integer past the float range with an OverflowError
     if part.dtype.kind not in "USb":
         try:
             return np.asarray(part, dtype=float)
         except TypeError:
             pass
+        except OverflowError:
+            raise ValidationError(f"matrix part {key!r} holds a number too large for a float") from None
     raise ValidationError(f"matrix part {key!r} must be a list of lists of numbers")
 
 

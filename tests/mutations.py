@@ -128,6 +128,29 @@ MUTANTS = [
         "for a in range(0, n - rows + 1, rows):",
         (f"{KERNELS}::TestBlockedBuilds::test_mix_matches_the_full_expression",),
     ),
+    # the positivity audit's below-diagonal coordinates are 2 Im rho_ij, not 2 Im rho_ji
+    Mutant(
+        "programs.py",
+        """        np.multiply(u2[j], v[j + 1:], out=x[j, j + 1:])
+        x[j, j + 1:] -= v2[j] * u[j + 1:]""",
+        """        np.multiply(v2[j], u[j + 1:], out=x[j, j + 1:])
+        x[j, j + 1:] -= u2[j] * v[j + 1:]""",
+        (f"{KERNELS}::TestPositivityOracle::test_stacked_outputs_match_apply_matrix",),
+    ),
+    # its basis block reads C(|k><k|) off column k(d+1) of the superoperator
+    Mutant(
+        "programs.py",
+        "step = math.isqrt(s.shape[0]) + 1",
+        "step = math.isqrt(s.shape[0])",
+        (f"{KERNELS}::TestPositivityOracle::test_basis_outputs_are_columns_of_the_superoperator",),
+    ),
+    # its coordinate matrix is released before the last block's PSD test
+    Mutant(
+        "programs.py",
+        "w = None  # released before the last block's PSD test",
+        "pass",
+        (f"{KERNELS}::TestPsdKernel::test_the_mixture_audit_peak_at_dim_32",),
+    ),
     # qwp wp refuses to write an output that is not a predicate
     Mutant(
         "cli.py",

@@ -209,6 +209,7 @@ class TestValidate:
             "parameter_overflow",
             "label_list",
             "string_and_boolean_parts",
+            "entry_overflow",
             "super_dim_disagrees",
         ],
     )
@@ -240,6 +241,8 @@ class TestValidate:
             text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), label=["a"]))
         elif kind == "string_and_boolean_parts":
             text = json.dumps({"dim": 1, "re": [["1"]], "im": [[False]]})
+        elif kind == "entry_overflow":
+            text = json.dumps({"dim": 1, "re": [[10**400]], "im": [[0.0]]})
         elif kind == "super_dim_disagrees":
             text = json.dumps({"dim": 3, "repr": "super", "payload": matrix_to_json(np.eye(4))})
         else:

@@ -8,7 +8,7 @@ from qwp.errors import (
     NotTracePreservingError,
     ValidationError,
 )
-from qwp.linalg import ToleranceConfig, min_eigenvalue, random_density, sample_random
+from qwp.linalg import ToleranceConfig, min_eigenvalue, random_density, random_isometry, sample_random
 from qwp.programs import (
     DensityState,
     QuantumProgram,
@@ -584,6 +584,43 @@ class TestMeasureBranch:
         c = measure_branch([KET0, KET1], [amplitude_damping(0.2), from_unitary(X)])
         assert is_trace_preserving(c)
         assert is_completely_positive(c)
+
+    @staticmethod
+    def branches(dim, count):
+        """count sampled programs of every kind; every other one is an adjoint, stored by columns."""
+        rng = np.random.default_rng([dim, count, 43])
+        kinds = ("transpose_mix", "cptp", "unitary", "transpose")
+        progs = [sample_program(kinds[i % 4], dim, rng) for i in range(count)]
+        return [adjoint(c) if i % 2 == 0 else c for i, c in enumerate(progs)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
+    def test_projectors_match_the_kronecker_form(self, dim):
+        # the computational-basis projectors, one branch per outcome
+        proj = [np.diag(e) for e in np.eye(dim)]
+        bs = self.branches(dim, dim)
+        want = sum(b.super @ np.kron(m.conj(), m) for m, b in zip(proj, bs))
+        assert np.abs(measure_branch(proj, bs).super - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
+    def test_dense_instruments_match_the_kronecker_form(self, dim, count):
+        # the blocks of a Haar isometry: a complete instrument of dense operators
+        ms = list(random_isometry(np.random.default_rng([dim, count, 44]), count * dim, dim).reshape(count, dim, dim))
+        bs = self.branches(dim, count)
+        want = sum(b.super @ np.kron(m.conj(), m) for m, b in zip(ms, bs))
+        assert np.abs(measure_branch(ms, bs).super - want).max() <= 1e-14
+
+    def test_peak_at_dim_32(self):
+        ms = list(random_isometry(np.random.default_rng(45), 2 * 32, 32).reshape(2, 32, 32))
+        bs = self.branches(32, 2)
+        tracemalloc.start()
+        try:
+            measure_branch(ms, bs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 16 MiB superoperator, a block of rows and its products, and the finite-entry mask
+        assert peak <= 20 << 20
 
 
 class TestSamplers:

@@ -67,6 +67,13 @@ class TestMatrixFormat:
         with pytest.raises(ValidationError, match=f"matrix part '{key}'"):
             matrix_from_json(through_json(doc))
 
+    @pytest.mark.parametrize("key", ["re", "im"])
+    def test_integer_past_the_float_range_rejected_by_name(self, key):
+        doc = dict({"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+        doc[key] = [[1, 0], [0, 10**400]]
+        with pytest.raises(ValidationError, match=f"matrix part '{key}' holds a number too large for a float"):
+            matrix_from_json(through_json(doc))
+
     def test_integer_entries_are_numbers(self):
         # JSON integers, also those past int64, read as the doubles they name
         m = matrix_from_json(through_json({"dim": 2, "re": [[1, 0], [0, 10**30]], "im": [[0, -2], [2, 0.5]]}))

@@ -440,6 +440,13 @@ def nonpositive(dim, eps):
     return from_super((1 + eps) * np.eye(dim * dim) - eps * np.outer(flat, flat) / dim)
 
 
+def breaks_hermiticity(dim):
+    """rho -> rho + 0.1i rho_00 (|0><d-1| + |d-1><0|), whose hermitian part is rho itself."""
+    e0, last = np.eye(dim)[0], np.eye(dim)[-1]
+    swap = np.outer(e0, last) + np.outer(last, e0)
+    return from_super(np.eye(dim * dim) + 0.1j * np.outer(vec(swap), vec(np.outer(e0, e0))))
+
+
 def population_pump(dim, a):
     """rho -> rho + a rho_11 (|0><0| - |1><1|): positive on e_0, negative on e_1 for a > 1."""
     p0, p1 = vec(np.diag(np.eye(dim)[0])), vec(np.diag(np.eye(dim)[1]))
@@ -748,9 +755,7 @@ class TestPositivityOracle:
         assert np.array_equal(got.witness, qwp_programs._fourier_basis(3)[:, 0])
 
     def test_non_hermitian_output_is_a_counterexample(self):
-        # rho -> rho + 0.1i rho_00 (|0><1| + |1><0|): its hermitian part is rho itself
-        p0, swap = vec(np.diag([1.0, 0.0])), vec(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        c = from_super(np.eye(4) + 0.1j * np.outer(swap, p0))
+        c = breaks_hermiticity(2)
         got = is_positive_sampled(c, seed=2)
         assert_same_verdict(got, is_positive_sampled_oracle(c, seed=2))
         assert got.status == "counterexample" and got.samples == 1
@@ -808,33 +813,66 @@ class TestPositivityOracle:
         assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=4 * d * np.finfo(float).eps)
 
     def test_no_stack_exceeds_the_cap(self, monkeypatch):
-        rows = []
-        outputs = qwp_programs._pure_outputs
-
-        def recording(c, psis):
-            rows.append(psis.shape[0])
-            return outputs(c, psis)
-
-        monkeypatch.setattr(qwp_programs, "_pure_outputs", recording)
+        shapes = record_shapes(monkeypatch, qwp_programs, "_psd_flags")
         is_positive_sampled(sample_program("transpose", 32, 0), seed=4)
-        # basis, Fourier, then the 1000 random states in one block of at most 1024
-        assert rows == [32, 32, 1000]
-        assert max(rows) * 32 * 32 * 16 <= STACK_BYTES
+        # the Choi matrix, then the basis, Fourier and 1000 random states in blocks of at most 1024
+        assert shapes == [(1, 1024, 1024), (32, 32, 32), (32, 32, 32), (1000, 32, 32)]
+        assert max(shape[0] for shape in shapes[1:]) * 32 * 32 * 16 <= STACK_BYTES
 
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_basis_outputs_are_columns_of_the_superoperator(self, monkeypatch):
+        c = sample_program("transpose_mix", 5, 66)
+        blocks = []
+        flags = qwp_programs._psd_flags
+
+        def recording(a, tol):
+            blocks.append(np.array(a))
+            return flags(a, tol)
+
+        monkeypatch.setattr(qwp_programs, "_psd_flags", recording)
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 2 * 5 * 5 * 16)
+        got = is_positive_sampled(c, ToleranceConfig(sample_count=4), seed=1)
+        assert got.status == "no_counterexample"
+        # after the Choi matrix, the basis states in blocks of 2, 2 and 1, read exactly
+        assert [len(b) for b in blocks[1:4]] == [2, 2, 1]
+        for k, out in enumerate(np.concatenate(blocks[1:4])):
+            assert np.array_equal(out, apply_matrix(c, np.diag(np.eye(5)[k])))
+
+    @pytest.mark.parametrize("kind", KINDS + ("breaks_hermiticity",))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     def test_stacked_outputs_match_apply_matrix(self, kind, dim):
-        c = sample_program(kind, dim, 67)
+        c = breaks_hermiticity(dim) if kind == "breaks_hermiticity" else sample_program(kind, dim, 67)
         z = np.random.default_rng(dim).standard_normal((20, 2, dim))
         raw = z[:, 0] + 1j * z[:, 1]
         normalized = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         psis = np.concatenate([np.eye(dim), qwp_programs._fourier_basis(dim).T, normalized])
-        out = qwp_programs._pure_outputs(c, psis)
+        out = qwp_programs._pure_outputs(qwp_programs._coordinate_matrix(c.super), psis)
         # one GEMM sums in another order than one matrix-vector product
         bound = 4 * dim * dim * np.finfo(float).eps * np.abs(c.super).max()
         for psi, got in zip(psis, out):
             want = apply_matrix(c, np.outer(psi, psi.conj()))
             assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize(
+        "corner, sign, overflows", [(1.0, 1.0, False), (1.0, -1.0, False), (1.7e308, 1.0, True), (1.7e308, -1.0, False)]
+    )
+    def test_a_pair_of_entries_near_the_float_limit(self, corner, sign, overflows):
+        # row 0 of the output reads rho_00 and the pair rho_01, rho_10, whose
+        # coefficients are near the float limit; the half-sums of a pair stay finite
+        s = np.eye(4, dtype=np.complex128)
+        s[0, 0], s[0, 2], s[0, 1] = corner, 1.7e308, sign * 1.7e308
+        c = from_super(s)
+        tol = ToleranceConfig(sample_count=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if overflows:
+                # 1.7e308 (rho_00 + 2 Re rho_01) overflows on (1, 1)/√2
+                with pytest.raises(ValueError, match="finite"):
+                    is_positive_sampled(c, tol, seed=3)
+            else:
+                # the second Fourier state, (1, -1)/√2 up to rounding: a large
+                # negative output entry, or a large imaginary one on the diagonal
+                got = is_positive_sampled(c, tol, seed=3)
+                assert (got.status, got.samples) == ("counterexample", 4)
+                assert np.array_equal(got.witness, qwp_programs._fourier_basis(2)[:, 1])
 
 
 DIMS = (1, 2, 3, 5, 8)
@@ -1323,17 +1361,20 @@ class TestPsdKernel:
         assert any(shape[0] == 1 and shape[-1] < 16 for shape in failures)
         assert any(shape[0] > 1 for shape in failures)
 
-    def test_the_mixture_audit_peak_stays_under_64_mib(self):
+    def test_the_mixture_audit_peak_at_dim_32(self):
         c = sample_program("transpose_mix", 32, 4)
         tracemalloc.start()
         try:
-            is_positive_sampled(c, seed=3)
+            got = is_positive_sampled(c, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at its widest the audit holds a block's outputs, their hermitian
-        # part and its Cholesky factor: about 49 MiB at d = 32
-        assert peak <= 64 << 20
+        assert (got.status, got.samples) == ("no_counterexample", 2 * 32 + 1000)
+        # at its widest the audit holds the last block's outputs, their
+        # hermitian part and its Cholesky factor, 16 MiB each; the 16 MiB
+        # coordinate matrix is released before that block's PSD test, and
+        # the block's real coordinates (8 MiB) before it too
+        assert peak <= 49.4 * (1 << 20)
 
 
 def lower_triangle(a):
