@@ -33,8 +33,8 @@ from .linalg import (
     _densities,
     _effect_draws,
     _eigh,
-    _eigvalsh,
     _haar_spectral,
+    _loewner_flags,
     _psd_sqrts,
     psd_sqrt,
     random_densities,
@@ -45,7 +45,6 @@ from .predicates import (
     MAX_RANDOM_ATOMS,
     Predicate,
     _draw_predicate,
-    _leq_refusals,
     _predicate_faults,
     _random_effects,
     predicate_leq,
@@ -237,8 +236,8 @@ def _weakest_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
     rng = _trial_rng(seed, dim, pair)
     prog = sample_program(_PROGRAM_KINDS[pair % len(_PROGRAM_KINDS)], dim, rng)
     pred = random_predicate(rng, dim)
-    margins, confirmed = _dominations(prog, pred, tol, int(rng.integers(2**31)), len(block))
-    return -margins, np.stack([margins < -tol.eig_tol, ~confirmed], axis=-1)
+    margins, dominated, confirmed = _dominations(prog, pred, tol, int(rng.integers(2**31)), len(block))
+    return -margins, np.stack([~dominated, ~confirmed], axis=-1)
 
 
 def weakest_campaign(
@@ -353,8 +352,8 @@ def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
         pairs.append((odd[pos], f, g))
     verdicts = []
     for pos, f, g in pairs:
-        leq = _eigvalsh(g - f).min(axis=-1) >= -tol.eig_tol
-        _require(_leq_refusals(f, g, leq, tol), trials[pos])
+        leq, refused = _loewner_flags(f, g, tol)
+        _require(refused.any(axis=-1), trials[pos])
         verdicts.append(leq.all(axis=-1))
     # every check has passed: draw the states of the pairs with f ⪯ g
     values, failed = [np.empty(0)], np.zeros(len(trials), dtype=bool)

@@ -111,13 +111,6 @@ def _operator_family(ops, noun: str) -> list[np.ndarray]:
     return ms
 
 
-def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-
-
 def _hermitian_part(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray:
     """(a + aᴴ) / 2 for a stack (..., d, d), finite for every finite a; ah is aᴴ if known.
 
@@ -148,6 +141,11 @@ def _hermiticity_gaps(a: np.ndarray, ah: np.ndarray | None = None) -> np.ndarray
         ah = a.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore"):
         return np.abs(a - ah).max(axis=(-2, -1))
+
+
+def _identity_gaps(ms: np.ndarray) -> np.ndarray:
+    """Max-entry |m - I| of each matrix in a stack (..., d, d)."""
+    return np.abs(ms - np.eye(ms.shape[-1])).max(axis=(-2, -1))
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -402,18 +400,34 @@ def psd_sqrt(a) -> np.ndarray:
     return _psd_sqrts(as_complex_matrix(a))
 
 
+def _loewner_flags(f: np.ndarray, g: np.ndarray, tol: ToleranceConfig, lows: np.ndarray | None = None):
+    """The order f ⪯ g, λ_min(g - f) ≥ -eig_tol, of each pair of finite operand stacks (..., d, d),
+    and the mask of the pairs it refuses: f or g not hermitian within residual_tol. lows are the
+    λ_min(g - f) when the caller has them; otherwise one stacked eigvalsh computes them."""
+    refused = (_hermiticity_gaps(f) > tol.residual_tol) | (_hermiticity_gaps(g) > tol.residual_tol)
+    if lows is None:
+        lows = _eigvalsh(g - f)[..., 0]
+    return lows >= -tol.eig_tol, refused
+
+
+def _loewner_order(f: np.ndarray, g: np.ndarray, tol: ToleranceConfig, lows: np.ndarray | None = None) -> np.ndarray:
+    """The order of :func:`_loewner_flags`, raising ValueError when it refuses any pair."""
+    ordered, refused = _loewner_flags(f, g, tol, lows)
+    if refused.any():
+        raise ValueError("loewner_leq requires hermitian operands")
+    return ordered
+
+
 def loewner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Operator order a ⪯ b: the gap b - a is positive semidefinite.
 
     Equivalent to <psi|a psi> <= <psi|b psi> for every vector psi, by the
     spectral theorem. Both operands must be hermitian.
     """
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    _require_same_dim(a, b)
-    if _hermiticity_gaps(a) > tol.residual_tol or _hermiticity_gaps(b) > tol.residual_tol:
-        raise ValueError("loewner_leq requires hermitian operands")
-    return float(_eigvalsh(b - a).min()) >= -tol.eig_tol
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return bool(_loewner_order(a, b, tol))
 
 
 def operator_norm_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:

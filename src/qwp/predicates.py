@@ -23,9 +23,10 @@ from .linalg import (
     _eigvalsh,
     _ginibre,
     _hermiticity_gaps,
+    _identity_gaps,
+    _loewner_order,
     _operator_family,
     _require_finite,
-    loewner_leq,
 )
 from .programs import DensityState
 
@@ -246,7 +247,7 @@ def is_complete(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def _sums_to_identity(total: np.ndarray, tol: ToleranceConfig) -> bool:
     """The completeness rule: the total effect (d, d) is the identity within residual_tol, entry by entry."""
-    return float(np.abs(total - np.eye(len(total))).max()) <= tol.residual_tol
+    return float(_identity_gaps(total)) <= tol.residual_tol
 
 
 def _require_comparable(f: Predicate, g: Predicate) -> None:
@@ -258,23 +259,16 @@ def _require_comparable(f: Predicate, g: Predicate) -> None:
         raise DimensionMismatchError(f"predicate dims {f.dim} vs {g.dim}")
 
 
-def _leq_refusals(f: np.ndarray, g: np.ndarray, leq: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Mask (...) of the predicate pairs stacked as (..., k, d, d) that ``predicate_leq(f, g)``
-    refuses, given each atom's order f_a ⪯ g_a in ``leq`` (..., k): an operand is not hermitian
-    in an atom up to and including the first one not ⪯, where predicate_leq stops."""
-    reached = np.logical_and.accumulate(np.insert(leq[..., :-1], 0, True, axis=-1), axis=-1)
-    unhermitian = (_hermiticity_gaps(f) > tol.residual_tol) | (_hermiticity_gaps(g) > tol.residual_tol)
-    return (reached & unhermitian).any(axis=-1)
-
-
 def predicate_leq(f: Predicate, g: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Pointwise order: every atom effect of f sits below the matching one of g.
 
-    Per-atom comparison suffices for all 2^n outcome sets: sums of PSD gaps
-    are PSD, so atomwise order and setwise order coincide.
+    f ⪯ g when λ_min(g_a - f_a) ≥ -eig_tol for every atom a. A pair with an
+    atom effect of either side not hermitian within residual_tol is refused
+    with ValueError, whatever the order of the atoms. Atomwise order is the
+    order of all 2^n outcome sets, as sums of PSD gaps are PSD.
     """
     _require_comparable(f, g)
-    return all(loewner_leq(f.effect(a), g.effect(a), tol) for a in f.space.atoms)
+    return bool(_loewner_order(f.effects, g.effects, tol).all())
 
 
 def sat(rho: DensityState, p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> SatMeasure:

@@ -11,8 +11,11 @@ this convention
   blocks ``J[i::d, j::d] = C(|i><j|)`` and is PSD exactly for completely
   positive maps.
 
-Mixing vectorization conventions corrupts results silently, so every
-conversion in this module goes through ``vec``/``unvec`` below.
+Mixing vectorization conventions corrupts results silently: ``vec`` and
+``unvec`` below state the convention, and the functions that index the
+superoperator directly (``to_choi``, ``from_choi``, ``transpose_program``,
+``_kraus_supers``, ``measure_branch``, ``_coordinate_matrix`` and
+``_basis_outputs``) each state the index identity they rely on.
 
 The dense superoperator is the canonical representation because it carries
 maps with no Kraus form: positive but not completely positive programs (the
@@ -34,12 +37,12 @@ from .linalg import (
     _eigvalsh,
     _haar_isometries,
     _hermiticity_gaps,
+    _identity_gaps,
     _operator_family,
     _psd_flags,
     _require_finite,
     _row_block_size,
     as_complex_matrix,
-    random_isometry,
 )
 
 __all__ = [
@@ -239,7 +242,7 @@ def _kraus_supers(ks) -> np.ndarray:
 
 def _unitarity_gaps(us: np.ndarray) -> np.ndarray:
     """Max-entry |U†U - I| of each matrix in a stack (..., d, d)."""
-    return np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1])).max(axis=(-2, -1))
+    return _identity_gaps(us.conj().swapaxes(-1, -2) @ us)
 
 
 def from_unitary(u, label: str = "unitary", tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
@@ -269,8 +272,7 @@ def from_choi(choi, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
     if d * d != n:
         raise DimensionMismatchError(f"Choi matrix side {n} is not a perfect square")
     j4 = j.reshape(d, d, d, d)  # indices (a, i, c, k): J[a*d+i, c*d+k]
-    tr_out = np.einsum("aiak->ik", j4)
-    dev = float(np.abs(tr_out - np.eye(d)).max())
+    dev = float(_identity_gaps(np.einsum("aiak->ik", j4)))
     if dev > tol.residual_tol:
         raise NotTracePreservingError(
             f"Choi output partial trace deviates from the identity by {dev:.3e}"
@@ -393,8 +395,7 @@ def _unital_gaps(conjs: np.ndarray) -> np.ndarray:
 
     The adjoint C* acts as the view ``conjs.swapaxes(-1, -2)``, the layout :func:`adjoint` stores.
     """
-    eye = np.eye(math.isqrt(conjs.shape[-1]))
-    return np.abs(unvec(conjs.swapaxes(-1, -2) @ vec(eye)) - eye).max(axis=(-2, -1))
+    return _identity_gaps(unvec(conjs.swapaxes(-1, -2) @ vec(np.eye(math.isqrt(conjs.shape[-1])))))
 
 
 def to_choi(c: QuantumProgram) -> np.ndarray:
@@ -605,8 +606,7 @@ def measure_branch(instrument, branches, tol: ToleranceConfig = DEFAULT_TOL) -> 
     for b in branches:
         if b.dim != d:
             raise DimensionMismatchError(f"branch dim {b.dim} vs instrument dim {d}")
-    total = sum(m.conj().T @ m for m in ms)
-    gap = float(np.abs(total - np.eye(d)).max())
+    gap = float(_identity_gaps(sum(m.conj().T @ m for m in ms)))
     if gap > tol.residual_tol:
         raise ValidationError(f"instrument incomplete: sum M†M deviates from identity by {gap:.3e}")
     # row r of b.super @ (conj(M) ⊗ M) is vec(Mᵀ R conj(M)) for R = unvec(row r),
@@ -629,12 +629,12 @@ def measure_branch(instrument, branches, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
 
 def random_cptp(rng: np.random.Generator, dim: int) -> QuantumProgram:
-    """Random CPTP program from a Haar isometry.
+    """Random CPTP program from a Haar isometry: the "cptp" kind of :func:`sample_program`, drawn from rng.
 
     Draws a (dim*dim) x dim isometry and slices it into dim Kraus
     operators; completeness sum K†K = I holds by construction.
     """
-    return from_kraus(random_isometry(rng, dim * dim, dim).reshape(dim, dim, dim), label="random_cptp")
+    return sample_program("cptp", dim, rng)
 
 
 _PROGRAM_KINDS = ("cptp", "unitary", "transpose", "transpose_mix")

@@ -24,12 +24,12 @@ from .linalg import (
     _eigh,
     _eigvalsh,
     _haar_spectral,
-    _hermiticity_gaps,
+    _loewner_order,
     _psd_sqrts,
     _require_finite,
     random_densities,
 )
-from .predicates import OutcomeSpace, Predicate, _leq_refusals, _require_comparable, _require_valid
+from .predicates import OutcomeSpace, Predicate, _require_comparable, _require_valid
 from .programs import (
     DensityState,
     QuantumProgram,
@@ -217,10 +217,11 @@ def is_precondition(
 ) -> VerificationReport:
     """Decide whether g is a precondition of f under c, with evidence.
 
-    Holds exactly when g sits below wp(c, f) atom by atom. On failure the
-    witness state is the eigenvector of the most negative eigenvalue of the
-    deficit wp_a - g_a (the state maximizing the violation), and the report
-    shows Tr(g_a rho) > Tr(f_a C(rho)) numerically.
+    Holds or refuses exactly as ``predicate_leq(g, wp(c, f), tol)`` does; the
+    margins are its λ_min(wp_a - g_a). On failure the witness state is the
+    lowest eigenvector of the deficit wp_a - g_a of least margin (the state
+    maximizing the violation), and the report shows Tr(g_a rho) >
+    Tr(f_a C(rho)) numerically.
     """
     _require_comparable(g, f)
     transformed = wp(c, f, tol)
@@ -228,10 +229,7 @@ def is_precondition(
     vals, vecs = _eigh(transformed.effects - g.effects)
     lowest = vals[:, 0]
     margins = dict(zip(f.space.atoms, lowest.tolist()))
-    leq = lowest >= -tol.eig_tol
-    if _leq_refusals(g.effects, transformed.effects, leq, tol):
-        raise ValueError("loewner_leq requires hermitian operands")
-    holds = bool(leq.all())
+    holds = bool(_loewner_order(g.effects, transformed.effects, tol, lowest).all())
     residuals = _residual_sweep(c, f, transformed, seed)
     witness = None
     if not holds:
@@ -263,13 +261,6 @@ def _traces(stack: np.ndarray) -> np.ndarray:
     return np.trace(stack, axis1=-2, axis2=-1)
 
 
-def _require_finite_hermitian(stack: np.ndarray, tol: ToleranceConfig) -> None:
-    # the per-matrix checks of Predicate and loewner_leq, run once per stack
-    _require_finite(stack)
-    if float(_hermiticity_gaps(stack).max()) > tol.residual_tol:
-        raise ValueError("loewner_leq requires hermitian operands")
-
-
 def weakest_check(
     c: QuantumProgram,
     f: Predicate,
@@ -289,12 +280,11 @@ def weakest_check(
     schedule-independent. Trials are shaped and checked in
     stacked blocks of at most STACK_BYTES per stack of states or of traces.
     """
-    margins, confirmed = _dominations(c, f, tol, seed, tol.sample_count)
-    dominated = int(np.count_nonzero(margins >= -tol.eig_tol))
+    margins, dominated, confirmed = _dominations(c, f, tol, seed, tol.sample_count)
     return WeakestCheckReport(
         trials=tol.sample_count,
-        all_dominated=dominated == tol.sample_count,
-        dominated=dominated,
+        all_dominated=bool(dominated.all()),
+        dominated=int(np.count_nonzero(dominated)),
         confirmed_preconditions=int(np.count_nonzero(confirmed)),
         min_margin=float(margins.min()),
         seed=seed,
@@ -303,9 +293,9 @@ def weakest_check(
 
 def _dominations(
     c: QuantumProgram, f: Predicate, tol: ToleranceConfig, seed: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The n candidates of :func:`weakest_check`: each one's least margin λ_min(wp_a - G_a)
-    over atoms, shape (n,), and whether its states confirm it a precondition, shape (n,).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n candidates of :func:`weakest_check`: each one's least margin λ_min(wp_a - G_a) over
+    atoms, whether wp dominates it and whether its states confirm it a precondition, each (n,).
 
     A block's states are confirmed by matrix products on their rows vec(rho):
     one with the superoperator for C(rho), then one with the postcondition's
@@ -316,10 +306,10 @@ def _dominations(
     atoms = f.space.atoms
     d = c.dim
     bounds = transformed.effects
-    _require_finite_hermitian(bounds, tol)
     roots = _psd_sqrts(bounds)
 
     margins = np.empty(n)
+    dominated = np.empty(n, dtype=bool)
     confirmed = np.empty(n, dtype=bool)
     k, dd, s = len(atoms), d * d, CERTIFYING_STATES
     # Tr(F_a X) is the dot product of F_a's C-ordered entries with vec(X)
@@ -337,7 +327,10 @@ def _dominations(
         normals, spectra = zip(*draws)
         shrinks = _haar_spectral(np.array(normals), np.array(spectra))  # (trials, atoms, d, d)
         cands = roots @ shrinks @ roots  # (trials, atoms, d, d)
-        _require_finite_hermitian(cands, tol)
+        _require_finite(cands)  # the Predicate constructor's check
+        lows = _eigvalsh(bounds - cands)[..., 0]  # (trials, atoms)
+        dominated[start:stop] = _loewner_order(cands, bounds, tol, lows).all(axis=-1)
+        margins[start:stop] = lows.min(axis=-1)
         rows = vec(_densities(np.array(states).reshape(-1, 2, d, d)))  # (trials·states, d²)
 
         # Tr(F_a C(rho)) with the program run forward, never through wp's adjoint
@@ -345,8 +338,7 @@ def _dominations(
         # Tr(G_a rho), one (states, d²) by (d², atoms) product a trial
         lhs = (rows.reshape(m, s, dd) @ cands.reshape(m, k, dd).swapaxes(-1, -2)).real
         confirmed[start:stop] = ~(lhs > rhs + tol.residual_tol).any(axis=(1, 2))
-        margins[start:stop] = _eigvalsh(bounds - cands).min(axis=(-2, -1))  # over atoms and eigenvalues
-    return margins, confirmed
+    return margins, dominated, confirmed
 
 
 def wp_compose_check(

@@ -151,6 +151,20 @@ MUTANTS = [
         "pass",
         (f"{KERNELS}::TestPsdKernel::test_the_mixture_audit_peak_at_dim_32",),
     ),
+    # the order refuses a pair whose upper operand is not hermitian, as well as its lower one
+    Mutant(
+        "linalg.py",
+        "refused = (_hermiticity_gaps(f) > tol.residual_tol) | (_hermiticity_gaps(g) > tol.residual_tol)",
+        "refused = _hermiticity_gaps(f) > tol.residual_tol",
+        ("tests/test_linalg.py::TestLoewner::test_rejects_non_hermitian",),
+    ),
+    # f ⪯ g admits λ_min(g - f) down to -eig_tol
+    Mutant(
+        "linalg.py",
+        "return lows >= -tol.eig_tol, refused",
+        "return lows >= 0.0, refused",
+        ("tests/test_linalg.py::TestLoewner::test_the_slack_admits_a_gap_down_to_minus_eig_tol",),
+    ),
     # qwp wp refuses to write an output that is not a predicate
     Mutant(
         "cli.py",

@@ -211,6 +211,7 @@ class TestValidate:
             "string_and_boolean_parts",
             "entry_overflow",
             "super_dim_disagrees",
+            "program_without_payload",
         ],
     )
     def test_malformed_document_is_semantic_error(self, runner, tmp_path, kind):
@@ -245,6 +246,8 @@ class TestValidate:
             text = json.dumps({"dim": 1, "re": [[10**400]], "im": [[0.0]]})
         elif kind == "super_dim_disagrees":
             text = json.dumps({"dim": 3, "repr": "super", "payload": matrix_to_json(np.eye(4))})
+        elif kind == "program_without_payload":
+            text = json.dumps({"dim": 2, "repr": "named"})
         else:
             text = json.dumps({"dim": 2, "repr": "named", "payload": {"name": ["depolarizing"], "p": 0.5}})
         path = tmp_path / "bad.json"
@@ -491,6 +494,23 @@ class TestPropertiesCommand:
 
         assert strip_timestamp(first) == strip_timestamp(second)
 
+    @pytest.mark.parametrize(
+        "suite, dims, samples, seed, residual_tol, message",
+        [
+            ("duality", "2,3", "50", "7", "0", "state is not hermitian"),
+            ("weakest", "2,3", "50", "7", "0", "invalid predicate: effect 'a0' is not hermitian"),
+            ("compose", "2,3", "50", "7", "0", "invalid predicate: effect 'a0' is not hermitian"),
+            ("orders", "2,3", "20", "7", "0", "loewner_leq requires hermitian operands"),
+            # trial 7's a2 is not hermitian, after an atom a0 that is not below g's
+            ("orders", "2", "8", "3", "1e-16", "loewner_leq requires hermitian operands"),
+        ],
+    )
+    def test_a_refused_trial_exits_2(self, runner, suite, dims, samples, seed, residual_tol, message):
+        args = ["properties", suite, "--dims", dims, "--samples", samples, "--seed", seed, "--residual-tol", residual_tol]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == "" and message in result.stderr
+
     def test_failing_campaign_exits_3(self, runner, monkeypatch):
         from qwp.campaigns import CampaignResult
 
@@ -513,6 +533,14 @@ class TestReportEnvelope:
         assert report["tolerances"]["eig_tol"] == 1e-10
         assert report["tolerances"]["residual_tol"] == 1e-9
         assert "timestamp" in report
+
+    def test_out_in_a_missing_directory_exits_1(self, runner, tmp_path):
+        path = write(tmp_path / "p.json", z_predicate_doc())
+        out = tmp_path / "missing" / "report.json"
+        result = runner.invoke(main, ["validate", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"{out}: No such file or directory" in result.stderr
+        assert not out.exists()
 
     def test_out_flag_writes_report_copy(self, runner, tmp_path):
         path = write(tmp_path / "p.json", z_predicate_doc())

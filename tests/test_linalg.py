@@ -6,6 +6,7 @@ from qwp.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_complex_matrix,
+    hermitian_eig,
     is_hermitian,
     is_psd,
     loewner_leq,
@@ -138,6 +139,14 @@ class TestLoewner:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        # the hermitian part of the gap is PSD, so only the refusal of the upper operand stops the order
+        with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
+            loewner_leq(np.eye(2), np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+    def test_the_slack_admits_a_gap_down_to_minus_eig_tol(self):
+        tol = ToleranceConfig(eig_tol=1e-9)
+        assert loewner_leq(np.eye(2), np.diag([1.0, 1.0 - 0.5e-9]), tol)
+        assert not loewner_leq(np.eye(2), np.diag([1.0, 1.0 - 2e-9]), tol)
 
     def test_rejects_operands_of_different_dims(self):
         with pytest.raises(DimensionMismatchError):
@@ -254,6 +263,14 @@ class TestDecompositionFailures:
         # eig_tol = 0 leaves the verdict to the eigenvalue test, past the Cholesky factorizations
         with pytest.raises(DecompositionError):
             is_psd(np.eye(2), ToleranceConfig(eig_tol=0.0))
+
+    def test_eigenvector_breakdown_is_an_error(self, monkeypatch):
+        def explode(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", explode)
+        with pytest.raises(DecompositionError, match="eigendecomposition failed: did not converge"):
+            hermitian_eig(np.eye(2))
 
     def test_svd_breakdown_is_an_error(self, monkeypatch):
         def explode(*args, **kwargs):

@@ -15,6 +15,7 @@ from qwp.linalg import (
 from qwp.predicates import (
     OutcomeSpace,
     Predicate,
+    SatMeasure,
     _predicate_faults,
     chain_sup,
     effect_of_set,
@@ -48,6 +49,10 @@ class TestOutcomeSpace:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             OutcomeSpace(("a", "a"))
+
+    def test_rejects_labels_that_are_not_strings(self):
+        with pytest.raises(ValueError, match="atom labels must be strings"):
+            OutcomeSpace(("a", 1))
 
     def test_membership(self):
         space = OutcomeSpace(("x", "y"))
@@ -287,6 +292,19 @@ class TestSat:
         with pytest.raises(DimensionMismatchError):
             sat(rho, projective_predicate(2))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [({"a": 0.5}, "weights do not match the outcome space"), ({"a": 0.5, "b": 1.5}, "weight of 'b' is 1.5")],
+    )
+    def test_a_measure_refuses_weights_off_its_space_or_range(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            SatMeasure(OutcomeSpace(("a", "b")), weights, True)
+
+    def test_mass_of_an_unknown_atom(self):
+        m = sat(DensityState(np.eye(2) / 2.0), projective_predicate(2))
+        with pytest.raises(KeyError, match="unknown atom 'z'"):
+            m.mass(["0", "z"])
+
     def test_invalid_predicate_refused_as_wp_refuses_it(self):
         # a negative eigenvalue and a total above the identity, whose masses on I/2 look satisfied
         p = Predicate(OutcomeSpace(("0",)), [np.diag([1.5, -0.5])])
@@ -318,6 +336,11 @@ class TestChainSup:
         f = projective_predicate(2)
         with pytest.raises(ValueError):
             chain_sup([f, scaled_predicate(f, 0.5)])
+
+    @pytest.mark.parametrize("factor", [-0.1, 1.5])
+    def test_scale_factor_outside_the_unit_interval_rejected(self, factor):
+        with pytest.raises(ValueError, match=r"factor must lie in \[0, 1\]"):
+            scaled_predicate(projective_predicate(2), factor)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):

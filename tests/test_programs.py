@@ -157,6 +157,12 @@ class TestBuilders:
         total = sum(k.conj().T @ k for k in c.kraus)
         assert np.abs(total - np.eye(2)).max() < 1e-12
 
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    @pytest.mark.parametrize("build", [depolarizing, amplitude_damping])
+    def test_a_channel_parameter_outside_the_unit_interval_is_refused(self, build, value):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            build(value)
+
     def test_from_unitary_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             from_unitary(np.array([[1.0, 0.0], [0.0, 0.9]]))

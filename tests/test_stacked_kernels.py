@@ -1787,16 +1787,19 @@ class TestCampaignOracle:
         assert rows == 18 and blocks == [rows, rows, 40 - 2 * rows]
         assert sizes and max(sizes) <= cap
 
-    def test_an_order_that_stops_before_a_non_hermitian_atom(self):
-        # trial 7 of dim 2, seed 3: atom a0 of f is not below g's, so
-        # predicate_leq returns False before loewner_leq reaches a2, whose
-        # hermiticity gap exceeds residual_tol; the trial is not refused
+    def test_a_non_hermitian_atom_after_one_not_below_is_refused(self):
+        # trial 7 of dim 2, seed 3: atom a0 of f is not below g's, and the
+        # hermiticity gap of a2 exceeds residual_tol; the pair is refused
+        # whatever the order of its atoms, and so is the campaign's trial
         tol = ToleranceConfig(residual_tol=1e-16)
         f, g = orders_pair_oracle(np.random.default_rng([3, 2, 7]), 2, 7)
         assert not loewner_leq(f.effect("a0"), g.effect("a0"), tol)
         assert not is_hermitian(f.effect("a2"), tol)
-        assert not predicate_leq(f, g, tol)
-        assert_same_result(orders_campaign((2,), 8, 3, tol), orders_campaign_oracle((2,), 8, 3, tol))
+        with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
+            predicate_leq(f, g, tol)
+        want = (ValueError, "loewner_leq requires hermitian operands")
+        assert raised(orders_campaign_oracle, (2,), 8, 3, tol) == want
+        assert raised(orders_campaign, (2,), 8, 3, tol) == want
 
     def test_orders_makes_no_scalar_order_call_outside_replay(self, monkeypatch):
         holders = [
@@ -1804,7 +1807,7 @@ class TestCampaignOracle:
             (qwp_campaigns, "psd_sqrt"),
             (qwp_campaigns, "random_effect"),
             (qwp_campaigns, "predicate_leq"),
-            (qwp_predicates, "loewner_leq"),
+            (qwp_predicates, "_loewner_order"),
             (qwp_linalg, "hermitian_eig"),
         ]
         calls = [count_calls(monkeypatch, module, name) for module, name in holders]
@@ -1910,6 +1913,28 @@ class TestIsPreconditionOracle:
             want_vals, want_vecs = hermitian_eig(a)
             assert_same_bits(vals[i], want_vals)
             assert_same_bits(vecs[i], want_vecs)
+
+
+class TestLoewnerKernelOracle:
+    """The stacked order kernel against a per-atom loewner_leq loop, on hermitian pairs."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_verdicts_match_the_per_atom_loop(self, dim):
+        rng = np.random.default_rng([191, dim])
+        tol = DEFAULT_TOL
+        g = np.array([[random_hermitian_contraction(rng, dim) for _ in range(3)] for _ in range(6)])
+        # λ_min(g - f) near 0 and ±eig_tol, and well clear of them, over the (6, 3) pairs
+        shifts = np.array([-1.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e6] * 2).reshape(6, 3, 1, 1) * tol.eig_tol
+        f = g + shifts * np.eye(dim)
+        f[0] = g[0] + np.array([random_hermitian_contraction(rng, dim) for _ in range(3)])
+        ordered, refused = qwp_linalg._loewner_flags(f, g, tol)
+        want = [[loewner_leq(f[i, a], g[i, a], tol) for a in range(3)] for i in range(6)]
+        assert ordered.tolist() == want and not refused.any()
+        assert_same_bits(qwp_linalg._loewner_order(f, g, tol), ordered)
+        space = OutcomeSpace(("a0", "a1", "a2"))
+        got = [predicate_leq(Predicate(space, f[i]), Predicate(space, g[i]), tol) for i in range(6)]
+        assert got == [all(row) for row in want]
+        assert {v for row in want for v in row} == {True, False}
 
 
 class TestHermiticityGaps:

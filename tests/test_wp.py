@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -238,17 +239,13 @@ class TestIsPrecondition:
             verdicts.add(report.holds)
         assert verdicts == {True, False}
 
-    def test_unhermitian_candidate_atom_is_refused_where_the_order_reaches_it(self):
+    def test_unhermitian_candidate_atom_is_refused_in_any_position(self):
         c = identity_program(2)
         f = projective_predicate(2)
         over = 2.0 * f.effect("0")  # not below wp_0 = |0><0|, nor below wp_1 = |1><1|
         skew = np.array([[0.0, 0.1], [0.0, 0.0]])
-        # predicate_leq stops at the first atom not ⪯: an unhermitian atom after it is not reached
-        cand = Predicate(f.space, [over, skew])
-        report = is_precondition(cand, c, f)
-        assert not report.holds and report.witness.atom == "0"
-        assert not predicate_leq(cand, wp(c, f))
-        for effects in ([skew, over], [f.effect("0"), skew]):
+        # an unhermitian atom is refused after an atom not ⪯ as well as before it
+        for effects in ([over, skew], [skew, over], [f.effect("0"), skew]):
             cand = Predicate(f.space, effects)
             with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
                 predicate_leq(cand, wp(c, f))
@@ -264,6 +261,50 @@ class TestIsPrecondition:
         values = [recorded_calls(monkeypatch, holder, "_eigvalsh") for holder in (qwp_wp, qwp_linalg)]
         assert is_precondition(cand, c, f).holds == (scale < 1)
         assert len(solves) == 1 and values == [[], []]
+
+
+def order_answer(fn, *args):
+    """fn's answer on args, or the message of the ValueError it refuses them with."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAtomOrder:
+    """predicate_leq and is_precondition answer, or refuse, whatever the order of the atoms."""
+
+    @staticmethod
+    def permuted(p, order):
+        return Predicate(OutcomeSpace(tuple(p.space.atoms[i] for i in order)), p.effects[list(order)])
+
+    @staticmethod
+    def precondition(g, c, f):
+        report = is_precondition(g, c, f)
+        return report.holds, report.margins, report.witness and report.witness.atom
+
+    @pytest.mark.parametrize("skew", [False, True])
+    def test_every_permutation_gives_the_same_answer(self, skew):
+        rng = np.random.default_rng(181)
+        answers = set()
+        for trial in range(12):
+            dim = int(rng.integers(2, 4))
+            c = sample_program(("cptp", "unitary", "transpose", "transpose_mix")[trial % 4], dim, rng)
+            f = random_predicate(rng, dim, n_atoms=3)
+            # each atom below or above wp's, and with skew one atom not hermitian
+            effects = rng.choice([0.5, 1.5], size=(3, 1, 1)) * wp(c, f).effects
+            if skew:
+                effects[rng.integers(3), 0, 1] += 1e-3
+            g = Predicate(f.space, effects)
+            want_leq = order_answer(predicate_leq, g, wp(c, f))
+            want = order_answer(self.precondition, g, c, f)
+            for order in itertools.permutations(range(3)):
+                g_order, f_order = self.permuted(g, order), self.permuted(f, order)
+                assert order_answer(predicate_leq, g_order, wp(c, f_order)) == want_leq
+                assert order_answer(self.precondition, g_order, c, f_order) == want
+            answers.add(want_leq)
+        refusal = "loewner_leq requires hermitian operands"
+        assert answers == ({refusal} if skew else {True, False})
 
 
 class TestVerifyTriple:
