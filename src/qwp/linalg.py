@@ -185,6 +185,17 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   Cauchy interlacing, and its own μ and failure bound 2(m + 2)uμ are at
 #   most those of M. So if eigvalsh reads at least −t, B sits above its
 #   failure bound too: failure on any leading block of M also means not PSD.
+# * The leading blocks are probed before h is built, on M′ = h + (t + δ′)I
+#   with δ′ = c(n + 2)uμ′ and μ′ = Σ|Re a_ii| + ‖a‖_F + 2nt, read off the
+#   matrix a itself. h_ii = Re a_ii, and h is the orthogonal projection of a
+#   onto the hermitian matrices, so ‖h‖_F ≤ ‖a‖_F, μ′ ≥ μ and δ′ ≥ δ. The
+#   probe runs only when δ′ < t, so |t + δ′| ≤ 2t. If eigvalsh reads at least
+#   −t, then λ_min(M′) ≥ δ′ − (n + 3)uμ′, above the failure bound
+#   2(n + 2)uμ′ of any leading block of M′, as before: failure at t + δ′ also
+#   means not PSD on both routes. μ′ is a floating-point sum too, and the
+#   same c = 8 slack covers its rounding. A matrix that fails at t + δ but
+#   not at t + δ′ goes on to the full factorizations, which refute it at
+#   t + δ or leave it to eigvalsh.
 # * μ is itself a floating-point sum, within a relative (n² + n)u of its
 #   exact value, and c = 8 is more than twice the 3 + 1/(n + 2) that the
 #   bounds above need, so its rounding cannot move a verdict. ‖h‖_F² is
@@ -206,12 +217,13 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   when ‖L̂‖_F² > μ. For a PSD h that costs nothing: there ‖L̂‖_F² is, up
 #   to rounding, tr(h) less the trace of a PSD Schur complement, and
 #   tr(h) ≤ μ − ‖h‖_F.
-# A stack is decided by one batched factorization at s = t − δ_k: when
-# every matrix succeeds, each is PSD. A batched failure does not say which
-# matrix failed, so only a single matrix goes on: to the leading-block
-# factorizations at t + δ, which refute first, then to the low-rank
-# certificate, then to the full factorizations. eigvalsh runs only on a
-# stack that the factorizations leave undecided, or where some δ_k ≥ t.
+# A single matrix is first probed on its leading blocks at t + δ′, before
+# any full-size array is built. A stack is decided by one batched
+# factorization at s = t − δ_k: when every matrix succeeds, each is PSD. A
+# batched failure does not say which matrix failed, so only a single matrix
+# goes on: to the low-rank certificate, then to the full factorizations.
+# eigvalsh runs only on a stack that the factorizations leave undecided, or
+# where some δ_k ≥ t.
 _PSD_BAND_C = 8.0
 
 
@@ -276,6 +288,26 @@ def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
     return True
 
 
+def _leading_blocks_refute(square: np.ndarray, n: int, diagonal: np.ndarray, entries: np.ndarray, eig_tol: float) -> bool:
+    """True when Cholesky fails on the leading n/16 or n/4 block of h + (eig_tol + δ′)·I,
+    which proves the n×n matrix a not PSD (derivation above); False decides nothing.
+
+    h is the hermitian part of square, a's leading n/4 square, alone. δ′ is
+    c(n + 2)u·μ′ with μ′ = Σ|Re a_ii| + ‖a‖_F + 2n·eig_tol, summed from diagonal,
+    which holds a's diagonal entries, and entries, which holds all of a's
+    entries, each in any order and shape. When μ′ overflows, δ′ ≥ eig_tol and no
+    block is factored.
+    """
+    with np.errstate(over="ignore"):
+        mu = np.abs(diagonal.real).sum() + np.sqrt(np.vdot(entries, entries).real) + 2 * n * eig_tol
+    delta = _band_per_mu(n) * mu
+    if not delta < eig_tol:
+        return False
+    h = _hermitian_part(square)[None]
+    np.einsum("...ii->...i", h)[...] += eig_tol + delta
+    return any(m and not _cholesky_succeeds(h[:, :m, :m]) for m in (n // 16, n // 4))
+
+
 def _cholesky_verdict(h: np.ndarray, delta: np.ndarray, eig_tol: float) -> bool | None:
     """True when Cholesky proves every matrix of the hermitian stack h (k, n, n) PSD,
     or the low-rank certificate a single matrix, False when a factorization proves a
@@ -284,20 +316,12 @@ def _cholesky_verdict(h: np.ndarray, delta: np.ndarray, eig_tol: float) -> bool 
     delta holds the band δ of each matrix."""
     if not (delta < eig_tol).all():
         return None
+    single = len(h) == 1
+    if single and _low_rank_certificate(h[0], float(delta[0]), eig_tol):
+        return True
     diagonal = np.einsum("...ii->...i", h)
     below = diagonal + (eig_tol - delta)[:, None]
     above = diagonal + (eig_tol + delta)[:, None]
-    single = len(h) == 1
-    if single:
-        # failure on a leading block of h + (t + δ)I costs a fraction of a full factorization
-        unshifted = diagonal.copy()
-        diagonal[...] = above
-        n = h.shape[-1]
-        if any(m and not _cholesky_succeeds(h[:, :m, :m]) for m in (n // 16, n // 4)):
-            return False
-        diagonal[...] = unshifted
-        if _low_rank_certificate(h[0], float(delta[0]), eig_tol):
-            return True
     diagonal[...] = below
     if _cholesky_succeeds(h):
         return True
@@ -314,13 +338,14 @@ def _psd_preamble(a: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray
     One loop over groups of matrices, each matrix in row strips over its
     lower triangle, strip [s, e) covering columns [0, e), so that a block's
     conjugate transpose, gap and half-sums fit ROW_BLOCK_BYTES and stay in
-    cache; h is the only full-size array. A matrix of n ≤ 256 is one strip
-    and is written whole. A wider one leaves the rest of its strict upper
-    triangle unwritten: Cholesky reads only the lower triangle, |a - aᴴ|
-    takes the same value at (i, j) and (j, i), and h is exactly hermitian.
-    Blocks go through _hermiticity_gaps and _hermitian_part, so the gaps and
-    the written entries of h keep their bits. δ (derivation above) is inf
-    when μ overflows.
+    cache; the transpose is read in square tiles of the strip's side, each of
+    which stays in cache too. h is the only full-size array. A matrix of
+    n ≤ 256 is one strip and is written whole. A wider one leaves the rest
+    of its strict upper triangle unwritten: Cholesky reads only the lower
+    triangle, |a - aᴴ| takes the same value at (i, j) and (j, i), and h is
+    exactly hermitian. Blocks go through _hermiticity_gaps and
+    _hermitian_part, so the gaps and the written entries of h keep their
+    bits. δ (derivation above) is inf when μ overflows.
     """
     k, n = a.shape[:2]
     h = np.empty(a.shape, dtype=np.complex128)
@@ -332,7 +357,8 @@ def _psd_preamble(a: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray
         for s in range(0, n, rows):
             e = s + rows
             strip = h[g, s:e, :e]
-            np.conjugate(a[g, :e, s:e].swapaxes(-1, -2), out=strip)
+            for t in range(0, e, rows):
+                np.conjugate(a[g, t:t + rows, s:e].swapaxes(-1, -2), out=strip[..., t:t + rows])
             gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, :e], strip))
             _hermitian_part(a[g, s:e, :e], strip)
             # the columns left of the strip's diagonal block stand for their mirror images too
@@ -363,11 +389,16 @@ def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when hermitian and all eigenvalues are at least -eig_tol.
 
-    The one-matrix case of the stacked PSD kernel: Cholesky factorizations
-    decide where the band δ allows, the eigenvalue test the rest, and every
-    route gives the same verdict (see the derivation of δ above).
+    The one-matrix case of the stacked PSD kernel, after the probe of its
+    leading blocks: Cholesky factorizations decide where the band δ allows,
+    the eigenvalue test the rest, and every route gives the same verdict (see
+    the derivation of δ above).
     """
-    return bool(_psd_flags(as_complex_matrix(a)[None], tol)[0])
+    a = as_complex_matrix(a)
+    n = a.shape[0]
+    if _leading_blocks_refute(a[:n // 4, :n // 4], n, a.diagonal(), a, tol.eig_tol):
+        return False
+    return bool(_psd_flags(a[None], tol)[0])
 
 
 def min_eigenvalue(a) -> float:

@@ -38,6 +38,7 @@ from .linalg import (
     _haar_isometries,
     _hermiticity_gaps,
     _identity_gaps,
+    _leading_blocks_refute,
     _operator_family,
     _psd_flags,
     _require_finite,
@@ -398,15 +399,36 @@ def _unital_gaps(conjs: np.ndarray) -> np.ndarray:
     return _identity_gaps(unvec(conjs.swapaxes(-1, -2) @ vec(np.eye(math.isqrt(conjs.shape[-1])))))
 
 
+def _choi_view(s: np.ndarray) -> np.ndarray:
+    """The Choi matrix of the superoperator s (d², d²) as a 4-index view (p, i, q, j) of s, one
+    index permutation: J[p*d+i, q*d+j] = C(|i><j|)[p, q] = S[q*d+p, j*d+i]."""
+    d = math.isqrt(s.shape[0])
+    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2)
+
+
+def _choi_corner(s: np.ndarray, m: int) -> np.ndarray:
+    """J[:m, :m] of the Choi matrix of the superoperator s, copying only the ⌈m/d⌉·d leading rows and columns."""
+    d = math.isqrt(s.shape[0])
+    p = -(-m // d)
+    return _choi_view(s)[:p, :, :p].reshape(p * d, p * d)[:m, :m]
+
+
 def to_choi(c: QuantumProgram) -> np.ndarray:
-    """Choi matrix J(C) = sum_ij C(|i><j|) ⊗ |i><j|, one index permutation of
-    the superoperator: J[p*d+i, q*d+j] = C(|i><j|)[p, q] = S[q*d+p, j*d+i]."""
-    d = c.dim
-    return c.super.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    """Choi matrix J(C) = sum_ij C(|i><j|) ⊗ |i><j|, a copy of the view :func:`_choi_view`."""
+    return _choi_view(c.super).reshape(c.dim * c.dim, c.dim * c.dim)
 
 
 def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the Choi matrix is PSD; the superoperator was validated when the program was built."""
+    """True when the Choi matrix is PSD; the superoperator was validated when the program was built.
+
+    The leading blocks of the Choi matrix are probed first, from its corner, its
+    diagonal (J[p*d+i, p*d+i] = S[p*(d+1), i*(d+1)]) and the entries of the
+    superoperator, which are those of J; only a map they do not refute is copied
+    into its Choi matrix.
+    """
+    s, n = c.super, c.dim * c.dim
+    if _leading_blocks_refute(_choi_corner(s, n // 4), n, s[::c.dim + 1, ::c.dim + 1], s, tol.eig_tol):
+        return False
     return bool(_psd_flags(to_choi(c)[None], tol)[0])
 
 

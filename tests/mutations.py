@@ -47,7 +47,8 @@ MUTANTS = [
     Mutant(
         "linalg.py",
         """            strip = h[g, s:e, :e]
-            np.conjugate(a[g, :e, s:e].swapaxes(-1, -2), out=strip)
+            for t in range(0, e, rows):
+                np.conjugate(a[g, t:t + rows, s:e].swapaxes(-1, -2), out=strip[..., t:t + rows])
             gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, :e], strip))
             _hermitian_part(a[g, s:e, :e], strip)""",
         """            strip = h[g, s:e, s:e]
@@ -65,7 +66,7 @@ MUTANTS = [
     above = diagonal + (eig_tol - delta)[:, None]""",
         (f"{KERNELS}::TestPsdOracle::test_shifted_to_the_band_edges",),
     ),
-    # a single matrix is first probed on its leading n/16 and n/4 rows
+    # a single matrix is first probed on its leading n/16 and n/4 rows, before its preamble
     Mutant(
         "linalg.py",
         "for m in (n // 16, n // 4))",
@@ -82,9 +83,23 @@ MUTANTS = [
     # a single low-rank matrix is decided by the certificate, with no full factorization
     Mutant(
         "linalg.py",
-        "        if _low_rank_certificate(h[0], float(delta[0]), eig_tol):",
-        "        if False:",
+        "    if single and _low_rank_certificate(h[0], float(delta[0]), eig_tol):",
+        "    if False:",
         (f"{KERNELS}::TestLowRankCertificate::test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes",),
+    ),
+    # the probe refutes only above the band: at eig_tol + δ′, not eig_tol - δ′
+    Mutant(
+        "linalg.py",
+        'np.einsum("...ii->...i", h)[...] += eig_tol + delta',
+        'np.einsum("...ii->...i", h)[...] += eig_tol - delta',
+        (f"{KERNELS}::TestLeadingBlockRefutation::test_a_defect_in_the_leading_rows_at_the_band_edges",),
+    ),
+    # a map that its Choi matrix's leading blocks refute is never copied into that matrix
+    Mutant(
+        "programs.py",
+        "    if _leading_blocks_refute(_choi_corner(s, n // 4), n, s[::c.dim + 1, ::c.dim + 1], s, tol.eig_tol):",
+        "    if False:",
+        (f"{KERNELS}::TestLeadingBlockRefutation::test_a_refuted_cp_check_copies_nothing_at_dim_32",),
     ),
     # moduli round as a scalar abs() does
     Mutant(

@@ -815,9 +815,10 @@ class TestPositivityOracle:
     def test_no_stack_exceeds_the_cap(self, monkeypatch):
         shapes = record_shapes(monkeypatch, qwp_programs, "_psd_flags")
         is_positive_sampled(sample_program("transpose", 32, 0), seed=4)
-        # the Choi matrix, then the basis, Fourier and 1000 random states in blocks of at most 1024
-        assert shapes == [(1, 1024, 1024), (32, 32, 32), (32, 32, 32), (1000, 32, 32)]
-        assert max(shape[0] for shape in shapes[1:]) * 32 * 32 * 16 <= STACK_BYTES
+        # the leading blocks of the Choi matrix refute it, so no (1, 1024, 1024) stack is
+        # tested; then the basis, Fourier and 1000 random states in blocks of at most 1024
+        assert shapes == [(32, 32, 32), (32, 32, 32), (1000, 32, 32)]
+        assert max(shape[0] for shape in shapes) * 32 * 32 * 16 <= STACK_BYTES
 
     def test_basis_outputs_are_columns_of_the_superoperator(self, monkeypatch):
         c = sample_program("transpose_mix", 5, 66)
@@ -832,9 +833,10 @@ class TestPositivityOracle:
         monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 2 * 5 * 5 * 16)
         got = is_positive_sampled(c, ToleranceConfig(sample_count=4), seed=1)
         assert got.status == "no_counterexample"
-        # after the Choi matrix, the basis states in blocks of 2, 2 and 1, read exactly
-        assert [len(b) for b in blocks[1:4]] == [2, 2, 1]
-        for k, out in enumerate(np.concatenate(blocks[1:4])):
+        # the leading blocks refute the Choi matrix before any stack is tested, so the
+        # basis states come first, in blocks of 2, 2 and 1, read exactly
+        assert [len(b) for b in blocks[0:3]] == [2, 2, 1]
+        for k, out in enumerate(np.concatenate(blocks[0:3])):
             assert np.array_equal(out, apply_matrix(c, np.diag(np.eye(5)[k])))
 
     @pytest.mark.parametrize("kind", KINDS + ("breaks_hermiticity",))
@@ -1221,10 +1223,11 @@ class TestPsdOracle:
     def test_non_hermitian_input_is_refused_before_any_factorization(self, monkeypatch):
         a = np.eye(4, dtype=np.complex128)
         a[0, 1] = 1e-3
-        cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+        cholesky = record_shapes(monkeypatch, np.linalg, "cholesky")
         eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
         assert is_psd(a) is False
-        assert cholesky == [] and eigvalsh == []
+        # only the probe of the leading n/4 square, which reads the hermitian part
+        assert all(shape[-1] <= 4 // 4 for shape in cholesky) and eigvalsh == []
         assert is_psd_oracle(a) is False
 
 
@@ -1375,6 +1378,110 @@ class TestPsdKernel:
         # coordinate matrix is released before that block's PSD test, and
         # the block's real coordinates (8 MiB) before it too
         assert peak <= 49.4 * (1 << 20)
+
+
+def wide_band(a, tol):
+    """δ′ = c(n + 2)u(Σ|Re a_ii| + ‖a‖_F + 2n·eig_tol) of one matrix, the band of the leading-block probe."""
+    n = a.shape[0]
+    mu = np.abs(np.diagonal(a).real).sum() + np.linalg.norm(a) + 2 * n * tol.eig_tol
+    return qwp_linalg._PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * mu
+
+
+def leading_cholesky_succeeds(a, m, shift):
+    """Whether Cholesky runs through the leading m×m block of the hermitian part of a plus shift·I."""
+    h = qwp_linalg._hermitian_part(a[:m, :m])
+    return qwp_linalg._cholesky_succeeds(h + shift * np.eye(m))
+
+
+class TestLeadingBlockRefutation:
+    """A single matrix, or a map's Choi matrix, refuted on its leading blocks at eig_tol + δ′ before any full-size copy."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 24, 32, 33])
+    def test_the_choi_corner_is_the_leading_square_of_to_choi(self, dim):
+        # at d = 2, 3, 5, 17 and 33, n/4 is not a multiple of d, so the corner ends inside a block of d rows
+        n = dim * dim
+        c = from_super(gaussian_super(np.random.default_rng([dim, 211]), dim))
+        for prog in (c, adjoint(c)):  # a C-ordered superoperator and a transposed one
+            assert_same_bits(qwp_programs._choi_corner(prog.super, n // 4), to_choi(prog)[:n // 4, :n // 4])
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_a_defect_in_the_leading_rows_at_the_band_edges(self, k, side, monkeypatch):
+        tol = DEFAULT_TOL
+        n = 256
+        m = n // 16
+        rng = np.random.default_rng(223)
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        a = np.eye(n, dtype=np.complex128)
+        a[:m, :m] = g @ g.conj().T / m
+        a[:m, :m] -= (float(np.linalg.eigvalsh(a[:m, :m]).min()) + tol.eig_tol) * np.eye(m)
+        delta = wide_band(a, tol)
+        assert 0.0 < 4.0 * delta < tol.eig_tol
+        # λ_min = -eig_tol + side·k·δ′, in the leading n/16 rows
+        a[:m, :m] += side * k * delta * np.eye(m)
+        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        got = is_psd(a, tol)
+        assert calls == (["eigvalsh"] if k < 1 else [])
+        if side < 0 and k > 1:
+            assert shapes == [(1, m, m)]
+        monkeypatch.undo()
+        assert got == is_psd_oracle(a, tol) == (side > 0)
+
+    def test_a_matrix_refuted_only_inside_the_wider_band_is_refuted_by_the_full_factorizations(self, monkeypatch):
+        # a skew-hermitian part within residual_tol widens δ′ but leaves h, and so δ, as they are
+        tol = ToleranceConfig(residual_tol=1e-3)
+        n = 64
+        a = 1e-5 * np.eye(n) + 4e-4j * (np.ones((n, n)) - np.eye(n))
+        a[0, 0] = -tol.eig_tol
+        delta = psd_band(a, tol)
+        assert wide_band(a, tol) > 4.0 * delta
+        a[0, 0] = -tol.eig_tol - 2.0 * delta
+        assert not leading_cholesky_succeeds(a, n // 16, tol.eig_tol + delta)
+        assert leading_cholesky_succeeds(a, n // 4, tol.eig_tol + wide_band(a, tol))
+        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert is_psd(a, tol) is False
+        # both probes pass; the full factorizations at eig_tol - δ and eig_tol + δ fail
+        assert shapes == [(1, n // 16, n // 16), (1, n // 4, n // 4), (1, n, n), (1, n, n)]
+        assert calls == []
+        monkeypatch.undo()
+        assert is_psd_oracle(a, tol) is False
+
+    def test_entries_near_the_float_limit_take_no_probe(self, monkeypatch):
+        rng = np.random.default_rng(227)
+        mats = []
+        for n in (64, 300):
+            z = np.sign(rng.standard_normal((2, n, n)))
+            mats.append(1.7e308 * (z[0] + 1j * z[1]))
+            # a + aᴴ stays finite, so the oracle's symmetrized eigensolve runs
+            diagonal = np.full(n, 8.5e307)
+            mats.append(np.diag(diagonal))
+            diagonal[n // 8] = -1.0
+            mats.append(np.diag(diagonal))
+        for a in mats:
+            shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                got = is_psd(a)
+            # ‖a‖_F overflows, so δ′ ≥ eig_tol: no probe, and δ ≥ eig_tol: no factorization at all
+            assert shapes == []
+            monkeypatch.undo()
+            assert got == is_psd_oracle(a)
+
+    def test_a_refuted_cp_check_copies_nothing_at_dim_32(self, monkeypatch):
+        c = sample_program("transpose_mix", 32, 4)
+        copies = count_calls(monkeypatch, qwp_programs, "to_choi")
+        preambles = count_calls(monkeypatch, qwp_linalg, "_psd_preamble")
+        tracemalloc.start()
+        try:
+            assert is_completely_positive(c) is False
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert copies == [] and preambles == []
+        # the 1 MiB corner and its hermitian part, and the factor of the n/16 probe; no 16 MiB array
+        assert peak <= 4 << 20
 
 
 def lower_triangle(a):
