@@ -12,8 +12,8 @@ checked in stacks, grouped by program kind and by atom count. The stacked
 checks are those the scalar functions make, on the same bits; when one
 refuses a trial, the block's trials are replayed through the scalar
 functions up to that trial, so the campaign raises the exception of its
-earliest failing trial. An orders trial draws its states last, after the
-block's stacked verdict, and only when its pair comes out f ⪯ g. The
+earliest failing trial. An orders trial draws its states last, after its
+pair's stacked verdict, and only when its pair comes out f ⪯ g. The
 weakest sweep runs through the same blocks: one block is one (program,
 predicate) pair, drawn from (seed, dim, pair index), and its trials are that
 pair's candidates.
@@ -350,15 +350,13 @@ def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
     g_groups = _predicate_groups([g_draws[i] for i in odd])
     for (pos, g), (_, f) in zip(g_groups, _predicate_groups([f_draws[i] for i in odd])):
         pairs.append((odd[pos], f, g))
-    verdicts = []
-    for pos, f, g in pairs:
-        leq, refused = _loewner_flags(f, g, tol)
-        _require(refused.any(axis=-1), trials[pos])
-        verdicts.append(leq.all(axis=-1))
-    # every check has passed: draw the states of the pairs with f ⪯ g
     values, failed = [np.empty(0)], np.zeros(len(trials), dtype=bool)
-    for (pos, f, g), leq in zip(pairs, verdicts):
-        if leq.any():
+    for pos, f, g in pairs:
+        vals, vecs = _eigh(g - f)  # λ_min decides the order, the lowest eigenvector is the witness
+        ordered, refused = _loewner_flags(f, g, tol, vals[..., 0])
+        _require(refused.any(axis=-1), trials[pos])
+        leq = ordered.all(axis=-1)
+        if leq.any():  # the states of the pairs with f ⪯ g, drawn after their checks
             normals = np.array([rngs[p].standard_normal((CERTIFYING_STATES, 2, dim, dim)) for p in pos[leq]])
             rho = _densities(normals)
             lhs = _traces(rho[:, None] @ f[leq, :, None]).real
@@ -368,11 +366,10 @@ def _orders_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
             failed[pos[leq]] = (lhs > rhs + (tol.eig_tol + tol.residual_tol)).any(axis=(-2, -1))
         if not leq.all():
             # witnesses: the state v v† of the lowest eigenvector v of each g_a - f_a
-            f, g = f[~leq], g[~leq]
-            vals, vecs = _eigh(g - f)
-            rho = vecs[..., :, 0, None] * vecs[..., None, :, 0].conj()
+            f, g, v = f[~leq], g[~leq], vecs[~leq, ..., :, 0]
+            rho = v[..., :, None] * v[..., None, :].conj()
             lhs, rhs = _traces(rho @ f).real, _traces(rho @ g).real
-            failed[pos[~leq]] = ~((vals[..., 0] < -tol.eig_tol) & (lhs > rhs + tol.eig_tol)).any(axis=-1)
+            failed[pos[~leq]] = ~(~ordered[~leq] & (lhs > rhs + tol.eig_tol)).any(axis=-1)
     return np.concatenate(values), failed
 
 

@@ -177,12 +177,14 @@ def _total_effects(effects: np.ndarray) -> np.ndarray:
     return total
 
 
-def _effect_bounds(effects: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For predicates stacked as (..., k, d, d) with finite totals (..., d, d): the lowest
-    eigenvalue of each effect and then of -total, shape (..., k + 1), and each effect's
-    hermiticity gap, shape (..., k)."""
+def _effect_flags(effects: np.ndarray, total: np.ndarray, tol: ToleranceConfig):
+    """The predicate rule on stacks (..., k, d, d) with finite totals (..., d, d): the flags (..., k)
+    of each effect's λ_min below -eig_tol and of its hermiticity gap above residual_tol, the flags
+    (...) of a total's λ_max above 1 + eig_tol, and the λ_min of each effect and then of -total."""
     stack = np.concatenate([effects, -total[..., None, :, :]], axis=-3)
-    return _eigvalsh(stack).min(axis=-1), _hermiticity_gaps(effects)
+    lows = _eigvalsh(stack).min(axis=-1)
+    not_psd, not_hermitian = lows[..., :-1] < -tol.eig_tol, _hermiticity_gaps(effects) > tol.residual_tol
+    return not_psd, not_hermitian, -lows[..., -1] > 1.0 + tol.eig_tol, lows
 
 
 def _predicate_faults(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -192,32 +194,27 @@ def _predicate_faults(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     bad = ~np.isfinite(total).all(axis=(-2, -1))
     if bad.any():
         return bad
-    lows, gaps = _effect_bounds(effects, total)
-    return (
-        (lows[:, :-1] < -tol.eig_tol).any(axis=-1)
-        | (gaps > tol.residual_tol).any(axis=-1)
-        | (-lows[:, -1] > 1.0 + tol.eig_tol)
-    )
+    not_psd, not_hermitian, over, _ = _effect_flags(effects, total, tol)
+    return (not_psd | not_hermitian).any(axis=-1) | over
 
 
 def validate_predicate(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Check every effect is PSD and the total effect stays below the identity.
 
-    Violations name the offending atom and the failed inequality.
+    Violations name the offending atom and the check of :func:`_effect_flags` it fails.
     """
     total = p.total_effect()
     # effects are finite by construction; their sum can still overflow
     _require_finite(total)
-    lows, gaps = (x.tolist() for x in _effect_bounds(p.effects, total))
+    not_psd, not_hermitian, over, lows = (x.tolist() for x in _effect_flags(p.effects, total, tol))
     violations = []
-    for atom, lo, gap in zip(p.space.atoms, lows, gaps):
-        if lo < -tol.eig_tol:
+    for atom, psd_fault, hermitian_fault, lo in zip(p.space.atoms, not_psd, not_hermitian, lows):
+        if psd_fault:
             violations.append(f"effect {atom!r} is not PSD (min eigenvalue {lo:.6g})")
-        if gap > tol.residual_tol:
+        if hermitian_fault:
             violations.append(f"effect {atom!r} is not hermitian")
-    hi = -lows[-1]
-    if hi > 1.0 + tol.eig_tol:
-        violations.append(f"total effect exceeds the identity (max eigenvalue {hi:.6g})")
+    if over:
+        violations.append(f"total effect exceeds the identity (max eigenvalue {-lows[-1]:.6g})")
     return ValidationReport(ok=not violations, violations=tuple(violations), complete=_sums_to_identity(total, tol))
 
 

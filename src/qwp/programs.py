@@ -101,23 +101,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class DensityState:
     """Unit-trace positive semidefinite operator.
 
-    Validated at construction: hermitian and unit trace within residual_tol,
-    eigenvalues above ``-eig_slack * eig_tol``. The wider slack is used by
-    :func:`apply` so a barely-negative output is accepted but a genuine
-    positivity breach raises.
+    Validated at construction by :func:`_state_flags`: hermitian and unit
+    trace within residual_tol, eigenvalues above ``-eig_slack * eig_tol``.
+    The wider slack is used by :func:`apply` so a barely-negative output is
+    accepted but a genuine positivity breach raises.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: ToleranceConfig = DEFAULT_TOL, *, eig_slack: float = 1.0):
         m = as_complex_matrix(matrix)
-        if float(_hermiticity_gaps(m)) > tol.residual_tol:
+        (not_hermitian, off_trace, not_psd), tr, lo = _state_flags(m, tol, eig_slack)
+        if not_hermitian:
             raise ValidationError("state is not hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol.residual_tol:
+        if off_trace:
             raise ValidationError(f"state trace is {tr.real:.12g}, expected 1")
-        lo = float(_eigvalsh(m).min())
-        if lo < -eig_slack * tol.eig_tol:
+        if not_psd:
             raise ValidationError(f"state is not PSD (min eigenvalue {lo:.3e})")
         self.matrix = _readonly(m)
 
@@ -139,6 +138,19 @@ class DensityState:
         return f"DensityState(dim={self.dim})"
 
 
+def _state_flags(ms: np.ndarray, tol: ToleranceConfig, eig_slack: float):
+    """The state rule on a finite stack (..., d, d): the flags (...) of a matrix not hermitian
+    within residual_tol, with |Tr - 1| above residual_tol and with λ_min below
+    -eig_slack·eig_tol, in the order DensityState names them; then each Tr and λ_min."""
+    traces, lows = np.trace(ms, axis1=-2, axis2=-1), _eigvalsh(ms).min(axis=-1)
+    flags = (
+        _hermiticity_gaps(ms) > tol.residual_tol,
+        np.hypot(traces.real - 1.0, traces.imag) > tol.residual_tol,
+        lows < -eig_slack * tol.eig_tol,
+    )
+    return flags, traces, lows
+
+
 def _invalid_states(ms: np.ndarray, tol: ToleranceConfig, eig_slack: float = 1.0) -> np.ndarray:
     """Mask of the matrices in a stack (n, d, d) that ``DensityState(m, tol, eig_slack=eig_slack)`` refuses.
 
@@ -146,14 +158,7 @@ def _invalid_states(ms: np.ndarray, tol: ToleranceConfig, eig_slack: float = 1.0
     eigensolver runs on them.
     """
     bad = ~np.isfinite(ms).all(axis=(-2, -1))
-    if bad.any():
-        return bad
-    off = np.trace(ms, axis1=-2, axis2=-1) - 1.0
-    return (
-        (_hermiticity_gaps(ms) > tol.residual_tol)
-        | (np.hypot(off.real, off.imag) > tol.residual_tol)
-        | (_eigvalsh(ms).min(axis=-1) < -eig_slack * tol.eig_tol)
-    )
+    return bad if bad.any() else np.any(_state_flags(ms, tol, eig_slack)[0], axis=0)
 
 
 class QuantumProgram:

@@ -180,6 +180,20 @@ MUTANTS = [
         "return lows >= 0.0, refused",
         ("tests/test_linalg.py::TestLoewner::test_the_slack_admits_a_gap_down_to_minus_eig_tol",),
     ),
+    # a state's λ_min may reach -eig_slack·eig_tol, for the constructor and the stacked mask alike
+    Mutant(
+        "programs.py",
+        "lows < -eig_slack * tol.eig_tol,",
+        "lows < -tol.eig_tol,",
+        ("tests/test_programs.py::TestDensityState::test_the_mask_refuses_what_the_constructor_refuses_at_each_bound",),
+    ),
+    # a predicate's total may reach λ_max = 1 + eig_tol, for validate_predicate and the stacked mask alike
+    Mutant(
+        "predicates.py",
+        "-lows[..., -1] > 1.0 + tol.eig_tol",
+        "-lows[..., -1] > 1.0",
+        ("tests/test_predicates.py::TestValidate::test_validity_closure_at_tolerance_boundary",),
+    ),
     # qwp wp refuses to write an output that is not a predicate
     Mutant(
         "cli.py",

@@ -67,6 +67,14 @@ def test_run_suite_all():
     assert all(r.passed for r in results)
 
 
+@pytest.mark.parametrize("suite", ["duality", "weakest", "compose", "orders"])
+def test_every_suite_passes_where_the_blocked_kernels_run(suite):
+    # from d = 17 up, _act works in row blocks and the builds block by block;
+    # the command line caps --dims at 6, so only the library reaches them
+    [r] = run_suite(suite, (17, 24), 4, 7)
+    assert (r.suite, r.trials, r.failures) == (suite, 8, 0)
+
+
 def test_run_suite_unknown():
     with pytest.raises(ValueError):
         run_suite("spectral", [2], 10, seed=0)

@@ -150,6 +150,19 @@ class TestValidate:
         outside = Predicate(OutcomeSpace(("a",)), [np.diag([1.0 + 1e-7, 0.0])])
         assert validate_predicate(inside, tol).ok
         assert not validate_predicate(outside, tol).ok
+        # powers of two, so each effect below sits exactly at its bound or one ulp past it;
+        # the stacked mask must flag what validate_predicate reports, entry by entry
+        tol = ToleranceConfig(eig_tol=2.0**-30, residual_tol=2.0**-40)
+        r, e = tol.residual_tol, tol.eig_tol
+        effects = np.array(
+            [np.diag([0.5, lo]) for lo in (-e, np.nextafter(-e, -1))]
+            + [[[0.5, 0.0], [gap, 0.5]] for gap in (r, np.nextafter(r, 1))]
+            + [np.diag([hi, 0.5]) for hi in (1 + e, np.nextafter(1 + e, 2))],
+            dtype=complex,
+        )[:, None]
+        invalid = [not validate_predicate(Predicate(OutcomeSpace(("a",)), p), tol).ok for p in effects]
+        assert invalid == [False, True] * 3
+        assert _predicate_faults(effects, tol).tolist() == invalid
 
 
 class TestEffectOfSet:

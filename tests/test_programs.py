@@ -70,16 +70,48 @@ class TestVec:
 
 class TestDensityState:
     def test_rejects_trace_violation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^state trace is 1\.2, expected 1$"):
             DensityState(np.diag([0.6, 0.6]))
+        # it fails the PSD check too; the trace check is named first
+        with pytest.raises(ValidationError, match=r"^state trace is 1\.5, expected 1$"):
+            DensityState(np.diag([2.0, -0.5]))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^state is not PSD \(min eigenvalue -1\.000e-01\)$"):
             DensityState(np.diag([1.1, -0.1]))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
+        # it fails the trace and PSD checks too; the hermiticity check is named first
+        with pytest.raises(ValidationError, match="^state is not hermitian$"):
             DensityState(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        with pytest.raises(ValidationError, match="^state is not hermitian$"):
+            DensityState(np.array([[2.0, 0.0], [3.0, -1.5]]))
+
+    @pytest.mark.parametrize("eig_slack", [1.0, 10.0])  # 10 is apply's slack
+    def test_the_mask_refuses_what_the_constructor_refuses_at_each_bound(self, eig_slack):
+        # powers of two, so each matrix below sits exactly at its bound or one ulp past it
+        tol = ToleranceConfig(eig_tol=2.0**-30, residual_tol=2.0**-40)
+        r, e = tol.residual_tol, tol.eig_tol
+        gaps = [r, np.nextafter(r, 1)]
+        traces = [1 + r, np.nextafter(1 + r, 2), 1 - r, np.nextafter(1 - r, 0)]
+        lows = [-e, np.nextafter(-e, -1), -10 * e, np.nextafter(-10 * e, -1)]
+        stack = np.array(
+            [[[0.5, 0.0], [gap, 0.5]] for gap in gaps]
+            + [np.diag([t - 0.5, 0.5]) for t in traces]
+            + [np.diag([1 - lo, lo]) for lo in lows],
+            dtype=complex,
+        )
+        refused = []
+        for m in stack:
+            try:
+                DensityState(m, tol, eig_slack=eig_slack)
+            except ValidationError:
+                refused.append(True)
+            else:
+                refused.append(False)
+        psd = [False, True, True, True] if eig_slack == 1.0 else [False, False, False, True]
+        assert refused == [False, True] + [False, True] * 2 + psd
+        assert _invalid_states(stack, tol, eig_slack).tolist() == refused
 
     def test_pure_rejects_the_zero_vector(self):
         with pytest.raises(ValidationError):
