@@ -52,6 +52,7 @@ from .predicates import (
 )
 from .programs import (
     _PROGRAM_KINDS,
+    APPLY_EIG_SLACK,
     DensityState,
     _act,
     _draw_program,
@@ -203,7 +204,7 @@ def _duality_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> n
     transformed = _block_wp(supers, groups, trials, tol)
     # apply(c, rho)
     out = _act(supers, rho)
-    _require(_invalid_states(out, tol, eig_slack=10.0), trials)
+    _require(_invalid_states(out, tol, eig_slack=APPLY_EIG_SLACK), trials)
     residuals = np.empty(len(trials))
     for (pos, f), (_, g) in zip(groups, transformed):
         # each output F-ordered, as DensityState stores it

@@ -162,10 +162,12 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return float(_hermiticity_gaps(as_complex_matrix(a))) <= tol.residual_tol
 
 
-# Band of the Cholesky verdicts in _psd_flags. Let h be the hermitian part
-# of one n×n matrix of the stack, t = eig_tol, u = 2⁻⁵³ the unit roundoff,
-# and μ = Σ|h_ii| + ‖h‖_F + 2nt, which bounds the trace of h + sI for
-# |s| ≤ 2t; μ, and so δ below, is taken per matrix.
+# Band of the Cholesky verdicts in _psd_flags and _psd_verdict. Let a be one
+# n×n matrix, h its hermitian part, t = eig_tol, u = 2⁻⁵³ the unit roundoff,
+# and μ = Σ|Re a_ii| + ‖a‖_F + 2nt, read off a itself and taken per matrix.
+# h_ii = Re a_ii, and h is the orthogonal projection of a onto the hermitian
+# matrices, so ‖h‖_F ≤ ‖a‖_F: μ bounds ‖h‖₂, and the trace of h + sI for
+# |s| ≤ 2t.
 # * Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 #   Thm 10.3; complex arithmetic at most doubles the constant, §3.6): when it
 #   runs to completion on M, RᴴR = M + ΔM with |ΔM| ≤ 2γ_{n+1}|Rᴴ||R|, so
@@ -176,7 +178,7 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 # * eigvalsh is backward stable: its eigenvalues are exact for h + E, and by
 #   Weyl's inequality each is off by at most ‖E‖₂ ≤ p(n)·u·‖h‖₂ ≤ (n + 2)uμ,
 #   taking for p(n) the modest growth LAPACK states.
-# Take δ = c(n + 2)uμ with c = 8. Success at s = t − δ gives
+# Take δ = c(n + 2)uμ with c = 8 (_band). Success at s = t − δ gives
 # λ_min(h) ≥ −t + δ − (2n + 5)uμ, so eigvalsh reads at least
 # −t + δ − (3n + 7)uμ ≥ −t: PSD on both routes. If eigvalsh reads at least
 # −t, then λ_min(h + (t + δ)I) ≥ δ − (n + 3)uμ, above the failure bound, so
@@ -185,23 +187,11 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   Cauchy interlacing, and its own μ and failure bound 2(m + 2)uμ are at
 #   most those of M. So if eigvalsh reads at least −t, B sits above its
 #   failure bound too: failure on any leading block of M also means not PSD.
-# * The leading blocks are probed before h is built, on M′ = h + (t + δ′)I
-#   with δ′ = c(n + 2)uμ′ and μ′ = Σ|Re a_ii| + ‖a‖_F + 2nt, read off the
-#   matrix a itself. h_ii = Re a_ii, and h is the orthogonal projection of a
-#   onto the hermitian matrices, so ‖h‖_F ≤ ‖a‖_F, μ′ ≥ μ and δ′ ≥ δ. The
-#   probe runs only when δ′ < t, so |t + δ′| ≤ 2t. If eigvalsh reads at least
-#   −t, then λ_min(M′) ≥ δ′ − (n + 3)uμ′, above the failure bound
-#   2(n + 2)uμ′ of any leading block of M′, as before: failure at t + δ′ also
-#   means not PSD on both routes. μ′ is a floating-point sum too, and the
-#   same c = 8 slack covers its rounding. A matrix that fails at t + δ but
-#   not at t + δ′ goes on to the full factorizations, which refute it at
-#   t + δ or leave it to eigvalsh.
+#   Such a block is the hermitian part of a's leading square alone, so it is
+#   probed before h is built.
 # * μ is itself a floating-point sum, within a relative (n² + n)u of its
 #   exact value, and c = 8 is more than twice the 3 + 1/(n + 2) that the
-#   bounds above need, so its rounding cannot move a verdict. ‖h‖_F² is
-#   summed from the entries of h that were written: a matrix wider than one
-#   strip is built over its lower triangle only, and h is exactly hermitian,
-#   so it is twice the strict lower triangle plus the diagonal, in blocks.
+#   bounds above need, so its rounding cannot move a verdict.
 # * Low-rank certificate (a posteriori; the factor is a pivoted partial
 #   Cholesky, Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).
 #   For any computed n×r factor L̂, h = L̂L̂ᴴ + R exactly with R hermitian,
@@ -217,19 +207,27 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   when ‖L̂‖_F² > μ. For a PSD h that costs nothing: there ‖L̂‖_F² is, up
 #   to rounding, tr(h) less the trace of a PSD Schur complement, and
 #   tr(h) ≤ μ − ‖h‖_F.
-# A single matrix is first probed on its leading blocks at t + δ′, before
-# any full-size array is built. A stack is decided by one batched
-# factorization at s = t − δ_k: when every matrix succeeds, each is PSD. A
-# batched failure does not say which matrix failed, so only a single matrix
-# goes on: to the low-rank certificate, then to the full factorizations.
-# eigvalsh runs only on a stack that the factorizations leave undecided, or
-# where some δ_k ≥ t.
+# A stack is decided by one batched factorization at s = t − δ_k
+# (_psd_flags): when every matrix succeeds, each is PSD. A batched failure
+# does not say which matrix failed, so it leaves the stack to eigvalsh. A
+# single matrix (_psd_verdict) is probed on its leading blocks at t + δ
+# before any full-size array is built, then goes to the low-rank
+# certificate, then to the full factorizations at t ∓ δ, and to eigvalsh
+# only between them. Where δ ≥ t, eigvalsh decides alone.
 _PSD_BAND_C = 8.0
 
 
 def _band_per_mu(n: int) -> float:
     """δ / μ = c(n + 2)u for an n×n matrix (derivation above)."""
     return _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2)
+
+
+def _band(n: int, diagonals: np.ndarray, sq_norms, eig_tol: float):
+    """δ = c(n + 2)u·μ of each n×n matrix a, μ = Σ|Re a_ii| + ‖a‖_F + 2n·eig_tol (derivation above);
+    diagonals (..., n) holds each a's diagonal and sq_norms (...) each Σ|a_ij|². δ is inf, with no
+    warning, where μ overflows."""
+    with np.errstate(over="ignore"):
+        return _band_per_mu(n) * (np.abs(diagonals.real).sum(axis=-1) + np.sqrt(sq_norms) + 2 * n * eig_tol)
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -254,8 +252,8 @@ def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
     Each step factors the column of the largest remaining Schur diagonal, reading it
     from the lower triangle, until no Schur diagonal is above t − δ; a matrix that
     needs more than isqrt(n) steps, d for a Choi matrix, is left undecided. Only a
-    drained diagonal goes on to the residual h − L̂L̂ᴴ, summed in the preamble's
-    strips as ‖h‖_F² is there.
+    drained diagonal goes on to the residual h − L̂L̂ᴴ, summed over the lower triangle
+    in the preamble's strips, each strip's columns left of its diagonal block twice.
     """
     n = h.shape[-1]
     bound = eig_tol - delta
@@ -288,52 +286,8 @@ def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
     return True
 
 
-def _leading_blocks_refute(square: np.ndarray, n: int, diagonal: np.ndarray, entries: np.ndarray, eig_tol: float) -> bool:
-    """True when Cholesky fails on the leading n/16 or n/4 block of h + (eig_tol + δ′)·I,
-    which proves the n×n matrix a not PSD (derivation above); False decides nothing.
-
-    h is the hermitian part of square, a's leading n/4 square, alone. δ′ is
-    c(n + 2)u·μ′ with μ′ = Σ|Re a_ii| + ‖a‖_F + 2n·eig_tol, summed from diagonal,
-    which holds a's diagonal entries, and entries, which holds all of a's
-    entries, each in any order and shape. When μ′ overflows, δ′ ≥ eig_tol and no
-    block is factored.
-    """
-    with np.errstate(over="ignore"):
-        mu = np.abs(diagonal.real).sum() + np.sqrt(np.vdot(entries, entries).real) + 2 * n * eig_tol
-    delta = _band_per_mu(n) * mu
-    if not delta < eig_tol:
-        return False
-    h = _hermitian_part(square)[None]
-    np.einsum("...ii->...i", h)[...] += eig_tol + delta
-    return any(m and not _cholesky_succeeds(h[:, :m, :m]) for m in (n // 16, n // 4))
-
-
-def _cholesky_verdict(h: np.ndarray, delta: np.ndarray, eig_tol: float) -> bool | None:
-    """True when Cholesky proves every matrix of the hermitian stack h (k, n, n) PSD,
-    or the low-rank certificate a single matrix, False when a factorization proves a
-    single matrix not PSD, None when it leaves the stack undecided (derivation
-    above). Only the lower triangle of h is read, and its diagonal is overwritten;
-    delta holds the band δ of each matrix."""
-    if not (delta < eig_tol).all():
-        return None
-    single = len(h) == 1
-    if single and _low_rank_certificate(h[0], float(delta[0]), eig_tol):
-        return True
-    diagonal = np.einsum("...ii->...i", h)
-    below = diagonal + (eig_tol - delta)[:, None]
-    above = diagonal + (eig_tol + delta)[:, None]
-    diagonal[...] = below
-    if _cholesky_succeeds(h):
-        return True
-    if single:
-        diagonal[...] = above
-        if not _cholesky_succeeds(h):
-            return False
-    return None
-
-
-def _psd_preamble(a: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermiticity gaps (k,), hermitian part h (k, n, n) and band δ (k,) of a finite stack (k, n, n).
+def _psd_preamble(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity gaps (k,) and hermitian part h (k, n, n) of a finite stack (k, n, n).
 
     One loop over groups of matrices, each matrix in row strips over its
     lower triangle, strip [s, e) covering columns [0, e), so that a block's
@@ -345,11 +299,11 @@ def _psd_preamble(a: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray
     triangle, |a - aᴴ| takes the same value at (i, j) and (j, i), and h is
     exactly hermitian. Blocks go through _hermiticity_gaps and
     _hermitian_part, so the gaps and the written entries of h keep their
-    bits. δ (derivation above) is inf when μ overflows.
+    bits.
     """
     k, n = a.shape[:2]
     h = np.empty(a.shape, dtype=np.complex128)
-    gaps, frobenius_sq = np.zeros(k), np.zeros(k)
+    gaps = np.zeros(k)
     # the stack read as k rows of n² entries, each matrix as n rows of n
     group, rows = _row_block_size(n * n), _row_block_size(n)
     for i in range(0, k, group):
@@ -361,44 +315,74 @@ def _psd_preamble(a: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray
                 np.conjugate(a[g, t:t + rows, s:e].swapaxes(-1, -2), out=strip[..., t:t + rows])
             gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, :e], strip))
             _hermitian_part(a[g, s:e, :e], strip)
-            # the columns left of the strip's diagonal block stand for their mirror images too
-            frobenius_sq[g] = frobenius_sq[g] + 2.0 * _squared_norms(strip[..., :s]) + _squared_norms(strip[..., s:])
-    with np.errstate(over="ignore"):
-        mu = np.abs(np.einsum("...ii->...i", h).real).sum(axis=-1) + np.sqrt(frobenius_sq) + 2 * n * eig_tol
-    return gaps, h, _band_per_mu(n) * mu
+    return gaps, h
 
 
 def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Whether each matrix of a finite stack (k, n, n) is hermitian within residual_tol with eigenvalues ≥ -eig_tol.
 
-    The verdict of a hermiticity gap and an eigvalsh of each matrix, decided
-    by Cholesky factorizations where the band above allows, and by eigvalsh
-    only for a stack they leave undecided; both routes give the same flags.
+    The verdict of a hermiticity gap and an eigvalsh of each matrix. One
+    batched Cholesky factorization at eig_tol - δ_k, with δ_k the band of
+    matrix k (derivation above), proves every matrix PSD when it succeeds;
+    eigvalsh decides a stack where it fails or where some δ_k ≥ eig_tol.
+    Both routes give the same flags.
     """
-    gaps, h, delta = _psd_preamble(a, tol.eig_tol)
+    gaps, h = _psd_preamble(a)
     flags = gaps <= tol.residual_tol
     if not flags.any():
         return flags
-    verdict = _cholesky_verdict(h, delta, tol.eig_tol)
-    del h  # before any eigensolve, which builds its own full hermitian part
-    if verdict is None:
-        return flags & (_eigvalsh(a)[:, 0] >= -tol.eig_tol)
-    return flags & verdict
+    delta = _band(a.shape[-1], a.diagonal(axis1=-2, axis2=-1), _squared_norms(a), tol.eig_tol)
+    if (delta < tol.eig_tol).all():
+        np.einsum("...ii->...i", h)[...] += (tol.eig_tol - delta)[:, None]
+        if _cholesky_succeeds(h):
+            return flags
+    del h  # before the eigensolve, which builds its own full hermitian part
+    return flags & (_eigvalsh(a)[:, 0] >= -tol.eig_tol)
+
+
+def _psd_verdict(square, diagonal: np.ndarray, entries: np.ndarray, full, tol: ToleranceConfig) -> bool:
+    """The flag of :func:`_psd_flags` for one n×n matrix a, by the single-matrix route (derivation above).
+
+    diagonal holds a's diagonal entries and entries all of a's entries, each in
+    any order and shape. square() returns a's leading n/4 square, the probe's
+    input, and full() returns a, only when the probe has not refuted it.
+    """
+    n, eig_tol = diagonal.size, tol.eig_tol
+    delta = _band(n, diagonal.reshape(-1), np.vdot(entries, entries).real, eig_tol)
+    if delta < eig_tol:
+        probe = _hermitian_part(square())[None]
+        np.einsum("...ii->...i", probe)[...] += eig_tol + delta
+        if any(m and not _cholesky_succeeds(probe[:, :m, :m]) for m in (n // 16, n // 4)):
+            return False
+        del probe  # before any full-size array
+    a = full()
+    gaps, h = _psd_preamble(a[None])
+    if gaps[0] > tol.residual_tol:
+        return False
+    if delta < eig_tol:
+        if _low_rank_certificate(h[0], delta, eig_tol):
+            return True
+        diag = np.einsum("...ii->...i", h)
+        below, above = diag + (eig_tol - delta), diag + (eig_tol + delta)
+        diag[...] = below
+        if _cholesky_succeeds(h):
+            return True
+        diag[...] = above
+        if not _cholesky_succeeds(h):
+            return False
+    del h  # before the eigensolve, which builds its own full hermitian part
+    return bool(_eigvalsh(a)[0] >= -eig_tol)
 
 
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when hermitian and all eigenvalues are at least -eig_tol.
 
-    The one-matrix case of the stacked PSD kernel, after the probe of its
-    leading blocks: Cholesky factorizations decide where the band δ allows,
-    the eigenvalue test the rest, and every route gives the same verdict (see
-    the derivation of δ above).
+    The single-matrix route of the PSD kernel: Cholesky factorizations decide
+    where the band δ allows, the eigenvalue test the rest, and every route
+    gives the same verdict (see the derivation of δ above).
     """
     a = as_complex_matrix(a)
-    n = a.shape[0]
-    if _leading_blocks_refute(a[:n // 4, :n // 4], n, a.diagonal(), a, tol.eig_tol):
-        return False
-    return bool(_psd_flags(a[None], tol)[0])
+    return _psd_verdict(lambda: a[:len(a) // 4, :len(a) // 4], a.diagonal(), a, lambda: a, tol)
 
 
 def min_eigenvalue(a) -> float:

@@ -38,9 +38,9 @@ from .linalg import (
     _haar_isometries,
     _hermiticity_gaps,
     _identity_gaps,
-    _leading_blocks_refute,
     _operator_family,
     _psd_flags,
+    _psd_verdict,
     _require_finite,
     _row_block_size,
     as_complex_matrix,
@@ -90,6 +90,10 @@ def unvec(v) -> np.ndarray:
     if d * d != n:
         raise ValueError(f"cannot reshape a length-{n} vector into a square matrix")
     return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
+
+
+# eig_tol multiples by which an output of :func:`apply` may dip below zero
+APPLY_EIG_SLACK = 10.0
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -372,12 +376,12 @@ def apply_matrix(c: QuantumProgram, m) -> np.ndarray:
 def apply(c: QuantumProgram, rho: DensityState, tol: ToleranceConfig = DEFAULT_TOL) -> DensityState:
     """Run the program on a state.
 
-    The output is validated as a state with a 10x eig_tol positivity slack;
-    a violation beyond that signals a non-positive map driven outside the
-    state space and raises ValidationError.
+    The output is validated as a state with an APPLY_EIG_SLACK·eig_tol
+    positivity slack; a violation beyond that signals a non-positive map
+    driven outside the state space and raises ValidationError.
     """
     out = apply_matrix(c, rho.matrix)
-    return DensityState(out, tol, eig_slack=10.0)
+    return DensityState(out, tol, eig_slack=APPLY_EIG_SLACK)
 
 
 def adjoint(c: QuantumProgram) -> QuantumProgram:
@@ -426,15 +430,12 @@ def to_choi(c: QuantumProgram) -> np.ndarray:
 def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when the Choi matrix is PSD; the superoperator was validated when the program was built.
 
-    The leading blocks of the Choi matrix are probed first, from its corner, its
-    diagonal (J[p*d+i, p*d+i] = S[p*(d+1), i*(d+1)]) and the entries of the
-    superoperator, which are those of J; only a map they do not refute is copied
-    into its Choi matrix.
+    The single-matrix route of the PSD kernel, on J's diagonal
+    (J[p*d+i, p*d+i] = S[p*(d+1), i*(d+1)]), entries (those of S) and corner,
+    all read off S; only a map the corner does not refute is copied into J.
     """
     s, n = c.super, c.dim * c.dim
-    if _leading_blocks_refute(_choi_corner(s, n // 4), n, s[::c.dim + 1, ::c.dim + 1], s, tol.eig_tol):
-        return False
-    return bool(_psd_flags(to_choi(c)[None], tol)[0])
+    return _psd_verdict(lambda: _choi_corner(s, n // 4), s[::c.dim + 1, ::c.dim + 1], s, lambda: to_choi(c), tol)
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,14 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # the PSD kernel's preamble: ‖h‖_F² counts the mirrored columns twice
+    # the PSD kernel's band: μ bounds the trace of h + sI for |s| ≤ 2·eig_tol
     Mutant(
         "linalg.py",
-        "frobenius_sq[g] + 2.0 * _squared_norms(strip[..., :s])",
-        "frobenius_sq[g] + _squared_norms(strip[..., :s])",
-        (f"{KERNELS}::TestPsdPreamble::test_single_matrices_in_strips",),
+        "+ np.sqrt(sq_norms) + 2 * n * eig_tol",
+        "+ np.sqrt(sq_norms)",
+        (f"{KERNELS}::TestPsdOracle::test_a_band_set_by_its_eig_tol_term_at_the_band_edges",),
     ),
-    # its strips cover columns [0, e), not only their diagonal block [s, e)
+    # its preamble's strips cover columns [0, e), not only their diagonal block [s, e)
     Mutant(
         "linalg.py",
         """            strip = h[g, s:e, :e]
@@ -60,11 +60,16 @@ MUTANTS = [
     # the Cholesky verdicts: success proves PSD only below the band, failure refutes only above it
     Mutant(
         "linalg.py",
-        """    below = diagonal + (eig_tol - delta)[:, None]
-    above = diagonal + (eig_tol + delta)[:, None]""",
-        """    below = diagonal + (eig_tol + delta)[:, None]
-    above = diagonal + (eig_tol - delta)[:, None]""",
+        "below, above = diag + (eig_tol - delta), diag + (eig_tol + delta)",
+        "below, above = diag + (eig_tol + delta), diag + (eig_tol - delta)",
         (f"{KERNELS}::TestPsdOracle::test_shifted_to_the_band_edges",),
+    ),
+    # a stack is proved PSD only below the band too
+    Mutant(
+        "linalg.py",
+        '+= (tol.eig_tol - delta)[:, None]',
+        '+= (tol.eig_tol + delta)[:, None]',
+        (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
     ),
     # a single matrix is first probed on its leading n/16 and n/4 rows, before its preamble
     Mutant(
@@ -83,22 +88,22 @@ MUTANTS = [
     # a single low-rank matrix is decided by the certificate, with no full factorization
     Mutant(
         "linalg.py",
-        "    if single and _low_rank_certificate(h[0], float(delta[0]), eig_tol):",
-        "    if False:",
+        "        if _low_rank_certificate(h[0], delta, eig_tol):",
+        "        if False:",
         (f"{KERNELS}::TestLowRankCertificate::test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes",),
     ),
-    # the probe refutes only above the band: at eig_tol + δ′, not eig_tol - δ′
+    # the probe refutes only above the band: at eig_tol + δ, not eig_tol - δ
     Mutant(
         "linalg.py",
-        'np.einsum("...ii->...i", h)[...] += eig_tol + delta',
-        'np.einsum("...ii->...i", h)[...] += eig_tol - delta',
+        'np.einsum("...ii->...i", probe)[...] += eig_tol + delta',
+        'np.einsum("...ii->...i", probe)[...] += eig_tol - delta',
         (f"{KERNELS}::TestLeadingBlockRefutation::test_a_defect_in_the_leading_rows_at_the_band_edges",),
     ),
     # a map that its Choi matrix's leading blocks refute is never copied into that matrix
     Mutant(
         "programs.py",
-        "    if _leading_blocks_refute(_choi_corner(s, n // 4), n, s[::c.dim + 1, ::c.dim + 1], s, tol.eig_tol):",
-        "    if False:",
+        "lambda: _choi_corner(s, n // 4)",
+        "lambda: to_choi(c)[:n // 4, :n // 4]",
         (f"{KERNELS}::TestLeadingBlockRefutation::test_a_refuted_cp_check_copies_nothing_at_dim_32",),
     ),
     # moduli round as a scalar abs() does
@@ -186,6 +191,13 @@ MUTANTS = [
         "lows < -eig_slack * tol.eig_tol,",
         "lows < -tol.eig_tol,",
         ("tests/test_programs.py::TestDensityState::test_the_mask_refuses_what_the_constructor_refuses_at_each_bound",),
+    ),
+    # apply's output may reach λ_min = -APPLY_EIG_SLACK·eig_tol, and so may a campaign's
+    Mutant(
+        "programs.py",
+        "APPLY_EIG_SLACK = 10.0",
+        "APPLY_EIG_SLACK = 1.0",
+        ("tests/test_programs.py::TestApply::test_an_output_down_to_the_apply_slack_is_a_state",),
     ),
     # a predicate's total may reach λ_max = 1 + eig_tol, for validate_predicate and the stacked mask alike
     Mutant(

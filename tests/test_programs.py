@@ -10,6 +10,7 @@ from qwp.errors import (
 )
 from qwp.linalg import ToleranceConfig, min_eigenvalue, random_density, random_isometry, sample_random
 from qwp.programs import (
+    APPLY_EIG_SLACK,
     DensityState,
     QuantumProgram,
     _invalid_states,
@@ -260,6 +261,20 @@ class TestApply:
         c = from_super(shrink)
         with pytest.raises(ValidationError):
             apply(c, DensityState(KET0))
+
+    @pytest.mark.parametrize("depth, accepted", [(5.0, True), (20.0, False)])
+    def test_an_output_down_to_the_apply_slack_is_a_state(self, depth, accepted):
+        # C(X) = Tr(X)·σ with λ_min(σ) = -depth·eig_tol; the state rule alone refuses σ
+        tol = ToleranceConfig()
+        sigma = np.diag([1.0 + depth * tol.eig_tol, -depth * tol.eig_tol]).astype(complex)
+        c = from_super(np.outer(vec(sigma), vec(np.eye(2))))
+        if accepted:
+            assert np.array_equal(apply(c, DensityState(KET0), tol).matrix, sigma)
+        else:
+            with pytest.raises(ValidationError, match="not PSD"):
+                apply(c, DensityState(KET0), tol)
+        assert _invalid_states(sigma[None], tol, APPLY_EIG_SLACK).tolist() == [not accepted]
+        assert _invalid_states(sigma[None], tol).tolist() == [True]
 
 
 class TestAdjoint:

@@ -56,11 +56,13 @@ from qwp.programs import (
     apply,
     apply_matrices,
     apply_matrix,
+    from_choi,
     from_kraus,
     from_super,
     from_unitary,
     is_completely_positive,
     is_positive_sampled,
+    measure_branch,
     mix,
     random_cptp,
     sample_program,
@@ -324,8 +326,12 @@ def is_psd_oracle(a, tol=None):
 
 
 def psd_band(a, tol):
-    """δ of one matrix, as the PSD kernel's preamble computes it."""
-    return float(qwp_linalg._psd_preamble(np.asarray(a, dtype=np.complex128)[None], tol.eig_tol)[2][0])
+    """The band δ = c(n + 2)u(Σ|Re a_ii| + ‖a‖_F + 2n·eig_tol) of one matrix, or of each of a stack (..., n, n)."""
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[-1]
+    with np.errstate(over="ignore"):
+        mu = np.abs(np.diagonal(a, axis1=-2, axis2=-1).real).sum(axis=-1) + np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)))
+    return qwp_linalg._PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * (mu + 2 * n * tol.eig_tol)
 
 
 def is_positive_sampled_oracle(c, tol=None, seed=0):
@@ -1210,6 +1216,22 @@ class TestPsdOracle:
         monkeypatch.undo()
         assert got == is_psd_oracle(shifted, tol) == (side > 0)
 
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_a_band_set_by_its_eig_tol_term_at_the_band_edges(self, k, side, monkeypatch):
+        # one entry near -eig_tol and zeros: μ ≈ 2·eig_tol + 2n·eig_tol, mostly its last term
+        tol, n = DEFAULT_TOL, 16
+        a = np.zeros((n, n), dtype=np.complex128)
+        a[0, 0] = -tol.eig_tol
+        delta = psd_band(a, tol)
+        # λ_min = -eig_tol + side·k·δ
+        a[0, 0] += side * k * delta
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        got = is_psd(a, tol)
+        assert calls == (["eigvalsh"] if k < 1 else [])
+        monkeypatch.undo()
+        assert got == is_psd_oracle(a, tol) == (side > 0)
+
     def test_zero_eig_tol_takes_the_eigensolve(self, monkeypatch):
         tol = ToleranceConfig(eig_tol=0.0)
         for kind in KINDS:
@@ -1273,13 +1295,15 @@ class TestPsdKernel:
     def test_flags_match_the_oracle_on_mixed_stacks(self, n, eig_tol, monkeypatch):
         tol = ToleranceConfig(eig_tol=eig_tol)
         stack = psd_kernel_stack(np.random.default_rng([n, 131]), n, tol)
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = qwp_linalg._psd_flags(stack, tol)
-        # the stack holds matrices inside the band, and at eig_tol = 0 there is no band
-        assert calls == ["eigvalsh"]
-        monkeypatch.undo()
-        assert got.tolist() == [is_psd_oracle(m, tol) for m in stack]
-        assert got.tolist() == [is_psd(m, tol) for m in stack]
+        # the whole stack, and alone its two matrices at ±δ/2 of the band edge
+        for part in (stack, stack[5:7]):
+            calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+            got = qwp_linalg._psd_flags(part, tol)
+            # each holds matrices inside the band, and at eig_tol = 0 there is no band
+            assert calls == ["eigvalsh"]
+            monkeypatch.undo()
+            assert got.tolist() == [is_psd_oracle(m, tol) for m in part]
+            assert got.tolist() == [is_psd(m, tol) for m in part]
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_a_stack_above_the_band_takes_no_eigensolve(self, n, monkeypatch):
@@ -1291,6 +1315,24 @@ class TestPsdKernel:
         assert calls == []
         monkeypatch.undo()
         assert got.tolist() == [is_psd_oracle(m, tol) for m in stack] == [True] * len(stack)
+
+    def test_a_stack_holding_a_matrix_whose_band_overflows_takes_the_eigensolve(self, monkeypatch):
+        tol, n = DEFAULT_TOL, 5
+        rng = np.random.default_rng([n, 149])
+        above = [at_band_offset(m, 3.0, tol) for m in psd_kernel_stack(rng, n, tol)[::9]]
+        huge = np.full(n, 8.5e307)
+        broken = huge.copy()
+        broken[n // 2] = -1.0
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert qwp_linalg._psd_flags(np.array(above), tol).all() and calls == []
+        stack = np.array(above + [np.diag(huge), np.diag(broken)])
+        assert (psd_band(stack, tol) == np.inf).tolist() == [False] * len(above) + [True, True]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = qwp_linalg._psd_flags(stack, tol)
+        assert calls == ["eigvalsh"]
+        monkeypatch.undo()
+        assert got.tolist() == [is_psd_oracle(m, tol) for m in stack] == [True] * (len(above) + 1) + [False]
 
     def test_the_mixture_audit_takes_no_eigensolve(self, monkeypatch):
         c = sample_program("transpose_mix", 32, 4)
@@ -1380,13 +1422,6 @@ class TestPsdKernel:
         assert peak <= 49.4 * (1 << 20)
 
 
-def wide_band(a, tol):
-    """δ′ = c(n + 2)u(Σ|Re a_ii| + ‖a‖_F + 2n·eig_tol) of one matrix, the band of the leading-block probe."""
-    n = a.shape[0]
-    mu = np.abs(np.diagonal(a).real).sum() + np.linalg.norm(a) + 2 * n * tol.eig_tol
-    return qwp_linalg._PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * mu
-
-
 def leading_cholesky_succeeds(a, m, shift):
     """Whether Cholesky runs through the leading m×m block of the hermitian part of a plus shift·I."""
     h = qwp_linalg._hermitian_part(a[:m, :m])
@@ -1394,7 +1429,7 @@ def leading_cholesky_succeeds(a, m, shift):
 
 
 class TestLeadingBlockRefutation:
-    """A single matrix, or a map's Choi matrix, refuted on its leading blocks at eig_tol + δ′ before any full-size copy."""
+    """A single matrix, or a map's Choi matrix, refuted on its leading blocks at eig_tol + δ before any full-size copy."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 24, 32, 33])
     def test_the_choi_corner_is_the_leading_square_of_to_choi(self, dim):
@@ -1415,9 +1450,9 @@ class TestLeadingBlockRefutation:
         a = np.eye(n, dtype=np.complex128)
         a[:m, :m] = g @ g.conj().T / m
         a[:m, :m] -= (float(np.linalg.eigvalsh(a[:m, :m]).min()) + tol.eig_tol) * np.eye(m)
-        delta = wide_band(a, tol)
+        delta = psd_band(a, tol)
         assert 0.0 < 4.0 * delta < tol.eig_tol
-        # λ_min = -eig_tol + side·k·δ′, in the leading n/16 rows
+        # λ_min = -eig_tol + side·k·δ, in the leading n/16 rows
         a[:m, :m] += side * k * delta * np.eye(m)
         shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
         calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
@@ -1428,25 +1463,27 @@ class TestLeadingBlockRefutation:
         monkeypatch.undo()
         assert got == is_psd_oracle(a, tol) == (side > 0)
 
-    def test_a_matrix_refuted_only_inside_the_wider_band_is_refuted_by_the_full_factorizations(self, monkeypatch):
-        # a skew-hermitian part within residual_tol widens δ′ but leaves h, and so δ, as they are
+    def test_a_skew_part_widens_the_one_band_of_the_probes_and_the_factorizations(self, monkeypatch):
+        # a skew-hermitian part within residual_tol widens δ, read off a, well past the band of h alone
         tol = ToleranceConfig(residual_tol=1e-3)
         n = 64
         a = 1e-5 * np.eye(n) + 4e-4j * (np.ones((n, n)) - np.eye(n))
         a[0, 0] = -tol.eig_tol
+        narrow = psd_band(qwp_linalg._hermitian_part(a), tol)
+        assert psd_band(a, tol) > 4.0 * narrow
+        a[0, 0] = -tol.eig_tol - 2.0 * narrow
         delta = psd_band(a, tol)
-        assert wide_band(a, tol) > 4.0 * delta
-        a[0, 0] = -tol.eig_tol - 2.0 * delta
-        assert not leading_cholesky_succeeds(a, n // 16, tol.eig_tol + delta)
-        assert leading_cholesky_succeeds(a, n // 4, tol.eig_tol + wide_band(a, tol))
+        # λ_min = -eig_tol - 2·narrow lies inside the band, in the leading row
+        assert leading_cholesky_succeeds(a, n // 4, tol.eig_tol + delta)
+        assert not leading_cholesky_succeeds(a, n, tol.eig_tol - delta)
         shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
         calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert is_psd(a, tol) is False
-        # both probes pass; the full factorizations at eig_tol - δ and eig_tol + δ fail
+        got = is_psd(a, tol)
+        # both probes and both full factorizations pass the matrix on to the eigensolve
         assert shapes == [(1, n // 16, n // 16), (1, n // 4, n // 4), (1, n, n), (1, n, n)]
-        assert calls == []
+        assert calls == ["eigvalsh"]
         monkeypatch.undo()
-        assert is_psd_oracle(a, tol) is False
+        assert got is is_psd_oracle(a, tol) is False
 
     def test_entries_near_the_float_limit_take_no_probe(self, monkeypatch):
         rng = np.random.default_rng(227)
@@ -1464,7 +1501,7 @@ class TestLeadingBlockRefutation:
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
                 got = is_psd(a)
-            # ‖a‖_F overflows, so δ′ ≥ eig_tol: no probe, and δ ≥ eig_tol: no factorization at all
+            # μ overflows, so δ ≥ eig_tol: no probe and no factorization at all
             assert shapes == []
             monkeypatch.undo()
             assert got == is_psd_oracle(a)
@@ -1490,24 +1527,18 @@ def lower_triangle(a):
     return a[..., np.tri(n, dtype=bool)]
 
 
-def preamble_oracle(a, eig_tol=DEFAULT_TOL.eig_tol):
-    """Gaps, hermitian part and band δ = c(n + 2)u(Σ|h_ii| + ‖h‖_F + 2n·eig_tol) of a stack (k, n, n),
-    each from one full-size pass."""
+def preamble_oracle(a):
+    """Gaps and hermitian part of a stack (k, n, n), each from one full-size pass."""
     ah = a.conj().swapaxes(-1, -2)
-    gaps, h = qwp_linalg._hermiticity_gaps(a, ah), qwp_linalg._hermitian_part(a, ah.copy())
-    n = a.shape[-1]
-    with np.errstate(over="ignore"):
-        mu = np.abs(np.diagonal(h, axis1=-2, axis2=-1).real).sum(axis=-1) + np.sqrt(qwp_linalg._squared_norms(h))
-    delta = qwp_linalg._PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * (mu + 2 * n * eig_tol)
-    return gaps, h, delta
+    return qwp_linalg._hermiticity_gaps(a, ah), qwp_linalg._hermitian_part(a, ah.copy())
 
 
 class TestPsdPreamble:
-    """The PSD kernel's gaps, hermitian part and band, built in blocks that stay in cache."""
+    """The PSD kernel's gaps and hermitian part, built in blocks that stay in cache."""
 
     def assert_preamble_bits(self, a):
-        gaps, h, delta = qwp_linalg._psd_preamble(a, DEFAULT_TOL.eig_tol)
-        want_gaps, want_h, want_delta = preamble_oracle(a)
+        gaps, h = qwp_linalg._psd_preamble(a)
+        want_gaps, want_h = preamble_oracle(a)
         assert_same_bits(gaps, want_gaps)
         n = a.shape[-1]
         if n <= qwp_linalg._row_block_size(n):
@@ -1516,8 +1547,6 @@ class TestPsdPreamble:
         else:
             # a wider one is built over its lower triangle only
             assert_same_bits(lower_triangle(h), lower_triangle(want_h))
-        # δ's ‖h‖_F² is summed strip by strip, in another order than the full pass
-        assert np.allclose(delta, want_delta, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("dim", [17, 24, 32])
     def test_single_matrices_in_strips(self, dim):
@@ -1540,10 +1569,10 @@ class TestPsdPreamble:
         rows = qwp_linalg._row_block_size(n)
         last = (n - 1) // rows * rows
         a = to_choi(sample_program("cptp", 17, 8))
-        assert qwp_linalg._psd_preamble(a[None], DEFAULT_TOL.eig_tol)[0][0] <= DEFAULT_TOL.residual_tol
+        assert qwp_linalg._psd_preamble(a[None])[0][0] <= DEFAULT_TOL.residual_tol
         a[last, n - 1] += 1e-6
         self.assert_preamble_bits(a[None])
-        assert qwp_linalg._psd_preamble(a[None], DEFAULT_TOL.eig_tol)[0][0] > DEFAULT_TOL.residual_tol
+        assert qwp_linalg._psd_preamble(a[None])[0][0] > DEFAULT_TOL.residual_tol
         assert is_psd(a) is False
 
     def test_entries_near_the_float_limit(self):
@@ -1552,11 +1581,11 @@ class TestPsdPreamble:
             z = np.sign(rng.standard_normal((2, n, n)))
             a = 1.7e308 * (z[0] + 1j * z[1])
             self.assert_preamble_bits(a[None])
-            # an overflowing gap or band reads inf, without a warning
+            # an overflowing gap reads inf, without a warning
             with np.errstate(all="raise"):
-                gaps, h, delta = qwp_linalg._psd_preamble(a[None], DEFAULT_TOL.eig_tol)
+                gaps, h = qwp_linalg._psd_preamble(a[None])
             assert np.isfinite(lower_triangle(h)).all()
-            assert gaps[0] == delta[0] == np.inf
+            assert gaps[0] == np.inf
 
     def test_signed_zeros(self):
         rng = np.random.default_rng(167)
@@ -1609,6 +1638,42 @@ class TestPsdPreamble:
             tracemalloc.stop()
         # the 16 MiB Choi matrix and its 16 MiB hermitian part, plus one strip's temporaries
         assert peak <= 40 << 20
+
+
+class TestBand:
+    """The one band δ of the PSD kernel, against the formula of psd_band."""
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("eig_tol", [1e-9, 0.0])
+    def test_stacks(self, n, eig_tol):
+        tol = ToleranceConfig(eig_tol=eig_tol)
+        stack = psd_kernel_stack(np.random.default_rng([n, 229]), n, DEFAULT_TOL)
+        # zero matrices, whose μ is the 2n·eig_tol term alone
+        stack = np.concatenate([stack, np.zeros((2, n, n))])
+        sq_norms = np.linalg.norm(stack, axis=(-2, -1)) ** 2
+        got = qwp_linalg._band(n, np.diagonal(stack, axis1=-2, axis2=-1), sq_norms, tol.eig_tol)
+        assert np.allclose(got, psd_band(stack, tol), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 17, 32])
+    def test_a_superoperator_gives_the_band_of_its_choi_matrix(self, dim):
+        # the diagonal and entries that is_completely_positive reads off the superoperator
+        for c in (sample_program("transpose_mix", dim, 5), low_rank_program(dim, 4, 233)):
+            s, n = c.super, dim * dim
+            got = qwp_linalg._band(n, s[::dim + 1, ::dim + 1].reshape(-1), np.vdot(s, s).real, DEFAULT_TOL.eig_tol)
+            assert got == pytest.approx(psd_band(to_choi(c), DEFAULT_TOL), rel=1e-12, abs=0.0)
+
+    def test_an_overflowing_mu_gives_inf_without_a_warning(self):
+        rng = np.random.default_rng(239)
+        for n in (3, 300):
+            z = np.sign(rng.standard_normal((2, n, n)))
+            # ‖a‖_F overflows; then only the sum of the diagonal does
+            for a in (1.7e308 * (z[0] + 1j * z[1]), np.diag(np.full(n, 8.5e307))):
+                with np.errstate(over="ignore"):
+                    sq_norms = np.sum(np.abs(a) ** 2)
+                with warnings.catch_warnings(), np.errstate(all="raise"):
+                    warnings.simplefilter("error")
+                    got = qwp_linalg._band(n, np.diagonal(a), sq_norms, DEFAULT_TOL.eig_tol)
+                assert got == psd_band(a, DEFAULT_TOL) == np.inf
 
 
 def low_rank_program(dim, rank, seed, rows=None):
@@ -1697,6 +1762,58 @@ class TestLowRankCertificate:
         assert is_completely_positive(c) is True
         assert shapes == [(1, 64, 64), (1, 256, 256)]
         assert calls == []
+
+
+# traced peaks of public calls at d = 32, in MiB, as measured with numpy 2.4.6
+# and rounded up to 0.1 MiB; one d⁴ complex array is 16 MiB
+PEAK_BOUNDS_MIB = {
+    "from_super": 17.1,
+    "adjoint": 17.1,
+    "from_choi": 17.1,
+    "wp": 16.1,
+    "seq": 17.1,
+    "measure_branch": 18.1,
+    # the Choi matrix and its hermitian part; a refuted map copies only its corner
+    "is_completely_positive cptp": 34.6,
+    "is_completely_positive transpose_mix": 2.6,
+    "is_positive_sampled cptp": 34.6,
+    "is_positive_sampled transpose_mix": 49.4,
+}
+
+
+@pytest.fixture(scope="module")
+def peak_calls():
+    """Each call of PEAK_BOUNDS_MIB, on d = 32 inputs built beforehand."""
+    d = 32
+    cptp, mixture = low_rank_program(d, 4, 241), sample_program("transpose_mix", d, 4)
+    s, j = cptp.super.copy(), to_choi(cptp)
+    f = random_predicate(np.random.default_rng(241), d)
+    upper = np.diag((np.arange(d) < d // 2).astype(float))
+    return {
+        "from_super": lambda: from_super(s),
+        "adjoint": lambda: adjoint(cptp),
+        "from_choi": lambda: from_choi(j),
+        "wp": lambda: wp(cptp, f),
+        "seq": lambda: seq(cptp, mixture),
+        "measure_branch": lambda: measure_branch([upper, np.eye(d) - upper], [cptp, mixture]),
+        "is_completely_positive cptp": lambda: is_completely_positive(cptp),
+        "is_completely_positive transpose_mix": lambda: is_completely_positive(mixture),
+        "is_positive_sampled cptp": lambda: is_positive_sampled(cptp, seed=3),
+        "is_positive_sampled transpose_mix": lambda: is_positive_sampled(mixture, seed=3),
+    }
+
+
+@pytest.mark.parametrize("call", list(PEAK_BOUNDS_MIB))
+def test_the_traced_peak_at_dim_32_stays_under_its_bound(call, peak_calls):
+    run = peak_calls[call]
+    run()  # a warm-up call, so that only the call's own arrays are traced
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUNDS_MIB[call] * (1 << 20)
 
 
 class TestSamplerOracle:
