@@ -166,12 +166,10 @@ def _block_wp(supers: np.ndarray, groups: list, trials: np.ndarray, tol: Toleran
     """wp of a block's programs (n, d², d²) on its checked (positions, effects) groups:
     (positions, transformed effects) for each group, stopping the block as wp raises.
     """
-    # conjugated once a stack; each group indexes the C-ordered conjugates
-    conj = supers.conj()
-    _require(_unital_gaps(conj) > tol.residual_tol, trials)
+    _require(_unital_gaps(supers) > tol.residual_tol, trials)
     out = []
     for pos, f in groups:
-        g = _pull_back(conj[pos], f)
+        g = _pull_back(supers[pos], f)
         _require(~np.isfinite(g).all(axis=(-3, -2, -1)), trials[pos])
         out.append((pos, g))
     return out

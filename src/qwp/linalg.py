@@ -148,13 +148,18 @@ def _identity_gaps(ms: np.ndarray) -> np.ndarray:
     return np.abs(ms - np.eye(ms.shape[-1])).max(axis=(-2, -1))
 
 
+def _lower_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each hermitian matrix in a stack (..., d, d), read from its lower triangle."""
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
+
+
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each (near-)hermitian matrix in a stack (..., d, d)."""
     # symmetrize first: eigvalsh reads one triangle only
-    try:
-        return np.linalg.eigvalsh(_hermitian_part(a))
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
+    return _lower_eigvalsh(_hermitian_part(a))
 
 
 def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -162,7 +167,7 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return float(_hermiticity_gaps(as_complex_matrix(a))) <= tol.residual_tol
 
 
-# Band of the Cholesky verdicts in _psd_flags and _psd_verdict. Let a be one
+# Band of the Cholesky verdicts in _psd_tail and _psd_verdict. Let a be one
 # n×n matrix, h its hermitian part, t = eig_tol, u = 2⁻⁵³ the unit roundoff,
 # and μ = Σ|Re a_ii| + ‖a‖_F + 2nt, read off a itself and taken per matrix.
 # h_ii = Re a_ii, and h is the orthogonal projection of a onto the hermitian
@@ -208,7 +213,7 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   to rounding, tr(h) less the trace of a PSD Schur complement, and
 #   tr(h) ≤ μ − ‖h‖_F.
 # A stack is decided by one batched factorization at s = t − δ_k
-# (_psd_flags): when every matrix succeeds, each is PSD. A batched failure
+# (_psd_tail): when every matrix succeeds, each is PSD. A batched failure
 # does not say which matrix failed, so it leaves the stack to eigvalsh. A
 # single matrix (_psd_verdict) is probed on its leading blocks at t + δ
 # before any full-size array is built, then goes to the low-rank
@@ -228,6 +233,28 @@ def _band(n: int, diagonals: np.ndarray, sq_norms, eig_tol: float):
     warning, where μ overflows."""
     with np.errstate(over="ignore"):
         return _band_per_mu(n) * (np.abs(diagonals.real).sum(axis=-1) + np.sqrt(sq_norms) + 2 * n * eig_tol)
+
+
+# Hermiticity defect of a product (is_positive_sampled). Let the
+# anti-hermitian part a = (m − mᴴ)/2 of an output m be read off a product
+# y = W_a·x of length k, x the real coordinates of a pure ψψ†. Each a_pq is
+# w_pq·x for a complex row w_pq of W_a (its rows for Re a_pq and Im a_pq),
+# so |a_pq| ≤ ‖w_pq‖₂‖x‖₂ by Cauchy–Schwarz, and ‖x‖₂² = 2 − Σ|ψ_i|⁴ ≤ 2.
+# So the gap max|m − mᴴ| = 2 max|a_pq| is at most 2√2·max‖w_pq‖₂.
+# * Rounding: each computed coordinate is within γ_k‖w_pq‖₂‖x‖₂ of its exact
+#   value and its modulus rounds once; a computed x of a computed unit ψ is
+#   within a relative (2d + 9)u of √2 in ‖·‖₂, and a computed ‖w_pq‖₂ within
+#   (k + 2)u of the exact one. With k = d² ≥ d, all of that is below
+#   c(k + 2)u, the band's relative widening (_band_per_mu).
+# So when 2√2·(1 + c(k + 2)u)·max‖w_pq‖₂ ≤ residual_tol (_defect_bound),
+# every gap that the product would compute passes, and the product need not
+# carry W_a at all.
+
+
+def _defect_bound(k: int, row_norm: float) -> float:
+    """Bound on every hermiticity gap read off a length-k product whose largest complex row of W_a
+    has norm row_norm, for the coordinates of a pure state (derivation above)."""
+    return 2.0 * math.sqrt(2.0) * (1.0 + _band_per_mu(k)) * row_norm
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -321,23 +348,37 @@ def _psd_preamble(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Whether each matrix of a finite stack (k, n, n) is hermitian within residual_tol with eigenvalues ≥ -eig_tol.
 
-    The verdict of a hermiticity gap and an eigvalsh of each matrix. One
-    batched Cholesky factorization at eig_tol - δ_k, with δ_k the band of
-    matrix k (derivation above), proves every matrix PSD when it succeeds;
-    eigvalsh decides a stack where it fails or where some δ_k ≥ eig_tol.
-    Both routes give the same flags.
+    The verdict of a hermiticity gap and an eigvalsh of each matrix: the
+    preamble's gaps and hermitian parts, decided by :func:`_psd_tail` with
+    the band read off a.
     """
     gaps, h = _psd_preamble(a)
+    return _psd_tail(gaps, h, a.diagonal(axis1=-2, axis2=-1), _squared_norms(a), tol)
+
+
+def _psd_tail(gaps: np.ndarray, h: np.ndarray, diagonals: np.ndarray, sq_norms: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The flags of a stack of k matrices a from their hermiticity gaps (k,) and hermitian parts h (k, n, n),
+    of which only the lower triangles are read; diagonals (k, n) and sq_norms (k,) are each a's diagonal and
+    Σ|a_ij|², for the band (derivation above), and may be h's own.
+
+    One batched Cholesky factorization at eig_tol - δ_k, with δ_k the band of
+    matrix k, proves every matrix PSD when it succeeds; eigvalsh decides a
+    stack where it fails or where some δ_k ≥ eig_tol. Both routes give the
+    same flags. h's diagonal is shifted for the factorization and restored
+    before the eigensolve, which reads h's lower triangle.
+    """
     flags = gaps <= tol.residual_tol
     if not flags.any():
         return flags
-    delta = _band(a.shape[-1], a.diagonal(axis1=-2, axis2=-1), _squared_norms(a), tol.eig_tol)
+    delta = _band(h.shape[-1], diagonals, sq_norms, tol.eig_tol)
     if (delta < tol.eig_tol).all():
-        np.einsum("...ii->...i", h)[...] += (tol.eig_tol - delta)[:, None]
+        diag = np.einsum("...ii->...i", h)
+        saved = diag.copy()
+        diag += (tol.eig_tol - delta)[:, None]
         if _cholesky_succeeds(h):
             return flags
-    del h  # before the eigensolve, which builds its own full hermitian part
-    return flags & (_eigvalsh(a)[:, 0] >= -tol.eig_tol)
+        diag[...] = saved
+    return flags & (_lower_eigvalsh(h)[:, 0] >= -tol.eig_tol)
 
 
 def _psd_verdict(square, diagonal: np.ndarray, entries: np.ndarray, full, tol: ToleranceConfig) -> bool:
@@ -348,7 +389,8 @@ def _psd_verdict(square, diagonal: np.ndarray, entries: np.ndarray, full, tol: T
     input, and full() returns a, only when the probe has not refuted it.
     """
     n, eig_tol = diagonal.size, tol.eig_tol
-    delta = _band(n, diagonal.reshape(-1), np.vdot(entries, entries).real, eig_tol)
+    flat = entries.ravel("K")  # a view for either contiguous order
+    delta = _band(n, diagonal.reshape(-1), np.vdot(flat, flat).real, eig_tol)
     if delta < eig_tol:
         probe = _hermitian_part(square())[None]
         np.einsum("...ii->...i", probe)[...] += eig_tol + delta

@@ -34,12 +34,14 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _block_size,
+    _defect_bound,
     _eigvalsh,
     _haar_isometries,
     _hermiticity_gaps,
     _identity_gaps,
     _operator_family,
     _psd_flags,
+    _psd_tail,
     _psd_verdict,
     _require_finite,
     _row_block_size,
@@ -397,15 +399,16 @@ def adjoint(c: QuantumProgram) -> QuantumProgram:
 
 def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Dual-unitality test: the adjoint maps the identity to the identity."""
-    return float(_unital_gaps(c.super.conj())) <= tol.residual_tol
+    return float(_unital_gaps(c.super)) <= tol.residual_tol
 
 
-def _unital_gaps(conjs: np.ndarray) -> np.ndarray:
-    """Max-entry |C*(I) - I| for the conjugates (..., d², d²) of superoperators; zero means trace preserving.
+def _unital_gaps(supers: np.ndarray) -> np.ndarray:
+    """Max-entry |C*(I) - I| for superoperators (..., d², d²); zero means trace preserving.
 
-    The adjoint C* acts as the view ``conjs.swapaxes(-1, -2)``, the layout :func:`adjoint` stores.
+    C*(I) is the conjugate of Sᵀ vec(I), with Sᵀ the view ``supers.swapaxes(-1, -2)`` (the
+    layout :func:`adjoint` stores), and I is real, so the gap is read off Sᵀ vec(I) directly.
     """
-    return _identity_gaps(unvec(conjs.swapaxes(-1, -2) @ vec(np.eye(math.isqrt(conjs.shape[-1])))))
+    return _identity_gaps(unvec(supers.swapaxes(-1, -2) @ vec(np.eye(math.isqrt(supers.shape[-1])))))
 
 
 def _choi_view(s: np.ndarray) -> np.ndarray:
@@ -463,40 +466,66 @@ def _basis_outputs(s: np.ndarray, start: int, stop: int) -> np.ndarray:
     return unvec(s[:, start * step:stop * step:step].T)
 
 
-def _coordinate_matrix(s: np.ndarray) -> np.ndarray:
-    """The matrix W (d², d²) with vec C(rho) = x @ W for every hermitian rho, x being the
-    real coordinates of rho that :func:`_pure_outputs` builds; s is C's superoperator.
+def _coordinate_matrix(s: np.ndarray, residual_tol: float) -> np.ndarray:
+    """The real matrix W (m, d²) with y = W @ x for the real coordinates x of every hermitian rho,
+    as :func:`_pure_coordinates` builds them; s is C's superoperator. y's first d² entries are the
+    coordinates of the hermitian part h of C(rho) and, when m = 2d², its next d² those of the
+    anti-hermitian part a.
 
-    Row p = j*d + i of W stands for the entry (i, j) of rho, as vec does:
-    ½C(E_ij + E_ji) above the diagonal (coordinate 2 Re rho_ij), C(E_ii) on it,
-    and ½i·C(E_ij - E_ji) below it (coordinate 2 Im rho_ij). Halving is exact,
-    and a half-sum cannot overflow where the terms do not. Only the input
-    need be hermitian, so this holds for maps that do not preserve
-    hermiticity too. Built as one halved, transposed copy of s whose rows
-    are then combined in place, column j of rho at a time; the diagonal rows
-    are copied from s, so a subnormal entry there keeps its bits.
+    Entry j*d + i of x stands for the entry (i, j) of rho, as vec does: 2 Re rho_ij above the
+    diagonal, rho_ii on it and 2 Im rho_ij below it. Entry p*d + q of each part of y stands for
+    (p, q), row-major: Re h_pq on and below the diagonal and Im h_qp above it, so that h's part is
+    h's lower triangle as a stack of matrices holds it; Re a_pq below the diagonal and Im a_qp on
+    and above it.
+
+    Built one output row p at a time. Let c_pq be the coefficients of C(rho)_pq over vec(rho),
+    row q*d + p of s, and Z_q = ¼(c_pq + c_qp) for q ≤ p and ¼(c_pq - c_qp) above, read as a
+    d×d matrix like x. Then V_q = Z_q + Z_qᵀ on and below its diagonal and i(Z_q - Z_qᵀ) above it,
+    and row (p, q) of h's part is Re V_q for q ≤ p and -Im V_q above; row (q, p) of a's part is
+    Im V_q for q ≤ p and -Re V_q above. Quartering is exact outside the subnormal range, and a sum
+    of four quarters cannot overflow where the terms do not. Only the input need be hermitian, so
+    this holds for maps that do not preserve hermiticity too.
+
+    a's rows are kept only where they could refute a state: when :func:`_defect_bound` of their
+    largest complex row (Re a_pq, Im a_pq) is at most residual_tol, every gap they would give
+    passes, and W is h's d² rows alone.
     """
     d = math.isqrt(s.shape[0])
-    w = np.multiply(s.T, 0.5, order="C")
-    rows = w.reshape(d, d, d * d)  # rows[j, i] is row j*d + i
-    for j in range(d):
-        above, below = rows[j, :j], rows[:j, j]  # entries (i, j) and (j, i) for i < j
-        diff = below - above
-        above += below
-        np.multiply(diff, 1j, out=below)
-        rows[j, j] = s[:, j * (d + 1)]
-    return w
+    n = d * d
+    h_rows, a_rows = np.empty((d, d, d, d)), np.empty((d, d, d, d))  # each [p, q] by [j, i]
+    lower = np.tri(d, dtype=bool)  # on and below the diagonal of a d×d coefficient matrix
+    t = s.reshape(d, d, d, d)  # t[q, p] is c_pq
+    z = np.empty((d, d, d), dtype=np.complex128)
+    for p in range(d):
+        np.multiply(t[:, p], 0.25, out=z)
+        z[:p + 1] += 0.25 * t[p, :p + 1]
+        z[p + 1:] -= 0.25 * t[p, p + 1:]
+        zt = z.swapaxes(-1, -2)
+        v = np.where(lower, z + zt, 1j * (z - zt))
+        h_rows[p, :p + 1] = v[:p + 1].real
+        np.negative(v[p + 1:].imag, out=h_rows[p, p + 1:])
+        a_rows[:p + 1, p] = v[:p + 1].imag
+        np.negative(v[p + 1:].real, out=a_rows[p + 1:, p])
+    h_rows, a_rows = h_rows.reshape(n, n), a_rows.reshape(n, n)
+    with np.errstate(over="ignore"):  # a norm that overflows reads inf, and keeps a's rows
+        row_norms = np.sqrt(np.einsum("ij,ij->i", a_rows, a_rows)).reshape(d, d)
+    if _defect_bound(n, float(_pair_moduli(row_norms).max())) <= residual_tol:
+        return h_rows
+    return np.concatenate((h_rows, a_rows))
 
 
-def _pure_outputs(w: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """C(|psi><psi|) for each row psi of an (n, d) stack, from the coordinate matrix w of C.
+def _pair_moduli(y: np.ndarray) -> np.ndarray:
+    """|a_pq| of each entry of the anti-hermitian matrices a laid out as y (..., d, d): Re a_pq below the
+    diagonal and Im a_qp on and above it; inf, with no warning, where a modulus overflows."""
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(y, y.swapaxes(-1, -2))
+    np.einsum("...ii->...i", moduli)[...] = np.abs(np.einsum("...ii->...i", y))
+    return moduli
 
-    The real coordinates x (n, d²) of each psi psi† are built straight from
-    Re psi and Im psi, and ``x @ w`` runs as one float64 product with w read
-    as d² rows of d² (real, imaginary) pairs: half the flops of the complex
-    product ``vec(psi psi†) @ c.super.T``. The outputs agree with
-    :func:`apply_matrix` up to the rounding of the summation order.
-    """
+
+def _pure_coordinates(psis: np.ndarray) -> np.ndarray:
+    """The real coordinates x (d², n) of psi psi† for each row psi of an (n, d) stack, laid out as
+    :func:`_coordinate_matrix` reads them, built straight from Re psi and Im psi."""
     n, d = psis.shape
     # (d, n) rows, so that each coordinate column below is one contiguous row
     u, v = np.ascontiguousarray(psis.real.T), np.ascontiguousarray(psis.imag.T)
@@ -509,8 +538,40 @@ def _pure_outputs(w: np.ndarray, psis: np.ndarray) -> np.ndarray:
         np.multiply(u2[j], v[j + 1:], out=x[j, j + 1:])
         x[j, j + 1:] -= v2[j] * u[j + 1:]
     x[np.arange(d), np.arange(d)] = u * u + v * v
-    out = x.reshape(d * d, n).T @ w.view(np.float64)
-    return unvec(out.view(np.complex128))
+    return x.reshape(d * d, n)
+
+
+def _pure_parts(w: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_psd_tail` reads of the outputs C(|psi><psi|), for each row psi of an (n, d) stack and
+    the coordinate matrix w of C: each output's hermiticity gap, zero where w has no rows for a, its
+    hermitian part h, of which only the lower triangle is written, and h's diagonal and Σ|h_ij|², the
+    band's inputs.
+
+    One float64 product ``w @ x`` gives every coordinate: a quarter of the flops of the complex
+    product ``vec(psi psi†) @ c.super.T`` where w holds h's rows alone, half where it holds a's
+    too. A non-finite coordinate raises the ValueError of :func:`as_complex_matrix`. h agrees with
+    the hermitian part of :func:`apply_matrix` up to the rounding of the summation order.
+    """
+    n, d = psis.shape
+    m = d * d
+    y = _pure_coordinates(psis).T @ w.T
+    _require_finite(y)
+    if len(w) == m:
+        gaps = np.zeros(n)
+    else:
+        with np.errstate(over="ignore"):  # a gap that overflows reads inf, as _hermiticity_gaps gives it
+            gaps = 2.0 * _pair_moduli(y[:, m:].reshape(n, d, d)).max(axis=(-2, -1))
+    coords = y[:, :m].reshape(n, d, d)
+    h = np.empty((n, d, d), dtype=np.complex128)
+    h.real[...] = coords
+    h.imag[...] = coords.swapaxes(-1, -2)  # Im h_pq below the diagonal; above it, entries Cholesky never reads
+    np.einsum("...ii->...i", h.imag)[...] = 0.0
+    diagonals = np.diagonal(coords, axis1=-2, axis2=-1).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each off-diagonal pair of h has its two coordinates in y once, so Σ|h_ij|² = 2Σy² - Σh_ii²
+        total = np.einsum("ij,ij->i", y[:, :m], y[:, :m])
+        sq_norms = np.where(total < np.inf, 2.0 * total - np.einsum("ij,ij->i", diagonals, diagonals), np.inf)
+    return gaps, h, diagonals, sq_norms
 
 
 def _candidate_blocks(d: int, sample_count: int, rng: np.random.Generator, block: int):
@@ -542,12 +603,14 @@ def is_positive_sampled(
     plus ``sample_count`` Haar-random pure states, reporting the first
     violating state found. States are checked in blocks whose stacks of
     outputs stay under STACK_BYTES, with one batched Cholesky factorization
-    a block. A basis block's outputs are columns of the superoperator; the
-    other blocks' come from one real matrix product each, against the
-    coordinate matrix built when the Fourier block first needs it and
-    released before the last block's PSD test. Only a block that Cholesky
-    leaves undecided, such as one that holds a counterexample, also takes a
-    batched eigensolve; the verdicts are those of the eigensolve alone.
+    a block. A basis block's outputs are columns of the superoperator, which
+    go through the whole PSD kernel. The other blocks' hermitian parts, and
+    their hermiticity gaps where these could fail, come from one real matrix
+    product each, against the coordinate matrix built when the Fourier
+    block first needs it and released before the last block's PSD test.
+    Only a block that Cholesky leaves undecided, such as one that holds a
+    counterexample, also takes a batched eigensolve; the verdicts are those
+    of the eigensolve alone.
     """
     if is_completely_positive(c, tol):
         return PositivityVerdict("certified_cp", 0)
@@ -556,16 +619,14 @@ def is_positive_sampled(
     checked, w = 0, None
     for psis, raw in _candidate_blocks(d, tol.sample_count, rng, _block_size(d)):
         end = checked + len(psis)
-        if end <= d:  # basis states
-            out = _basis_outputs(c.super, checked, end)
+        if end <= d:  # basis states, finite as the superoperator is
+            bad = ~_psd_flags(_basis_outputs(c.super, checked, end), tol)
         else:
-            w = _coordinate_matrix(c.super) if w is None else w
-            out = _pure_outputs(w, psis)
+            w = _coordinate_matrix(c.super, tol.residual_tol) if w is None else w
+            parts = _pure_parts(w, psis)
             if end == 2 * d + tol.sample_count:
                 w = None  # released before the last block's PSD test
-        # the per-matrix checks of is_hermitian and min_eigenvalue, run once per block
-        _require_finite(out)
-        bad = ~_psd_flags(out, tol)
+            bad = ~_psd_tail(*parts, tol)
         if bad.any():
             i = int(np.argmax(bad))
             # a random witness is normalized as a single vector, as drawn

@@ -137,24 +137,27 @@ def wp(c: QuantumProgram, f: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> P
 
 def _transform(c: QuantumProgram, f: Predicate, tol: ToleranceConfig) -> Predicate:
     """wp(c, f) for a predicate f already validated at c's dim."""
-    conj = c.super.conj()  # once, for the trace-preservation test and the pull-back
-    if float(_unital_gaps(conj)) > tol.residual_tol:
+    if float(_unital_gaps(c.super)) > tol.residual_tol:
         raise NotTracePreservingError(f"program {c.label!r} is not trace preserving")
-    effects = _pull_back(conj, f.effects)
+    effects = _pull_back(c.super, f.effects)
     # a finite superoperator that passes the unital test can still overflow
     _require_finite(effects)
     return Predicate._from_stack(f.space, effects)
 
 
-def _pull_back(conjs: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """wp's effects, C-ordered, for the conjugates (..., d², d²) of superoperators and effects (..., k, d, d).
+def _pull_back(supers: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """wp's effects, C-ordered, for superoperators (..., d², d²) and effects (..., k, d, d).
 
-    The adjoint acts as the view ``conjs.swapaxes(-1, -2)``, the layout
-    :func:`adjoint` stores: a C-ordered copy would change the rounding. The
-    view is stored by columns, so :func:`_act` multiplies it in one product,
-    not by row blocks, which ran slower on it and rounded differently.
+    The adjoint acts as conj(Sᵀ conj(F)), with Sᵀ the view ``supers.swapaxes(-1, -2)``, so S is
+    never copied. Each product term is the adjoint's conj(S)ᵀ F term negated in its imaginary
+    part only, so these are the bits of :func:`adjoint`'s superoperator acting on F, once every
+    zero is +0.0 again as a product writes it. A C-ordered copy of the view would change the
+    rounding. The view is stored by columns, so :func:`_act` multiplies it in one product, not
+    by row blocks, which ran slower on it and rounded differently.
     """
-    return np.ascontiguousarray(_act(conjs.swapaxes(-1, -2)[..., None, :, :], effects))
+    g = np.conjugate(_act(supers.swapaxes(-1, -2)[..., None, :, :], effects.conj()), order="C")
+    g += 0.0  # the conjugate turns a +0.0 imaginary part into -0.0
+    return g
 
 
 def _duality_gaps(g: np.ndarray, f: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:

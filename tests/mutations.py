@@ -71,6 +71,13 @@ MUTANTS = [
         '+= (tol.eig_tol + delta)[:, None]',
         (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
     ),
+    # and its eigensolve reads the unshifted diagonal
+    Mutant(
+        "linalg.py",
+        "        diag[...] = saved\n",
+        "",
+        (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
+    ),
     # a single matrix is first probed on its leading n/16 and n/4 rows, before its preamble
     Mutant(
         "linalg.py",
@@ -116,8 +123,15 @@ MUTANTS = [
     # the adjoint stays a transposed view, the layout BLAS reads it in
     Mutant(
         "wp.py",
-        "_act(conjs.swapaxes(-1, -2)[..., None, :, :], effects)",
-        "_act(np.ascontiguousarray(conjs.swapaxes(-1, -2))[..., None, :, :], effects)",
+        "_act(supers.swapaxes(-1, -2)[..., None, :, :], effects.conj())",
+        "_act(np.ascontiguousarray(supers.swapaxes(-1, -2))[..., None, :, :], effects.conj())",
+        (f"{KERNELS}::TestWpOracle",),
+    ),
+    # the conjugated product's zeros are +0.0, as the adjoint program's product writes them
+    Mutant(
+        "wp.py",
+        "    g += 0.0  # the conjugate turns a +0.0 imaginary part into -0.0\n",
+        "",
         (f"{KERNELS}::TestWpOracle",),
     ),
     # a one-row tail joins the row block before it
@@ -163,6 +177,20 @@ MUTANTS = [
         "step = math.isqrt(s.shape[0]) + 1",
         "step = math.isqrt(s.shape[0])",
         (f"{KERNELS}::TestPositivityOracle::test_basis_outputs_are_columns_of_the_superoperator",),
+    ),
+    # its coordinate matrix takes the difference of each output pair above the diagonal
+    Mutant(
+        "programs.py",
+        "z[p + 1:] -= 0.25 * t[p, p + 1:]",
+        "z[p + 1:] += 0.25 * t[p, p + 1:]",
+        (f"{KERNELS}::TestPositivityOracle::test_stacked_outputs_match_apply_matrix",),
+    ),
+    # it keeps the anti-hermitian rows where their gaps could fail
+    Mutant(
+        "programs.py",
+        "if _defect_bound(n, float(_pair_moduli(row_norms).max())) <= residual_tol:",
+        "if True:",
+        (f"{KERNELS}::TestPositivityOracle::test_the_anti_hermitian_rows_refute_a_map_that_breaks_hermiticity_off_the_basis",),
     ),
     # its coordinate matrix is released before the last block's PSD test
     Mutant(

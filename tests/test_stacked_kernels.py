@@ -453,6 +453,13 @@ def breaks_hermiticity(dim):
     return from_super(np.eye(dim * dim) + 0.1j * np.outer(vec(swap), vec(np.outer(e0, e0))))
 
 
+def off_basis_skew(dim, t):
+    """rho -> rhoᵀ + it(rho_01 + rho_10)(|0><1| + |1><0|): positive and not CP, with rhoᵀ its
+    hermitian part; the anti-hermitian part vanishes on every basis state."""
+    swap = vec(np.outer(np.eye(dim)[0], np.eye(dim)[1]) + np.outer(np.eye(dim)[1], np.eye(dim)[0]))
+    return from_super(transpose_program(dim).super + 1j * t * np.outer(swap, swap))
+
+
 def population_pump(dim, a):
     """rho -> rho + a rho_11 (|0><0| - |1><1|): positive on e_0, negative on e_1 for a > 1."""
     p0, p1 = vec(np.diag(np.eye(dim)[0])), vec(np.diag(np.eye(dim)[1]))
@@ -819,7 +826,17 @@ class TestPositivityOracle:
         assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=4 * d * np.finfo(float).eps)
 
     def test_no_stack_exceeds_the_cap(self, monkeypatch):
-        shapes = record_shapes(monkeypatch, qwp_programs, "_psd_flags")
+        # the shapes of the hermitian parts at the shared tail, which the basis block
+        # reaches through _psd_flags and the product blocks directly
+        shapes = []
+        tail = qwp_linalg._psd_tail
+
+        def recording(gaps, h, *args):
+            shapes.append(h.shape)
+            return tail(gaps, h, *args)
+
+        monkeypatch.setattr(qwp_linalg, "_psd_tail", recording)
+        monkeypatch.setattr(qwp_programs, "_psd_tail", recording)
         is_positive_sampled(sample_program("transpose", 32, 0), seed=4)
         # the leading blocks of the Choi matrix refute it, so no (1, 1024, 1024) stack is
         # tested; then the basis, Fourier and 1000 random states in blocks of at most 1024
@@ -845,20 +862,60 @@ class TestPositivityOracle:
         for k, out in enumerate(np.concatenate(blocks[0:3])):
             assert np.array_equal(out, apply_matrix(c, np.diag(np.eye(5)[k])))
 
+    @pytest.mark.parametrize("residual_tol", [DEFAULT_TOL.residual_tol, 0.0])
     @pytest.mark.parametrize("kind", KINDS + ("breaks_hermiticity",))
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
-    def test_stacked_outputs_match_apply_matrix(self, kind, dim):
+    def test_stacked_outputs_match_apply_matrix(self, kind, dim, residual_tol):
         c = breaks_hermiticity(dim) if kind == "breaks_hermiticity" else sample_program(kind, dim, 67)
         z = np.random.default_rng(dim).standard_normal((20, 2, dim))
         raw = z[:, 0] + 1j * z[:, 1]
         normalized = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         psis = np.concatenate([np.eye(dim), qwp_programs._fourier_basis(dim).T, normalized])
-        out = qwp_programs._pure_outputs(qwp_programs._coordinate_matrix(c.super), psis)
+        w = qwp_programs._coordinate_matrix(c.super, residual_tol)
+        gaps, h, diagonals, sq_norms = qwp_programs._pure_parts(w, psis)
+        # the rows of the anti-hermitian part are dropped only where their gaps cannot fail
+        if kind == "breaks_hermiticity":
+            assert len(w) == 2 * dim * dim
+        elif residual_tol > 0 or kind == "transpose":
+            # a map that preserves hermiticity has rounding noise in those rows, or nothing
+            assert len(w) == dim * dim
         # one GEMM sums in another order than one matrix-vector product
         bound = 4 * dim * dim * np.finfo(float).eps * np.abs(c.super).max()
-        for psi, got in zip(psis, out):
+        for psi, gap, got, diagonal, sq_norm in zip(psis, gaps, h, diagonals, sq_norms):
             want = apply_matrix(c, np.outer(psi, psi.conj()))
-            assert np.abs(got - want).max() <= bound
+            want_h = qwp_linalg._hermitian_part(want)
+            # only the lower triangle of h is written, with a real diagonal
+            assert np.abs(lower_triangle(got) - lower_triangle(want_h)).max() <= bound
+            assert not np.diagonal(got).imag.any()
+            assert abs(gap - qwp_linalg._hermiticity_gaps(want)) <= bound
+            # the band's inputs are h's own
+            assert np.array_equal(diagonal, np.diagonal(got).real)
+            assert sq_norm == pytest.approx(np.sum(np.abs(want_h) ** 2), rel=1e-12, abs=bound)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_the_anti_hermitian_rows_refute_a_map_that_breaks_hermiticity_off_the_basis(self, dim):
+        # the basis outputs are hermitian and PSD, and every other output's hermitian part is PSD
+        c = off_basis_skew(dim, 0.1)
+        tol = ToleranceConfig(sample_count=50)
+        assert len(qwp_programs._coordinate_matrix(c.super, tol.residual_tol)) == 2 * dim * dim
+        got = is_positive_sampled(c, tol, seed=2)
+        assert_same_verdict(got, is_positive_sampled_oracle(c, tol, seed=2))
+        assert got.status == "counterexample" and got.samples == dim + 1
+        assert np.array_equal(got.witness, qwp_programs._fourier_basis(dim)[:, 0])
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_a_defect_within_residual_tol_drops_the_rows_unless_residual_tol_is_zero(self, dim):
+        c = off_basis_skew(dim, 1e-12)
+        for tol, rows, status, samples in [
+            # the defect bound, about 2.8e-12, passes residual_tol: no gap is computed, and none fails
+            (ToleranceConfig(sample_count=50), dim * dim, "no_counterexample", 2 * dim + 50),
+            # at residual_tol = 0 only a map whose anti-hermitian rows are all zero drops them
+            (ToleranceConfig(residual_tol=0.0, sample_count=50), 2 * dim * dim, "counterexample", dim + 1),
+        ]:
+            assert len(qwp_programs._coordinate_matrix(c.super, tol.residual_tol)) == rows
+            got = is_positive_sampled(c, tol, seed=3)
+            assert_same_verdict(got, is_positive_sampled_oracle(c, tol, seed=3))
+            assert (got.status, got.samples) == (status, samples)
 
     @pytest.mark.parametrize(
         "corner, sign, overflows", [(1.0, 1.0, False), (1.0, -1.0, False), (1.7e308, 1.0, True), (1.7e308, -1.0, False)]
@@ -1415,11 +1472,12 @@ class TestPsdKernel:
         finally:
             tracemalloc.stop()
         assert (got.status, got.samples) == ("no_counterexample", 2 * 32 + 1000)
-        # at its widest the audit holds the last block's outputs, their
-        # hermitian part and its Cholesky factor, 16 MiB each; the 16 MiB
-        # coordinate matrix is released before that block's PSD test, and
-        # the block's real coordinates (8 MiB) before it too
-        assert peak <= 49.4 * (1 << 20)
+        # at its widest the audit holds 32 MiB: the last block's 16 MiB hermitian
+        # part, with either the coordinate matrix (8 MiB, the hermitian part's rows
+        # alone) and the block's product it is written from (8 MiB), or its 16 MiB
+        # Cholesky factor; the coordinate matrix is released before that block's
+        # PSD test, and the block's real coordinates before its hermitian part
+        assert peak <= 33.8 * (1 << 20)
 
 
 def leading_cholesky_succeeds(a, m, shift):
@@ -1770,14 +1828,17 @@ PEAK_BOUNDS_MIB = {
     "from_super": 17.1,
     "adjoint": 17.1,
     "from_choi": 17.1,
-    "wp": 16.1,
+    "wp": 0.3,
     "seq": 17.1,
     "measure_branch": 18.1,
-    # the Choi matrix and its hermitian part; a refuted map copies only its corner
+    # the Choi matrix and its hermitian part; a refuted map copies only its corner,
+    # also from a superoperator stored by columns
     "is_completely_positive cptp": 34.6,
     "is_completely_positive transpose_mix": 2.6,
+    "is_completely_positive adjoint transpose_mix": 2.6,
     "is_positive_sampled cptp": 34.6,
-    "is_positive_sampled transpose_mix": 49.4,
+    # a block's hermitian part and its Cholesky factor, or the coordinate matrix and product it came from
+    "is_positive_sampled transpose_mix": 33.8,
 }
 
 
@@ -1786,6 +1847,7 @@ def peak_calls():
     """Each call of PEAK_BOUNDS_MIB, on d = 32 inputs built beforehand."""
     d = 32
     cptp, mixture = low_rank_program(d, 4, 241), sample_program("transpose_mix", d, 4)
+    dual = adjoint(mixture)
     s, j = cptp.super.copy(), to_choi(cptp)
     f = random_predicate(np.random.default_rng(241), d)
     upper = np.diag((np.arange(d) < d // 2).astype(float))
@@ -1798,6 +1860,7 @@ def peak_calls():
         "measure_branch": lambda: measure_branch([upper, np.eye(d) - upper], [cptp, mixture]),
         "is_completely_positive cptp": lambda: is_completely_positive(cptp),
         "is_completely_positive transpose_mix": lambda: is_completely_positive(mixture),
+        "is_completely_positive adjoint transpose_mix": lambda: is_completely_positive(dual),
         "is_positive_sampled cptp": lambda: is_positive_sampled(cptp, seed=3),
         "is_positive_sampled transpose_mix": lambda: is_positive_sampled(mixture, seed=3),
     }
