@@ -274,7 +274,8 @@ def _cholesky_succeeds(m: np.ndarray) -> bool:
 
 def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
     """True when a pivoted partial Cholesky factor L̂ proves the hermitian matrix h (n, n) PSD
-    (derivation above); False leaves h undecided. Only the lower triangle of h is read.
+    (derivation above); False leaves h undecided. Only the lower triangle of h, and the
+    diagonal blocks of the preamble's strips, are read.
 
     Each step factors the column of the largest remaining Schur diagonal, reading it
     from the lower triangle, until no Schur diagonal is above t − δ; a matrix that
@@ -313,47 +314,46 @@ def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
     return True
 
 
-def _psd_preamble(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermiticity gaps (k,) and hermitian part h (k, n, n) of a finite stack (k, n, n).
+def _psd_preamble(a: np.ndarray) -> float:
+    """Hermiticity gap of a finite matrix a (n, n), a private copy over which the hermitian part h is written.
 
-    One loop over groups of matrices, each matrix in row strips over its
-    lower triangle, strip [s, e) covering columns [0, e), so that a block's
-    conjugate transpose, gap and half-sums fit ROW_BLOCK_BYTES and stay in
-    cache; the transpose is read in square tiles of the strip's side, each of
-    which stays in cache too. h is the only full-size array. A matrix of
-    n ≤ 256 is one strip and is written whole. A wider one leaves the rest
-    of its strict upper triangle unwritten: Cholesky reads only the lower
-    triangle, |a - aᴴ| takes the same value at (i, j) and (j, i), and h is
-    exactly hermitian. Blocks go through _hermiticity_gaps and
-    _hermitian_part, so the gaps and the written entries of h keep their
-    bits.
+    Row strips over the lower triangle, strip [s, e) covering columns
+    [0, e), so that a strip's conjugate transpose, gap and half-sums fit
+    ROW_BLOCK_BYTES and stay in cache. The transpose is gathered into one
+    buffer in square tiles of the strip's side, from columns [s, e) of rows
+    [0, e), which no earlier strip has written, and each strip's gap is
+    taken before h is written over it. A matrix of n ≤ 256 is one strip and
+    becomes h whole. A wider one keeps a's entries in the rest of its strict
+    upper triangle: Cholesky reads only the lower triangle, |a - aᴴ| takes
+    the same value at (i, j) and (j, i), and h is exactly hermitian. Strips
+    go through _hermiticity_gaps and _hermitian_part, so the gap and the
+    written entries of h keep the bits of full-size passes.
     """
-    k, n = a.shape[:2]
-    h = np.empty(a.shape, dtype=np.complex128)
-    gaps = np.zeros(k)
-    # the stack read as k rows of n² entries, each matrix as n rows of n
-    group, rows = _row_block_size(n * n), _row_block_size(n)
-    for i in range(0, k, group):
-        g = slice(i, i + group)
-        for s in range(0, n, rows):
-            e = s + rows
-            strip = h[g, s:e, :e]
-            for t in range(0, e, rows):
-                np.conjugate(a[g, t:t + rows, s:e].swapaxes(-1, -2), out=strip[..., t:t + rows])
-            gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, :e], strip))
-            _hermitian_part(a[g, s:e, :e], strip)
-    return gaps, h
+    n = a.shape[0]
+    rows = _row_block_size(n)
+    buffer = np.empty((min(rows, n), n), dtype=np.complex128)
+    gap = 0.0
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        strip = buffer[:e - s, :e]
+        for t in range(0, e, rows):
+            np.conjugate(a[t:t + rows, s:e].T, out=strip[:, t:t + rows])
+        gap = max(gap, _hermiticity_gaps(a[s:e, :e], strip))
+        # h is (aᴴ + a) / 2 written into a's strip; the terms commute, so it has the bits of (a + aᴴ) / 2
+        _hermitian_part(strip, a[s:e, :e])
+    return gap
 
 
 def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Whether each matrix of a finite stack (k, n, n) is hermitian within residual_tol with eigenvalues ≥ -eig_tol.
 
-    The verdict of a hermiticity gap and an eigvalsh of each matrix: the
-    preamble's gaps and hermitian parts, decided by :func:`_psd_tail` with
-    the band read off a.
+    The verdict of a hermiticity gap and an eigvalsh of each matrix: the gaps
+    and hermitian parts of full-size passes over one conjugate transpose,
+    decided by :func:`_psd_tail` with the band read off a.
     """
-    gaps, h = _psd_preamble(a)
-    return _psd_tail(gaps, h, a.diagonal(axis1=-2, axis2=-1), _squared_norms(a), tol)
+    ah = np.conjugate(a.swapaxes(-1, -2), order="C")
+    gaps = _hermiticity_gaps(a, ah)  # before _hermitian_part overwrites ah
+    return _psd_tail(gaps, _hermitian_part(a, ah), a.diagonal(axis1=-2, axis2=-1), _squared_norms(a), tol)
 
 
 def _psd_tail(gaps: np.ndarray, h: np.ndarray, diagonals: np.ndarray, sq_norms: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -386,7 +386,8 @@ def _psd_verdict(square, diagonal: np.ndarray, entries: np.ndarray, full, tol: T
 
     diagonal holds a's diagonal entries and entries all of a's entries, each in
     any order and shape. square() returns a's leading n/4 square, the probe's
-    input, and full() returns a, only when the probe has not refuted it.
+    input, and full() a private copy of a, only when the probe has not
+    refuted it. The preamble writes h over that copy, the one full-size array.
     """
     n, eig_tol = diagonal.size, tol.eig_tol
     flat = entries.ravel("K")  # a view for either contiguous order
@@ -397,23 +398,21 @@ def _psd_verdict(square, diagonal: np.ndarray, entries: np.ndarray, full, tol: T
         if any(m and not _cholesky_succeeds(probe[:, :m, :m]) for m in (n // 16, n // 4)):
             return False
         del probe  # before any full-size array
-    a = full()
-    gaps, h = _psd_preamble(a[None])
-    if gaps[0] > tol.residual_tol:
+    h = full()
+    if _psd_preamble(h) > tol.residual_tol:
         return False
     if delta < eig_tol:
-        if _low_rank_certificate(h[0], delta, eig_tol):
+        if _low_rank_certificate(h, delta, eig_tol):
             return True
-        diag = np.einsum("...ii->...i", h)
-        below, above = diag + (eig_tol - delta), diag + (eig_tol + delta)
-        diag[...] = below
-        if _cholesky_succeeds(h):
-            return True
-        diag[...] = above
-        if not _cholesky_succeeds(h):
-            return False
-    del h  # before the eigensolve, which builds its own full hermitian part
-    return bool(_eigvalsh(a)[0] >= -eig_tol)
+        diag = np.einsum("ii->i", h)
+        saved = diag.copy()
+        # success proves PSD only below the band, failure refutes only above it
+        for shift, proves in ((eig_tol - delta, True), (eig_tol + delta, False)):
+            diag[...] = saved + shift
+            if _cholesky_succeeds(h[None]) is proves:
+                return proves
+        diag[...] = saved
+    return bool(_lower_eigvalsh(h)[0] >= -eig_tol)
 
 
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -424,7 +423,7 @@ def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     gives the same verdict (see the derivation of δ above).
     """
     a = as_complex_matrix(a)
-    return _psd_verdict(lambda: a[:len(a) // 4, :len(a) // 4], a.diagonal(), a, lambda: a, tol)
+    return _psd_verdict(lambda: a[:len(a) // 4, :len(a) // 4], a.diagonal(), a, a.copy, tol)
 
 
 def min_eigenvalue(a) -> float:

@@ -427,7 +427,7 @@ def _choi_corner(s: np.ndarray, m: int) -> np.ndarray:
 
 def to_choi(c: QuantumProgram) -> np.ndarray:
     """Choi matrix J(C) = sum_ij C(|i><j|) ⊗ |i><j|, a copy of the view :func:`_choi_view`."""
-    return _choi_view(c.super).reshape(c.dim * c.dim, c.dim * c.dim)
+    return _choi_view(c.super).copy().reshape(c.dim * c.dim, c.dim * c.dim)
 
 
 def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

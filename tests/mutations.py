@@ -46,22 +46,33 @@ MUTANTS = [
     # its preamble's strips cover columns [0, e), not only their diagonal block [s, e)
     Mutant(
         "linalg.py",
-        """            strip = h[g, s:e, :e]
-            for t in range(0, e, rows):
-                np.conjugate(a[g, t:t + rows, s:e].swapaxes(-1, -2), out=strip[..., t:t + rows])
-            gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, :e], strip))
-            _hermitian_part(a[g, s:e, :e], strip)""",
-        """            strip = h[g, s:e, s:e]
-            np.conjugate(a[g, s:e, s:e].swapaxes(-1, -2), out=strip)
-            gaps[g] = np.maximum(gaps[g], _hermiticity_gaps(a[g, s:e, s:e], strip))
-            _hermitian_part(a[g, s:e, s:e], strip)""",
+        """        strip = buffer[:e - s, :e]
+        for t in range(0, e, rows):
+            np.conjugate(a[t:t + rows, s:e].T, out=strip[:, t:t + rows])
+        gap = max(gap, _hermiticity_gaps(a[s:e, :e], strip))
+        # h is (aᴴ + a) / 2 written into a's strip; the terms commute, so it has the bits of (a + aᴴ) / 2
+        _hermitian_part(strip, a[s:e, :e])""",
+        """        strip = buffer[:e - s, s:e]
+        np.conjugate(a[s:e, s:e].T, out=strip)
+        gap = max(gap, _hermiticity_gaps(a[s:e, s:e], strip))
+        _hermitian_part(strip, a[s:e, s:e])""",
         (f"{KERNELS}::TestPsdPreamble::test_single_matrices_in_strips",),
+    ),
+    # and take each strip's gap before h is written over it
+    Mutant(
+        "linalg.py",
+        """        gap = max(gap, _hermiticity_gaps(a[s:e, :e], strip))
+        # h is (aᴴ + a) / 2 written into a's strip; the terms commute, so it has the bits of (a + aᴴ) / 2
+        _hermitian_part(strip, a[s:e, :e])""",
+        """        _hermitian_part(strip, a[s:e, :e])
+        gap = max(gap, _hermiticity_gaps(a[s:e, :e], strip))""",
+        (f"{KERNELS}::TestPsdPreamble::test_a_gap_only_in_the_upper_triangle_of_the_last_strip",),
     ),
     # the Cholesky verdicts: success proves PSD only below the band, failure refutes only above it
     Mutant(
         "linalg.py",
-        "below, above = diag + (eig_tol - delta), diag + (eig_tol + delta)",
-        "below, above = diag + (eig_tol + delta), diag + (eig_tol - delta)",
+        "for shift, proves in ((eig_tol - delta, True), (eig_tol + delta, False)):",
+        "for shift, proves in ((eig_tol + delta, True), (eig_tol - delta, False)):",
         (f"{KERNELS}::TestPsdOracle::test_shifted_to_the_band_edges",),
     ),
     # a stack is proved PSD only below the band too
@@ -74,9 +85,16 @@ MUTANTS = [
     # and its eigensolve reads the unshifted diagonal
     Mutant(
         "linalg.py",
-        "        diag[...] = saved\n",
-        "",
+        "            return flags\n        diag[...] = saved\n",
+        "            return flags\n",
         (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
+    ),
+    # so does a single matrix's, which reads h in place
+    Mutant(
+        "linalg.py",
+        "                return proves\n        diag[...] = saved\n",
+        "                return proves\n",
+        (f"{KERNELS}::TestPsdPreamble::test_is_psd_leaves_its_input_untouched",),
     ),
     # a single matrix is first probed on its leading n/16 and n/4 rows, before its preamble
     Mutant(
@@ -95,7 +113,7 @@ MUTANTS = [
     # a single low-rank matrix is decided by the certificate, with no full factorization
     Mutant(
         "linalg.py",
-        "        if _low_rank_certificate(h[0], delta, eig_tol):",
+        "        if _low_rank_certificate(h, delta, eig_tol):",
         "        if False:",
         (f"{KERNELS}::TestLowRankCertificate::test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes",),
     ),

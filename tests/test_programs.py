@@ -444,6 +444,15 @@ class TestPermutationsMatchLoops:
         assert s.tobytes() == from_choi_loop(j).tobytes()
         assert s.flags.c_contiguous and not np.may_share_memory(s, j)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_to_choi_returns_a_private_copy(self, dim):
+        # at d = 1 the Choi view needs no copy to reshape, so it must be copied all the same
+        for c in (transpose_program(dim), adjoint(transpose_program(dim))):
+            j = to_choi(c)
+            assert j.flags.writeable and j.flags.c_contiguous
+            assert not np.shares_memory(j, c.super)
+            assert np.array_equal(j, to_choi_loop(c))
+
     def test_from_choi_peak_at_dim_32(self):
         j = to_choi(sample_program("cptp", 32, 4))
         from_choi(j)

@@ -1586,51 +1586,49 @@ def lower_triangle(a):
 
 
 def preamble_oracle(a):
-    """Gaps and hermitian part of a stack (k, n, n), each from one full-size pass."""
+    """Gap and hermitian part of a matrix, or of each of a stack, from one full-size pass."""
     ah = a.conj().swapaxes(-1, -2)
     return qwp_linalg._hermiticity_gaps(a, ah), qwp_linalg._hermitian_part(a, ah.copy())
 
 
+def preamble_written(n):
+    """The entries of an n×n matrix that the preamble writes h over: in each row, the columns left of its strip's end."""
+    rows = qwp_linalg._row_block_size(n)
+    ends = np.minimum((np.arange(n) // rows + 1) * rows, n)
+    return np.arange(n)[None, :] < ends[:, None]
+
+
 class TestPsdPreamble:
-    """The PSD kernel's gaps and hermitian part, built in blocks that stay in cache."""
+    """The PSD kernel's gap and hermitian part, written over a private copy in strips that stay in cache."""
 
     def assert_preamble_bits(self, a):
-        gaps, h = qwp_linalg._psd_preamble(a)
-        want_gaps, want_h = preamble_oracle(a)
-        assert_same_bits(gaps, want_gaps)
-        n = a.shape[-1]
-        if n <= qwp_linalg._row_block_size(n):
-            # a matrix of one strip is written whole
-            assert_same_bits(h, want_h)
-        else:
-            # a wider one is built over its lower triangle only
-            assert_same_bits(lower_triangle(h), lower_triangle(want_h))
+        h = a.copy()
+        gap = qwp_linalg._psd_preamble(h)
+        want_gap, want_h = preamble_oracle(a)
+        assert_same_bits(gap, want_gap)
+        # h's lower triangle, and each strip's diagonal block whole, have the bits of the full-size pass;
+        # a matrix of one strip is written whole, and a wider one keeps a's entries in the rest of its upper triangle
+        written = preamble_written(len(a))
+        assert written[np.tri(len(a), dtype=bool)].all()
+        assert_same_bits(h[written], want_h[written])
+        assert_same_bits(h[~written], a[~written])
 
     @pytest.mark.parametrize("dim", [17, 24, 32])
     def test_single_matrices_in_strips(self, dim):
         # 226-row strips leave a 63-row tail at d = 17; 64-row strips divide d = 32
         rng = np.random.default_rng([dim, 151])
         for a in (to_choi(sample_program("transpose_mix", dim, 5)), gaussian_super(rng, dim)):
-            self.assert_preamble_bits(a[None])
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n", [5, 32, 100])
-    def test_stacks_whose_count_no_group_divides(self, n, order):
-        k = 2 * qwp_linalg._row_block_size(n * n) + 3
-        rng = np.random.default_rng([n, 157])
-        a = np.asarray(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)), order=order)
-        a[1] = a[1] + a[1].conj().T
-        self.assert_preamble_bits(a)
+            self.assert_preamble_bits(a)
 
     def test_a_gap_only_in_the_upper_triangle_of_the_last_strip(self):
         n = 17 * 17
         rows = qwp_linalg._row_block_size(n)
         last = (n - 1) // rows * rows
         a = to_choi(sample_program("cptp", 17, 8))
-        assert qwp_linalg._psd_preamble(a[None])[0][0] <= DEFAULT_TOL.residual_tol
+        assert qwp_linalg._psd_preamble(a.copy()) <= DEFAULT_TOL.residual_tol
         a[last, n - 1] += 1e-6
-        self.assert_preamble_bits(a[None])
-        assert qwp_linalg._psd_preamble(a[None])[0][0] > DEFAULT_TOL.residual_tol
+        self.assert_preamble_bits(a)
+        assert qwp_linalg._psd_preamble(a.copy()) > DEFAULT_TOL.residual_tol
         assert is_psd(a) is False
 
     def test_entries_near_the_float_limit(self):
@@ -1638,35 +1636,37 @@ class TestPsdPreamble:
         for n in (3, 300):
             z = np.sign(rng.standard_normal((2, n, n)))
             a = 1.7e308 * (z[0] + 1j * z[1])
-            self.assert_preamble_bits(a[None])
-            # an overflowing gap reads inf, without a warning
-            with np.errstate(all="raise"):
-                gaps, h = qwp_linalg._psd_preamble(a[None])
-            assert np.isfinite(lower_triangle(h)).all()
-            assert gaps[0] == np.inf
-
-    def test_signed_zeros(self):
-        rng = np.random.default_rng(167)
-        for shape in ((1, 300, 300), (9, 6, 6)):
-            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            a.real[rng.random(shape) < 0.4] = 0.0
-            a.imag[rng.random(shape) < 0.4] = -0.0
-            a.real[rng.random(shape) < 0.2] *= -1.0
-            a.imag[rng.random(shape) < 0.2] *= -1.0
             self.assert_preamble_bits(a)
+            # an overflowing gap reads inf, without a warning
+            h = a.copy()
+            with np.errstate(all="raise"):
+                gap = qwp_linalg._psd_preamble(h)
+            assert np.isfinite(lower_triangle(h)).all()
+            assert gap == np.inf
+
+    @pytest.mark.parametrize("n", [6, 300])
+    def test_signed_zeros(self, n):
+        rng = np.random.default_rng([n, 167])
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a.real[rng.random((n, n)) < 0.4] = 0.0
+        a.imag[rng.random((n, n)) < 0.4] = -0.0
+        a.real[rng.random((n, n)) < 0.2] *= -1.0
+        a.imag[rng.random((n, n)) < 0.2] *= -1.0
+        self.assert_preamble_bits(a)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_a_stack_wider_than_one_strip(self, order):
-        # 218-row strips, and groups of two matrices that leave a one-matrix tail
+        # 218-row strips
         n = 300
-        assert (qwp_linalg._row_block_size(n), qwp_linalg._row_block_size(n * n)) == (218, 2)
+        assert qwp_linalg._row_block_size(n) == 218
         rng = np.random.default_rng(179)
         g = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
         psd = g @ g.conj().swapaxes(-1, -2) / n
         a = np.asarray([psd[0], psd[1], psd[2] - 2.0 * np.eye(n)], order=order)
         # the second matrix is non-hermitian only in its strict upper triangle
         a[1, 0, n - 1] += 1e-6
-        self.assert_preamble_bits(a)
+        for m in a:
+            self.assert_preamble_bits(m)
         flags = qwp_linalg._psd_flags(a, DEFAULT_TOL)
         assert flags.tolist() == [is_psd_oracle(m) for m in a] == [True, False, False]
 
@@ -1686,16 +1686,44 @@ class TestPsdPreamble:
             c = sample_program(kind, dim, seed)
             assert is_completely_positive(c) is is_psd_oracle(to_choi(c))
 
-    def test_the_cp_check_peak_stays_under_40_mib(self):
-        c = sample_program("transpose_mix", 32, 4)
+    @pytest.mark.parametrize("k", [-2.0, -0.5, 0.5, 2.0])
+    def test_is_psd_leaves_its_input_untouched(self, k, monkeypatch):
+        # two strips; a full-rank matrix, which the certificate leaves to the full factorizations
+        n = 300
+        g = np.random.default_rng(181).standard_normal((2, n, n))
+        a = at_band_offset((g[0] + 1j * g[1]) @ (g[0] - 1j * g[1]).T / n, k, DEFAULT_TOL)
+        before = a.copy()
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        got = is_psd(a)
+        # inside the band the eigensolve reads h in place, its diagonal restored
+        assert calls == (["eigvalsh"] if abs(k) < 1 else [])
+        monkeypatch.undo()
+        assert_same_bits(a, before)
+        assert got == is_psd_oracle(a) == (k > 0)
+
+    def test_the_preamble_allocates_no_full_size_array(self):
+        h = to_choi(sample_program("cptp", 32, 4))
+        qwp_linalg._psd_preamble(h.copy())
         tracemalloc.start()
         try:
-            assert is_completely_positive(c) is False
+            qwp_linalg._psd_preamble(h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 16 MiB Choi matrix and its 16 MiB hermitian part, plus one strip's temporaries
-        assert peak <= 40 << 20
+        # the 1 MiB strip buffer and one strip's temporaries, against 16 MiB for the matrix
+        assert peak <= 3 << 20
+
+    def test_the_cp_check_peak_holds_one_full_size_array(self):
+        c = low_rank_program(32, 40, 241)
+        tracemalloc.start()
+        try:
+            assert is_completely_positive(c) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 16 MiB Choi copy with h written over it, and the 16 MiB factor of the full Cholesky
+        # factorization that a rank above d needs
+        assert peak <= 32.1 * (1 << 20)
 
 
 class TestBand:
@@ -1748,7 +1776,7 @@ def low_rank_program(dim, rank, seed, rows=None):
 class TestLowRankCertificate:
     """A pivoted partial Cholesky with a small residual proves a single matrix PSD, after the leading probes."""
 
-    def test_a_cp_map_check_peak_stays_under_40_mib(self):
+    def test_a_cp_map_check_peak_at_dim_32(self):
         c = sample_program("cptp", 32, 4)
         is_completely_positive(c)
         tracemalloc.start()
@@ -1757,8 +1785,9 @@ class TestLowRankCertificate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the Choi matrix and its hermitian part, and no full Cholesky factor
-        assert peak <= 40 << 20
+        # the 16 MiB Choi copy with h written over it, the factor's d rows and one strip of the residual;
+        # no full Cholesky factor
+        assert peak <= 19.0 * (1 << 20)
 
     @pytest.mark.parametrize("dim", [8, 17, 24])
     @pytest.mark.parametrize("rank", ["1", "4", "d", "d+1"])
@@ -1831,12 +1860,13 @@ PEAK_BOUNDS_MIB = {
     "wp": 0.3,
     "seq": 17.1,
     "measure_branch": 18.1,
-    # the Choi matrix and its hermitian part; a refuted map copies only its corner,
-    # also from a superoperator stored by columns
-    "is_completely_positive cptp": 34.6,
+    # the Choi copy with h written over it; a rank above d adds the full Cholesky factor;
+    # a refuted map copies only its corner, also from a superoperator stored by columns
+    "is_completely_positive cptp": 18.6,
+    "is_completely_positive rank-40": 32.1,
     "is_completely_positive transpose_mix": 2.6,
     "is_completely_positive adjoint transpose_mix": 2.6,
-    "is_positive_sampled cptp": 34.6,
+    "is_positive_sampled cptp": 18.6,
     # a block's hermitian part and its Cholesky factor, or the coordinate matrix and product it came from
     "is_positive_sampled transpose_mix": 33.8,
 }
@@ -1847,6 +1877,7 @@ def peak_calls():
     """Each call of PEAK_BOUNDS_MIB, on d = 32 inputs built beforehand."""
     d = 32
     cptp, mixture = low_rank_program(d, 4, 241), sample_program("transpose_mix", d, 4)
+    rank_40 = low_rank_program(d, 40, 241)
     dual = adjoint(mixture)
     s, j = cptp.super.copy(), to_choi(cptp)
     f = random_predicate(np.random.default_rng(241), d)
@@ -1859,6 +1890,7 @@ def peak_calls():
         "seq": lambda: seq(cptp, mixture),
         "measure_branch": lambda: measure_branch([upper, np.eye(d) - upper], [cptp, mixture]),
         "is_completely_positive cptp": lambda: is_completely_positive(cptp),
+        "is_completely_positive rank-40": lambda: is_completely_positive(rank_40),
         "is_completely_positive transpose_mix": lambda: is_completely_positive(mixture),
         "is_completely_positive adjoint transpose_mix": lambda: is_completely_positive(dual),
         "is_positive_sampled cptp": lambda: is_positive_sampled(cptp, seed=3),
