@@ -201,24 +201,31 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   Cholesky, Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).
 #   For any computed n×r factor L̂, h = L̂L̂ᴴ + R exactly with R hermitian,
 #   and L̂L̂ᴴ ⪰ 0, so Weyl's inequality gives λ_min(h) ≥ −‖R‖₂ ≥ −‖R‖_F,
-#   whatever L̂ is. Each entry h_ij − Σ_k l_ik l̄_jk of R is computed within
-#   γ_{r+2}(|h_ij| + Σ_k |l_ik||l_jk|), doubled for complex arithmetic, so
-#   the computed ‖R‖_F is within 2γ_{r+2}(‖h‖_F + ‖L̂‖_F²) of the exact one,
-#   plus a relative (n² + n)u for its own sum, which is below (n + 1)uμ/4
-#   while ‖R‖_F ≤ t, as μ ≥ 2nt. With r ≤ n and ‖L̂‖_F² ≤ μ, all of that is
-#   at most 5(n + 2)uμ. So a computed ‖R‖_F ≤ t − δ gives
+#   whatever L̂ is. The residual is summed off a itself, as ‖a − L̂L̂ᴴ‖_F,
+#   which bounds ‖R‖_F: L̂L̂ᴴ is hermitian, so R is the hermitian part of
+#   a − L̂L̂ᴴ, and taking the hermitian part is an orthogonal projection (onto
+#   the hermitian matrices, in the inner product Re tr(XᴴY)). Each entry
+#   a_ij − Σ_k l_ik l̄_jk is computed within γ_{r+2}(|a_ij| + Σ_k |l_ik||l_jk|),
+#   doubled for complex arithmetic, so the computed ‖a − L̂L̂ᴴ‖_F is within
+#   2γ_{r+2}(‖a‖_F + ‖L̂‖_F²) of the exact one, plus a relative (n² + n)u for
+#   its own sum, which is below (n + 1)uμ/4 while it is at most t, as
+#   μ ≥ 2nt. With r ≤ n, ‖a‖_F ≤ μ and ‖L̂‖_F² ≤ μ, all of that is at most
+#   5(n + 2)uμ. So a computed ‖a − L̂L̂ᴴ‖_F ≤ t − δ gives
 #   λ_min(h) ≥ −t + δ − 5(n + 2)uμ, and eigvalsh reads at least
 #   −t + δ − 6(n + 2)uμ ≥ −t: PSD on both routes. No certificate is drawn
 #   when ‖L̂‖_F² > μ. For a PSD h that costs nothing: there ‖L̂‖_F² is, up
 #   to rounding, tr(h) less the trace of a PSD Schur complement, and
-#   tr(h) ≤ μ − ‖h‖_F.
+#   tr(h) ≤ μ − ‖h‖_F. The pivot columns (a[:, p] + conj a[p, :])/2 are read
+#   off a with the bits of h's lower triangle, so L̂ is the factor of h.
 # A stack is decided by one batched factorization at s = t − δ_k
 # (_psd_tail): when every matrix succeeds, each is PSD. A batched failure
 # does not say which matrix failed, so it leaves the stack to eigvalsh. A
-# single matrix (_psd_verdict) is probed on its leading blocks at t + δ
-# before any full-size array is built, then goes to the low-rank
-# certificate, then to the full factorizations at t ∓ δ, and to eigvalsh
-# only between them. Where δ ≥ t, eigvalsh decides alone.
+# single matrix (_psd_verdict) is probed on its leading blocks at t + δ,
+# then its hermiticity gap and the low-rank certificate are read off it
+# where it lies, all before any full-size array is built. Only a matrix
+# that they leave undecided is copied, h written over the copy, and goes to
+# the full factorizations at t ∓ δ, and to eigvalsh only between them.
+# Where δ ≥ t, eigvalsh decides alone, after the gap.
 _PSD_BAND_C = 8.0
 
 
@@ -272,20 +279,61 @@ def _cholesky_succeeds(m: np.ndarray) -> bool:
     return True
 
 
-def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
-    """True when a pivoted partial Cholesky factor L̂ proves the hermitian matrix h (n, n) PSD
-    (derivation above); False leaves h undecided. Only the lower triangle of h, and the
-    diagonal blocks of the preamble's strips, are read.
+def _leading_square(blocks: np.ndarray, m: int) -> np.ndarray:
+    """a[:m, :m] of the matrix a that blocks (b, k, b, k) lays out, copying at most its ⌈m/k⌉·k leading rows and columns."""
+    k = blocks.shape[1]
+    p = -(-m // k)
+    return blocks[:p, :, :p].reshape(p * k, p * k)[:m, :m]
 
-    Each step factors the column of the largest remaining Schur diagonal, reading it
-    from the lower triangle, until no Schur diagonal is above t − δ; a matrix that
-    needs more than isqrt(n) steps, d for a Choi matrix, is left undecided. Only a
-    drained diagonal goes on to the residual h − L̂L̂ᴴ, summed over the lower triangle
-    in the preamble's strips, each strip's columns left of its diagonal block twice.
+
+def _square_blocks(a: np.ndarray) -> np.ndarray:
+    """a (n, n) as the blocks (n/k, k, n/k, k) that _psd_verdict reads, a view of a: k is the
+    largest divisor of n whose block row of k×n entries fits ROW_BLOCK_BYTES."""
+    n = a.shape[0]
+    k = max(k for k in range(1, min(n, _row_block_size(n)) + 1) if n % k == 0)
+    return a.reshape(n // k, k, n // k, k)
+
+
+def _blocked_gap(blocks: np.ndarray) -> float:
+    """Hermiticity gap max|a - aᴴ| of the finite matrix a that blocks (b, k, b, k) lays out, read in place.
+
+    Block row p at a time: each block (p, q), q ≤ p, against the conjugate of
+    its partner (q, p). |a - aᴴ| takes the same value at (i, j) and (j, i),
+    so these blocks give its maximum. Each entry is |a_ij - conj a_ji| of
+    :func:`_hermiticity_gaps`, so the gap has the bits of a full-size pass.
     """
-    n = h.shape[-1]
+    gap = 0.0
+    for p in range(blocks.shape[0]):
+        own = blocks[p, :, :p + 1].transpose(1, 2, 0)  # [q, j, i] = a[p*k + i, q*k + j]
+        partner = blocks[:p + 1, :, p]  # [q, j, i] = a[q*k + j, p*k + i]
+        gap = max(gap, float(_hermiticity_gaps(own, np.conjugate(partner)).max()))
+    return gap
+
+
+def _lower_column(blocks: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Column p of the hermitian part h of the matrix a that blocks (b, k, b, k) lays out, into out (n,):
+    conj h[p, :p], then h[p:, p], h's lower triangle with the bits that :func:`_psd_preamble` writes."""
+    k = blocks.shape[1]
+    row, col = (np.array(x).reshape(-1) for x in (blocks[p // k, p % k], blocks[:, :, p // k, p % k]))
+    np.conjugate(_hermitian_part(np.conjugate(col[:p]), row[:p]), out=out[:p])
+    out[p:] = _hermitian_part(np.conjugate(row[p:]), col[p:])
+
+
+def _low_rank_certificate(blocks: np.ndarray, delta: float, eig_tol: float) -> bool:
+    """True when a pivoted partial Cholesky factor L̂ proves PSD the hermitian part h of the matrix a
+    that blocks (b, k, b, k) lays out (derivation above); False leaves a undecided. a is read in place.
+
+    Each step factors the column of the largest remaining Schur diagonal, read
+    off a as h's lower triangle, until no Schur diagonal is above t − δ; a
+    matrix that needs more than isqrt(n) steps, d for a Choi matrix, is left
+    undecided. Only a drained diagonal goes on to the residual a − L̂L̂ᴴ, summed
+    one block row at a time.
+    """
+    b, w = blocks.shape[:2]
+    n = b * w
     bound = eig_tol - delta
-    schur = np.diagonal(h).real.copy()
+    diagonal = np.einsum("pipi->pi", blocks).reshape(-1)
+    schur = _hermitian_part(np.conjugate(diagonal), diagonal.copy()).real  # h's diagonal
     factor = np.empty((math.isqrt(n), n), dtype=np.complex128)  # row k holds column k of L̂
     for k in range(len(factor) + 1):
         p = int(schur.argmax())
@@ -294,8 +342,7 @@ def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
         if k == len(factor):
             return False
         column = factor[k]
-        np.conjugate(h[p, :p], out=column[:p])
-        column[p:] = h[p:, p]
+        _lower_column(blocks, p, column)
         column -= factor[:k].T @ factor[:k, p].conj()
         column /= np.sqrt(schur[p])
         schur -= column.real * column.real + column.imag * column.imag
@@ -303,45 +350,40 @@ def _low_rank_certificate(h: np.ndarray, delta: float, eig_tol: float) -> bool:
     lead = factor[:k]
     if _squared_norms(lead) > delta / _band_per_mu(n):  # ‖L̂‖_F² > μ
         return False
-    residual_sq, rows = 0.0, _row_block_size(n)
-    for s in range(0, n, rows):
-        e = s + rows
-        strip = lead[:, s:e].T @ lead[:, :e].conj()
-        np.subtract(h[s:e, :e], strip, out=strip)
-        residual_sq += 2.0 * _squared_norms(strip[:, :s]) + _squared_norms(strip[:, s:])
+    residual_sq, conj_lead = 0.0, lead.conj()
+    for p in range(b):
+        strip = conj_lead.T @ lead[:, p * w:(p + 1) * w]  # [q*w + j, i] = (L̂L̂ᴴ)[p*w + i, q*w + j]
+        rest = strip.reshape(b, w, w)
+        np.subtract(blocks[p].transpose(1, 2, 0), rest, out=rest)  # a's block row p less L̂L̂ᴴ's, laid out alike
+        residual_sq += _squared_norms(strip)
         if residual_sq > bound * bound:
             return False
     return True
 
 
-def _psd_preamble(a: np.ndarray) -> float:
-    """Hermiticity gap of a finite matrix a (n, n), a private copy over which the hermitian part h is written.
+def _psd_preamble(a: np.ndarray) -> None:
+    """Write the hermitian part h of a finite matrix a (n, n), a private copy, over a.
 
     Row strips over the lower triangle, strip [s, e) covering columns
-    [0, e), so that a strip's conjugate transpose, gap and half-sums fit
+    [0, e), so that a strip's conjugate transpose and half-sums fit
     ROW_BLOCK_BYTES and stay in cache. The transpose is gathered into one
     buffer in square tiles of the strip's side, from columns [s, e) of rows
-    [0, e), which no earlier strip has written, and each strip's gap is
-    taken before h is written over it. A matrix of n ≤ 256 is one strip and
-    becomes h whole. A wider one keeps a's entries in the rest of its strict
-    upper triangle: Cholesky reads only the lower triangle, |a - aᴴ| takes
-    the same value at (i, j) and (j, i), and h is exactly hermitian. Strips
-    go through _hermiticity_gaps and _hermitian_part, so the gap and the
-    written entries of h keep the bits of full-size passes.
+    [0, e), which no earlier strip has written. A matrix of n ≤ 256 is one
+    strip and becomes h whole. A wider one keeps a's entries in the rest of
+    its strict upper triangle: Cholesky reads only the lower triangle, and h
+    is exactly hermitian. Strips go through _hermitian_part, so the written
+    entries of h keep the bits of a full-size pass.
     """
     n = a.shape[0]
     rows = _row_block_size(n)
     buffer = np.empty((min(rows, n), n), dtype=np.complex128)
-    gap = 0.0
     for s in range(0, n, rows):
         e = min(s + rows, n)
         strip = buffer[:e - s, :e]
         for t in range(0, e, rows):
             np.conjugate(a[t:t + rows, s:e].T, out=strip[:, t:t + rows])
-        gap = max(gap, _hermiticity_gaps(a[s:e, :e], strip))
         # h is (aᴴ + a) / 2 written into a's strip; the terms commute, so it has the bits of (a + aᴴ) / 2
         _hermitian_part(strip, a[s:e, :e])
-    return gap
 
 
 def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -381,29 +423,32 @@ def _psd_tail(gaps: np.ndarray, h: np.ndarray, diagonals: np.ndarray, sq_norms: 
     return flags & (_lower_eigvalsh(h)[:, 0] >= -tol.eig_tol)
 
 
-def _psd_verdict(square, diagonal: np.ndarray, entries: np.ndarray, full, tol: ToleranceConfig) -> bool:
-    """The flag of :func:`_psd_flags` for one n×n matrix a, by the single-matrix route (derivation above).
+def _psd_verdict(blocks: np.ndarray, full, tol: ToleranceConfig) -> bool:
+    """The flag of :func:`_psd_flags` for the finite n×n matrix a that blocks (b, k, b, k) lays out,
+    a[p*k + i, q*k + j] = blocks[p, i, q, j], by the single-matrix route (derivation above).
 
-    diagonal holds a's diagonal entries and entries all of a's entries, each in
-    any order and shape. square() returns a's leading n/4 square, the probe's
-    input, and full() a private copy of a, only when the probe has not
-    refuted it. The preamble writes h over that copy, the one full-size array.
+    blocks is a view of a where it lies: the band, the probes of the leading
+    n/4 square, the hermiticity gap and the low-rank certificate read it in
+    place. full() returns a private copy of a, asked for only when none of
+    them has decided; the preamble writes h over that copy, the one
+    full-size array.
     """
-    n, eig_tol = diagonal.size, tol.eig_tol
-    flat = entries.ravel("K")  # a view for either contiguous order
-    delta = _band(n, diagonal.reshape(-1), np.vdot(flat, flat).real, eig_tol)
+    n, eig_tol = blocks.shape[0] * blocks.shape[1], tol.eig_tol
+    flat = blocks.ravel("K")  # a view, in memory order, for blocks of any contiguous array
+    delta = _band(n, np.einsum("pipi->pi", blocks).reshape(-1), np.vdot(flat, flat).real, eig_tol)
     if delta < eig_tol:
-        probe = _hermitian_part(square())[None]
+        probe = _hermitian_part(_leading_square(blocks, n // 4))[None]
         np.einsum("...ii->...i", probe)[...] += eig_tol + delta
         if any(m and not _cholesky_succeeds(probe[:, :m, :m]) for m in (n // 16, n // 4)):
             return False
-        del probe  # before any full-size array
-    h = full()
-    if _psd_preamble(h) > tol.residual_tol:
+        del probe  # before the gap's and the certificate's temporaries
+    if _blocked_gap(blocks) > tol.residual_tol:
         return False
+    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
+        return True
+    h = full()
+    _psd_preamble(h)
     if delta < eig_tol:
-        if _low_rank_certificate(h, delta, eig_tol):
-            return True
         diag = np.einsum("ii->i", h)
         saved = diag.copy()
         # success proves PSD only below the band, failure refutes only above it
@@ -422,8 +467,10 @@ def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     where the band δ allows, the eigenvalue test the rest, and every route
     gives the same verdict (see the derivation of δ above).
     """
-    a = as_complex_matrix(a)
-    return _psd_verdict(lambda: a[:len(a) // 4, :len(a) // 4], a.diagonal(), a, a.copy, tol)
+    # any input but a complex128 array is converted into a fresh array, which is the route's private copy
+    private = not (isinstance(a, np.ndarray) and a.dtype == np.complex128)
+    a = as_complex_matrix(np.array(a, dtype=np.complex128) if private else a)
+    return _psd_verdict(_square_blocks(a), (lambda: a) if private else a.copy, tol)
 
 
 def min_eigenvalue(a) -> float:

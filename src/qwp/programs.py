@@ -180,24 +180,28 @@ class QuantumProgram:
     __slots__ = ("dim", "super", "kraus", "label")
 
     def __init__(self, dim: int, super_matrix, label: str = ""):
-        self._hold(dim, np.array(super_matrix, dtype=np.complex128), label)
+        self._hold(dim, as_complex_matrix(np.array(super_matrix, dtype=np.complex128)), label)
 
     @classmethod
     def _adopt(cls, dim: int, s: np.ndarray, label: str) -> "QuantumProgram":
         """The program QuantumProgram(dim, s, label), for a contiguous array s that was just
         computed and that no caller holds: s is marked read-only in place, not copied, so it
         keeps the layout a copy would have."""
+        return cls._adopt_finite(dim, as_complex_matrix(s), label)
+
+    @classmethod
+    def _adopt_finite(cls, dim: int, s: np.ndarray, label: str) -> "QuantumProgram":
+        """:meth:`_adopt` for a square complex128 s whose entries are finite by construction, a
+        rearrangement of a program's checked entries or of zeros and ones: s is not scanned."""
         prog = cls.__new__(cls)
         prog._hold(dim, s, label)
         return prog
 
     def _hold(self, dim: int, s: np.ndarray, label: str) -> None:
-        """Check s, a complex128 array that no caller holds, and keep it read-only.
+        """Keep s, a square complex128 array with finite entries that no caller holds, read-only.
 
-        The one statement of a program's side rule: s is a square matrix, then
-        dim is positive and s has side dim².
+        The one statement of a program's side rule: dim is positive and s has side dim².
         """
-        s = as_complex_matrix(s)
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         if s.shape[0] != dim * dim:
@@ -303,7 +307,7 @@ def transpose_program(dim: int) -> QuantumProgram:
     s = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
     i = np.arange(dim)
     s.reshape(dim, dim, dim, dim)[i[:, None], i, i, i[:, None]] = 1.0  # S[i*d + j, j*d + i] = 1
-    return QuantumProgram._adopt(dim, s, "transpose")
+    return QuantumProgram._adopt_finite(dim, s, "transpose")
 
 
 def depolarizing(p: float) -> QuantumProgram:
@@ -394,7 +398,7 @@ def adjoint(c: QuantumProgram) -> QuantumProgram:
     family {K} the dual acts as F -> sum K† F K). The dual of a
     trace-preserving map is unital.
     """
-    return QuantumProgram._adopt(c.dim, c.super.conj().T, f"adjoint({c.label})")
+    return QuantumProgram._adopt_finite(c.dim, c.super.conj().T, f"adjoint({c.label})")
 
 
 def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -418,13 +422,6 @@ def _choi_view(s: np.ndarray) -> np.ndarray:
     return s.reshape(d, d, d, d).transpose(1, 3, 0, 2)
 
 
-def _choi_corner(s: np.ndarray, m: int) -> np.ndarray:
-    """J[:m, :m] of the Choi matrix of the superoperator s, copying only the ⌈m/d⌉·d leading rows and columns."""
-    d = math.isqrt(s.shape[0])
-    p = -(-m // d)
-    return _choi_view(s)[:p, :, :p].reshape(p * d, p * d)[:m, :m]
-
-
 def to_choi(c: QuantumProgram) -> np.ndarray:
     """Choi matrix J(C) = sum_ij C(|i><j|) ⊗ |i><j|, a copy of the view :func:`_choi_view`."""
     return _choi_view(c.super).copy().reshape(c.dim * c.dim, c.dim * c.dim)
@@ -433,12 +430,12 @@ def to_choi(c: QuantumProgram) -> np.ndarray:
 def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when the Choi matrix is PSD; the superoperator was validated when the program was built.
 
-    The single-matrix route of the PSD kernel, on J's diagonal
-    (J[p*d+i, p*d+i] = S[p*(d+1), i*(d+1)]), entries (those of S) and corner,
-    all read off S; only a map the corner does not refute is copied into J.
+    The single-matrix route of the PSD kernel on the view :func:`_choi_view` of S:
+    its band, the probes of J's leading n/4 square, the hermiticity gap and the
+    low-rank certificate read J where it lies in S. Only a map that none of them
+    decides is copied into J.
     """
-    s, n = c.super, c.dim * c.dim
-    return _psd_verdict(lambda: _choi_corner(s, n // 4), s[::c.dim + 1, ::c.dim + 1], s, lambda: to_choi(c), tol)
+    return _psd_verdict(_choi_view(c.super), lambda: to_choi(c), tol)
 
 
 @dataclass(frozen=True)

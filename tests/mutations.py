@@ -49,24 +49,38 @@ MUTANTS = [
         """        strip = buffer[:e - s, :e]
         for t in range(0, e, rows):
             np.conjugate(a[t:t + rows, s:e].T, out=strip[:, t:t + rows])
-        gap = max(gap, _hermiticity_gaps(a[s:e, :e], strip))
         # h is (aᴴ + a) / 2 written into a's strip; the terms commute, so it has the bits of (a + aᴴ) / 2
         _hermitian_part(strip, a[s:e, :e])""",
         """        strip = buffer[:e - s, s:e]
         np.conjugate(a[s:e, s:e].T, out=strip)
-        gap = max(gap, _hermiticity_gaps(a[s:e, s:e], strip))
         _hermitian_part(strip, a[s:e, s:e])""",
         (f"{KERNELS}::TestPsdPreamble::test_single_matrices_in_strips",),
     ),
-    # and take each strip's gap before h is written over it
+    # the gap is read off a itself, before the certificate and before h is written over the copy
     Mutant(
         "linalg.py",
-        """        gap = max(gap, _hermiticity_gaps(a[s:e, :e], strip))
-        # h is (aᴴ + a) / 2 written into a's strip; the terms commute, so it has the bits of (a + aᴴ) / 2
-        _hermitian_part(strip, a[s:e, :e])""",
-        """        _hermitian_part(strip, a[s:e, :e])
-        gap = max(gap, _hermiticity_gaps(a[s:e, :e], strip))""",
-        (f"{KERNELS}::TestPsdPreamble::test_a_gap_only_in_the_upper_triangle_of_the_last_strip",),
+        """    if _blocked_gap(blocks) > tol.residual_tol:
+        return False
+    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
+        return True
+    h = full()
+    _psd_preamble(h)
+""",
+        """    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
+        return True
+    h = full()
+    _psd_preamble(h)
+    if _blocked_gap(_square_blocks(h)) > tol.residual_tol:
+        return False
+""",
+        (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_without_a_choi_copy",),
+    ),
+    # and pairs each block (p, q) with its partner (q, p), not with itself
+    Mutant(
+        "linalg.py",
+        "        partner = blocks[:p + 1, :, p]",
+        "        partner = blocks[p, :, :p + 1].transpose(1, 0, 2)",
+        (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_without_a_choi_copy",),
     ),
     # the Cholesky verdicts: success proves PSD only below the band, failure refutes only above it
     Mutant(
@@ -96,7 +110,7 @@ MUTANTS = [
         "                return proves\n",
         (f"{KERNELS}::TestPsdPreamble::test_is_psd_leaves_its_input_untouched",),
     ),
-    # a single matrix is first probed on its leading n/16 and n/4 rows, before its preamble
+    # a single matrix is first probed on its leading n/16 and n/4 rows, before its gap and certificate
     Mutant(
         "linalg.py",
         "for m in (n // 16, n // 4))",
@@ -113,8 +127,8 @@ MUTANTS = [
     # a single low-rank matrix is decided by the certificate, with no full factorization
     Mutant(
         "linalg.py",
-        "        if _low_rank_certificate(h, delta, eig_tol):",
-        "        if False:",
+        "    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):",
+        "    if False:",
         (f"{KERNELS}::TestLowRankCertificate::test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes",),
     ),
     # the probe refutes only above the band: at eig_tol + δ, not eig_tol - δ
@@ -126,9 +140,9 @@ MUTANTS = [
     ),
     # a map that its Choi matrix's leading blocks refute is never copied into that matrix
     Mutant(
-        "programs.py",
-        "lambda: _choi_corner(s, n // 4)",
-        "lambda: to_choi(c)[:n // 4, :n // 4]",
+        "linalg.py",
+        "probe = _hermitian_part(_leading_square(blocks, n // 4))[None]",
+        "probe = _hermitian_part(full()[:n // 4, :n // 4])[None]",
         (f"{KERNELS}::TestLeadingBlockRefutation::test_a_refuted_cp_check_copies_nothing_at_dim_32",),
     ),
     # moduli round as a scalar abs() does

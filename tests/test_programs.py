@@ -1,5 +1,7 @@
 import tracemalloc
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,8 @@ from qwp.programs import (
     unvec,
     vec,
 )
+
+qwp_linalg = importlib.import_module("qwp.linalg")
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 KET0 = np.diag([1.0, 0.0])
@@ -452,6 +456,22 @@ class TestPermutationsMatchLoops:
             assert j.flags.writeable and j.flags.c_contiguous
             assert not np.shares_memory(j, c.super)
             assert np.array_equal(j, to_choi_loop(c))
+
+    @pytest.mark.parametrize("dim", [1, 2, 17])
+    def test_adjoint_and_transpose_program_are_not_scanned_again(self, dim, monkeypatch):
+        # each rearranges entries known to be finite, so neither scans them; a product can overflow, so seq does
+        c = sample_program("transpose_mix", dim, 37)
+        scans = []
+        scan = qwp_linalg._require_finite
+        monkeypatch.setattr(qwp_linalg, "_require_finite", lambda a: scans.append(a.shape) or scan(a))
+        for prog, want in ((adjoint(c), c.super.conj().T), (transpose_program(dim), transpose_super_loop(dim))):
+            s = prog.super
+            assert scans == []
+            assert s.dtype == np.complex128 and not s.flags.writeable
+            # the bits of the parent's program, signed zeros and layout too
+            assert s.tobytes(order="A") == np.asarray(want, dtype=np.complex128, order="A").tobytes(order="A")
+        seq(c, c)
+        assert scans == [(dim * dim, dim * dim)]
 
     def test_from_choi_peak_at_dim_32(self):
         j = to_choi(sample_program("cptp", 32, 4))

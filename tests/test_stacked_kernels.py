@@ -1495,7 +1495,8 @@ class TestLeadingBlockRefutation:
         n = dim * dim
         c = from_super(gaussian_super(np.random.default_rng([dim, 211]), dim))
         for prog in (c, adjoint(c)):  # a C-ordered superoperator and a transposed one
-            assert_same_bits(qwp_programs._choi_corner(prog.super, n // 4), to_choi(prog)[:n // 4, :n // 4])
+            corner = qwp_linalg._leading_square(qwp_programs._choi_view(prog.super), n // 4)
+            assert_same_bits(corner, to_choi(prog)[:n // 4, :n // 4])
 
     @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize("side", [1.0, -1.0])
@@ -1598,14 +1599,19 @@ def preamble_written(n):
     return np.arange(n)[None, :] < ends[:, None]
 
 
+def blocked_gap(a):
+    """The single-matrix route's hermiticity gap of a matrix, read off the blocks is_psd lays it out as."""
+    return qwp_linalg._blocked_gap(qwp_linalg._square_blocks(a))
+
+
 class TestPsdPreamble:
-    """The PSD kernel's gap and hermitian part, written over a private copy in strips that stay in cache."""
+    """The PSD kernel's gap, read in place, and hermitian part, written over a private copy in strips that stay in cache."""
 
     def assert_preamble_bits(self, a):
         h = a.copy()
-        gap = qwp_linalg._psd_preamble(h)
+        qwp_linalg._psd_preamble(h)
         want_gap, want_h = preamble_oracle(a)
-        assert_same_bits(gap, want_gap)
+        assert_same_bits(blocked_gap(a), want_gap)
         # h's lower triangle, and each strip's diagonal block whole, have the bits of the full-size pass;
         # a matrix of one strip is written whole, and a wider one keeps a's entries in the rest of its upper triangle
         written = preamble_written(len(a))
@@ -1625,10 +1631,10 @@ class TestPsdPreamble:
         rows = qwp_linalg._row_block_size(n)
         last = (n - 1) // rows * rows
         a = to_choi(sample_program("cptp", 17, 8))
-        assert qwp_linalg._psd_preamble(a.copy()) <= DEFAULT_TOL.residual_tol
+        assert blocked_gap(a) <= DEFAULT_TOL.residual_tol
         a[last, n - 1] += 1e-6
         self.assert_preamble_bits(a)
-        assert qwp_linalg._psd_preamble(a.copy()) > DEFAULT_TOL.residual_tol
+        assert blocked_gap(a) > DEFAULT_TOL.residual_tol
         assert is_psd(a) is False
 
     def test_entries_near_the_float_limit(self):
@@ -1640,7 +1646,8 @@ class TestPsdPreamble:
             # an overflowing gap reads inf, without a warning
             h = a.copy()
             with np.errstate(all="raise"):
-                gap = qwp_linalg._psd_preamble(h)
+                gap = blocked_gap(a)
+                qwp_linalg._psd_preamble(h)
             assert np.isfinite(lower_triangle(h)).all()
             assert gap == np.inf
 
@@ -1785,9 +1792,9 @@ class TestLowRankCertificate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 16 MiB Choi copy with h written over it, the factor's d rows and one strip of the residual;
-        # no full Cholesky factor
-        assert peak <= 19.0 * (1 << 20)
+        # the n/4 corner of the probes and its hermitian part, 1 MiB each, and the probe's factor;
+        # the gap, the factor's d rows and the residual read S in place: no Choi copy, no full Cholesky factor
+        assert peak <= 2.6 * (1 << 20)
 
     @pytest.mark.parametrize("dim", [8, 17, 24])
     @pytest.mark.parametrize("rank", ["1", "4", "d", "d+1"])
@@ -1851,24 +1858,124 @@ class TestLowRankCertificate:
         assert calls == []
 
 
+def choi_map(x):
+    """Choi's positive map on 3×3 matrices that is not CP (Choi 1975), halved to preserve the trace:
+    X -> (diag(x11 + x33, x22 + x11, x33 + x22) - offdiag(X)) / 2, for a stack (..., 3, 3)."""
+    diagonal = np.einsum("...ii->...i", x)
+    out = -x
+    np.einsum("...ii->...i", out)[...] += 2.0 * diagonal + np.roll(diagonal, 1, axis=-1)
+    return out / 2.0
+
+
+def breuer_hall(x):
+    """The Breuer–Hall map on d×d matrices, d even: X -> (Tr(X) I - X - U Xᵀ Uᵀ) / (d - 2), U the real
+    antisymmetric unitary of d/2 blocks [[0, 1], [-1, 0]]; positive and trace preserving, not CP for d ≥ 4."""
+    d = x.shape[-1]
+    u = np.kron(np.eye(d // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    return (np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) - x - u @ x.swapaxes(-1, -2) @ u.T) / (d - 2)
+
+
+def positive_not_cp(phi, dim, seed):
+    """The program rho -> phi(W rho W†), W a seeded Haar unitary, of a map phi on stacks of dim×dim matrices."""
+    n = dim * dim
+    w = random_unitary(np.random.default_rng([dim, seed]), dim)
+    return seq(from_unitary(w), from_super(vec(phi(unvec(np.eye(n)))).T))
+
+
+class TestReadInPlace:
+    """The single-matrix route reads its band, probes, gap and low-rank certificate off the input where it lies."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 32])
+    def test_the_gap_read_off_the_choi_view_has_the_bits_of_a_full_size_pass(self, dim):
+        c = from_super(gaussian_super(np.random.default_rng([dim, 251]), dim))
+        # a C-ordered superoperator, a transposed one, and a map whose Choi matrix is hermitian up to rounding
+        for prog in (c, adjoint(c), sample_program("transpose_mix", dim, 5)):
+            want, _ = preamble_oracle(to_choi(prog))
+            assert_same_bits(qwp_linalg._blocked_gap(qwp_programs._choi_view(prog.super)), want)
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 289, 300, 1021])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_is_psd_reads_a_matrix_in_block_rows_that_fit_the_cap(self, n, order):
+        rng = np.random.default_rng([n, 257])
+        a = np.asarray(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), order=order)
+        blocks = qwp_linalg._square_blocks(a)
+        b, k = blocks.shape[:2]
+        # a view; a prime n > 256 takes single rows
+        assert np.shares_memory(blocks, a) and b * k == n
+        assert k * n * 16 <= qwp_linalg.ROW_BLOCK_BYTES
+        assert k == {1: 1, 5: 5, 64: 64, 289: 17, 300: 150, 1021: 1}[n]
+        assert_same_bits(qwp_linalg._blocked_gap(blocks), preamble_oracle(a)[0])
+
+    @pytest.mark.parametrize("dim", [3, 8, 17])
+    def test_pivot_columns_have_the_bits_of_the_written_lower_triangle(self, dim):
+        # signed zeros, where the hermitian part's halving and division set the signs
+        rng = np.random.default_rng([dim, 263])
+        n = dim * dim
+        s = gaussian_super(rng, dim)
+        s.real[rng.random((n, n)) < 0.3] = 0.0
+        s.imag[rng.random((n, n)) < 0.3] = -0.0
+        s.real[rng.random((n, n)) < 0.2] *= -1.0
+        c = from_super(s)
+        column = np.empty(n, dtype=np.complex128)
+        for blocks, a in ((qwp_programs._choi_view(c.super), to_choi(c)), (qwp_linalg._square_blocks(s), s)):
+            h = a.copy()
+            qwp_linalg._psd_preamble(h)
+            for p in range(n):
+                qwp_linalg._lower_column(blocks, p, column)
+                assert_same_bits(column[:p], h[p, :p].conj())
+                assert_same_bits(column[p:], h[p:, p])
+
+    @pytest.mark.parametrize("dim", [8, 17, 32])
+    def test_a_defect_in_one_off_diagonal_block_is_refused_without_a_choi_copy(self, dim, monkeypatch):
+        # the Choi matrix I/d of rho -> Tr(rho) I/d, but for one entry of block (p, q), q < p, below the
+        # n/4 corner; that entry sits on the block's diagonal, so the block is hermitian by itself
+        n, p, q, i = dim * dim, dim - 1, dim // 2, 1
+        j = np.eye(n, dtype=np.complex128) / dim
+        j[p * dim + i, q * dim + i] += 1e-6
+        c = from_choi(j)
+        copies = count_calls(monkeypatch, qwp_programs, "to_choi")
+        assert is_completely_positive(c) is False
+        assert copies == []
+        monkeypatch.undo()
+        assert is_psd_oracle(to_choi(c)) is False
+
+    @pytest.mark.parametrize("phi, dim", [(choi_map, 3), (breuer_hall, 6), (breuer_hall, 8)])
+    def test_a_positive_map_that_is_not_cp_is_refuted_after_the_certificate(self, phi, dim, monkeypatch):
+        c = positive_not_cp(phi, dim, 269)
+        n = dim * dim
+        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+        copies = count_calls(monkeypatch, qwp_programs, "to_choi")
+        assert is_completely_positive(c) is False
+        # the probes pass and the certificate proves nothing: the Choi copy's factorization at eig_tol + δ refutes it
+        assert shapes == [(1, m, m) for m in (n // 16, n // 4) if m] + [(1, n, n), (1, n, n)]
+        assert copies == ["to_choi"]
+        monkeypatch.undo()
+        assert is_psd_oracle(to_choi(c)) is False
+        assert is_positive_sampled(c, ToleranceConfig(sample_count=50), seed=1).status == "no_counterexample"
+
+
 # traced peaks of public calls at d = 32, in MiB, as measured with numpy 2.4.6
 # and rounded up to 0.1 MiB; one d⁴ complex array is 16 MiB
 PEAK_BOUNDS_MIB = {
     "from_super": 17.1,
-    "adjoint": 17.1,
+    # the conjugate copy alone: its entries are not scanned again
+    "adjoint": 16.1,
     "from_choi": 17.1,
     "wp": 0.3,
     "seq": 17.1,
     "measure_branch": 18.1,
-    # the Choi copy with h written over it; a rank above d adds the full Cholesky factor;
-    # a refuted map copies only its corner, also from a superoperator stored by columns
-    "is_completely_positive cptp": 18.6,
+    # the corner that the probes factor: a map that the low-rank certificate proves is read in place,
+    # one that it leaves undecided is copied into its Choi matrix, h written over the copy, and adds
+    # the full Cholesky factor; a refuted map copies only its corner, also from a superoperator stored by columns
+    "is_completely_positive cptp": 2.6,
     "is_completely_positive rank-40": 32.1,
     "is_completely_positive transpose_mix": 2.6,
     "is_completely_positive adjoint transpose_mix": 2.6,
-    "is_positive_sampled cptp": 18.6,
+    "is_positive_sampled cptp": 2.6,
     # a block's hermitian part and its Cholesky factor, or the coordinate matrix and product it came from
     "is_positive_sampled transpose_mix": 33.8,
+    # a real matrix's complex conversion, which is the route's private copy, and the full Cholesky factor
+    "is_psd real full-rank": 32.1,
 }
 
 
@@ -1881,6 +1988,8 @@ def peak_calls():
     dual = adjoint(mixture)
     s, j = cptp.super.copy(), to_choi(cptp)
     f = random_predicate(np.random.default_rng(241), d)
+    g = np.random.default_rng(241).standard_normal((d * d, d * d))
+    real = (g @ g.T / (d * d) + np.eye(d * d)) / (d * d)  # eigenvalues in [1/n, 5/n]: δ < eig_tol
     upper = np.diag((np.arange(d) < d // 2).astype(float))
     return {
         "from_super": lambda: from_super(s),
@@ -1895,6 +2004,7 @@ def peak_calls():
         "is_completely_positive adjoint transpose_mix": lambda: is_completely_positive(dual),
         "is_positive_sampled cptp": lambda: is_positive_sampled(cptp, seed=3),
         "is_positive_sampled transpose_mix": lambda: is_positive_sampled(mixture, seed=3),
+        "is_psd real full-rank": lambda: is_psd(real),
     }
 
 
