@@ -223,8 +223,8 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 # single matrix (_psd_verdict) is probed on its leading blocks at t + δ,
 # then its hermiticity gap and the low-rank certificate are read off it
 # where it lies, all before any full-size array is built. Only a matrix
-# that they leave undecided is copied, h written over the copy, and goes to
-# the full factorizations at t ∓ δ, and to eigvalsh only between them.
+# that they leave undecided has h's lower triangle written into an n×n
+# array, for the full factorizations at t ∓ δ and eigvalsh between them.
 # Where δ ≥ t, eigvalsh decides alone, after the gap.
 _PSD_BAND_C = 8.0
 
@@ -294,6 +294,13 @@ def _square_blocks(a: np.ndarray) -> np.ndarray:
     return a.reshape(n // k, k, n // k, k)
 
 
+def _block_pairs(blocks: np.ndarray):
+    """Each block row p of the matrix a that blocks (b, k, b, k) lays out, as p and two views: the blocks
+    (p, q), q ≤ p, own[q, j, i] = a[p*k + i, q*k + j], and their partners (q, p), partner[q, j, i] = a[q*k + j, p*k + i]."""
+    for p in range(blocks.shape[0]):
+        yield p, blocks[p, :, :p + 1].transpose(1, 2, 0), blocks[:p + 1, :, p]
+
+
 def _blocked_gap(blocks: np.ndarray) -> float:
     """Hermiticity gap max|a - aᴴ| of the finite matrix a that blocks (b, k, b, k) lays out, read in place.
 
@@ -302,17 +309,25 @@ def _blocked_gap(blocks: np.ndarray) -> float:
     so these blocks give its maximum. Each entry is |a_ij - conj a_ji| of
     :func:`_hermiticity_gaps`, so the gap has the bits of a full-size pass.
     """
-    gap = 0.0
-    for p in range(blocks.shape[0]):
-        own = blocks[p, :, :p + 1].transpose(1, 2, 0)  # [q, j, i] = a[p*k + i, q*k + j]
-        partner = blocks[:p + 1, :, p]  # [q, j, i] = a[q*k + j, p*k + i]
-        gap = max(gap, float(_hermiticity_gaps(own, np.conjugate(partner)).max()))
-    return gap
+    return max(float(_hermiticity_gaps(own, np.conjugate(partner)).max()) for _, own, partner in _block_pairs(blocks))
+
+
+def _write_hermitian_part(blocks: np.ndarray, h: np.ndarray) -> None:
+    """Write the hermitian part of the finite matrix a that blocks (b, k, b, k) lays out into h (n, n), on and
+    below its block diagonal, from the pairs of :func:`_block_pairs` with the bits of a full-size pass.
+
+    Cholesky and eigvalsh read only the lower triangle. h may be a itself:
+    row p writes column blocks up to p only, and a later row p' reads its
+    partners from column block p' alone.
+    """
+    out = h.reshape(blocks.shape)  # a view: each axis of h splits in two
+    for p, own, partner in _block_pairs(blocks):
+        out[p, :, :p + 1] = _hermitian_part(own, np.conjugate(partner)).transpose(2, 0, 1)
 
 
 def _lower_column(blocks: np.ndarray, p: int, out: np.ndarray) -> None:
     """Column p of the hermitian part h of the matrix a that blocks (b, k, b, k) lays out, into out (n,):
-    conj h[p, :p], then h[p:, p], h's lower triangle with the bits that :func:`_psd_preamble` writes."""
+    conj h[p, :p], then h[p:, p], h's lower triangle with the bits that :func:`_write_hermitian_part` writes."""
     k = blocks.shape[1]
     row, col = (np.array(x).reshape(-1) for x in (blocks[p // k, p % k], blocks[:, :, p // k, p % k]))
     np.conjugate(_hermitian_part(np.conjugate(col[:p]), row[:p]), out=out[:p])
@@ -361,31 +376,6 @@ def _low_rank_certificate(blocks: np.ndarray, delta: float, eig_tol: float) -> b
     return True
 
 
-def _psd_preamble(a: np.ndarray) -> None:
-    """Write the hermitian part h of a finite matrix a (n, n), a private copy, over a.
-
-    Row strips over the lower triangle, strip [s, e) covering columns
-    [0, e), so that a strip's conjugate transpose and half-sums fit
-    ROW_BLOCK_BYTES and stay in cache. The transpose is gathered into one
-    buffer in square tiles of the strip's side, from columns [s, e) of rows
-    [0, e), which no earlier strip has written. A matrix of n ≤ 256 is one
-    strip and becomes h whole. A wider one keeps a's entries in the rest of
-    its strict upper triangle: Cholesky reads only the lower triangle, and h
-    is exactly hermitian. Strips go through _hermitian_part, so the written
-    entries of h keep the bits of a full-size pass.
-    """
-    n = a.shape[0]
-    rows = _row_block_size(n)
-    buffer = np.empty((min(rows, n), n), dtype=np.complex128)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        strip = buffer[:e - s, :e]
-        for t in range(0, e, rows):
-            np.conjugate(a[t:t + rows, s:e].T, out=strip[:, t:t + rows])
-        # h is (aᴴ + a) / 2 written into a's strip; the terms commute, so it has the bits of (a + aᴴ) / 2
-        _hermitian_part(strip, a[s:e, :e])
-
-
 def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Whether each matrix of a finite stack (k, n, n) is hermitian within residual_tol with eigenvalues ≥ -eig_tol.
 
@@ -423,15 +413,15 @@ def _psd_tail(gaps: np.ndarray, h: np.ndarray, diagonals: np.ndarray, sq_norms: 
     return flags & (_lower_eigvalsh(h)[:, 0] >= -tol.eig_tol)
 
 
-def _psd_verdict(blocks: np.ndarray, full, tol: ToleranceConfig) -> bool:
+def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None = None) -> bool:
     """The flag of :func:`_psd_flags` for the finite n×n matrix a that blocks (b, k, b, k) lays out,
     a[p*k + i, q*k + j] = blocks[p, i, q, j], by the single-matrix route (derivation above).
 
     blocks is a view of a where it lies: the band, the probes of the leading
     n/4 square, the hermiticity gap and the low-rank certificate read it in
-    place. full() returns a private copy of a, asked for only when none of
-    them has decided; the preamble writes h over that copy, the one
-    full-size array.
+    place. Only when none of them has decided is h's lower triangle written
+    into the one full-size array: the given h, a private copy of a that
+    blocks views, or else a new array.
     """
     n, eig_tol = blocks.shape[0] * blocks.shape[1], tol.eig_tol
     flat = blocks.ravel("K")  # a view, in memory order, for blocks of any contiguous array
@@ -446,8 +436,8 @@ def _psd_verdict(blocks: np.ndarray, full, tol: ToleranceConfig) -> bool:
         return False
     if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
         return True
-    h = full()
-    _psd_preamble(h)
+    h = np.empty((n, n), dtype=np.complex128) if h is None else h
+    _write_hermitian_part(blocks, h)
     if delta < eig_tol:
         diag = np.einsum("ii->i", h)
         saved = diag.copy()
@@ -467,10 +457,10 @@ def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     where the band δ allows, the eigenvalue test the rest, and every route
     gives the same verdict (see the derivation of δ above).
     """
-    # any input but a complex128 array is converted into a fresh array, which is the route's private copy
+    # h is written over the conversion of any input but a complex128 array, and into a new array for one
     private = not (isinstance(a, np.ndarray) and a.dtype == np.complex128)
     a = as_complex_matrix(np.array(a, dtype=np.complex128) if private else a)
-    return _psd_verdict(_square_blocks(a), (lambda: a) if private else a.copy, tol)
+    return _psd_verdict(_square_blocks(a), tol, a if private else None)
 
 
 def min_eigenvalue(a) -> float:

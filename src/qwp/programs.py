@@ -13,9 +13,10 @@ this convention
 
 Mixing vectorization conventions corrupts results silently: ``vec`` and
 ``unvec`` below state the convention, and the functions that index the
-superoperator directly (``to_choi``, ``from_choi``, ``transpose_program``,
-``_kraus_supers``, ``measure_branch``, ``_coordinate_matrix`` and
-``_basis_outputs``) each state the index identity they rely on.
+superoperator directly (``_choi_view``, ``to_choi``, ``from_choi``,
+``transpose_program``, ``_kraus_supers``, ``measure_branch``,
+``_coordinate_matrix`` and ``_basis_outputs``) each state the index identity
+they rely on.
 
 The dense superoperator is the canonical representation because it carries
 maps with no Kraus form: positive but not completely positive programs (the
@@ -433,9 +434,9 @@ def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL
     The single-matrix route of the PSD kernel on the view :func:`_choi_view` of S:
     its band, the probes of J's leading n/4 square, the hermiticity gap and the
     low-rank certificate read J where it lies in S. Only a map that none of them
-    decides is copied into J.
+    decides has the lower triangle of J's hermitian part written, off the view.
     """
-    return _psd_verdict(_choi_view(c.super), lambda: to_choi(c), tol)
+    return _psd_verdict(_choi_view(c.super), tol)
 
 
 @dataclass(frozen=True)

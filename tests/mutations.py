@@ -43,44 +43,38 @@ MUTANTS = [
         "+ np.sqrt(sq_norms)",
         (f"{KERNELS}::TestPsdOracle::test_a_band_set_by_its_eig_tol_term_at_the_band_edges",),
     ),
-    # its preamble's strips cover columns [0, e), not only their diagonal block [s, e)
+    # h's writer fills every block (p, q) of the lower block triangle, not only the diagonal blocks
     Mutant(
         "linalg.py",
-        """        strip = buffer[:e - s, :e]
-        for t in range(0, e, rows):
-            np.conjugate(a[t:t + rows, s:e].T, out=strip[:, t:t + rows])
-        # h is (aᴴ + a) / 2 written into a's strip; the terms commute, so it has the bits of (a + aᴴ) / 2
-        _hermitian_part(strip, a[s:e, :e])""",
-        """        strip = buffer[:e - s, s:e]
-        np.conjugate(a[s:e, s:e].T, out=strip)
-        _hermitian_part(strip, a[s:e, s:e])""",
-        (f"{KERNELS}::TestPsdPreamble::test_single_matrices_in_strips",),
+        "        out[p, :, :p + 1] = _hermitian_part(own, np.conjugate(partner)).transpose(2, 0, 1)",
+        "        out[p, :, p] = _hermitian_part(own, np.conjugate(partner))[p].T",
+        (f"{KERNELS}::TestHermitianWriter::test_choi_views_of_superoperators",),
     ),
-    # the gap is read off a itself, before the certificate and before h is written over the copy
+    # the gap is read off a itself, before the certificate and before h is written
     Mutant(
         "linalg.py",
         """    if _blocked_gap(blocks) > tol.residual_tol:
         return False
     if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
         return True
-    h = full()
-    _psd_preamble(h)
+    h = np.empty((n, n), dtype=np.complex128) if h is None else h
+    _write_hermitian_part(blocks, h)
 """,
         """    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
         return True
-    h = full()
-    _psd_preamble(h)
-    if _blocked_gap(_square_blocks(h)) > tol.residual_tol:
+    h = np.empty((n, n), dtype=np.complex128) if h is None else h
+    _write_hermitian_part(blocks, h)
+    if _blocked_gap(blocks) > tol.residual_tol:
         return False
 """,
-        (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_without_a_choi_copy",),
+        (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_before_h_is_written",),
     ),
-    # and pairs each block (p, q) with its partner (q, p), not with itself
+    # and the pairs that the gap and the writer share match each block (p, q) with its partner (q, p), not with itself
     Mutant(
         "linalg.py",
-        "        partner = blocks[:p + 1, :, p]",
-        "        partner = blocks[p, :, :p + 1].transpose(1, 0, 2)",
-        (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_without_a_choi_copy",),
+        "yield p, blocks[p, :, :p + 1].transpose(1, 2, 0), blocks[:p + 1, :, p]",
+        "yield p, blocks[p, :, :p + 1].transpose(1, 2, 0), blocks[p, :, :p + 1].transpose(1, 0, 2)",
+        (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_before_h_is_written",),
     ),
     # the Cholesky verdicts: success proves PSD only below the band, failure refutes only above it
     Mutant(
@@ -108,7 +102,7 @@ MUTANTS = [
         "linalg.py",
         "                return proves\n        diag[...] = saved\n",
         "                return proves\n",
-        (f"{KERNELS}::TestPsdPreamble::test_is_psd_leaves_its_input_untouched",),
+        (f"{KERNELS}::TestHermitianWriter::test_is_psd_leaves_its_input_untouched",),
     ),
     # a single matrix is first probed on its leading n/16 and n/4 rows, before its gap and certificate
     Mutant(
@@ -138,11 +132,11 @@ MUTANTS = [
         'np.einsum("...ii->...i", probe)[...] += eig_tol - delta',
         (f"{KERNELS}::TestLeadingBlockRefutation::test_a_defect_in_the_leading_rows_at_the_band_edges",),
     ),
-    # a map that its Choi matrix's leading blocks refute is never copied into that matrix
+    # a map that its Choi matrix's leading blocks refute is never gathered into a full-size array
     Mutant(
         "linalg.py",
         "probe = _hermitian_part(_leading_square(blocks, n // 4))[None]",
-        "probe = _hermitian_part(full()[:n // 4, :n // 4])[None]",
+        "probe = _hermitian_part(_leading_square(blocks, n)[:n // 4, :n // 4])[None]",
         (f"{KERNELS}::TestLeadingBlockRefutation::test_a_refuted_cp_check_copies_nothing_at_dim_32",),
     ),
     # moduli round as a scalar abs() does

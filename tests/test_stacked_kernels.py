@@ -1568,14 +1568,14 @@ class TestLeadingBlockRefutation:
     def test_a_refuted_cp_check_copies_nothing_at_dim_32(self, monkeypatch):
         c = sample_program("transpose_mix", 32, 4)
         copies = count_calls(monkeypatch, qwp_programs, "to_choi")
-        preambles = count_calls(monkeypatch, qwp_linalg, "_psd_preamble")
+        writes = count_calls(monkeypatch, qwp_linalg, "_write_hermitian_part")
         tracemalloc.start()
         try:
             assert is_completely_positive(c) is False
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert copies == [] and preambles == []
+        assert copies == [] and writes == []
         # the 1 MiB corner and its hermitian part, and the factor of the n/16 probe; no 16 MiB array
         assert peak <= 4 << 20
 
@@ -1592,48 +1592,69 @@ def preamble_oracle(a):
     return qwp_linalg._hermiticity_gaps(a, ah), qwp_linalg._hermitian_part(a, ah.copy())
 
 
-def preamble_written(n):
-    """The entries of an n×n matrix that the preamble writes h over: in each row, the columns left of its strip's end."""
-    rows = qwp_linalg._row_block_size(n)
-    ends = np.minimum((np.arange(n) // rows + 1) * rows, n)
-    return np.arange(n)[None, :] < ends[:, None]
-
-
 def blocked_gap(a):
     """The single-matrix route's hermiticity gap of a matrix, read off the blocks is_psd lays it out as."""
     return qwp_linalg._blocked_gap(qwp_linalg._square_blocks(a))
 
 
-class TestPsdPreamble:
-    """The PSD kernel's gap, read in place, and hermitian part, written over a private copy in strips that stay in cache."""
+def block_lower(n, k):
+    """The entries of an n×n matrix on and below its diagonal of k×k blocks."""
+    rows = np.arange(n) // k
+    return rows[:, None] >= rows[None, :]
 
-    def assert_preamble_bits(self, a):
-        h = a.copy()
-        qwp_linalg._psd_preamble(h)
+
+class TestHermitianWriter:
+    """The PSD kernel's gap, read in place, and hermitian part, written from the same block pairs into an n×n array."""
+
+    def assert_writer_bits(self, blocks, a, h=None):
+        """The gap and written h of the matrix a that blocks lays out, against a full-size pass;
+        h is a new array, or the array blocks views, which the writer overwrites."""
         want_gap, want_h = preamble_oracle(a)
-        assert_same_bits(blocked_gap(a), want_gap)
-        # h's lower triangle, and each strip's diagonal block whole, have the bits of the full-size pass;
-        # a matrix of one strip is written whole, and a wider one keeps a's entries in the rest of its upper triangle
-        written = preamble_written(len(a))
-        assert written[np.tri(len(a), dtype=bool)].all()
-        assert_same_bits(h[written], want_h[written])
-        assert_same_bits(h[~written], a[~written])
+        assert_same_bits(qwp_linalg._blocked_gap(blocks), want_gap)
+        n, k = len(a), blocks.shape[1]
+        fresh = h is None
+        if fresh:
+            h = np.full((n, n), np.nan, dtype=np.complex128)
+        qwp_linalg._write_hermitian_part(blocks, h)
+        # h's lower block triangle has the bits of the full-size pass; its strict upper block triangle is never written
+        lower = block_lower(n, k)
+        assert_same_bits(h[lower], want_h[lower])
+        if fresh:
+            assert np.isnan(h[~lower]).all()
 
     @pytest.mark.parametrize("dim", [17, 24, 32])
-    def test_single_matrices_in_strips(self, dim):
-        # 226-row strips leave a 63-row tail at d = 17; 64-row strips divide d = 32
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_choi_views_of_superoperators(self, dim, order):
         rng = np.random.default_rng([dim, 151])
-        for a in (to_choi(sample_program("transpose_mix", dim, 5)), gaussian_super(rng, dim)):
-            self.assert_preamble_bits(a)
+        for s in (sample_program("transpose_mix", dim, 5).super, gaussian_super(rng, dim)):
+            s = np.asarray(s, order=order)
+            blocks = qwp_programs._choi_view(s)
+            self.assert_writer_bits(blocks, np.array(blocks).reshape(dim * dim, dim * dim))
 
-    def test_a_gap_only_in_the_upper_triangle_of_the_last_strip(self):
+    @pytest.mark.parametrize("n", [300, 257, 1024])
+    def test_square_blocks(self, n):
+        # 150-row blocks at n = 300, single rows at the prime n = 257 and 64-row blocks at n = 1024
+        rng = np.random.default_rng([n, 157])
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        blocks = qwp_linalg._square_blocks(a)
+        assert blocks.shape[1] == {300: 150, 257: 1, 1024: 64}[n]
+        self.assert_writer_bits(blocks, a)
+
+    @pytest.mark.parametrize("n", [6, 300])
+    def test_in_place_over_the_conversion_of_an_f_ordered_real_input(self, n):
+        # is_psd writes h over its own conversion, which keeps the input's layout
+        real = np.asfortranarray(np.random.default_rng([n, 159]).standard_normal((n, n)))
+        a = np.array(real, dtype=np.complex128)
+        assert a.flags.f_contiguous and not a.flags.c_contiguous
+        self.assert_writer_bits(qwp_linalg._square_blocks(a), a.copy(), h=a)
+
+    def test_a_gap_only_in_the_upper_triangle_of_the_last_diagonal_block(self):
         n = 17 * 17
-        rows = qwp_linalg._row_block_size(n)
-        last = (n - 1) // rows * rows
         a = to_choi(sample_program("cptp", 17, 8))
+        blocks = qwp_linalg._square_blocks(a)
         assert blocked_gap(a) <= DEFAULT_TOL.residual_tol
-        a[last, n - 1] += 1e-6
-        self.assert_preamble_bits(a)
+        a[n - blocks.shape[1], n - 1] += 1e-6
+        self.assert_writer_bits(blocks, a)
         assert blocked_gap(a) > DEFAULT_TOL.residual_tol
         assert is_psd(a) is False
 
@@ -1642,12 +1663,13 @@ class TestPsdPreamble:
         for n in (3, 300):
             z = np.sign(rng.standard_normal((2, n, n)))
             a = 1.7e308 * (z[0] + 1j * z[1])
-            self.assert_preamble_bits(a)
-            # an overflowing gap reads inf, without a warning
-            h = a.copy()
+            blocks = qwp_linalg._square_blocks(a)
+            self.assert_writer_bits(blocks, a)
+            # an overflowing gap reads inf, and h is written finite, without a warning
+            h = np.empty_like(a)
             with np.errstate(all="raise"):
-                gap = blocked_gap(a)
-                qwp_linalg._psd_preamble(h)
+                gap = qwp_linalg._blocked_gap(blocks)
+                qwp_linalg._write_hermitian_part(blocks, h)
             assert np.isfinite(lower_triangle(h)).all()
             assert gap == np.inf
 
@@ -1659,13 +1681,11 @@ class TestPsdPreamble:
         a.imag[rng.random((n, n)) < 0.4] = -0.0
         a.real[rng.random((n, n)) < 0.2] *= -1.0
         a.imag[rng.random((n, n)) < 0.2] *= -1.0
-        self.assert_preamble_bits(a)
+        self.assert_writer_bits(qwp_linalg._square_blocks(a), a)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_a_stack_wider_than_one_strip(self, order):
-        # 218-row strips
+    def test_a_stack_wider_than_one_block_row(self, order):
         n = 300
-        assert qwp_linalg._row_block_size(n) == 218
         rng = np.random.default_rng(179)
         g = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
         psd = g @ g.conj().swapaxes(-1, -2) / n
@@ -1673,7 +1693,9 @@ class TestPsdPreamble:
         # the second matrix is non-hermitian only in its strict upper triangle
         a[1, 0, n - 1] += 1e-6
         for m in a:
-            self.assert_preamble_bits(m)
+            blocks = qwp_linalg._square_blocks(m)
+            assert blocks.shape[1] == 150
+            self.assert_writer_bits(blocks, m)
         flags = qwp_linalg._psd_flags(a, DEFAULT_TOL)
         assert flags.tolist() == [is_psd_oracle(m) for m in a] == [True, False, False]
 
@@ -1688,14 +1710,14 @@ class TestPsdPreamble:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("dim", [17, 24])
-    def test_strip_verdicts_match_the_oracle(self, kind, dim):
+    def test_verdicts_above_dim_16_match_the_oracle(self, kind, dim):
         for seed in range(2):
             c = sample_program(kind, dim, seed)
             assert is_completely_positive(c) is is_psd_oracle(to_choi(c))
 
     @pytest.mark.parametrize("k", [-2.0, -0.5, 0.5, 2.0])
     def test_is_psd_leaves_its_input_untouched(self, k, monkeypatch):
-        # two strips; a full-rank matrix, which the certificate leaves to the full factorizations
+        # 150-row blocks; a full-rank matrix, which the certificate leaves to the full factorizations
         n = 300
         g = np.random.default_rng(181).standard_normal((2, n, n))
         a = at_band_offset((g[0] + 1j * g[1]) @ (g[0] - 1j * g[1]).T / n, k, DEFAULT_TOL)
@@ -1708,17 +1730,18 @@ class TestPsdPreamble:
         assert_same_bits(a, before)
         assert got == is_psd_oracle(a) == (k > 0)
 
-    def test_the_preamble_allocates_no_full_size_array(self):
-        h = to_choi(sample_program("cptp", 32, 4))
-        qwp_linalg._psd_preamble(h.copy())
+    def test_the_writer_allocates_no_full_size_array(self):
+        blocks = qwp_programs._choi_view(sample_program("cptp", 32, 4).super)
+        h = np.empty((32 * 32, 32 * 32), dtype=np.complex128)
+        qwp_linalg._write_hermitian_part(blocks, h)
         tracemalloc.start()
         try:
-            qwp_linalg._psd_preamble(h)
+            qwp_linalg._write_hermitian_part(blocks, h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 1 MiB strip buffer and one strip's temporaries, against 16 MiB for the matrix
-        assert peak <= 3 << 20
+        # one block row's conjugated partners, 0.5 MiB at most, against 16 MiB for the matrix
+        assert peak <= 1 << 20
 
     def test_the_cp_check_peak_holds_one_full_size_array(self):
         c = low_rank_program(32, 40, 241)
@@ -1728,8 +1751,8 @@ class TestPsdPreamble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 16 MiB Choi copy with h written over it, and the 16 MiB factor of the full Cholesky
-        # factorization that a rank above d needs
+        # the 16 MiB array that h is written into, off the Choi view, and the 16 MiB factor of the
+        # full Cholesky factorization that a rank above d needs
         assert peak <= 32.1 * (1 << 20)
 
 
@@ -1918,24 +1941,24 @@ class TestReadInPlace:
         c = from_super(s)
         column = np.empty(n, dtype=np.complex128)
         for blocks, a in ((qwp_programs._choi_view(c.super), to_choi(c)), (qwp_linalg._square_blocks(s), s)):
-            h = a.copy()
-            qwp_linalg._psd_preamble(h)
+            h = np.empty_like(a)
+            qwp_linalg._write_hermitian_part(blocks, h)
             for p in range(n):
                 qwp_linalg._lower_column(blocks, p, column)
                 assert_same_bits(column[:p], h[p, :p].conj())
                 assert_same_bits(column[p:], h[p:, p])
 
     @pytest.mark.parametrize("dim", [8, 17, 32])
-    def test_a_defect_in_one_off_diagonal_block_is_refused_without_a_choi_copy(self, dim, monkeypatch):
+    def test_a_defect_in_one_off_diagonal_block_is_refused_before_h_is_written(self, dim, monkeypatch):
         # the Choi matrix I/d of rho -> Tr(rho) I/d, but for one entry of block (p, q), q < p, below the
         # n/4 corner; that entry sits on the block's diagonal, so the block is hermitian by itself
         n, p, q, i = dim * dim, dim - 1, dim // 2, 1
         j = np.eye(n, dtype=np.complex128) / dim
         j[p * dim + i, q * dim + i] += 1e-6
         c = from_choi(j)
-        copies = count_calls(monkeypatch, qwp_programs, "to_choi")
+        writes = count_calls(monkeypatch, qwp_linalg, "_write_hermitian_part")
         assert is_completely_positive(c) is False
-        assert copies == []
+        assert writes == []
         monkeypatch.undo()
         assert is_psd_oracle(to_choi(c)) is False
 
@@ -1946,9 +1969,10 @@ class TestReadInPlace:
         shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
         copies = count_calls(monkeypatch, qwp_programs, "to_choi")
         assert is_completely_positive(c) is False
-        # the probes pass and the certificate proves nothing: the Choi copy's factorization at eig_tol + δ refutes it
+        # the probes pass and the certificate proves nothing: h's factorization at eig_tol + δ refutes it,
+        # h written off the Choi view with no Choi copy
         assert shapes == [(1, m, m) for m in (n // 16, n // 4) if m] + [(1, n, n), (1, n, n)]
-        assert copies == ["to_choi"]
+        assert copies == []
         monkeypatch.undo()
         assert is_psd_oracle(to_choi(c)) is False
         assert is_positive_sampled(c, ToleranceConfig(sample_count=50), seed=1).status == "no_counterexample"
@@ -1965,16 +1989,18 @@ PEAK_BOUNDS_MIB = {
     "seq": 17.1,
     "measure_branch": 18.1,
     # the corner that the probes factor: a map that the low-rank certificate proves is read in place,
-    # one that it leaves undecided is copied into its Choi matrix, h written over the copy, and adds
-    # the full Cholesky factor; a refuted map copies only its corner, also from a superoperator stored by columns
+    # one that it leaves undecided has h written off the Choi view into one new array, with no Choi copy,
+    # and adds the full Cholesky factor, also from a superoperator stored by columns; a refuted map copies
+    # only its corner
     "is_completely_positive cptp": 2.6,
     "is_completely_positive rank-40": 32.1,
+    "is_completely_positive adjoint rank-40": 32.1,
     "is_completely_positive transpose_mix": 2.6,
     "is_completely_positive adjoint transpose_mix": 2.6,
     "is_positive_sampled cptp": 2.6,
     # a block's hermitian part and its Cholesky factor, or the coordinate matrix and product it came from
     "is_positive_sampled transpose_mix": 33.8,
-    # a real matrix's complex conversion, which is the route's private copy, and the full Cholesky factor
+    # a real matrix's complex conversion, which h is written over in place, and the full Cholesky factor
     "is_psd real full-rank": 32.1,
 }
 
@@ -1985,6 +2011,7 @@ def peak_calls():
     d = 32
     cptp, mixture = low_rank_program(d, 4, 241), sample_program("transpose_mix", d, 4)
     rank_40 = low_rank_program(d, 40, 241)
+    rank_40_dual = adjoint(rank_40)
     dual = adjoint(mixture)
     s, j = cptp.super.copy(), to_choi(cptp)
     f = random_predicate(np.random.default_rng(241), d)
@@ -2000,6 +2027,7 @@ def peak_calls():
         "measure_branch": lambda: measure_branch([upper, np.eye(d) - upper], [cptp, mixture]),
         "is_completely_positive cptp": lambda: is_completely_positive(cptp),
         "is_completely_positive rank-40": lambda: is_completely_positive(rank_40),
+        "is_completely_positive adjoint rank-40": lambda: is_completely_positive(rank_40_dual),
         "is_completely_positive transpose_mix": lambda: is_completely_positive(mixture),
         "is_completely_positive adjoint transpose_mix": lambda: is_completely_positive(dual),
         "is_positive_sampled cptp": lambda: is_positive_sampled(cptp, seed=3),
