@@ -14,7 +14,7 @@ this convention
 Mixing vectorization conventions corrupts results silently: ``vec`` and
 ``unvec`` below state the convention, and the functions that index the
 superoperator directly (``_choi_view``, ``to_choi``, ``from_choi``,
-``transpose_program``, ``_kraus_supers``, ``measure_branch``,
+``transpose_program``, ``_unital_gaps``, ``_kraus_supers``, ``measure_branch``,
 ``_coordinate_matrix`` and ``_basis_outputs``) each state the index identity
 they rely on.
 
@@ -288,13 +288,14 @@ def from_choi(choi, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumProgram:
     d = math.isqrt(n)
     if d * d != n:
         raise DimensionMismatchError(f"Choi matrix side {n} is not a perfect square")
-    j4 = j.reshape(d, d, d, d)  # indices (a, i, c, k): J[a*d+i, c*d+k]
-    dev = float(_identity_gaps(np.einsum("aiak->ik", j4)))
+    # indices (a, i, c, k) of J[a*d+i, c*d+k] = S[c*d+a, k*d+i], the inverse of the to_choi permutation
+    s = j.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(n, n)
+    # the output partial trace Σ_a J[a*d+i, a*d+k] = Σ_a S[a(d+1), k*d+i] is the sum that tests C*(I) = I
+    dev = float(_unital_gaps(s))
     if dev > tol.residual_tol:
         raise NotTracePreservingError(
             f"Choi output partial trace deviates from the identity by {dev:.3e}"
         )
-    s = j4.transpose(2, 0, 3, 1).reshape(n, n)  # inverse of the to_choi permutation
     # the reshape copies for d ≥ 2; at d = 1 it is a view of the caller's array
     return QuantumProgram._adopt(d, s.copy() if np.may_share_memory(s, j) else s, "choi")
 
@@ -403,17 +404,29 @@ def adjoint(c: QuantumProgram) -> QuantumProgram:
 
 
 def is_trace_preserving(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Dual-unitality test: the adjoint maps the identity to the identity."""
+    """Dual-unitality test: the adjoint maps the identity to the identity.
+
+    Reads only the d rows k(d+1) of the superoperator, through :func:`_unital_gaps`.
+    """
     return float(_unital_gaps(c.super)) <= tol.residual_tol
 
 
 def _unital_gaps(supers: np.ndarray) -> np.ndarray:
     """Max-entry |C*(I) - I| for superoperators (..., d², d²); zero means trace preserving.
 
-    C*(I) is the conjugate of Sᵀ vec(I), with Sᵀ the view ``supers.swapaxes(-1, -2)`` (the
-    layout :func:`adjoint` stores), and I is real, so the gap is read off Sᵀ vec(I) directly.
+    C*(I) is the conjugate of Sᵀ vec(I), and I is real, so the gap is read off Sᵀ vec(I)
+    directly. vec(I) is one at the d positions k(d+1) and zero elsewhere, so Sᵀ vec(I) is the
+    sum of the d rows S[k(d+1), :]: a strided view, d³ entries, never a copy of S. The rows
+    are added in order, one elementwise add each, so a stack and each of its members get the
+    same bits in any layout, C- or F-ordered or the columns :func:`adjoint` stores. Adding
+    +0.0 to the first row turns -0.0 entries into +0.0, as a sum from 0 does.
     """
-    return _identity_gaps(unvec(supers.swapaxes(-1, -2) @ vec(np.eye(math.isqrt(supers.shape[-1])))))
+    d = math.isqrt(supers.shape[-1])
+    rows = supers[..., :: d + 1, :]
+    total = rows[..., 0, :] + 0.0
+    for k in range(1, d):
+        total += rows[..., k, :]
+    return _identity_gaps(unvec(total))
 
 
 def _choi_view(s: np.ndarray) -> np.ndarray:

@@ -160,6 +160,13 @@ MUTANTS = [
         "",
         (f"{KERNELS}::TestWpOracle",),
     ),
+    # the trace-preservation gap sums the rows k(d+1) of S, where vec(I) is one
+    Mutant(
+        "programs.py",
+        "rows = supers[..., :: d + 1, :]",
+        "rows = supers[..., :: d, :]",
+        (f"{KERNELS}::TestUnitalGaps::test_gaps_match_the_oracle",),
+    ),
     # a one-row tail joins the row block before it
     Mutant(
         "programs.py",

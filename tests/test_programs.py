@@ -422,6 +422,13 @@ def from_choi_loop(j):
     return s
 
 
+def choi_partial_trace_gap(j):
+    """Max-entry |Σ_a J[a·d+i, a·d+k] - I|, the output partial trace of a Choi matrix summed by einsum."""
+    n = j.shape[0]
+    d = int(round(np.sqrt(n)))
+    return float(np.abs(np.einsum("aiak->ik", j.reshape(d, d, d, d)) - np.eye(d)).max())
+
+
 def transpose_super_loop(dim):
     """Pre-permutation transpose_program superoperator."""
     s = np.zeros((dim * dim, dim * dim))
@@ -447,6 +454,29 @@ class TestPermutationsMatchLoops:
         s = from_choi(j).super
         assert s.tobytes() == from_choi_loop(j).tobytes()
         assert s.flags.c_contiguous and not np.may_share_memory(s, j)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
+    @pytest.mark.parametrize("kind", ["cptp", "unitary", "transpose", "transpose_mix"])
+    def test_from_choi_refuses_what_the_partial_trace_refuses(self, kind, dim):
+        # the Choi matrices of a program and of its adjoint, and of the trace-preserving
+        # ones scaled so that the partial trace is off the identity by 0.5 and 2 residual_tol
+        tol = ToleranceConfig()
+        c = sample_program(kind, dim, 2000 + dim)
+        docs = []
+        for prog in (c, adjoint(c)):
+            j = to_choi(prog)
+            docs.append(j)
+            if choi_partial_trace_gap(j) < tol.residual_tol / 1000:
+                docs += [j * (1.0 + k * tol.residual_tol) for k in (0.5, 2.0)]
+        assert len(docs) >= 4
+        for j in docs:
+            gap = choi_partial_trace_gap(j)
+            if gap > tol.residual_tol:
+                with pytest.raises(NotTracePreservingError, match="Choi output partial trace deviates from the identity by"):
+                    from_choi(j, tol)
+            else:
+                assert np.array_equal(from_choi(j, tol).super, from_choi_loop(j))
+        assert {choi_partial_trace_gap(j) <= tol.residual_tol for j in docs} == {True, False}
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_to_choi_returns_a_private_copy(self, dim):

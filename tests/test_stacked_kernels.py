@@ -62,6 +62,7 @@ from qwp.programs import (
     from_unitary,
     is_completely_positive,
     is_positive_sampled,
+    is_trace_preserving,
     measure_branch,
     mix,
     random_cptp,
@@ -385,6 +386,13 @@ def wp_effects_oracle(c, f):
     """The transformed effects, one adjoint action an atom."""
     dual = adjoint(c)
     return [apply_matrix(dual, f.effect(a)) for a in f.space.atoms]
+
+
+def unital_gaps_oracle(s):
+    """Max-entry |C*(I) - I| read off the full product unvec(Sᵀ vec(I)), for superoperators (..., d², d²)."""
+    d = int(round(np.sqrt(s.shape[-1])))
+    eye = np.eye(d)
+    return np.abs(unvec(s.swapaxes(-1, -2) @ vec(eye)) - eye).max(axis=(-2, -1))
 
 
 def wp_oracle(c, f, tol):
@@ -1026,6 +1034,78 @@ class TestWpOracle:
                 Predicate(f.space, wp_effects_oracle(c, f))
             with pytest.raises(ValueError, match="finite"):
                 wp(c, f)
+
+
+def unital_layouts(kind, dim):
+    """A program's superoperator C- and F-ordered, and its adjoint's as stored (by columns) and C-ordered."""
+    c = sample_program(kind, dim, np.random.default_rng([dim, 41]))
+    dual = adjoint(c).super
+    return c.super, np.asfortranarray(c.super), dual, np.ascontiguousarray(dual)
+
+
+def unital_gap_bound(s):
+    """4·d·u·(m + 1), m the largest Σ_k |S[k(d+1), j]|: twice the rounding of a d-term sum of
+    each entry of C*(I) in any order, with room for the subtraction of I and the modulus."""
+    d = int(round(np.sqrt(s.shape[-1])))
+    m = np.abs(s[..., :: d + 1, :]).sum(axis=-2).max(axis=-1)
+    return 4 * d * (np.finfo(float).eps / 2) * (m + 1.0)
+
+
+class TestUnitalGaps:
+    """The trace-preservation gap reads only the d rows k(d+1) of S, summed in row order; it
+    agrees with the full product Sᵀ vec(I) within a rounding bound, and its verdicts with the product's."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 32])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gaps_match_the_oracle(self, kind, dim):
+        for s in unital_layouts(kind, dim):
+            got, want = qwp_programs._unital_gaps(s), unital_gaps_oracle(s)
+            assert abs(float(got) - float(want)) <= unital_gap_bound(s)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 32])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verdicts_match_the_oracle_at_and_around_the_tolerance(self, kind, dim):
+        tol = DEFAULT_TOL.residual_tol
+        perturbed = 0
+        for s in unital_layouts(kind, dim):
+            want = float(unital_gaps_oracle(s))
+            assert (float(qwp_programs._unital_gaps(s)) <= tol) == (want <= tol) == is_trace_preserving(from_super(s))
+            if want > tol / 1000:
+                continue  # a map that is not trace preserving: no gap near the tolerance to set
+            for k in (0.5, 2.0):
+                t = np.array(s, order="K")  # the same layout
+                t[0, 0] += k * tol  # moves C*(I)[0, 0] by k·residual_tol
+                gap = float(qwp_programs._unital_gaps(t))
+                assert gap == pytest.approx(k * tol, rel=1e-3)
+                assert (gap <= tol) == (float(unital_gaps_oracle(t)) <= tol) == (k < 1)
+                perturbed += 1
+        # the program and its C- and F-ordered copies are trace preserving
+        assert perturbed >= 4
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 17])
+    def test_a_stack_has_the_bits_of_its_members_in_every_layout(self, dim):
+        members = [s for kind in KINDS for s in unital_layouts(kind, dim)]
+        singles = np.array([qwp_programs._unital_gaps(s) for s in members])
+        stack = np.stack(members)
+        dual = np.stack([s.conj() for s in members]).swapaxes(-1, -2)  # stored by columns, as adjoint does
+        for layout in (stack, np.asfortranarray(stack)):
+            assert np.array_equal(qwp_programs._unital_gaps(layout), singles)
+        assert np.array_equal(qwp_programs._unital_gaps(dual), [qwp_programs._unital_gaps(s.conj().T) for s in members])
+
+    @pytest.mark.parametrize("dim, count", [(32, None), (6, 3)])
+    def test_only_the_rows_k_d_plus_1_are_read(self, dim, count):
+        # one trace-preserving superoperator at d = 32, and a stack of three at d = 6
+        rng = np.random.default_rng([dim, 43])
+        kinds = ("cptp",) if count is None else KINDS[:count]
+        s = np.array([sample_program(kind, dim, rng).super for kind in kinds])
+        s = s[0] if count is None else s
+        want = qwp_programs._unital_gaps(s)
+        poisoned = np.full_like(s, np.nan)
+        poisoned[..., :: dim + 1, :] = s[..., :: dim + 1, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = qwp_programs._unital_gaps(poisoned)
+        assert np.isfinite(want).all() and np.array_equal(got, want)
 
 
 class TestFromKrausOracle:
