@@ -70,6 +70,13 @@ class OutcomeSpace:
     def __contains__(self, label: str) -> bool:
         return label in self.atoms
 
+    def _index(self, label: str) -> int:
+        """Position of an atom; KeyError("unknown atom 'x'") for a label not in the space."""
+        try:
+            return self.atoms.index(label)
+        except ValueError:
+            raise KeyError(f"unknown atom {label!r}") from None
+
 
 class Predicate:
     """One effect operator per atom of an outcome space.
@@ -112,10 +119,7 @@ class Predicate:
         return self.effects.shape[-1]
 
     def effect(self, atom: str) -> np.ndarray:
-        try:
-            return self.effects[self.space.atoms.index(atom)]
-        except ValueError:
-            raise KeyError(atom) from None
+        return self.effects[self.space._index(atom)]
 
     def total_effect(self) -> np.ndarray:
         return _total_effects(self.effects)
@@ -155,11 +159,8 @@ class SatMeasure:
 
     def mass(self, subset: Iterable[str]) -> float:
         """Additive mass of a set of atoms."""
-        labels = list(subset)
-        for a in labels:
-            if a not in self.space:
-                raise KeyError(f"unknown atom {a!r}")
-        return float(sum(self.weights[a] for a in labels))
+        values = [self.weights[a] for a in self.space.atoms]
+        return float(sum(values[self.space._index(a)] for a in subset))
 
     def total(self) -> float:
         return float(sum(self.weights.values()))
@@ -226,15 +227,9 @@ def _require_valid(p: Predicate, tol: ToleranceConfig) -> None:
 
 
 def effect_of_set(p: Predicate, subset: Iterable[str]) -> np.ndarray:
-    """Summed effect of a set of atoms; the empty set gives the zero matrix."""
-    labels = list(subset)
-    for a in labels:
-        if a not in p.space:
-            raise KeyError(f"unknown atom {a!r}")
-    out = np.zeros((p.dim, p.dim), dtype=np.complex128)
-    for a in labels:
-        out = out + p.effect(a)
-    return out
+    """Summed effect of a set of atoms, added in the set's order; the empty set gives the zero matrix."""
+    rows = p.effects[[p.space._index(a) for a in subset]]
+    return _total_effects(rows) if len(rows) else np.zeros((p.dim, p.dim), dtype=np.complex128)
 
 
 def is_complete(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

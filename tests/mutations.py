@@ -278,6 +278,20 @@ MUTANTS = [
         "",
         ("tests/test_cli.py::TestWpCommand::test_an_output_that_is_not_a_predicate_is_not_written",),
     ),
+    # a bad tolerance exits 2 before any file is read, so also when the file is missing
+    Mutant(
+        "cli.py",
+        "    tol = _make_tol(eig_tol, residual_tol, samples)\n    obj = _load(triple_path)\n",
+        "    obj = _load(triple_path)\n    tol = _make_tol(eig_tol, residual_tol, samples)\n",
+        ("tests/test_cli.py::test_exit_code_contract[verify_samples_0]",),
+    ),
+    # the weakest sweep's pairs cycle through all four program kinds
+    Mutant(
+        "campaigns.py",
+        "sample_program(_PROGRAM_KINDS[pair % len(_PROGRAM_KINDS)], dim, rng)",
+        "sample_program(_PROGRAM_KINDS[pair % 2], dim, rng)",
+        ("tests/test_campaigns.py::test_weakest_pairs_cycle_through_the_program_kinds",),
+    ),
     # each effect's normals are drawn before its eigenvalues, as random_effect draws them
     Mutant(
         "linalg.py",

@@ -24,9 +24,11 @@ from click.testing import CliRunner
 
 from qwp.cli import main
 from qwp.predicates import Predicate, random_predicate
-from qwp.programs import from_super, is_completely_positive, is_positive_sampled, mix, sample_program, vec
+from qwp.programs import is_completely_positive, is_positive_sampled, mix, sample_program
 from qwp.serialize import verification_report_to_json
 from qwp.wp import HoareTriple, verify_triple, wp
+
+from maps import nonpositive
 
 DIMS = (2, 3, 5, 8, 16)
 VERDICT_DIMS = (24, 32)
@@ -39,12 +41,6 @@ def digest(*parts) -> str:
     for part in parts:
         h.update(np.ascontiguousarray(part).tobytes() if isinstance(part, np.ndarray) else str(part).encode())
     return h.hexdigest()
-
-
-def nonpositive(dim: int, eps: float):
-    """rho -> (1 + eps) rho - eps Tr(rho) I/d: trace preserving, not positive for eps > 0."""
-    flat = vec(np.eye(dim))
-    return from_super((1 + eps) * np.eye(dim * dim) - eps * np.outer(flat, flat) / dim)
 
 
 def library_lines():

@@ -13,6 +13,7 @@ from qwp.linalg import ToleranceConfig
 
 import pytest
 
+qwp_campaigns = importlib.import_module("qwp.campaigns")
 qwp_programs = importlib.import_module("qwp.programs")
 
 SMALL = ToleranceConfig(sample_count=50)
@@ -91,3 +92,11 @@ def test_a_non_unitary_draw_is_refused_as_sample_program_refuses_it(campaign, mo
     )
     with pytest.raises(ValidationError, match=re.escape("matrix is not unitary (|U†U - I| = 2.000e-06)")):
         campaign((2, 3), 8, 7, ToleranceConfig(residual_tol=1e-3))
+
+
+def test_weakest_pairs_cycle_through_the_program_kinds(monkeypatch):
+    # 760 candidates are four pairs of at most 250, one of each kind
+    kinds, sample = [], qwp_campaigns.sample_program
+    monkeypatch.setattr(qwp_campaigns, "sample_program", lambda kind, *args: kinds.append(kind) or sample(kind, *args))
+    assert weakest_campaign([2], 760, seed=7).failures == 0
+    assert kinds == ["cptp", "unitary", "transpose", "transpose_mix"]

@@ -11,8 +11,9 @@ from click.testing import CliRunner
 
 import qwp
 from qwp.cli import main
+from qwp.linalg import random_isometry
 from qwp.predicates import OutcomeSpace, Predicate, projective_predicate
-from qwp.programs import DensityState, amplitude_damping, depolarizing, from_super, vec
+from qwp.programs import DensityState, amplitude_damping, from_super, vec
 from qwp.serialize import (
     matrix_to_json,
     predicate_to_json,
@@ -20,14 +21,23 @@ from qwp.serialize import (
     state_to_json,
 )
 
+from maps import nonpositive
+
 
 @pytest.fixture
 def runner():
     return CliRunner()
 
 
+def assert_exits(result, status):
+    """The command ended through sys.exit with this status: no exception escaped, so no traceback."""
+    assert result.exit_code == status
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def write(path, doc):
-    path.write_text(json.dumps(doc))
+    """Write a JSON document, or a text as it is."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -55,6 +65,32 @@ def nonpositive_program(dim):
 def projector_predicate_doc(label, x):
     p = np.outer(x, x.conj())
     return {"atoms": [label, "rest"], "effects": {label: matrix_to_json(p), "rest": matrix_to_json(np.eye(len(x)) - p)}}
+
+
+# documents that validate refuses with exit 2, by name; json.dumps writes 10**400 as its 401 digits
+MALFORMED = {
+    "effects_list": dict(z_predicate_doc(), effects=list(z_predicate_doc()["effects"].values())),
+    "dim_inf": json.dumps(named_program_doc("depolarizing", p=0.5)).replace('"dim": 2', '"dim": 1e400'),
+    "depolarizing_without_p": named_program_doc("depolarizing"),
+    "kraus_payload_number": {"dim": 2, "repr": "kraus", "payload": 5},
+    "named_payload_number": {"dim": 2, "repr": "named", "payload": 5},
+    "atoms_number": {"atoms": 5, "effects": {}},
+    "dim_huge": dict(named_program_doc("identity"), dim=10**6),
+    "dim_list": dict(named_program_doc("depolarizing", p=0.5), dim=[2]),
+    "dim_null": dict(named_program_doc("depolarizing", p=0.5), dim=None),
+    "dim_zero": dict(named_program_doc("transpose"), dim=0),
+    "dim_negative": dict(named_program_doc("identity"), dim=-1),
+    "parameter_list": named_program_doc("depolarizing", p=[0.5]),
+    "name_list": {"dim": 2, "repr": "named", "payload": {"name": ["depolarizing"], "p": 0.5}},
+    "parameter_overflow": named_program_doc("depolarizing", p=10**400),
+    "label_list": dict(named_program_doc("depolarizing", p=0.5), label=["a"]),
+    "part_object": {"dim": 1, "re": {"a": 1}, "im": [[0.0]]},
+    "entry_object": {"dim": 1, "re": [[{"a": 1}]], "im": [[0.0]]},
+    "string_and_boolean_parts": {"dim": 1, "re": [["1"]], "im": [[False]]},
+    "entry_overflow": {"dim": 1, "re": [[10**400]], "im": [[0.0]]},
+    "super_dim_disagrees": {"dim": 3, "repr": "super", "payload": matrix_to_json(np.eye(4))},
+    "program_without_payload": {"dim": 2, "repr": "named"},
+}
 
 
 class TestValidate:
@@ -86,7 +122,7 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text('{"atoms": ["a"], "effects": {')
         result = runner.invoke(main, ["validate", str(path)])
-        assert result.exit_code == 1
+        assert_exits(result, 1)
         assert "line" in result.stderr
 
     @pytest.mark.parametrize(
@@ -98,7 +134,7 @@ class TestValidate:
         path = tmp_path / "odd.json"
         path.write_text(text)
         result = runner.invoke(main, ["validate", str(path)])
-        assert result.exit_code == 1
+        assert_exits(result, 1)
         assert "JSON parse error" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
@@ -109,7 +145,7 @@ class TestValidate:
         doc = {"atoms": ["0"], "effects": {"0": matrix_to_json(np.diag([1e308, 0.5]))}}
         path = write(tmp_path / "p.json", doc)
         result = runner.invoke(main, ["validate", path])
-        assert result.exit_code == 2
+        assert_exits(result, 2)
         report = json.loads(result.stdout)
         assert report["ok"] is False
         assert report["violations"] == ["total effect exceeds the identity (max eigenvalue 1e+308)"]
@@ -130,7 +166,7 @@ class TestValidate:
 
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(tmp_path / "nope.json")])
-        assert result.exit_code == 1
+        assert_exits(result, 1)
 
     def test_valid_program(self, runner, tmp_path):
         path = write(tmp_path / "c.json", program_to_json(amplitude_damping(0.3)))
@@ -141,24 +177,17 @@ class TestValidate:
         assert report["program"]["positivity"] == "certified_cp"
 
     def test_non_tp_program(self, runner, tmp_path):
-        doc = {
-            "dim": 2,
-            "repr": "super",
-            "payload": matrix_to_json(0.9 * np.eye(4)),
-            "label": "lossy",
-        }
-        path = write(tmp_path / "c.json", doc)
+        path = write(tmp_path / "c.json", DOCS["lossy.json"])
         result = runner.invoke(main, ["validate", path, "--samples", "20"])
         assert result.exit_code == 2
         report = json.loads(result.stdout)
         assert "program is not trace preserving" in report["violations"]
 
     def test_non_positive_program(self, runner, tmp_path):
-        # rho -> 1.5 rho - 0.5 Tr(rho) I/3: trace preserving, maps |0><0| outside the PSD cone
-        flat = np.eye(3).reshape(-1, order="F")
-        path = write(tmp_path / "c.json", program_to_json(from_super(1.5 * np.eye(9) - 0.5 * np.outer(flat, flat) / 3)))
+        # rho -> 1.5 rho - 0.5 Tr(rho) I/3 maps |0><0| outside the PSD cone
+        path = write(tmp_path / "c.json", program_to_json(nonpositive(3, 0.5)))
         result = runner.invoke(main, ["validate", path])
-        assert result.exit_code == 2
+        assert_exits(result, 2)
         report = json.loads(result.stdout)
         assert report["ok"] is False
         assert (report["program"]["positivity"], report["program"]["positivity_samples"]) == ("counterexample", 1)
@@ -168,12 +197,10 @@ class TestValidate:
 
     def test_triple_with_non_positive_program(self, runner, tmp_path):
         # pre and post are valid and the program is trace preserving, but not positive
-        flat = np.eye(3).reshape(-1, order="F")
-        prog = program_to_json(from_super(1.5 * np.eye(9) - 0.5 * np.outer(flat, flat) / 3))
         post = predicate_to_json(projective_predicate(3))
-        path = write(tmp_path / "t.json", {"pre": post, "prog": prog, "post": post})
+        path = write(tmp_path / "t.json", {"pre": post, "prog": program_to_json(nonpositive(3, 0.5)), "post": post})
         result = runner.invoke(main, ["validate", path])
-        assert result.exit_code == 2
+        assert_exits(result, 2)
         report = json.loads(result.stdout)
         assert report["ok"] is False and "program" not in report
         assert report["violations"] == [
@@ -192,68 +219,10 @@ class TestValidate:
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 0
 
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            "effects_list",
-            "dim_inf",
-            "depolarizing_without_p",
-            "kraus_payload_number",
-            "named_payload_number",
-            "atoms_number",
-            "dim_huge",
-            "dim_list",
-            "dim_null",
-            "parameter_list",
-            "name_list",
-            "parameter_overflow",
-            "label_list",
-            "string_and_boolean_parts",
-            "entry_overflow",
-            "super_dim_disagrees",
-            "program_without_payload",
-        ],
-    )
+    @pytest.mark.parametrize("kind", list(MALFORMED))
     def test_malformed_document_is_semantic_error(self, runner, tmp_path, kind):
-        if kind == "effects_list":
-            doc = z_predicate_doc()
-            text = json.dumps(dict(doc, effects=list(doc["effects"].values())))
-        elif kind == "dim_inf":
-            text = json.dumps(named_program_doc("depolarizing", p=0.5)).replace('"dim": 2', '"dim": 1e400')
-        elif kind == "depolarizing_without_p":
-            text = json.dumps(named_program_doc("depolarizing"))
-        elif kind == "kraus_payload_number":
-            text = json.dumps({"dim": 2, "repr": "kraus", "payload": 5})
-        elif kind == "named_payload_number":
-            text = json.dumps({"dim": 2, "repr": "named", "payload": 5})
-        elif kind == "atoms_number":
-            text = json.dumps({"atoms": 5, "effects": {}})
-        elif kind == "dim_huge":
-            text = json.dumps(dict(named_program_doc("identity"), dim=10**6))
-        elif kind == "dim_list":
-            text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), dim=[2]))
-        elif kind == "dim_null":
-            text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), dim=None))
-        elif kind == "parameter_list":
-            text = json.dumps(named_program_doc("depolarizing", p=[0.5]))
-        elif kind == "parameter_overflow":
-            text = json.dumps(named_program_doc("depolarizing", p=10**400))
-        elif kind == "label_list":
-            text = json.dumps(dict(named_program_doc("depolarizing", p=0.5), label=["a"]))
-        elif kind == "string_and_boolean_parts":
-            text = json.dumps({"dim": 1, "re": [["1"]], "im": [[False]]})
-        elif kind == "entry_overflow":
-            text = json.dumps({"dim": 1, "re": [[10**400]], "im": [[0.0]]})
-        elif kind == "super_dim_disagrees":
-            text = json.dumps({"dim": 3, "repr": "super", "payload": matrix_to_json(np.eye(4))})
-        elif kind == "program_without_payload":
-            text = json.dumps({"dim": 2, "repr": "named"})
-        else:
-            text = json.dumps({"dim": 2, "repr": "named", "payload": {"name": ["depolarizing"], "p": 0.5}})
-        path = tmp_path / "bad.json"
-        path.write_text(text)
-        result = runner.invoke(main, ["validate", str(path)])
-        assert result.exit_code == 2
+        result = runner.invoke(main, ["validate", write(tmp_path / "bad.json", MALFORMED[kind])])
+        assert_exits(result, 2)
         assert "Traceback" not in result.stderr
         report = json.loads(result.stdout)
         assert report["ok"] is False and report["violations"]
@@ -342,8 +311,8 @@ class TestWpCommand:
         pred = write(tmp_path / "f.json", projector_predicate_doc("w", w))
         out = tmp_path / "g.json"
         result = runner.invoke(main, ["wp", prog, pred, "--out", str(out)])
-        assert result.exit_code == 2
-        assert "not positive" in result.stderr and "'w'" in result.stderr
+        assert_exits(result, 2)
+        assert "program is not positive" in result.stderr and "'w'" in result.stderr
         assert not out.exists() and not (tmp_path / "g.json.report.json").exists()
 
     def test_a_counterexample_to_positivity_is_a_warning_when_the_output_is_valid(self, runner, tmp_path):
@@ -377,7 +346,7 @@ class TestWpCommand:
         bad.write_text("{")
         pred = write(tmp_path / "f.json", z_predicate_doc())
         result = runner.invoke(main, ["wp", str(bad), pred, "--out", str(tmp_path / "g.json")])
-        assert result.exit_code == 1
+        assert_exits(result, 1)
 
 
 class TestVerifyCommand:
@@ -420,7 +389,7 @@ class TestVerifyCommand:
         doc = self.triple_doc(pre, named_program_doc("depolarizing", p=0.5), post)
         path = write(tmp_path / "t.json", doc)
         result = runner.invoke(main, ["verify", path])
-        assert result.exit_code == 2
+        assert_exits(result, 2)
         assert result.stdout == ""
         assert result.stderr.startswith("invalid predicate: effect '0' is not PSD")
 
@@ -450,7 +419,7 @@ class TestSatCommand:
         pred = write(tmp_path / "f.json", {"atoms": ["0"], "effects": {"0": matrix_to_json(np.diag([1.5, -0.5]))}})
         out = tmp_path / "m.json"
         result = runner.invoke(main, ["sat", state, pred, "--out", str(out)])
-        assert result.exit_code == 2
+        assert_exits(result, 2)
         assert result.stdout == "" and not out.exists()
         assert result.stderr.startswith("invalid predicate: effect '0' is not PSD")
         assert "total effect exceeds the identity" in result.stderr
@@ -508,7 +477,7 @@ class TestPropertiesCommand:
     def test_a_refused_trial_exits_2(self, runner, suite, dims, samples, seed, residual_tol, message):
         args = ["properties", suite, "--dims", dims, "--samples", samples, "--seed", seed, "--residual-tol", residual_tol]
         result = runner.invoke(main, args)
-        assert result.exit_code == 2
+        assert_exits(result, 2)
         assert result.stdout == "" and message in result.stderr
 
     def test_failing_campaign_exits_3(self, runner, monkeypatch):
@@ -538,7 +507,7 @@ class TestReportEnvelope:
         path = write(tmp_path / "p.json", z_predicate_doc())
         out = tmp_path / "missing" / "report.json"
         result = runner.invoke(main, ["validate", path, "--out", str(out)])
-        assert result.exit_code == 1
+        assert_exits(result, 1)
         assert f"{out}: No such file or directory" in result.stderr
         assert not out.exists()
 
@@ -548,3 +517,107 @@ class TestReportEnvelope:
         result = runner.invoke(main, ["validate", path, "--out", str(out)])
         assert result.exit_code == 0
         assert json.loads(out.read_text()) == json.loads(result.stdout)
+
+
+def haar_kraus_doc(count, dim=32):
+    """A CPTP map of count Kraus operators, sliced from one seeded Haar isometry (count·dim)×dim."""
+    w = random_isometry(np.random.default_rng(32), count * dim, dim)
+    return {"dim": dim, "repr": "kraus", "payload": [matrix_to_json(w[dim * k:dim * (k + 1)]) for k in range(count)]}
+
+
+# the files that CONTRACT's rows name, by name: a JSON document, or a text written as it is
+DOCS = {
+    "prog.json": named_program_doc("identity"),
+    "pred.json": z_predicate_doc(),
+    "state.json": state_to_json(DensityState(np.eye(2) / 2)),
+    "bad.json": "{",
+    "transpose.json": dict(named_program_doc("transpose"), dim=3),
+    "transpose32.json": dict(named_program_doc("transpose"), dim=32),
+    "kraus_dim3.json": {"dim": 3, "repr": "kraus", "payload": [matrix_to_json(np.eye(2))] * 2},
+    "super_dim3.json": MALFORMED["super_dim_disagrees"],
+    "invalid.json": {"atoms": ["0"], "effects": {"0": matrix_to_json(np.diag([1.5, -0.5]))}},
+    "depolarizing.json": named_program_doc("depolarizing", p=0.5),
+    "identity17.json": dict(named_program_doc("identity"), dim=17),
+    "kraus32.json": haar_kraus_doc(4),
+    # the completely depolarizing map, of rank d²
+    "depolarizing17.json": program_to_json(from_super(np.outer(vec(np.eye(17)) / 17, vec(np.eye(17))))),
+    "kraus40_32.json": haar_kraus_doc(40),
+    "lossy.json": {"dim": 2, "repr": "super", "payload": matrix_to_json(0.9 * np.eye(4)), "label": "lossy"},
+    "lossy32.json": {"dim": 32, "repr": "kraus", "payload": [matrix_to_json(0.9 * np.eye(32))], "label": "lossy32"},
+    "split32.json": projector_predicate_doc("0", np.eye(32)[0]),
+}
+
+
+def reports(name, command, status, *texts):
+    """``qwp command``, run among the DOCS it names, exits with status and reports texts, with an empty stderr."""
+    return pytest.param(command.split(), status, False, texts, id=name)
+
+
+def dies(name, command, status, *texts):
+    """``qwp command`` exits with status and prints texts on stderr, with no report and no file."""
+    return pytest.param(command.split(), status, True, texts, id=name)
+
+
+CERTIFIED = '"positivity": "certified_cp"'
+BAD_SAMPLES, BAD_EIG_TOL = "sample_count must be positive, got 0", "eig_tol must lie in [0, 1e-3], got 1.0"
+
+CONTRACT = [
+    reports("properties_all", "properties all --dims 2,3 --samples 50 --seed 7", 0),
+    # the supremum audit over all four program kinds, one (program, predicate) pair each
+    reports("weakest_760", "properties weakest --dims 2 --samples 760 --seed 7", 0, '"failures": 0', '"trials": 760'),
+    # the blocked positivity audit on a positive map that is not CP, and at d = 32, where the
+    # leading blocks of the Choi matrix refute complete positivity
+    reports("transpose", "validate transpose.json", 0, '"positivity": "no_counterexample"'),
+    reports("transpose_d32", "validate transpose32.json", 0, '"positivity": "no_counterexample"'),
+    # a superoperator's dim is read off its side, then checked against the document's, as a Kraus map's is
+    reports("kraus_dim_disagrees", "validate kraus_dim3.json", 2, "program has dim 2, expected 3"),
+    reports("super_dim_disagrees", "validate super_dim3.json", 2, "program has dim 2, expected 3"),
+    # the stacked predicate check: a negative eigenvalue and a total above the identity
+    reports("invalid", "validate invalid.json", 2, "effect '0' is not PSD", "total effect exceeds the identity"),
+    reports("depolarizing", "validate depolarizing.json", 0, CERTIFIED),
+    # the low-rank certificate, off the superoperator's Choi view
+    reports("identity_d17", "validate identity17.json", 0, CERTIFIED),
+    reports("kraus4_d32", "validate kraus32.json", 0, CERTIFIED),
+    # rank above d: the full factorizations certify these
+    reports("depolarizing_d17", "validate depolarizing17.json", 0, CERTIFIED),
+    reports("kraus40_d32", "validate kraus40_32.json", 0, CERTIFIED),
+    dies("wp_lossy", "wp lossy.json pred.json --out out.json", 2, "program 'lossy' is not trace preserving"),
+    # at d = 32 the test reads only the rows k(d+1) of the superoperator
+    reports("lossy_d32", "validate lossy32.json", 2, '"trace_preserving": false', "program is not trace preserving"),
+    dies("wp_lossy_d32", "wp lossy32.json split32.json --out out.json", 2, "program 'lossy32' is not trace preserving"),
+    # each command crossed with the contract's input faults: a missing file and JSON that does not parse
+    # exit 1; a document of another kind exits 2, and so does a bad tolerance, before any file is read
+    dies("validate_samples_0", "validate missing.json --samples 0", 2, BAD_SAMPLES),
+    dies("validate_eig_tol_1", "validate missing.json --eig-tol 1", 2, BAD_EIG_TOL),
+    dies("wp_missing", "wp missing.json pred.json --out out.json", 1, "missing.json: No such file"),
+    dies("wp_samples_0", "wp missing.json missing.json --out out.json --samples 0", 2, BAD_SAMPLES),
+    dies("wp_eig_tol_1", "wp missing.json missing.json --out out.json --eig-tol 1", 2, BAD_EIG_TOL),
+    dies("wp_state_as_program", "wp state.json pred.json --out out.json", 2, "program JSON needs keys"),
+    dies("verify_missing", "verify missing.json", 1, "missing.json: No such file"),
+    dies("verify_unparseable", "verify bad.json", 1, "bad.json: JSON parse error"),
+    dies("verify_samples_0", "verify missing.json --samples 0", 2, BAD_SAMPLES),
+    dies("verify_eig_tol_1", "verify missing.json --eig-tol 1", 2, BAD_EIG_TOL),
+    dies("verify_program_as_triple", "verify prog.json", 2, "triple JSON needs keys"),
+    dies("sat_missing", "sat state.json missing.json", 1, "missing.json: No such file"),
+    dies("sat_unparseable", "sat bad.json pred.json", 1, "bad.json: JSON parse error"),
+    dies("sat_samples_0", "sat missing.json missing.json --samples 0", 2, BAD_SAMPLES),
+    dies("sat_eig_tol_1", "sat missing.json missing.json --eig-tol 1", 2, BAD_EIG_TOL),
+    dies("sat_program_as_state", "sat prog.json pred.json --out out.json", 2, "matrix JSON missing keys"),
+    dies("properties_samples_0", "properties duality --samples 0", 2, BAD_SAMPLES),
+]
+
+
+@pytest.mark.parametrize("args, status, died, texts", CONTRACT)
+def test_exit_code_contract(runner, tmp_path, monkeypatch, args, status, died, texts):
+    monkeypatch.chdir(tmp_path)
+    docs = sorted({arg for arg in args if arg in DOCS})
+    for name in docs:
+        write(tmp_path / name, DOCS[name])
+    result = runner.invoke(main, args)
+    assert_exits(result, status)
+    if died:
+        assert result.stdout == "" and sorted(path.name for path in tmp_path.iterdir()) == docs
+        assert all(text in result.stderr for text in texts)
+    else:
+        assert json.loads(result.stdout)["status"] == status and result.stderr == ""
+        assert all(text in result.stdout for text in texts)

@@ -190,6 +190,26 @@ class TestEffectOfSet:
         with pytest.raises(KeyError):
             effect_of_set(projective_predicate(2), ["9"])
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_same_bits_as_the_label_loop(self, dim):
+        p = random_predicate(np.random.default_rng(dim), dim, n_atoms=3)
+        # -0.0 entries, which a sum from +0.0 turns into +0.0
+        flipped = p.effects.real > np.median(p.effects.real)
+        signed = Predicate(p.space, np.where(flipped, complex(-0.0, -0.0), p.effects))
+        for q, subset in itertools.product((p, signed), ([], ["a1"], ["a2", "a0"], ["a0", "a1", "a0"])):
+            want = np.zeros((dim, dim), dtype=np.complex128)
+            for a in subset:  # the loop effect_of_set ran before it summed a stack
+                want = want + q.effect(a)
+            assert effect_of_set(q, subset).tobytes() == want.tobytes()
+
+    def test_every_lookup_names_an_unknown_atom_alike(self):
+        p = projective_predicate(2)
+        m = sat(DensityState(np.eye(2) / 2.0), p)
+        for lookup in (lambda: p.effect("z"), lambda: effect_of_set(p, ["0", "z"]), lambda: m.mass(["0", "z"])):
+            with pytest.raises(KeyError) as unknown:
+                lookup()
+            assert unknown.value.args == ("unknown atom 'z'",)
+
 
 class TestComplete:
     def test_projective(self):

@@ -83,6 +83,8 @@ from qwp.wp import (
     wp,
 )
 
+from maps import nonpositive
+
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
 qwp_programs = importlib.import_module("qwp.programs")
@@ -446,12 +448,6 @@ def assert_same_verdict(got, want):
         assert got.witness is None
     else:
         assert np.array_equal(got.witness, want.witness)
-
-
-def nonpositive(dim, eps):
-    """rho -> (1 + eps) rho - eps Tr(rho) I/d: trace preserving, not positive for eps > 0."""
-    flat = vec(np.eye(dim))
-    return from_super((1 + eps) * np.eye(dim * dim) - eps * np.outer(flat, flat) / dim)
 
 
 def breaks_hermiticity(dim):
