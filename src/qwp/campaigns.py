@@ -154,7 +154,7 @@ def _predicate_groups(draws: list) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions, effects (m, k, d, d)) for each atom count k among a block's predicate draws."""
     counts = np.array([len(z) for z, _ in draws])
     groups = []
-    for k in np.unique(counts):
+    for k in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
         pos = np.flatnonzero(counts == k)
         z = np.array([draws[p][0] for p in pos])
         factors = np.array([draws[p][1] for p in pos])

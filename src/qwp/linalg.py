@@ -167,12 +167,14 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return float(_hermiticity_gaps(as_complex_matrix(a))) <= tol.residual_tol
 
 
-# Band of the Cholesky verdicts in _psd_tail and _psd_verdict. Let a be one
-# n×n matrix, h its hermitian part, t = eig_tol, u = 2⁻⁵³ the unit roundoff,
-# and μ = Σ|Re a_ii| + ‖a‖_F + 2nt, read off a itself and taken per matrix.
-# h_ii = Re a_ii, and h is the orthogonal projection of a onto the hermitian
-# matrices, so ‖h‖_F ≤ ‖a‖_F: μ bounds ‖h‖₂, and the trace of h + sI for
-# |s| ≤ 2t.
+# Band of the Cholesky verdicts in _cholesky_proves and _psd_verdict. Let a be
+# one n×n matrix, h its hermitian part, t its threshold (eig_tol for the PSD
+# test; a rule λ_min(h) ≥ −t_k may give each matrix k its own), u = 2⁻⁵³ the
+# unit roundoff, and μ = Σ|Re a_ii| + ‖a‖_F + 2nt, read off a itself and
+# taken per matrix. h_ii = Re a_ii, and h is the orthogonal projection of a
+# onto the hermitian matrices, so ‖h‖_F ≤ ‖a‖_F: μ bounds ‖h‖₂, and the trace
+# of h + sI for |s| ≤ 2t. Nothing below asks more of t than t ≥ 0, so every
+# bound holds with t_k and μ_k in place of t and μ.
 # * Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 #   Thm 10.3; complex arithmetic at most doubles the constant, §3.6): when it
 #   runs to completion on M, RᴴR = M + ΔM with |ΔM| ≤ 2γ_{n+1}|Rᴴ||R|, so
@@ -217,9 +219,10 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   to rounding, tr(h) less the trace of a PSD Schur complement, and
 #   tr(h) ≤ μ − ‖h‖_F. The pivot columns (a[:, p] + conj a[p, :])/2 are read
 #   off a with the bits of h's lower triangle, so L̂ is the factor of h.
-# A stack is decided by one batched factorization at s = t − δ_k
-# (_psd_tail): when every matrix succeeds, each is PSD. A batched failure
-# does not say which matrix failed, so it leaves the stack to eigvalsh. A
+# A stack is decided by one batched factorization at s = t_k − δ_k
+# (_cholesky_proves): when every matrix succeeds, each has λ_min ≥ −t_k on
+# both routes. A batched failure does not say which matrix failed, so it
+# leaves the stack to eigvalsh. A
 # single matrix (_psd_verdict) is probed on its leading blocks at t + δ,
 # then its hermiticity gap and the low-rank certificate are read off it
 # where it lies, all before any full-size array is built. Only a matrix
@@ -234,9 +237,10 @@ def _band_per_mu(n: int) -> float:
     return _PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2)
 
 
-def _band(n: int, diagonals: np.ndarray, sq_norms, eig_tol: float):
-    """δ = c(n + 2)u·μ of each n×n matrix a, μ = Σ|Re a_ii| + ‖a‖_F + 2n·eig_tol (derivation above);
-    diagonals (..., n) holds each a's diagonal and sq_norms (...) each Σ|a_ij|². δ is inf, with no
+def _band(n: int, diagonals: np.ndarray, sq_norms, eig_tol):
+    """δ = c(n + 2)u·μ of each n×n matrix a, μ = Σ|Re a_ii| + ‖a‖_F + 2n·t (derivation above);
+    diagonals (..., n) holds each a's diagonal, sq_norms (...) each Σ|a_ij|², and eig_tol each
+    threshold t, a float or an array that broadcasts against sq_norms. δ is inf, with no
     warning, where μ overflows."""
     with np.errstate(over="ignore"):
         return _band_per_mu(n) * (np.abs(diagonals.real).sum(axis=-1) + np.sqrt(sq_norms) + 2 * n * eig_tol)
@@ -393,24 +397,38 @@ def _psd_tail(gaps: np.ndarray, h: np.ndarray, diagonals: np.ndarray, sq_norms: 
     of which only the lower triangles are read; diagonals (k, n) and sq_norms (k,) are each a's diagonal and
     Σ|a_ij|², for the band (derivation above), and may be h's own.
 
-    One batched Cholesky factorization at eig_tol - δ_k, with δ_k the band of
-    matrix k, proves every matrix PSD when it succeeds; eigvalsh decides a
-    stack where it fails or where some δ_k ≥ eig_tol. Both routes give the
-    same flags. h's diagonal is shifted for the factorization and restored
-    before the eigensolve, which reads h's lower triangle.
+    :func:`_cholesky_proves` at eig_tol decides a stack that it proves PSD;
+    eigvalsh, on h's lower triangle, decides the rest. Both routes give the
+    same flags.
     """
     flags = gaps <= tol.residual_tol
-    if not flags.any():
+    if not flags.any() or _cholesky_proves(h, diagonals, sq_norms, tol.eig_tol):
         return flags
-    delta = _band(h.shape[-1], diagonals, sq_norms, tol.eig_tol)
-    if (delta < tol.eig_tol).all():
-        diag = np.einsum("...ii->...i", h)
-        saved = diag.copy()
-        diag += (tol.eig_tol - delta)[:, None]
-        if _cholesky_succeeds(h):
-            return flags
-        diag[...] = saved
     return flags & (_lower_eigvalsh(h)[:, 0] >= -tol.eig_tol)
+
+
+def _cholesky_proves(h: np.ndarray, diagonals: np.ndarray, sq_norms, thresholds) -> bool:
+    """True when one batched Cholesky factorization proves λ_min(h_k) ≥ -t_k for every hermitian
+    part h_k of a stack (..., n, n), of which only the lower triangles are read; False leaves the
+    stack undecided. diagonals (..., n) and sq_norms (...) are each matrix a's diagonal and
+    Σ|a_ij|², for the band (derivation above), and may be h's own; thresholds are the t_k ≥ 0, a
+    float or an array that broadcasts against sq_norms.
+
+    The factorization is of h + (t_k - δ_k)I, δ_k the band of matrix k, and is
+    tried only when every δ_k < t_k. Where it proves the bound, eigvalsh reads
+    λ_min ≥ -t_k too. h's diagonal is shifted for it and restored, with its
+    bits, before this returns False, so eigvalsh may then read h.
+    """
+    delta = _band(h.shape[-1], diagonals, sq_norms, thresholds)
+    if not (delta < thresholds).all():
+        return False
+    diag = np.einsum("...ii->...i", h)
+    saved = diag.copy()
+    diag += np.asarray(thresholds - delta)[..., None]
+    if _cholesky_succeeds(h):
+        return True
+    diag[...] = saved
+    return False
 
 
 def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None = None) -> bool:

@@ -19,14 +19,17 @@ from .errors import DimensionMismatchError, SpaceMismatchError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _cholesky_proves,
     _eigh,
-    _eigvalsh,
     _ginibre,
+    _hermitian_part,
     _hermiticity_gaps,
     _identity_gaps,
     _loewner_order,
+    _lower_eigvalsh,
     _operator_family,
     _require_finite,
+    _squared_norms,
 )
 from .programs import DensityState
 
@@ -181,11 +184,22 @@ def _total_effects(effects: np.ndarray) -> np.ndarray:
 def _effect_flags(effects: np.ndarray, total: np.ndarray, tol: ToleranceConfig):
     """The predicate rule on stacks (..., k, d, d) with finite totals (..., d, d): the flags (..., k)
     of each effect's λ_min below -eig_tol and of its hermiticity gap above residual_tol, the flags
-    (...) of a total's λ_max above 1 + eig_tol, and the λ_min of each effect and then of -total."""
-    stack = np.concatenate([effects, -total[..., None, :, :]], axis=-3)
-    lows = _eigvalsh(stack).min(axis=-1)
-    not_psd, not_hermitian = lows[..., :-1] < -tol.eig_tol, _hermiticity_gaps(effects) > tol.residual_tol
-    return not_psd, not_hermitian, -lows[..., -1] > 1.0 + tol.eig_tol, lows
+    (...) of a total's λ_max above 1 + eig_tol, and the λ_min of each effect and then of -total.
+
+    The hermitian parts of the effects and of -total are one stack, which the
+    band kernel decides first, with t = eig_tol for an effect and t = 1 + eig_tol
+    for -total. Where it proves them all, neither eigenvalue flag is set and the
+    λ_min are None; else one eigvalsh of the stack gives the flags and the λ_min.
+    """
+    h = _hermitian_part(np.concatenate([effects, -total[..., None, :, :]], axis=-3))
+    not_hermitian = _hermiticity_gaps(effects) > tol.residual_tol
+    thresholds = np.full(h.shape[-3], tol.eig_tol)
+    thresholds[-1] = 1.0 + tol.eig_tol
+    if _cholesky_proves(h, h.diagonal(axis1=-2, axis2=-1), _squared_norms(h), thresholds):
+        clear = np.zeros(h.shape[:-2], dtype=bool)
+        return clear[..., :-1], not_hermitian, clear[..., -1], None
+    lows = _lower_eigvalsh(h).min(axis=-1)
+    return lows[..., :-1] < -tol.eig_tol, not_hermitian, -lows[..., -1] > 1.0 + tol.eig_tol, lows
 
 
 def _predicate_faults(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -199,31 +213,38 @@ def _predicate_faults(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return (not_psd | not_hermitian).any(axis=-1) | over
 
 
+def _violations(p: Predicate, total: np.ndarray, tol: ToleranceConfig) -> list[str]:
+    """The violations of p, whose total effect is total: each names the offending atom and the
+    check of :func:`_effect_flags` it fails."""
+    # effects are finite by construction; their sum can still overflow
+    _require_finite(total)
+    not_psd, not_hermitian, over, lows = _effect_flags(p.effects, total, tol)
+    violations = []
+    for i, atom in enumerate(p.space.atoms):
+        if not_psd[i]:
+            violations.append(f"effect {atom!r} is not PSD (min eigenvalue {float(lows[i]):.6g})")
+        if not_hermitian[i]:
+            violations.append(f"effect {atom!r} is not hermitian")
+    if over:
+        violations.append(f"total effect exceeds the identity (max eigenvalue {float(-lows[-1]):.6g})")
+    return violations
+
+
 def validate_predicate(p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Check every effect is PSD and the total effect stays below the identity.
 
     Violations name the offending atom and the check of :func:`_effect_flags` it fails.
     """
     total = p.total_effect()
-    # effects are finite by construction; their sum can still overflow
-    _require_finite(total)
-    not_psd, not_hermitian, over, lows = (x.tolist() for x in _effect_flags(p.effects, total, tol))
-    violations = []
-    for atom, psd_fault, hermitian_fault, lo in zip(p.space.atoms, not_psd, not_hermitian, lows):
-        if psd_fault:
-            violations.append(f"effect {atom!r} is not PSD (min eigenvalue {lo:.6g})")
-        if hermitian_fault:
-            violations.append(f"effect {atom!r} is not hermitian")
-    if over:
-        violations.append(f"total effect exceeds the identity (max eigenvalue {-lows[-1]:.6g})")
+    violations = _violations(p, total, tol)
     return ValidationReport(ok=not violations, violations=tuple(violations), complete=_sums_to_identity(total, tol))
 
 
 def _require_valid(p: Predicate, tol: ToleranceConfig) -> None:
-    """Refuse an invalid predicate, naming its violations."""
-    report = validate_predicate(p, tol)
-    if not report.ok:
-        raise ValidationError("invalid predicate: " + "; ".join(report.violations))
+    """Refuse an invalid predicate, naming its violations; a valid one builds no report."""
+    violations = _violations(p, p.total_effect(), tol)
+    if violations:
+        raise ValidationError("invalid predicate: " + "; ".join(violations))
 
 
 def effect_of_set(p: Predicate, subset: Iterable[str]) -> np.ndarray:

@@ -14,9 +14,9 @@ this convention
 Mixing vectorization conventions corrupts results silently: ``vec`` and
 ``unvec`` below state the convention, and the functions that index the
 superoperator directly (``_choi_view``, ``to_choi``, ``from_choi``,
-``transpose_program``, ``_unital_gaps``, ``_kraus_supers``, ``measure_branch``,
-``_coordinate_matrix`` and ``_basis_outputs``) each state the index identity
-they rely on.
+``transpose_program``, ``_unital_gaps``, ``_kraus_supers``, ``from_kraus``,
+``measure_branch``, ``_coordinate_matrix`` and ``_basis_outputs``) each state
+the index identity they rely on.
 
 The dense superoperator is the canonical representation because it carries
 maps with no Kraus form: positive but not completely positive programs (the
@@ -35,17 +35,20 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _block_size,
+    _cholesky_proves,
     _defect_bound,
-    _eigvalsh,
     _haar_isometries,
+    _hermitian_part,
     _hermiticity_gaps,
     _identity_gaps,
+    _lower_eigvalsh,
     _operator_family,
     _psd_flags,
     _psd_tail,
     _psd_verdict,
     _require_finite,
     _row_block_size,
+    _squared_norms,
     as_complex_matrix,
 )
 
@@ -148,12 +151,22 @@ class DensityState:
 def _state_flags(ms: np.ndarray, tol: ToleranceConfig, eig_slack: float):
     """The state rule on a finite stack (..., d, d): the flags (...) of a matrix not hermitian
     within residual_tol, with |Tr - 1| above residual_tol and with λ_min below
-    -eig_slack·eig_tol, in the order DensityState names them; then each Tr and λ_min."""
-    traces, lows = np.trace(ms, axis1=-2, axis2=-1), _eigvalsh(ms).min(axis=-1)
+    -eig_slack·eig_tol, in the order DensityState names them; then each Tr and λ_min.
+
+    The band kernel decides the hermitian parts first, at t = eig_slack·eig_tol.
+    Where it proves them all, no λ_min flag is set and the λ_min are None; else
+    one eigvalsh of the stack gives the flags and the λ_min.
+    """
+    traces, h = np.trace(ms, axis1=-2, axis2=-1), _hermitian_part(ms)
+    if _cholesky_proves(h, h.diagonal(axis1=-2, axis2=-1), _squared_norms(h), eig_slack * tol.eig_tol):
+        lows, not_psd = None, np.zeros(traces.shape, dtype=bool)
+    else:
+        lows = _lower_eigvalsh(h).min(axis=-1)
+        not_psd = lows < -eig_slack * tol.eig_tol
     flags = (
         _hermiticity_gaps(ms) > tol.residual_tol,
         np.hypot(traces.real - 1.0, traces.imag) > tol.residual_tol,
-        lows < -eig_slack * tol.eig_tol,
+        not_psd,
     )
     return flags, traces, lows
 
@@ -192,8 +205,9 @@ class QuantumProgram:
 
     @classmethod
     def _adopt_finite(cls, dim: int, s: np.ndarray, label: str) -> "QuantumProgram":
-        """:meth:`_adopt` for a square complex128 s whose entries are finite by construction, a
-        rearrangement of a program's checked entries or of zeros and ones: s is not scanned."""
+        """:meth:`_adopt` for a square complex128 s whose entries are finite by construction: a
+        rearrangement of a program's checked entries or of zeros and ones, or a Kraus sum whose
+        entries its diagonal bounds far below the float limit. s is not scanned."""
         prog = cls.__new__(cls)
         prog._hold(dim, s, label)
         return prog
@@ -226,7 +240,12 @@ class QuantumProgram:
 def from_kraus(kraus_ops, label: str = "kraus") -> QuantumProgram:
     """Program rho -> sum_K K rho K†, keeping the Kraus family it was built from."""
     ks = _operator_family(kraus_ops, "Kraus operator")
-    prog = QuantumProgram._adopt(ks[0].shape[0], _kraus_supers(ks), label)
+    d, s = ks[0].shape[0], _kraus_supers(ks)
+    # S[i*d + p, j*d + q] = Σ_K conj(K_ij) K_pq, so S[i(d+1), j(d+1)] = Σ_K |K_ij|², and the real and
+    # imaginary parts of every entry are at most Σ_K |K_ij||K_pq| ≤ (Σ_K |K_ij|² + Σ_K |K_pq|²)/2, up to
+    # rounding: a largest such entry far below the float limit proves S finite without a scan
+    finite = s[:: d + 1, :: d + 1].real.max() < 1e300
+    prog = (QuantumProgram._adopt_finite if finite else QuantumProgram._adopt)(d, s, label)
     prog.kraus = tuple(_readonly(k) for k in ks)
     return prog
 

@@ -86,16 +86,38 @@ MUTANTS = [
     # a stack is proved PSD only below the band too
     Mutant(
         "linalg.py",
-        '+= (tol.eig_tol - delta)[:, None]',
-        '+= (tol.eig_tol + delta)[:, None]',
+        "diag += np.asarray(thresholds - delta)[..., None]",
+        "diag += np.asarray(thresholds + delta)[..., None]",
         (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
+    ),
+    # and so is a predicate's stack of effects and -total, at its own thresholds
+    Mutant(
+        "linalg.py",
+        "diag += np.asarray(thresholds - delta)[..., None]",
+        "diag += np.asarray(thresholds + delta)[..., None]",
+        (f"{KERNELS}::TestRuleOracles::test_the_predicate_rule_matches_the_oracle",),
     ),
     # and its eigensolve reads the unshifted diagonal
     Mutant(
         "linalg.py",
-        "            return flags\n        diag[...] = saved\n",
-        "            return flags\n",
+        "        return True\n    diag[...] = saved\n",
+        "        return True\n",
         (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
+    ),
+    # the predicate rule factors -total with the effects: a total above the identity is flagged
+    Mutant(
+        "predicates.py",
+        "if _cholesky_proves(h, h.diagonal(axis1=-2, axis2=-1), _squared_norms(h), thresholds):",
+        "if _cholesky_proves(h[..., :-1, :, :], h[..., :-1, :, :].diagonal(axis1=-2, axis2=-1),"
+        " _squared_norms(h[..., :-1, :, :]), thresholds[:-1]):",
+        (f"{KERNELS}::TestRuleOracles::test_the_predicate_rule_matches_the_oracle",),
+    ),
+    # the state rule factors at eig_slack·eig_tol, so an apply output down to it takes no eigensolve
+    Mutant(
+        "programs.py",
+        "_squared_norms(h), eig_slack * tol.eig_tol):",
+        "_squared_norms(h), tol.eig_tol):",
+        (f"{KERNELS}::TestRuleOracles::test_the_state_rule_matches_the_oracle",),
     ),
     # so does a single matrix's, which reads h in place
     Mutant(
@@ -181,6 +203,13 @@ MUTANTS = [
         "",
         (f"{KERNELS}::TestFromKrausOracle",),
     ),
+    # a Kraus sum skips its finite scan only when its diagonal S[i(d+1), j(d+1)] = Σ_K |K_ij|² is far below the float limit
+    Mutant(
+        "programs.py",
+        "finite = s[:: d + 1, :: d + 1].real.max() < 1e300",
+        "finite = s[:: d, :: d].real.max() < 1e300",
+        ("tests/test_programs.py::TestBuilders::test_a_kraus_sum_that_overflows_is_refused",),
+    ),
     # a blocked Kraus sum writes its last, partial block of leading indices
     Mutant(
         "programs.py",
@@ -249,8 +278,8 @@ MUTANTS = [
     # a state's λ_min may reach -eig_slack·eig_tol, for the constructor and the stacked mask alike
     Mutant(
         "programs.py",
-        "lows < -eig_slack * tol.eig_tol,",
-        "lows < -tol.eig_tol,",
+        "not_psd = lows < -eig_slack * tol.eig_tol\n",
+        "not_psd = lows < -tol.eig_tol\n",
         ("tests/test_programs.py::TestDensityState::test_the_mask_refuses_what_the_constructor_refuses_at_each_bound",),
     ),
     # apply's output may reach λ_min = -APPLY_EIG_SLACK·eig_tol, and so may a campaign's

@@ -41,6 +41,7 @@ from qwp.programs import (
 )
 
 qwp_linalg = importlib.import_module("qwp.linalg")
+qwp_programs = importlib.import_module("qwp.programs")
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 KET0 = np.diag([1.0, 0.0])
@@ -207,6 +208,25 @@ class TestBuilders:
     def test_kraus_dims_must_agree(self):
         with pytest.raises(DimensionMismatchError):
             from_kraus([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("big", [np.full((2, 2), 1e200), np.array([[0.0, 1e200], [0.0, 0.0]])])
+    def test_a_kraus_sum_that_overflows_is_refused(self, big):
+        # products of entries near 1e200 overflow, on the diagonal S[i(d+1), j(d+1)] = Σ_K |K_ij|² too, so the
+        # sum is scanned; the second family overflows at S[0, 3] alone, an entry of that diagonal
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
+                from_kraus([np.eye(2), big])
+
+    @pytest.mark.parametrize("scale, scanned", [(9e149, False), (1.1e150, True)])
+    def test_a_kraus_sum_is_scanned_only_when_its_diagonal_bound_reaches_1e300(self, scale, scanned, monkeypatch):
+        # the largest Σ_K |K_ij|² is 8.1e299, then 1.21e300; every entry of the sum is finite either way
+        scans = []
+        check = qwp_programs.as_complex_matrix
+        monkeypatch.setattr(qwp_programs, "as_complex_matrix", lambda s: scans.append(s.shape) or check(s))
+        k = np.full((2, 2), scale)
+        c = from_kraus([k])
+        assert scans == ([(4, 4)] if scanned else [])
+        assert np.array_equal(c.super, np.kron(k.conj(), k))
 
     def test_a_superoperator_side_must_be_the_square_of_a_positive_dim(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,7 @@ from qwp.predicates import (
     validate_predicate,
 )
 from qwp.programs import (
+    APPLY_EIG_SLACK,
     DensityState,
     PositivityVerdict,
     adjoint,
@@ -328,13 +329,15 @@ def is_psd_oracle(a, tol=None):
     return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min()) >= -tol.eig_tol
 
 
-def psd_band(a, tol):
-    """The band δ = c(n + 2)u(Σ|Re a_ii| + ‖a‖_F + 2n·eig_tol) of one matrix, or of each of a stack (..., n, n)."""
+def psd_band(a, tol, threshold=None):
+    """The band δ = c(n + 2)u(Σ|Re a_ii| + ‖a‖_F + 2n·t) of one matrix, or of each of a stack (..., n, n);
+    the threshold t is eig_tol unless given."""
     a = np.asarray(a, dtype=np.complex128)
     n = a.shape[-1]
+    t = tol.eig_tol if threshold is None else threshold
     with np.errstate(over="ignore"):
         mu = np.abs(np.diagonal(a, axis1=-2, axis2=-1).real).sum(axis=-1) + np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)))
-    return qwp_linalg._PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * (mu + 2 * n * tol.eig_tol)
+    return qwp_linalg._PSD_BAND_C * (n + 2) * (np.finfo(np.float64).eps / 2) * (mu + 2 * n * t)
 
 
 def is_positive_sampled_oracle(c, tol=None, seed=0):
@@ -989,6 +992,213 @@ class TestValidatePredicateOracle:
         for check in (validate_predicate, validate_predicate_oracle):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
                 check(p)
+
+
+def effect_flags_oracle(effects, total, tol):
+    """The predicate rule as one eigvalsh of the effects and -total, with no Cholesky route."""
+    stack = np.concatenate([effects, -total[..., None, :, :]], axis=-3)
+    lows = qwp_linalg._eigvalsh(stack).min(axis=-1)
+    not_psd, not_hermitian = lows[..., :-1] < -tol.eig_tol, qwp_linalg._hermiticity_gaps(effects) > tol.residual_tol
+    return not_psd, not_hermitian, -lows[..., -1] > 1.0 + tol.eig_tol, lows
+
+
+def state_flags_oracle(ms, tol, eig_slack):
+    """The state rule as one eigvalsh of the stack, with no Cholesky route."""
+    traces, lows = np.trace(ms, axis1=-2, axis2=-1), qwp_linalg._eigvalsh(ms).min(axis=-1)
+    flags = (
+        qwp_linalg._hermiticity_gaps(ms) > tol.residual_tol,
+        np.hypot(traces.real - 1.0, traces.imag) > tol.residual_tol,
+        lows < -eig_slack * tol.eig_tol,
+    )
+    return flags, traces, lows
+
+
+def state_refusal_oracle(m, tol, eig_slack):
+    """The message DensityState refuses m with, from the oracle's flags, or None."""
+    (not_hermitian, off_trace, not_psd), tr, lo = state_flags_oracle(m, tol, eig_slack)
+    if not_hermitian:
+        return "state is not hermitian"
+    if off_trace:
+        return f"state trace is {tr.real:.12g}, expected 1"
+    if not_psd:
+        return f"state is not PSD (min eigenvalue {lo:.3e})"
+    return None
+
+
+def refusal(fn, *args, **kwargs):
+    """The message of the ValidationError fn raises on args, or None."""
+    try:
+        fn(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def with_lowest(a, target):
+    """a shifted by multiples of I so that its lowest eigenvalue, as eigvalsh reads it, is target: to 0
+    first, so that a 1×1 matrix becomes [target] exactly."""
+    eye = np.eye(a.shape[-1])
+    return (a - float(np.linalg.eigvalsh(a).min()) * eye) + target * eye
+
+
+def spectral_state(rng, dim, low):
+    """A unit-trace hermitian matrix in a Haar eigenbasis whose lowest eigenvalue is low (at d = 1, the matrix [low])."""
+    w = rng.uniform(0.1, 1.0, size=dim)
+    w[0] = 0.0
+    w *= (1.0 - low) / max(w.sum(), 1.0)
+    w[0] = low
+    u = random_isometry_oracle(rng, dim, dim)
+    return (u * w) @ u.conj().T
+
+
+RULE_DIMS = (1, 2, 3, 8, 17, 32)
+
+
+def rule_predicates(dim, tol):
+    """Effect stacks (k, d, d) that straddle each threshold of the predicate rule, by name; those
+    named "clean:…" lie off every threshold by more than the band, where no eigensolve is needed."""
+    rng = np.random.default_rng([dim, 211])
+    e = tol.eig_tol
+    sub = random_predicate(rng, dim, 3).effects
+    complete = random_predicate(rng, dim, 3, complete=True).effects
+    cases = {"clean:projective": projective_predicate(dim).effects, "clean:complete": complete, "clean:sub": sub}
+    for side, name in ((1.0, "below"), (-1.0, "above")):
+        low = sub.copy()
+        low[0] = with_lowest(low[0], -e * (1.0 + side * 1e-3))
+        cases[f"effect_{name}"] = low
+        cases[f"total_{name}"] = complete * (1.0 + e * (1.0 + side * 1e-3))
+    effect = with_lowest(sub[1], -e)
+    # a single atom's total is the atom itself, with no rounding
+    top = -with_lowest(-random_effect_oracle(rng, dim), -(1.0 + e))
+    for k in (0.5, 2.0):
+        for side in (1.0, -1.0):
+            clean = "clean:" if k > 1 and side > 0 else ""
+            edge = sub.copy()
+            edge[1] = with_lowest(sub[1], -e + side * k * psd_band(effect, tol))
+            cases[f"{clean}effect_band_{k}_{side}"] = edge
+            cases[f"{clean}total_band_{k}_{side}"] = (top - side * k * psd_band(-top, tol, 1.0 + e) * np.eye(dim))[None]
+    return cases
+
+
+def rule_states(dim, tol):
+    """Matrices that straddle each threshold -t, t = eig_slack·eig_tol, of the state rule for both
+    slacks, by name; those named "clean:…" lie above -eig_tol by more than the band."""
+    rng = np.random.default_rng([dim, 223])
+    e = tol.eig_tol
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    cases = {
+        "clean:pure": np.outer(psi, psi.conj()),
+        "clean:mixed": random_density(rng, dim),
+        "clean:maximally_mixed": np.eye(dim) / dim,
+        "apply_output": spectral_state(rng, dim, -5.0 * e),
+    }
+    for slack in (1.0, APPLY_EIG_SLACK):
+        t = slack * e
+        for side, name in ((1.0, "below"), (-1.0, "above")):
+            cases[f"{slack}_{name}"] = spectral_state(rng, dim, -t * (1.0 + side * 1e-3))
+        delta = psd_band(spectral_state(rng, dim, -t), tol, t)
+        for k in (0.5, 2.0):
+            for side in (1.0, -1.0):
+                clean = "clean:" if k > 1 and side > 0 and slack == 1.0 else ""
+                cases[f"{clean}{slack}_band_{k}_{side}"] = spectral_state(rng, dim, -t + side * k * delta)
+    return {name: m.astype(np.complex128) for name, m in cases.items()}
+
+
+def assert_effect_rule(effects, tol):
+    """_effect_flags against its oracle on a stack (..., k, d, d); True when the band kernel decided it."""
+    total = qwp_predicates._total_effects(effects)
+    *got, lows = qwp_predicates._effect_flags(effects, total, tol)
+    *want, want_lows = effect_flags_oracle(effects, total, tol)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if lows is None:
+        assert not want[0].any() and not want[2].any()
+        return True
+    assert_same_bits(lows, want_lows)
+    return False
+
+
+def assert_state_rule(ms, tol, eig_slack):
+    """_state_flags against its oracle on a stack (..., d, d); True when the band kernel decided it."""
+    got, traces, lows = qwp_programs._state_flags(ms, tol, eig_slack)
+    want, want_traces, want_lows = state_flags_oracle(ms, tol, eig_slack)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert_same_bits(traces, want_traces)
+    if lows is None:
+        assert not want[2].any()
+        return True
+    assert_same_bits(lows, want_lows)
+    return False
+
+
+class TestRuleOracles:
+    """The predicate and state rules decide with the band kernel, and every flag, message and
+    λ_min they report is the eigensolve's."""
+
+    @pytest.mark.parametrize("dim", RULE_DIMS)
+    def test_the_predicate_rule_matches_the_oracle(self, dim):
+        tol = DEFAULT_TOL
+        cases = rule_predicates(dim, tol)
+        invalid = []
+        for name, effects in cases.items():
+            decided = assert_effect_rule(effects, tol)
+            assert decided or not name.startswith("clean:"), name
+            p = Predicate(OutcomeSpace(tuple(f"a{i}" for i in range(len(effects)))), effects)
+            report = validate_predicate(p, tol)
+            assert report == validate_predicate_oracle(p, tol), name
+            want = None if report.ok else "invalid predicate: " + "; ".join(report.violations)
+            assert refusal(qwp_predicates._require_valid, p, tol) == want, name
+            if not report.ok:
+                invalid.append(name)
+        # the straddles land on the sides they are built for
+        assert invalid == [
+            "effect_below", "total_below", "effect_band_0.5_-1.0", "total_band_0.5_-1.0",
+            "effect_band_2.0_-1.0", "total_band_2.0_-1.0",
+        ]
+        # the stacked mask of the campaigns, on the cases of three atoms
+        three = np.array([x for x in cases.values() if len(x) == 3])
+        assert assert_effect_rule(three, tol) is False
+        not_psd, not_hermitian, over, _ = effect_flags_oracle(three, qwp_predicates._total_effects(three), tol)
+        want = (not_psd | not_hermitian).any(axis=-1) | over
+        assert qwp_predicates._predicate_faults(three, tol).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("dim", RULE_DIMS)
+    def test_the_state_rule_matches_the_oracle(self, dim):
+        tol = DEFAULT_TOL
+        cases = rule_states(dim, tol)
+        for slack in (1.0, APPLY_EIG_SLACK):
+            for name, m in cases.items():
+                decided = assert_state_rule(m, tol, slack)
+                assert decided or not name.startswith("clean:"), (name, slack)
+                got = refusal(DensityState, m, tol, eig_slack=slack)
+                assert got == state_refusal_oracle(m, tol, slack), (name, slack)
+            stack = np.array(list(cases.values()))
+            assert_state_rule(stack, tol, slack)
+            want = np.any(state_flags_oracle(stack, tol, slack)[0], axis=0)
+            assert qwp_programs._invalid_states(stack, tol, slack).tolist() == want.tolist()
+        # an apply output at λ_min = -5·eig_tol is a state under apply's slack, decided with no eigensolve
+        assert assert_state_rule(cases["apply_output"], tol, APPLY_EIG_SLACK)
+        assert not assert_state_rule(cases["apply_output"], tol, 1.0)
+
+    def test_a_valid_predicate_and_state_take_no_eigensolve(self, monkeypatch):
+        c = sample_program("cptp", 8, 5)
+        f = random_predicate(np.random.default_rng(227), 8)
+        rho = spectral_state(np.random.default_rng(229), 8, -5.0 * DEFAULT_TOL.eig_tol)
+        solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        reports = count_calls(monkeypatch, qwp_predicates, "_sums_to_identity")
+        g = wp(c, f)
+        out = apply(c, DensityState(rho, eig_slack=APPLY_EIG_SLACK))
+        assert solves == [] and reports == []
+        # a refusal names the eigensolve's λ_min
+        with pytest.raises(ValidationError, match=r"^state is not PSD \(min eigenvalue -5\.000e-09\)$"):
+            DensityState(rho)
+        bad = Predicate(g.space, 1.5 * g.effects)
+        with pytest.raises(ValidationError, match="total effect exceeds the identity"):
+            wp(c, bad)
+        assert solves == ["eigvalsh"] * 2 and reports == []
+        assert out.dim == 8
 
 
 class TestWpOracle:

@@ -479,7 +479,7 @@ class TestOnePullBack:
         assert pulled is tested is self.c1.super
 
     def test_compose_check_validates_f_and_the_intermediate_once(self, monkeypatch):
-        checked = recorded_calls(monkeypatch, qwp_predicates, "validate_predicate")
+        checked = recorded_calls(monkeypatch, qwp_predicates, "_violations")
         wp_compose_check(self.c1, self.c2, self.f)
         assert len(checked) == 2 and checked[0][0] is self.f
         assert checked[1][0] is not self.f
