@@ -97,6 +97,11 @@ def _trial_rng(seed: int, dim: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, dim, trial])
 
 
+def _program_kind(trials):
+    """The program kind of a trial index, or the kinds (n,) of an array of them: kinds cycle through _PROGRAM_KINDS."""
+    return np.asarray(_PROGRAM_KINDS)[trials % len(_PROGRAM_KINDS)]
+
+
 class _TrialRefused(Exception):
     """A stacked check refused a trial of the block; ``trial`` is the earliest it refused."""
 
@@ -177,7 +182,7 @@ def _block_wp(supers: np.ndarray, groups: list, trials: np.ndarray, tol: Toleran
 
 def _duality_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> float:
     rng = _trial_rng(seed, dim, trial)
-    prog = sample_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng)
+    prog = sample_program(_program_kind(trial), dim, rng)
     pred = random_predicate(rng, dim)
     rho = DensityState(random_density(rng, dim), tol)
     return max(duality_residual(prog, pred, rho, tol).values())
@@ -185,13 +190,14 @@ def _duality_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> flo
 
 def _duality_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> np.ndarray:
     trials = np.arange(block.start, block.stop)
+    kinds = _program_kind(trials)
     programs, predicates, states = [], [], []
-    for trial in block:
+    for trial, kind in zip(block, kinds):
         rng = _trial_rng(seed, dim, trial)
-        programs.append(_draw_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng))
+        programs.append(_draw_program(kind, dim, rng))
         predicates.append(_draw_predicate(rng, dim))
         states.append(rng.standard_normal((2, dim, dim)))
-    supers, refused = _sampled_supers(dim, trials % len(_PROGRAM_KINDS), programs)
+    supers, refused = _sampled_supers(dim, kinds, programs)
     _require(refused, trials)
     groups = _predicate_groups(predicates)
     rho = _densities(np.array(states))
@@ -233,7 +239,7 @@ def _weakest_block(seed: int, dim: int, block: range, tol: ToleranceConfig):
     """
     pair = block.start // _WEAKEST_PAIR_CANDIDATES
     rng = _trial_rng(seed, dim, pair)
-    prog = sample_program(_PROGRAM_KINDS[pair % len(_PROGRAM_KINDS)], dim, rng)
+    prog = sample_program(_program_kind(pair), dim, rng)
     pred = random_predicate(rng, dim)
     margins, dominated, confirmed = _dominations(prog, pred, tol, int(rng.integers(2**31)), len(block))
     return -margins, np.stack([~dominated, ~confirmed], axis=-1)
@@ -265,22 +271,23 @@ def weakest_campaign(
 
 def _compose_trial(seed: int, dim: int, trial: int, tol: ToleranceConfig) -> float:
     rng = _trial_rng(seed, dim, trial)
-    c1 = sample_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng)
-    c2 = sample_program(_PROGRAM_KINDS[(trial + 1) % len(_PROGRAM_KINDS)], dim, rng)
+    c1 = sample_program(_program_kind(trial), dim, rng)
+    c2 = sample_program(_program_kind(trial + 1), dim, rng)
     pred = random_predicate(rng, dim)
     return wp_compose_check(c1, c2, pred, tol)
 
 
 def _compose_block(seed: int, dim: int, block: range, tol: ToleranceConfig) -> np.ndarray:
     trials = np.arange(block.start, block.stop)
+    kinds1, kinds2 = _program_kind(trials), _program_kind(trials + 1)
     firsts, seconds, predicates = [], [], []
-    for trial in block:
+    for trial, kind1, kind2 in zip(block, kinds1, kinds2):
         rng = _trial_rng(seed, dim, trial)
-        firsts.append(_draw_program(_PROGRAM_KINDS[trial % len(_PROGRAM_KINDS)], dim, rng))
-        seconds.append(_draw_program(_PROGRAM_KINDS[(trial + 1) % len(_PROGRAM_KINDS)], dim, rng))
+        firsts.append(_draw_program(kind1, dim, rng))
+        seconds.append(_draw_program(kind2, dim, rng))
         predicates.append(_draw_predicate(rng, dim))
-    s1, refused1 = _sampled_supers(dim, trials % len(_PROGRAM_KINDS), firsts)
-    s2, refused2 = _sampled_supers(dim, (trials + 1) % len(_PROGRAM_KINDS), seconds)
+    s1, refused1 = _sampled_supers(dim, kinds1, firsts)
+    s2, refused2 = _sampled_supers(dim, kinds2, seconds)
     _require(refused1 | refused2, trials)
     groups = _predicate_groups(predicates)
     both = s2 @ s1  # seq(c1, c2)

@@ -219,16 +219,16 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   to rounding, tr(h) less the trace of a PSD Schur complement, and
 #   tr(h) ≤ μ − ‖h‖_F. The pivot columns (a[:, p] + conj a[p, :])/2 are read
 #   off a with the bits of h's lower triangle, so L̂ is the factor of h.
-# A stack is decided by one batched factorization at s = t_k − δ_k
-# (_cholesky_proves): when every matrix succeeds, each has λ_min ≥ −t_k on
-# both routes. A batched failure does not say which matrix failed, so it
-# leaves the stack to eigvalsh. A
-# single matrix (_psd_verdict) is probed on its leading blocks at t + δ,
-# then its hermiticity gap and the low-rank certificate are read off it
-# where it lies, all before any full-size array is built. Only a matrix
-# that they leave undecided has h's lower triangle written into an n×n
-# array, for the full factorizations at t ∓ δ and eigvalsh between them.
-# Where δ ≥ t, eigvalsh decides alone, after the gap.
+# A stack (_psd_stack) is decided by one batched factorization at
+# s = t_k − δ_k (_cholesky_proves): when every matrix succeeds, each has
+# λ_min ≥ −t_k on both routes. A batched failure does not say which matrix
+# failed, so it leaves the stack to eigvalsh (_threshold_flags). A single
+# matrix (_psd_verdict) is probed on its leading blocks at t + δ, then its
+# hermiticity gap and the low-rank certificate are read off it where it
+# lies, all before any full-size array is built. Only a matrix that they
+# leave undecided has h's lower triangle written into an n×n array, for
+# the full factorization at t − δ, as a stack of one, the one at t + δ, and
+# eigvalsh between them. Where δ ≥ t, eigvalsh decides alone, after the gap.
 _PSD_BAND_C = 8.0
 
 
@@ -338,9 +338,9 @@ def _lower_column(blocks: np.ndarray, p: int, out: np.ndarray) -> None:
     out[p:] = _hermitian_part(np.conjugate(row[p:]), col[p:])
 
 
-def _low_rank_certificate(blocks: np.ndarray, delta: float, eig_tol: float) -> bool:
-    """True when a pivoted partial Cholesky factor L̂ proves PSD the hermitian part h of the matrix a
-    that blocks (b, k, b, k) lays out (derivation above); False leaves a undecided. a is read in place.
+def _low_rank_certificate(blocks: np.ndarray, diagonal: np.ndarray, delta: float, eig_tol: float) -> bool:
+    """True when a pivoted partial Cholesky factor L̂ proves PSD the hermitian part h of the matrix a that blocks
+    (b, k, b, k) lays out, of diagonal (n,) (derivation above); False leaves a undecided. a is read in place.
 
     Each step factors the column of the largest remaining Schur diagonal, read
     off a as h's lower triangle, until no Schur diagonal is above t − δ; a
@@ -351,7 +351,6 @@ def _low_rank_certificate(blocks: np.ndarray, delta: float, eig_tol: float) -> b
     b, w = blocks.shape[:2]
     n = b * w
     bound = eig_tol - delta
-    diagonal = np.einsum("pipi->pi", blocks).reshape(-1)
     schur = _hermitian_part(np.conjugate(diagonal), diagonal.copy()).real  # h's diagonal
     factor = np.empty((math.isqrt(n), n), dtype=np.complex128)  # row k holds column k of L̂
     for k in range(len(factor) + 1):
@@ -380,31 +379,33 @@ def _low_rank_certificate(blocks: np.ndarray, delta: float, eig_tol: float) -> b
     return True
 
 
-def _psd_flags(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Whether each matrix of a finite stack (k, n, n) is hermitian within residual_tol with eigenvalues ≥ -eig_tol.
-
-    The verdict of a hermiticity gap and an eigvalsh of each matrix: the gaps
-    and hermitian parts of full-size passes over one conjugate transpose,
-    decided by :func:`_psd_tail` with the band read off a.
-    """
+def _psd_stack(a: np.ndarray, thresholds):
+    """The gaps max|a - aᴴ| of a finite stack (..., n, n), and :func:`_threshold_flags` of its hermitian parts at
+    thresholds t_k, a float or an array that broadcasts against (...). The gaps and the hermitian parts come
+    from full-size passes over one conjugate transpose, and the band is read off a (derivation above)."""
     ah = np.conjugate(a.swapaxes(-1, -2), order="C")
     gaps = _hermiticity_gaps(a, ah)  # before _hermitian_part overwrites ah
-    return _psd_tail(gaps, _hermitian_part(a, ah), a.diagonal(axis1=-2, axis2=-1), _squared_norms(a), tol)
+    h = _hermitian_part(a, ah)
+    return gaps, *_threshold_flags(h, a.diagonal(axis1=-2, axis2=-1), _squared_norms(a), thresholds)
+
+
+def _threshold_flags(h: np.ndarray, diagonals: np.ndarray, sq_norms, thresholds):
+    """The flags λ_min(h_k) < -t_k of a stack of hermitian parts h (..., n, n), of which only the lower triangles
+    are read, and the λ_min: None, every flag clear, where :func:`_cholesky_proves`, whose arguments these are,
+    proves the stack; else eigvalsh's, which give the same flags."""
+    if _cholesky_proves(h, diagonals, sq_norms, thresholds):
+        return np.zeros(h.shape[:-2], dtype=bool), None
+    lows = _lower_eigvalsh(h).min(axis=-1)
+    return lows < -thresholds, lows
 
 
 def _psd_tail(gaps: np.ndarray, h: np.ndarray, diagonals: np.ndarray, sq_norms: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """The flags of a stack of k matrices a from their hermiticity gaps (k,) and hermitian parts h (k, n, n),
-    of which only the lower triangles are read; diagonals (k, n) and sq_norms (k,) are each a's diagonal and
-    Σ|a_ij|², for the band (derivation above), and may be h's own.
-
-    :func:`_cholesky_proves` at eig_tol decides a stack that it proves PSD;
-    eigvalsh, on h's lower triangle, decides the rest. Both routes give the
-    same flags.
-    """
+    """Whether each of k matrices is hermitian within residual_tol with λ_min ≥ -eig_tol, from its gap (k,) and
+    the arguments of :func:`_threshold_flags` at eig_tol; a stack in which no gap passes takes no factorization."""
     flags = gaps <= tol.residual_tol
-    if not flags.any() or _cholesky_proves(h, diagonals, sq_norms, tol.eig_tol):
+    if not flags.any():
         return flags
-    return flags & (_lower_eigvalsh(h)[:, 0] >= -tol.eig_tol)
+    return flags & ~_threshold_flags(h, diagonals, sq_norms, tol.eig_tol)[0]
 
 
 def _cholesky_proves(h: np.ndarray, diagonals: np.ndarray, sq_norms, thresholds) -> bool:
@@ -432,8 +433,9 @@ def _cholesky_proves(h: np.ndarray, diagonals: np.ndarray, sq_norms, thresholds)
 
 
 def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None = None) -> bool:
-    """The flag of :func:`_psd_flags` for the finite n×n matrix a that blocks (b, k, b, k) lays out,
-    a[p*k + i, q*k + j] = blocks[p, i, q, j], by the single-matrix route (derivation above).
+    """Whether the finite n×n matrix a that blocks (b, k, b, k) lays out, a[p*k + i, q*k + j] =
+    blocks[p, i, q, j], is hermitian within residual_tol with λ_min ≥ -eig_tol, by the single-matrix
+    route (derivation above).
 
     blocks is a view of a where it lies: the band, the probes of the leading
     n/4 square, the hermiticity gap and the low-rank certificate read it in
@@ -443,7 +445,8 @@ def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None 
     """
     n, eig_tol = blocks.shape[0] * blocks.shape[1], tol.eig_tol
     flat = blocks.ravel("K")  # a view, in memory order, for blocks of any contiguous array
-    delta = _band(n, np.einsum("pipi->pi", blocks).reshape(-1), np.vdot(flat, flat).real, eig_tol)
+    diagonal, sq_norm = np.einsum("pipi->pi", blocks).reshape(-1), np.vdot(flat, flat).real
+    delta = _band(n, diagonal, sq_norm, eig_tol)
     if delta < eig_tol:
         probe = _hermitian_part(_leading_square(blocks, n // 4))[None]
         np.einsum("...ii->...i", probe)[...] += eig_tol + delta
@@ -452,18 +455,19 @@ def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None 
         del probe  # before the gap's and the certificate's temporaries
     if _blocked_gap(blocks) > tol.residual_tol:
         return False
-    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
+    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):
         return True
     h = np.empty((n, n), dtype=np.complex128) if h is None else h
     _write_hermitian_part(blocks, h)
+    if _cholesky_proves(h[None], diagonal, sq_norm, eig_tol):
+        return True
     if delta < eig_tol:
+        # failure refutes only above the band
         diag = np.einsum("ii->i", h)
         saved = diag.copy()
-        # success proves PSD only below the band, failure refutes only above it
-        for shift, proves in ((eig_tol - delta, True), (eig_tol + delta, False)):
-            diag[...] = saved + shift
-            if _cholesky_succeeds(h[None]) is proves:
-                return proves
+        diag += eig_tol + delta
+        if not _cholesky_succeeds(h[None]):
+            return False
         diag[...] = saved
     return bool(_lower_eigvalsh(h)[0] >= -eig_tol)
 

@@ -19,17 +19,13 @@ from .errors import DimensionMismatchError, SpaceMismatchError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _cholesky_proves,
     _eigh,
     _ginibre,
-    _hermitian_part,
-    _hermiticity_gaps,
     _identity_gaps,
     _loewner_order,
-    _lower_eigvalsh,
     _operator_family,
+    _psd_stack,
     _require_finite,
-    _squared_norms,
 )
 from .programs import DensityState
 
@@ -186,20 +182,14 @@ def _effect_flags(effects: np.ndarray, total: np.ndarray, tol: ToleranceConfig):
     of each effect's λ_min below -eig_tol and of its hermiticity gap above residual_tol, the flags
     (...) of a total's λ_max above 1 + eig_tol, and the λ_min of each effect and then of -total.
 
-    The hermitian parts of the effects and of -total are one stack, which the
-    band kernel decides first, with t = eig_tol for an effect and t = 1 + eig_tol
-    for -total. Where it proves them all, neither eigenvalue flag is set and the
-    λ_min are None; else one eigvalsh of the stack gives the flags and the λ_min.
+    The effects and -total are one stack for :func:`_psd_stack`, with t = eig_tol
+    for an effect and t = 1 + eig_tol for -total: where the band kernel proves
+    the stack, neither eigenvalue flag is set and the λ_min are None.
     """
-    h = _hermitian_part(np.concatenate([effects, -total[..., None, :, :]], axis=-3))
-    not_hermitian = _hermiticity_gaps(effects) > tol.residual_tol
-    thresholds = np.full(h.shape[-3], tol.eig_tol)
+    thresholds = np.full(effects.shape[-3] + 1, tol.eig_tol)
     thresholds[-1] = 1.0 + tol.eig_tol
-    if _cholesky_proves(h, h.diagonal(axis1=-2, axis2=-1), _squared_norms(h), thresholds):
-        clear = np.zeros(h.shape[:-2], dtype=bool)
-        return clear[..., :-1], not_hermitian, clear[..., -1], None
-    lows = _lower_eigvalsh(h).min(axis=-1)
-    return lows[..., :-1] < -tol.eig_tol, not_hermitian, -lows[..., -1] > 1.0 + tol.eig_tol, lows
+    gaps, below, lows = _psd_stack(np.concatenate([effects, -total[..., None, :, :]], axis=-3), thresholds)
+    return below[..., :-1], gaps[..., :-1] > tol.residual_tol, below[..., -1], lows
 
 
 def _predicate_faults(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

@@ -35,20 +35,15 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _block_size,
-    _cholesky_proves,
     _defect_bound,
     _haar_isometries,
-    _hermitian_part,
-    _hermiticity_gaps,
     _identity_gaps,
-    _lower_eigvalsh,
     _operator_family,
-    _psd_flags,
+    _psd_stack,
     _psd_tail,
     _psd_verdict,
     _require_finite,
     _row_block_size,
-    _squared_norms,
     as_complex_matrix,
 )
 
@@ -153,22 +148,14 @@ def _state_flags(ms: np.ndarray, tol: ToleranceConfig, eig_slack: float):
     within residual_tol, with |Tr - 1| above residual_tol and with λ_min below
     -eig_slack·eig_tol, in the order DensityState names them; then each Tr and λ_min.
 
-    The band kernel decides the hermitian parts first, at t = eig_slack·eig_tol.
-    Where it proves them all, no λ_min flag is set and the λ_min are None; else
-    one eigvalsh of the stack gives the flags and the λ_min.
+    The λ_min flags and the λ_min are those of :func:`_psd_stack` at
+    t = eig_slack·eig_tol: where the band kernel proves the stack, no λ_min
+    flag is set and the λ_min are None.
     """
-    traces, h = np.trace(ms, axis1=-2, axis2=-1), _hermitian_part(ms)
-    if _cholesky_proves(h, h.diagonal(axis1=-2, axis2=-1), _squared_norms(h), eig_slack * tol.eig_tol):
-        lows, not_psd = None, np.zeros(traces.shape, dtype=bool)
-    else:
-        lows = _lower_eigvalsh(h).min(axis=-1)
-        not_psd = lows < -eig_slack * tol.eig_tol
-    flags = (
-        _hermiticity_gaps(ms) > tol.residual_tol,
-        np.hypot(traces.real - 1.0, traces.imag) > tol.residual_tol,
-        not_psd,
-    )
-    return flags, traces, lows
+    gaps, not_psd, lows = _psd_stack(ms, eig_slack * tol.eig_tol)
+    traces = np.trace(ms, axis1=-2, axis2=-1)
+    off_trace = np.hypot(traces.real - 1.0, traces.imag) > tol.residual_tol
+    return (gaps > tol.residual_tol, off_trace, not_psd), traces, lows
 
 
 def _invalid_states(ms: np.ndarray, tol: ToleranceConfig, eig_slack: float = 1.0) -> np.ndarray:
@@ -634,10 +621,11 @@ def is_positive_sampled(
     violating state found. States are checked in blocks whose stacks of
     outputs stay under STACK_BYTES, with one batched Cholesky factorization
     a block. A basis block's outputs are columns of the superoperator, which
-    go through the whole PSD kernel. The other blocks' hermitian parts, and
-    their hermiticity gaps where these could fail, come from one real matrix
-    product each, against the coordinate matrix built when the Fourier
-    block first needs it and released before the last block's PSD test.
+    go through the stack primitive :func:`_psd_stack`. The other blocks'
+    hermitian parts, and their hermiticity gaps where these could fail, come
+    from one real matrix product each, against the coordinate matrix built
+    when the Fourier block first needs it and released before the last
+    block's PSD test.
     Only a block that Cholesky leaves undecided, such as one that holds a
     counterexample, also takes a batched eigensolve; the verdicts are those
     of the eigensolve alone.
@@ -650,7 +638,8 @@ def is_positive_sampled(
     for psis, raw in _candidate_blocks(d, tol.sample_count, rng, _block_size(d)):
         end = checked + len(psis)
         if end <= d:  # basis states, finite as the superoperator is
-            bad = ~_psd_flags(_basis_outputs(c.super, checked, end), tol)
+            gaps, below, _ = _psd_stack(_basis_outputs(c.super, checked, end), tol.eig_tol)
+            bad = (gaps > tol.residual_tol) | below
         else:
             w = _coordinate_matrix(c.super, tol.residual_tol) if w is None else w
             parts = _pure_parts(w, psis)
@@ -779,15 +768,15 @@ def _sampled_supers(dim: int, kinds: np.ndarray, draws: list) -> tuple[np.ndarra
     """Superoperators (n, d², d²) of n sampled programs of mixed kinds, from their raw draws,
     and the mask (n,) of those that :func:`sample_program` refuses.
 
-    ``kinds[i]`` indexes _PROGRAM_KINDS and ``draws[i]`` is what :func:`_draw_program`
+    ``kinds[i]`` names the kind of program i and ``draws[i]`` is what :func:`_draw_program`
     drew for it. A unitary is refused by :func:`from_unitary`'s test at the default
     tolerances, and any program by a non-finite entry.
     """
     n = dim * dim
     supers = np.empty((len(kinds), n, n), dtype=np.complex128)
     refused = np.zeros(len(kinds), dtype=bool)
-    for i, kind in enumerate(_PROGRAM_KINDS):
-        pos = np.flatnonzero(kinds == i)
+    for kind in _PROGRAM_KINDS:
+        pos = np.flatnonzero(kinds == kind)
         if len(pos) == 0:
             continue
         if kind == "transpose":

@@ -55,12 +55,12 @@ MUTANTS = [
         "linalg.py",
         """    if _blocked_gap(blocks) > tol.residual_tol:
         return False
-    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
+    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):
         return True
     h = np.empty((n, n), dtype=np.complex128) if h is None else h
     _write_hermitian_part(blocks, h)
 """,
-        """    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):
+        """    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):
         return True
     h = np.empty((n, n), dtype=np.complex128) if h is None else h
     _write_hermitian_part(blocks, h)
@@ -76,11 +76,18 @@ MUTANTS = [
         "yield p, blocks[p, :, :p + 1].transpose(1, 2, 0), blocks[p, :, :p + 1].transpose(1, 0, 2)",
         (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_before_h_is_written",),
     ),
-    # the Cholesky verdicts: success proves PSD only below the band, failure refutes only above it
+    # a single matrix's full factorization refutes it only above the band
     Mutant(
         "linalg.py",
-        "for shift, proves in ((eig_tol - delta, True), (eig_tol + delta, False)):",
-        "for shift, proves in ((eig_tol + delta, True), (eig_tol - delta, False)):",
+        "        diag += eig_tol + delta\n",
+        "        diag += eig_tol - delta\n",
+        (f"{KERNELS}::TestPsdOracle::test_shifted_to_the_band_edges",),
+    ),
+    # and proves it through the stack route, below the band, with no eigensolve
+    Mutant(
+        "linalg.py",
+        "    if _cholesky_proves(h[None], diagonal, sq_norm, eig_tol):\n",
+        "    if False:\n",
         (f"{KERNELS}::TestPsdOracle::test_shifted_to_the_band_edges",),
     ),
     # a stack is proved PSD only below the band too
@@ -104,26 +111,39 @@ MUTANTS = [
         "        return True\n",
         (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
     ),
-    # the predicate rule factors -total with the effects: a total above the identity is flagged
-    Mutant(
-        "predicates.py",
-        "if _cholesky_proves(h, h.diagonal(axis1=-2, axis2=-1), _squared_norms(h), thresholds):",
-        "if _cholesky_proves(h[..., :-1, :, :], h[..., :-1, :, :].diagonal(axis1=-2, axis2=-1),"
-        " _squared_norms(h[..., :-1, :, :]), thresholds[:-1]):",
-        (f"{KERNELS}::TestRuleOracles::test_the_predicate_rule_matches_the_oracle",),
-    ),
-    # the state rule factors at eig_slack·eig_tol, so an apply output down to it takes no eigensolve
-    Mutant(
-        "programs.py",
-        "_squared_norms(h), eig_slack * tol.eig_tol):",
-        "_squared_norms(h), tol.eig_tol):",
-        (f"{KERNELS}::TestRuleOracles::test_the_state_rule_matches_the_oracle",),
-    ),
-    # so does a single matrix's, which reads h in place
+    # the stack's gaps are |a - aᴴ|, read before the hermitian part overwrites the shared aᴴ
     Mutant(
         "linalg.py",
-        "                return proves\n        diag[...] = saved\n",
-        "                return proves\n",
+        "    gaps = _hermiticity_gaps(a, ah)  # before _hermitian_part overwrites ah\n    h = _hermitian_part(a, ah)\n",
+        "    h = _hermitian_part(a, ah)\n    gaps = _hermiticity_gaps(a, ah)\n",
+        (f"{KERNELS}::TestPsdStack::test_a_gap_between_residual_tol_and_twice_it_is_refused",),
+    ),
+    # the eigensolve flags each matrix of a stack at its own threshold t_k
+    Mutant(
+        "linalg.py",
+        "    return lows < -thresholds, lows\n",
+        "    return lows < -np.max(thresholds), lows\n",
+        (f"{KERNELS}::TestPsdStack::test_per_matrix_thresholds_match_the_oracle",),
+    ),
+    # the predicate rule stacks -total with the effects: a total above the identity is flagged
+    Mutant(
+        "predicates.py",
+        "-total[..., None, :, :]",
+        "total[..., None, :, :]",
+        (f"{KERNELS}::TestRuleOracles::test_the_predicate_rule_matches_the_oracle",),
+    ),
+    # the state rule decides at eig_slack·eig_tol, so an apply output down to it takes no eigensolve
+    Mutant(
+        "programs.py",
+        "_psd_stack(ms, eig_slack * tol.eig_tol)",
+        "_psd_stack(ms, tol.eig_tol)",
+        (f"{KERNELS}::TestRuleOracles::test_the_state_rule_matches_the_oracle",),
+    ),
+    # a single matrix's eigensolve reads h in place, with its diagonal restored after the refutation
+    Mutant(
+        "linalg.py",
+        "            return False\n        diag[...] = saved\n",
+        "            return False\n",
         (f"{KERNELS}::TestHermitianWriter::test_is_psd_leaves_its_input_untouched",),
     ),
     # a single matrix is first probed on its leading n/16 and n/4 rows, before its gap and certificate
@@ -143,7 +163,7 @@ MUTANTS = [
     # a single low-rank matrix is decided by the certificate, with no full factorization
     Mutant(
         "linalg.py",
-        "    if delta < eig_tol and _low_rank_certificate(blocks, delta, eig_tol):",
+        "    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):",
         "    if False:",
         (f"{KERNELS}::TestLowRankCertificate::test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes",),
     ),
@@ -278,8 +298,8 @@ MUTANTS = [
     # a state's λ_min may reach -eig_slack·eig_tol, for the constructor and the stacked mask alike
     Mutant(
         "programs.py",
-        "not_psd = lows < -eig_slack * tol.eig_tol\n",
-        "not_psd = lows < -tol.eig_tol\n",
+        "_psd_stack(ms, eig_slack * tol.eig_tol)",
+        "_psd_stack(ms, tol.eig_tol)",
         ("tests/test_programs.py::TestDensityState::test_the_mask_refuses_what_the_constructor_refuses_at_each_bound",),
     ),
     # apply's output may reach λ_min = -APPLY_EIG_SLACK·eig_tol, and so may a campaign's
@@ -292,8 +312,8 @@ MUTANTS = [
     # a predicate's total may reach λ_max = 1 + eig_tol, for validate_predicate and the stacked mask alike
     Mutant(
         "predicates.py",
-        "-lows[..., -1] > 1.0 + tol.eig_tol",
-        "-lows[..., -1] > 1.0",
+        "thresholds[-1] = 1.0 + tol.eig_tol",
+        "thresholds[-1] = 1.0",
         ("tests/test_predicates.py::TestValidate::test_validity_closure_at_tolerance_boundary",),
     ),
     # qwp wp refuses to write an output that is not a predicate
@@ -314,11 +334,11 @@ MUTANTS = [
         "    obj = _load(triple_path)\n    tol = _make_tol(eig_tol, residual_tol, samples)\n",
         ("tests/test_cli.py::test_exit_code_contract[verify_samples_0]",),
     ),
-    # the weakest sweep's pairs cycle through all four program kinds
+    # the sweeps cycle their trials through all four program kinds, as the weakest sweep's pairs show
     Mutant(
         "campaigns.py",
-        "sample_program(_PROGRAM_KINDS[pair % len(_PROGRAM_KINDS)], dim, rng)",
-        "sample_program(_PROGRAM_KINDS[pair % 2], dim, rng)",
+        "return np.asarray(_PROGRAM_KINDS)[trials % len(_PROGRAM_KINDS)]",
+        "return np.asarray(_PROGRAM_KINDS)[trials % 2]",
         ("tests/test_campaigns.py::test_weakest_pairs_cycle_through_the_program_kinds",),
     ),
     # each effect's normals are drawn before its eigenvalues, as random_effect draws them

@@ -84,7 +84,7 @@ from qwp.wp import (
     wp,
 )
 
-from maps import nonpositive
+from maps import breuer_hall, choi_map, low_rank_program, nonpositive, positive_not_cp
 
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
@@ -833,17 +833,9 @@ class TestPositivityOracle:
         assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=4 * d * np.finfo(float).eps)
 
     def test_no_stack_exceeds_the_cap(self, monkeypatch):
-        # the shapes of the hermitian parts at the shared tail, which the basis block
-        # reaches through _psd_flags and the product blocks directly
-        shapes = []
-        tail = qwp_linalg._psd_tail
-
-        def recording(gaps, h, *args):
-            shapes.append(h.shape)
-            return tail(gaps, h, *args)
-
-        monkeypatch.setattr(qwp_linalg, "_psd_tail", recording)
-        monkeypatch.setattr(qwp_programs, "_psd_tail", recording)
+        # the shapes of the hermitian parts at the shared prove-else-eigensolve step, which the
+        # basis block reaches through _psd_stack and the product blocks through _psd_tail
+        shapes = record_shapes(monkeypatch, qwp_linalg, "_threshold_flags")
         is_positive_sampled(sample_program("transpose", 32, 0), seed=4)
         # the leading blocks of the Choi matrix refute it, so no (1, 1024, 1024) stack is
         # tested; then the basis, Fourier and 1000 random states in blocks of at most 1024
@@ -853,13 +845,13 @@ class TestPositivityOracle:
     def test_basis_outputs_are_columns_of_the_superoperator(self, monkeypatch):
         c = sample_program("transpose_mix", 5, 66)
         blocks = []
-        flags = qwp_programs._psd_flags
+        stack = qwp_programs._psd_stack
 
-        def recording(a, tol):
+        def recording(a, thresholds):
             blocks.append(np.array(a))
-            return flags(a, tol)
+            return stack(a, thresholds)
 
-        monkeypatch.setattr(qwp_programs, "_psd_flags", recording)
+        monkeypatch.setattr(qwp_programs, "_psd_stack", recording)
         monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 2 * 5 * 5 * 16)
         got = is_positive_sampled(c, ToleranceConfig(sample_count=4), seed=1)
         assert got.status == "no_counterexample"
@@ -1609,6 +1601,12 @@ def record_shapes(monkeypatch, module, name):
     return shapes
 
 
+def psd_stack_flags(a, tol):
+    """Whether each matrix of a stack (k, n, n) is hermitian within residual_tol with λ_min ≥ -eig_tol, by _psd_stack."""
+    gaps, below, _ = qwp_linalg._psd_stack(a, tol.eig_tol)
+    return (gaps <= tol.residual_tol) & ~below
+
+
 def at_band_offset(a, k, tol):
     """a shifted so that its lowest eigenvalue is -eig_tol + k·δ, δ the band of the shifted matrix."""
     n = a.shape[0]
@@ -1641,7 +1639,7 @@ class TestPsdKernel:
         # the whole stack, and alone its two matrices at ±δ/2 of the band edge
         for part in (stack, stack[5:7]):
             calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-            got = qwp_linalg._psd_flags(part, tol)
+            got = psd_stack_flags(part, tol)
             # each holds matrices inside the band, and at eig_tol = 0 there is no band
             assert calls == ["eigvalsh"]
             monkeypatch.undo()
@@ -1654,7 +1652,7 @@ class TestPsdKernel:
         rng = np.random.default_rng([n, 137])
         stack = np.array([at_band_offset(m, k, tol) for m in psd_kernel_stack(rng, n, tol)[::9] for k in (1.5, 3.0)])
         calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = qwp_linalg._psd_flags(stack, tol)
+        got = psd_stack_flags(stack, tol)
         assert calls == []
         monkeypatch.undo()
         assert got.tolist() == [is_psd_oracle(m, tol) for m in stack] == [True] * len(stack)
@@ -1667,12 +1665,12 @@ class TestPsdKernel:
         broken = huge.copy()
         broken[n // 2] = -1.0
         calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert qwp_linalg._psd_flags(np.array(above), tol).all() and calls == []
+        assert psd_stack_flags(np.array(above), tol).all() and calls == []
         stack = np.array(above + [np.diag(huge), np.diag(broken)])
         assert (psd_band(stack, tol) == np.inf).tolist() == [False] * len(above) + [True, True]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            got = qwp_linalg._psd_flags(stack, tol)
+            got = psd_stack_flags(stack, tol)
         assert calls == ["eigvalsh"]
         monkeypatch.undo()
         assert got.tolist() == [is_psd_oracle(m, tol) for m in stack] == [True] * (len(above) + 1) + [False]
@@ -1741,7 +1739,7 @@ class TestPsdKernel:
         for c in [sample_program(kind, 8, 7) for kind in KINDS] + [nonpositive(8, 0.05)]:
             is_positive_sampled(c, tol, seed=2)
         stack = psd_kernel_stack(np.random.default_rng(139), 16, DEFAULT_TOL)
-        qwp_linalg._psd_flags(stack, DEFAULT_TOL)
+        psd_stack_flags(stack, DEFAULT_TOL)
         for m in stack:
             is_psd(m)
         # leading blocks, full single matrices and whole stacks all failed somewhere
@@ -1770,6 +1768,37 @@ def leading_cholesky_succeeds(a, m, shift):
     """Whether Cholesky runs through the leading m×m block of the hermitian part of a plus shift·I."""
     h = qwp_linalg._hermitian_part(a[:m, :m])
     return qwp_linalg._cholesky_succeeds(h + shift * np.eye(m))
+
+
+class TestPsdStack:
+    """The stack primitive: the gaps |a - aᴴ|, and the flags λ_min(h_k) < -t_k at each matrix's own
+    threshold, with eigvalsh's λ_min."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_per_matrix_thresholds_match_the_oracle(self, n, monkeypatch):
+        tol = DEFAULT_TOL
+        stack = psd_kernel_stack(np.random.default_rng([n, 181]), n, tol)
+        # thresholds from 0 to 2·eig_tol, so the band edges of the stack fall on either side of them
+        thresholds = tol.eig_tol * np.linspace(0.0, 2.0, len(stack))
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        gaps, below, lows = qwp_linalg._psd_stack(stack, thresholds)
+        assert calls == ["eigvalsh"]
+        monkeypatch.undo()
+        assert_same_bits(gaps, qwp_linalg._hermiticity_gaps(stack))
+        want = qwp_linalg._eigvalsh(stack).min(axis=-1)
+        assert_same_bits(lows, want)
+        assert below.tolist() == (want < -thresholds).tolist()
+        assert below.any() and not below.all()
+
+    def test_a_gap_between_residual_tol_and_twice_it_is_refused(self):
+        # the gap is |a - aᴴ|, read before the hermitian part overwrites aᴴ, not |a - h| = |a - aᴴ|/2
+        tol = DEFAULT_TOL
+        a = np.array([np.eye(3) / 3] * 2, dtype=np.complex128)
+        a[1, 0, 2] += 1.5 * tol.residual_tol
+        gaps, below, _ = qwp_linalg._psd_stack(a, tol.eig_tol)
+        assert (gaps > tol.residual_tol).tolist() == [False, True] and not below.any()
+        assert refusal(DensityState, a[1], tol) == "state is not hermitian"
+        assert psd_stack_flags(a, tol).tolist() == [is_psd_oracle(m, tol) for m in a] == [True, False]
 
 
 class TestLeadingBlockRefutation:
@@ -1982,7 +2011,7 @@ class TestHermitianWriter:
             blocks = qwp_linalg._square_blocks(m)
             assert blocks.shape[1] == 150
             self.assert_writer_bits(blocks, m)
-        flags = qwp_linalg._psd_flags(a, DEFAULT_TOL)
+        flags = psd_stack_flags(a, DEFAULT_TOL)
         assert flags.tolist() == [is_psd_oracle(m) for m in a] == [True, False, False]
 
     @pytest.mark.parametrize("n", [5, 64, 300])
@@ -2078,17 +2107,6 @@ class TestBand:
                 assert got == psd_band(a, DEFAULT_TOL) == np.inf
 
 
-def low_rank_program(dim, rank, seed, rows=None):
-    """A CPTP program of `rank` Kraus operators, sliced from one Haar isometry: its Choi matrix has that rank.
-
-    With rows < dim, every operator is zero below its first `rows` rows, so the last
-    (dim - rows)·dim rows and columns of the Choi matrix are zero.
-    """
-    rows = rows or dim
-    w = random_isometry(np.random.default_rng([dim, rank, seed]), rank * rows, dim).reshape(rank, rows, dim)
-    return from_kraus(np.concatenate([w, np.zeros((rank, dim - rows, dim))], axis=1))
-
-
 class TestLowRankCertificate:
     """A pivoted partial Cholesky with a small residual proves a single matrix PSD, after the leading probes."""
 
@@ -2165,30 +2183,6 @@ class TestLowRankCertificate:
         assert is_completely_positive(c) is True
         assert shapes == [(1, 64, 64), (1, 256, 256)]
         assert calls == []
-
-
-def choi_map(x):
-    """Choi's positive map on 3×3 matrices that is not CP (Choi 1975), halved to preserve the trace:
-    X -> (diag(x11 + x33, x22 + x11, x33 + x22) - offdiag(X)) / 2, for a stack (..., 3, 3)."""
-    diagonal = np.einsum("...ii->...i", x)
-    out = -x
-    np.einsum("...ii->...i", out)[...] += 2.0 * diagonal + np.roll(diagonal, 1, axis=-1)
-    return out / 2.0
-
-
-def breuer_hall(x):
-    """The Breuer–Hall map on d×d matrices, d even: X -> (Tr(X) I - X - U Xᵀ Uᵀ) / (d - 2), U the real
-    antisymmetric unitary of d/2 blocks [[0, 1], [-1, 0]]; positive and trace preserving, not CP for d ≥ 4."""
-    d = x.shape[-1]
-    u = np.kron(np.eye(d // 2), [[0.0, 1.0], [-1.0, 0.0]])
-    return (np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) - x - u @ x.swapaxes(-1, -2) @ u.T) / (d - 2)
-
-
-def positive_not_cp(phi, dim, seed):
-    """The program rho -> phi(W rho W†), W a seeded Haar unitary, of a map phi on stacks of dim×dim matrices."""
-    n = dim * dim
-    w = random_unitary(np.random.default_rng([dim, seed]), dim)
-    return seq(from_unitary(w), from_super(vec(phi(unvec(np.eye(n)))).T))
 
 
 class TestReadInPlace:

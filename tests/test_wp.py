@@ -14,6 +14,7 @@ from qwp.linalg import DEFAULT_TOL, ToleranceConfig, random_density, sample_rand
 from qwp.predicates import (
     OutcomeSpace,
     Predicate,
+    effect_of_set,
     is_complete,
     predicate_leq,
     projective_predicate,
@@ -30,9 +31,12 @@ from qwp.programs import (
     from_super,
     from_unitary,
     identity_program,
+    is_completely_positive,
+    is_positive_sampled,
     random_cptp,
     sample_program,
     seq,
+    to_choi,
     transpose_program,
 )
 from qwp.wp import (
@@ -46,6 +50,8 @@ from qwp.wp import (
     wp,
     wp_compose_check,
 )
+
+from maps import breuer_hall, choi_map, positive_not_cp, reduction
 
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
@@ -441,6 +447,44 @@ class TestCompose:
             f = random_predicate(rng, 3)
             worst = max(worst, wp_compose_check(c1, c2, f))
         assert worst <= 1e-10
+
+
+class TestPositiveNotCp:
+    """The paper's theorem for positive programs: wp of a positive map that is not CP is a predicate."""
+
+    @pytest.mark.parametrize(
+        "phi, dim",
+        [(reduction, d) for d in (2, 3, 4, 5, 8, 17)] + [(choi_map, 3)] + [(breuer_hall, d) for d in (4, 6, 8, 16)],
+    )
+    def test_positive_maps_that_are_not_cp(self, phi, dim):
+        tol = DEFAULT_TOL
+        # each map's input conjugated by a seeded Haar unitary
+        c = positive_not_cp(phi, dim, 307)
+        j = to_choi(c)
+        hermitian = np.abs(j - j.conj().T).max() <= tol.residual_tol
+        oracle = hermitian and np.linalg.eigvalsh((j + j.conj().T) / 2.0).min() >= -tol.eig_tol
+        assert is_completely_positive(c, tol) is False and not oracle
+        assert is_positive_sampled(c, tol, seed=5).status == "no_counterexample"
+        f = random_predicate(np.random.default_rng([dim, 311]), dim)
+        assert validate_predicate(wp(c, f, tol), tol).ok
+        assert max(duality_residual_sweep(c, f, tol, seed=7).values()) <= tol.residual_tol
+
+
+class TestCoarseGraining:
+    """wp acts atom by atom, so it commutes with merging atoms of a POVM."""
+
+    @pytest.mark.parametrize("kind", ["cptp", "unitary", "transpose", "transpose_mix"])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 17])
+    def test_wp_of_merged_atoms_is_the_sum_of_their_wp(self, kind, dim):
+        tol = DEFAULT_TOL
+        rng = np.random.default_rng([dim, 313])
+        c = sample_program(kind, dim, rng)
+        f = random_predicate(rng, dim, n_atoms=4)
+        merged, kept = f.space.atoms[:3], f.space.atoms[3]
+        coarse = Predicate(OutcomeSpace(("merged", kept)), [effect_of_set(f, merged), f.effect(kept)])
+        fine, g = wp(c, f, tol), wp(c, coarse, tol)
+        assert np.abs(effect_of_set(fine, merged) - g.effect("merged")).max() <= tol.residual_tol
+        assert np.abs(fine.effect(kept) - g.effect(kept)).max() <= tol.residual_tol
 
 
 def recorded_calls(monkeypatch, holder, name):
