@@ -4,6 +4,8 @@ The positive maps that are not CP act on stacks (..., d, d) and are trace
 preserving; :func:`positive_not_cp` makes a program of one.
 """
 
+import math
+
 import numpy as np
 
 from qwp.linalg import random_isometry, random_unitary
@@ -25,6 +27,17 @@ def low_rank_program(dim, rank, seed, rows=None):
     rows = rows or dim
     w = random_isometry(np.random.default_rng([dim, rank, seed]), rank * rows, dim).reshape(rank, rows, dim)
     return from_kraus(np.concatenate([w, np.zeros((rank, dim - rows, dim))], axis=1))
+
+
+def pure_loss(levels, eta):
+    """The pure-loss channel of transmissivity eta on Fock levels 0..levels-1, from its operators
+    A_k = Σ_{n≥k} √(C(n, k) eta^(n-k) (1 - eta)^k) |n-k><n| (Ivan, Sabapathy & Simon, PRA 84, 042311,
+    2011). Loss never raises the photon number, so the truncation is trace preserving."""
+    ks = np.zeros((levels, levels, levels))
+    for k in range(levels):
+        for n in range(k, levels):
+            ks[k, n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+    return from_kraus(ks, label="pure_loss")
 
 
 def reduction(x):

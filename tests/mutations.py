@@ -26,6 +26,30 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "tests/test_stacked_kernels.py"
+KINDS = ("cptp", "unitary", "transpose", "transpose_mix")
+
+
+def rows(test, *ids):
+    """The node ids of the rows of a table of the kernel tests, by the ids of their parameters."""
+    return tuple(f"{KERNELS}::{test}[{i}]" for i in ids)
+
+
+SIDES = [f"{k}-{side}" for k in (0.5, 2.0, 4.0) for side in (1.0, -1.0)]
+BAND_EDGES = rows(
+    "test_is_psd_at_the_band_edges",
+    *[f"{family}-{edge}" for family in ("cptp choi 8", "transpose choi 4", "transpose_mix choi 6") for edge in SIDES],
+)
+DEFECT_BELOW_THE_CORNER = rows("test_cp_check_routes", *[f"defect in a block below the corner-{d}-full" for d in (8, 17, 32)])
+MIXED_STACKS = rows("test_psd_stack", *[f"_psd_stack-mixed-{n}-{t}" for n in (1, 2, 5, 16) for t in ("1e-09", "0.0")])
+RULE_DIMS = (1, 2, 3, 8, 17, 32)
+PREDICATE_RULE = rows("test_psd_stack", *[f"predicate rule-straddles-{d}-each and stacked" for d in RULE_DIMS])
+STATE_RULE = rows("test_psd_stack", *[f"state rule-straddles-{d}-each and stacked" for d in RULE_DIMS])
+WP = rows(
+    "test_pull_back",
+    *[f"wp-{kind}-{d}-{n}-C" for d in (1, 2, 3, 5, 8, 17, 32) for kind in KINDS for n in range(1, 6)],
+    *[f"wp-{kind}-{d}-3-{layout}" for d in (2, 3, 8, 32) for kind in KINDS for layout in ("F", "adjoint of adjoint")],
+)
+PEAK = f"{KERNELS}::test_the_traced_peak_at_dim_32_stays_under_its_bound"
 
 
 class Mutant(NamedTuple):
@@ -41,14 +65,14 @@ MUTANTS = [
         "linalg.py",
         "+ np.sqrt(sq_norms) + 2 * n * eig_tol",
         "+ np.sqrt(sq_norms)",
-        (f"{KERNELS}::TestPsdOracle::test_a_band_set_by_its_eig_tol_term_at_the_band_edges",),
+        rows("test_is_psd_at_the_band_edges", *[f"eig_tol term 16-{k}-{side}" for k in (0.5, 2.0) for side in (1.0, -1.0)]),
     ),
     # h's writer fills every block (p, q) of the lower block triangle, not only the diagonal blocks
     Mutant(
         "linalg.py",
         "        out[p, :, :p + 1] = _hermitian_part(own, np.conjugate(partner)).transpose(2, 0, 1)",
         "        out[p, :, p] = _hermitian_part(own, np.conjugate(partner))[p].T",
-        (f"{KERNELS}::TestHermitianWriter::test_choi_views_of_superoperators",),
+        rows("test_reads_in_place", *[f"_choi_view-writer-{d}-{order}" for d in (17, 24, 32) for order in "CF"]),
     ),
     # the gap is read off a itself, before the certificate and before h is written
     Mutant(
@@ -67,161 +91,175 @@ MUTANTS = [
     if _blocked_gap(blocks) > tol.residual_tol:
         return False
 """,
-        (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_before_h_is_written",),
+        DEFECT_BELOW_THE_CORNER,
     ),
     # and the pairs that the gap and the writer share match each block (p, q) with its partner (q, p), not with itself
     Mutant(
         "linalg.py",
         "yield p, blocks[p, :, :p + 1].transpose(1, 2, 0), blocks[:p + 1, :, p]",
         "yield p, blocks[p, :, :p + 1].transpose(1, 2, 0), blocks[p, :, :p + 1].transpose(1, 0, 2)",
-        (f"{KERNELS}::TestReadInPlace::test_a_defect_in_one_off_diagonal_block_is_refused_before_h_is_written",),
+        DEFECT_BELOW_THE_CORNER,
     ),
     # a single matrix's full factorization refutes it only above the band
     Mutant(
         "linalg.py",
         "        diag += eig_tol + delta\n",
         "        diag += eig_tol - delta\n",
-        (f"{KERNELS}::TestPsdOracle::test_shifted_to_the_band_edges",),
+        BAND_EDGES,
     ),
     # and proves it through the stack route, below the band, with no eigensolve
     Mutant(
         "linalg.py",
         "    if _cholesky_proves(h[None], diagonal, sq_norm, eig_tol):\n",
         "    if False:\n",
-        (f"{KERNELS}::TestPsdOracle::test_shifted_to_the_band_edges",),
+        BAND_EDGES,
     ),
     # a stack is proved PSD only below the band too
     Mutant(
         "linalg.py",
         "diag += np.asarray(thresholds - delta)[..., None]",
         "diag += np.asarray(thresholds + delta)[..., None]",
-        (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
+        MIXED_STACKS,
     ),
     # and so is a predicate's stack of effects and -total, at its own thresholds
     Mutant(
         "linalg.py",
         "diag += np.asarray(thresholds - delta)[..., None]",
         "diag += np.asarray(thresholds + delta)[..., None]",
-        (f"{KERNELS}::TestRuleOracles::test_the_predicate_rule_matches_the_oracle",),
+        PREDICATE_RULE,
     ),
     # and its eigensolve reads the unshifted diagonal
     Mutant(
         "linalg.py",
         "        return True\n    diag[...] = saved\n",
         "        return True\n",
-        (f"{KERNELS}::TestPsdKernel::test_flags_match_the_oracle_on_mixed_stacks",),
+        MIXED_STACKS,
     ),
     # the stack's gaps are |a - aᴴ|, read before the hermitian part overwrites the shared aᴴ
     Mutant(
         "linalg.py",
         "    gaps = _hermiticity_gaps(a, ah)  # before _hermitian_part overwrites ah\n    h = _hermitian_part(a, ah)\n",
         "    h = _hermitian_part(a, ah)\n    gaps = _hermiticity_gaps(a, ah)\n",
-        (f"{KERNELS}::TestPsdStack::test_a_gap_between_residual_tol_and_twice_it_is_refused",),
+        rows("test_psd_stack", "_psd_stack-a gap of 1.5 residual_tol-3-1e-09"),
     ),
     # the eigensolve flags each matrix of a stack at its own threshold t_k
     Mutant(
         "linalg.py",
         "    return lows < -thresholds, lows\n",
         "    return lows < -np.max(thresholds), lows\n",
-        (f"{KERNELS}::TestPsdStack::test_per_matrix_thresholds_match_the_oracle",),
+        rows("test_psd_stack", *[f"_psd_stack-thresholds 0 to 2 eig_tol-{n}-1e-09" for n in (1, 2, 5, 16)]),
     ),
     # the predicate rule stacks -total with the effects: a total above the identity is flagged
     Mutant(
         "predicates.py",
         "-total[..., None, :, :]",
         "total[..., None, :, :]",
-        (f"{KERNELS}::TestRuleOracles::test_the_predicate_rule_matches_the_oracle",),
+        PREDICATE_RULE,
     ),
     # the state rule decides at eig_slack·eig_tol, so an apply output down to it takes no eigensolve
     Mutant(
         "programs.py",
         "_psd_stack(ms, eig_slack * tol.eig_tol)",
         "_psd_stack(ms, tol.eig_tol)",
-        (f"{KERNELS}::TestRuleOracles::test_the_state_rule_matches_the_oracle",),
+        STATE_RULE,
     ),
     # a single matrix's eigensolve reads h in place, with its diagonal restored after the refutation
     Mutant(
         "linalg.py",
         "            return False\n        diag[...] = saved\n",
         "            return False\n",
-        (f"{KERNELS}::TestHermitianWriter::test_is_psd_leaves_its_input_untouched",),
+        rows("test_is_psd_at_the_band_edges", *[f"full rank 300-{k}-{side}" for k in (0.5, 2.0) for side in (1.0, -1.0)]),
     ),
     # a single matrix is first probed on its leading n/16 and n/4 rows, before its gap and certificate
     Mutant(
         "linalg.py",
         "for m in (n // 16, n // 4))",
         "for m in ())",
-        (f"{KERNELS}::TestPsdKernel::test_a_failure_in_the_leading_rows_stops_at_the_first_probe",),
+        rows("test_is_psd", "leading rows-64"),
     ),
     # the low-rank certificate needs a small residual, not only a drained pivot diagonal
     Mutant(
         "linalg.py",
         "    lead = factor[:k]\n",
         "    return True\n",
-        (f"{KERNELS}::TestLowRankCertificate::test_a_drained_diagonal_with_an_indefinite_residual_is_refuted",),
+        rows("test_is_psd", "drained diagonal-64"),
     ),
     # a single low-rank matrix is decided by the certificate, with no full factorization
     Mutant(
         "linalg.py",
         "    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):",
         "    if False:",
-        (f"{KERNELS}::TestLowRankCertificate::test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes",),
+        rows("test_cp_check_routes", "low rank-32-4"),
     ),
     # the probe refutes only above the band: at eig_tol + δ, not eig_tol - δ
     Mutant(
         "linalg.py",
         'np.einsum("...ii->...i", probe)[...] += eig_tol + delta',
         'np.einsum("...ii->...i", probe)[...] += eig_tol - delta',
-        (f"{KERNELS}::TestLeadingBlockRefutation::test_a_defect_in_the_leading_rows_at_the_band_edges",),
+        rows("test_is_psd_at_the_band_edges", *[f"leading rows 256-{edge}" for edge in SIDES]),
     ),
     # a map that its Choi matrix's leading blocks refute is never gathered into a full-size array
     Mutant(
         "linalg.py",
         "probe = _hermitian_part(_leading_square(blocks, n // 4))[None]",
         "probe = _hermitian_part(_leading_square(blocks, n)[:n // 4, :n // 4])[None]",
-        (f"{KERNELS}::TestLeadingBlockRefutation::test_a_refuted_cp_check_copies_nothing_at_dim_32",),
+        (f"{PEAK}[is_completely_positive transpose_mix cold]", f"{PEAK}[is_completely_positive transpose_mix]"),
     ),
     # moduli round as a scalar abs() does
     Mutant(
         "wp.py",
         "return np.hypot(gap.real, gap.imag)",
         "return np.abs(gap)",
-        (f"{KERNELS}::TestDualityResidualBits",),
+        rows("test_pull_back", *[f"duality_residual-{kind}-{d}-{n}-one state" for d in (2, 5, 16) for kind in KINDS for n in (1, 3, 7)]),
     ),
     # the adjoint stays a transposed view, the layout BLAS reads it in
     Mutant(
         "wp.py",
         "_act(supers.swapaxes(-1, -2)[..., None, :, :], effects.conj())",
         "_act(np.ascontiguousarray(supers.swapaxes(-1, -2))[..., None, :, :], effects.conj())",
-        (f"{KERNELS}::TestWpOracle",),
+        WP,
     ),
     # the conjugated product's zeros are +0.0, as the adjoint program's product writes them
     Mutant(
         "wp.py",
         "    g += 0.0  # the conjugate turns a +0.0 imaginary part into -0.0\n",
         "",
-        (f"{KERNELS}::TestWpOracle",),
+        WP,
     ),
     # the trace-preservation gap sums the rows k(d+1) of S, where vec(I) is one
     Mutant(
         "programs.py",
         "rows = supers[..., :: d + 1, :]",
         "rows = supers[..., :: d, :]",
-        (f"{KERNELS}::TestUnitalGaps::test_gaps_match_the_oracle",),
+        rows(
+            "test_unital_gaps",
+            *[
+                f"_unital_gaps-{kind}-{d}-{layout}"
+                for d in (1, 2, 3, 5, 8, 16, 17, 32) for kind in KINDS for layout in ("C", "F", "adjoint", "adjoint C")
+            ],
+        ),
     ),
     # a one-row tail joins the row block before it
     Mutant(
         "programs.py",
         "starts = range(0, n - 1, rows)",
         "starts = range(0, n, rows)",
-        (f"{KERNELS}::TestActionOracle",),
+        rows(
+            "test_action",
+            *[f"apply_matrices-gaussian-{d}-rows of {r}-3" for d, r in ((17, 72), (23, 66), (31, 64), (33, 64))],
+            *[f"apply_matrices-gaussian-25-{layout}-{count}" for layout in "CF" for count in (1, 2, 3, 37, 100)],
+        ),
     ),
     # the Kraus sum turns -0.0 into +0.0, as a sum from 0 does
     Mutant(
         "programs.py",
         "        block += 0.0\n",
         "",
-        (f"{KERNELS}::TestFromKrausOracle",),
+        rows(
+            "test_builds_and_samplers",
+            *[f"from_kraus-{family}-{d}-{count}" for d in (1, 2, 3, 5, 8) for count in range(1, 6) for family in ("complex", "real")],
+            "from_kraus-left to right-1-3-5 operators",
+        ),
     ),
     # a Kraus sum skips its finite scan only when its diagonal S[i(d+1), j(d+1)] = Σ_K |K_ij|² is far below the float limit
     Mutant(
@@ -235,14 +273,14 @@ MUTANTS = [
         "programs.py",
         "for a in range(0, d, step):",
         "for a in range(0, d - step + 1, step):",
-        (f"{KERNELS}::TestBlockedBuilds::test_from_kraus_matches_the_kron_sum",),
+        rows("test_builds_and_samplers", *[f"from_kraus-complex-{d}-{count}" for d in (16, 17, 23, 32, 33) for count in (1, 4)]),
     ),
     # a blocked mixture writes its last, partial block of rows
     Mutant(
         "programs.py",
         "for a in range(0, n, rows):",
         "for a in range(0, n - rows + 1, rows):",
-        (f"{KERNELS}::TestBlockedBuilds::test_mix_matches_the_full_expression",),
+        rows("test_builds_and_samplers", *[f"mix-transpose, kraus-{d}-one weight" for d in (17, 33)]),
     ),
     # the positivity audit's below-diagonal coordinates are 2 Im rho_ij, not 2 Im rho_ji
     Mutant(
@@ -251,35 +289,35 @@ MUTANTS = [
         x[j, j + 1:] -= v2[j] * u[j + 1:]""",
         """        np.multiply(v2[j], u[j + 1:], out=x[j, j + 1:])
         x[j, j + 1:] -= u2[j] * v[j + 1:]""",
-        (f"{KERNELS}::TestPositivityOracle::test_stacked_outputs_match_apply_matrix",),
+        (f"{KERNELS}::test_audit_product_blocks_match_apply_matrix",),
     ),
     # its basis block reads C(|k><k|) off column k(d+1) of the superoperator
     Mutant(
         "programs.py",
         "step = math.isqrt(s.shape[0]) + 1",
         "step = math.isqrt(s.shape[0])",
-        (f"{KERNELS}::TestPositivityOracle::test_basis_outputs_are_columns_of_the_superoperator",),
+        (f"{KERNELS}::test_audit_basis_outputs_are_columns_of_the_superoperator",),
     ),
     # its coordinate matrix takes the difference of each output pair above the diagonal
     Mutant(
         "programs.py",
         "z[p + 1:] -= 0.25 * t[p, p + 1:]",
         "z[p + 1:] += 0.25 * t[p, p + 1:]",
-        (f"{KERNELS}::TestPositivityOracle::test_stacked_outputs_match_apply_matrix",),
+        (f"{KERNELS}::test_audit_product_blocks_match_apply_matrix",),
     ),
     # it keeps the anti-hermitian rows where their gaps could fail
     Mutant(
         "programs.py",
         "if _defect_bound(n, float(_pair_moduli(row_norms).max())) <= residual_tol:",
         "if True:",
-        (f"{KERNELS}::TestPositivityOracle::test_the_anti_hermitian_rows_refute_a_map_that_breaks_hermiticity_off_the_basis",),
+        rows("test_audit", *[f"skew off the basis-{d}-1e-09" for d in (2, 3, 8)]),
     ),
     # its coordinate matrix is released before the last block's PSD test
     Mutant(
         "programs.py",
         "w = None  # released before the last block's PSD test",
         "pass",
-        (f"{KERNELS}::TestPsdKernel::test_the_mixture_audit_peak_at_dim_32",),
+        (f"{PEAK}[is_positive_sampled transpose_mix cold]", f"{PEAK}[is_positive_sampled transpose_mix]"),
     ),
     # the order refuses a pair whose upper operand is not hermitian, as well as its lower one
     Mutant(
@@ -346,7 +384,7 @@ MUTANTS = [
         "linalg.py",
         "draws = [(rng.standard_normal((2, dim, dim)), rng.uniform(low, 1.0, size=dim)) for _ in range(k)]",
         "draws = [(rng.uniform(low, 1.0, size=dim), rng.standard_normal((2, dim, dim)))[::-1] for _ in range(k)]",
-        (f"{KERNELS}::TestSamplerOracle::test_effect_draws_replay_random_effect",),
+        rows("test_builds_and_samplers", *[f"matrix samplers-haar-{d}-one" for d in (1, 2, 3, 5, 8)]),
     ),
 ]
 

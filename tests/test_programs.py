@@ -1,5 +1,3 @@
-import tracemalloc
-
 import importlib
 
 import numpy as np
@@ -523,18 +521,6 @@ class TestPermutationsMatchLoops:
         seq(c, c)
         assert scans == [(dim * dim, dim * dim)]
 
-    def test_from_choi_peak_at_dim_32(self):
-        j = to_choi(sample_program("cptp", 32, 4))
-        from_choi(j)
-        tracemalloc.start()
-        try:
-            from_choi(j)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 16 MiB superoperator, which is the reshape's copy, and a 1 MiB finite-entry mask
-        assert peak <= 18 << 20
-
     @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
     def test_transpose_program_bit_for_bit(self, dim):
         s = transpose_program(dim).super
@@ -741,18 +727,6 @@ class TestMeasureBranch:
         bs = self.branches(dim, count)
         want = sum(b.super @ np.kron(m.conj(), m) for m, b in zip(ms, bs))
         assert np.abs(measure_branch(ms, bs).super - want).max() <= 1e-14
-
-    def test_peak_at_dim_32(self):
-        ms = list(random_isometry(np.random.default_rng(45), 2 * 32, 32).reshape(2, 32, 32))
-        bs = self.branches(32, 2)
-        tracemalloc.start()
-        try:
-            measure_branch(ms, bs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 16 MiB superoperator, a block of rows and its products, and the finite-entry mask
-        assert peak <= 20 << 20
 
 
 class TestSamplers:

@@ -1,20 +1,30 @@
-"""Stacked sampling kernels against the per-state loops they replace.
+"""Stacked kernels against the per-matrix loops they replace: one oracle table per route.
 
-The loops below are the reference oracles: they draw one state (or handle
-one atom, Kraus operator or campaign trial) at a time from the same
-generators and must give the stacked kernels' results exactly, float for
-float, and a campaign's first error. Two kernels are the exception in
-arithmetic. The positivity audit forms its outputs with one matrix
-product, whose rounding differs from the loop's matrix-vector products, so
-its outputs are held to a tolerance set from the dtype and its verdicts
-(status, count, witness) to equality. The supremum audit confirms its
-candidates with matrix products in place of per-state traces; only its
-flags and margins leave the kernel, so its reports are held to equality.
+A row of a table is (entry point, input family, d, layout), and its check is a comparison
+with the route's oracle. The loops below are those oracles: they draw one state (or handle
+one atom, Kraus operator or campaign trial) at a time from the same generators and must give
+the stacked kernels' results exactly, float for float, and a campaign's first error. Two
+kernels are the exception in arithmetic. The positivity audit forms its outputs with one
+matrix product, whose rounding differs from the loop's matrix-vector products, so its outputs
+are held to a tolerance set from the dtype and its verdicts (status, count, witness) to
+equality. The supremum audit confirms its candidates with matrix products in place of
+per-state traces; only its flags and margins leave the kernel, so its reports are held to
+equality.
+
+Rows enter through a public call wherever one reaches the route. The private names of qwp
+that they still reach are listed once, in SEAMS. An input or oracle result that several rows
+share is built once, by :func:`built`, whose cache lives as long as the module's tests.
+
+To add a kernel path, add rows to its route's table: name the entry point, the input family,
+d and the layout, and reuse the route's oracle; a new seam goes into SEAMS.
 """
 
+import functools
 import importlib
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +71,7 @@ from qwp.programs import (
     from_kraus,
     from_super,
     from_unitary,
+    identity_program,
     is_completely_positive,
     is_positive_sampled,
     is_trace_preserving,
@@ -75,7 +86,6 @@ from qwp.programs import (
     vec,
 )
 from qwp.wp import (
-    CERTIFYING_STATES,
     WeakestCheckReport,
     duality_residual,
     duality_residual_sweep,
@@ -93,14 +103,99 @@ qwp_linalg = importlib.import_module("qwp.linalg")
 qwp_campaigns = importlib.import_module("qwp.campaigns")
 qwp_predicates = importlib.import_module("qwp.predicates")
 
+# The private names that the tables reach below the public calls, by module. Each is a kernel
+# that no public call reaches with the inputs its rows need (a stack, a layout, a threshold per
+# matrix, a block of a matrix), or a place where a row puts a fault in.
+SEAMS = {
+    "qwp.linalg": (
+        "_PSD_BAND_C",  # the band constant c, for the oracle's δ
+        "_band",  # δ from the diagonal and Σ|a_ij|² it is read off
+        "_hermitian_part",  # (a + aᴴ)/2 without overflow, the writer's full-size oracle
+        "_psd_stack",  # the stack primitive, at a threshold per matrix
+        "_square_blocks",  # the single-matrix route's block layout of a matrix
+        "_blocked_gap",  # the hermiticity gap read in place
+        "_write_hermitian_part",  # h's lower block triangle, written off the blocks
+        "_lower_column",  # the certificate's pivot columns
+        "_leading_square",  # the probes' corner
+        "_haar_spectral",  # stacked effects from their draws
+    ),
+    "qwp.programs": (
+        "_unital_gaps",  # the trace-preservation gap of stacks, in every layout
+        "_choi_view",  # the Choi matrix as a view of S
+        "_act",  # stacks of superoperators, as the campaigns pass them
+        "_kraus_supers",  # stacked Kraus sums, as the campaigns build them
+        "_mixed",  # mixtures with a weight per program
+        "_coordinate_matrix",  # the audit's product blocks: W
+        "_pure_parts",  # and the parts read off W @ x
+        "_invalid_states",  # the campaigns' state mask
+        "_state_flags",  # the state rule's flags and λ_min
+        "_psd_stack",  # the audit's basis block, read exactly
+    ),
+    "qwp.predicates": (
+        "_effect_flags",  # the predicate rule's flags and λ_min
+        "_predicate_faults",  # the campaigns' predicate mask
+    ),
+    # faults put in: oversized and boundary candidates, and a refused trial that passes alone
+    "qwp.wp": ("_haar_spectral",),
+    "qwp.campaigns": ("_unital_gaps", "_invalid_states"),
+}
+
+
+def test_every_seam_resolves_and_no_other_private_name_is_reached():
+    for module, names in SEAMS.items():
+        for name in names:
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    source = Path(__file__).read_text()
+    reached = set(re.findall(r"qwp_(\w+)\.(_\w+)", source)) | set(re.findall(r'qwp_(\w+), "(_\w+)"', source))
+    assert reached == {(module[4:], name) for module, names in SEAMS.items() for name in names}
+
+
+@functools.lru_cache(maxsize=6)
+def built(build, *key):
+    """build(*key), built once for the rows that share it; the rows of a table come in the order of
+    their inputs, so the cache keeps only the latest few. A row must not write to what it returns."""
+    return build(*key)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def shared_inputs():
+    """The inputs and oracle results of :func:`built` and the oracle's weakest trials, freed when the module's tests end."""
+    yield
+    built.cache_clear()
+    WEAKEST_TRIALS.clear()
+
+
+def rows(*cases):
+    """pytest params for the given tuples, each with the id of its entries joined by '-'."""
+    return [pytest.param(*case, id="-".join(map(str, case))) for case in cases]
+
+
 KINDS = ("cptp", "unitary", "transpose", "transpose_mix")
+DIMS = (1, 2, 3, 5, 8)
+
+
+def fourier_basis(dim):
+    """The Fourier basis, one state a column."""
+    grid = np.outer(np.arange(dim), np.arange(dim))
+    return np.exp(2j * np.pi * grid / dim) / np.sqrt(dim)
+
+
+def hermiticity_gaps_oracle(a):
+    """Max-entry |a - aᴴ| of each matrix of a stack; inf, with no warning, where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def eigvalsh_oracle(a):
+    """The eigenvalues of the symmetrized matrices of a stack."""
+    return np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def ginibre_density_oracle(rng, dim):
     """One density from a Ginibre product, drawn real part then imaginary part."""
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     m = g @ g.conj().T
-    return m / np.trace(m).real
+    return m / m.trace().real
 
 
 def random_isometry_oracle(rng, rows, cols):
@@ -237,36 +332,39 @@ def psd_sqrt_oracle(a):
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+# each trial of weakest_check_oracle, by its inputs: its candidate and the masses of its states. They do not
+# depend on the tolerances, so the runs of one pair at several tolerances share them
+WEAKEST_TRIALS = {}
+
+
 def weakest_check_oracle(c, f, tol=None, seed=0, states_per_trial=50, effect=random_effect_oracle):
     """The per-state supremum audit, one trial, atom and state at a time; ``effect`` draws one W."""
     tol = tol or DEFAULT_TOL
     transformed = wp(c, f, tol)
     atoms = f.space.atoms
-    d = c.dim
     roots = {a: psd_sqrt_oracle(transformed.effect(a)) for a in atoms}
+    key = (c.super.tobytes(), c.super.strides, f.effects.tobytes(), seed, states_per_trial, effect)
 
     dominated = 0
     confirmed = 0
     min_margin = np.inf
     for trial in range(tol.sample_count):
-        rng = np.random.default_rng([seed, trial])
-        cand = Predicate(
-            f.space, {a: roots[a] @ effect(rng, d) @ roots[a] for a in atoms}
-        )
-
-        ok = True
-        for _ in range(states_per_trial):
-            rho = ginibre_density_oracle(rng, d)
-            out = unvec(c.super @ vec(rho))
-            for a in atoms:
-                lhs = float(np.trace(cand.effect(a) @ rho).real)
-                rhs = float(np.trace(f.effect(a) @ out).real)
-                if lhs > rhs + tol.residual_tol:
-                    ok = False
-                    break
-            if not ok:
-                break
-        confirmed += int(ok)
+        if (key, trial) not in WEAKEST_TRIALS:
+            # the trial's candidate, then (Tr(G_a rho), Tr(F_a C(rho))) for each state and atom
+            rng = np.random.default_rng([seed, trial])
+            cand = Predicate(f.space, {a: roots[a] @ effect(rng, c.dim) @ roots[a] for a in atoms})
+            pairs = [(cand.effect(a), f.effect(a)) for a in atoms]
+            masses = []
+            for _ in range(states_per_trial):
+                rho = ginibre_density_oracle(rng, c.dim)
+                out = unvec(c.super @ vec(rho))
+                # ndarray.trace, which np.trace calls, with the same sum
+                masses.append([(float((g @ rho).trace().real), float((post @ out).trace().real)) for g, post in pairs])
+                if any(lhs > rhs + 1e-3 for lhs, rhs in masses[-1]):
+                    break  # a state that every residual_tol, at most 1e-3, refutes: no later state is read
+            WEAKEST_TRIALS[key, trial] = cand, masses
+        cand, masses = WEAKEST_TRIALS[key, trial]
+        confirmed += int(not any(lhs > rhs + tol.residual_tol for state in masses for lhs, rhs in state))
 
         trial_margin = min(
             min_eigenvalue(transformed.effect(a) - cand.effect(a)) for a in atoms
@@ -347,7 +445,7 @@ def is_positive_sampled_oracle(c, tol=None, seed=0):
         return PositivityVerdict("certified_cp", 0)
     d = c.dim
     rng = np.random.default_rng(seed)
-    fourier = qwp_programs._fourier_basis(d)
+    fourier = fourier_basis(d)
 
     def candidates():
         for i in range(d):
@@ -453,39 +551,431 @@ def assert_same_verdict(got, want):
         assert np.array_equal(got.witness, want.witness)
 
 
-def breaks_hermiticity(dim):
-    """rho -> rho + 0.1i rho_00 (|0><d-1| + |d-1><0|), whose hermitian part is rho itself."""
-    e0, last = np.eye(dim)[0], np.eye(dim)[-1]
-    swap = np.outer(e0, last) + np.outer(last, e0)
-    return from_super(np.eye(dim * dim) + 0.1j * np.outer(vec(swap), vec(np.outer(e0, e0))))
-
-
-def off_basis_skew(dim, t):
-    """rho -> rhoᵀ + it(rho_01 + rho_10)(|0><1| + |1><0|): positive and not CP, with rhoᵀ its
-    hermitian part; the anti-hermitian part vanishes on every basis state."""
-    swap = vec(np.outer(np.eye(dim)[0], np.eye(dim)[1]) + np.outer(np.eye(dim)[1], np.eye(dim)[0]))
-    return from_super(transpose_program(dim).super + 1j * t * np.outer(swap, swap))
-
-
-def population_pump(dim, a):
-    """rho -> rho + a rho_11 (|0><0| - |1><1|): positive on e_0, negative on e_1 for a > 1."""
-    p0, p1 = vec(np.diag(np.eye(dim)[0])), vec(np.diag(np.eye(dim)[1]))
-    return from_super(np.eye(dim * dim) + a * np.outer(p0 - p1, p1))
-
-
-def coherence_amplifier(dim, k):
-    """Keeps the diagonal and scales the off-diagonal by k: positive on basis states only, for k > 1."""
-    return from_super(np.diag(np.where(np.eye(dim).reshape(-1) == 1.0, 1.0, k)))
-
-
-def phase_amplifier(dim, k):
-    """Scales the imaginary part of the off-diagonal by k: positive on real states only, for k > 1."""
-    return from_super((1 + k) / 2 * np.eye(dim * dim) + (1 - k) / 2 * transpose_program(dim).super)
-
-
 def assert_same_report(got, want):
     assert vars(got) == vars(want)
     assert got.min_margin.hex() == want.min_margin.hex()
+
+
+# ---------------------------------------------------------------------------
+# Builds and samplers: superoperator builds against Python's Kronecker sum and
+# the full-array expressions; samplers against their per-matrix draws
+# ---------------------------------------------------------------------------
+
+# superoperators of d ≥ 17 exceed ROW_BLOCK_BYTES and are built in blocks: the
+# last one is partial at d = 17 and 23, and holds a single leading index at 33
+BLOCK_DIMS = (16, 17, 23, 32, 33)
+
+
+def signed_kraus(rng, shape, real=False):
+    """Operators of the given stack shape whose zero entries, one of them negative, give the terms signed zeros."""
+    ks = rng.standard_normal(shape)
+    if not real:
+        ks = ks + 1j * rng.standard_normal(shape)
+    ks[..., :, 0] = 0.0
+    ks[..., 0, 0] = -0.0
+    return ks
+
+
+def labelled(mats):
+    return Predicate(OutcomeSpace(tuple(f"a{i}" for i in range(len(mats)))), list(mats))
+
+
+def build_from_kraus(family, d, count):
+    if family == "left to right":
+        # a (k, 1, 1) stack is contiguous along k, where numpy's reductions sum pairwise;
+        # the Kraus sum must still add term after term
+        rng = np.random.default_rng(80)
+        for count in [3, 4, 5] * 100:
+            ks = rng.standard_normal((count, 1, 1)) + 1j * rng.standard_normal((count, 1, 1))
+            assert_same_bits(from_kraus(list(ks)).super, kraus_super_oracle(ks))
+        return
+    ks = signed_kraus(np.random.default_rng([d, count, 79]), (count, d, d), real=family == "real")
+    c = from_kraus(list(ks))
+    want = kraus_super_oracle(ks)
+    assert_same_bits(c.super, want)
+    assert np.any(want == 0)
+    assert all(np.array_equal(k, want_k) for k, want_k in zip(c.kraus, ks))
+
+
+def build_kraus_supers(family, d, layout):
+    # _sampled_supers' layout (r, n, d, d): operator r of program m sits at [r, m]
+    ks = signed_kraus(np.random.default_rng([d, 82]), (3, 2, d, d))
+    got = qwp_programs._kraus_supers(ks)
+    for m in range(2):
+        assert_same_bits(got[m], kraus_super_oracle(ks[:, m]))
+
+
+def build_mix(family, d, layout):
+    rng = np.random.default_rng([d, 83])
+    if layout == "weight a program":
+        # transpose_mix programs of a campaign block: one weight per program
+        s1, s2 = transpose_program(d).super, qwp_programs._kraus_supers(signed_kraus(rng, (2, 3, d, d)))
+        w = rng.uniform(size=(3, 1, 1))
+        assert_same_bits(qwp_programs._mixed(w, s1, s2), w * s1 + (1 - w) * s2)
+        return
+    c1, c2 = transpose_program(d), from_kraus(list(signed_kraus(rng, (2, d, d))))
+    w = float(rng.uniform())
+    assert_same_bits(mix(w, c1, c2).super, w * c1.super + (1 - w) * c2.super)
+
+
+def build_total_effect(family, d, n_atoms):
+    if family == "left to right":
+        rng = np.random.default_rng(98)
+        for n_atoms in list(range(1, 13)) * 25:
+            mats = rng.standard_normal((n_atoms, 1, 1)) + 1j * rng.standard_normal((n_atoms, 1, 1))
+            assert_same_bits(labelled(mats).total_effect(), sum(list(mats)))
+        return
+    rng = np.random.default_rng([d, n_atoms, 97])
+    mats = rng.standard_normal((n_atoms, d, d)) + 1j * rng.standard_normal((n_atoms, d, d))
+    # sum() starts from the integer 0, so an entry that is -0.0 in every effect totals +0.0
+    mats[:, -1, 0] = complex(-0.0, -0.0)
+    want = sum(list(mats))
+    assert not np.signbit(want[-1, 0].real) and not np.signbit(want[-1, 0].imag)
+    assert_same_bits(labelled(mats).total_effect(), want)
+
+
+def build_random_predicate(family, d, n_atoms):
+    if family == "left to right":
+        for seed in range(300):
+            got = random_predicate(np.random.default_rng(seed), 1, 3 + seed % 3)
+            assert_same_predicate(got, random_predicate_oracle(np.random.default_rng(seed), 1, 3 + seed % 3))
+        return
+    complete = family == "complete"
+    if n_atoms == "stream":
+        rng, oracle_rng = np.random.default_rng([d, 89]), np.random.default_rng([d, 89])
+        for n_atoms in (None, 1, 4):
+            random_predicate(rng, d, n_atoms, complete)
+            random_predicate_oracle(oracle_rng, d, n_atoms, complete)
+            assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+        return
+    rng, oracle_rng = np.random.default_rng([d, n_atoms or 0, 83]), np.random.default_rng([d, n_atoms or 0, 83])
+    got = random_predicate(rng, d, n_atoms, complete)
+    assert_same_predicate(got, random_predicate_oracle(oracle_rng, d, n_atoms, complete))
+
+
+def build_random_densities(family, d, count):
+    stacked_rng, single_rng, oracle_rng = (np.random.default_rng(5) for _ in range(3))
+    stack = random_densities(stacked_rng, count, d)
+    assert stack.shape == (count, d, d)
+    assert np.array_equal(stack.reshape(-1), np.array([random_density(single_rng, d) for _ in range(count)]).reshape(-1))
+    assert np.array_equal(stack.reshape(-1), np.array([ginibre_density_oracle(oracle_rng, d) for _ in range(count)]).reshape(-1))
+    # the generator is left where the sequential draws leave it
+    next_draw = stacked_rng.standard_normal(3)
+    assert np.array_equal(next_draw, single_rng.standard_normal(3))
+    assert np.array_equal(next_draw, oracle_rng.standard_normal(3))
+
+
+def build_matrix_samplers(family, d, layout):
+    for seed in range(20):
+        rng, oracle_rng = np.random.default_rng([seed, d]), np.random.default_rng([seed, d])
+        assert_same_bits(random_isometry(rng, 3 * d, d), random_isometry_oracle(oracle_rng, 3 * d, d))
+        assert_same_bits(random_unitary(rng, d), random_isometry_oracle(oracle_rng, d, d))
+        assert_same_bits(random_effect(rng, d), random_effect_oracle(oracle_rng, d))
+        u = random_isometry_oracle(oracle_rng, d, d)
+        w = oracle_rng.uniform(-1.0, 1.0, size=d)
+        assert_same_bits(random_hermitian_contraction(rng, d), (u * w) @ u.conj().T)
+        assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+
+
+def build_sample_program(kind, d, layout):
+    if kind == "random_cptp":
+        got = random_cptp(np.random.default_rng(d), d)
+        want = random_cptp_oracle(np.random.default_rng(d), d)
+        assert_same_bits(got.super, want.super)
+        assert len(got.kraus) == d
+        return
+    for seed in range(5):
+        rng, oracle_rng = np.random.default_rng([seed, d, 5]), np.random.default_rng([seed, d, 5])
+        got, want = sample_program(kind, d, rng), sample_program_oracle(kind, d, oracle_rng)
+        assert got.label == want.label
+        assert_same_bits(got.super, want.super)
+        assert (got.kraus is None) == (want.kraus is None)
+        for k, want_k in zip(got.kraus or (), want.kraus or ()):
+            assert_same_bits(k, want_k)
+        assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+
+
+def build_haar_spectral(family, d, layout):
+    # the draws weakest_check makes for 7 trials of 3 atoms, shaped in one stack
+    normals, spectra, want = [], [], []
+    for trial in range(7):
+        rng, oracle_rng = np.random.default_rng([trial, 1]), np.random.default_rng([trial, 1])
+        for _ in range(3):
+            normals.append(rng.standard_normal((2, d, d)))
+            spectra.append(rng.uniform(0.0, 1.0, size=d))
+            want.append(random_effect_oracle(oracle_rng, d))
+    assert_same_bits(qwp_linalg._haar_spectral(np.array(normals), np.array(spectra)), np.array(want))
+
+
+def build_psd_sqrt(family, d, layout):
+    rng = np.random.default_rng([d, 101])
+    stack = np.array([random_effect_oracle(rng, d) for _ in range(6)])
+    # an eigenvalue just below zero, which the root clips
+    u = random_isometry_oracle(rng, d, d)
+    w = rng.uniform(0.0, 1.0, size=d)
+    w[0] = -1e-13
+    stack[5] = (u * w) @ u.conj().T
+    assert np.linalg.eigvalsh(stack[5]).min() < 0
+    for m in stack:
+        assert_same_bits(psd_sqrt(m), psd_sqrt_oracle(m))
+
+
+def build_predicate_leq(family, d, layout):
+    # the stacked order kernel against a per-atom loewner_leq loop, on hermitian pairs
+    rng = np.random.default_rng([191, d])
+    tol = DEFAULT_TOL
+    g = np.array([[random_hermitian_contraction(rng, d) for _ in range(3)] for _ in range(6)])
+    # λ_min(g - f) near 0 and ±eig_tol, and well clear of them, over the (6, 3) pairs
+    shifts = np.array([-1.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e6] * 2).reshape(6, 3, 1, 1) * tol.eig_tol
+    f = g + shifts * np.eye(d)
+    f[0] = g[0] + np.array([random_hermitian_contraction(rng, d) for _ in range(3)])
+    want = [[loewner_leq(f[i, a], g[i, a], tol) for a in range(3)] for i in range(6)]
+    # each atom alone, then each predicate of three atoms
+    assert [[predicate_leq(labelled(f[i, a:a + 1]), labelled(g[i, a:a + 1]), tol) for a in range(3)] for i in range(6)] == want
+    assert [predicate_leq(labelled(f[i]), labelled(g[i]), tol) for i in range(6)] == [all(row) for row in want]
+    assert {v for row in want for v in row} == {True, False}
+
+
+def build_hermitian_part(family, d, layout):
+    if family == "huge":
+        a = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], dtype=np.complex128)
+        with np.errstate(all="raise"):
+            h = qwp_linalg._hermitian_part(a)
+        assert np.array_equal(h, a)
+        vals, _ = hermitian_eig(a)
+        assert not np.isnan(vals).any()
+        assert vals[0] < 0 < vals[1]
+        return
+    rng = np.random.default_rng(91)
+    for _ in range(2000):
+        shape = (int(rng.integers(1, 4)),) + (int(rng.integers(1, 6)),) * 2
+        scale = 10.0 ** rng.uniform(-300, 300, size=shape)
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        # signed zeros in both parts, where complex division sets the signs
+        a.real[rng.random(shape) < 0.3] = 0.0
+        a.imag[rng.random(shape) < 0.3] = -0.0
+        a.real[rng.random(shape) < 0.2] *= -1.0
+        a.imag[rng.random(shape) < 0.2] *= -1.0
+        assert_same_bits(qwp_linalg._hermitian_part(a), (a + a.conj().swapaxes(-1, -2)) / 2.0)
+
+
+BUILDS = {
+    "from_kraus": build_from_kraus,
+    "_kraus_supers": build_kraus_supers,
+    "mix": build_mix,
+    "total_effect": build_total_effect,
+    "random_predicate": build_random_predicate,
+    "random_densities": build_random_densities,
+    "matrix samplers": build_matrix_samplers,
+    "sample_program": build_sample_program,
+    "_haar_spectral": build_haar_spectral,
+    "psd_sqrt": build_psd_sqrt,
+    "predicate_leq": build_predicate_leq,
+    "_hermitian_part": build_hermitian_part,
+}
+
+
+@pytest.mark.parametrize(
+    "entry, family, d, layout",
+    rows(
+        *[("from_kraus", family, d, count) for d in DIMS for count in (1, 2, 3, 4, 5) for family in ("complex", "real")],
+        *[("from_kraus", "complex", d, count) for d in BLOCK_DIMS for count in (1, 4)],
+        ("from_kraus", "left to right", 1, "3-5 operators"),
+        *[("_kraus_supers", "complex", d, "(3, 2) operators") for d in (17, 23)],
+        *[("mix", "transpose, kraus", d, "one weight") for d in (17, 33)],
+        ("mix", "transpose, kraus", 17, "weight a program"),
+        *[("total_effect", "complex", d, n_atoms) for d in DIMS for n_atoms in (1, 2, 3, 5, 9)],
+        ("total_effect", "left to right", 1, "1-12 atoms"),
+        *[("random_predicate", family, d, n) for d in DIMS for n in (None, 1, 2, 3, 4, 5, "stream") for family in ("sub", "complete")],
+        ("random_predicate", "left to right", 1, "3-5 atoms"),
+        *[("random_densities", "ginibre", d, 7) for d in (1, 2, 3, 8, 17)],
+        ("random_densities", "ginibre", 4, 0),
+        *[("matrix samplers", "haar", d, "one") for d in DIMS],
+        *[("sample_program", kind, d, "one") for kind in KINDS for d in DIMS],
+        *[("sample_program", "random_cptp", d, "one") for d in DIMS],
+        *[("_haar_spectral", "effects", d, "(21, d, d)") for d in DIMS],
+        *[("psd_sqrt", "effects", d, "one") for d in (1, 2, 3, 6, 8)],
+        *[("predicate_leq", "hermitian pairs", d, "(6, 3)") for d in (1, 2, 3, 8)],
+        ("_hermitian_part", "random", "1-5", "(1-3, n, n)"),
+        ("_hermitian_part", "huge", 2, "one"),
+    ),
+)
+def test_builds_and_samplers(entry, family, d, layout):
+    BUILDS[entry](family, d, layout)
+
+
+# ---------------------------------------------------------------------------
+# The action: the row-blocked program action against one matrix-vector product a state
+# ---------------------------------------------------------------------------
+
+
+def gaussian_super(d, k=0):
+    """The k-th complex Gaussian d²×d² matrix, read-only: the kernels' bits need no valid program."""
+    n = d * d
+    rng = np.random.default_rng([d, k, 97])
+    s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s.setflags(write=False)
+    return s
+
+
+def action_oracle(s, ms):
+    """Each operator of a stack (t, d, d) through the superoperator s, one matrix-vector product a state."""
+    return np.array([unvec((s @ vec(m)[:, None])[:, 0]) for m in ms])
+
+
+def action_case(d, layout):
+    """The program of gaussian_super(d) stored in a layout, 100 states, and the oracle's outputs on them,
+    shared by the rows of every state count."""
+    c = from_super(np.asarray(built(gaussian_super, d), order=layout))
+    states = random_densities(np.random.default_rng([d, 98]), 100, d)
+    want = action_oracle(c.super, states)
+    states.setflags(write=False)
+    want.setflags(write=False)
+    return c, states, want
+
+
+# d ≤ 16 is one product; d = 25 ends in a one-row tail at the default block size
+ACTION_DIMS = (2, 16, 17, 23, 25, 31, 32, 33)
+ACTION_COUNTS = (1, 2, 3, 37, 100)
+# row blocks that leave a one-row tail: a 1×n by n×1 product goes to a dot kernel, which
+# rounds the last row differently, so the tail joins the block before it
+TAILS = {17: 72, 23: 66, 31: 64, 33: 64}
+
+
+@pytest.mark.parametrize(
+    "entry, family, d, layout, count",
+    rows(
+        *[
+            row
+            for d in ACTION_DIMS
+            for row in [
+                *[("apply_matrices", "gaussian", d, layout, count) for layout in "CF" for count in ACTION_COUNTS],
+                ("apply_matrix", "gaussian", d, "C", 1),
+                # a superoperator a trial; beyond three trials they share one broadcast superoperator,
+                # as the transpose kind's do, to keep the stack small
+                *[("_act", "gaussian", d, "stack" if count <= 3 else "broadcast", count) for count in ACTION_COUNTS],
+                *([("apply_matrices", "gaussian", d, f"rows of {TAILS[d]}", 3)] if d in TAILS else []),
+            ]
+        ],
+        *[("apply_matrices", kind, d, "(2, 3)", 6) for kind in KINDS for d in (2, 3, 8)],
+    ),
+)
+def test_action(entry, family, d, layout, count, monkeypatch):
+    if family in KINDS:
+        # a sampled program on a (2, 3) stack of states, also against apply_matrix
+        c = sample_program(family, d, 17)
+        ms = random_densities(np.random.default_rng(d), count, d).reshape(2, 3, d, d)
+        out = apply_matrices(c, ms)
+        assert out.shape == (2, 3, d, d)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], apply_matrix(c, ms[idx]))
+            assert np.array_equal(out[idx], unvec(c.super @ vec(ms[idx])))
+        return
+    c, states, want = built(action_case, d, "F" if layout == "F" else "C")
+    ms, want = states[:count], want[:count]
+    if entry == "apply_matrix":
+        got = apply_matrix(c, ms[0])[None]
+    elif entry == "_act" and layout == "broadcast":
+        got = qwp_programs._act(np.broadcast_to(c.super, (count,) + c.super.shape), ms)
+    elif entry == "_act":
+        supers = [c.super] + [built(gaussian_super, d, k) for k in range(1, count)]
+        want = np.array([want[0]] + [action_oracle(s, ms[k:k + 1])[0] for k, s in enumerate(supers) if k])
+        got = qwp_programs._act(np.array(supers), ms)
+    else:
+        if layout.startswith("rows of "):
+            rows_a_block = int(layout.split()[-1])
+            assert (d * d) % rows_a_block == 1
+            monkeypatch.setattr(qwp_linalg, "ROW_BLOCK_BYTES", rows_a_block * 16 * d * d)
+        else:
+            assert c.super.flags[f"{layout}_CONTIGUOUS"]
+        got = apply_matrices(c, ms)
+    assert_same_bits(got, want)
+
+
+def test_the_action_refuses_a_stack_of_another_dim():
+    with pytest.raises(DimensionMismatchError):
+        apply_matrices(sample_program("cptp", 2, 0), np.zeros((4, 3, 3), dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# The unital gaps: the trace-preservation gap reads only the d rows k(d+1) of S, summed in
+# row order; it agrees with the full product Sᵀ vec(I) within a rounding bound, and its
+# verdicts with the product's
+# ---------------------------------------------------------------------------
+
+
+def unital_layouts(kind, d):
+    """A program's superoperator C- and F-ordered, and its adjoint's as stored (by columns) and C-ordered."""
+    c = sample_program(kind, d, np.random.default_rng([d, 41]))
+    dual = adjoint(c).super
+    return {"C": c.super, "F": np.asfortranarray(c.super), "adjoint": dual, "adjoint C": np.ascontiguousarray(dual)}
+
+
+def unital_gap_bound(s):
+    """4·d·u·(m + 1), m the largest Σ_k |S[k(d+1), j]|: twice the rounding of a d-term sum of
+    each entry of C*(I) in any order, with room for the subtraction of I and the modulus."""
+    d = int(round(np.sqrt(s.shape[-1])))
+    m = np.abs(s[..., :: d + 1, :]).sum(axis=-2).max(axis=-1)
+    return 4 * d * (np.finfo(float).eps / 2) * (m + 1.0)
+
+
+UNITAL_LAYOUTS = ("C", "F", "adjoint", "adjoint C")
+
+
+@pytest.mark.parametrize(
+    "entry, kind, d, layout",
+    rows(
+        *[("_unital_gaps", kind, d, layout) for d in (1, 2, 3, 5, 8, 16, 17, 32) for kind in KINDS for layout in UNITAL_LAYOUTS],
+        *[("_unital_gaps", "every kind", d, "stacks") for d in (1, 2, 3, 5, 8, 17)],
+        ("_unital_gaps", "cptp", 32, "rows k(d+1)"),
+        ("_unital_gaps", "three kinds", 6, "rows k(d+1)"),
+    ),
+)
+def test_unital_gaps(entry, kind, d, layout):
+    gaps = qwp_programs._unital_gaps
+    if layout == "stacks":
+        # a stack has the bits of its members in every layout
+        members = [s for kind in KINDS for s in built(unital_layouts, kind, d).values()]
+        singles = np.array([gaps(s) for s in members])
+        stack = np.stack(members)
+        dual = np.stack([s.conj() for s in members]).swapaxes(-1, -2)  # stored by columns, as adjoint does
+        for layout in (stack, np.asfortranarray(stack)):
+            assert np.array_equal(gaps(layout), singles)
+        assert np.array_equal(gaps(dual), [gaps(s.conj().T) for s in members])
+        return
+    if layout == "rows k(d+1)":
+        # one trace-preserving superoperator at d = 32, and a stack of three at d = 6
+        rng = np.random.default_rng([d, 43])
+        s = np.array([sample_program(kind, d, rng).super for kind in (("cptp",) if kind == "cptp" else KINDS[:3])])
+        s = s[0] if kind == "cptp" else s
+        want = gaps(s)
+        poisoned = np.full_like(s, np.nan)
+        poisoned[..., :: d + 1, :] = s[..., :: d + 1, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaps(poisoned)
+        assert np.isfinite(want).all() and np.array_equal(got, want)
+        return
+    tol = DEFAULT_TOL.residual_tol
+    s = built(unital_layouts, kind, d)[layout]
+    got, want = float(gaps(s)), float(unital_gaps_oracle(s))
+    assert abs(got - want) <= unital_gap_bound(s)
+    assert (got <= tol) == (want <= tol) == is_trace_preserving(from_super(s))
+    # the program itself is trace preserving, in either layout: a gap to set near the tolerance
+    assert want <= tol / 1000 or layout.startswith("adjoint")
+    if want <= tol / 1000:
+        for k in (0.5, 2.0):
+            t = np.array(s, order="K")  # the same layout
+            t[0, 0] += k * tol  # moves C*(I)[0, 0] by k·residual_tol
+            gap = float(gaps(t))
+            assert gap == pytest.approx(k * tol, rel=1e-3)
+            assert (gap <= tol) == (float(unital_gaps_oracle(t)) <= tol) == (k < 1)
+
+
+# ---------------------------------------------------------------------------
+# The pull-back: wp, the duality sweep, is_precondition and weakest_check against the
+# per-atom adjoint action, the per-state traces and the per-state supremum audit
+# ---------------------------------------------------------------------------
 
 
 def problem(kind, dim, seed):
@@ -493,40 +983,45 @@ def problem(kind, dim, seed):
     return sample_program(kind, dim, rng), random_predicate(rng, dim)
 
 
-class TestReplayContract:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
-    def test_random_densities_replay_sequential_draws(self, dim):
-        stacked_rng = np.random.default_rng(5)
-        single_rng = np.random.default_rng(5)
-        oracle_rng = np.random.default_rng(5)
-        stack = random_densities(stacked_rng, 7, dim)
-        assert stack.shape == (7, dim, dim)
-        assert np.array_equal(stack, np.array([random_density(single_rng, dim) for _ in range(7)]))
-        assert np.array_equal(stack, np.array([ginibre_density_oracle(oracle_rng, dim) for _ in range(7)]))
-        # the generator is left where the sequential draws leave it
-        next_draw = stacked_rng.standard_normal(3)
-        assert np.array_equal(next_draw, single_rng.standard_normal(3))
-        assert np.array_equal(next_draw, oracle_rng.standard_normal(3))
+def wp_problem(kind, d, n_atoms):
+    """The program of a kind and a predicate of n_atoms at d, shared by the rows of every atom count and layout."""
+    return built(sample_program, kind, d, (d, 73)), random_predicate(np.random.default_rng([d, n_atoms, 73]), d, n_atoms)
 
-    def test_empty_stack_draws_nothing(self):
-        rng = np.random.default_rng(3)
-        assert random_densities(rng, 0, 4).shape == (0, 4, 4)
-        assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_stacked_apply_equals_apply_matrix(self, kind, dim):
-        c = sample_program(kind, dim, 17)
-        ms = random_densities(np.random.default_rng(dim), 6, dim).reshape(2, 3, dim, dim)
-        out = apply_matrices(c, ms)
-        assert out.shape == (2, 3, dim, dim)
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(out[idx], apply_matrix(c, ms[idx]))
-            assert np.array_equal(out[idx], unvec(c.super @ vec(ms[idx])))
+WP_LAYOUTS = {
+    "C": lambda c: c,
+    "F": lambda c: from_super(np.asfortranarray(c.super)),
+    "adjoint of adjoint": lambda c: adjoint(adjoint(c)),
+}
 
-    def test_stacked_apply_rejects_wrong_dim(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_matrices(sample_program("cptp", 2, 0), np.zeros((4, 3, 3), dtype=complex))
+
+def block_rows(dim, per_row=1):
+    """The rows a block of d×d matrices holds under qwp's current STACK_BYTES, per_row matrices a row."""
+    return max(1, qwp_linalg.STACK_BYTES // (16 * per_row * dim * dim))
+
+
+def margins_oracle(g, c, f):
+    """The margin of each atom and the first atom of least margin with its lowest eigenvector."""
+    transformed = wp(c, f)
+    margins, worst = {}, (np.inf, None, None)
+    for a in f.space.atoms:
+        vals, vecs = hermitian_eig(transformed.effect(a) - g.effect(a))
+        margins[a] = float(vals[0])
+        if vals[0] < worst[0]:
+            worst = (float(vals[0]), a, vecs[:, 0])
+    return margins, worst[1], worst[2]
+
+
+def assert_precondition_matches_the_loop(g, c, f):
+    report = is_precondition(g, c, f)
+    margins, atom, vec = margins_oracle(g, c, f)
+    assert list(report.margins) == list(margins)
+    assert [m.hex() for m in report.margins.values()] == [m.hex() for m in margins.values()]
+    assert report.holds == predicate_leq(g, wp(c, f))
+    if not report.holds:
+        assert report.witness.atom == atom
+        assert_same_bits(report.witness.state.matrix, DensityState.pure(vec).matrix)
+    return report
 
 
 def drawn_identity(rng, dim):
@@ -535,470 +1030,245 @@ def drawn_identity(rng, dim):
     return np.eye(dim)
 
 
-class TestWeakestCheckOracle:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_every_program_kind(self, kind):
-        tol = ToleranceConfig(sample_count=40)
-        c, f = problem(kind, 3, 23)
-        assert_same_report(weakest_check(c, f, tol, seed=4), weakest_check_oracle(c, f, tol, seed=4))
-
-    def test_run_spanning_two_blocks(self):
-        dim = 16
-        tol = ToleranceConfig(sample_count=qwp_linalg._block_size(dim, 50) + 5)
-        c, f = problem("transpose_mix", dim, 29)
-        report = weakest_check(c, f, tol, seed=8)
-        assert_same_report(report, weakest_check_oracle(c, f, tol, seed=8))
-
-    def test_oversized_candidates_fail_like_the_loop(self, monkeypatch):
-        monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: 1.3 * qwp_linalg._haar_spectral(z, w))
-        tol = ToleranceConfig(sample_count=60)
-        for kind in KINDS:
-            c, f = problem(kind, 2, 31)
-            report = weakest_check(c, f, tol, seed=2)
-            oversized = lambda rng, d: 1.3 * random_effect_oracle(rng, d)  # noqa: E731
-            assert_same_report(report, weakest_check_oracle(c, f, tol, seed=2, effect=oversized))
-            # both failure branches are reached, and so is success
-            assert 0 < report.confirmed_preconditions < report.trials
-            assert 0 < report.dominated < report.trials
-            assert report.min_margin < 0
-
-    def test_boundary_candidates_pass_within_tolerance(self, monkeypatch):
-        # W = I makes every candidate wp(c, f) itself, up to rounding; W's
-        # draws are still made, so the states replay the same stream
-        monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: np.broadcast_to(np.eye(z.shape[-1]), w.shape + w.shape[-1:]))
-        tol = ToleranceConfig(sample_count=5)
-        for kind in KINDS:
-            c, f = problem(kind, 3, 47)
-            report = weakest_check(c, f, tol, seed=3)
-            assert_same_report(report, weakest_check_oracle(c, f, tol, seed=3, effect=drawn_identity))
-            assert report.confirmed_preconditions == report.dominated == 5
-
-    @pytest.mark.parametrize("n_atoms", [1, 4])
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_small_dims_and_atom_counts(self, dim, kind, n_atoms):
-        # d² = 1 and 4 in the reshapes of the trace products, one atom and four
-        rng = np.random.default_rng([dim, n_atoms, 61])
-        c = sample_program(kind, dim, rng)
-        f = random_predicate(rng, dim, n_atoms)
-        tol = ToleranceConfig(sample_count=40)
-        assert_same_report(weakest_check(c, f, tol, seed=5), weakest_check_oracle(c, f, tol, seed=5))
-
-    def test_no_stack_exceeds_the_cap(self, monkeypatch):
-        sizes = []
-        densities = qwp_wp._densities
-
-        def recording_densities(z):
-            # the (trials·states, 2, d, d) normals: as many float64 bytes as the
-            # complex (trials·states, d, d) stack of states they become
-            sizes.append(z.nbytes)
-            return densities(z)
-
-        monkeypatch.setattr(qwp_wp, "_densities", recording_densities)
-        dim = 16
-        tol = ToleranceConfig(sample_count=qwp_linalg._block_size(dim, 50) + 1)
-        c, f = problem("cptp", dim, 37)
-        weakest_check(c, f, tol, seed=1)
-        assert len(sizes) == 2
-        assert max(sizes) <= STACK_BYTES
-        # the library default at d = 32 splits into blocks that fit the cap
-        per_block = qwp_linalg._block_size(32, 50)
-        assert 1 <= per_block < DEFAULT_TOL.sample_count
-        assert per_block * 50 * 32 * 32 * 16 <= STACK_BYTES
-
-    def test_traces_of_many_atoms_stay_under_the_cap(self, monkeypatch):
-        # 8 atoms at d = 2: a trial's (states, atoms) traces are twice its states
-        rng = np.random.default_rng(67)
-        c = sample_program("transpose_mix", 2, rng)
-        f = random_predicate(rng, 2, 8)
-        tol = ToleranceConfig(sample_count=30)
-        want = weakest_check_oracle(c, f, tol, seed=2)
-        rows = []
-        densities = qwp_wp._densities
-
-        def recording_densities(z):
-            rows.append(len(z))
-            return densities(z)
-
-        monkeypatch.setattr(qwp_wp, "_densities", recording_densities)
-        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 10 * 50 * 8 * 16)
-        assert_same_report(weakest_check(c, f, tol, seed=2), want)
-        # ten trials a block, so their complex traces fill the cap and no more
-        assert rows == [10 * 50] * 3
+def oversized(rng, dim):
+    return 1.3 * random_effect_oracle(rng, dim)
 
 
-def gaussian_super(rng, dim):
-    """A complex Gaussian d²×d² matrix: the action's bits need no valid program."""
-    n = dim * dim
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def record_shapes(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records the shape of its first argument; returns the list."""
+    shapes = []
+    original = getattr(module, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return shapes
 
 
-def action_oracle(s, ms):
-    """Each operator of a stack (t, d, d) through the superoperator s, one matrix-vector product a state."""
-    return np.array([unvec((s @ vec(m)[:, None])[:, 0]) for m in ms])
+def pull_wp(kind, d, n_atoms, layout, monkeypatch):
+    c, f = wp_problem(kind, d, n_atoms)
+    prog = WP_LAYOUTS[layout](c)
+    if layout == "F":
+        assert prog.super.flags.f_contiguous and not c.super.flags.f_contiguous
+    got = wp(prog, f)
+    assert got.space == f.space
+    for a, want in zip(f.space.atoms, wp_effects_oracle(prog, f)):
+        assert_same_bits(got.effect(a), want)
 
 
-# d ≤ 16 is one product; d = 25 ends in a one-row tail at the default block size
-ACTION_DIMS = (2, 16, 17, 23, 25, 31, 32, 33)
-ACTION_COUNTS = (1, 2, 3, 37, 100)
-
-
-class TestActionOracle:
-    """The row-blocked program action against one matrix-vector product a state."""
-
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    @pytest.mark.parametrize("count", ACTION_COUNTS)
-    @pytest.mark.parametrize("dim", ACTION_DIMS)
-    def test_apply_matrices(self, dim, count, layout):
-        rng = np.random.default_rng([dim, count, 97])
-        c = from_super(np.asarray(gaussian_super(rng, dim), order=layout))
-        assert c.super.flags[f"{layout}_CONTIGUOUS"]
-        ms = random_densities(rng, count, dim)
-        assert_same_bits(apply_matrices(c, ms), action_oracle(c.super, ms))
-
-    @pytest.mark.parametrize("dim", ACTION_DIMS)
-    def test_apply_matrix(self, dim):
-        rng = np.random.default_rng([dim, 98])
-        c = from_super(gaussian_super(rng, dim))
-        m = random_densities(rng, 1, dim)
-        assert_same_bits(apply_matrix(c, m[0]), action_oracle(c.super, m)[0])
-
-    @pytest.mark.parametrize("count", ACTION_COUNTS)
-    @pytest.mark.parametrize("dim", ACTION_DIMS)
-    def test_campaign_form(self, dim, count):
-        # a superoperator a trial; beyond three trials they share one broadcast
-        # superoperator, as the transpose kind's do, to keep the stack small
-        rng = np.random.default_rng([dim, count, 99])
-        if count <= 3:
-            supers = np.array([gaussian_super(rng, dim) for _ in range(count)])
-        else:
-            supers = np.broadcast_to(gaussian_super(rng, dim), (count,) + (dim * dim,) * 2)
-        rho = random_densities(rng, count, dim)
-        want = np.array([action_oracle(s, m[None])[0] for s, m in zip(supers, rho)])
-        assert_same_bits(qwp_programs._act(supers, rho), want)
-
-    @pytest.mark.parametrize("dim, rows", [(17, 72), (23, 66), (31, 64), (33, 64)])
-    def test_a_one_row_tail_joins_the_block_before_it(self, dim, rows, monkeypatch):
-        # a 1×n by n×1 product goes to a dot kernel, which rounds the last row differently
-        assert (dim * dim) % rows == 1
-        monkeypatch.setattr(qwp_linalg, "ROW_BLOCK_BYTES", rows * 16 * dim * dim)
-        assert qwp_linalg._row_block_size(dim * dim) == rows
-        rng = np.random.default_rng([dim, 101])
-        c = from_super(gaussian_super(rng, dim))
-        ms = random_densities(rng, 3, dim)
-        assert_same_bits(apply_matrices(c, ms), action_oracle(c.super, ms))
-
-    def test_block_rule(self):
-        # a superoperator of at most ROW_BLOCK_BYTES (d ≤ 16) is one product
-        assert [qwp_linalg._row_block_size(d * d) >= d * d for d in (2, 8, 16, 17, 32)] == [True] * 3 + [False] * 2
-        assert qwp_linalg._row_block_size(32 * 32) == 64
-        # never one row a block, however large the superoperator
-        assert qwp_linalg._row_block_size(300 * 300) == 2
-
-
-class TestDualitySweepOracle:
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [2, 5, 16, 17, 32])
-    def test_matches_the_loop_exactly(self, kind, dim):
-        c, f = problem(kind, dim, 41)
+def pull_duality_residual_sweep(kind, d, n_atoms, layout, monkeypatch):
+    if layout == "one block":
+        c, f = wp_problem(kind, d, n_atoms)
         assert duality_residual_sweep(c, f, seed=6) == duality_residual_sweep_oracle(c, f, seed=6)
-
-    def test_blocks_replay_one_stream(self, monkeypatch):
-        c, f = problem("transpose_mix", 4, 43)
+    elif layout == "blocks of 7":
+        c, f = problem(kind, d, 43)
         want = duality_residual_sweep_oracle(c, f, seed=3)
-        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 7 * 4 * 4 * 16)
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 7 * d * d * 16)
         assert duality_residual_sweep(c, f, seed=3) == want
-
-    def test_products_of_many_atoms_stay_under_the_bound(self, monkeypatch):
-        # 16 atoms at d = 16: a block sized for one d×d matrix a state would
-        # make (100, 16, d, d) products of 1.5 times the cap
-        c = sample_program("cptp", 16, 47)
-        f = projective_predicate(16)
+    else:
+        # 16 atoms at d = 16: a block sized for one d×d matrix a state would make (100, 16, d, d)
+        # products of 1.5 times the cap; the (rows, k, d, d) products are what np.trace reads
+        c, f = sample_program(kind, d, 47), projective_predicate(d)
         want = duality_residual_sweep_oracle(c, f, seed=8)
         cap = STACK_BYTES // 4
         monkeypatch.setattr(qwp_linalg, "STACK_BYTES", cap)
-        sizes = []
-        gaps = qwp_wp._duality_gaps
-
-        def recorded(g, f, rho, out):
-            sizes.append(16 * int(np.prod(np.broadcast_shapes(g.shape, rho[..., None, :, :].shape))))
-            return gaps(g, f, rho, out)
-
-        monkeypatch.setattr(qwp_wp, "_duality_gaps", recorded)
+        shapes = record_shapes(monkeypatch, np, "trace")
         assert duality_residual_sweep(c, f, seed=8) == want
+        sizes = [16 * int(np.prod(shape)) for shape in shapes if len(shape) == 4]
         assert len(sizes) > 1 and max(sizes) <= cap
 
 
-class TestDualityResidualBits:
-    @pytest.mark.parametrize("n_atoms", [1, 3, 7])
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [2, 5, 16])
-    def test_same_bits_as_the_per_atom_traces(self, dim, kind, n_atoms):
-        rng = np.random.default_rng([dim, n_atoms, 59])
-        c = sample_program(kind, dim, rng)
-        f = random_predicate(rng, dim, n_atoms)
-        g = wp(c, f)
-        for _ in range(20):
-            rho = DensityState(random_density(rng, dim))
-            out = apply(c, rho)
-            want = {
-                a: float(abs(np.trace(g.effect(a) @ rho.matrix) - np.trace(f.effect(a) @ out.matrix))).hex()
-                for a in f.space.atoms
-            }
-            assert {a: x.hex() for a, x in duality_residual(c, f, rho).items()} == want
+def pull_duality_residual(kind, d, n_atoms, layout, monkeypatch):
+    rng = np.random.default_rng([d, n_atoms, 59])
+    c = sample_program(kind, d, rng)
+    f = random_predicate(rng, d, n_atoms)
+    g = wp(c, f)
+    for _ in range(20):
+        rho = DensityState(random_density(rng, d))
+        out = apply(c, rho)
+        want = {
+            a: float(abs(np.trace(g.effect(a) @ rho.matrix) - np.trace(f.effect(a) @ out.matrix))).hex()
+            for a in f.space.atoms
+        }
+        assert {a: x.hex() for a, x in duality_residual(c, f, rho).items()} == want
 
 
-class TestPositivityOracle:
-    @pytest.mark.parametrize("eps", [None, 0.05, 1.0])
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_matches_the_loop(self, dim, kind, eps):
-        c = sample_program(kind, dim, 53)
-        if eps is not None:
-            c = mix(0.5, c, nonpositive(dim, eps))
-        tol = ToleranceConfig(sample_count=150)
-        want = is_positive_sampled_oracle(c, tol, seed=dim)
-        assert_same_verdict(is_positive_sampled(c, tol, seed=dim), want)
-
-    def test_counterexample_in_the_basis_block(self):
-        c = population_pump(3, 1.5)
-        got = is_positive_sampled(c, seed=2)
-        assert_same_verdict(got, is_positive_sampled_oracle(c, seed=2))
-        assert got.status == "counterexample" and got.samples == 2
-        assert np.array_equal(got.witness, np.eye(3)[1])
-
-    def test_counterexample_in_the_fourier_block(self):
-        c = coherence_amplifier(3, 1.5)
-        got = is_positive_sampled(c, seed=2)
-        assert_same_verdict(got, is_positive_sampled_oracle(c, seed=2))
-        assert got.status == "counterexample" and got.samples == 3 + 1
-        assert np.array_equal(got.witness, qwp_programs._fourier_basis(3)[:, 0])
-
-    def test_non_hermitian_output_is_a_counterexample(self):
-        c = breaks_hermiticity(2)
-        got = is_positive_sampled(c, seed=2)
-        assert_same_verdict(got, is_positive_sampled_oracle(c, seed=2))
-        assert got.status == "counterexample" and got.samples == 1
-
-    def random_region_case(self):
-        # positive on the basis and (real, at d = 2) Fourier states; fails on
-        # a minority of Haar-random states
-        c = mix(0.8, sample_program("cptp", 2, 0), phase_amplifier(2, 3.0))
-        return c, ToleranceConfig(sample_count=200)
-
-    def test_counterexample_among_the_random_states(self):
-        c, tol = self.random_region_case()
-        got = is_positive_sampled(c, tol, seed=1)
-        assert_same_verdict(got, is_positive_sampled_oracle(c, tol, seed=1))
-        assert got.status == "counterexample" and 2 * 2 < got.samples <= 2 * 2 + tol.sample_count
-        assert got.witness.flags.writeable is False
-
-    def test_run_spanning_two_random_blocks(self, monkeypatch):
-        c, tol = self.random_region_case()
-        want = is_positive_sampled_oracle(c, tol, seed=1)
-        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 50 * 2 * 2 * 16)
-        got = is_positive_sampled(c, tol, seed=1)
-        assert_same_verdict(got, want)
-        # the first counterexample lies in the second block of random states
-        assert 2 * 2 + 50 < got.samples <= 2 * 2 + 100
-
-    def test_small_blocks_split_every_part_of_the_run(self, monkeypatch):
-        tol = ToleranceConfig(sample_count=40)
-        c = sample_program("transpose_mix", 8, 59)
-        want = is_positive_sampled_oracle(c, tol, seed=5)
-        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 3 * 8 * 8 * 16)
-        got = is_positive_sampled(c, tol, seed=5)
-        assert_same_verdict(got, want)
-        assert got.status == "no_counterexample" and got.samples == 2 * 8 + 40
-
-    @pytest.mark.parametrize("kind", ["cptp", "unitary"])
-    def test_cp_shortcut(self, kind):
-        c = sample_program(kind, 3, 61)
-        got = is_positive_sampled(c, seed=1)
-        assert_same_verdict(got, is_positive_sampled_oracle(c, seed=1))
-        assert got == PositivityVerdict("certified_cp", 0)
-
-    def test_random_blocks_replay_sequential_draws(self):
-        d, n = 5, 23
-        blocks = list(qwp_programs._candidate_blocks(d, n, np.random.default_rng(9), 4))
-        assert [len(b) for b, _ in blocks] == [4, 1, 4, 1] + [4] * 5 + [3]
-        assert all(raw is None for _, raw in blocks[:4])
-        raw = np.concatenate([r for _, r in blocks[4:]])
-        rng = np.random.default_rng(9)
-        loop = np.array([rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)])
-        assert np.array_equal(raw, loop)
-        states = np.concatenate([b for b, _ in blocks])
-        assert np.array_equal(states[:d], np.eye(d))
-        assert np.array_equal(states[d:2 * d], qwp_programs._fourier_basis(d).T)
-        assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=4 * d * np.finfo(float).eps)
-
-    def test_no_stack_exceeds_the_cap(self, monkeypatch):
-        # the shapes of the hermitian parts at the shared prove-else-eigensolve step, which the
-        # basis block reaches through _psd_stack and the product blocks through _psd_tail
-        shapes = record_shapes(monkeypatch, qwp_linalg, "_threshold_flags")
-        is_positive_sampled(sample_program("transpose", 32, 0), seed=4)
-        # the leading blocks of the Choi matrix refute it, so no (1, 1024, 1024) stack is
-        # tested; then the basis, Fourier and 1000 random states in blocks of at most 1024
-        assert shapes == [(32, 32, 32), (32, 32, 32), (1000, 32, 32)]
-        assert max(shape[0] for shape in shapes) * 32 * 32 * 16 <= STACK_BYTES
-
-    def test_basis_outputs_are_columns_of_the_superoperator(self, monkeypatch):
-        c = sample_program("transpose_mix", 5, 66)
-        blocks = []
-        stack = qwp_programs._psd_stack
-
-        def recording(a, thresholds):
-            blocks.append(np.array(a))
-            return stack(a, thresholds)
-
-        monkeypatch.setattr(qwp_programs, "_psd_stack", recording)
-        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 2 * 5 * 5 * 16)
-        got = is_positive_sampled(c, ToleranceConfig(sample_count=4), seed=1)
-        assert got.status == "no_counterexample"
-        # the leading blocks refute the Choi matrix before any stack is tested, so the
-        # basis states come first, in blocks of 2, 2 and 1, read exactly
-        assert [len(b) for b in blocks[0:3]] == [2, 2, 1]
-        for k, out in enumerate(np.concatenate(blocks[0:3])):
-            assert np.array_equal(out, apply_matrix(c, np.diag(np.eye(5)[k])))
-
-    @pytest.mark.parametrize("residual_tol", [DEFAULT_TOL.residual_tol, 0.0])
-    @pytest.mark.parametrize("kind", KINDS + ("breaks_hermiticity",))
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
-    def test_stacked_outputs_match_apply_matrix(self, kind, dim, residual_tol):
-        c = breaks_hermiticity(dim) if kind == "breaks_hermiticity" else sample_program(kind, dim, 67)
-        z = np.random.default_rng(dim).standard_normal((20, 2, dim))
-        raw = z[:, 0] + 1j * z[:, 1]
-        normalized = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        psis = np.concatenate([np.eye(dim), qwp_programs._fourier_basis(dim).T, normalized])
-        w = qwp_programs._coordinate_matrix(c.super, residual_tol)
-        gaps, h, diagonals, sq_norms = qwp_programs._pure_parts(w, psis)
-        # the rows of the anti-hermitian part are dropped only where their gaps cannot fail
-        if kind == "breaks_hermiticity":
-            assert len(w) == 2 * dim * dim
-        elif residual_tol > 0 or kind == "transpose":
-            # a map that preserves hermiticity has rounding noise in those rows, or nothing
-            assert len(w) == dim * dim
-        # one GEMM sums in another order than one matrix-vector product
-        bound = 4 * dim * dim * np.finfo(float).eps * np.abs(c.super).max()
-        for psi, gap, got, diagonal, sq_norm in zip(psis, gaps, h, diagonals, sq_norms):
-            want = apply_matrix(c, np.outer(psi, psi.conj()))
-            want_h = qwp_linalg._hermitian_part(want)
-            # only the lower triangle of h is written, with a real diagonal
-            assert np.abs(lower_triangle(got) - lower_triangle(want_h)).max() <= bound
-            assert not np.diagonal(got).imag.any()
-            assert abs(gap - qwp_linalg._hermiticity_gaps(want)) <= bound
-            # the band's inputs are h's own
-            assert np.array_equal(diagonal, np.diagonal(got).real)
-            assert sq_norm == pytest.approx(np.sum(np.abs(want_h) ** 2), rel=1e-12, abs=bound)
-
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_the_anti_hermitian_rows_refute_a_map_that_breaks_hermiticity_off_the_basis(self, dim):
-        # the basis outputs are hermitian and PSD, and every other output's hermitian part is PSD
-        c = off_basis_skew(dim, 0.1)
-        tol = ToleranceConfig(sample_count=50)
-        assert len(qwp_programs._coordinate_matrix(c.super, tol.residual_tol)) == 2 * dim * dim
-        got = is_positive_sampled(c, tol, seed=2)
-        assert_same_verdict(got, is_positive_sampled_oracle(c, tol, seed=2))
-        assert got.status == "counterexample" and got.samples == dim + 1
-        assert np.array_equal(got.witness, qwp_programs._fourier_basis(dim)[:, 0])
-
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_a_defect_within_residual_tol_drops_the_rows_unless_residual_tol_is_zero(self, dim):
-        c = off_basis_skew(dim, 1e-12)
-        for tol, rows, status, samples in [
-            # the defect bound, about 2.8e-12, passes residual_tol: no gap is computed, and none fails
-            (ToleranceConfig(sample_count=50), dim * dim, "no_counterexample", 2 * dim + 50),
-            # at residual_tol = 0 only a map whose anti-hermitian rows are all zero drops them
-            (ToleranceConfig(residual_tol=0.0, sample_count=50), 2 * dim * dim, "counterexample", dim + 1),
-        ]:
-            assert len(qwp_programs._coordinate_matrix(c.super, tol.residual_tol)) == rows
-            got = is_positive_sampled(c, tol, seed=3)
-            assert_same_verdict(got, is_positive_sampled_oracle(c, tol, seed=3))
-            assert (got.status, got.samples) == (status, samples)
-
-    @pytest.mark.parametrize(
-        "corner, sign, overflows", [(1.0, 1.0, False), (1.0, -1.0, False), (1.7e308, 1.0, True), (1.7e308, -1.0, False)]
-    )
-    def test_a_pair_of_entries_near_the_float_limit(self, corner, sign, overflows):
-        # row 0 of the output reads rho_00 and the pair rho_01, rho_10, whose
-        # coefficients are near the float limit; the half-sums of a pair stay finite
-        s = np.eye(4, dtype=np.complex128)
-        s[0, 0], s[0, 2], s[0, 1] = corner, 1.7e308, sign * 1.7e308
-        c = from_super(s)
-        tol = ToleranceConfig(sample_count=20)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if overflows:
-                # 1.7e308 (rho_00 + 2 Re rho_01) overflows on (1, 1)/√2
-                with pytest.raises(ValueError, match="finite"):
-                    is_positive_sampled(c, tol, seed=3)
-            else:
-                # the second Fourier state, (1, -1)/√2 up to rounding: a large
-                # negative output entry, or a large imaginary one on the diagonal
-                got = is_positive_sampled(c, tol, seed=3)
-                assert (got.status, got.samples) == ("counterexample", 4)
-                assert np.array_equal(got.witness, qwp_programs._fourier_basis(2)[:, 1])
+def pull_is_precondition(kind, d, n_atoms, layout, monkeypatch):
+    if layout == "a tie":
+        f = projective_predicate(d)
+        g = Predicate(f.space, 1.25 * f.effects)
+        report = assert_precondition_matches_the_loop(g, from_super(np.eye(d * d)), f)
+        assert set(report.margins.values()) == {-0.25} and report.witness.atom == "0"
+        return
+    c, f = problem(kind, d, 71)
+    rng = np.random.default_rng([73, d])
+    # a random candidate, which fails in every case here, and one scaled below wp, which holds
+    g = random_predicate(rng, d, n_atoms=len(f.space.atoms))
+    assert_precondition_matches_the_loop(g, c, f)
+    below = Predicate(f.space, 0.5 * wp(c, f).effects)
+    assert assert_precondition_matches_the_loop(below, c, f).holds
 
 
-DIMS = (1, 2, 3, 5, 8)
+# weakest_check's rows by candidate or block layout: (problem seed, trials, seed, the oracle's W)
+WEAKEST = {
+    "W": (23, 40, 4, random_effect_oracle),
+    "1.3 W": (31, 60, 2, oversized),
+    "W = I": (47, 5, 3, drawn_identity),
+    "two blocks": (29, None, 8, random_effect_oracle),
+}
 
 
-def broken_predicate(kind, dim, n_atoms, rng):
-    """A random predicate, valid or with the named faults put in."""
-    p = random_predicate(rng, dim, n_atoms, complete=kind in ("complete", "above_identity", "all"))
-    effects = [np.array(p.effect(a)) for a in p.space.atoms]
-    if kind in ("non_psd", "all"):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        effects[0] = effects[0] - 1.2 * np.outer(v, v.conj())
-    if kind in ("non_hermitian", "all"):
-        effects[-1] = effects[-1] + 1e-6 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    if kind in ("above_identity", "all"):
-        effects = [1.5 * e for e in effects]
-    return Predicate(p.space, effects)
+def pull_weakest_check(kind, d, n_atoms, layout, monkeypatch):
+    if layout == "atoms":
+        # d² = 1 and 4 in the reshapes of the trace products, one atom and four
+        rng = np.random.default_rng([d, n_atoms, 61])
+        c, f = sample_program(kind, d, rng), random_predicate(rng, d, n_atoms)
+        trials, seed, effect = 40, 5, random_effect_oracle
+    else:
+        problem_seed, trials, seed, effect = WEAKEST[layout]
+        c, f = problem(kind, d, problem_seed)
+        trials = trials or block_rows(d, 50) + 5
+    if layout == "1.3 W":
+        monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: 1.3 * qwp_linalg._haar_spectral(z, w))
+    elif layout == "W = I":
+        # every candidate is wp(c, f) itself, up to rounding; W's draws are still made, so the
+        # states replay the same stream
+        monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: np.broadcast_to(np.eye(z.shape[-1]), w.shape + w.shape[-1:]))
+    tol = ToleranceConfig(sample_count=trials)
+    report = weakest_check(c, f, tol, seed=seed)
+    assert_same_report(report, weakest_check_oracle(c, f, tol, seed=seed, effect=effect))
+    if layout == "1.3 W":
+        # both failure branches are reached, and so is success
+        assert 0 < report.confirmed_preconditions < report.trials
+        assert 0 < report.dominated < report.trials
+        assert report.min_margin < 0
+    elif layout == "W = I":
+        assert report.confirmed_preconditions == report.dominated == 5
 
 
-class TestValidatePredicateOracle:
-    @pytest.mark.parametrize("kind", ["valid", "complete", "non_psd", "non_hermitian", "above_identity", "all"])
-    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_matches_the_per_atom_loop(self, dim, n_atoms, kind):
-        p = broken_predicate(kind, dim, n_atoms, np.random.default_rng([dim, n_atoms, 71]))
-        report = validate_predicate(p)
-        assert report == validate_predicate_oracle(p)
-        assert report.ok == (kind in ("valid", "complete"))
-        if kind == "all":
-            # faults in atom order, the total's last; at d = 1 the PSD fault
-            # of a0 pulls the total below the identity
-            assert report.violations[0].startswith("effect 'a0' is not PSD")
-            assert f"effect 'a{n_atoms - 1}' is not hermitian" in report.violations
-            assert ("exceeds the identity" in report.violations[-1]) == (dim > 1)
+PULL_BACK = {
+    "wp": pull_wp,
+    "duality_residual_sweep": pull_duality_residual_sweep,
+    "duality_residual": pull_duality_residual,
+    "is_precondition": pull_is_precondition,
+    "weakest_check": pull_weakest_check,
+}
 
-    def test_tolerances_are_read_as_the_loop_reads_them(self):
-        p = broken_predicate("all", 3, 3, np.random.default_rng(72))
-        tol = ToleranceConfig(eig_tol=1e-3, residual_tol=1e-3)
-        assert validate_predicate(p, tol) == validate_predicate_oracle(p, tol)
 
-    def test_overflowing_total_raises_like_the_loop(self):
-        big = np.diag([1e308, 1.0])
-        p = Predicate(OutcomeSpace(("a", "b")), [big, big])
-        for check in (validate_predicate, validate_predicate_oracle):
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-                check(p)
+@pytest.mark.parametrize(
+    "entry, kind, d, n_atoms, layout",
+    rows(
+        *[("wp", kind, d, n, "C") for d in DIMS + (17, 32) for kind in KINDS for n in (1, 2, 3, 4, 5)],
+        *[("wp", kind, d, 3, layout) for d in (2, 3, 8, 32) for kind in KINDS for layout in ("F", "adjoint of adjoint")],
+        *[("duality_residual_sweep", kind, d, 3, "one block") for d in (2, 5, 16, 17, 32) for kind in KINDS],
+        ("duality_residual_sweep", "transpose_mix", 4, "any", "blocks of 7"),
+        ("duality_residual_sweep", "cptp", 16, 16, "a quarter of the cap"),
+        *[("duality_residual", kind, d, n, "one state") for d in (2, 5, 16) for kind in KINDS for n in (1, 3, 7)],
+        # the stacked eigensolve of the margins at the dims of one BLAS call and of several
+        *[("is_precondition", kind, d, "any", "one") for d in (2, 3, 8) for kind in KINDS],
+        *[("is_precondition", "cptp", d, "any", "one") for d in (16, 32)],
+        ("is_precondition", "identity", 3, 3, "a tie"),
+        *[("weakest_check", kind, 3, "any", layout) for layout in ("W", "W = I") for kind in KINDS],
+        *[("weakest_check", kind, 2, "any", "1.3 W") for kind in KINDS],
+        *[("weakest_check", kind, d, n, "atoms") for d in (1, 2) for kind in KINDS for n in (1, 4)],
+        ("weakest_check", "transpose_mix", 16, "any", "two blocks"),
+    ),
+)
+def test_pull_back(entry, kind, d, n_atoms, layout, monkeypatch):
+    PULL_BACK[entry](kind, d, n_atoms, layout, monkeypatch)
+
+
+def test_weakest_check_stacks_stay_under_the_cap(monkeypatch):
+    # the (trials·states, d, d) states, whose trace np.trace takes: as many bytes as the normals they come from
+    dim = 16
+    tol = ToleranceConfig(sample_count=block_rows(dim, 50) + 1)
+    c, f = problem("cptp", dim, 37)
+    shapes = record_shapes(monkeypatch, np, "trace")
+    weakest_check(c, f, tol, seed=1)
+    assert len(shapes) == 2
+    assert max(16 * int(np.prod(shape)) for shape in shapes) <= STACK_BYTES
+
+
+def test_weakest_check_traces_of_many_atoms_stay_under_the_cap(monkeypatch):
+    # 8 atoms at d = 2: a trial's (states, atoms) traces are twice its states
+    rng = np.random.default_rng(67)
+    c = sample_program("transpose_mix", 2, rng)
+    f = random_predicate(rng, 2, 8)
+    tol = ToleranceConfig(sample_count=30)
+    want = weakest_check_oracle(c, f, tol, seed=2)
+    monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 10 * 50 * 8 * 16)
+    shapes = record_shapes(monkeypatch, np, "trace")
+    assert_same_report(weakest_check(c, f, tol, seed=2), want)
+    # ten trials a block, so their complex traces fill the cap and no more
+    assert [shape[0] for shape in shapes] == [10 * 50] * 3
+
+
+def test_wp_of_an_overflowing_output_raises_as_the_per_atom_form():
+    # column 1 of the superoperator cancels on the identity, so the
+    # program is unital in the dual and passes the trace-preservation test
+    s = np.eye(4)
+    s[:, 1] = [1.7e308, 1.7e308, 1.7e308, -1.7e308]
+    c = from_super(s)
+    half = np.full((2, 2), 0.5)
+    f = Predicate(OutcomeSpace(("a", "b")), [half, np.eye(2) - half])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            Predicate(f.space, wp_effects_oracle(c, f))
+        with pytest.raises(ValueError, match="finite"):
+            wp(c, f)
+
+
+# ---------------------------------------------------------------------------
+# The PSD stack: the state rule, the predicate rule and the stack primitive decide with the
+# band kernel, and every flag, message and λ_min they report is the eigensolve's
+# ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch module.name with a wrapper that counts its calls; returns the counter list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def solves(monkeypatch, fn, *args):
+    """fn(*args) and the eigvalsh calls it made, with eigvalsh restored after."""
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    got = fn(*args)
+    monkeypatch.undo()
+    return got, calls
+
+
+def refusal(fn, *args, **kwargs):
+    """The message of the ValidationError fn raises on args, or None."""
+    try:
+        fn(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
 
 
 def effect_flags_oracle(effects, total, tol):
     """The predicate rule as one eigvalsh of the effects and -total, with no Cholesky route."""
     stack = np.concatenate([effects, -total[..., None, :, :]], axis=-3)
-    lows = qwp_linalg._eigvalsh(stack).min(axis=-1)
-    not_psd, not_hermitian = lows[..., :-1] < -tol.eig_tol, qwp_linalg._hermiticity_gaps(effects) > tol.residual_tol
+    lows = eigvalsh_oracle(stack).min(axis=-1)
+    not_psd, not_hermitian = lows[..., :-1] < -tol.eig_tol, hermiticity_gaps_oracle(effects) > tol.residual_tol
     return not_psd, not_hermitian, -lows[..., -1] > 1.0 + tol.eig_tol, lows
 
 
 def state_flags_oracle(ms, tol, eig_slack):
     """The state rule as one eigvalsh of the stack, with no Cholesky route."""
-    traces, lows = np.trace(ms, axis1=-2, axis2=-1), qwp_linalg._eigvalsh(ms).min(axis=-1)
+    traces, lows = np.trace(ms, axis1=-2, axis2=-1), eigvalsh_oracle(ms).min(axis=-1)
     flags = (
-        qwp_linalg._hermiticity_gaps(ms) > tol.residual_tol,
+        hermiticity_gaps_oracle(ms) > tol.residual_tol,
         np.hypot(traces.real - 1.0, traces.imag) > tol.residual_tol,
         lows < -eig_slack * tol.eig_tol,
     )
@@ -1017,13 +1287,37 @@ def state_refusal_oracle(m, tol, eig_slack):
     return None
 
 
-def refusal(fn, *args, **kwargs):
-    """The message of the ValidationError fn raises on args, or None."""
-    try:
-        fn(*args, **kwargs)
-    except ValidationError as exc:
-        return str(exc)
-    return None
+def total_oracle(effects):
+    """The total of each predicate of a stack (..., k, d, d), by Python's sum in atom order."""
+    return sum(effects[..., i, :, :] for i in range(effects.shape[-3]))
+
+
+def assert_effect_rule(effects, tol):
+    """_effect_flags against its oracle on a stack (..., k, d, d); True when the band kernel decided it."""
+    total = total_oracle(effects)
+    *got, lows = qwp_predicates._effect_flags(effects, total, tol)
+    *want, want_lows = effect_flags_oracle(effects, total, tol)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if lows is None:
+        assert not want[0].any() and not want[2].any()
+        return True
+    assert_same_bits(lows, want_lows)
+    return False
+
+
+def assert_state_rule(ms, tol, eig_slack):
+    """_state_flags against its oracle on a stack (..., d, d); True when the band kernel decided it."""
+    got, traces, lows = qwp_programs._state_flags(ms, tol, eig_slack)
+    want, want_traces, want_lows = state_flags_oracle(ms, tol, eig_slack)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert_same_bits(traces, want_traces)
+    if lows is None:
+        assert not want[2].any()
+        return True
+    assert_same_bits(lows, want_lows)
+    return False
 
 
 def with_lowest(a, target):
@@ -1041,9 +1335,6 @@ def spectral_state(rng, dim, low):
     w[0] = low
     u = random_isometry_oracle(rng, dim, dim)
     return (u * w) @ u.conj().T
-
-
-RULE_DIMS = (1, 2, 3, 8, 17, 32)
 
 
 def rule_predicates(dim, tol):
@@ -1097,508 +1388,19 @@ def rule_states(dim, tol):
     return {name: m.astype(np.complex128) for name, m in cases.items()}
 
 
-def assert_effect_rule(effects, tol):
-    """_effect_flags against its oracle on a stack (..., k, d, d); True when the band kernel decided it."""
-    total = qwp_predicates._total_effects(effects)
-    *got, lows = qwp_predicates._effect_flags(effects, total, tol)
-    *want, want_lows = effect_flags_oracle(effects, total, tol)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    if lows is None:
-        assert not want[0].any() and not want[2].any()
-        return True
-    assert_same_bits(lows, want_lows)
-    return False
-
-
-def assert_state_rule(ms, tol, eig_slack):
-    """_state_flags against its oracle on a stack (..., d, d); True when the band kernel decided it."""
-    got, traces, lows = qwp_programs._state_flags(ms, tol, eig_slack)
-    want, want_traces, want_lows = state_flags_oracle(ms, tol, eig_slack)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    assert_same_bits(traces, want_traces)
-    if lows is None:
-        assert not want[2].any()
-        return True
-    assert_same_bits(lows, want_lows)
-    return False
-
-
-class TestRuleOracles:
-    """The predicate and state rules decide with the band kernel, and every flag, message and
-    λ_min they report is the eigensolve's."""
-
-    @pytest.mark.parametrize("dim", RULE_DIMS)
-    def test_the_predicate_rule_matches_the_oracle(self, dim):
-        tol = DEFAULT_TOL
-        cases = rule_predicates(dim, tol)
-        invalid = []
-        for name, effects in cases.items():
-            decided = assert_effect_rule(effects, tol)
-            assert decided or not name.startswith("clean:"), name
-            p = Predicate(OutcomeSpace(tuple(f"a{i}" for i in range(len(effects)))), effects)
-            report = validate_predicate(p, tol)
-            assert report == validate_predicate_oracle(p, tol), name
-            want = None if report.ok else "invalid predicate: " + "; ".join(report.violations)
-            assert refusal(qwp_predicates._require_valid, p, tol) == want, name
-            if not report.ok:
-                invalid.append(name)
-        # the straddles land on the sides they are built for
-        assert invalid == [
-            "effect_below", "total_below", "effect_band_0.5_-1.0", "total_band_0.5_-1.0",
-            "effect_band_2.0_-1.0", "total_band_2.0_-1.0",
-        ]
-        # the stacked mask of the campaigns, on the cases of three atoms
-        three = np.array([x for x in cases.values() if len(x) == 3])
-        assert assert_effect_rule(three, tol) is False
-        not_psd, not_hermitian, over, _ = effect_flags_oracle(three, qwp_predicates._total_effects(three), tol)
-        want = (not_psd | not_hermitian).any(axis=-1) | over
-        assert qwp_predicates._predicate_faults(three, tol).tolist() == want.tolist()
-
-    @pytest.mark.parametrize("dim", RULE_DIMS)
-    def test_the_state_rule_matches_the_oracle(self, dim):
-        tol = DEFAULT_TOL
-        cases = rule_states(dim, tol)
-        for slack in (1.0, APPLY_EIG_SLACK):
-            for name, m in cases.items():
-                decided = assert_state_rule(m, tol, slack)
-                assert decided or not name.startswith("clean:"), (name, slack)
-                got = refusal(DensityState, m, tol, eig_slack=slack)
-                assert got == state_refusal_oracle(m, tol, slack), (name, slack)
-            stack = np.array(list(cases.values()))
-            assert_state_rule(stack, tol, slack)
-            want = np.any(state_flags_oracle(stack, tol, slack)[0], axis=0)
-            assert qwp_programs._invalid_states(stack, tol, slack).tolist() == want.tolist()
-        # an apply output at λ_min = -5·eig_tol is a state under apply's slack, decided with no eigensolve
-        assert assert_state_rule(cases["apply_output"], tol, APPLY_EIG_SLACK)
-        assert not assert_state_rule(cases["apply_output"], tol, 1.0)
-
-    def test_a_valid_predicate_and_state_take_no_eigensolve(self, monkeypatch):
-        c = sample_program("cptp", 8, 5)
-        f = random_predicate(np.random.default_rng(227), 8)
-        rho = spectral_state(np.random.default_rng(229), 8, -5.0 * DEFAULT_TOL.eig_tol)
-        solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        reports = count_calls(monkeypatch, qwp_predicates, "_sums_to_identity")
-        g = wp(c, f)
-        out = apply(c, DensityState(rho, eig_slack=APPLY_EIG_SLACK))
-        assert solves == [] and reports == []
-        # a refusal names the eigensolve's λ_min
-        with pytest.raises(ValidationError, match=r"^state is not PSD \(min eigenvalue -5\.000e-09\)$"):
-            DensityState(rho)
-        bad = Predicate(g.space, 1.5 * g.effects)
-        with pytest.raises(ValidationError, match="total effect exceeds the identity"):
-            wp(c, bad)
-        assert solves == ["eigvalsh"] * 2 and reports == []
-        assert out.dim == 8
-
-
-class TestWpOracle:
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("dim", DIMS + (17, 32))
-    def test_matches_the_per_atom_loop(self, dim, n_atoms, kind):
-        rng = np.random.default_rng([dim, n_atoms, 73])
-        c = sample_program(kind, dim, rng)
-        f = random_predicate(rng, dim, n_atoms)
-        got = wp(c, f)
-        assert got.space == f.space
-        for a, want in zip(f.space.atoms, wp_effects_oracle(c, f)):
-            assert_same_bits(got.effect(a), want)
-
-    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_same_bits_as_the_adjoint_program_in_every_layout(self, kind, dim):
-        rng = np.random.default_rng([dim, 19])
-        c = sample_program(kind, dim, rng)
-        f = random_predicate(rng, dim)
-        fortran = from_super(np.asfortranarray(c.super))
-        assert fortran.super.flags.f_contiguous and not c.super.flags.f_contiguous
-        for prog in (c, fortran, adjoint(adjoint(c))):
-            got = wp(prog, f)
-            for a, want in zip(f.space.atoms, wp_effects_oracle(prog, f)):
-                assert_same_bits(got.effect(a), want)
-
-    def test_overflowing_output_raises_as_the_per_atom_form(self):
-        # column 1 of the superoperator cancels on the identity, so the
-        # program is unital in the dual and passes the trace-preservation test
-        s = np.eye(4)
-        s[:, 1] = [1.7e308, 1.7e308, 1.7e308, -1.7e308]
-        c = from_super(s)
-        half = np.full((2, 2), 0.5)
-        f = Predicate(OutcomeSpace(("a", "b")), [half, np.eye(2) - half])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="finite"):
-                Predicate(f.space, wp_effects_oracle(c, f))
-            with pytest.raises(ValueError, match="finite"):
-                wp(c, f)
-
-
-def unital_layouts(kind, dim):
-    """A program's superoperator C- and F-ordered, and its adjoint's as stored (by columns) and C-ordered."""
-    c = sample_program(kind, dim, np.random.default_rng([dim, 41]))
-    dual = adjoint(c).super
-    return c.super, np.asfortranarray(c.super), dual, np.ascontiguousarray(dual)
-
-
-def unital_gap_bound(s):
-    """4·d·u·(m + 1), m the largest Σ_k |S[k(d+1), j]|: twice the rounding of a d-term sum of
-    each entry of C*(I) in any order, with room for the subtraction of I and the modulus."""
-    d = int(round(np.sqrt(s.shape[-1])))
-    m = np.abs(s[..., :: d + 1, :]).sum(axis=-2).max(axis=-1)
-    return 4 * d * (np.finfo(float).eps / 2) * (m + 1.0)
-
-
-class TestUnitalGaps:
-    """The trace-preservation gap reads only the d rows k(d+1) of S, summed in row order; it
-    agrees with the full product Sᵀ vec(I) within a rounding bound, and its verdicts with the product's."""
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 32])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_gaps_match_the_oracle(self, kind, dim):
-        for s in unital_layouts(kind, dim):
-            got, want = qwp_programs._unital_gaps(s), unital_gaps_oracle(s)
-            assert abs(float(got) - float(want)) <= unital_gap_bound(s)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 32])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_verdicts_match_the_oracle_at_and_around_the_tolerance(self, kind, dim):
-        tol = DEFAULT_TOL.residual_tol
-        perturbed = 0
-        for s in unital_layouts(kind, dim):
-            want = float(unital_gaps_oracle(s))
-            assert (float(qwp_programs._unital_gaps(s)) <= tol) == (want <= tol) == is_trace_preserving(from_super(s))
-            if want > tol / 1000:
-                continue  # a map that is not trace preserving: no gap near the tolerance to set
-            for k in (0.5, 2.0):
-                t = np.array(s, order="K")  # the same layout
-                t[0, 0] += k * tol  # moves C*(I)[0, 0] by k·residual_tol
-                gap = float(qwp_programs._unital_gaps(t))
-                assert gap == pytest.approx(k * tol, rel=1e-3)
-                assert (gap <= tol) == (float(unital_gaps_oracle(t)) <= tol) == (k < 1)
-                perturbed += 1
-        # the program and its C- and F-ordered copies are trace preserving
-        assert perturbed >= 4
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 17])
-    def test_a_stack_has_the_bits_of_its_members_in_every_layout(self, dim):
-        members = [s for kind in KINDS for s in unital_layouts(kind, dim)]
-        singles = np.array([qwp_programs._unital_gaps(s) for s in members])
-        stack = np.stack(members)
-        dual = np.stack([s.conj() for s in members]).swapaxes(-1, -2)  # stored by columns, as adjoint does
-        for layout in (stack, np.asfortranarray(stack)):
-            assert np.array_equal(qwp_programs._unital_gaps(layout), singles)
-        assert np.array_equal(qwp_programs._unital_gaps(dual), [qwp_programs._unital_gaps(s.conj().T) for s in members])
-
-    @pytest.mark.parametrize("dim, count", [(32, None), (6, 3)])
-    def test_only_the_rows_k_d_plus_1_are_read(self, dim, count):
-        # one trace-preserving superoperator at d = 32, and a stack of three at d = 6
-        rng = np.random.default_rng([dim, 43])
-        kinds = ("cptp",) if count is None else KINDS[:count]
-        s = np.array([sample_program(kind, dim, rng).super for kind in kinds])
-        s = s[0] if count is None else s
-        want = qwp_programs._unital_gaps(s)
-        poisoned = np.full_like(s, np.nan)
-        poisoned[..., :: dim + 1, :] = s[..., :: dim + 1, :]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = qwp_programs._unital_gaps(poisoned)
-        assert np.isfinite(want).all() and np.array_equal(got, want)
-
-
-class TestFromKrausOracle:
-    @pytest.mark.parametrize("real", [False, True])
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_matches_the_kron_sum(self, dim, count, real):
-        rng = np.random.default_rng([dim, count, 79])
-        ks = rng.standard_normal((count, dim, dim))
-        if not real:
-            ks = ks + 1j * rng.standard_normal((count, dim, dim))
-        # zero entries, one of them negative, give the terms signed zeros
-        ks[:, :, 0] = 0.0
-        ks[:, 0, 0] = -0.0
-        c = from_kraus(list(ks))
-        want = kraus_super_oracle(ks)
-        assert_same_bits(c.super, want)
-        assert np.any(want == 0)
-        assert all(np.array_equal(k, want_k) for k, want_k in zip(c.kraus, ks))
-
-    def test_left_to_right_sum_at_dim_one(self):
-        # a (k, 1, 1) stack is contiguous along k, where numpy's reductions
-        # sum pairwise; the Kraus sum must still add term after term
-        rng = np.random.default_rng(80)
-        for count in [3, 4, 5] * 100:
-            ks = rng.standard_normal((count, 1, 1)) + 1j * rng.standard_normal((count, 1, 1))
-            assert_same_bits(from_kraus(list(ks)).super, kraus_super_oracle(ks))
-
-
-# superoperators of d ≥ 17 exceed ROW_BLOCK_BYTES and are built in blocks: the
-# last one is partial at d = 17 and 23, and holds a single leading index at 33
-BLOCK_DIMS = (16, 17, 23, 32, 33)
-
-
-def signed_kraus(rng, shape):
-    """Complex operators of the given stack shape whose zero entries, one of them negative, give signed zeros."""
-    ks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ks[..., :, 0] = 0.0
-    ks[..., 0, 0] = -0.0
-    return ks
-
-
-class TestBlockedBuilds:
-    """Builds written block by block keep the bits of the full-array expressions."""
-
-    @pytest.mark.parametrize("count", [1, 4])
-    @pytest.mark.parametrize("dim", BLOCK_DIMS)
-    def test_from_kraus_matches_the_kron_sum(self, dim, count):
-        ks = signed_kraus(np.random.default_rng([dim, count, 81]), (count, dim, dim))
-        assert_same_bits(from_kraus(list(ks)).super, kraus_super_oracle(ks))
-
-    @pytest.mark.parametrize("dim", [17, 23])
-    def test_stacked_kraus_sums(self, dim):
-        # _sampled_supers' layout (r, n, d, d): operator r of program m sits at [r, m]
-        ks = signed_kraus(np.random.default_rng([dim, 82]), (3, 2, dim, dim))
-        got = qwp_programs._kraus_supers(ks)
-        for m in range(2):
-            assert_same_bits(got[m], kraus_super_oracle(ks[:, m]))
-
-    @pytest.mark.parametrize("dim", [17, 33])
-    def test_mix_matches_the_full_expression(self, dim):
-        rng = np.random.default_rng([dim, 83])
-        c1, c2 = transpose_program(dim), from_kraus(list(signed_kraus(rng, (2, dim, dim))))
-        w = float(rng.uniform())
-        assert_same_bits(mix(w, c1, c2).super, w * c1.super + (1 - w) * c2.super)
-
-    def test_array_weights_match_the_full_expression(self):
-        # transpose_mix programs of a campaign block: one weight per program
-        rng = np.random.default_rng(84)
-        s1 = transpose_program(17).super
-        s2 = qwp_programs._kraus_supers(signed_kraus(rng, (2, 3, 17, 17)))
-        w = rng.uniform(size=(3, 1, 1))
-        assert_same_bits(qwp_programs._mixed(w, s1, s2), w * s1 + (1 - w) * s2)
-
-    def test_from_kraus_peak_at_dim_32(self):
-        ks = list(random_isometry(np.random.default_rng(85), 4 * 32, 32).reshape(4, 32, 32))
-        tracemalloc.start()
-        try:
-            from_kraus(ks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 16 MiB superoperator, one 1 MiB block buffer and the finite check's 1 MiB mask
-        assert peak <= 20 << 20
-
-    def test_transpose_mixture_peak_at_dim_32(self):
-        ks = list(random_isometry(np.random.default_rng(86), 2 * 32, 32).reshape(2, 32, 32))
-        tracemalloc.start()
-        try:
-            mix(0.3, transpose_program(32), from_kraus(ks))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # three 16 MiB superoperators (the transpose, the Kraus sum, the mixture) and block buffers
-        assert peak <= 52 << 20
-
-
-class TestRandomPredicateOracle:
-    @pytest.mark.parametrize("complete", [False, True])
-    @pytest.mark.parametrize("n_atoms", [None, 1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_matches_the_block_loop(self, dim, n_atoms, complete):
-        rng = np.random.default_rng([dim, n_atoms or 0, 83])
-        oracle_rng = np.random.default_rng([dim, n_atoms or 0, 83])
-        got = random_predicate(rng, dim, n_atoms, complete)
-        assert_same_predicate(got, random_predicate_oracle(oracle_rng, dim, n_atoms, complete))
-
-    def test_left_to_right_total_at_dim_one(self):
-        # see TestFromKrausOracle.test_left_to_right_sum_at_dim_one
-        for seed in range(300):
-            got = random_predicate(np.random.default_rng(seed), 1, 3 + seed % 3)
-            assert_same_predicate(got, random_predicate_oracle(np.random.default_rng(seed), 1, 3 + seed % 3))
-
-    @pytest.mark.parametrize("complete", [False, True])
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_consumes_the_stream_like_the_block_loop(self, dim, complete):
-        rng = np.random.default_rng([dim, 89])
-        oracle_rng = np.random.default_rng([dim, 89])
-        for n_atoms in (None, 1, 4):
-            random_predicate(rng, dim, n_atoms, complete)
-            random_predicate_oracle(oracle_rng, dim, n_atoms, complete)
-            assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
-
-
-def labelled(mats):
-    return Predicate(OutcomeSpace(tuple(f"a{i}" for i in range(len(mats)))), list(mats))
-
-
-class TestTotalEffectOracle:
-    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 9])
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_matches_python_sum(self, dim, n_atoms):
-        rng = np.random.default_rng([dim, n_atoms, 97])
-        mats = rng.standard_normal((n_atoms, dim, dim)) + 1j * rng.standard_normal((n_atoms, dim, dim))
-        # sum() starts from the integer 0, so an entry that is -0.0 in every
-        # effect totals +0.0
-        mats[:, -1, 0] = complex(-0.0, -0.0)
-        want = sum(list(mats))
-        assert not np.signbit(want[-1, 0].real) and not np.signbit(want[-1, 0].imag)
-        assert_same_bits(labelled(mats).total_effect(), want)
-
-    def test_left_to_right_at_dim_one(self):
-        # see TestFromKrausOracle.test_left_to_right_sum_at_dim_one
-        rng = np.random.default_rng(98)
-        for n_atoms in list(range(1, 13)) * 25:
-            mats = rng.standard_normal((n_atoms, 1, 1)) + 1j * rng.standard_normal((n_atoms, 1, 1))
-            assert_same_bits(labelled(mats).total_effect(), sum(list(mats)))
-
-
-def count_calls(monkeypatch, module, name):
-    """Patch module.name with a wrapper that counts its calls; returns the counter list."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-class TestHermitianPart:
-    def test_same_bits_as_add_then_halve(self):
-        rng = np.random.default_rng(91)
-        for _ in range(2000):
-            shape = (int(rng.integers(1, 4)),) + (int(rng.integers(1, 6)),) * 2
-            scale = 10.0 ** rng.uniform(-300, 300, size=shape)
-            a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-            # signed zeros in both parts, where complex division sets the signs
-            a.real[rng.random(shape) < 0.3] = 0.0
-            a.imag[rng.random(shape) < 0.3] = -0.0
-            a.real[rng.random(shape) < 0.2] *= -1.0
-            a.imag[rng.random(shape) < 0.2] *= -1.0
-            want = (a + a.conj().swapaxes(-1, -2)) / 2.0
-            assert_same_bits(qwp_linalg._hermitian_part(a), want)
-
-    def test_huge_entries_stay_finite(self):
-        a = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], dtype=np.complex128)
-        with np.errstate(all="raise"):
-            h = qwp_linalg._hermitian_part(a)
-        assert np.array_equal(h, a)
-        vals, _ = hermitian_eig(a)
-        assert not np.isnan(vals).any()
-        assert vals[0] < 0 < vals[1]
-
-
-class TestPsdSqrtOracle:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 6, 8])
-    def test_same_bits_as_the_per_matrix_root(self, dim):
-        rng = np.random.default_rng([dim, 101])
-        stack = np.array([random_effect_oracle(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
-        # an eigenvalue just below zero, which the root clips
-        u = random_isometry_oracle(rng, dim, dim)
-        w = rng.uniform(0.0, 1.0, size=dim)
-        w[0] = -1e-13
-        stack[1, 2] = (u * w) @ u.conj().T
-        assert np.linalg.eigvalsh(stack[1, 2]).min() < 0
-        roots = qwp_linalg._psd_sqrts(stack)
-        for idx in np.ndindex(2, 3):
-            want = psd_sqrt_oracle(stack[idx])
-            assert_same_bits(roots[idx], want)
-            assert_same_bits(psd_sqrt(stack[idx]), want)
-
-
-class TestPsdOracle:
-    """is_psd decides with Cholesky at eig_tol ∓ δ and must give the eigensolve's verdict."""
-
-    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_program_kinds(self, kind, dim):
-        for seed in range(3):
-            c = sample_program(kind, dim, seed)
-            assert is_completely_positive(c) == is_psd(to_choi(c)) == is_psd_oracle(to_choi(c))
-
-    @pytest.mark.parametrize("kind, want", [("cptp", True), ("transpose_mix", False)])
-    def test_dim_32(self, kind, want, monkeypatch):
-        j = to_choi(sample_program(kind, 32, 4))
-        assert is_psd_oracle(j) is want
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert is_psd(j) is want
-        assert calls == []
-
-    @pytest.mark.parametrize("eps", [0.05, 1e-8])
-    def test_nonpositive_map(self, eps):
-        j = to_choi(nonpositive(3, eps))
-        assert is_psd(j) == is_psd_oracle(j) is False
-
-    @pytest.mark.parametrize("kind, dim", [("cptp", 8), ("transpose", 4), ("transpose_mix", 6)])
-    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
-    @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_shifted_to_the_band_edges(self, kind, dim, k, side, monkeypatch):
-        tol = DEFAULT_TOL
-        j = to_choi(sample_program(kind, dim, 17))
-        lowest = float(np.linalg.eigvalsh(j).min())
-        base = j - (lowest + tol.eig_tol) * np.eye(dim * dim)
-        delta = psd_band(base, tol)
-        assert 0.0 < 4.0 * delta < tol.eig_tol
-        # λ_min = -eig_tol + side·k·δ
-        shifted = base + side * k * delta * np.eye(dim * dim)
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = is_psd(shifted, tol)
-        # only inside the band, |λ_min + eig_tol| < δ, is the eigensolve needed
-        assert calls == (["eigvalsh"] if k < 1 else [])
-        monkeypatch.undo()
-        assert got == is_psd_oracle(shifted, tol) == (side > 0)
-
-    @pytest.mark.parametrize("k", [0.5, 2.0])
-    @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_a_band_set_by_its_eig_tol_term_at_the_band_edges(self, k, side, monkeypatch):
-        # one entry near -eig_tol and zeros: μ ≈ 2·eig_tol + 2n·eig_tol, mostly its last term
-        tol, n = DEFAULT_TOL, 16
-        a = np.zeros((n, n), dtype=np.complex128)
-        a[0, 0] = -tol.eig_tol
-        delta = psd_band(a, tol)
-        # λ_min = -eig_tol + side·k·δ
-        a[0, 0] += side * k * delta
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = is_psd(a, tol)
-        assert calls == (["eigvalsh"] if k < 1 else [])
-        monkeypatch.undo()
-        assert got == is_psd_oracle(a, tol) == (side > 0)
-
-    def test_zero_eig_tol_takes_the_eigensolve(self, monkeypatch):
-        tol = ToleranceConfig(eig_tol=0.0)
-        for kind in KINDS:
-            j = to_choi(sample_program(kind, 4, 23))
-            calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-            got = is_psd(j, tol)
-            assert calls == ["eigvalsh"]
-            monkeypatch.undo()
-            assert got == is_psd_oracle(j, tol)
-
-    def test_non_hermitian_input_is_refused_before_any_factorization(self, monkeypatch):
-        a = np.eye(4, dtype=np.complex128)
-        a[0, 1] = 1e-3
-        cholesky = record_shapes(monkeypatch, np.linalg, "cholesky")
-        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert is_psd(a) is False
-        # only the probe of the leading n/4 square, which reads the hermitian part
-        assert all(shape[-1] <= 4 // 4 for shape in cholesky) and eigvalsh == []
-        assert is_psd_oracle(a) is False
-
-
-def record_shapes(monkeypatch, module, name):
-    """Patch module.name with a wrapper that records the shape of its first argument; returns the list."""
-    shapes = []
-    original = getattr(module, name)
-
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(module, name, recording)
-    return shapes
+def broken_predicate(kind, dim, n_atoms, rng):
+    """A random predicate, valid or with the named faults put in."""
+    p = random_predicate(rng, dim, n_atoms, complete=kind in ("complete", "above_identity", "all"))
+    effects = [np.array(p.effect(a)) for a in p.space.atoms]
+    if kind in ("non_psd", "all"):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        effects[0] = effects[0] - 1.2 * np.outer(v, v.conj())
+    if kind in ("non_hermitian", "all"):
+        effects[-1] = effects[-1] + 1e-6 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    if kind in ("above_identity", "all"):
+        effects = [1.5 * e for e in effects]
+    return Predicate(p.space, effects)
 
 
 def psd_stack_flags(a, tol):
@@ -1628,172 +1430,121 @@ def psd_kernel_stack(rng, n, tol):
     return np.array(mats)
 
 
-class TestPsdKernel:
-    """The stacked PSD kernel: one batched Cholesky a stack, the eigensolve's flags."""
+def stack_predicate_rule(family, d, layout, monkeypatch):
+    tol = DEFAULT_TOL
+    cases = rule_predicates(d, tol)
+    invalid = []
+    for name, effects in cases.items():
+        decided = assert_effect_rule(effects, tol)
+        assert decided or not name.startswith("clean:"), name
+        p = labelled(effects)
+        report = validate_predicate(p, tol)
+        assert report == validate_predicate_oracle(p, tol), name
+        want = None if report.ok else "invalid predicate: " + "; ".join(report.violations)
+        assert refusal(wp, identity_program(d), p, tol) == want, name
+        if not report.ok:
+            invalid.append(name)
+    # the straddles land on the sides they are built for
+    assert invalid == [
+        "effect_below", "total_below", "effect_band_0.5_-1.0", "total_band_0.5_-1.0",
+        "effect_band_2.0_-1.0", "total_band_2.0_-1.0",
+    ]
+    # the stacked mask of the campaigns, on the cases of three atoms
+    three = np.array([x for x in cases.values() if len(x) == 3])
+    assert assert_effect_rule(three, tol) is False
+    not_psd, not_hermitian, over, _ = effect_flags_oracle(three, total_oracle(three), tol)
+    want = (not_psd | not_hermitian).any(axis=-1) | over
+    assert qwp_predicates._predicate_faults(three, tol).tolist() == want.tolist()
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 16])
-    @pytest.mark.parametrize("eig_tol", [1e-9, 0.0])
-    def test_flags_match_the_oracle_on_mixed_stacks(self, n, eig_tol, monkeypatch):
-        tol = ToleranceConfig(eig_tol=eig_tol)
+
+def stack_state_rule(family, d, layout, monkeypatch):
+    tol = DEFAULT_TOL
+    cases = rule_states(d, tol)
+    for slack in (1.0, APPLY_EIG_SLACK):
+        for name, m in cases.items():
+            decided = assert_state_rule(m, tol, slack)
+            assert decided or not name.startswith("clean:"), (name, slack)
+            got = refusal(DensityState, m, tol, eig_slack=slack)
+            assert got == state_refusal_oracle(m, tol, slack), (name, slack)
+        stack = np.array(list(cases.values()))
+        assert_state_rule(stack, tol, slack)
+        want = np.any(state_flags_oracle(stack, tol, slack)[0], axis=0)
+        assert qwp_programs._invalid_states(stack, tol, slack).tolist() == want.tolist()
+    # an apply output at λ_min = -5·eig_tol is a state under apply's slack, decided with no eigensolve
+    assert assert_state_rule(cases["apply_output"], tol, APPLY_EIG_SLACK)
+    assert not assert_state_rule(cases["apply_output"], tol, 1.0)
+
+
+def stack_validate_predicate(family, d, n_atoms, monkeypatch):
+    if family == "overflowing total":
+        big = np.diag([1e308, 1.0])
+        p = Predicate(OutcomeSpace(("a", "b")), [big, big])
+        for check in (validate_predicate, validate_predicate_oracle):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                check(p)
+        return
+    if family == "all, loose tolerances":
+        p = broken_predicate("all", d, n_atoms, np.random.default_rng(72))
+        tol = ToleranceConfig(eig_tol=1e-3, residual_tol=1e-3)
+        assert validate_predicate(p, tol) == validate_predicate_oracle(p, tol)
+        return
+    p = broken_predicate(family, d, n_atoms, np.random.default_rng([d, n_atoms, 71]))
+    report = validate_predicate(p)
+    assert report == validate_predicate_oracle(p)
+    assert report.ok == (family in ("valid", "complete"))
+    if family == "all":
+        # faults in atom order, the total's last; at d = 1 the PSD fault of a0 pulls the total below the identity
+        assert report.violations[0].startswith("effect 'a0' is not PSD")
+        assert f"effect 'a{n_atoms - 1}' is not hermitian" in report.violations
+        assert ("exceeds the identity" in report.violations[-1]) == (d > 1)
+
+
+def stack_psd_stack(family, n, eig_tol, monkeypatch):
+    tol = ToleranceConfig(eig_tol=eig_tol)
+    if family == "mixed":
         stack = psd_kernel_stack(np.random.default_rng([n, 131]), n, tol)
-        # the whole stack, and alone its two matrices at ±δ/2 of the band edge
+        # the whole stack, and alone its two matrices at ±δ/2 of the band edge: each holds matrices
+        # inside the band, and at eig_tol = 0 there is no band
         for part in (stack, stack[5:7]):
-            calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-            got = psd_stack_flags(part, tol)
-            # each holds matrices inside the band, and at eig_tol = 0 there is no band
+            got, calls = solves(monkeypatch, psd_stack_flags, part, tol)
             assert calls == ["eigvalsh"]
-            monkeypatch.undo()
             assert got.tolist() == [is_psd_oracle(m, tol) for m in part]
             assert got.tolist() == [is_psd(m, tol) for m in part]
-
-    @pytest.mark.parametrize("n", [2, 5, 16])
-    def test_a_stack_above_the_band_takes_no_eigensolve(self, n, monkeypatch):
-        tol = DEFAULT_TOL
+    elif family == "above the band":
         rng = np.random.default_rng([n, 137])
         stack = np.array([at_band_offset(m, k, tol) for m in psd_kernel_stack(rng, n, tol)[::9] for k in (1.5, 3.0)])
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = psd_stack_flags(stack, tol)
+        got, calls = solves(monkeypatch, psd_stack_flags, stack, tol)
         assert calls == []
-        monkeypatch.undo()
         assert got.tolist() == [is_psd_oracle(m, tol) for m in stack] == [True] * len(stack)
-
-    def test_a_stack_holding_a_matrix_whose_band_overflows_takes_the_eigensolve(self, monkeypatch):
-        tol, n = DEFAULT_TOL, 5
+    elif family == "a band that overflows":
         rng = np.random.default_rng([n, 149])
         above = [at_band_offset(m, 3.0, tol) for m in psd_kernel_stack(rng, n, tol)[::9]]
         huge = np.full(n, 8.5e307)
         broken = huge.copy()
         broken[n // 2] = -1.0
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert psd_stack_flags(np.array(above), tol).all() and calls == []
+        got, calls = solves(monkeypatch, psd_stack_flags, np.array(above), tol)
+        assert got.all() and calls == []
         stack = np.array(above + [np.diag(huge), np.diag(broken)])
         assert (psd_band(stack, tol) == np.inf).tolist() == [False] * len(above) + [True, True]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            got = psd_stack_flags(stack, tol)
+            got, calls = solves(monkeypatch, psd_stack_flags, stack, tol)
         assert calls == ["eigvalsh"]
-        monkeypatch.undo()
         assert got.tolist() == [is_psd_oracle(m, tol) for m in stack] == [True] * (len(above) + 1) + [False]
-
-    def test_the_mixture_audit_takes_no_eigensolve(self, monkeypatch):
-        c = sample_program("transpose_mix", 32, 4)
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = is_positive_sampled(c, seed=3)
-        assert calls == []
-        assert (got.status, got.samples) == ("no_counterexample", 2 * 32 + 1000)
-
-    def test_the_nonpositive_map_solves_only_its_counterexample_block(self, monkeypatch):
-        c = nonpositive(32, 0.5)
-        shapes = record_shapes(monkeypatch, np.linalg, "eigvalsh")
-        got = is_positive_sampled(c, seed=3)
-        assert shapes == [(32, 32, 32)]
-        assert (got.status, got.samples) == ("counterexample", 1)
-        assert np.array_equal(got.witness, np.eye(32)[0])
-
-    def test_a_failure_in_the_leading_rows_stops_at_the_first_probe(self, monkeypatch):
-        n = 64
-        a = np.eye(n, dtype=np.complex128)
-        a[1, 1] = -1.0
-        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert is_psd(a) is False
-        assert shapes == [(1, n // 16, n // 16)]
-        assert calls == []
-
-    def test_a_failure_in_the_trailing_rows_is_decided_by_the_full_factorization(self, monkeypatch):
-        n = 64
-        a = np.eye(n, dtype=np.complex128)
-        a[-1, -1] = -1e-6
-        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert is_psd(a) is False
-        assert shapes == [(1, n // 16, n // 16), (1, n // 4, n // 4), (1, n, n), (1, n, n)]
-        assert calls == []
-        monkeypatch.undo()
-        assert is_psd_oracle(a) is False
-
-    def test_the_fallback_eigensolve_raises_a_decomposition_error(self, monkeypatch):
-        def failing(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-        with pytest.raises(DecompositionError, match="eigendecomposition failed"):
-            is_psd(np.eye(3), ToleranceConfig(eig_tol=0.0))
-        with pytest.raises(DecompositionError, match="eigendecomposition failed"):
-            is_positive_sampled(nonpositive(3, 0.5), seed=1)
-
-    def test_no_factorization_error_escapes(self, monkeypatch):
-        # LinAlgError is a ValueError, which the CLI would report as exit 2
-        failures = []
-        cholesky = np.linalg.cholesky
-
-        def recording(a):
-            try:
-                return cholesky(a)
-            except np.linalg.LinAlgError:
-                failures.append(np.shape(a))
-                raise
-
-        monkeypatch.setattr(np.linalg, "cholesky", recording)
-        tol = ToleranceConfig(sample_count=50)
-        for c in [sample_program(kind, 8, 7) for kind in KINDS] + [nonpositive(8, 0.05)]:
-            is_positive_sampled(c, tol, seed=2)
-        stack = psd_kernel_stack(np.random.default_rng(139), 16, DEFAULT_TOL)
-        psd_stack_flags(stack, DEFAULT_TOL)
-        for m in stack:
-            is_psd(m)
-        # leading blocks, full single matrices and whole stacks all failed somewhere
-        assert (1, 16, 16) in failures
-        assert any(shape[0] == 1 and shape[-1] < 16 for shape in failures)
-        assert any(shape[0] > 1 for shape in failures)
-
-    def test_the_mixture_audit_peak_at_dim_32(self):
-        c = sample_program("transpose_mix", 32, 4)
-        tracemalloc.start()
-        try:
-            got = is_positive_sampled(c, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (got.status, got.samples) == ("no_counterexample", 2 * 32 + 1000)
-        # at its widest the audit holds 32 MiB: the last block's 16 MiB hermitian
-        # part, with either the coordinate matrix (8 MiB, the hermitian part's rows
-        # alone) and the block's product it is written from (8 MiB), or its 16 MiB
-        # Cholesky factor; the coordinate matrix is released before that block's
-        # PSD test, and the block's real coordinates before its hermitian part
-        assert peak <= 33.8 * (1 << 20)
-
-
-def leading_cholesky_succeeds(a, m, shift):
-    """Whether Cholesky runs through the leading m×m block of the hermitian part of a plus shift·I."""
-    h = qwp_linalg._hermitian_part(a[:m, :m])
-    return qwp_linalg._cholesky_succeeds(h + shift * np.eye(m))
-
-
-class TestPsdStack:
-    """The stack primitive: the gaps |a - aᴴ|, and the flags λ_min(h_k) < -t_k at each matrix's own
-    threshold, with eigvalsh's λ_min."""
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 16])
-    def test_per_matrix_thresholds_match_the_oracle(self, n, monkeypatch):
-        tol = DEFAULT_TOL
+    elif family == "thresholds 0 to 2 eig_tol":
         stack = psd_kernel_stack(np.random.default_rng([n, 181]), n, tol)
         # thresholds from 0 to 2·eig_tol, so the band edges of the stack fall on either side of them
         thresholds = tol.eig_tol * np.linspace(0.0, 2.0, len(stack))
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        gaps, below, lows = qwp_linalg._psd_stack(stack, thresholds)
+        (gaps, below, lows), calls = solves(monkeypatch, qwp_linalg._psd_stack, stack, thresholds)
         assert calls == ["eigvalsh"]
-        monkeypatch.undo()
-        assert_same_bits(gaps, qwp_linalg._hermiticity_gaps(stack))
-        want = qwp_linalg._eigvalsh(stack).min(axis=-1)
+        assert_same_bits(gaps, hermiticity_gaps_oracle(stack))
+        want = eigvalsh_oracle(stack).min(axis=-1)
         assert_same_bits(lows, want)
         assert below.tolist() == (want < -thresholds).tolist()
         assert below.any() and not below.all()
-
-    def test_a_gap_between_residual_tol_and_twice_it_is_refused(self):
+    else:
         # the gap is |a - aᴴ|, read before the hermitian part overwrites aᴴ, not |a - h| = |a - aᴴ|/2
-        tol = DEFAULT_TOL
-        a = np.array([np.eye(3) / 3] * 2, dtype=np.complex128)
+        a = np.array([np.eye(n) / n] * 2, dtype=np.complex128)
         a[1, 0, 2] += 1.5 * tol.residual_tol
         gaps, below, _ = qwp_linalg._psd_stack(a, tol.eig_tol)
         assert (gaps > tol.residual_tol).tolist() == [False, True] and not below.any()
@@ -1801,98 +1552,368 @@ class TestPsdStack:
         assert psd_stack_flags(a, tol).tolist() == [is_psd_oracle(m, tol) for m in a] == [True, False]
 
 
-class TestLeadingBlockRefutation:
-    """A single matrix, or a map's Choi matrix, refuted on its leading blocks at eig_tol + δ before any full-size copy."""
+PSD_STACK = {
+    "predicate rule": stack_predicate_rule,
+    "state rule": stack_state_rule,
+    "validate_predicate": stack_validate_predicate,
+    "_psd_stack": stack_psd_stack,
+}
+FAULTS = ("valid", "complete", "non_psd", "non_hermitian", "above_identity", "all")
+RULE_DIMS = (1, 2, 3, 8, 17, 32)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 24, 32, 33])
-    def test_the_choi_corner_is_the_leading_square_of_to_choi(self, dim):
-        # at d = 2, 3, 5, 17 and 33, n/4 is not a multiple of d, so the corner ends inside a block of d rows
-        n = dim * dim
-        c = from_super(gaussian_super(np.random.default_rng([dim, 211]), dim))
-        for prog in (c, adjoint(c)):  # a C-ordered superoperator and a transposed one
-            corner = qwp_linalg._leading_square(qwp_programs._choi_view(prog.super), n // 4)
-            assert_same_bits(corner, to_choi(prog)[:n // 4, :n // 4])
 
-    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
-    @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_a_defect_in_the_leading_rows_at_the_band_edges(self, k, side, monkeypatch):
-        tol = DEFAULT_TOL
-        n = 256
-        m = n // 16
-        rng = np.random.default_rng(223)
-        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        a = np.eye(n, dtype=np.complex128)
-        a[:m, :m] = g @ g.conj().T / m
-        a[:m, :m] -= (float(np.linalg.eigvalsh(a[:m, :m]).min()) + tol.eig_tol) * np.eye(m)
-        delta = psd_band(a, tol)
-        assert 0.0 < 4.0 * delta < tol.eig_tol
-        # λ_min = -eig_tol + side·k·δ, in the leading n/16 rows
-        a[:m, :m] += side * k * delta * np.eye(m)
-        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = is_psd(a, tol)
-        assert calls == (["eigvalsh"] if k < 1 else [])
-        if side < 0 and k > 1:
-            assert shapes == [(1, m, m)]
-        monkeypatch.undo()
-        assert got == is_psd_oracle(a, tol) == (side > 0)
+@pytest.mark.parametrize(
+    "entry, family, d, layout",
+    rows(
+        *[(rule, "straddles", d, "each and stacked") for rule in ("predicate rule", "state rule") for d in RULE_DIMS],
+        *[("validate_predicate", family, d, n) for d in DIMS for n in (1, 2, 3, 4, 5) for family in FAULTS],
+        ("validate_predicate", "all, loose tolerances", 3, 3),
+        ("validate_predicate", "overflowing total", 2, 2),
+        *[("_psd_stack", "mixed", n, eig_tol) for n in (1, 2, 5, 16) for eig_tol in (1e-9, 0.0)],
+        *[("_psd_stack", "above the band", n, 1e-9) for n in (2, 5, 16)],
+        ("_psd_stack", "a band that overflows", 5, 1e-9),
+        *[("_psd_stack", "thresholds 0 to 2 eig_tol", n, 1e-9) for n in (1, 2, 5, 16)],
+        ("_psd_stack", "a gap of 1.5 residual_tol", 3, 1e-9),
+    ),
+)
+def test_psd_stack(entry, family, d, layout, monkeypatch):
+    PSD_STACK[entry](family, d, layout, monkeypatch)
 
-    def test_a_skew_part_widens_the_one_band_of_the_probes_and_the_factorizations(self, monkeypatch):
-        # a skew-hermitian part within residual_tol widens δ, read off a, well past the band of h alone
-        tol = ToleranceConfig(residual_tol=1e-3)
-        n = 64
-        a = 1e-5 * np.eye(n) + 4e-4j * (np.ones((n, n)) - np.eye(n))
-        a[0, 0] = -tol.eig_tol
-        narrow = psd_band(qwp_linalg._hermitian_part(a), tol)
-        assert psd_band(a, tol) > 4.0 * narrow
-        a[0, 0] = -tol.eig_tol - 2.0 * narrow
-        delta = psd_band(a, tol)
-        # λ_min = -eig_tol - 2·narrow lies inside the band, in the leading row
-        assert leading_cholesky_succeeds(a, n // 4, tol.eig_tol + delta)
-        assert not leading_cholesky_succeeds(a, n, tol.eig_tol - delta)
-        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = is_psd(a, tol)
-        # both probes and both full factorizations pass the matrix on to the eigensolve
-        assert shapes == [(1, n // 16, n // 16), (1, n // 4, n // 4), (1, n, n), (1, n, n)]
-        assert calls == ["eigvalsh"]
-        monkeypatch.undo()
-        assert got is is_psd_oracle(a, tol) is False
 
-    def test_entries_near_the_float_limit_take_no_probe(self, monkeypatch):
-        rng = np.random.default_rng(227)
-        mats = []
-        for n in (64, 300):
-            z = np.sign(rng.standard_normal((2, n, n)))
-            mats.append(1.7e308 * (z[0] + 1j * z[1]))
-            # a + aᴴ stays finite, so the oracle's symmetrized eigensolve runs
-            diagonal = np.full(n, 8.5e307)
-            mats.append(np.diag(diagonal))
-            diagonal[n // 8] = -1.0
-            mats.append(np.diag(diagonal))
-        for a in mats:
-            shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-            with warnings.catch_warnings(), np.errstate(all="raise"):
-                warnings.simplefilter("error")
-                got = is_psd(a)
-            # μ overflows, so δ ≥ eig_tol: no probe and no factorization at all
-            assert shapes == []
-            monkeypatch.undo()
-            assert got == is_psd_oracle(a)
+def test_a_valid_predicate_and_state_take_no_eigensolve(monkeypatch):
+    c = sample_program("cptp", 8, 5)
+    f = random_predicate(np.random.default_rng(227), 8)
+    rho = spectral_state(np.random.default_rng(229), 8, -5.0 * DEFAULT_TOL.eig_tol)
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    g = wp(c, f)
+    out = apply(c, DensityState(rho, eig_slack=APPLY_EIG_SLACK))
+    assert calls == []
+    # a refusal names the eigensolve's λ_min
+    with pytest.raises(ValidationError, match=r"^state is not PSD \(min eigenvalue -5\.000e-09\)$"):
+        DensityState(rho)
+    bad = Predicate(g.space, 1.5 * g.effects)
+    with pytest.raises(ValidationError, match="total effect exceeds the identity"):
+        wp(c, bad)
+    assert calls == ["eigvalsh"] * 2
+    assert out.dim == 8
 
-    def test_a_refuted_cp_check_copies_nothing_at_dim_32(self, monkeypatch):
-        c = sample_program("transpose_mix", 32, 4)
-        copies = count_calls(monkeypatch, qwp_programs, "to_choi")
-        writes = count_calls(monkeypatch, qwp_linalg, "_write_hermitian_part")
-        tracemalloc.start()
+
+def test_an_overflowing_gap_is_not_hermitian():
+    a = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]], dtype=np.complex128)
+    s = np.eye(4, dtype=np.complex128)
+    s[:, 0] = vec(np.array([[1.0, 1.7e308], [-1.7e308, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_hermitian(a) is False
+        assert validate_predicate(labelled([a])).violations == ("effect 'a0' is not hermitian",)
+        assert qwp_predicates._predicate_faults(a[None, None], DEFAULT_TOL).tolist() == [True]
+        with pytest.raises(ValidationError, match="state is not hermitian"):
+            DensityState(a)
+        assert qwp_programs._invalid_states(a[None], DEFAULT_TOL).tolist() == [True]
+        got = is_positive_sampled(from_super(s), ToleranceConfig(sample_count=5))
+        assert (got.status, got.samples) == ("counterexample", 1)
+
+
+# ---------------------------------------------------------------------------
+# The single PSD matrix: is_psd and is_completely_positive decide with Cholesky at
+# eig_tol ∓ δ, the leading probes, the gap read in place and the low-rank certificate, and
+# must give the eigensolve's verdict
+# ---------------------------------------------------------------------------
+
+
+def probes(n):
+    """The Cholesky shapes of the leading n/16 and n/4 probes of an n×n matrix."""
+    return [(1, m, m) for m in (n // 16, n // 4) if m]
+
+
+@pytest.mark.parametrize(
+    "kind, d, seeds",
+    rows(*[(kind, d, 3) for d in (2, 3, 8, 16) for kind in KINDS], *[(kind, d, 2) for d in (17, 24) for kind in KINDS]),
+)
+def test_cp_verdicts(kind, d, seeds):
+    for seed in range(seeds):
+        c = built(sample_program, kind, d, seed)
+        assert is_completely_positive(c) is is_psd(to_choi(c)) is is_psd_oracle(to_choi(c))
+
+
+# (family, builder of (base, direction)): the row's matrix is base + side·k·δ·direction, δ the band of base,
+# so that λ_min = -eig_tol + side·k·δ; only inside the band, k < 1, is the eigensolve needed
+def band_edge_shift(kind, dim):
+    def build():
+        j = to_choi(sample_program(kind, dim, 17))
+        return j - (float(np.linalg.eigvalsh(j).min()) + DEFAULT_TOL.eig_tol) * np.eye(dim * dim), np.eye(dim * dim)
+    return build
+
+
+def band_edge_eig_tol_term():
+    # one entry near -eig_tol and zeros: μ ≈ 2·eig_tol + 2n·eig_tol, mostly its last term
+    a = np.zeros((16, 16), dtype=np.complex128)
+    a[0, 0] = -DEFAULT_TOL.eig_tol
+    return a, np.diag(np.eye(16)[0])
+
+
+def band_edge_leading_rows():
+    # a defect in the leading n/16 rows, which the first probe reads
+    n, m = 256, 16
+    rng = np.random.default_rng(223)
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    a = np.eye(n, dtype=np.complex128)
+    a[:m, :m] = g @ g.conj().T / m
+    a[:m, :m] -= (float(np.linalg.eigvalsh(a[:m, :m]).min()) + DEFAULT_TOL.eig_tol) * np.eye(m)
+    return a, np.diag((np.arange(n) < m).astype(float))
+
+
+def band_edge_low_rank(dim):
+    def build():
+        # v lies in the trailing zero rows of j, away from every pivot, so the Schur complement left by the pivots
+        # is the shift alone, and ‖h - L̂L̂ᴴ‖_F ≈ eig_tol - side·k·δ
+        j = to_choi(low_rank_program(dim, 4, 193, rows=dim - 1))
+        v = np.zeros(dim * dim, dtype=np.complex128)
+        v[-dim:] = random_unitary(np.random.default_rng(dim), dim)[0]
+        return j - DEFAULT_TOL.eig_tol * np.outer(v, v.conj()), np.outer(v, v.conj())
+    return build
+
+
+def band_edge_full_rank():
+    # 150-row blocks; a full-rank matrix, which the certificate leaves to the full factorizations
+    n = 300
+    g = np.random.default_rng(181).standard_normal((2, n, n))
+    a = (g[0] + 1j * g[1]) @ (g[0] - 1j * g[1]).T / n
+    return a - (float(np.linalg.eigvalsh(a).min()) + DEFAULT_TOL.eig_tol) * np.eye(n), np.eye(n)
+
+
+BAND_EDGES = {
+    "cptp choi 8": band_edge_shift("cptp", 8),
+    "transpose choi 4": band_edge_shift("transpose", 4),
+    "transpose_mix choi 6": band_edge_shift("transpose_mix", 6),
+    "eig_tol term 16": band_edge_eig_tol_term,
+    "leading rows 256": band_edge_leading_rows,
+    "low rank 8": band_edge_low_rank(8),
+    "low rank 17": band_edge_low_rank(17),
+    "full rank 300": band_edge_full_rank,
+}
+
+
+@pytest.mark.parametrize(
+    "family, k, side",
+    rows(
+        *[(family, k, side) for family in list(BAND_EDGES)[:3] + ["leading rows 256", "low rank 8", "low rank 17"]
+          for k in (0.5, 2.0, 4.0) for side in (1.0, -1.0)],
+        *[(family, k, side) for family in ("eig_tol term 16", "full rank 300") for k in (0.5, 2.0) for side in (1.0, -1.0)],
+    ),
+)
+def test_is_psd_at_the_band_edges(family, k, side, monkeypatch):
+    tol = DEFAULT_TOL
+    base, direction = built(BAND_EDGES[family])
+    delta = psd_band(base, tol)
+    assert 0.0 < 4.0 * delta < tol.eig_tol or family in ("eig_tol term 16", "full rank 300")
+    a = base + side * k * delta * direction
+    n = len(a)
+    before = a.copy()
+    shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+    got, calls = solves(monkeypatch, is_psd, a, tol)
+    assert calls == (["eigvalsh"] if k < 1 else [])
+    assert got == is_psd_oracle(a, tol) == (side > 0)
+    if family == "leading rows 256" and side < 0 and k > 1:
+        # refuted by the first probe
+        assert shapes == [(1, n // 16, n // 16)]
+    if family.startswith("low rank") and side > 0 and k > 1:
+        # proved by the certificate, after the probes
+        assert shapes == probes(n)
+    # inside the band the eigensolve reads h in place, its diagonal restored
+    assert_same_bits(a, before)
+
+
+def test_cp_checks_at_dim_32(monkeypatch):
+    for kind, want in [("cptp", True), ("transpose_mix", False)]:
+        c = built(sample_program, kind, 32, 4)
+        j = to_choi(c)
+        assert is_psd_oracle(j) is want
+        assert solves(monkeypatch, is_psd, j) == (want, [])
+        assert is_completely_positive(c) is want
+    assert is_completely_positive(built(low_rank_program, 32, 40, 241)) is True
+
+
+def skew_widened(tol):
+    """A skew-hermitian part within residual_tol widens δ, read off a, well past the band of h alone;
+    λ_min = -eig_tol - 2·(h's own band) then lies inside the band, in the leading row."""
+    n = 64
+    a = 1e-5 * np.eye(n) + 4e-4j * (np.ones((n, n)) - np.eye(n))
+    a[0, 0] = -tol.eig_tol
+    narrow = psd_band(qwp_linalg._hermitian_part(a), tol)
+    assert psd_band(a, tol) > 4.0 * narrow
+    a[0, 0] = -tol.eig_tol - 2.0 * narrow
+    delta = psd_band(a, tol)
+    for m, shift, passes in ((n // 4, tol.eig_tol + delta, True), (n, tol.eig_tol - delta, False)):
         try:
-            assert is_completely_positive(c) is False
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert copies == [] and writes == []
-        # the 1 MiB corner and its hermitian part, and the factor of the n/16 probe; no 16 MiB array
-        assert peak <= 4 << 20
+            np.linalg.cholesky(qwp_linalg._hermitian_part(a[:m, :m]) + shift * np.eye(m))
+        except np.linalg.LinAlgError:
+            assert not passes
+        else:
+            assert passes
+    return a
+
+
+def unit_diagonal_with(n, entries):
+    a = np.eye(n, dtype=np.complex128)
+    for (i, j), x in entries.items():
+        a[i, j] = x
+    return a
+
+
+def near_the_float_limit(n, k):
+    """A matrix whose μ overflows: ±1.7e308 ± 1.7e308i entries, and 8.5e307 on the diagonal, once with a -1."""
+    z = np.sign(np.random.default_rng([227, n]).standard_normal((2, n, n)))
+    diagonal = np.full(n, 8.5e307)
+    diagonal[n // 8] = -1.0 if k == 2 else diagonal[n // 8]
+    return 1.7e308 * (z[0] + 1j * z[1]) if k == 0 else np.diag(diagonal)
+
+
+# family: (matrix builder of the row's argument, tolerances, eigvalsh calls or None, Cholesky shapes or None)
+IS_PSD = {
+    "nonpositive choi": (lambda eps: to_choi(nonpositive(3, eps)), DEFAULT_TOL, None, None),
+    # at eig_tol = 0 there is no band
+    "choi, zero eig_tol": (lambda kind: to_choi(sample_program(kind, 4, 23)), ToleranceConfig(eig_tol=0.0), ["eigvalsh"], None),
+    # a non-hermitian input is refused before any factorization but the probe of the leading n/4 square
+    "skew": (lambda n: unit_diagonal_with(n, {(0, 1): 1e-3}), DEFAULT_TOL, [], [(1, 1, 1)]),
+    # a failure in the leading rows stops at the first probe
+    "leading rows": (lambda n: unit_diagonal_with(n, {(1, 1): -1.0}), DEFAULT_TOL, [], probes(64)[:1]),
+    # one in the trailing rows is decided by the full factorization
+    "trailing rows": (lambda n: unit_diagonal_with(n, {(n - 1, n - 1): -1e-6}), DEFAULT_TOL, [], probes(64) + [(1, 64, 64)] * 2),
+    # the leading probes pass, and one pivot step drains every Schur diagonal to zero, but the
+    # trailing off-diagonal pair has eigenvalues ±1e-3
+    "drained diagonal": (
+        lambda n: unit_diagonal_with(n, {(i, i): 0.0 for i in range(1, n)} | {(n - 1, n - 2): 1e-3, (n - 2, n - 1): 1e-3}),
+        DEFAULT_TOL, [], None,
+    ),
+    # both probes and both full factorizations pass the matrix on to the eigensolve
+    "skew within residual_tol": (skew_widened, ToleranceConfig(residual_tol=1e-3), ["eigvalsh"], probes(64) + [(1, 64, 64)] * 2),
+    # μ overflows, so δ ≥ eig_tol: no probe and no factorization at all
+    **{f"float limit {k}": (functools.partial(near_the_float_limit, k=k), DEFAULT_TOL, None, []) for k in range(3)},
+}
+
+
+@pytest.mark.parametrize(
+    "family, arg",
+    rows(
+        *[("nonpositive choi", eps) for eps in (0.05, 1e-8)],
+        *[("choi, zero eig_tol", kind) for kind in KINDS],
+        ("skew", 4),
+        *[(family, 64) for family in ("leading rows", "trailing rows", "drained diagonal")],
+        ("skew within residual_tol", "1e-3"),
+        *[(f"float limit {k}", n) for n in (64, 300) for k in range(3)],
+    ),
+)
+def test_is_psd(family, arg, monkeypatch):
+    build, tol, calls, shapes = IS_PSD[family]
+    a = build(tol if family == "skew within residual_tol" else arg)
+    recorded = record_shapes(monkeypatch, np.linalg, "cholesky")
+    with warnings.catch_warnings(), np.errstate(**({"all": "raise"} if "float" in family else {})):
+        warnings.simplefilter("error")
+        got, solved = solves(monkeypatch, is_psd, a, tol)
+    assert calls is None or solved == calls
+    assert shapes is None or recorded == shapes
+    assert got == is_psd_oracle(a, tol)
+    assert got is False or family.startswith(("choi", "float"))
+
+
+def test_the_fallback_eigensolve_raises_a_decomposition_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(DecompositionError, match="eigendecomposition failed"):
+        is_psd(np.eye(3), ToleranceConfig(eig_tol=0.0))
+    with pytest.raises(DecompositionError, match="eigendecomposition failed"):
+        is_positive_sampled(nonpositive(3, 0.5), seed=1)
+
+
+def test_no_factorization_error_escapes(monkeypatch):
+    # LinAlgError is a ValueError, which the CLI would report as exit 2
+    failures = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            failures.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    tol = ToleranceConfig(sample_count=50)
+    for c in [sample_program(kind, 8, 7) for kind in KINDS] + [nonpositive(8, 0.05)]:
+        is_positive_sampled(c, tol, seed=2)
+    stack = psd_kernel_stack(np.random.default_rng(139), 16, DEFAULT_TOL)
+    psd_stack_flags(stack, DEFAULT_TOL)
+    for m in stack:
+        is_psd(m)
+    # leading blocks, full single matrices and whole stacks all failed somewhere
+    assert (1, 16, 16) in failures
+    assert any(shape[0] == 1 and shape[-1] < 16 for shape in failures)
+    assert any(shape[0] > 1 for shape in failures)
+
+
+@pytest.mark.parametrize(
+    "family, d, rank",
+    rows(
+        *[("low rank", d, rank) for d in (8, 17, 24) for rank in ("1", "4", "d", "d+1")],
+        ("low rank", 32, "4"),
+        *[("defect in a block below the corner", d, "full") for d in (8, 17, 32)],
+        ("choi map", 3, "full"),
+        *[("breuer-hall", d, "full") for d in (6, 8)],
+        ("transpose_mix", 32, "full"),
+    ),
+)
+def test_cp_check_routes(family, d, rank, monkeypatch):
+    """Which of the probes, the certificate and the full factorizations decide the CP check, with no eigensolve,
+    and what they copy; the verdict is the oracle's."""
+    n = d * d
+    if family == "low rank":
+        r = {"1": 1, "4": 4, "d": d, "d+1": d + 1}[rank]
+        c = low_rank_program(d, r, 197 if d == 32 else 191)
+        want, steps = True, probes(n) if r <= d else probes(n) + [(1, n, n)]
+    elif family == "defect in a block below the corner":
+        # the Choi matrix I/d of rho -> Tr(rho) I/d, but for one entry of block (p, q), q < p, below the
+        # n/4 corner; that entry sits on the block's diagonal, so the block is hermitian by itself
+        p, q, i = d - 1, d // 2, 1
+        j = np.eye(n, dtype=np.complex128) / d
+        j[p * d + i, q * d + i] += 1e-6
+        c, want, steps = from_choi(j), False, None
+    elif family == "transpose_mix":
+        c, want, steps = built(sample_program, family, d, 4), False, None
+    else:
+        # the probes pass and the certificate proves nothing: h's factorization at eig_tol + δ refutes it
+        c = positive_not_cp({"choi map": choi_map, "breuer-hall": breuer_hall}[family], d, 269)
+        want, steps = False, probes(n) + [(1, n, n), (1, n, n)]
+    j = to_choi(c)
+    shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+    copies = count_calls(monkeypatch, qwp_programs, "to_choi")
+    writes = count_calls(monkeypatch, qwp_linalg, "_write_hermitian_part")
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    assert is_completely_positive(c) is want
+    if family == "low rank" and d < 32:
+        # the single-matrix route on J itself takes the same steps
+        assert is_psd(j) is want
+        steps = 2 * steps
+    assert calls == [] and copies == []
+    if steps is not None:
+        # isqrt(n) = d pivot steps drain a Choi matrix of rank at most d; one more rank takes the full factorization
+        assert shapes == steps
+    else:
+        # refused before h is written
+        assert writes == []
+    monkeypatch.undo()
+    if d < 32:
+        assert is_psd_oracle(j) is want
+    if family in ("choi map", "breuer-hall"):
+        assert is_positive_sampled(c, ToleranceConfig(sample_count=50), seed=1).status == "no_counterexample"
+
+
+# ---------------------------------------------------------------------------
+# The single-matrix route's reads: the band, the corner, the gap and h's lower block triangle,
+# read and written off the blocks of the input where it lies, with the bits of a full-size pass
+# ---------------------------------------------------------------------------
 
 
 def lower_triangle(a):
@@ -1904,82 +1925,82 @@ def lower_triangle(a):
 def preamble_oracle(a):
     """Gap and hermitian part of a matrix, or of each of a stack, from one full-size pass."""
     ah = a.conj().swapaxes(-1, -2)
-    return qwp_linalg._hermiticity_gaps(a, ah), qwp_linalg._hermitian_part(a, ah.copy())
+    return hermiticity_gaps_oracle(a), qwp_linalg._hermitian_part(a, ah.copy())
 
 
-def blocked_gap(a):
-    """The single-matrix route's hermiticity gap of a matrix, read off the blocks is_psd lays it out as."""
-    return qwp_linalg._blocked_gap(qwp_linalg._square_blocks(a))
+def assert_writer_bits(blocks, a, h=None):
+    """The gap and written h of the matrix a that blocks lays out, against a full-size pass;
+    h is a new array, or the array blocks views, which the writer overwrites."""
+    want_gap, want_h = preamble_oracle(a)
+    assert_same_bits(qwp_linalg._blocked_gap(blocks), want_gap)
+    n, k = len(a), blocks.shape[1]
+    fresh = h is None
+    if fresh:
+        h = np.full((n, n), np.nan, dtype=np.complex128)
+    qwp_linalg._write_hermitian_part(blocks, h)
+    # h's lower block triangle has the bits of the full-size pass; its strict upper block triangle is never written
+    rows_of = np.arange(n) // k
+    lower = rows_of[:, None] >= rows_of[None, :]
+    assert_same_bits(h[lower], want_h[lower])
+    if fresh:
+        assert np.isnan(h[~lower]).all()
 
 
-def block_lower(n, k):
-    """The entries of an n×n matrix on and below its diagonal of k×k blocks."""
-    rows = np.arange(n) // k
-    return rows[:, None] >= rows[None, :]
+def read_choi_view(family, d, layout):
+    # a Gaussian superoperator, C-ordered and transposed, and a map whose Choi matrix is hermitian up to rounding
+    c = from_super(built(gaussian_super, d))
+    n = d * d
+    if family == "corner":
+        # at d = 2, 3, 5, 17 and 33, n/4 is not a multiple of d, so the corner ends inside a block of d rows
+        for prog in (c, adjoint(c)):
+            corner = qwp_linalg._leading_square(qwp_programs._choi_view(prog.super), n // 4)
+            assert_same_bits(corner, to_choi(prog)[:n // 4, :n // 4])
+    elif family == "gap":
+        for prog in (c, adjoint(c), built(sample_program, "transpose_mix", d, 5)):
+            assert_same_bits(qwp_linalg._blocked_gap(qwp_programs._choi_view(prog.super)), preamble_oracle(to_choi(prog))[0])
+    else:
+        for prog in (built(sample_program, "transpose_mix", d, 5), c):
+            blocks = qwp_programs._choi_view(np.asarray(prog.super, order=layout))
+            assert_writer_bits(blocks, np.array(blocks).reshape(n, n))
 
 
-class TestHermitianWriter:
-    """The PSD kernel's gap, read in place, and hermitian part, written from the same block pairs into an n×n array."""
+def read_square_blocks(family, n, layout):
+    rng = np.random.default_rng([n, 257])
+    a = np.asarray(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), order=layout)
+    blocks = qwp_linalg._square_blocks(a)
+    b, k = blocks.shape[:2]
+    # a view, in block rows that fit the cap; a prime n > 256 takes single rows
+    assert np.shares_memory(blocks, a) and b * k == n
+    assert k * n * 16 <= qwp_linalg.ROW_BLOCK_BYTES
+    assert k == {1: 1, 5: 5, 64: 64, 289: 17, 300: 150, 1021: 1, 257: 1, 1024: 64}[n]
+    if family == "gap":
+        assert_same_bits(qwp_linalg._blocked_gap(blocks), preamble_oracle(a)[0])
+    else:
+        assert_writer_bits(blocks, a)
 
-    def assert_writer_bits(self, blocks, a, h=None):
-        """The gap and written h of the matrix a that blocks lays out, against a full-size pass;
-        h is a new array, or the array blocks views, which the writer overwrites."""
-        want_gap, want_h = preamble_oracle(a)
-        assert_same_bits(qwp_linalg._blocked_gap(blocks), want_gap)
-        n, k = len(a), blocks.shape[1]
-        fresh = h is None
-        if fresh:
-            h = np.full((n, n), np.nan, dtype=np.complex128)
-        qwp_linalg._write_hermitian_part(blocks, h)
-        # h's lower block triangle has the bits of the full-size pass; its strict upper block triangle is never written
-        lower = block_lower(n, k)
-        assert_same_bits(h[lower], want_h[lower])
-        if fresh:
-            assert np.isnan(h[~lower]).all()
 
-    @pytest.mark.parametrize("dim", [17, 24, 32])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_choi_views_of_superoperators(self, dim, order):
-        rng = np.random.default_rng([dim, 151])
-        for s in (sample_program("transpose_mix", dim, 5).super, gaussian_super(rng, dim)):
-            s = np.asarray(s, order=order)
-            blocks = qwp_programs._choi_view(s)
-            self.assert_writer_bits(blocks, np.array(blocks).reshape(dim * dim, dim * dim))
-
-    @pytest.mark.parametrize("n", [300, 257, 1024])
-    def test_square_blocks(self, n):
-        # 150-row blocks at n = 300, single rows at the prime n = 257 and 64-row blocks at n = 1024
-        rng = np.random.default_rng([n, 157])
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        blocks = qwp_linalg._square_blocks(a)
-        assert blocks.shape[1] == {300: 150, 257: 1, 1024: 64}[n]
-        self.assert_writer_bits(blocks, a)
-
-    @pytest.mark.parametrize("n", [6, 300])
-    def test_in_place_over_the_conversion_of_an_f_ordered_real_input(self, n):
+def read_writer(family, n, layout):
+    if family == "f-ordered real, in place":
         # is_psd writes h over its own conversion, which keeps the input's layout
         real = np.asfortranarray(np.random.default_rng([n, 159]).standard_normal((n, n)))
         a = np.array(real, dtype=np.complex128)
         assert a.flags.f_contiguous and not a.flags.c_contiguous
-        self.assert_writer_bits(qwp_linalg._square_blocks(a), a.copy(), h=a)
-
-    def test_a_gap_only_in_the_upper_triangle_of_the_last_diagonal_block(self):
-        n = 17 * 17
-        a = to_choi(sample_program("cptp", 17, 8))
-        blocks = qwp_linalg._square_blocks(a)
-        assert blocked_gap(a) <= DEFAULT_TOL.residual_tol
-        a[n - blocks.shape[1], n - 1] += 1e-6
-        self.assert_writer_bits(blocks, a)
-        assert blocked_gap(a) > DEFAULT_TOL.residual_tol
-        assert is_psd(a) is False
-
-    def test_entries_near_the_float_limit(self):
+        assert_writer_bits(qwp_linalg._square_blocks(a), a.copy(), h=a)
+    elif family == "signed zeros":
+        rng = np.random.default_rng([n, 167])
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a.real[rng.random((n, n)) < 0.4] = 0.0
+        a.imag[rng.random((n, n)) < 0.4] = -0.0
+        a.real[rng.random((n, n)) < 0.2] *= -1.0
+        a.imag[rng.random((n, n)) < 0.2] *= -1.0
+        assert_writer_bits(qwp_linalg._square_blocks(a), a)
+    elif family == "float limit":
         rng = np.random.default_rng(163)
         for n in (3, 300):
             z = np.sign(rng.standard_normal((2, n, n)))
             a = 1.7e308 * (z[0] + 1j * z[1])
             blocks = qwp_linalg._square_blocks(a)
-            self.assert_writer_bits(blocks, a)
+            assert_writer_bits(blocks, a)
             # an overflowing gap reads inf, and h is written finite, without a warning
             h = np.empty_like(a)
             with np.errstate(all="raise"):
@@ -1987,234 +2008,40 @@ class TestHermitianWriter:
                 qwp_linalg._write_hermitian_part(blocks, h)
             assert np.isfinite(lower_triangle(h)).all()
             assert gap == np.inf
-
-    @pytest.mark.parametrize("n", [6, 300])
-    def test_signed_zeros(self, n):
-        rng = np.random.default_rng([n, 167])
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a.real[rng.random((n, n)) < 0.4] = 0.0
-        a.imag[rng.random((n, n)) < 0.4] = -0.0
-        a.real[rng.random((n, n)) < 0.2] *= -1.0
-        a.imag[rng.random((n, n)) < 0.2] *= -1.0
-        self.assert_writer_bits(qwp_linalg._square_blocks(a), a)
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_a_stack_wider_than_one_block_row(self, order):
-        n = 300
+    elif family == "gap above the last diagonal block":
+        a = to_choi(sample_program("cptp", 17, 8))
+        blocks = qwp_linalg._square_blocks(a)
+        assert qwp_linalg._blocked_gap(blocks) <= DEFAULT_TOL.residual_tol
+        a[n - blocks.shape[1], n - 1] += 1e-6
+        assert_writer_bits(blocks, a)
+        assert qwp_linalg._blocked_gap(blocks) > DEFAULT_TOL.residual_tol
+        assert is_psd(a) is False
+    elif family == "a stack of three":
         rng = np.random.default_rng(179)
         g = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
         psd = g @ g.conj().swapaxes(-1, -2) / n
-        a = np.asarray([psd[0], psd[1], psd[2] - 2.0 * np.eye(n)], order=order)
+        a = np.asarray([psd[0], psd[1], psd[2] - 2.0 * np.eye(n)], order=layout)
         # the second matrix is non-hermitian only in its strict upper triangle
         a[1, 0, n - 1] += 1e-6
         for m in a:
             blocks = qwp_linalg._square_blocks(m)
             assert blocks.shape[1] == 150
-            self.assert_writer_bits(blocks, m)
-        flags = psd_stack_flags(a, DEFAULT_TOL)
-        assert flags.tolist() == [is_psd_oracle(m) for m in a] == [True, False, False]
-
-    @pytest.mark.parametrize("n", [5, 64, 300])
-    def test_cholesky_reads_only_the_lower_triangle(self, n):
+            assert_writer_bits(blocks, m)
+        assert psd_stack_flags(a, DEFAULT_TOL).tolist() == [is_psd_oracle(m) for m in a] == [True, False, False]
+    elif family == "lower triangle":
+        # Cholesky reads only the lower triangle
         rng = np.random.default_rng([n, 173])
         g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
         m = g @ g.conj().swapaxes(-1, -2) + np.eye(n)
         nan_above = m.copy()
         nan_above[:, ~np.tri(n, dtype=bool)] = np.nan
         assert_same_bits(np.linalg.cholesky(nan_above), np.linalg.cholesky(m))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [17, 24])
-    def test_verdicts_above_dim_16_match_the_oracle(self, kind, dim):
-        for seed in range(2):
-            c = sample_program(kind, dim, seed)
-            assert is_completely_positive(c) is is_psd_oracle(to_choi(c))
-
-    @pytest.mark.parametrize("k", [-2.0, -0.5, 0.5, 2.0])
-    def test_is_psd_leaves_its_input_untouched(self, k, monkeypatch):
-        # 150-row blocks; a full-rank matrix, which the certificate leaves to the full factorizations
-        n = 300
-        g = np.random.default_rng(181).standard_normal((2, n, n))
-        a = at_band_offset((g[0] + 1j * g[1]) @ (g[0] - 1j * g[1]).T / n, k, DEFAULT_TOL)
-        before = a.copy()
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = is_psd(a)
-        # inside the band the eigensolve reads h in place, its diagonal restored
-        assert calls == (["eigvalsh"] if abs(k) < 1 else [])
-        monkeypatch.undo()
-        assert_same_bits(a, before)
-        assert got == is_psd_oracle(a) == (k > 0)
-
-    def test_the_writer_allocates_no_full_size_array(self):
-        blocks = qwp_programs._choi_view(sample_program("cptp", 32, 4).super)
-        h = np.empty((32 * 32, 32 * 32), dtype=np.complex128)
-        qwp_linalg._write_hermitian_part(blocks, h)
-        tracemalloc.start()
-        try:
-            qwp_linalg._write_hermitian_part(blocks, h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one block row's conjugated partners, 0.5 MiB at most, against 16 MiB for the matrix
-        assert peak <= 1 << 20
-
-    def test_the_cp_check_peak_holds_one_full_size_array(self):
-        c = low_rank_program(32, 40, 241)
-        tracemalloc.start()
-        try:
-            assert is_completely_positive(c) is True
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 16 MiB array that h is written into, off the Choi view, and the 16 MiB factor of the
-        # full Cholesky factorization that a rank above d needs
-        assert peak <= 32.1 * (1 << 20)
-
-
-class TestBand:
-    """The one band δ of the PSD kernel, against the formula of psd_band."""
-
-    @pytest.mark.parametrize("n", [1, 5, 64])
-    @pytest.mark.parametrize("eig_tol", [1e-9, 0.0])
-    def test_stacks(self, n, eig_tol):
-        tol = ToleranceConfig(eig_tol=eig_tol)
-        stack = psd_kernel_stack(np.random.default_rng([n, 229]), n, DEFAULT_TOL)
-        # zero matrices, whose μ is the 2n·eig_tol term alone
-        stack = np.concatenate([stack, np.zeros((2, n, n))])
-        sq_norms = np.linalg.norm(stack, axis=(-2, -1)) ** 2
-        got = qwp_linalg._band(n, np.diagonal(stack, axis1=-2, axis2=-1), sq_norms, tol.eig_tol)
-        assert np.allclose(got, psd_band(stack, tol), rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("dim", [2, 17, 32])
-    def test_a_superoperator_gives_the_band_of_its_choi_matrix(self, dim):
-        # the diagonal and entries that is_completely_positive reads off the superoperator
-        for c in (sample_program("transpose_mix", dim, 5), low_rank_program(dim, 4, 233)):
-            s, n = c.super, dim * dim
-            got = qwp_linalg._band(n, s[::dim + 1, ::dim + 1].reshape(-1), np.vdot(s, s).real, DEFAULT_TOL.eig_tol)
-            assert got == pytest.approx(psd_band(to_choi(c), DEFAULT_TOL), rel=1e-12, abs=0.0)
-
-    def test_an_overflowing_mu_gives_inf_without_a_warning(self):
-        rng = np.random.default_rng(239)
-        for n in (3, 300):
-            z = np.sign(rng.standard_normal((2, n, n)))
-            # ‖a‖_F overflows; then only the sum of the diagonal does
-            for a in (1.7e308 * (z[0] + 1j * z[1]), np.diag(np.full(n, 8.5e307))):
-                with np.errstate(over="ignore"):
-                    sq_norms = np.sum(np.abs(a) ** 2)
-                with warnings.catch_warnings(), np.errstate(all="raise"):
-                    warnings.simplefilter("error")
-                    got = qwp_linalg._band(n, np.diagonal(a), sq_norms, DEFAULT_TOL.eig_tol)
-                assert got == psd_band(a, DEFAULT_TOL) == np.inf
-
-
-class TestLowRankCertificate:
-    """A pivoted partial Cholesky with a small residual proves a single matrix PSD, after the leading probes."""
-
-    def test_a_cp_map_check_peak_at_dim_32(self):
-        c = sample_program("cptp", 32, 4)
-        is_completely_positive(c)
-        tracemalloc.start()
-        try:
-            assert is_completely_positive(c) is True
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the n/4 corner of the probes and its hermitian part, 1 MiB each, and the probe's factor;
-        # the gap, the factor's d rows and the residual read S in place: no Choi copy, no full Cholesky factor
-        assert peak <= 2.6 * (1 << 20)
-
-    @pytest.mark.parametrize("dim", [8, 17, 24])
-    @pytest.mark.parametrize("rank", ["1", "4", "d", "d+1"])
-    def test_verdicts_match_the_oracle(self, dim, rank, monkeypatch):
-        r = {"1": 1, "4": 4, "d": dim, "d+1": dim + 1}[rank]
-        c = low_rank_program(dim, r, 191)
-        j = to_choi(c)
-        n = dim * dim
-        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert is_completely_positive(c) is is_psd(j) is True
-        probes = [(1, n // 16, n // 16), (1, n // 4, n // 4)]
-        # isqrt(n) = d pivot steps drain a Choi matrix of rank at most d; one more rank takes the full factorization
-        assert shapes == 2 * (probes if r <= dim else probes + [(1, n, n)])
-        assert calls == []
-        monkeypatch.undo()
-        assert is_psd_oracle(j) is True
-
-    @pytest.mark.parametrize("dim", [8, 17])
-    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
-    @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_shifted_to_the_band_edges(self, dim, k, side, monkeypatch):
-        tol = DEFAULT_TOL
-        j = to_choi(low_rank_program(dim, 4, 193, rows=dim - 1))
-        # v lies in the trailing zero rows of j, away from every pivot, so the Schur
-        # complement left by the pivots is the shift alone
-        n = dim * dim
-        v = np.zeros(n, dtype=np.complex128)
-        v[-dim:] = random_unitary(np.random.default_rng(dim), dim)[0]
-        base = j - tol.eig_tol * np.outer(v, v.conj())
-        delta = psd_band(base, tol)
-        assert 0.0 < 4.0 * delta < tol.eig_tol
-        # λ_min = -eig_tol + side·k·δ, and ‖h - L̂L̂ᴴ‖_F ≈ eig_tol - side·k·δ
-        shifted = base + side * k * delta * np.outer(v, v.conj())
-        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        got = is_psd(shifted, tol)
-        # only inside the band is the eigensolve needed; only outside it, on the PSD side, the certificate decides
-        assert calls == (["eigvalsh"] if k < 1 else [])
-        if side > 0 and k > 1:
-            assert shapes == [(1, n // 16, n // 16), (1, n // 4, n // 4)]
-        monkeypatch.undo()
-        assert got == is_psd_oracle(shifted, tol) == (side > 0)
-
-    def test_a_drained_diagonal_with_an_indefinite_residual_is_refuted(self):
-        # the leading probes pass, and one pivot step drains every Schur diagonal to zero,
-        # but the trailing off-diagonal pair has eigenvalues ±1e-3
-        n = 64
-        a = np.zeros((n, n), dtype=np.complex128)
-        a[0, 0] = 1.0
-        a[n - 1, n - 2] = a[n - 2, n - 1] = 1e-3
-        assert is_psd(a) is False
-        assert is_psd_oracle(a) is False
-
-    def test_a_rank_4_map_at_dim_32_takes_only_the_leading_probes(self, monkeypatch):
-        c = low_rank_program(32, 4, 197)
-        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        assert is_completely_positive(c) is True
-        assert shapes == [(1, 64, 64), (1, 256, 256)]
-        assert calls == []
-
-
-class TestReadInPlace:
-    """The single-matrix route reads its band, probes, gap and low-rank certificate off the input where it lies."""
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 32])
-    def test_the_gap_read_off_the_choi_view_has_the_bits_of_a_full_size_pass(self, dim):
-        c = from_super(gaussian_super(np.random.default_rng([dim, 251]), dim))
-        # a C-ordered superoperator, a transposed one, and a map whose Choi matrix is hermitian up to rounding
-        for prog in (c, adjoint(c), sample_program("transpose_mix", dim, 5)):
-            want, _ = preamble_oracle(to_choi(prog))
-            assert_same_bits(qwp_linalg._blocked_gap(qwp_programs._choi_view(prog.super)), want)
-
-    @pytest.mark.parametrize("n", [1, 5, 64, 289, 300, 1021])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_is_psd_reads_a_matrix_in_block_rows_that_fit_the_cap(self, n, order):
-        rng = np.random.default_rng([n, 257])
-        a = np.asarray(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), order=order)
-        blocks = qwp_linalg._square_blocks(a)
-        b, k = blocks.shape[:2]
-        # a view; a prime n > 256 takes single rows
-        assert np.shares_memory(blocks, a) and b * k == n
-        assert k * n * 16 <= qwp_linalg.ROW_BLOCK_BYTES
-        assert k == {1: 1, 5: 5, 64: 64, 289: 17, 300: 150, 1021: 1}[n]
-        assert_same_bits(qwp_linalg._blocked_gap(blocks), preamble_oracle(a)[0])
-
-    @pytest.mark.parametrize("dim", [3, 8, 17])
-    def test_pivot_columns_have_the_bits_of_the_written_lower_triangle(self, dim):
-        # signed zeros, where the hermitian part's halving and division set the signs
-        rng = np.random.default_rng([dim, 263])
-        n = dim * dim
-        s = gaussian_super(rng, dim)
+    else:
+        # the certificate's pivot columns have the bits of the written lower triangle, signed zeros
+        # too, where the hermitian part's halving and division set the signs
+        d, n = n, n * n
+        rng = np.random.default_rng([d, 263])
+        s = np.array(built(gaussian_super, d))
         s.real[rng.random((n, n)) < 0.3] = 0.0
         s.imag[rng.random((n, n)) < 0.3] = -0.0
         s.real[rng.random((n, n)) < 0.2] *= -1.0
@@ -2228,175 +2055,410 @@ class TestReadInPlace:
                 assert_same_bits(column[:p], h[p, :p].conj())
                 assert_same_bits(column[p:], h[p:, p])
 
-    @pytest.mark.parametrize("dim", [8, 17, 32])
-    def test_a_defect_in_one_off_diagonal_block_is_refused_before_h_is_written(self, dim, monkeypatch):
-        # the Choi matrix I/d of rho -> Tr(rho) I/d, but for one entry of block (p, q), q < p, below the
-        # n/4 corner; that entry sits on the block's diagonal, so the block is hermitian by itself
-        n, p, q, i = dim * dim, dim - 1, dim // 2, 1
-        j = np.eye(n, dtype=np.complex128) / dim
-        j[p * dim + i, q * dim + i] += 1e-6
-        c = from_choi(j)
-        writes = count_calls(monkeypatch, qwp_linalg, "_write_hermitian_part")
-        assert is_completely_positive(c) is False
-        assert writes == []
-        monkeypatch.undo()
-        assert is_psd_oracle(to_choi(c)) is False
 
-    @pytest.mark.parametrize("phi, dim", [(choi_map, 3), (breuer_hall, 6), (breuer_hall, 8)])
-    def test_a_positive_map_that_is_not_cp_is_refuted_after_the_certificate(self, phi, dim, monkeypatch):
-        c = positive_not_cp(phi, dim, 269)
-        n = dim * dim
-        shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
-        copies = count_calls(monkeypatch, qwp_programs, "to_choi")
-        assert is_completely_positive(c) is False
-        # the probes pass and the certificate proves nothing: h's factorization at eig_tol + δ refutes it,
-        # h written off the Choi view with no Choi copy
-        assert shapes == [(1, m, m) for m in (n // 16, n // 4) if m] + [(1, n, n), (1, n, n)]
-        assert copies == []
-        monkeypatch.undo()
-        assert is_psd_oracle(to_choi(c)) is False
-        assert is_positive_sampled(c, ToleranceConfig(sample_count=50), seed=1).status == "no_counterexample"
+def read_band(family, n, layout):
+    if family == "stacks":
+        tol = ToleranceConfig(eig_tol=layout)
+        stack = psd_kernel_stack(np.random.default_rng([n, 229]), n, DEFAULT_TOL)
+        # zero matrices, whose μ is the 2n·eig_tol term alone
+        stack = np.concatenate([stack, np.zeros((2, n, n))])
+        sq_norms = np.linalg.norm(stack, axis=(-2, -1)) ** 2
+        got = qwp_linalg._band(n, np.diagonal(stack, axis1=-2, axis2=-1), sq_norms, tol.eig_tol)
+        assert np.allclose(got, psd_band(stack, tol), rtol=1e-12, atol=0.0)
+    elif family == "superoperator":
+        # the diagonal and entries that is_completely_positive reads off the superoperator
+        d = n
+        for c in (sample_program("transpose_mix", d, 5), low_rank_program(d, 4, 233)):
+            s, n = c.super, d * d
+            got = qwp_linalg._band(n, s[::d + 1, ::d + 1].reshape(-1), np.vdot(s, s).real, DEFAULT_TOL.eig_tol)
+            assert got == pytest.approx(psd_band(to_choi(c), DEFAULT_TOL), rel=1e-12, abs=0.0)
+    else:
+        rng = np.random.default_rng(239)
+        for n in (3, 300):
+            z = np.sign(rng.standard_normal((2, n, n)))
+            # ‖a‖_F overflows; then only the sum of the diagonal does
+            for a in (1.7e308 * (z[0] + 1j * z[1]), np.diag(np.full(n, 8.5e307))):
+                with np.errstate(over="ignore"):
+                    sq_norms = np.sum(np.abs(a) ** 2)
+                with warnings.catch_warnings(), np.errstate(all="raise"):
+                    warnings.simplefilter("error")
+                    got = qwp_linalg._band(n, np.diagonal(a), sq_norms, DEFAULT_TOL.eig_tol)
+                assert got == psd_band(a, DEFAULT_TOL) == np.inf
 
 
-# traced peaks of public calls at d = 32, in MiB, as measured with numpy 2.4.6
-# and rounded up to 0.1 MiB; one d⁴ complex array is 16 MiB
+READS = {
+    "_choi_view": read_choi_view,
+    "_square_blocks": read_square_blocks,
+    "_write_hermitian_part": read_writer,
+    "_band": read_band,
+}
+
+
+@pytest.mark.parametrize(
+    "entry, family, n, layout",
+    rows(
+        *[("_choi_view", "corner", d, "C") for d in (1, 2, 3, 5, 8, 16, 17, 24, 32, 33)],
+        *[("_choi_view", "gap", d, "C") for d in (1, 2, 3, 8, 17, 32)],
+        *[("_choi_view", "writer", d, order) for d in (17, 24, 32) for order in "CF"],
+        *[("_square_blocks", "gap", n, order) for n in (1, 5, 64, 289, 300, 1021) for order in "CF"],
+        *[("_square_blocks", "writer", n, "C") for n in (300, 257, 1024)],
+        *[("_write_hermitian_part", "f-ordered real, in place", n, "F") for n in (6, 300)],
+        *[("_write_hermitian_part", "signed zeros", n, "C") for n in (6, 300)],
+        ("_write_hermitian_part", "float limit", "3, 300", "C"),
+        ("_write_hermitian_part", "gap above the last diagonal block", 17 * 17, "C"),
+        *[("_write_hermitian_part", "a stack of three", 300, order) for order in "CF"],
+        *[("_write_hermitian_part", "lower triangle", n, "C") for n in (5, 64, 300)],
+        *[("_write_hermitian_part", "pivot columns", d, "C") for d in (3, 8, 17)],
+        *[("_band", "stacks", n, eig_tol) for n in (1, 5, 64) for eig_tol in (1e-9, 0.0)],
+        *[("_band", "superoperator", d, "C") for d in (2, 17, 32)],
+        ("_band", "overflowing mu", "3, 300", "C"),
+    ),
+)
+def test_reads_in_place(entry, family, n, layout):
+    READS[entry](family, n, layout)
+
+
+# ---------------------------------------------------------------------------
+# The positivity audit: the basis block through the PSD stack, the Fourier and random
+# blocks through one real product each, against one matrix-vector product and one
+# eigensolve a state
+# ---------------------------------------------------------------------------
+
+
+def breaks_hermiticity(dim):
+    """rho -> rho + 0.1i rho_00 (|0><d-1| + |d-1><0|), whose hermitian part is rho itself."""
+    e0, last = np.eye(dim)[0], np.eye(dim)[-1]
+    swap = np.outer(e0, last) + np.outer(last, e0)
+    return from_super(np.eye(dim * dim) + 0.1j * np.outer(vec(swap), vec(np.outer(e0, e0))))
+
+
+def off_basis_skew(dim, t):
+    """rho -> rhoᵀ + it(rho_01 + rho_10)(|0><1| + |1><0|): positive and not CP, with rhoᵀ its
+    hermitian part; the anti-hermitian part vanishes on every basis state."""
+    swap = vec(np.outer(np.eye(dim)[0], np.eye(dim)[1]) + np.outer(np.eye(dim)[1], np.eye(dim)[0]))
+    return from_super(transpose_program(dim).super + 1j * t * np.outer(swap, swap))
+
+
+def population_pump(dim, a):
+    """rho -> rho + a rho_11 (|0><0| - |1><1|): positive on e_0, negative on e_1 for a > 1."""
+    p0, p1 = vec(np.diag(np.eye(dim)[0])), vec(np.diag(np.eye(dim)[1]))
+    return from_super(np.eye(dim * dim) + a * np.outer(p0 - p1, p1))
+
+
+def coherence_amplifier(dim, k):
+    """Keeps the diagonal and scales the off-diagonal by k: positive on basis states only, for k > 1."""
+    return from_super(np.diag(np.where(np.eye(dim).reshape(-1) == 1.0, 1.0, k)))
+
+
+def phase_amplifier(dim, k):
+    """Scales the imaginary part of the off-diagonal by k: positive on real states only, for k > 1."""
+    return from_super((1 + k) / 2 * np.eye(dim * dim) + (1 - k) / 2 * transpose_program(dim).super)
+
+
+def random_region(dim):
+    # positive on the basis and (real, at d = 2) Fourier states; fails on a minority of Haar-random states
+    return mix(0.8, sample_program("cptp", dim, 0), phase_amplifier(dim, 3.0))
+
+
+# family: (program of d, samples, seed, the cap's states a block, expected (status, samples) or a range of samples)
+AUDITS = {
+    "population pump": (lambda d: population_pump(d, 1.5), 1000, 2, None, ("counterexample", 2)),
+    "coherence amplifier": (lambda d: coherence_amplifier(d, 1.5), 1000, 2, None, ("counterexample", 3 + 1)),
+    "breaks hermiticity": (breaks_hermiticity, 1000, 2, None, ("counterexample", 1)),
+    "random region": (random_region, 200, 1, None, range(2 * 2 + 1, 2 * 2 + 200 + 1)),
+    # the first counterexample lies in the second block of random states
+    "random region, two blocks": (random_region, 200, 1, 50, range(2 * 2 + 50 + 1, 2 * 2 + 100 + 1)),
+    "transpose_mix": (lambda d: sample_program("transpose_mix", d, 59), 40, 5, 3, ("no_counterexample", 2 * 8 + 40)),
+    # the random states in blocks of four and a last one of three
+    "transpose_mix, blocks of four": (lambda d: sample_program("transpose_mix", d, 9), 23, 9, 4, ("no_counterexample", 2 * 5 + 23)),
+    "cptp": (lambda d: sample_program("cptp", d, 61), 1000, 1, None, ("certified_cp", 0)),
+    "unitary": (lambda d: sample_program("unitary", d, 61), 1000, 1, None, ("certified_cp", 0)),
+    "skew off the basis": (lambda d: off_basis_skew(d, 0.1), 50, 2, None, None),
+    "skew within residual_tol": (lambda d: off_basis_skew(d, 1e-12), 50, 3, None, None),
+}
+
+
+def audit_case(family, d, residual_tol):
+    """The program, tolerances, seed and block cap of an audit row."""
+    if family.startswith("eps "):
+        _, eps, kind = family.split(" ")
+        c = sample_program(kind, d, 53)
+        if eps != "None":
+            c = mix(0.5, c, nonpositive(d, float(eps)))
+        return c, ToleranceConfig(sample_count=150), d, None, None
+    build, samples, seed, cap, expect = AUDITS[family]
+    return build(d), ToleranceConfig(residual_tol=residual_tol, sample_count=samples), seed, cap, expect
+
+
+@pytest.mark.parametrize(
+    "family, d, residual_tol",
+    rows(
+        *[(f"eps {eps} {kind}", d, 1e-9) for d in (2, 3, 8) for kind in KINDS for eps in (None, 0.05, 1.0)],
+        ("population pump", 3, 1e-9),
+        ("coherence amplifier", 3, 1e-9),
+        ("breaks hermiticity", 2, 1e-9),
+        ("random region", 2, 1e-9),
+        ("random region, two blocks", 2, 1e-9),
+        ("transpose_mix", 8, 1e-9),
+        ("transpose_mix, blocks of four", 5, 1e-9),
+        ("cptp", 3, 1e-9),
+        ("unitary", 3, 1e-9),
+        *[("skew off the basis", d, 1e-9) for d in (2, 3, 8)],
+        *[("skew within residual_tol", d, t) for d in (2, 3, 8) for t in (1e-9, 0.0)],
+    ),
+)
+def test_audit(family, d, residual_tol, monkeypatch):
+    c, tol, seed, cap, expect = audit_case(family, d, residual_tol)
+    want = is_positive_sampled_oracle(c, tol, seed=seed)
+    if cap:
+        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", cap * d * d * 16)
+    got = is_positive_sampled(c, tol, seed=seed)
+    assert_same_verdict(got, want)
+    if family.startswith("skew off"):
+        # the basis outputs are hermitian and PSD, and every other output's hermitian part is PSD:
+        # the anti-hermitian rows refute it
+        expect = ("counterexample", d + 1)
+        assert len(qwp_programs._coordinate_matrix(c.super, tol.residual_tol)) == 2 * d * d
+    elif family.startswith("skew within"):
+        # the defect bound, about 2.8e-12, passes residual_tol: no gap is computed, and none fails;
+        # at residual_tol = 0 only a map whose anti-hermitian rows are all zero drops them
+        expect = ("counterexample", d + 1) if residual_tol == 0 else ("no_counterexample", 2 * d + 50)
+        assert len(qwp_programs._coordinate_matrix(c.super, tol.residual_tol)) == (2 if residual_tol == 0 else 1) * d * d
+    if isinstance(expect, range):
+        assert got.status == "counterexample" and got.samples in expect
+        assert got.witness.flags.writeable is False
+    elif expect is not None:
+        assert (got.status, got.samples) == expect
+    if family in ("coherence amplifier",) or (family.startswith("skew") and got.status == "counterexample"):
+        assert np.array_equal(got.witness, fourier_basis(d)[:, 0])
+    elif family == "population pump":
+        assert np.array_equal(got.witness, np.eye(d)[1])
+
+
+@pytest.mark.parametrize(
+    "corner, sign, overflows", [(1.0, 1.0, False), (1.0, -1.0, False), (1.7e308, 1.0, True), (1.7e308, -1.0, False)]
+)
+def test_audit_of_a_pair_of_entries_near_the_float_limit(corner, sign, overflows):
+    # row 0 of the output reads rho_00 and the pair rho_01, rho_10, whose
+    # coefficients are near the float limit; the half-sums of a pair stay finite
+    s = np.eye(4, dtype=np.complex128)
+    s[0, 0], s[0, 2], s[0, 1] = corner, 1.7e308, sign * 1.7e308
+    c = from_super(s)
+    tol = ToleranceConfig(sample_count=20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if overflows:
+            # 1.7e308 (rho_00 + 2 Re rho_01) overflows on (1, 1)/√2
+            with pytest.raises(ValueError, match="finite"):
+                is_positive_sampled(c, tol, seed=3)
+        else:
+            # the second Fourier state, (1, -1)/√2 up to rounding: a large
+            # negative output entry, or a large imaginary one on the diagonal
+            got = is_positive_sampled(c, tol, seed=3)
+            assert (got.status, got.samples) == ("counterexample", 4)
+            assert np.array_equal(got.witness, fourier_basis(2)[:, 1])
+
+
+@pytest.mark.parametrize("residual_tol", [DEFAULT_TOL.residual_tol, 0.0])
+@pytest.mark.parametrize("kind", KINDS + ("breaks_hermiticity",))
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_audit_product_blocks_match_apply_matrix(kind, dim, residual_tol):
+    c = breaks_hermiticity(dim) if kind == "breaks_hermiticity" else sample_program(kind, dim, 67)
+    z = np.random.default_rng(dim).standard_normal((20, 2, dim))
+    raw = z[:, 0] + 1j * z[:, 1]
+    normalized = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    psis = np.concatenate([np.eye(dim), fourier_basis(dim).T, normalized])
+    w = qwp_programs._coordinate_matrix(c.super, residual_tol)
+    gaps, h, diagonals, sq_norms = qwp_programs._pure_parts(w, psis)
+    # the rows of the anti-hermitian part are dropped only where their gaps cannot fail
+    if kind == "breaks_hermiticity":
+        assert len(w) == 2 * dim * dim
+    elif residual_tol > 0 or kind == "transpose":
+        # a map that preserves hermiticity has rounding noise in those rows, or nothing
+        assert len(w) == dim * dim
+    # one GEMM sums in another order than one matrix-vector product
+    bound = 4 * dim * dim * np.finfo(float).eps * np.abs(c.super).max()
+    for psi, gap, got, diagonal, sq_norm in zip(psis, gaps, h, diagonals, sq_norms):
+        want = apply_matrix(c, np.outer(psi, psi.conj()))
+        want_h = (want + want.conj().T) / 2.0
+        # only the lower triangle of h is written, with a real diagonal
+        assert np.abs(lower_triangle(got) - lower_triangle(want_h)).max() <= bound
+        assert not np.diagonal(got).imag.any()
+        assert abs(gap - hermiticity_gaps_oracle(want)) <= bound
+        # the band's inputs are h's own
+        assert np.array_equal(diagonal, np.diagonal(got).real)
+        assert sq_norm == pytest.approx(np.sum(np.abs(want_h) ** 2), rel=1e-12, abs=bound)
+
+
+def test_audit_basis_outputs_are_columns_of_the_superoperator(monkeypatch):
+    c = sample_program("transpose_mix", 5, 66)
+    blocks = []
+    stack = qwp_programs._psd_stack
+
+    def recording(a, thresholds):
+        blocks.append(np.array(a))
+        return stack(a, thresholds)
+
+    monkeypatch.setattr(qwp_programs, "_psd_stack", recording)
+    monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 2 * 5 * 5 * 16)
+    got = is_positive_sampled(c, ToleranceConfig(sample_count=4), seed=1)
+    assert got.status == "no_counterexample"
+    # the leading blocks refute the Choi matrix before any stack is tested, so the
+    # basis states come first, in blocks of 2, 2 and 1, read exactly
+    assert [len(b) for b in blocks[0:3]] == [2, 2, 1]
+    for k, out in enumerate(np.concatenate(blocks[0:3])):
+        assert np.array_equal(out, apply_matrix(c, np.diag(np.eye(5)[k])))
+
+
+def test_audit_stacks_at_dim_32(monkeypatch):
+    # the prove-else-eigensolve step's Cholesky stacks: the leading blocks of the transpose's Choi matrix
+    # refute it, so no (1, 1024, 1024) stack is tested; then the basis, Fourier and 1000 random states in
+    # blocks of at most 1024
+    shapes = record_shapes(monkeypatch, np.linalg, "cholesky")
+    is_positive_sampled(sample_program("transpose", 32, 0), seed=4)
+    stacks = [shape for shape in shapes if shape[0] > 1]
+    assert stacks == [(32, 32, 32), (32, 32, 32), (1000, 32, 32)]
+    assert max(shape[0] for shape in stacks) * 32 * 32 * 16 <= STACK_BYTES
+    # the transpose mixture takes no eigensolve; the nonpositive map solves only its counterexample block
+    got, calls = solves(monkeypatch, is_positive_sampled, built(sample_program, "transpose_mix", 32, 4), DEFAULT_TOL, 3)
+    assert calls == [] and (got.status, got.samples) == ("no_counterexample", 2 * 32 + 1000)
+    shapes = record_shapes(monkeypatch, np.linalg, "eigvalsh")
+    got = is_positive_sampled(nonpositive(32, 0.5), seed=3)
+    assert shapes == [(32, 32, 32)]
+    assert (got.status, got.samples) == ("counterexample", 1)
+    assert np.array_equal(got.witness, np.eye(32)[0])
+
+
+# ---------------------------------------------------------------------------
+# Traced peaks of public calls at d = 32, in MiB, as measured with numpy 2.4.6 and rounded up
+# to 0.1 MiB; one d⁴ complex array is 16 MiB. A row is (bound, warm-up): a warm-up call first
+# leaves only the call's own arrays traced
+# ---------------------------------------------------------------------------
+
 PEAK_BOUNDS_MIB = {
-    "from_super": 17.1,
+    "from_super": (17.1, True),
     # the conjugate copy alone: its entries are not scanned again
-    "adjoint": 16.1,
-    "from_choi": 17.1,
-    "wp": 0.3,
-    "seq": 17.1,
-    "measure_branch": 18.1,
+    "adjoint": (16.1, True),
+    "from_choi": (17.1, True),
+    # the 16 MiB superoperator, which is the reshape's copy, and a 1 MiB finite-entry mask
+    "from_choi sampled cptp": (18.0, True),
+    # the 16 MiB superoperator, one 1 MiB block buffer and the finite check's 1 MiB mask
+    "from_kraus isometry": (20.0, False),
+    # three 16 MiB superoperators (the transpose, the Kraus sum, the mixture) and block buffers
+    "mix transpose, kraus": (52.0, False),
+    "wp": (0.3, True),
+    "seq": (17.1, True),
+    "measure_branch": (18.1, True),
+    # the 16 MiB superoperator, a block of rows and its products, and the finite-entry mask
+    "measure_branch isometry": (20.0, False),
     # the corner that the probes factor: a map that the low-rank certificate proves is read in place,
     # one that it leaves undecided has h written off the Choi view into one new array, with no Choi copy,
     # and adds the full Cholesky factor, also from a superoperator stored by columns; a refuted map copies
     # only its corner
-    "is_completely_positive cptp": 2.6,
-    "is_completely_positive rank-40": 32.1,
-    "is_completely_positive adjoint rank-40": 32.1,
-    "is_completely_positive transpose_mix": 2.6,
-    "is_completely_positive adjoint transpose_mix": 2.6,
-    "is_positive_sampled cptp": 2.6,
+    "is_completely_positive cptp": (2.6, True),
+    # the n/4 corner of the probes and its hermitian part, 1 MiB each, and the probe's factor; the gap,
+    # the factor's d rows and the residual read S in place: no Choi copy, no full Cholesky factor
+    "is_completely_positive sampled cptp": (2.6, True),
+    "is_completely_positive rank-40": (32.1, True),
+    # the 16 MiB array that h is written into, off the Choi view, and the 16 MiB factor of the
+    # full Cholesky factorization that a rank above d needs
+    "is_completely_positive rank-40 cold": (32.1, False),
+    "is_completely_positive adjoint rank-40": (32.1, True),
+    "is_completely_positive transpose_mix": (2.6, True),
+    # the 1 MiB corner and its hermitian part, and the factor of the n/16 probe; no 16 MiB array
+    "is_completely_positive transpose_mix cold": (4.0, False),
+    "is_completely_positive adjoint transpose_mix": (2.6, True),
+    # one block row's conjugated partners, 0.5 MiB at most, against 16 MiB for the matrix
+    "_write_hermitian_part cptp": (1.0, True),
+    "is_positive_sampled cptp": (2.6, True),
     # a block's hermitian part and its Cholesky factor, or the coordinate matrix and product it came from
-    "is_positive_sampled transpose_mix": 33.8,
+    "is_positive_sampled transpose_mix": (33.8, True),
+    # at its widest the audit holds 32 MiB: the last block's 16 MiB hermitian part, with either the
+    # coordinate matrix (8 MiB, the hermitian part's rows alone) and the block's product it is written
+    # from (8 MiB), or its 16 MiB Cholesky factor; the coordinate matrix is released before that block's
+    # PSD test, and the block's real coordinates before its hermitian part
+    "is_positive_sampled transpose_mix cold": (33.8, False),
     # a real matrix's complex conversion, which h is written over in place, and the full Cholesky factor
-    "is_psd real full-rank": 32.1,
+    "is_psd real full-rank": (32.1, True),
 }
 
 
-@pytest.fixture(scope="module")
-def peak_calls():
-    """Each call of PEAK_BOUNDS_MIB, on d = 32 inputs built beforehand."""
+def branches(dim, count):
+    """count sampled programs of every kind; every other one is an adjoint, stored by columns."""
+    rng = np.random.default_rng([dim, count, 43])
+    kinds = ("transpose_mix", "cptp", "unitary", "transpose")
+    progs = [sample_program(kinds[i % 4], dim, rng) for i in range(count)]
+    return [adjoint(c) if i % 2 == 0 else c for i, c in enumerate(progs)]
+
+
+def peak_call(name):
+    """The call of a PEAK_BOUNDS_MIB row, on d = 32 inputs built beforehand."""
     d = 32
-    cptp, mixture = low_rank_program(d, 4, 241), sample_program("transpose_mix", d, 4)
-    rank_40 = low_rank_program(d, 40, 241)
-    rank_40_dual = adjoint(rank_40)
-    dual = adjoint(mixture)
-    s, j = cptp.super.copy(), to_choi(cptp)
-    f = random_predicate(np.random.default_rng(241), d)
+    cptp, mixture = built(low_rank_program, d, 4, 241), built(sample_program, "transpose_mix", d, 4)
+    if name.startswith("is_completely_positive"):
+        if "rank-40" in name:
+            c = built(low_rank_program, d, 40, 241)
+        elif "sampled" in name:
+            c = built(sample_program, "cptp", d, 4)
+        else:
+            c = cptp if name.endswith("cptp") else mixture
+        c = adjoint(c) if "adjoint" in name else c
+        return lambda: is_completely_positive(c)
+    if name.startswith("is_positive_sampled"):
+        c = cptp if name.endswith("cptp") else mixture
+        return lambda: is_positive_sampled(c, seed=3)
+    if name == "from_super":
+        s = cptp.super.copy()
+        return lambda: from_super(s)
+    if name == "adjoint":
+        return lambda: adjoint(cptp)
+    if name.startswith("from_choi"):
+        j = to_choi(built(sample_program, "cptp", d, 4) if "sampled" in name else cptp)
+        return lambda: from_choi(j)
+    if name == "from_kraus isometry":
+        ks = list(random_isometry(np.random.default_rng(85), 4 * d, d).reshape(4, d, d))
+        return lambda: from_kraus(ks)
+    if name == "mix transpose, kraus":
+        ks = list(random_isometry(np.random.default_rng(86), 2 * d, d).reshape(2, d, d))
+        return lambda: mix(0.3, transpose_program(d), from_kraus(ks))
+    if name == "wp":
+        f = random_predicate(np.random.default_rng(241), d)
+        return lambda: wp(cptp, f)
+    if name == "seq":
+        return lambda: seq(cptp, mixture)
+    if name == "measure_branch":
+        upper = np.diag((np.arange(d) < d // 2).astype(float))
+        return lambda: measure_branch([upper, np.eye(d) - upper], [cptp, mixture])
+    if name == "measure_branch isometry":
+        ms = list(random_isometry(np.random.default_rng(45), 2 * d, d).reshape(2, d, d))
+        bs = branches(d, 2)
+        return lambda: measure_branch(ms, bs)
+    if name == "_write_hermitian_part cptp":
+        blocks = qwp_programs._choi_view(built(sample_program, "cptp", d, 4).super)
+        h = np.empty((d * d, d * d), dtype=np.complex128)
+        return lambda: qwp_linalg._write_hermitian_part(blocks, h)
     g = np.random.default_rng(241).standard_normal((d * d, d * d))
     real = (g @ g.T / (d * d) + np.eye(d * d)) / (d * d)  # eigenvalues in [1/n, 5/n]: δ < eig_tol
-    upper = np.diag((np.arange(d) < d // 2).astype(float))
-    return {
-        "from_super": lambda: from_super(s),
-        "adjoint": lambda: adjoint(cptp),
-        "from_choi": lambda: from_choi(j),
-        "wp": lambda: wp(cptp, f),
-        "seq": lambda: seq(cptp, mixture),
-        "measure_branch": lambda: measure_branch([upper, np.eye(d) - upper], [cptp, mixture]),
-        "is_completely_positive cptp": lambda: is_completely_positive(cptp),
-        "is_completely_positive rank-40": lambda: is_completely_positive(rank_40),
-        "is_completely_positive adjoint rank-40": lambda: is_completely_positive(rank_40_dual),
-        "is_completely_positive transpose_mix": lambda: is_completely_positive(mixture),
-        "is_completely_positive adjoint transpose_mix": lambda: is_completely_positive(dual),
-        "is_positive_sampled cptp": lambda: is_positive_sampled(cptp, seed=3),
-        "is_positive_sampled transpose_mix": lambda: is_positive_sampled(mixture, seed=3),
-        "is_psd real full-rank": lambda: is_psd(real),
-    }
+    return lambda: is_psd(real)
 
 
 @pytest.mark.parametrize("call", list(PEAK_BOUNDS_MIB))
-def test_the_traced_peak_at_dim_32_stays_under_its_bound(call, peak_calls):
-    run = peak_calls[call]
-    run()  # a warm-up call, so that only the call's own arrays are traced
+def test_the_traced_peak_at_dim_32_stays_under_its_bound(call):
+    bound, warm_up = PEAK_BOUNDS_MIB[call]
+    run = peak_call(call)
+    if warm_up:
+        run()
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= PEAK_BOUNDS_MIB[call] * (1 << 20)
+    assert peak <= bound * (1 << 20)
 
 
-class TestSamplerOracle:
-    """The samplers are one-trial views of the stacked shapers and keep the per-matrix bits."""
-
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_matrix_samplers(self, dim):
-        for seed in range(20):
-            rng, oracle_rng = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
-            assert_same_bits(random_isometry(rng, 3 * dim, dim), random_isometry_oracle(oracle_rng, 3 * dim, dim))
-            assert_same_bits(random_unitary(rng, dim), random_isometry_oracle(oracle_rng, dim, dim))
-            assert_same_bits(random_effect(rng, dim), random_effect_oracle(oracle_rng, dim))
-            u = random_isometry_oracle(oracle_rng, dim, dim)
-            w = oracle_rng.uniform(-1.0, 1.0, size=dim)
-            assert_same_bits(random_hermitian_contraction(rng, dim), (u * w) @ u.conj().T)
-            assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_sample_program(self, kind, dim):
-        for seed in range(5):
-            rng, oracle_rng = np.random.default_rng([seed, dim, 5]), np.random.default_rng([seed, dim, 5])
-            got, want = sample_program(kind, dim, rng), sample_program_oracle(kind, dim, oracle_rng)
-            assert got.label == want.label
-            assert_same_bits(got.super, want.super)
-            assert (got.kraus is None) == (want.kraus is None)
-            for k, want_k in zip(got.kraus or (), want.kraus or ()):
-                assert_same_bits(k, want_k)
-            assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
-
-    def test_random_cptp(self):
-        for dim in DIMS:
-            got = random_cptp(np.random.default_rng(dim), dim)
-            want = random_cptp_oracle(np.random.default_rng(dim), dim)
-            assert_same_bits(got.super, want.super)
-            assert len(got.kraus) == dim
-
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_effect_draws_replay_random_effect(self, dim):
-        # k effects drawn in one call consume the stream as k random_effect calls
-        rng, oracle_rng = np.random.default_rng([dim, 2]), np.random.default_rng([dim, 2])
-        normals, spectra = qwp_linalg._effect_draws(rng, 3, dim)
-        want = np.array([random_effect_oracle(oracle_rng, dim) for _ in range(3)])
-        assert_same_bits(qwp_linalg._haar_spectral(normals, spectra), want)
-        assert np.array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
-
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_hermitian_contraction_draws_replay_the_stream(self, dim):
-        # the effect draws with eigenvalues on [-1, 1]: normals of the eigenbasis, then the eigenvalues
-        for seed in range(10):
-            rng, stream = np.random.default_rng([seed, dim, 3]), np.random.default_rng([seed, dim, 3])
-            z, w = stream.standard_normal((2, dim, dim)), stream.uniform(-1.0, 1.0, size=dim)
-            normals, spectra = qwp_linalg._effect_draws(rng, 1, dim, -1.0)
-            assert np.array_equal(normals, z[None]) and np.array_equal(spectra, w[None])
-            rng = np.random.default_rng([seed, dim, 3])
-            assert np.array_equal(random_hermitian_contraction(rng, dim), qwp_linalg._haar_spectral(z, w))
-            assert np.array_equal(rng.standard_normal(3), stream.standard_normal(3))
-
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_stacked_effects_match_the_per_atom_draws(self, dim):
-        # the draws weakest_check makes for 7 trials of 3 atoms, shaped in one stack
-        normals, spectra, want = [], [], []
-        for trial in range(7):
-            rng, oracle_rng = np.random.default_rng([trial, 1]), np.random.default_rng([trial, 1])
-            for _ in range(3):
-                normals.append(rng.standard_normal((2, dim, dim)))
-                spectra.append(rng.uniform(0.0, 1.0, size=dim))
-                want.append(random_effect_oracle(oracle_rng, dim))
-        assert_same_bits(qwp_linalg._haar_spectral(np.array(normals), np.array(spectra)), np.array(want))
-
+# ---------------------------------------------------------------------------
+# The campaign blocks: the trial-batched sweeps against the per-trial loops, results and first errors
+# ---------------------------------------------------------------------------
 
 CAMPAIGNS = {
     "duality": (duality_campaign, duality_campaign_oracle),
@@ -2405,6 +2467,8 @@ CAMPAIGNS = {
     "weakest": (weakest_campaign, weakest_campaign_oracle),
 }
 CAMPAIGN_DIMS = (2, 3, 4, 5, 6)
+# seven superoperators of d = 3 a block; a weakest pair's candidates in sub-blocks of one or two, 50 states each
+SMALL_CAP = 7 * 16 * 3**4
 
 
 def assert_same_result(got, want):
@@ -2418,291 +2482,131 @@ def raised(fn, *args):
     return type(info.value), str(info.value)
 
 
-@pytest.fixture(scope="module")
-def loop_outcomes():
-    """The per-trial loops' results and exceptions, by (suite, residual_tol, seed), for
-    test_raises_as_the_loop_does, whose stack caps do not change them."""
-    return {}
+def loop_outcome(suite, dims, trials, seed, residual_tol):
+    """The per-trial loop's result, or the type and message of its first error."""
+    try:
+        return CAMPAIGNS[suite][1](dims, trials, seed, ToleranceConfig(residual_tol=residual_tol))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
-class TestCampaignOracle:
-    """The trial-batched sweeps against the per-trial loops."""
-
-    @pytest.mark.parametrize("seed", [1, 7, 42])
-    @pytest.mark.parametrize("suite", sorted(CAMPAIGNS))
-    def test_matches_the_per_trial_loop(self, suite, seed):
-        batched, loop = CAMPAIGNS[suite]
-        assert_same_result(batched(CAMPAIGN_DIMS, 30, seed), loop(CAMPAIGN_DIMS, 30, seed))
-
-    @pytest.mark.parametrize("suite", sorted(CAMPAIGNS))
-    def test_run_split_into_blocks(self, suite, monkeypatch):
-        batched, loop = CAMPAIGNS[suite]
-        want = loop((2, 3), 40, 11)
-        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 7 * 16 * 3**4)
-        # seven superoperators of d = 3 a block; a weakest pair's 40 candidates
-        # in sub-blocks of one or two, 50 states each
-        assert qwp_linalg._block_size(3, 3 * 3) == 7
-        assert [qwp_linalg._block_size(d, 50) for d in (2, 3)] == [2, 1]
-        assert_same_result(batched((2, 3), 40, 11), want)
-
-    def test_no_stack_exceeds_the_cap(self, monkeypatch):
-        sizes = []
-        gaps = qwp_campaigns._unital_gaps
-
-        def recording(supers):
-            sizes.append((supers.shape[-1], supers.nbytes))
-            return gaps(supers)
-
-        # the default cap keeps 1000 trials at d = 6 in two blocks
-        assert qwp_linalg._block_size(6, 6 * 6) == 809
-        monkeypatch.setattr(qwp_campaigns, "_unital_gaps", recording)
-        monkeypatch.setattr(qwp_linalg, "STACK_BYTES", 7 * 16 * 3**4)
-        compose_campaign((2, 3), 40, 5)
-        # three superoperator stacks a block: seq(c1, c2), c2, c1
-        assert [side for side, _ in sizes] == [4] * 3 * 2 + [9] * 3 * 6
-        assert max(size for _, size in sizes) <= 7 * 16 * 3**4
-
-    @pytest.mark.parametrize("stack_bytes", [None, 7 * 16 * 3**4])
-    @pytest.mark.parametrize("residual_tol", [0.0, 1e-16, 3e-16, 1e-15])
-    @pytest.mark.parametrize("suite", sorted(CAMPAIGNS))
-    def test_raises_as_the_loop_does(self, suite, residual_tol, stack_bytes, monkeypatch, loop_outcomes):
-        batched, loop = CAMPAIGNS[suite]
-        tol = ToleranceConfig(residual_tol=residual_tol)
-        for seed in (1, 7, 42):
-            key = (suite, residual_tol, seed)
-            if key not in loop_outcomes:
-                try:
-                    loop_outcomes[key] = loop(CAMPAIGN_DIMS, 20, seed, tol)
-                except Exception as exc:
-                    loop_outcomes[key] = (type(exc), str(exc))
-        if stack_bytes is not None:
-            monkeypatch.setattr(qwp_linalg, "STACK_BYTES", stack_bytes)
-        for seed in (1, 7, 42):
-            want = loop_outcomes[(suite, residual_tol, seed)]
-            if isinstance(want, CampaignResult):
-                assert_same_result(batched(CAMPAIGN_DIMS, 20, seed, tol), want)
-            else:
-                assert raised(batched, CAMPAIGN_DIMS, 20, seed, tol) == want
-
-    def test_the_failures_cover_every_stage(self):
-        # the messages test_raises_as_the_loop_does compares, one per stacked check
-        seen = {
-            raised(duality_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
-            raised(duality_campaign, CAMPAIGN_DIMS, 20, 7, ToleranceConfig(residual_tol=1e-16)),
-            raised(compose_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
-            raised(compose_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=1e-16)),
-            raised(compose_campaign, CAMPAIGN_DIMS, 20, 7, ToleranceConfig(residual_tol=1e-15)),
-            raised(orders_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
-        }
-        assert {(t.__name__, m.split(";")[0]) for t, m in seen} == {
-            ("ValidationError", "state is not hermitian"),
-            ("ValidationError", "state trace is 1, expected 1"),
-            ("ValidationError", "invalid predicate: effect 'a0' is not hermitian"),
-            ("NotTracePreservingError", "program 'seq(random_cptp, random_unitary)' is not trace preserving"),
-            ("NotTracePreservingError", "program 'random_unitary' is not trace preserving"),
-            ("ValueError", "loewner_leq requires hermitian operands"),
-        }
-
-    def test_random_predicates_draw_at_most_the_named_atom_count(self):
-        # the orders blocks are sized for MAX_RANDOM_ATOMS atoms a predicate
-        counts = {len(random_predicate(np.random.default_rng(seed), 2).space) for seed in range(300)}
-        assert counts == set(range(2, MAX_RANDOM_ATOMS + 1))
-
-    def test_orders_stacks_stay_under_the_cap(self, monkeypatch):
-        sizes, blocks = [], []
-        densities, traces, block_values = qwp_campaigns._densities, qwp_campaigns._traces, qwp_campaigns._orders_block
-
-        def recording_densities(z):
-            out = densities(z)
-            sizes.append(out.nbytes)
-            return out
-
-        def recording_traces(stack):
-            sizes.append(stack.nbytes)
-            return traces(stack)
-
-        def recording_block(seed, dim, block, tol):
-            blocks.append(len(block))
-            return block_values(seed, dim, block, tol)
-
-        want = orders_campaign_oracle((6,), 40, 9)
-        cap = STACK_BYTES // 8
+@pytest.mark.parametrize(
+    "suite, dims, trials, seeds, residual_tol, cap",
+    rows(
+        *[(suite, CAMPAIGN_DIMS, 30, seed, 1e-9, "default") for suite in sorted(CAMPAIGNS) for seed in (1, 7, 42)],
+        *[(suite, (2, 3), 40, 11, 1e-9, SMALL_CAP) for suite in sorted(CAMPAIGNS)],
+        # a weakest block is one pair's 250 candidates at most
+        ("weakest", (2, 3), 260, 7, 1e-9, "default"),
+        # the failures of every stacked check, in blocks as large as the cap allows and in blocks of seven
+        *[
+            (suite, CAMPAIGN_DIMS, 20, (1, 7, 42), residual_tol, cap)
+            for suite in sorted(CAMPAIGNS) for residual_tol in (0.0, 1e-16, 3e-16, 1e-15) for cap in ("default", SMALL_CAP)
+        ],
+    ),
+)
+def test_campaign_blocks(suite, dims, trials, seeds, residual_tol, cap, monkeypatch):
+    wants = [built(loop_outcome, suite, dims, trials, seed, residual_tol) for seed in np.atleast_1d(seeds).tolist()]
+    if cap != "default":
         monkeypatch.setattr(qwp_linalg, "STACK_BYTES", cap)
-        monkeypatch.setattr(qwp_campaigns, "_densities", recording_densities)
-        monkeypatch.setattr(qwp_campaigns, "_traces", recording_traces)
-        monkeypatch.setattr(qwp_campaigns, "_orders_block", recording_block)
-        assert_same_result(orders_campaign((6,), 40, 9), want)
-        # blocks hold the (trials, k, states, 6, 6) products of the most atoms drawn, under the cap
-        rows = cap // (16 * MAX_RANDOM_ATOMS * CERTIFYING_STATES * 6 * 6)
-        assert rows == 18 and blocks == [rows, rows, 40 - 2 * rows]
-        assert sizes and max(sizes) <= cap
-
-    def test_a_non_hermitian_atom_after_one_not_below_is_refused(self):
-        # trial 7 of dim 2, seed 3: atom a0 of f is not below g's, and the
-        # hermiticity gap of a2 exceeds residual_tol; the pair is refused
-        # whatever the order of its atoms, and so is the campaign's trial
-        tol = ToleranceConfig(residual_tol=1e-16)
-        f, g = orders_pair_oracle(np.random.default_rng([3, 2, 7]), 2, 7)
-        assert not loewner_leq(f.effect("a0"), g.effect("a0"), tol)
-        assert not is_hermitian(f.effect("a2"), tol)
-        with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
-            predicate_leq(f, g, tol)
-        want = (ValueError, "loewner_leq requires hermitian operands")
-        assert raised(orders_campaign_oracle, (2,), 8, 3, tol) == want
-        assert raised(orders_campaign, (2,), 8, 3, tol) == want
-
-    def test_orders_makes_no_scalar_order_call_outside_replay(self, monkeypatch):
-        holders = [
-            (qwp_campaigns, "random_predicate"),
-            (qwp_campaigns, "psd_sqrt"),
-            (qwp_campaigns, "random_effect"),
-            (qwp_campaigns, "predicate_leq"),
-            (qwp_predicates, "_loewner_order"),
-            (qwp_linalg, "hermitian_eig"),
-            # each pair's one eigensolve is an eigh, whose λ_min decides its order
-            (qwp_linalg, "_eigvalsh"),
-        ]
-        calls = [count_calls(monkeypatch, module, name) for module, name in holders]
-        orders_campaign(CAMPAIGN_DIMS, 30, 7)
-        assert calls == [[]] * len(holders)
-        # a refused block replays its trials through them
-        with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
-            orders_campaign(CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0))
-        assert calls[3] and calls[4]
-
-    def test_blocks_pull_back_c_ordered_conjugates(self, monkeypatch):
-        # the blocks pass C-ordered conjugates, whose transposed view is the layout adjoint() stores
-        layouts = []
-        pull_back = qwp_campaigns._pull_back
-
-        def recording(conjs, effects):
-            layouts.append(conjs.flags.c_contiguous)
-            return pull_back(conjs, effects)
-
-        monkeypatch.setattr(qwp_campaigns, "_pull_back", recording)
-        duality_campaign((2, 3), 20, 5)
-        compose_campaign((2, 3), 20, 5)
-        assert layouts and all(layouts)
-
-    def test_a_refused_trial_that_passes_alone_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(qwp_campaigns, "_invalid_states", lambda ms, tol, eig_slack=1.0: np.ones(len(ms), bool))
-        with pytest.raises(RuntimeError, match="refused trial 0 of dim 2, which passes alone"):
-            duality_campaign((2,), 5, 0)
-
-    def test_weakest_blocks_are_pairs_of_at_most_250_candidates(self, monkeypatch):
-        counts = []
-        dominations = qwp_campaigns._dominations
-
-        def recording(c, f, tol, seed, n):
-            counts.append(n)
-            return dominations(c, f, tol, seed, n)
-
-        want = weakest_campaign_oracle((2, 3), 260, 7)
-        monkeypatch.setattr(qwp_campaigns, "_dominations", recording)
-        got = weakest_campaign((2, 3), 260, 7)
-        assert_same_result(got, want)
-        assert counts == [250, 10] * 2 and got.trials == 520
-
-    def test_weakest_oversized_candidates_fail_like_the_loop(self, monkeypatch):
-        monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: 1.3 * qwp_linalg._haar_spectral(z, w))
-        oversized = lambda rng, d: 1.3 * random_effect_oracle(rng, d)  # noqa: E731
-        got = weakest_campaign((2,), 260, 7)
-        assert_same_result(got, weakest_campaign_oracle((2,), 260, 7, effect=oversized))
-        assert 0 < got.failures < 2 * got.trials and got.max_residual > 0
-        assert got.notes == (f"most negative domination margin {-got.max_residual:.3e}",)
+    for seed, want in zip(np.atleast_1d(seeds).tolist(), wants):
+        tol = ToleranceConfig(residual_tol=residual_tol)
+        if isinstance(want, CampaignResult):
+            got = CAMPAIGNS[suite][0](dims, trials, seed, tol)
+            assert_same_result(got, want)
+            assert got.trials == len(dims) * trials
+        else:
+            assert raised(CAMPAIGNS[suite][0], dims, trials, seed, tol) == want
 
 
-class TestIsPreconditionOracle:
-    """is_precondition's margins and witness from one stacked eigensolve, against one eigensolve an atom."""
-
-    @staticmethod
-    def margins_oracle(g, c, f):
-        """The margin of each atom and the first atom of least margin with its lowest eigenvector."""
-        transformed = wp(c, f)
-        margins, worst = {}, (np.inf, None, None)
-        for a in f.space.atoms:
-            vals, vecs = hermitian_eig(transformed.effect(a) - g.effect(a))
-            margins[a] = float(vals[0])
-            if vals[0] < worst[0]:
-                worst = (float(vals[0]), a, vecs[:, 0])
-        return margins, worst[1], worst[2]
-
-    def assert_matches_the_loop(self, g, c, f):
-        report = is_precondition(g, c, f)
-        margins, atom, vec = self.margins_oracle(g, c, f)
-        assert list(report.margins) == list(margins)
-        assert [m.hex() for m in report.margins.values()] == [m.hex() for m in margins.values()]
-        assert report.holds == predicate_leq(g, wp(c, f))
-        if not report.holds:
-            assert report.witness.atom == atom
-            assert_same_bits(report.witness.state.matrix, DensityState.pure(vec).matrix)
-        return report
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_matches_the_per_atom_loop(self, kind, dim):
-        c, f = problem(kind, dim, 71)
-        rng = np.random.default_rng([73, dim])
-        # a random candidate, which fails in every case here, and one scaled below wp, which holds
-        g = random_predicate(rng, dim, n_atoms=len(f.space.atoms))
-        self.assert_matches_the_loop(g, c, f)
-        below = Predicate._from_stack(f.space, 0.5 * wp(c, f).effects)
-        assert self.assert_matches_the_loop(below, c, f).holds
-
-    def test_a_tie_takes_the_first_atom(self):
-        f = projective_predicate(3)
-        g = Predicate._from_stack(f.space, 1.25 * f.effects)
-        report = self.assert_matches_the_loop(g, from_super(np.eye(9)), f)
-        assert set(report.margins.values()) == {-0.25} and report.witness.atom == "0"
-
-    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 32])
-    def test_stacked_eigh_has_the_per_matrix_bits(self, dim):
-        z = np.random.default_rng(dim).standard_normal((4, 2, dim, dim))
-        stack = z[:, 0] + 1j * z[:, 1]
-        stack = stack + stack.conj().swapaxes(-1, -2)
-        vals, vecs = qwp_linalg._eigh(stack)
-        for i, a in enumerate(stack):
-            want_vals, want_vecs = hermitian_eig(a)
-            assert_same_bits(vals[i], want_vals)
-            assert_same_bits(vecs[i], want_vecs)
+def test_the_campaign_failures_cover_every_stage():
+    # the messages test_campaign_blocks compares, one per stacked check
+    seen = {
+        raised(duality_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
+        raised(duality_campaign, CAMPAIGN_DIMS, 20, 7, ToleranceConfig(residual_tol=1e-16)),
+        raised(compose_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
+        raised(compose_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=1e-16)),
+        raised(compose_campaign, CAMPAIGN_DIMS, 20, 7, ToleranceConfig(residual_tol=1e-15)),
+        raised(orders_campaign, CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0)),
+    }
+    assert {(t.__name__, m.split(";")[0]) for t, m in seen} == {
+        ("ValidationError", "state is not hermitian"),
+        ("ValidationError", "state trace is 1, expected 1"),
+        ("ValidationError", "invalid predicate: effect 'a0' is not hermitian"),
+        ("NotTracePreservingError", "program 'seq(random_cptp, random_unitary)' is not trace preserving"),
+        ("NotTracePreservingError", "program 'random_unitary' is not trace preserving"),
+        ("ValueError", "loewner_leq requires hermitian operands"),
+    }
 
 
-class TestLoewnerKernelOracle:
-    """The stacked order kernel against a per-atom loewner_leq loop, on hermitian pairs."""
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
-    def test_verdicts_match_the_per_atom_loop(self, dim):
-        rng = np.random.default_rng([191, dim])
-        tol = DEFAULT_TOL
-        g = np.array([[random_hermitian_contraction(rng, dim) for _ in range(3)] for _ in range(6)])
-        # λ_min(g - f) near 0 and ±eig_tol, and well clear of them, over the (6, 3) pairs
-        shifts = np.array([-1.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e6] * 2).reshape(6, 3, 1, 1) * tol.eig_tol
-        f = g + shifts * np.eye(dim)
-        f[0] = g[0] + np.array([random_hermitian_contraction(rng, dim) for _ in range(3)])
-        ordered, refused = qwp_linalg._loewner_flags(f, g, tol)
-        want = [[loewner_leq(f[i, a], g[i, a], tol) for a in range(3)] for i in range(6)]
-        assert ordered.tolist() == want and not refused.any()
-        assert_same_bits(qwp_linalg._loewner_order(f, g, tol), ordered)
-        space = OutcomeSpace(("a0", "a1", "a2"))
-        got = [predicate_leq(Predicate(space, f[i]), Predicate(space, g[i]), tol) for i in range(6)]
-        assert got == [all(row) for row in want]
-        assert {v for row in want for v in row} == {True, False}
+def test_campaign_superoperator_stacks_stay_under_the_cap(monkeypatch):
+    shapes = record_shapes(monkeypatch, qwp_campaigns, "_unital_gaps")
+    monkeypatch.setattr(qwp_linalg, "STACK_BYTES", SMALL_CAP)
+    compose_campaign((2, 3), 40, 5)
+    # three superoperator stacks a block: seq(c1, c2), c2, c1
+    assert [shape[-1] for shape in shapes] == [4] * 3 * 2 + [9] * 3 * 6
+    assert max(16 * int(np.prod(shape)) for shape in shapes) <= SMALL_CAP
 
 
-class TestHermiticityGaps:
-    """A gap that overflows reads inf (not hermitian), with no warning."""
+def test_orders_stacks_stay_under_the_cap(monkeypatch):
+    # the states (trials, states, 6, 6) and the (trials, k, states, 6, 6) products of the most atoms
+    # drawn, whose traces np.trace takes, stay under the cap
+    want = orders_campaign_oracle((6,), 40, 9)
+    cap = STACK_BYTES // 8
+    monkeypatch.setattr(qwp_linalg, "STACK_BYTES", cap)
+    shapes = record_shapes(monkeypatch, np, "trace")
+    assert_same_result(orders_campaign((6,), 40, 9), want)
+    assert shapes and max(16 * int(np.prod(shape)) for shape in shapes) <= cap
 
-    def test_overflowing_gap_is_not_hermitian(self):
-        a = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]], dtype=np.complex128)
-        s = np.eye(4, dtype=np.complex128)
-        s[:, 0] = vec(np.array([[1.0, 1.7e308], [-1.7e308, 0.0]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert is_hermitian(a) is False
-            assert validate_predicate(labelled([a])).violations == ("effect 'a0' is not hermitian",)
-            assert qwp_predicates._predicate_faults(a[None, None], DEFAULT_TOL).tolist() == [True]
-            with pytest.raises(ValidationError, match="state is not hermitian"):
-                DensityState(a)
-            assert qwp_programs._invalid_states(a[None], DEFAULT_TOL).tolist() == [True]
-            got = is_positive_sampled(from_super(s), ToleranceConfig(sample_count=5))
-            assert (got.status, got.samples) == ("counterexample", 1)
+
+def test_random_predicates_draw_at_most_the_named_atom_count():
+    # the orders blocks are sized for MAX_RANDOM_ATOMS atoms a predicate
+    counts = {len(random_predicate(np.random.default_rng(seed), 2).space) for seed in range(300)}
+    assert counts == set(range(2, MAX_RANDOM_ATOMS + 1))
+
+
+def test_a_non_hermitian_atom_after_one_not_below_is_refused():
+    # trial 7 of dim 2, seed 3: atom a0 of f is not below g's, and the
+    # hermiticity gap of a2 exceeds residual_tol; the pair is refused
+    # whatever the order of its atoms, and so is the campaign's trial
+    tol = ToleranceConfig(residual_tol=1e-16)
+    f, g = orders_pair_oracle(np.random.default_rng([3, 2, 7]), 2, 7)
+    assert not loewner_leq(f.effect("a0"), g.effect("a0"), tol)
+    assert not is_hermitian(f.effect("a2"), tol)
+    with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
+        predicate_leq(f, g, tol)
+    want = (ValueError, "loewner_leq requires hermitian operands")
+    assert raised(orders_campaign_oracle, (2,), 8, 3, tol) == want
+    assert raised(orders_campaign, (2,), 8, 3, tol) == want
+
+
+def test_orders_makes_no_scalar_order_call_outside_replay(monkeypatch):
+    holders = [
+        (qwp_campaigns, "random_predicate"),
+        (qwp_campaigns, "psd_sqrt"),
+        (qwp_campaigns, "random_effect"),
+        (qwp_campaigns, "predicate_leq"),
+        (qwp_linalg, "hermitian_eig"),
+        # each pair's one eigensolve is an eigh, whose λ_min decides its order
+        (np.linalg, "eigvalsh"),
+    ]
+    calls = [count_calls(monkeypatch, module, name) for module, name in holders]
+    orders_campaign(CAMPAIGN_DIMS, 30, 7)
+    assert calls == [[]] * len(holders)
+    # a refused block replays its trials through them
+    with pytest.raises(ValueError, match="loewner_leq requires hermitian operands"):
+        orders_campaign(CAMPAIGN_DIMS, 20, 1, ToleranceConfig(residual_tol=0.0))
+    assert calls[3]
+
+
+def test_a_refused_trial_that_passes_alone_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(qwp_campaigns, "_invalid_states", lambda ms, tol, eig_slack=1.0: np.ones(len(ms), bool))
+    with pytest.raises(RuntimeError, match="refused trial 0 of dim 2, which passes alone"):
+        duality_campaign((2,), 5, 0)
+
+
+def test_weakest_oversized_candidates_fail_like_the_loop(monkeypatch):
+    monkeypatch.setattr(qwp_wp, "_haar_spectral", lambda z, w: 1.3 * qwp_linalg._haar_spectral(z, w))
+    got = weakest_campaign((2,), 260, 7)
+    assert_same_result(got, weakest_campaign_oracle((2,), 260, 7, effect=oversized))
+    assert 0 < got.failures < 2 * got.trials and got.max_residual > 0
+    assert got.notes == (f"most negative domination margin {-got.max_residual:.3e}",)

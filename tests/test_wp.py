@@ -33,6 +33,7 @@ from qwp.programs import (
     identity_program,
     is_completely_positive,
     is_positive_sampled,
+    is_trace_preserving,
     random_cptp,
     sample_program,
     seq,
@@ -51,7 +52,7 @@ from qwp.wp import (
     wp_compose_check,
 )
 
-from maps import breuer_hall, choi_map, positive_not_cp, reduction
+from maps import breuer_hall, choi_map, positive_not_cp, pure_loss, reduction
 
 # the package re-exports the function wp under the name of its module
 qwp_wp = importlib.import_module("qwp.wp")
@@ -485,6 +486,38 @@ class TestCoarseGraining:
         fine, g = wp(c, f, tol), wp(c, coarse, tol)
         assert np.abs(effect_of_set(fine, merged) - g.effect("merged")).max() <= tol.residual_tol
         assert np.abs(fine.effect(kept) - g.effect(kept)).max() <= tol.residual_tol
+
+
+class TestFockTruncations:
+    """The finite shadow of the paper's infinite-dimension claim: wp of a channel on a bosonic mode, cut
+    at Fock level N, does not depend on the cut. Loss never raises the photon number, so
+    <n|wp(F)|n'> for n, n' < m reads only F's leading m×m block; so does the Fock-basis transpose
+    after loss, a positive program that is not CP. The cutoffs straddle the row blocks from d = 17."""
+
+    @pytest.mark.parametrize("m, n", [(8, 9), (16, 17), (16, 24), (24, 33)])
+    @pytest.mark.parametrize("program", ["loss", "transpose after loss"])
+    def test_wp_of_nested_truncations(self, program, m, n):
+        tol = DEFAULT_TOL
+
+        def channel(levels):
+            loss = pure_loss(levels, 0.7)
+            return loss if program == "loss" else seq(loss, transpose_program(levels))
+
+        # F' = F ⊕ G, G a POVM on the new levels
+        f = random_predicate(np.random.default_rng([m, 317]), m, n_atoms=3)
+        g = random_predicate(np.random.default_rng([n, 317]), n - m, n_atoms=3)
+        zeros = np.zeros((m, n - m))
+        wider = Predicate(f.space, [np.block([[f.effect(a), zeros], [zeros.T, g.effect(a)]]) for a in f.space.atoms])
+        small, large = channel(m), channel(n)
+        narrow, wide = wp(small, f, tol), wp(large, wider, tol)
+        for a in f.space.atoms:
+            assert np.abs(wide.effect(a)[:m, :m] - narrow.effect(a)).max() <= tol.residual_tol
+        for c, p in ((small, f), (large, wider)):
+            assert is_trace_preserving(c, tol)
+            assert is_completely_positive(c, tol) is (program == "loss")
+            status = is_positive_sampled(c, tol, seed=5).status
+            assert status == ("certified_cp" if program == "loss" else "no_counterexample")
+            assert max(duality_residual_sweep(c, p, tol, seed=7).values()) <= tol.residual_tol
 
 
 def recorded_calls(monkeypatch, holder, name):
