@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from qwp.linalg import random_isometry, random_unitary
-from qwp.programs import from_kraus, from_super, from_unitary, seq, unvec, vec
+from qwp.programs import adjoint, from_kraus, from_super, from_unitary, sample_program, seq, unvec, vec
 
 
 def nonpositive(dim, eps):
@@ -68,3 +68,11 @@ def positive_not_cp(phi, dim, seed):
     n = dim * dim
     w = random_unitary(np.random.default_rng([dim, seed]), dim)
     return seq(from_unitary(w), from_super(vec(phi(unvec(np.eye(n)))).T))
+
+
+def branches(dim, count):
+    """count sampled programs of every kind; every other one is an adjoint, stored by columns."""
+    rng = np.random.default_rng([dim, count, 43])
+    kinds = ("transpose_mix", "cptp", "unitary", "transpose")
+    progs = [sample_program(kinds[i % 4], dim, rng) for i in range(count)]
+    return [adjoint(c) if i % 2 == 0 else c for i, c in enumerate(progs)]

@@ -26,12 +26,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "tests/test_stacked_kernels.py"
-KINDS = ("cptp", "unitary", "transpose", "transpose_mix")
 
 
 def rows(test, *ids):
-    """The node ids of the rows of a table of the kernel tests, by the ids of their parameters."""
-    return tuple(f"{KERNELS}::{test}[{i}]" for i in ids)
+    """The node ids of rows of a kernel test, by the ids of their parameters; every row where no id is given."""
+    return tuple(f"{KERNELS}::{test}[{i}]" for i in ids) or (f"{KERNELS}::{test}",)
 
 
 SIDES = [f"{k}-{side}" for k in (0.5, 2.0, 4.0) for side in (1.0, -1.0)]
@@ -39,16 +38,11 @@ BAND_EDGES = rows(
     "test_is_psd_at_the_band_edges",
     *[f"{family}-{edge}" for family in ("cptp choi 8", "transpose choi 4", "transpose_mix choi 6") for edge in SIDES],
 )
-DEFECT_BELOW_THE_CORNER = rows("test_cp_check_routes", *[f"defect in a block below the corner-{d}-full" for d in (8, 17, 32)])
-MIXED_STACKS = rows("test_psd_stack", *[f"_psd_stack-mixed-{n}-{t}" for n in (1, 2, 5, 16) for t in ("1e-09", "0.0")])
-RULE_DIMS = (1, 2, 3, 8, 17, 32)
-PREDICATE_RULE = rows("test_psd_stack", *[f"predicate rule-straddles-{d}-each and stacked" for d in RULE_DIMS])
-STATE_RULE = rows("test_psd_stack", *[f"state rule-straddles-{d}-each and stacked" for d in RULE_DIMS])
-WP = rows(
-    "test_pull_back",
-    *[f"wp-{kind}-{d}-{n}-C" for d in (1, 2, 3, 5, 8, 17, 32) for kind in KINDS for n in range(1, 6)],
-    *[f"wp-{kind}-{d}-3-{layout}" for d in (2, 3, 8, 32) for kind in KINDS for layout in ("F", "adjoint of adjoint")],
-)
+DEFECT_BELOW_THE_CORNER = rows("test_cp_check_refuses_a_defect_below_the_corner_before_h_is_written")
+MIXED_STACKS = rows("test_psd_stack")
+PREDICATE_RULE = rows("test_predicate_rule")
+STATE_RULE = rows("test_state_rule")
+WP = rows("test_wp")
 PEAK = f"{KERNELS}::test_the_traced_peak_at_dim_32_stays_under_its_bound"
 
 
@@ -72,7 +66,7 @@ MUTANTS = [
         "linalg.py",
         "        out[p, :, :p + 1] = _hermitian_part(own, np.conjugate(partner)).transpose(2, 0, 1)",
         "        out[p, :, p] = _hermitian_part(own, np.conjugate(partner))[p].T",
-        rows("test_reads_in_place", *[f"_choi_view-writer-{d}-{order}" for d in (17, 24, 32) for order in "CF"]),
+        rows("test_choi_view_writer"),
     ),
     # the gap is read off a itself, before the certificate and before h is written
     Mutant(
@@ -140,14 +134,14 @@ MUTANTS = [
         "linalg.py",
         "    gaps = _hermiticity_gaps(a, ah)  # before _hermitian_part overwrites ah\n    h = _hermitian_part(a, ah)\n",
         "    h = _hermitian_part(a, ah)\n    gaps = _hermiticity_gaps(a, ah)\n",
-        rows("test_psd_stack", "_psd_stack-a gap of 1.5 residual_tol-3-1e-09"),
+        rows("test_psd_stack_refuses_a_gap_of_one_and_a_half_residual_tol"),
     ),
     # the eigensolve flags each matrix of a stack at its own threshold t_k
     Mutant(
         "linalg.py",
         "    return lows < -thresholds, lows\n",
         "    return lows < -np.max(thresholds), lows\n",
-        rows("test_psd_stack", *[f"_psd_stack-thresholds 0 to 2 eig_tol-{n}-1e-09" for n in (1, 2, 5, 16)]),
+        rows("test_psd_stack_at_a_threshold_per_matrix"),
     ),
     # the predicate rule stacks -total with the effects: a total above the identity is flagged
     Mutant(
@@ -189,7 +183,7 @@ MUTANTS = [
         "linalg.py",
         "    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):",
         "    if False:",
-        rows("test_cp_check_routes", "low rank-32-4"),
+        rows("test_cp_check_of_a_low_rank_map", "32-4"),
     ),
     # the probe refutes only above the band: at eig_tol + δ, not eig_tol - δ
     Mutant(
@@ -210,7 +204,7 @@ MUTANTS = [
         "wp.py",
         "return np.hypot(gap.real, gap.imag)",
         "return np.abs(gap)",
-        rows("test_pull_back", *[f"duality_residual-{kind}-{d}-{n}-one state" for d in (2, 5, 16) for kind in KINDS for n in (1, 3, 7)]),
+        rows("test_duality_residual"),
     ),
     # the adjoint stays a transposed view, the layout BLAS reads it in
     Mutant(
@@ -231,35 +225,22 @@ MUTANTS = [
         "programs.py",
         "rows = supers[..., :: d + 1, :]",
         "rows = supers[..., :: d, :]",
-        rows(
-            "test_unital_gaps",
-            *[
-                f"_unital_gaps-{kind}-{d}-{layout}"
-                for d in (1, 2, 3, 5, 8, 16, 17, 32) for kind in KINDS for layout in ("C", "F", "adjoint", "adjoint C")
-            ],
-        ),
+        rows("test_unital_gaps"),
     ),
     # a one-row tail joins the row block before it
     Mutant(
         "programs.py",
         "starts = range(0, n - 1, rows)",
         "starts = range(0, n, rows)",
-        rows(
-            "test_action",
-            *[f"apply_matrices-gaussian-{d}-rows of {r}-3" for d, r in ((17, 72), (23, 66), (31, 64), (33, 64))],
-            *[f"apply_matrices-gaussian-25-{layout}-{count}" for layout in "CF" for count in (1, 2, 3, 37, 100)],
-        ),
+        rows("test_apply_matrices_joins_a_one_row_tail_to_the_block_before_it")
+        + rows("test_apply_matrices", *[f"25-{layout}-{count}" for layout in "CF" for count in (1, 2, 3, 37, 100)]),
     ),
     # the Kraus sum turns -0.0 into +0.0, as a sum from 0 does
     Mutant(
         "programs.py",
         "        block += 0.0\n",
         "",
-        rows(
-            "test_builds_and_samplers",
-            *[f"from_kraus-{family}-{d}-{count}" for d in (1, 2, 3, 5, 8) for count in range(1, 6) for family in ("complex", "real")],
-            "from_kraus-left to right-1-3-5 operators",
-        ),
+        rows("test_from_kraus") + rows("test_from_kraus_sums_left_to_right"),
     ),
     # a Kraus sum skips its finite scan only when its diagonal S[i(d+1), j(d+1)] = Σ_K |K_ij|² is far below the float limit
     Mutant(
@@ -273,14 +254,14 @@ MUTANTS = [
         "programs.py",
         "for a in range(0, d, step):",
         "for a in range(0, d - step + 1, step):",
-        rows("test_builds_and_samplers", *[f"from_kraus-complex-{d}-{count}" for d in (16, 17, 23, 32, 33) for count in (1, 4)]),
+        rows("test_from_kraus", *[f"complex-{d}-{count}" for d in (16, 17, 23, 32, 33) for count in (1, 4)]),
     ),
     # a blocked mixture writes its last, partial block of rows
     Mutant(
         "programs.py",
         "for a in range(0, n, rows):",
         "for a in range(0, n - rows + 1, rows):",
-        rows("test_builds_and_samplers", *[f"mix-transpose, kraus-{d}-one weight" for d in (17, 33)]),
+        rows("test_mix"),
     ),
     # the positivity audit's below-diagonal coordinates are 2 Im rho_ij, not 2 Im rho_ji
     Mutant(
@@ -310,7 +291,7 @@ MUTANTS = [
         "programs.py",
         "if _defect_bound(n, float(_pair_moduli(row_norms).max())) <= residual_tol:",
         "if True:",
-        rows("test_audit", *[f"skew off the basis-{d}-1e-09" for d in (2, 3, 8)]),
+        rows("test_audit_refutes_a_skew_off_the_basis_by_its_anti_hermitian_rows"),
     ),
     # its coordinate matrix is released before the last block's PSD test
     Mutant(
@@ -384,7 +365,7 @@ MUTANTS = [
         "linalg.py",
         "draws = [(rng.standard_normal((2, dim, dim)), rng.uniform(low, 1.0, size=dim)) for _ in range(k)]",
         "draws = [(rng.uniform(low, 1.0, size=dim), rng.standard_normal((2, dim, dim)))[::-1] for _ in range(k)]",
-        rows("test_builds_and_samplers", *[f"matrix samplers-haar-{d}-one" for d in (1, 2, 3, 5, 8)]),
+        rows("test_matrix_samplers"),
     ),
 ]
 

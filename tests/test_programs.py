@@ -38,6 +38,8 @@ from qwp.programs import (
     vec,
 )
 
+from maps import branches
+
 qwp_linalg = importlib.import_module("qwp.linalg")
 qwp_programs = importlib.import_module("qwp.programs")
 
@@ -703,19 +705,11 @@ class TestMeasureBranch:
         assert is_trace_preserving(c)
         assert is_completely_positive(c)
 
-    @staticmethod
-    def branches(dim, count):
-        """count sampled programs of every kind; every other one is an adjoint, stored by columns."""
-        rng = np.random.default_rng([dim, count, 43])
-        kinds = ("transpose_mix", "cptp", "unitary", "transpose")
-        progs = [sample_program(kinds[i % 4], dim, rng) for i in range(count)]
-        return [adjoint(c) if i % 2 == 0 else c for i, c in enumerate(progs)]
-
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
     def test_projectors_match_the_kronecker_form(self, dim):
         # the computational-basis projectors, one branch per outcome
         proj = [np.diag(e) for e in np.eye(dim)]
-        bs = self.branches(dim, dim)
+        bs = branches(dim, dim)
         want = sum(b.super @ np.kron(m.conj(), m) for m, b in zip(proj, bs))
         assert np.abs(measure_branch(proj, bs).super - want).max() <= 1e-14
 
@@ -724,7 +718,7 @@ class TestMeasureBranch:
     def test_dense_instruments_match_the_kronecker_form(self, dim, count):
         # the blocks of a Haar isometry: a complete instrument of dense operators
         ms = list(random_isometry(np.random.default_rng([dim, count, 44]), count * dim, dim).reshape(count, dim, dim))
-        bs = self.branches(dim, count)
+        bs = branches(dim, count)
         want = sum(b.super @ np.kron(m.conj(), m) for m, b in zip(ms, bs))
         assert np.abs(measure_branch(ms, bs).super - want).max() <= 1e-14
 
