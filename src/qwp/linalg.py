@@ -59,6 +59,9 @@ class ToleranceConfig:
             raise ValueError(
                 f"residual_tol must lie in [0, 1e-3], got {self.residual_tol}"
             )
+        # a float or bool count would reach range() and the samplers deep in a loop
+        if isinstance(self.sample_count, bool) or not isinstance(self.sample_count, (int, np.integer)):
+            raise ValueError(f"sample_count must be an integer, got {self.sample_count!r}")
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be positive, got {self.sample_count}")
 
@@ -148,6 +151,20 @@ def _identity_gaps(ms: np.ndarray) -> np.ndarray:
     return np.abs(ms - np.eye(ms.shape[-1])).max(axis=(-2, -1))
 
 
+def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of terms along axis, one elementwise add a term in index order, from the first term plus +0.0.
+
+    Has the bits of Python's ``sum`` from 0 in any layout: adding +0.0 first
+    turns -0.0 entries into +0.0, and np.add.reduce may sum a contiguous axis
+    pairwise.
+    """
+    terms = np.moveaxis(terms, axis, 0)
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def _lower_eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each hermitian matrix in a stack (..., d, d), read from its lower triangle."""
     try:
@@ -167,7 +184,7 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return float(_hermiticity_gaps(as_complex_matrix(a))) <= tol.residual_tol
 
 
-# Band of the Cholesky verdicts in _cholesky_proves and _psd_verdict. Let a be
+# Band of the Cholesky verdicts in _threshold_flags and _psd_verdict. Let a be
 # one n×n matrix, h its hermitian part, t its threshold (eig_tol for the PSD
 # test; a rule λ_min(h) ≥ −t_k may give each matrix k its own), u = 2⁻⁵³ the
 # unit roundoff, and μ = Σ|Re a_ii| + ‖a‖_F + 2nt, read off a itself and
@@ -219,16 +236,18 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   to rounding, tr(h) less the trace of a PSD Schur complement, and
 #   tr(h) ≤ μ − ‖h‖_F. The pivot columns (a[:, p] + conj a[p, :])/2 are read
 #   off a with the bits of h's lower triangle, so L̂ is the factor of h.
+# Every factorization is one call of _cholesky_succeeds(m, s), which writes s
+# onto the diagonal of each matrix of the stack m and restores its bits after.
 # A stack (_psd_stack) is decided by one batched factorization at
-# s = t_k − δ_k (_cholesky_proves): when every matrix succeeds, each has
+# s = t_k − δ_k (_threshold_flags): when every matrix succeeds, each has
 # λ_min ≥ −t_k on both routes. A batched failure does not say which matrix
-# failed, so it leaves the stack to eigvalsh (_threshold_flags). A single
-# matrix (_psd_verdict) is probed on its leading blocks at t + δ, then its
-# hermiticity gap and the low-rank certificate are read off it where it
-# lies, all before any full-size array is built. Only a matrix that they
-# leave undecided has h's lower triangle written into an n×n array, for
-# the full factorization at t − δ, as a stack of one, the one at t + δ, and
-# eigvalsh between them. Where δ ≥ t, eigvalsh decides alone, after the gap.
+# failed, so it leaves the stack to eigvalsh. A single matrix (_psd_verdict)
+# is probed on its leading blocks at t + δ, then its hermiticity gap and the
+# low-rank certificate are read off it where it lies, all before any
+# full-size array is built. Only a matrix that they leave undecided has h's
+# lower triangle written into an n×n array, for the full factorizations at
+# t − δ and at t + δ, each of a stack of one, and eigvalsh between them.
+# Where δ ≥ t, eigvalsh decides alone, after the gap.
 _PSD_BAND_C = 8.0
 
 
@@ -274,12 +293,19 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
         return np.einsum("...ij,...ij->...", x.real, x.real) + np.einsum("...ij,...ij->...", x.imag, x.imag)
 
 
-def _cholesky_succeeds(m: np.ndarray) -> bool:
-    """Whether Cholesky runs to completion on every matrix of the stack m (..., n, n)."""
+def _cholesky_succeeds(m: np.ndarray, shift) -> bool:
+    """Whether Cholesky runs to completion on every matrix of the stack m (..., n, n), of which only the lower
+    triangles are read, with shift, a float or an array that broadcasts against (...), added to its diagonal;
+    the shift is written onto m in place, and the diagonal's bits are restored before this returns."""
+    diag = np.einsum("...ii->...i", m)
+    saved = diag.copy()
+    diag += np.asarray(shift)[..., None]
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        diag[...] = saved
     return True
 
 
@@ -391,45 +417,15 @@ def _psd_stack(a: np.ndarray, thresholds):
 
 def _threshold_flags(h: np.ndarray, diagonals: np.ndarray, sq_norms, thresholds):
     """The flags λ_min(h_k) < -t_k of a stack of hermitian parts h (..., n, n), of which only the lower triangles
-    are read, and the λ_min: None, every flag clear, where :func:`_cholesky_proves`, whose arguments these are,
-    proves the stack; else eigvalsh's, which give the same flags."""
-    if _cholesky_proves(h, diagonals, sq_norms, thresholds):
+    are read, and the λ_min: None, every flag clear, where every band δ_k < t_k and one batched Cholesky
+    factorization of h + (t_k - δ_k)I succeeds; else eigvalsh's, which give the same flags. diagonals (..., n) and
+    sq_norms (...) are each matrix a's diagonal and Σ|a_ij|², for δ_k (derivation above), and may be h's own;
+    thresholds are the t_k ≥ 0, a float or an array that broadcasts against sq_norms."""
+    delta = _band(h.shape[-1], diagonals, sq_norms, thresholds)
+    if (delta < thresholds).all() and _cholesky_succeeds(h, thresholds - delta):
         return np.zeros(h.shape[:-2], dtype=bool), None
     lows = _lower_eigvalsh(h).min(axis=-1)
     return lows < -thresholds, lows
-
-
-def _psd_tail(gaps: np.ndarray, h: np.ndarray, diagonals: np.ndarray, sq_norms: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Whether each of k matrices is hermitian within residual_tol with λ_min ≥ -eig_tol, from its gap (k,) and
-    the arguments of :func:`_threshold_flags` at eig_tol; a stack in which no gap passes takes no factorization."""
-    flags = gaps <= tol.residual_tol
-    if not flags.any():
-        return flags
-    return flags & ~_threshold_flags(h, diagonals, sq_norms, tol.eig_tol)[0]
-
-
-def _cholesky_proves(h: np.ndarray, diagonals: np.ndarray, sq_norms, thresholds) -> bool:
-    """True when one batched Cholesky factorization proves λ_min(h_k) ≥ -t_k for every hermitian
-    part h_k of a stack (..., n, n), of which only the lower triangles are read; False leaves the
-    stack undecided. diagonals (..., n) and sq_norms (...) are each matrix a's diagonal and
-    Σ|a_ij|², for the band (derivation above), and may be h's own; thresholds are the t_k ≥ 0, a
-    float or an array that broadcasts against sq_norms.
-
-    The factorization is of h + (t_k - δ_k)I, δ_k the band of matrix k, and is
-    tried only when every δ_k < t_k. Where it proves the bound, eigvalsh reads
-    λ_min ≥ -t_k too. h's diagonal is shifted for it and restored, with its
-    bits, before this returns False, so eigvalsh may then read h.
-    """
-    delta = _band(h.shape[-1], diagonals, sq_norms, thresholds)
-    if not (delta < thresholds).all():
-        return False
-    diag = np.einsum("...ii->...i", h)
-    saved = diag.copy()
-    diag += np.asarray(thresholds - delta)[..., None]
-    if _cholesky_succeeds(h):
-        return True
-    diag[...] = saved
-    return False
 
 
 def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None = None) -> bool:
@@ -449,8 +445,7 @@ def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None 
     delta = _band(n, diagonal, sq_norm, eig_tol)
     if delta < eig_tol:
         probe = _hermitian_part(_leading_square(blocks, n // 4))[None]
-        np.einsum("...ii->...i", probe)[...] += eig_tol + delta
-        if any(m and not _cholesky_succeeds(probe[:, :m, :m]) for m in (n // 16, n // 4)):
+        if any(m and not _cholesky_succeeds(probe[:, :m, :m], eig_tol + delta) for m in (n // 16, n // 4)):
             return False
         del probe  # before the gap's and the certificate's temporaries
     if _blocked_gap(blocks) > tol.residual_tol:
@@ -459,16 +454,12 @@ def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None 
         return True
     h = np.empty((n, n), dtype=np.complex128) if h is None else h
     _write_hermitian_part(blocks, h)
-    if _cholesky_proves(h[None], diagonal, sq_norm, eig_tol):
-        return True
     if delta < eig_tol:
+        if _cholesky_succeeds(h[None], eig_tol - delta):
+            return True
         # failure refutes only above the band
-        diag = np.einsum("ii->i", h)
-        saved = diag.copy()
-        diag += eig_tol + delta
-        if not _cholesky_succeeds(h[None]):
+        if not _cholesky_succeeds(h[None], eig_tol + delta):
             return False
-        diag[...] = saved
     return bool(_lower_eigvalsh(h)[0] >= -eig_tol)
 
 

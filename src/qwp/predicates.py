@@ -26,6 +26,7 @@ from .linalg import (
     _operator_family,
     _psd_stack,
     _require_finite,
+    _sum_in_order,
 )
 from .programs import DensityState
 
@@ -166,15 +167,9 @@ class SatMeasure:
 
 
 def _total_effects(effects: np.ndarray) -> np.ndarray:
-    """Sum of the atom effects of each predicate in a stack (..., k, d, d), added in atom order.
-
-    Has the bits of Python's ``sum`` from 0: adding +0.0 first turns -0.0
-    entries into +0.0. np.add.reduce may sum a contiguous axis pairwise.
-    """
-    total = effects[..., 0, :, :] + 0.0
-    for i in range(1, effects.shape[-3]):
-        total += effects[..., i, :, :]
-    return total
+    """Sum of the atom effects of each predicate in a stack (..., k, d, d), added in atom order
+    with the bits of Python's ``sum`` (:func:`_sum_in_order`)."""
+    return _sum_in_order(effects, -3)
 
 
 def _effect_flags(effects: np.ndarray, total: np.ndarray, tol: ToleranceConfig):

@@ -40,10 +40,11 @@ from .linalg import (
     _identity_gaps,
     _operator_family,
     _psd_stack,
-    _psd_tail,
     _psd_verdict,
     _require_finite,
     _row_block_size,
+    _sum_in_order,
+    _threshold_flags,
     as_complex_matrix,
 )
 
@@ -423,16 +424,11 @@ def _unital_gaps(supers: np.ndarray) -> np.ndarray:
     C*(I) is the conjugate of Sᵀ vec(I), and I is real, so the gap is read off Sᵀ vec(I)
     directly. vec(I) is one at the d positions k(d+1) and zero elsewhere, so Sᵀ vec(I) is the
     sum of the d rows S[k(d+1), :]: a strided view, d³ entries, never a copy of S. The rows
-    are added in order, one elementwise add each, so a stack and each of its members get the
-    same bits in any layout, C- or F-ordered or the columns :func:`adjoint` stores. Adding
-    +0.0 to the first row turns -0.0 entries into +0.0, as a sum from 0 does.
+    are added in order (:func:`_sum_in_order`), so a stack and each of its members get the
+    same bits in any layout, C- or F-ordered or the columns :func:`adjoint` stores.
     """
     d = math.isqrt(supers.shape[-1])
-    rows = supers[..., :: d + 1, :]
-    total = rows[..., 0, :] + 0.0
-    for k in range(1, d):
-        total += rows[..., k, :]
-    return _identity_gaps(unvec(total))
+    return _identity_gaps(unvec(_sum_in_order(supers[..., :: d + 1, :], -2)))
 
 
 def _choi_view(s: np.ndarray) -> np.ndarray:
@@ -559,10 +555,10 @@ def _pure_coordinates(psis: np.ndarray) -> np.ndarray:
 
 
 def _pure_parts(w: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`_psd_tail` reads of the outputs C(|psi><psi|), for each row psi of an (n, d) stack and
-    the coordinate matrix w of C: each output's hermiticity gap, zero where w has no rows for a, its
-    hermitian part h, of which only the lower triangle is written, and h's diagonal and Σ|h_ij|², the
-    band's inputs.
+    """What the audit reads of the outputs C(|psi><psi|), for each row psi of an (n, d) stack and the
+    coordinate matrix w of C: each output's hermiticity gap, zero where w has no rows for a, then the
+    arguments of :func:`_threshold_flags`: its hermitian part h, of which only the lower triangle is
+    written, and h's diagonal and Σ|h_ij|², the band's inputs.
 
     One float64 product ``w @ x`` gives every coordinate: a quarter of the flops of the complex
     product ``vec(psi psi†) @ c.super.T`` where w holds h's rows alone, half where it holds a's
@@ -639,13 +635,13 @@ def is_positive_sampled(
         end = checked + len(psis)
         if end <= d:  # basis states, finite as the superoperator is
             gaps, below, _ = _psd_stack(_basis_outputs(c.super, checked, end), tol.eig_tol)
-            bad = (gaps > tol.residual_tol) | below
         else:
             w = _coordinate_matrix(c.super, tol.residual_tol) if w is None else w
-            parts = _pure_parts(w, psis)
+            gaps, *parts = _pure_parts(w, psis)
             if end == 2 * d + tol.sample_count:
                 w = None  # released before the last block's PSD test
-            bad = ~_psd_tail(*parts, tol)
+            below = _threshold_flags(*parts, tol.eig_tol)[0]
+        bad = (gaps > tol.residual_tol) | below
         if bad.any():
             i = int(np.argmax(bad))
             # a random witness is normalized as a single vector, as drawn

@@ -1,12 +1,13 @@
 """Mutation gate: each row breaks one rule of the source, and its tests must fail.
 
 A row is (file under src/qwp, exact old text, new text, test selection). For
-each row the script copies src/ to a temporary directory, replaces the old
-text, which must occur exactly once, by the new text, and runs the selection
-with ``pytest -x`` against the copy. The gate fails when a mutant survives,
-when a row's old text is missing (the table has gone stale), and when the
-selections do not pass on the unchanged source, which would make every
-mutant look killed.
+each row the script replaces the old text, which must occur exactly once, by
+the new text in a copy of src/ in a temporary directory, and runs the
+selection with ``pytest -x`` against the copy. Two rows run at once, each
+in its worker's own copy, and the rows print in table order. The gate fails
+when a mutant survives, when a row's old text is missing (the table has gone
+stale), and when the selections do not pass on the unchanged source, which
+would make every mutant look killed.
 
 Run from the repository root, with the standard library and pytest:
 
@@ -16,16 +17,19 @@ Run from the repository root, with the standard library and pytest:
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "tests/test_stacked_kernels.py"
+WORKERS = 2  # mutants run at once, each in its own copy of src/
 
 
 def rows(test, *ids):
@@ -97,37 +101,39 @@ MUTANTS = [
     # a single matrix's full factorization refutes it only above the band
     Mutant(
         "linalg.py",
-        "        diag += eig_tol + delta\n",
-        "        diag += eig_tol - delta\n",
+        "        if not _cholesky_succeeds(h[None], eig_tol + delta):\n",
+        "        if not _cholesky_succeeds(h[None], eig_tol - delta):\n",
         BAND_EDGES,
     ),
-    # and proves it through the stack route, below the band, with no eigensolve
+    # and proves it below the band, with no eigensolve
     Mutant(
         "linalg.py",
-        "    if _cholesky_proves(h[None], diagonal, sq_norm, eig_tol):\n",
-        "    if False:\n",
+        "        if _cholesky_succeeds(h[None], eig_tol - delta):\n",
+        "        if False:\n",
         BAND_EDGES,
     ),
     # a stack is proved PSD only below the band too
     Mutant(
         "linalg.py",
-        "diag += np.asarray(thresholds - delta)[..., None]",
-        "diag += np.asarray(thresholds + delta)[..., None]",
+        "_cholesky_succeeds(h, thresholds - delta)",
+        "_cholesky_succeeds(h, thresholds + delta)",
         MIXED_STACKS,
     ),
     # and so is a predicate's stack of effects and -total, at its own thresholds
     Mutant(
         "linalg.py",
-        "diag += np.asarray(thresholds - delta)[..., None]",
-        "diag += np.asarray(thresholds + delta)[..., None]",
+        "_cholesky_succeeds(h, thresholds - delta)",
+        "_cholesky_succeeds(h, thresholds + delta)",
         PREDICATE_RULE,
     ),
-    # and its eigensolve reads the unshifted diagonal
+    # every factorization restores the diagonal it shifted: a stack's eigensolve, and a single matrix's
+    # eigensolve after its refutation, read h unshifted, and an input that h is written over is left as it was
     Mutant(
         "linalg.py",
-        "        return True\n    diag[...] = saved\n",
-        "        return True\n",
-        MIXED_STACKS,
+        "    finally:\n        diag[...] = saved\n",
+        "",
+        MIXED_STACKS
+        + rows("test_is_psd_at_the_band_edges", *[f"full rank 300-{k}-{side}" for k in (0.5, 2.0) for side in (1.0, -1.0)]),
     ),
     # the stack's gaps are |a - aᴴ|, read before the hermitian part overwrites the shared aᴴ
     Mutant(
@@ -157,13 +163,6 @@ MUTANTS = [
         "_psd_stack(ms, tol.eig_tol)",
         STATE_RULE,
     ),
-    # a single matrix's eigensolve reads h in place, with its diagonal restored after the refutation
-    Mutant(
-        "linalg.py",
-        "            return False\n        diag[...] = saved\n",
-        "            return False\n",
-        rows("test_is_psd_at_the_band_edges", *[f"full rank 300-{k}-{side}" for k in (0.5, 2.0) for side in (1.0, -1.0)]),
-    ),
     # a single matrix is first probed on its leading n/16 and n/4 rows, before its gap and certificate
     Mutant(
         "linalg.py",
@@ -188,8 +187,8 @@ MUTANTS = [
     # the probe refutes only above the band: at eig_tol + δ, not eig_tol - δ
     Mutant(
         "linalg.py",
-        'np.einsum("...ii->...i", probe)[...] += eig_tol + delta',
-        'np.einsum("...ii->...i", probe)[...] += eig_tol - delta',
+        "_cholesky_succeeds(probe[:, :m, :m], eig_tol + delta)",
+        "_cholesky_succeeds(probe[:, :m, :m], eig_tol - delta)",
         rows("test_is_psd_at_the_band_edges", *[f"leading rows 256-{edge}" for edge in SIDES]),
     ),
     # a map that its Choi matrix's leading blocks refute is never gathered into a full-size array
@@ -223,9 +222,23 @@ MUTANTS = [
     # the trace-preservation gap sums the rows k(d+1) of S, where vec(I) is one
     Mutant(
         "programs.py",
-        "rows = supers[..., :: d + 1, :]",
-        "rows = supers[..., :: d, :]",
+        "_sum_in_order(supers[..., :: d + 1, :], -2)",
+        "_sum_in_order(supers[..., :: d, :], -2)",
         rows("test_unital_gaps"),
+    ),
+    # the in-order sum turns -0.0 into +0.0, as a sum from 0 does
+    Mutant(
+        "linalg.py",
+        "    total = terms[0] + 0.0\n",
+        "    total = terms[0].copy()\n",
+        rows("test_total_effect"),
+    ),
+    # and adds its terms one at a time, in index order, never pairwise
+    Mutant(
+        "linalg.py",
+        "    total = terms[0] + 0.0\n    for term in terms[1:]:\n        total += term\n",
+        "    total = terms.sum(axis=0) + 0.0\n",
+        rows("test_total_effect_sums_left_to_right"),
     ),
     # a one-row tail joins the row block before it
     Mutant(
@@ -379,31 +392,54 @@ def _pytest(src: Path, selection) -> tuple[int, str]:
     return run.returncode, failed[0] if failed else ""
 
 
+def _try(m: Mutant, src: Path) -> tuple[int | None, str, float]:
+    """Mutant m in the copy src: pytest's exit status on its selection, None when the old text does not
+    occur exactly once, then the first test that failed or the fault, and the time; src is restored after."""
+    path = src / "qwp" / m.file
+    text = path.read_text()
+    if text.count(m.old) != 1:
+        return None, f"old text found {text.count(m.old)} times", 0.0
+    path.write_text(text.replace(m.old, m.new))
+    start = time.perf_counter()
+    try:
+        status, killer = _pytest(src, m.selection)
+    finally:
+        path.write_text(text)
+    return status, killer, time.perf_counter() - start
+
+
 def main() -> int:
     selections = sorted({test for m in MUTANTS for test in m.selection})
     faults = []
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        copies = queue.SimpleQueue()  # one copy of src/ a worker, so that two mutants never share one
+        for k in range(WORKERS):
+            src = Path(tmp) / f"src{k}"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            copies.put(src)
         if _pytest(src, selections)[0] != 0:
             print("the selections fail on the unchanged source", file=sys.stderr)
             return 1
-        for i, m in enumerate(MUTANTS, 1):
-            path = src / "qwp" / m.file
-            text = path.read_text()
-            label = f"{i}. {m.file}: {m.old.strip().splitlines()[0]}"
-            if text.count(m.old) != 1:
-                faults.append(f"{label}: old text found {text.count(m.old)} times")
-                continue
-            path.write_text(text.replace(m.old, m.new))
-            start = time.perf_counter()
-            status, killer = _pytest(src, m.selection)
-            path.write_text(text)
-            # 1 is a failing test; anything else is a selection that did not run
-            verdict = {0: "SURVIVED", 1: f"killed by {killer}"}.get(status, f"pytest exit {status}")
-            print(f"{label}: {verdict} in {time.perf_counter() - start:.1f} s")
-            if status != 1:
-                faults.append(f"{label}: {verdict}")
+
+        def run(m: Mutant) -> tuple[int | None, str, float]:
+            src = copies.get()
+            try:
+                return _try(m, src)
+            finally:
+                copies.put(src)
+
+        with ThreadPoolExecutor(WORKERS) as pool:
+            # map yields in table order, so the rows print in it whichever worker finishes first
+            for i, (m, (status, killer, seconds)) in enumerate(zip(MUTANTS, pool.map(run, MUTANTS)), 1):
+                label = f"{i}. {m.file}: {m.old.strip().splitlines()[0]}"
+                if status is None:
+                    faults.append(f"{label}: {killer}")
+                    continue
+                # 1 is a failing test; anything else is a selection that did not run
+                verdict = {0: "SURVIVED", 1: f"killed by {killer}"}.get(status, f"pytest exit {status}")
+                print(f"{label}: {verdict} in {seconds:.1f} s", flush=True)
+                if status != 1:
+                    faults.append(f"{label}: {verdict}")
     for fault in faults:
         print(f"FAIL {fault}", file=sys.stderr)
     return 1 if faults else 0

@@ -60,6 +60,16 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(**kwargs)
 
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, False, np.float64(3.0), np.bool_(True), "5", None])
+    def test_rejects_a_sample_count_that_is_not_an_integer(self, count):
+        # the audit and weakest_check would take it into range() and the samplers, deep in a loop
+        with pytest.raises(ValueError, match="sample_count must be an integer"):
+            ToleranceConfig(sample_count=count)
+
+    @pytest.mark.parametrize("count", [1, 7, np.int64(7), np.int32(7), np.uint8(7)])
+    def test_accepts_python_and_numpy_integers(self, count):
+        assert ToleranceConfig(sample_count=count).sample_count == count
+
 
 class TestHermitian:
     def test_real_diagonal(self):

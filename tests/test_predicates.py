@@ -27,7 +27,7 @@ from qwp.predicates import (
     scaled_predicate,
     validate_predicate,
 )
-from qwp.programs import DensityState, amplitude_damping, identity_program
+from qwp.programs import DensityState, amplitude_damping, from_super, identity_program, transpose_program
 from qwp.wp import wp
 
 
@@ -411,3 +411,12 @@ class TestRandomPredicate:
             p = random_predicate(rng, dim)
             for a in p.space.atoms:
                 assert operator_norm_hermitian(p.effect(a)) <= 1.0 + DEFAULT_TOL.eig_tol
+
+
+def test_reprs_name_the_dimension_views_and_atoms():
+    # a program built from a Kraus family keeps it as a second view; one built from its superoperator does not
+    assert repr(amplitude_damping(0.25)) == "QuantumProgram(dim=2, views=super+kraus, label='amplitude_damping(0.25)')"
+    assert repr(transpose_program(3)) == "QuantumProgram(dim=3, views=super, label='transpose')"
+    assert repr(from_super(np.eye(4))) == "QuantumProgram(dim=2, views=super, label='super')"
+    assert repr(DensityState(np.eye(3) / 3)) == "DensityState(dim=3)"
+    assert repr(projective_predicate(2)) == "Predicate(atoms=['0', '1'], dim=2)"
