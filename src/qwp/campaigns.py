@@ -36,6 +36,7 @@ from .linalg import (
     _haar_spectral,
     _loewner_flags,
     _psd_sqrts,
+    _traces,
     psd_sqrt,
     random_densities,
     random_density,
@@ -62,7 +63,7 @@ from .programs import (
     sample_program,
 )
 from .wp import (
-    CERTIFYING_STATES, _dominations, _duality_gaps, _pull_back, _traces, duality_residual, wp_compose_check,
+    CERTIFYING_STATES, _dominations, _duality_gaps, _pull_back, duality_residual, wp_compose_check,
 )
 
 __all__ = [

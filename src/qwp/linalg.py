@@ -151,6 +151,11 @@ def _identity_gaps(ms: np.ndarray) -> np.ndarray:
     return np.abs(ms - np.eye(ms.shape[-1])).max(axis=(-2, -1))
 
 
+def _traces(stack: np.ndarray) -> np.ndarray:
+    """The trace of each matrix in a stack (..., d, d)."""
+    return np.trace(stack, axis1=-2, axis2=-1)
+
+
 def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
     """Sum of terms along axis, one elementwise add a term in index order, from the first term plus +0.0.
 
@@ -225,7 +230,8 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 #   a − L̂L̂ᴴ, and taking the hermitian part is an orthogonal projection (onto
 #   the hermitian matrices, in the inner product Re tr(XᴴY)). Each entry
 #   a_ij − Σ_k l_ik l̄_jk is computed within γ_{r+2}(|a_ij| + Σ_k |l_ik||l_jk|),
-#   doubled for complex arithmetic, so the computed ‖a − L̂L̂ᴴ‖_F is within
+#   doubled for complex arithmetic (or as its conjugate, of equal modulus,
+#   below the block diagonal), so the computed ‖a − L̂L̂ᴴ‖_F is within
 #   2γ_{r+2}(‖a‖_F + ‖L̂‖_F²) of the exact one, plus a relative (n² + n)u for
 #   its own sum, which is below (n + 1)uμ/4 while it is at most t, as
 #   μ ≥ 2nt. With r ≤ n, ‖a‖_F ≤ μ and ‖L̂‖_F² ≤ μ, all of that is at most
@@ -242,12 +248,11 @@ def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 # s = t_k − δ_k (_threshold_flags): when every matrix succeeds, each has
 # λ_min ≥ −t_k on both routes. A batched failure does not say which matrix
 # failed, so it leaves the stack to eigvalsh. A single matrix (_psd_verdict)
-# is probed on its leading blocks at t + δ, then its hermiticity gap and the
-# low-rank certificate are read off it where it lies, all before any
-# full-size array is built. Only a matrix that they leave undecided has h's
-# lower triangle written into an n×n array, for the full factorizations at
-# t − δ and at t + δ, each of a stack of one, and eigvalsh between them.
-# Where δ ≥ t, eigvalsh decides alone, after the gap.
+# is probed at t + δ on its leading n/16 block, then on its n/4 block; the
+# pivot steps and one walk for its hermiticity gap and the certificate's
+# residual read it in place. Only a matrix they leave undecided has h's lower
+# triangle written into an n×n array, for the factorizations at t − δ and
+# t + δ (stacks of one) and eigvalsh between them; where δ ≥ t, eigvalsh alone.
 _PSD_BAND_C = 8.0
 
 
@@ -331,17 +336,6 @@ def _block_pairs(blocks: np.ndarray):
         yield p, blocks[p, :, :p + 1].transpose(1, 2, 0), blocks[:p + 1, :, p]
 
 
-def _blocked_gap(blocks: np.ndarray) -> float:
-    """Hermiticity gap max|a - aᴴ| of the finite matrix a that blocks (b, k, b, k) lays out, read in place.
-
-    Block row p at a time: each block (p, q), q ≤ p, against the conjugate of
-    its partner (q, p). |a - aᴴ| takes the same value at (i, j) and (j, i),
-    so these blocks give its maximum. Each entry is |a_ij - conj a_ji| of
-    :func:`_hermiticity_gaps`, so the gap has the bits of a full-size pass.
-    """
-    return max(float(_hermiticity_gaps(own, np.conjugate(partner)).max()) for _, own, partner in _block_pairs(blocks))
-
-
 def _write_hermitian_part(blocks: np.ndarray, h: np.ndarray) -> None:
     """Write the hermitian part of the finite matrix a that blocks (b, k, b, k) lays out into h (n, n), on and
     below its block diagonal, from the pairs of :func:`_block_pairs` with the bits of a full-size pass.
@@ -364,45 +358,55 @@ def _lower_column(blocks: np.ndarray, p: int, out: np.ndarray) -> None:
     out[p:] = _hermitian_part(np.conjugate(row[p:]), col[p:])
 
 
-def _low_rank_certificate(blocks: np.ndarray, diagonal: np.ndarray, delta: float, eig_tol: float) -> bool:
-    """True when a pivoted partial Cholesky factor L̂ proves PSD the hermitian part h of the matrix a that blocks
-    (b, k, b, k) lays out, of diagonal (n,) (derivation above); False leaves a undecided. a is read in place.
+def _pivot_rows(blocks: np.ndarray, diagonal: np.ndarray, delta: float, eig_tol: float) -> np.ndarray | None:
+    """The columns of L̂ as rows (r, n), L̂ a pivoted partial Cholesky factor of the hermitian part h of the matrix a
+    that blocks (b, k, b, k) lays out, of diagonal (n,), read in place (derivation above); None if it certifies nothing.
 
-    Each step factors the column of the largest remaining Schur diagonal, read
-    off a as h's lower triangle, until no Schur diagonal is above t − δ; a
-    matrix that needs more than isqrt(n) steps, d for a Choi matrix, is left
-    undecided. Only a drained diagonal goes on to the residual a − L̂L̂ᴴ, summed
-    one block row at a time.
+    Each step factors the column of the largest remaining Schur diagonal, read off a as h's lower triangle,
+    until none is above t − δ. More than isqrt(n) steps, d for a Choi matrix, or ‖L̂‖_F² > μ give None.
     """
-    b, w = blocks.shape[:2]
-    n = b * w
-    bound = eig_tol - delta
+    n = blocks.shape[0] * blocks.shape[1]
     schur = _hermitian_part(np.conjugate(diagonal), diagonal.copy()).real  # h's diagonal
     factor = np.empty((math.isqrt(n), n), dtype=np.complex128)  # row k holds column k of L̂
     for k in range(len(factor) + 1):
         p = int(schur.argmax())
-        if schur[p] <= bound:
+        if schur[p] <= eig_tol - delta:
             break
         if k == len(factor):
-            return False
+            return None
         column = factor[k]
         _lower_column(blocks, p, column)
         column -= factor[:k].T @ factor[:k, p].conj()
         column /= np.sqrt(schur[p])
         schur -= column.real * column.real + column.imag * column.imag
         schur[p] = 0.0
-    lead = factor[:k]
-    if _squared_norms(lead) > delta / _band_per_mu(n):  # ‖L̂‖_F² > μ
-        return False
-    residual_sq, conj_lead = 0.0, lead.conj()
-    for p in range(b):
-        strip = conj_lead.T @ lead[:, p * w:(p + 1) * w]  # [q*w + j, i] = (L̂L̂ᴴ)[p*w + i, q*w + j]
-        rest = strip.reshape(b, w, w)
-        np.subtract(blocks[p].transpose(1, 2, 0), rest, out=rest)  # a's block row p less L̂L̂ᴴ's, laid out alike
-        residual_sq += _squared_norms(strip)
-        if residual_sq > bound * bound:
-            return False
-    return True
+    if _squared_norms(factor[:k]) > delta / _band_per_mu(n):  # ‖L̂‖_F² > μ
+        return None
+    return factor[:k].copy()  # L̂'s r rows alone: the isqrt(n)-row buffer goes
+
+
+def _gap_and_certificate(blocks: np.ndarray, lead: np.ndarray | None = None, bound: float = 0.0) -> tuple[float, bool]:
+    """The gap max|a - aᴴ| of the finite matrix a that blocks (b, k, b, k) lays out, with the bits of a full-size
+    pass, and whether ‖a - L̂L̂ᴴ‖_F ≤ bound for the rows lead of :func:`_pivot_rows`, False for None; read in place.
+
+    Each pair of :func:`_block_pairs` gives |a_ij - conj a_ji| on block (p, q), q ≤ p: every value of |a - aᴴ|.
+    While L̂ can certify, it gives the strip of L̂L̂ᴴ laid out as the partners (q, p), too: less them, and less
+    the conjugated blocks (p, q), it sums each entry of a - L̂L̂ᴴ once.
+    """
+    w, gap, residual_sq = blocks.shape[1], 0.0, 0.0
+    for p, own, partner in _block_pairs(blocks):
+        diff = np.conjugate(partner, order="C")
+        with np.errstate(over="ignore"):  # |a - aᴴ|'s temporary goes before the strip
+            gap = max(gap, float(np.abs(np.subtract(own, diff, out=diff)).max()))
+        if lead is not None:
+            # strip[q, j, i] = (L̂L̂ᴴ)[q*w + j, p*w + i], the partners' layout
+            strip = (lead[:, :(p + 1) * w].T @ np.conjugate(lead[:, p * w:(p + 1) * w])).reshape(partner.shape)
+            np.subtract(np.conjugate(own, out=diff), strip, out=diff)
+            np.subtract(partner, strip, out=strip)
+            residual_sq += np.vdot(diff, diff).real + np.vdot(strip[:p], strip[:p]).real
+            if residual_sq > bound * bound:
+                lead = None
+    return gap, lead is not None
 
 
 def _psd_stack(a: np.ndarray, thresholds):
@@ -433,24 +437,22 @@ def _psd_verdict(blocks: np.ndarray, tol: ToleranceConfig, h: np.ndarray | None 
     blocks[p, i, q, j], is hermitian within residual_tol with λ_min ≥ -eig_tol, by the single-matrix
     route (derivation above).
 
-    blocks is a view of a where it lies: the band, the probes of the leading
-    n/4 square, the hermiticity gap and the low-rank certificate read it in
-    place. Only when none of them has decided is h's lower triangle written
-    into the one full-size array: the given h, a private copy of a that
-    blocks views, or else a new array.
+    blocks is a view of a where it lies, which the band, the probes, the pivot steps and the walk read in
+    place. Only when none of them has decided is h's lower triangle written into the one full-size array:
+    the given h, a private copy of a that blocks views, or else a new array.
     """
     n, eig_tol = blocks.shape[0] * blocks.shape[1], tol.eig_tol
     flat = blocks.ravel("K")  # a view, in memory order, for blocks of any contiguous array
     diagonal, sq_norm = np.einsum("pipi->pi", blocks).reshape(-1), np.vdot(flat, flat).real
     delta = _band(n, diagonal, sq_norm, eig_tol)
-    if delta < eig_tol:
-        probe = _hermitian_part(_leading_square(blocks, n // 4))[None]
-        if any(m and not _cholesky_succeeds(probe[:, :m, :m], eig_tol + delta) for m in (n // 16, n // 4)):
-            return False
-        del probe  # before the gap's and the certificate's temporaries
-    if _blocked_gap(blocks) > tol.residual_tol:
+    if delta < eig_tol and not all(_cholesky_succeeds(_hermitian_part(_leading_square(blocks, m))[None], eig_tol + delta)
+                                   for m in (n // 16, n // 4) if m):  # a corner only once the one before passed
         return False
-    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):
+    lead = _pivot_rows(blocks, diagonal, delta, eig_tol) if delta < eig_tol else None
+    gap, certified = _gap_and_certificate(blocks, lead, eig_tol - delta)
+    if gap > tol.residual_tol:
+        return False
+    if certified:
         return True
     h = np.empty((n, n), dtype=np.complex128) if h is None else h
     _write_hermitian_part(blocks, h)
@@ -573,7 +575,7 @@ def _densities(z: np.ndarray) -> np.ndarray:
     """Trace-one Ginibre products g gᴴ / Tr(g gᴴ), shape (..., d, d), from normals (..., 2, d, d)."""
     g = _ginibre(z)
     m = g @ g.conj().swapaxes(-1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m / _traces(m).real[..., None, None]
 
 
 def _haar_isometries(z: np.ndarray) -> np.ndarray:

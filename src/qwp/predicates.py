@@ -27,6 +27,7 @@ from .linalg import (
     _psd_stack,
     _require_finite,
     _sum_in_order,
+    _traces,
 )
 from .programs import DensityState
 
@@ -274,12 +275,9 @@ def sat(rho: DensityState, p: Predicate, tol: ToleranceConfig = DEFAULT_TOL) -> 
     if rho.dim != p.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} vs predicate dim {p.dim}")
     _require_valid(p, tol)
-    weights = {
-        a: float(np.trace(rho.matrix @ p.effect(a)).real) for a in p.space.atoms
-    }
-    values = list(weights.values())
-    satisfied = min(values) >= -tol.residual_tol and max(values) > tol.residual_tol
-    return SatMeasure(space=p.space, weights=weights, satisfied=satisfied)
+    weights = _traces(rho.matrix @ p.effects).real
+    satisfied = bool(weights.min() >= -tol.residual_tol and weights.max() > tol.residual_tol)
+    return SatMeasure(space=p.space, weights=dict(zip(p.space.atoms, weights.tolist())), satisfied=satisfied)
 
 
 def chain_sup(chain: Sequence[Predicate], tol: ToleranceConfig = DEFAULT_TOL) -> Predicate:

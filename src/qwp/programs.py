@@ -45,6 +45,7 @@ from .linalg import (
     _row_block_size,
     _sum_in_order,
     _threshold_flags,
+    _traces,
     as_complex_matrix,
 )
 
@@ -154,7 +155,7 @@ def _state_flags(ms: np.ndarray, tol: ToleranceConfig, eig_slack: float):
     flag is set and the λ_min are None.
     """
     gaps, not_psd, lows = _psd_stack(ms, eig_slack * tol.eig_tol)
-    traces = np.trace(ms, axis1=-2, axis2=-1)
+    traces = _traces(ms)
     off_trace = np.hypot(traces.real - 1.0, traces.imag) > tol.residual_tol
     return (gaps > tol.residual_tol, off_trace, not_psd), traces, lows
 
@@ -447,7 +448,7 @@ def is_completely_positive(c: QuantumProgram, tol: ToleranceConfig = DEFAULT_TOL
     """True when the Choi matrix is PSD; the superoperator was validated when the program was built.
 
     The single-matrix route of the PSD kernel on the view :func:`_choi_view` of S:
-    its band, the probes of J's leading n/4 square, the hermiticity gap and the
+    its band, the probes of J's leading squares, the hermiticity gap and the
     low-rank certificate read J where it lies in S. Only a map that none of them
     decides has the lower triangle of J's hermitian part written, off the view.
     """

@@ -27,6 +27,7 @@ from .linalg import (
     _loewner_order,
     _psd_sqrts,
     _require_finite,
+    _traces,
     random_densities,
 )
 from .predicates import OutcomeSpace, Predicate, _require_comparable, _require_valid
@@ -239,8 +240,8 @@ def is_precondition(
         worst = int(np.argmin(lowest))  # the first atom of least margin
         worst_atom = f.space.atoms[worst]
         rho = DensityState.pure(vecs[worst, :, 0])
-        lhs = float(np.trace(g.effect(worst_atom) @ rho.matrix).real)
-        rhs = float(np.trace(f.effect(worst_atom) @ apply_matrix(c, rho.matrix)).real)
+        lhs = float(_traces(g.effect(worst_atom) @ rho.matrix).real)
+        rhs = float(_traces(f.effect(worst_atom) @ apply_matrix(c, rho.matrix)).real)
         witness = Witness(atom=worst_atom, state=rho, lhs=lhs, rhs=rhs)
     return VerificationReport(
         verdict="holds" if holds else "fails",
@@ -258,10 +259,6 @@ def verify_triple(
 ) -> VerificationReport:
     """Hoare-style check: the triple holds when pre is a precondition of post."""
     return is_precondition(t.pre, t.prog, t.post, tol, seed)
-
-
-def _traces(stack: np.ndarray) -> np.ndarray:
-    return np.trace(stack, axis1=-2, axis2=-1)
 
 
 def weakest_check(

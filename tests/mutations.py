@@ -72,21 +72,21 @@ MUTANTS = [
         "        out[p, :, p] = _hermitian_part(own, np.conjugate(partner))[p].T",
         rows("test_choi_view_writer"),
     ),
-    # the gap is read off a itself, before the certificate and before h is written
+    # the gap is read off a itself, and refutes before the certificate proves and before h is written
     Mutant(
         "linalg.py",
-        """    if _blocked_gap(blocks) > tol.residual_tol:
+        """    if gap > tol.residual_tol:
         return False
-    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):
+    if certified:
         return True
     h = np.empty((n, n), dtype=np.complex128) if h is None else h
     _write_hermitian_part(blocks, h)
 """,
-        """    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):
+        """    if certified:
         return True
     h = np.empty((n, n), dtype=np.complex128) if h is None else h
     _write_hermitian_part(blocks, h)
-    if _blocked_gap(blocks) > tol.residual_tol:
+    if gap > tol.residual_tol:
         return False
 """,
         DEFECT_BELOW_THE_CORNER,
@@ -166,36 +166,50 @@ MUTANTS = [
     # a single matrix is first probed on its leading n/16 and n/4 rows, before its gap and certificate
     Mutant(
         "linalg.py",
-        "for m in (n // 16, n // 4))",
-        "for m in ())",
+        "for m in (n // 16, n // 4) if m)",
+        "for m in () if m)",
         rows("test_is_psd", "leading rows-64"),
     ),
     # the low-rank certificate needs a small residual, not only a drained pivot diagonal
     Mutant(
         "linalg.py",
-        "    lead = factor[:k]\n",
-        "    return True\n",
+        "        if residual_sq > bound * bound:\n",
+        "        if False:\n",
         rows("test_is_psd", "drained diagonal-64"),
+    ),
+    # the residual sums each block (p, q), q ≤ p, against L̂L̂ᴴ as well as each partner (q, p)
+    Mutant(
+        "linalg.py",
+        "residual_sq += np.vdot(diff, diff).real + np.vdot(strip[:p], strip[:p]).real",
+        "residual_sq += np.vdot(strip[:p], strip[:p]).real",
+        rows("test_walk_certifies_by_the_full_size_residual"),
     ),
     # a single low-rank matrix is decided by the certificate, with no full factorization
     Mutant(
         "linalg.py",
-        "    if delta < eig_tol and _low_rank_certificate(blocks, diagonal, delta, eig_tol):",
+        "    if certified:",
         "    if False:",
         rows("test_cp_check_of_a_low_rank_map", "32-4"),
     ),
     # the probe refutes only above the band: at eig_tol + δ, not eig_tol - δ
     Mutant(
         "linalg.py",
-        "_cholesky_succeeds(probe[:, :m, :m], eig_tol + delta)",
-        "_cholesky_succeeds(probe[:, :m, :m], eig_tol - delta)",
+        "_cholesky_succeeds(_hermitian_part(_leading_square(blocks, m))[None], eig_tol + delta)",
+        "_cholesky_succeeds(_hermitian_part(_leading_square(blocks, m))[None], eig_tol - delta)",
         rows("test_is_psd_at_the_band_edges", *[f"leading rows 256-{edge}" for edge in SIDES]),
+    ),
+    # and the n/16 corner is probed before the n/4 corner is gathered
+    Mutant(
+        "linalg.py",
+        "for m in (n // 16, n // 4) if m)",
+        "for m in (n // 4, n // 16) if m)",
+        (f"{PEAK}[is_completely_positive transpose_mix cold]", f"{PEAK}[is_completely_positive transpose_mix]"),
     ),
     # a map that its Choi matrix's leading blocks refute is never gathered into a full-size array
     Mutant(
         "linalg.py",
-        "probe = _hermitian_part(_leading_square(blocks, n // 4))[None]",
-        "probe = _hermitian_part(_leading_square(blocks, n)[:n // 4, :n // 4])[None]",
+        "_hermitian_part(_leading_square(blocks, m))[None]",
+        "_hermitian_part(_leading_square(blocks, n)[:m, :m])[None]",
         (f"{PEAK}[is_completely_positive transpose_mix cold]", f"{PEAK}[is_completely_positive transpose_mix]"),
     ),
     # moduli round as a scalar abs() does
@@ -386,7 +400,10 @@ MUTANTS = [
 def _pytest(src: Path, selection) -> tuple[int, str]:
     """pytest's exit status on the selection against the package in src, and the first test that failed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *selection]
+    # no test uses the benchmark or hypothesis plugins, and loading them, where they are installed,
+    # doubled the time of a mutant's run
+    plugins = ("no:cacheprovider", "no:benchmark", "no:hypothesispytest")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", *(arg for p in plugins for arg in ("-p", p)), *selection]
     run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
     failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
     return run.returncode, failed[0] if failed else ""

@@ -114,7 +114,7 @@ SEAMS = {
         "_hermitian_part",  # (a + aᴴ)/2 without overflow, the writer's full-size oracle
         "_psd_stack",  # the stack primitive, at a threshold per matrix
         "_square_blocks",  # the single-matrix route's block layout of a matrix
-        "_blocked_gap",  # the hermiticity gap read in place
+        "_gap_and_certificate",  # the one walk: the hermiticity gap and the certificate's residual, read in place
         "_write_hermitian_part",  # h's lower block triangle, written off the blocks
         "_lower_column",  # the certificate's pivot columns
         "_leading_square",  # the probes' corner
@@ -1874,7 +1874,7 @@ def assert_writer_bits(blocks, a, h=None):
     """The gap and written h of the matrix a that blocks lays out, against a full-size pass;
     h is a new array, or the array blocks views, which the writer overwrites."""
     want_gap, want_h = preamble_oracle(a)
-    assert_same_bits(qwp_linalg._blocked_gap(blocks), want_gap)
+    assert_same_bits(qwp_linalg._gap_and_certificate(blocks)[0], want_gap)
     n, k = len(a), blocks.shape[1]
     fresh = h is None
     if fresh:
@@ -1901,7 +1901,8 @@ def test_choi_view_corner(d):
 def test_choi_view_gap(d):
     c = from_super(built(gaussian_super, d))
     for prog in (c, adjoint(c), built(sample_program, "transpose_mix", d, 5)):
-        assert_same_bits(qwp_linalg._blocked_gap(qwp_programs._choi_view(prog.super)), preamble_oracle(to_choi(prog))[0])
+        gap = qwp_linalg._gap_and_certificate(qwp_programs._choi_view(prog.super))[0]
+        assert_same_bits(gap, preamble_oracle(to_choi(prog))[0])
 
 
 @pytest.mark.parametrize("d, order", rows(*[(d, order) for d in (17, 24, 32) for order in "CF"]))
@@ -1928,7 +1929,7 @@ def square_blocks(n, order):
 @pytest.mark.parametrize("n, order", rows(*[(n, order) for n in (1, 5, 64, 289, 300, 1021) for order in "CF"]))
 def test_square_blocks_gap(n, order):
     a, blocks = square_blocks(n, order)
-    assert_same_bits(qwp_linalg._blocked_gap(blocks), preamble_oracle(a)[0])
+    assert_same_bits(qwp_linalg._gap_and_certificate(blocks)[0], preamble_oracle(a)[0])
 
 
 @pytest.mark.parametrize("n", [300, 257, 1024])
@@ -1967,7 +1968,7 @@ def test_writer_near_the_float_limit():
         # an overflowing gap reads inf, and h is written finite, without a warning
         h = np.empty_like(a)
         with np.errstate(all="raise"):
-            gap = qwp_linalg._blocked_gap(blocks)
+            gap = qwp_linalg._gap_and_certificate(blocks)[0]
             qwp_linalg._write_hermitian_part(blocks, h)
         assert np.isfinite(lower_triangle(h)).all()
         assert gap == np.inf
@@ -1976,10 +1977,10 @@ def test_writer_near_the_float_limit():
 def test_writer_gap_above_the_last_diagonal_block():
     a = to_choi(sample_program("cptp", 17, 8))
     blocks = qwp_linalg._square_blocks(a)
-    assert qwp_linalg._blocked_gap(blocks) <= DEFAULT_TOL.residual_tol
+    assert qwp_linalg._gap_and_certificate(blocks)[0] <= DEFAULT_TOL.residual_tol
     a[len(a) - blocks.shape[1], len(a) - 1] += 1e-6
     assert_writer_bits(blocks, a)
-    assert qwp_linalg._blocked_gap(blocks) > DEFAULT_TOL.residual_tol
+    assert qwp_linalg._gap_and_certificate(blocks)[0] > DEFAULT_TOL.residual_tol
     assert is_psd(a) is False
 
 
@@ -2025,6 +2026,21 @@ def test_pivot_columns_have_the_bits_of_the_written_lower_triangle(d):
             qwp_linalg._lower_column(blocks, p, column)
             assert_same_bits(column[:p], h[p, :p].conj())
             assert_same_bits(column[p:], h[p:, p])
+
+
+@pytest.mark.parametrize("n, rank", [(64, 4), (289, 17), (300, 3), (257, 16)])
+def test_walk_certifies_by_the_full_size_residual(n, rank):
+    # a = GGᴴ + E, E spread over both triangles and not hermitian: given L̂ = G, the walk certifies
+    # exactly when the full-size ‖a - GGᴴ‖_F is within the bound, and its gap is the full-size gap
+    rng = np.random.default_rng([n, rank, 271])
+    g, e = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / n for shape in ((n, rank), (n, n)))
+    a = g @ g.conj().T + 1e-9 * e
+    residual = np.linalg.norm(a - g @ g.conj().T)
+    blocks = qwp_linalg._square_blocks(a)
+    for lead, bound, want in ((g.T.copy(), 1.0001 * residual, True), (g.T.copy(), 0.9999 * residual, False), (None, 1.0, False)):
+        gap, certified = qwp_linalg._gap_and_certificate(blocks, lead, bound)
+        assert certified is want
+        assert_same_bits(gap, hermiticity_gaps_oracle(a))
 
 
 @pytest.mark.parametrize("n, eig_tol", rows(*[(n, eig_tol) for n in (1, 5, 64) for eig_tol in (1e-9, 0.0)]))
@@ -2324,23 +2340,24 @@ PEAK_BOUNDS_MIB = {
     "measure_branch": (18.1, True, lambda: partial(measure_branch, halves(), [cptp32(), sampled32("transpose_mix")])),
     # the 16 MiB superoperator, a block of rows and its products, and the finite-entry mask
     "measure_branch isometry": (20.0, False, lambda: partial(measure_branch, isometry_blocks(45, 2), branches(32, 2))),
-    # the corner that the probes factor: a map that the low-rank certificate proves is read in place,
+    # the corners that the probes factor: a map that the low-rank certificate proves is read in place,
     # one that it leaves undecided has h written off the Choi view into one new array, with no Choi copy,
     # and adds the full Cholesky factor, also from a superoperator stored by columns; a refuted map copies
-    # only its corner
+    # only the corners up to the one that refutes it
     "is_completely_positive cptp": (2.6, True, lambda: partial(is_completely_positive, cptp32())),
-    # the n/4 corner of the probes and its hermitian part, 1 MiB each, and the probe's factor; the gap,
-    # the factor's d rows and the residual read S in place: no Choi copy, no full Cholesky factor
+    # the n/4 corner of the probes and its hermitian part, 1 MiB each, and the probe's factor; the pivot
+    # steps and the walk read S in place, holding L̂'s d rows and one block row's two strips, 0.5 MiB
+    # each at most: no Choi copy, no full Cholesky factor
     "is_completely_positive sampled cptp": (2.6, True, lambda: partial(is_completely_positive, sampled32("cptp"))),
     "is_completely_positive rank-40": (32.1, True, lambda: partial(is_completely_positive, cptp32(40))),
     # the 16 MiB array that h is written into, off the Choi view, and the 16 MiB factor of the
     # full Cholesky factorization that a rank above d needs
     "is_completely_positive rank-40 cold": (32.1, False, lambda: partial(is_completely_positive, cptp32(40))),
     "is_completely_positive adjoint rank-40": (32.1, True, lambda: partial(is_completely_positive, adjoint(cptp32(40)))),
-    "is_completely_positive transpose_mix": (2.6, True, lambda: partial(is_completely_positive, sampled32("transpose_mix"))),
-    # the 1 MiB corner and its hermitian part, and the factor of the n/16 probe; no 16 MiB array
-    "is_completely_positive transpose_mix cold": (4.0, False, lambda: partial(is_completely_positive, sampled32("transpose_mix"))),
-    "is_completely_positive adjoint transpose_mix": (2.6, True, lambda: partial(is_completely_positive, adjoint(sampled32("transpose_mix")))),
+    "is_completely_positive transpose_mix": (0.3, True, lambda: partial(is_completely_positive, sampled32("transpose_mix"))),
+    # the n/16 corner, its hermitian part and the probe's factor, 64 KiB each; the n/4 corner is never gathered
+    "is_completely_positive transpose_mix cold": (0.3, False, lambda: partial(is_completely_positive, sampled32("transpose_mix"))),
+    "is_completely_positive adjoint transpose_mix": (0.3, True, lambda: partial(is_completely_positive, adjoint(sampled32("transpose_mix")))),
     # one block row's conjugated partners, 0.5 MiB at most, against 16 MiB for the matrix
     "_write_hermitian_part cptp": (1.0, True, written_hermitian_part),
     "is_positive_sampled cptp": (2.6, True, lambda: partial(is_positive_sampled, cptp32(), seed=3)),

@@ -492,7 +492,9 @@ class TestFockTruncations:
     """The finite shadow of the paper's infinite-dimension claim: wp of a channel on a bosonic mode, cut
     at Fock level N, does not depend on the cut. Loss never raises the photon number, so
     <n|wp(F)|n'> for n, n' < m reads only F's leading m×m block; so does the Fock-basis transpose
-    after loss, a positive program that is not CP. The cutoffs straddle the row blocks from d = 17."""
+    after loss, a positive program that is not CP. An isometric embedding of any program into more
+    levels leaves wp on the embedded levels, the CP verdict and the audit's status as they were. The
+    cutoffs straddle the row blocks from d = 17."""
 
     @pytest.mark.parametrize("m, n", [(8, 9), (16, 17), (16, 24), (24, 33)])
     @pytest.mark.parametrize("program", ["loss", "transpose after loss"])
@@ -518,6 +520,26 @@ class TestFockTruncations:
             status = is_positive_sampled(c, tol, seed=5).status
             assert status == ("certified_cp" if program == "loss" else "no_counterexample")
             assert max(duality_residual_sweep(c, p, tol, seed=7).values()) <= tol.residual_tol
+
+    @pytest.mark.parametrize("m, n", [(16, 17), (9, 24)])
+    @pytest.mark.parametrize("kind", ["cptp", "unitary", "transpose", "transpose_mix"])
+    def test_wp_of_an_isometric_embedding(self, kind, m, n):
+        # C'(rho) = V C(V† rho V) V† + Q rho Q, V the isometry onto the leading m levels of n and Q = I - VV†,
+        # so wp(C', F) = V wp(C, V† F V) V† + Q F Q: its leading m×m block is wp(C) of F's leading block
+        tol = DEFAULT_TOL
+        c = sample_program(kind, m, [m, 331])
+        v = np.eye(n)[:, :m]
+        q = np.eye(n) - v @ v.T
+        # ρ -> AρB acts on column-stacked vectors as Bᵀ ⊗ A
+        wider = from_super(np.kron(v, v) @ c.super @ np.kron(v.T, v.T) + np.kron(q, q))
+        f = random_predicate(np.random.default_rng([n, 331]), n, n_atoms=3)
+        leading = Predicate(f.space, [f.effect(a)[:m, :m] for a in f.space.atoms])
+        narrow, wide = wp(c, leading, tol), wp(wider, f, tol)
+        for a in f.space.atoms:
+            assert np.abs(wide.effect(a)[:m, :m] - narrow.effect(a)).max() <= tol.residual_tol
+        assert is_trace_preserving(wider, tol)
+        assert is_completely_positive(wider, tol) is is_completely_positive(c, tol) is (kind in ("cptp", "unitary"))
+        assert is_positive_sampled(wider, tol, seed=5).status == is_positive_sampled(c, tol, seed=5).status
 
 
 def recorded_calls(monkeypatch, holder, name):
